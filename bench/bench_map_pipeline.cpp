@@ -13,7 +13,8 @@
 // Arms per workload:
 //   * legacy     — frozen copy of the seed map loop: per-record next(),
 //     per-emit virtual partition(), full std::sort under lexicographic
-//     Coord compares (the pre-PR behavior, kept as an honest baseline);
+//     Coord compares, and the seed's std::map structural mapper
+//     (tests/support/frozen_mappers.hpp) — kept as an honest baseline;
 //   * fallback   — today's pipeline with keySpace absent (batched reads,
 //     stable lex sort with sorted precheck);
 //   * linearized — today's pipeline with keySpace set (the fast path).
@@ -41,6 +42,7 @@
 #include "scihadoop/operators.hpp"
 #include "scihadoop/record_reader.hpp"
 #include "sidr/partition_plus.hpp"
+#include "support/frozen_mappers.hpp"
 
 namespace {
 
@@ -83,6 +85,9 @@ struct Workload {
   mr::InputSplit split;
   mr::RecordReaderFactory readerFactory;
   mr::MapperFactory mapperFactory;
+  /// The legacy arm's mapper: the seed's own where production has since
+  /// changed (the structural mapper), else the same as mapperFactory.
+  mr::MapperFactory legacyMapperFactory;
   mr::CombinerFactory combinerFactory;  // may be null
   std::shared_ptr<const mr::Partitioner> partitioner;
   nd::Coord keySpace;
@@ -98,6 +103,7 @@ Workload identityPartitionPlus() {
   w.split = mr::InputSplit::single(0, nd::Region::wholeSpace(inputShape));
   w.readerFactory = sh::makeSyntheticReaderFactory(cellValue);
   w.mapperFactory = [] { return std::make_unique<IdentityMapper>(); };
+  w.legacyMapperFactory = w.mapperFactory;
   w.partitioner = std::make_shared<const core::PartitionPlus>(ex, kReducers);
   w.keySpace = ex->intermediateSpaceShape();
   w.records = inputShape.volume();
@@ -111,6 +117,7 @@ Workload transposeModulo() {
   w.split = mr::InputSplit::single(0, nd::Region::wholeSpace(inputShape));
   w.readerFactory = sh::makeSyntheticReaderFactory(cellValue);
   w.mapperFactory = [] { return std::make_unique<TransposeMapper>(); };
+  w.legacyMapperFactory = w.mapperFactory;
   w.partitioner = std::make_shared<const mr::ModuloPartitioner>(keySpace);
   w.keySpace = keySpace;
   w.records = inputShape.volume();
@@ -127,6 +134,9 @@ Workload structuralMeanPartitionPlus() {
   w.split = mr::InputSplit::single(0, nd::Region::wholeSpace(inputShape));
   w.readerFactory = sh::makeSyntheticReaderFactory(cellValue);
   w.mapperFactory = sh::makeStructuralMapperFactory(q, ex);
+  w.legacyMapperFactory = [q, ex] {
+    return std::make_unique<testsupport::FrozenStructuralMapper>(q, ex);
+  };
   w.partitioner = std::make_shared<const core::PartitionPlus>(ex, kReducers);
   w.keySpace = ex->intermediateSpaceShape();
   w.records = inputShape.volume();
@@ -192,7 +202,8 @@ enum class Arm { kLegacy, kFallback, kLinearized, kTraced };
 void BM_MapPipeline(benchmark::State& state, Workload (*make)(), Arm arm) {
   const Workload w = make();
   for (auto _ : state) {
-    auto mapper = w.mapperFactory();
+    auto mapper =
+        arm == Arm::kLegacy ? w.legacyMapperFactory() : w.mapperFactory();
     std::unique_ptr<mr::Combiner> combiner =
         w.combinerFactory ? w.combinerFactory() : nullptr;
     std::vector<mr::Segment> segs;

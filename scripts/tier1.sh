@@ -21,6 +21,10 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" -LE slow
 ctest --test-dir build --output-on-failure -j"$(nproc)" -L slow
 
 # The TSan sweep, one suite per line. Why each is here:
+#   scifile_test                     concurrent positioned reads through
+#                                    one shared FileStorage handle (the
+#                                    stress test checks values; TSan is
+#                                    blind to stdio-internal locking)
 #   engine_test / randomized_test    both shuffle paths + recovery races
 #   linear_fastpath_test             packed segments' lazy materialization
 #                                    on concurrently running reduces
@@ -45,6 +49,7 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" -L slow
 #                                    regime/transport, join reduces over
 #                                    dual-side segments (DESIGN.md §18)
 TSAN_SUITES=(
+  scifile_test
   engine_test
   randomized_test
   linear_fastpath_test

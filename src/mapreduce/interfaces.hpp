@@ -23,21 +23,23 @@ class RecordReader {
   /// Advances to the next record; returns false at end of split.
   virtual bool next(nd::Coord& key, double& value) = 0;
 
+  /// Run read (DESIGN.md section 19): fills `values` with up to
+  /// values.size() records whose keys are `start` plus 0, 1, ... in the
+  /// innermost coordinate, and returns how many; 0 means end of split
+  /// (given a non-empty span). A run never crosses a row, so a short
+  /// return does NOT signal the end. Region-backed readers override this
+  /// to hand out whole row tails at once; this default is a run of one
+  /// record from next(), which also covers rank-0 inputs.
+  virtual std::size_t nextRun(nd::Coord& start, std::span<double> values) {
+    if (values.empty()) return 0;
+    return next(start, values[0]) ? 1 : 0;
+  }
+
   /// Batch read: fills the parallel `keys`/`values` arrays with up to
   /// min(keys.size(), values.size()) records and returns how many were
-  /// produced; 0 means end of split. A short (non-zero) return does NOT
-  /// signal the end — readers may stop early at internal boundaries
-  /// (e.g. row ends), so callers must loop until 0. Region-backed
-  /// readers override this with a row-run inner loop that pays the
-  /// cursor-carry and virtual-dispatch cost once per run instead of
-  /// once per record; this default delegates to next().
-  virtual std::size_t nextBatch(std::span<nd::Coord> keys,
-                                std::span<double> values) {
-    const std::size_t cap = std::min(keys.size(), values.size());
-    std::size_t n = 0;
-    while (n < cap && next(keys[n], values[n])) ++n;
-    return n;
-  }
+  /// produced; 0 means end of split. Built on nextRun, so it stops only
+  /// when the arrays are full or the split is exhausted.
+  std::size_t nextBatch(std::span<nd::Coord> keys, std::span<double> values);
 };
 
 /// Collects a mapper's intermediate output.
@@ -57,6 +59,18 @@ class Mapper {
   virtual ~Mapper() = default;
 
   virtual void map(const nd::Coord& key, double value, MapContext& ctx) = 0;
+
+  /// Called once before a split's first record with the split's input
+  /// regions, so a mapper whose output keyspace is known up front can
+  /// size its state for exactly this split. Optional: mappers must also
+  /// accept records without it.
+  virtual void beginSplit(std::span<const nd::Region> /*regions*/) {}
+
+  /// Maps a run of records whose keys are `start` plus 0, 1, ... in the
+  /// innermost coordinate (the shape RecordReader::nextRun produces).
+  /// This default calls map() once per record.
+  virtual void mapRun(const nd::Coord& start, std::span<const double> values,
+                      MapContext& ctx);
 
   /// Called once after the split is exhausted; mappers that buffer
   /// (combining mappers) flush here.

@@ -146,27 +146,44 @@ std::vector<Segment> runMapPipeline(const InputSplit& split,
   if (numReducers > 0) {
     ctx.reserveHint(static_cast<std::size_t>(split.volume()) / numReducers);
   }
-  // One batch's worth of key/value staging, reused across regions. 512
-  // records keeps the working set (~37 KiB) inside L1/L2 while
-  // amortizing the virtual nextBatch call over whole row runs.
+  // One batch's worth of value staging plus the start key of every row
+  // run in it, reused across regions. 512 records keeps the working set
+  // inside L1/L2; each batch is one kRead and one kMap span.
   constexpr std::size_t kBatch = 512;
-  std::vector<nd::Coord> keys(kBatch);
+  struct Run {
+    nd::Coord start;
+    std::size_t offset;
+    std::size_t length;
+  };
   std::vector<double> values(kBatch);
+  std::vector<Run> runs;
   // A split may carry several regions (byte-range splits decompose into
   // up to 2*rank+1 boxes); the mapper sees them as one record stream.
+  mapper.beginSplit(split.regions);
   for (const nd::Region& region : split.regions) {
     auto reader = readerFactory(region);
     while (true) {
-      std::size_t n;
+      std::size_t n = 0;
+      runs.clear();
       {
         obs::SpanScope readSpan(obs::Phase::kRead, obs::TaskSide::kMap,
                                 mapTask);
-        n = reader->nextBatch({keys.data(), kBatch}, {values.data(), kBatch});
+        nd::Coord start;
+        while (n < kBatch) {
+          const std::size_t len =
+              reader->nextRun(start, {values.data() + n, kBatch - n});
+          if (len == 0) break;
+          runs.push_back(Run{start, n, len});
+          n += len;
+        }
         readSpan.setRecords(n);
       }
       if (n == 0) break;
       obs::SpanScope mapSpan(obs::Phase::kMap, obs::TaskSide::kMap, mapTask);
-      for (std::size_t i = 0; i < n; ++i) mapper.map(keys[i], values[i], ctx);
+      for (const Run& run : runs) {
+        mapper.mapRun(run.start, {values.data() + run.offset, run.length},
+                      ctx);
+      }
       mapSpan.setRecords(n);
     }
   }

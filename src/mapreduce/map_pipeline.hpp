@@ -1,4 +1,4 @@
-// Map-side execution pipeline: batched record reading, run-cached
+// Map-side execution pipeline: batched row-run reading, run-cached
 // partitioning, and per-keyblock segment construction.
 //
 // This is the engine's map task body factored into a standalone unit so
@@ -94,8 +94,10 @@ class BufferingMapContext final : public MapContext {
   std::uint64_t charged_ = 0;
 };
 
-/// Executes one map task: reads every region of `split` in batches,
-/// feeds the mapper, and returns one sorted (and, when `combiner` is
+/// Executes one map task: announces the split to the mapper
+/// (Mapper::beginSplit), reads every region of `split` as row runs in
+/// batches of at most 512 records, feeds each run to Mapper::mapRun,
+/// and returns one sorted (and, when `combiner` is
 /// non-null, combined) segment per keyblock — exactly the segments the
 /// engine publishes or spills. `keySpace` selects the fast path as in
 /// BufferingMapContext.

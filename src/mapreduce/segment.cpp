@@ -435,6 +435,7 @@ class Writer {
   template <typename T>
   void words(const T* src, std::size_t n) {
     static_assert(sizeof(T) == 8);
+    if (n == 0) return;  // src may be null (empty vector): memcpy forbids it
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(p_, src, n * 8);
       p_ += n * 8;
@@ -513,6 +514,7 @@ class Reader {
   template <typename T>
   void wordsUnchecked(T* dst, std::size_t n) {
     static_assert(sizeof(T) == 8);
+    if (n == 0) return;  // dst may be null (empty vector): memcpy forbids it
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(dst, p_, n * 8);
       p_ += n * 8;
@@ -1165,7 +1167,10 @@ bool SegmentStream::tryDecodeUncompressed() {
       p += 8;
       std::vector<double> xs(n);
       if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(xs.data(), p, static_cast<std::size_t>(n) * 8);
+        // An empty list's data() may be null, which memcpy forbids.
+        if (n != 0) {
+          std::memcpy(xs.data(), p, static_cast<std::size_t>(n) * 8);
+        }
       } else {
         for (std::uint64_t i = 0; i < n; ++i) xs[i] = loadF64(p + 8 * i);
       }
@@ -1229,7 +1234,10 @@ bool SegmentStream::tryDecodeCompressed() {
       if (static_cast<std::uint64_t>(end - p) < 8 * n) return false;
       std::vector<double> xs(n);
       if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(xs.data(), p, static_cast<std::size_t>(n) * 8);
+        // An empty list's data() may be null, which memcpy forbids.
+        if (n != 0) {
+          std::memcpy(xs.data(), p, static_cast<std::size_t>(n) * 8);
+        }
       } else {
         for (std::uint64_t i = 0; i < n; ++i) xs[i] = loadF64(p + 8 * i);
       }

@@ -192,16 +192,34 @@ std::vector<double> Dataset::readRegion(std::size_t varIdx,
   std::vector<double> values(static_cast<std::size_t>(region.volume()));
   const DataType t = meta_.variable(varIdx).type;
   const std::size_t elemSize = dataTypeSize(t);
-  std::vector<std::byte> rowBytes;
+  // Rows that are adjacent in the file coalesce into one positioned read
+  // (a slab region spanning whole trailing dimensions is a single read),
+  // capped so the staging buffer stays bounded on huge regions.
+  constexpr std::uint64_t kMaxReadBytes = 4u << 20;
+  std::vector<std::byte> bytes;
+  std::uint64_t runOff = 0;
+  std::uint64_t runElems = 0;
+  std::uint64_t runValueOffset = 0;
+  auto readRun = [&] {
+    bytes.resize(runElems * elemSize);
+    storage_->readAt(runOff, bytes);
+    decodeValues(t, bytes,
+                 std::span<double>(values.data() + runValueOffset, runElems));
+  };
   forEachRow(varIdx, region,
              [&](std::uint64_t fileOff, std::uint64_t rowLen,
                  std::uint64_t valueOffset) {
-               rowBytes.resize(rowLen * elemSize);
-               storage_->readAt(fileOff, rowBytes);
-               decodeValues(t, rowBytes,
-                            std::span<double>(values.data() + valueOffset,
-                                              rowLen));
+               if (runElems > 0 && fileOff == runOff + runElems * elemSize &&
+                   (runElems + rowLen) * elemSize <= kMaxReadBytes) {
+                 runElems += rowLen;
+                 return;
+               }
+               if (runElems > 0) readRun();
+               runOff = fileOff;
+               runElems = rowLen;
+               runValueOffset = valueOffset;
              });
+  if (runElems > 0) readRun();
   return values;
 }
 

@@ -6,9 +6,10 @@
 //
 // All element access happens through logical coordinates (Regions), as
 // with NetCDF/HDF5 access libraries; the dataset translates regions into
-// the minimal set of contiguous byte runs (one per innermost row), so
-// dense region writes are sequential and scattered writes pay seeks —
-// the property the Table 2 experiment measures.
+// contiguous byte runs (one per innermost row on writes; rows adjacent
+// in the file merge into one run on reads), so dense region writes are
+// sequential and scattered writes pay seeks — the property the Table 2
+// experiment measures.
 #pragma once
 
 #include <memory>
@@ -38,7 +39,9 @@ class Dataset {
   void writeRegion(std::size_t varIdx, const nd::Region& region,
                    std::span<const double> values);
 
-  /// Reads the region's values (row-major) as doubles.
+  /// Reads the region's values (row-major) as doubles. Rows adjacent in
+  /// the file are fetched with one positioned read; safe to call from
+  /// several threads at once on one Dataset.
   std::vector<double> readRegion(std::size_t varIdx,
                                  const nd::Region& region) const;
 

@@ -1,8 +1,10 @@
 #include "scifile/storage.hpp"
 
+#include <cerrno>
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace sidr::sci {
@@ -12,6 +14,7 @@ void MemoryStorage::readAt(std::uint64_t offset,
   if (offset + buf.size() > bytes_.size()) {
     throw std::out_of_range("MemoryStorage::readAt: past end");
   }
+  if (buf.empty()) return;  // data() may be null, which memcpy forbids
   std::memcpy(buf.data(), bytes_.data() + offset, buf.size());
 }
 
@@ -20,6 +23,7 @@ void MemoryStorage::writeAt(std::uint64_t offset,
   if (offset + buf.size() > bytes_.size()) {
     bytes_.resize(offset + buf.size());
   }
+  if (buf.empty()) return;  // data() may be null, which memcpy forbids
   std::memcpy(bytes_.data() + offset, buf.data(), buf.size());
 }
 
@@ -56,11 +60,24 @@ FileStorage::~FileStorage() {
 }
 
 void FileStorage::readAt(std::uint64_t offset, std::span<std::byte> buf) const {
-  if (::fseeko(file_, static_cast<off_t>(offset), SEEK_SET) != 0) {
-    throwErrno("FileStorage: seek failed", path_);
+  // Pending stdio-buffered writes must reach the descriptor first.
+  if (writable_ && std::fflush(file_) != 0) {
+    throwErrno("FileStorage: flush failed", path_);
   }
-  if (std::fread(buf.data(), 1, buf.size(), file_) != buf.size()) {
-    throw std::runtime_error("FileStorage: short read in " + path_);
+  const int fd = ::fileno(file_);
+  std::size_t done = 0;
+  while (done < buf.size()) {
+    const ssize_t got =
+        ::pread(fd, buf.data() + done, buf.size() - done,
+                static_cast<off_t>(offset + done));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      throwErrno("FileStorage: read failed", path_);
+    }
+    if (got == 0) {
+      throw std::runtime_error("FileStorage: short read in " + path_);
+    }
+    done += static_cast<std::size_t>(got);
   }
 }
 
@@ -78,12 +95,14 @@ void FileStorage::writeAt(std::uint64_t offset,
 }
 
 std::uint64_t FileStorage::size() const {
-  if (::fseeko(file_, 0, SEEK_END) != 0) {
-    throwErrno("FileStorage: seek failed", path_);
+  if (writable_ && std::fflush(file_) != 0) {
+    throwErrno("FileStorage: flush failed", path_);
   }
-  off_t pos = ::ftello(file_);
-  if (pos < 0) throwErrno("FileStorage: tell failed", path_);
-  return static_cast<std::uint64_t>(pos);
+  struct stat st {};
+  if (::fstat(::fileno(file_), &st) != 0) {
+    throwErrno("FileStorage: stat failed", path_);
+  }
+  return static_cast<std::uint64_t>(st.st_size);
 }
 
 void FileStorage::resize(std::uint64_t newSize) {

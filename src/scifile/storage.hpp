@@ -50,7 +50,13 @@ class MemoryStorage final : public Storage {
   std::vector<std::byte> bytes_;
 };
 
-/// Buffered stdio-backed file storage with RAII ownership of the handle.
+/// File-backed storage with RAII ownership of the handle. Reads are
+/// positional (pread) and never touch the stdio stream position, so any
+/// number of threads may read through one shared handle concurrently;
+/// size() uses fstat for the same reason. Writes still go through the
+/// stdio buffer, which readAt and size flush first on a writable handle
+/// so they observe every earlier writeAt. Writers must not run
+/// concurrently with each other or with readers.
 class FileStorage final : public Storage {
  public:
   enum class Mode { kCreate, kOpenExisting, kOpenReadOnly };

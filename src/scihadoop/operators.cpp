@@ -8,22 +8,19 @@ namespace sidr::sh {
 StructuralMapper::StructuralMapper(
     const StructuralQuery& query,
     std::shared_ptr<const ExtractionMap> extraction)
-    : query_(query), extraction_(std::move(extraction)) {}
+    : query_(query),
+      cellCapacity_(static_cast<std::size_t>(
+          extraction->extractionShape().volume())),
+      cells_(std::move(extraction)) {}
 
-void StructuralMapper::map(const nd::Coord& key, double value,
-                           mr::MapContext& /*ctx*/) {
-  auto kp = extraction_->keyFor(key);
-  if (!kp) return;  // stride gap or truncated edge: produces nothing
-  CellState* cellPtr;
-  if (lastKp_ != nullptr && *lastKp_ == *kp) {
-    cellPtr = lastCell_;
-  } else {
-    auto it = cells_.try_emplace(*kp).first;
-    lastKp_ = &it->first;
-    lastCell_ = cellPtr = &it->second;
-  }
-  CellState& cell = *cellPtr;
-  ++cell.consumed;
+void StructuralMapper::beginSplit(std::span<const nd::Region> regions) {
+  cells_.reserve(regions);
+}
+
+void StructuralMapper::mapRun(const nd::Coord& start,
+                              std::span<const double> values,
+                              mr::MapContext& /*ctx*/) {
+  using Chunk = std::span<const double>;
   switch (query_.op) {
     case OperatorKind::kMean:
     case OperatorKind::kSum:
@@ -31,15 +28,28 @@ void StructuralMapper::map(const nd::Coord& key, double value,
     case OperatorKind::kMax:
     case OperatorKind::kCount:
     case OperatorKind::kRange:
-      cell.partial.merge(mr::Partial::ofValue(value));
-      break;
+      cells_.foldRun(start, values, [](CellState& cell, Chunk chunk) {
+        for (double v : chunk) cell.partial.merge(mr::Partial::ofValue(v));
+      });
+      return;
     case OperatorKind::kMedian:
     case OperatorKind::kSort:
-      cell.list.push_back(value);
-      break;
+      cells_.foldRun(start, values, [this](CellState& cell, Chunk chunk) {
+        // A cell never holds more than eshape.volume() values: one
+        // allocation per cell instead of a geometric regrowth.
+        if (cell.list.empty()) cell.list.reserve(cellCapacity_);
+        cell.list.insert(cell.list.end(), chunk.begin(), chunk.end());
+      });
+      return;
     case OperatorKind::kFilter:
-      if (value > query_.filterThreshold) cell.list.push_back(value);
-      break;
+      cells_.foldRun(start, values,
+                     [threshold = query_.filterThreshold](CellState& cell,
+                                                          Chunk chunk) {
+                       for (double v : chunk) {
+                         if (v > threshold) cell.list.push_back(v);
+                       }
+                     });
+      return;
     case OperatorKind::kJoin:
       throw std::logic_error(
           "StructuralMapper: kJoin needs the two-input JoinSideMapper "
@@ -48,15 +58,12 @@ void StructuralMapper::map(const nd::Coord& key, double value,
 }
 
 void StructuralMapper::finish(mr::MapContext& ctx) {
-  for (auto& [kp, cell] : cells_) {
+  cells_.drain([&](const nd::Coord& key, CellState& cell) {
     mr::Value v = isDistributive(query_.op)
                       ? mr::Value::partial(cell.partial)
                       : mr::Value::list(std::move(cell.list));
-    ctx.emit(kp, std::move(v), cell.consumed);
-  }
-  cells_.clear();
-  lastKp_ = nullptr;
-  lastCell_ = nullptr;
+    ctx.emit(key, std::move(v), cell.consumed);
+  });
 }
 
 mr::Value finalizeCell(const StructuralQuery& query, const mr::Partial& p,
@@ -167,41 +174,38 @@ std::vector<mr::KeyValue> runSerialOracle(const StructuralQuery& query,
 JoinSideMapper::JoinSideMapper(
     std::shared_ptr<const ExtractionMap> extraction, double keepAbove,
     std::uint8_t side)
-    : extraction_(std::move(extraction)),
-      keepAbove_(keepAbove),
-      sideTag_(side == 0 ? 0.0 : 1.0) {
+    : keepAbove_(keepAbove),
+      sideTag_(side == 0 ? 0.0 : 1.0),
+      cells_(std::move(extraction)) {
   if (side > 1) {
     throw std::invalid_argument("JoinSideMapper: side must be 0 or 1");
   }
 }
 
-void JoinSideMapper::map(const nd::Coord& key, double value,
-                         mr::MapContext& /*ctx*/) {
-  auto kp = extraction_->keyFor(key);
-  if (!kp) return;  // stride gap or truncated edge: produces nothing
-  CellState* cellPtr;
-  if (lastKp_ != nullptr && *lastKp_ == *kp) {
-    cellPtr = lastCell_;
-  } else {
-    auto it = cells_.try_emplace(*kp).first;
-    lastKp_ = &it->first;
-    lastCell_ = cellPtr = &it->second;
-  }
-  ++cellPtr->consumed;
-  if (value > keepAbove_) cellPtr->values.push_back(value);
+void JoinSideMapper::beginSplit(std::span<const nd::Region> regions) {
+  cells_.reserve(regions);
+}
+
+void JoinSideMapper::mapRun(const nd::Coord& start,
+                            std::span<const double> values,
+                            mr::MapContext& /*ctx*/) {
+  cells_.foldRun(start, values,
+                 [keepAbove = keepAbove_](CellState& cell,
+                                          std::span<const double> chunk) {
+                   for (double v : chunk) {
+                     if (v > keepAbove) cell.values.push_back(v);
+                   }
+                 });
 }
 
 void JoinSideMapper::finish(mr::MapContext& ctx) {
-  for (auto& [kp, cell] : cells_) {
+  cells_.drain([&](const nd::Coord& key, CellState& cell) {
     std::vector<double> tagged;
     tagged.reserve(cell.values.size() + 1);
     tagged.push_back(sideTag_);
     tagged.insert(tagged.end(), cell.values.begin(), cell.values.end());
-    ctx.emit(kp, mr::Value::list(std::move(tagged)), cell.consumed);
-  }
-  cells_.clear();
-  lastKp_ = nullptr;
-  lastCell_ = nullptr;
+    ctx.emit(key, mr::Value::list(std::move(tagged)), cell.consumed);
+  });
 }
 
 void JoinReducer::reduce(const nd::Coord& key,

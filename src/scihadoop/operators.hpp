@@ -11,11 +11,16 @@
 // Every emitted record carries `represents` = the number of map-input
 // pairs consumed into it, implementing the paper's count annotation
 // (section 3.2.1, method 2).
+//
+// Both structural mappers keep their per-cell state in a dense
+// CellTable over the split's instance-grid box (DESIGN.md section 19)
+// and flush it in ascending intermediate-key order; partials fold in
+// record order, so the emitted records do not depend on how the input
+// arrives (row runs via mapRun or single records via map).
 #pragma once
 
-#include <map>
-
 #include "mapreduce/interfaces.hpp"
+#include "scihadoop/cell_table.hpp"
 #include "scihadoop/extraction.hpp"
 #include "scihadoop/record_reader.hpp"
 
@@ -26,7 +31,12 @@ class StructuralMapper final : public mr::Mapper {
   StructuralMapper(const StructuralQuery& query,
                    std::shared_ptr<const ExtractionMap> extraction);
 
-  void map(const nd::Coord& key, double value, mr::MapContext& ctx) override;
+  void beginSplit(std::span<const nd::Region> regions) override;
+  void mapRun(const nd::Coord& start, std::span<const double> values,
+              mr::MapContext& ctx) override;
+  void map(const nd::Coord& key, double value, mr::MapContext& ctx) override {
+    mapRun(key, {&value, 1}, ctx);
+  }
   void finish(mr::MapContext& ctx) override;
 
  private:
@@ -37,14 +47,8 @@ class StructuralMapper final : public mr::Mapper {
   };
 
   StructuralQuery query_;
-  std::shared_ptr<const ExtractionMap> extraction_;
-  std::map<nd::Coord, CellState> cells_;
-  // Last (intermediate key -> cell) lookup: a row-major record stream
-  // hits the same extraction cell extractionShape[last] times in a row,
-  // so the tree lookup is paid once per run. std::map node pointers are
-  // stable under insertion, and nothing erases until finish().
-  const nd::Coord* lastKp_ = nullptr;
-  CellState* lastCell_ = nullptr;
+  std::size_t cellCapacity_;
+  CellTable<CellState> cells_;
 };
 
 class StructuralReducer final : public mr::Reducer {
@@ -91,7 +95,12 @@ class JoinSideMapper final : public mr::Mapper {
   JoinSideMapper(std::shared_ptr<const ExtractionMap> extraction,
                  double keepAbove, std::uint8_t side);
 
-  void map(const nd::Coord& key, double value, mr::MapContext& ctx) override;
+  void beginSplit(std::span<const nd::Region> regions) override;
+  void mapRun(const nd::Coord& start, std::span<const double> values,
+              mr::MapContext& ctx) override;
+  void map(const nd::Coord& key, double value, mr::MapContext& ctx) override {
+    mapRun(key, {&value, 1}, ctx);
+  }
   void finish(mr::MapContext& ctx) override;
 
  private:
@@ -100,12 +109,9 @@ class JoinSideMapper final : public mr::Mapper {
     std::uint64_t consumed = 0;
   };
 
-  std::shared_ptr<const ExtractionMap> extraction_;
   double keepAbove_;
   double sideTag_;
-  std::map<nd::Coord, CellState> cells_;
-  const nd::Coord* lastKp_ = nullptr;
-  CellState* lastCell_ = nullptr;
+  CellTable<CellState> cells_;
 };
 
 /// Reduce-side join: splits the fetched lists by side tag, sorts each

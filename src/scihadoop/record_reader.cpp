@@ -9,7 +9,6 @@ DatasetRecordReader::DatasetRecordReader(std::shared_ptr<sci::Dataset> dataset,
                                          std::size_t varIdx,
                                          const nd::Region& region)
     : dataset_(std::move(dataset)),
-      region_(region),
       values_(dataset_->readRegion(varIdx, region)),
       cursor_(region) {}
 
@@ -21,58 +20,36 @@ bool DatasetRecordReader::next(nd::Coord& key, double& value) {
   return true;
 }
 
-namespace {
-
-/// Writes `run` keys starting at `at`, varying only the innermost
-/// coordinate — the shared inner loop of both readers' nextBatch.
-inline void fillRowKeys(std::span<nd::Coord> keys, std::size_t n,
-                        const nd::Coord& at, std::size_t run) {
-  const std::size_t last = at.rank() - 1;
-  for (std::size_t i = 0; i < run; ++i) {
-    nd::Coord& k = keys[n + i];
-    k = at;
-    k[last] += static_cast<nd::Index>(i);
-  }
+std::size_t DatasetRecordReader::nextRun(nd::Coord& start,
+                                         std::span<double> values) {
+  if (!cursor_.valid() || values.empty()) return 0;
+  const auto run = std::min(values.size(),
+                            static_cast<std::size_t>(cursor_.rowRemaining()));
+  start = cursor_.coord();
+  std::copy_n(values_.begin() + static_cast<std::ptrdiff_t>(pos_), run,
+              values.begin());
+  pos_ += run;
+  cursor_.advanceInRow(static_cast<nd::Index>(run));
+  return run;
 }
 
-}  // namespace
-
-std::size_t DatasetRecordReader::nextBatch(std::span<nd::Coord> keys,
+std::size_t SyntheticRecordReader::nextRun(nd::Coord& start,
                                            std::span<double> values) {
-  const std::size_t cap = std::min(keys.size(), values.size());
-  if (region_.rank() == 0) {  // rank-0 region: single scalar record
-    return RecordReader::nextBatch(keys, values);
-  }
-  std::size_t n = 0;
-  while (n < cap && cursor_.valid()) {
-    const std::size_t run = std::min(
-        cap - n, static_cast<std::size_t>(cursor_.rowRemaining()));
-    fillRowKeys(keys, n, cursor_.coord(), run);
-    std::copy_n(values_.begin() + static_cast<std::ptrdiff_t>(pos_), run,
-                values.begin() + static_cast<std::ptrdiff_t>(n));
-    pos_ += run;
-    n += run;
-    cursor_.advanceInRow(static_cast<nd::Index>(run));
-  }
-  return n;
-}
-
-std::size_t SyntheticRecordReader::nextBatch(std::span<nd::Coord> keys,
-                                             std::span<double> values) {
-  const std::size_t cap = std::min(keys.size(), values.size());
   if (!cursor_.valid() || cursor_.coord().rank() == 0) {
-    return RecordReader::nextBatch(keys, values);
+    return RecordReader::nextRun(start, values);
   }
-  std::size_t n = 0;
-  while (n < cap && cursor_.valid()) {
-    const std::size_t run = std::min(
-        cap - n, static_cast<std::size_t>(cursor_.rowRemaining()));
-    fillRowKeys(keys, n, cursor_.coord(), run);
-    for (std::size_t i = 0; i < run; ++i) values[n + i] = fn_(keys[n + i]);
-    n += run;
-    cursor_.advanceInRow(static_cast<nd::Index>(run));
+  if (values.empty()) return 0;
+  const auto run = std::min(values.size(),
+                            static_cast<std::size_t>(cursor_.rowRemaining()));
+  start = cursor_.coord();
+  nd::Coord key = start;
+  const std::size_t last = key.rank() - 1;
+  for (std::size_t i = 0; i < run; ++i) {
+    key[last] = start[last] + static_cast<nd::Index>(i);
+    values[i] = fn_(key);
   }
-  return n;
+  cursor_.advanceInRow(static_cast<nd::Index>(run));
+  return run;
 }
 
 mr::RecordReaderFactory makeDatasetReaderFactory(

@@ -25,15 +25,12 @@ class DatasetRecordReader final : public mr::RecordReader {
 
   bool next(nd::Coord& key, double& value) override;
 
-  /// Row-run batch read: copies whole row tails out of the preloaded
-  /// value buffer and synthesizes their keys by bumping the innermost
-  /// coordinate, paying cursor carry once per run instead of per cell.
-  std::size_t nextBatch(std::span<nd::Coord> keys,
-                        std::span<double> values) override;
+  /// Row-run read: copies a row tail out of the preloaded value buffer,
+  /// paying cursor carry once per run instead of once per cell.
+  std::size_t nextRun(nd::Coord& start, std::span<double> values) override;
 
  private:
   std::shared_ptr<sci::Dataset> dataset_;
-  nd::Region region_;
   std::vector<double> values_;
   nd::RegionCursor cursor_;
   std::size_t pos_ = 0;
@@ -57,10 +54,9 @@ class SyntheticRecordReader final : public mr::RecordReader {
     return true;
   }
 
-  /// Row-run batch read (see DatasetRecordReader::nextBatch); values
-  /// still come from one fn_ call per key.
-  std::size_t nextBatch(std::span<nd::Coord> keys,
-                        std::span<double> values) override;
+  /// Row-run read (see DatasetRecordReader::nextRun); values still
+  /// come from one fn_ call per key.
+  std::size_t nextRun(nd::Coord& start, std::span<double> values) override;
 
  private:
   ValueFn fn_;

@@ -8,6 +8,7 @@
 #include "mapreduce/engine.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/temp_dir.hpp"
 #include "support/trace_check.hpp"
 
 namespace sidr::core {
@@ -263,8 +264,7 @@ TEST(Engine, FaultPlanMapAndReduceFailuresBothShuffleModes) {
     opts.faultPlan.failMap(0).failMap(2).failReduce(1, 1).failReduce(1, 2);
     QueryPlan plan = planner.plan(fn, opts);
     std::string dir =
-        (std::filesystem::temp_directory_path() / "sidr_fault_spill")
-            .string();
+        (testsupport::scratchRoot() / "sidr_fault_spill").string();
     if (spill) plan.spec.spillDirectory = dir;
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     if (spill) std::filesystem::remove_all(dir);
@@ -300,8 +300,7 @@ TEST(Engine, FaultPlanUnderRecomputeDepsRecovery) {
     QueryPlan plan = planner.plan(fn, opts);
     std::size_t depsOfFailed = plan.dependencies.keyblockToSplits[2].size();
     std::string dir =
-        (std::filesystem::temp_directory_path() / "sidr_fault_spill_rc")
-            .string();
+        (testsupport::scratchRoot() / "sidr_fault_spill_rc").string();
     if (spill) plan.spec.spillDirectory = dir;
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     if (spill) std::filesystem::remove_all(dir);
@@ -370,8 +369,7 @@ TEST(Engine, SpillRecoveryRaceHammer) {
   sh::ValueFn fn = sh::temperatureField(43);
   QueryPlanner planner(q, input);
   std::string dir =
-      (std::filesystem::temp_directory_path() / "sidr_recovery_hammer")
-          .string();
+      (testsupport::scratchRoot() / "sidr_recovery_hammer").string();
   sh::ExtractionMap ex(q, input);
   std::vector<mr::KeyValue> oracle = sh::runSerialOracle(q, ex, fn);
   for (int iter = 0; iter < 3; ++iter) {
@@ -601,7 +599,7 @@ TEST(Engine, SpilledSegmentsMatchInMemory) {
 
   QueryPlan spill = planner.plan(fn, opts);
   spill.spec.spillDirectory =
-      (std::filesystem::temp_directory_path() / "sidr_engine_spill").string();
+      (testsupport::scratchRoot() / "sidr_engine_spill").string();
   mr::JobResult spillResult = mr::Engine(std::move(spill.spec)).run();
   std::filesystem::remove_all(spill.spec.spillDirectory);
   CheckJobTrace(spillResult);

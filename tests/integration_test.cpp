@@ -11,6 +11,7 @@
 #include "scihadoop/query_parser.hpp"
 #include "sidr/sidr.hpp"
 #include "sim/workload.hpp"
+#include "support/temp_dir.hpp"
 
 namespace sidr {
 namespace {
@@ -19,18 +20,8 @@ namespace fs = std::filesystem;
 
 class IntegrationTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() / "sidr_integration";
-    fs::create_directories(dir_);
-  }
-  void TearDown() override {
-    std::error_code ec;
-    fs::remove_all(dir_, ec);
-  }
-  std::string path(const std::string& name) const {
-    return (dir_ / name).string();
-  }
-  fs::path dir_;
+  std::string path(const std::string& name) const { return dir_.file(name); }
+  testsupport::TempDir dir_;
 };
 
 TEST_F(IntegrationTest, FileDatasetThroughEngineToChunksAndBack) {

@@ -24,6 +24,7 @@
 #include "mapreduce/partitioners.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/temp_dir.hpp"
 
 namespace sidr::core {
 namespace {
@@ -411,8 +412,7 @@ TEST(EngineParity, SpilledFastVsFallback) {
   opts.numReducers = 4;
   opts.desiredSplitCount = 10;
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "sidr_fastpath_spill")
-          .string();
+      (testsupport::scratchRoot() / "sidr_fastpath_spill").string();
 
   QueryPlan fastPlan = planner.plan(fn, opts);
   fastPlan.spec.spillDirectory = dir;
@@ -450,8 +450,7 @@ TEST(EngineParity, FaultRecoveryOnFastPath) {
     opts.recovery = mr::RecoveryModel::kRecomputeDeps;
     opts.faultPlan.failMap(0).failReduce(1);
     const std::string dir =
-        (std::filesystem::temp_directory_path() / "sidr_fastpath_fault")
-            .string();
+        (testsupport::scratchRoot() / "sidr_fastpath_fault").string();
 
     QueryPlan fastPlan = planner.plan(fn, opts);
     if (spill) fastPlan.spec.spillDirectory = dir;

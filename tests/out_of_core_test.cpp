@@ -25,6 +25,7 @@
 #include "mapreduce/engine.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/temp_dir.hpp"
 #include "support/trace_check.hpp"
 
 namespace sidr::core {
@@ -128,7 +129,7 @@ TEST(OutOfCoreValidation, BudgetWithoutSpillDirectoryRejected) {
 TEST(OutOfCoreValidation, BudgetSmallerThanOnePageRejected) {
   QueryPlan plan = smallPlan();
   plan.spec.spillDirectory =
-      (std::filesystem::temp_directory_path() / "sidr_ooc_reject").string();
+      (testsupport::scratchRoot() / "sidr_ooc_reject").string();
   plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes - 1;
   EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
 }
@@ -136,7 +137,7 @@ TEST(OutOfCoreValidation, BudgetSmallerThanOnePageRejected) {
 TEST(OutOfCoreValidation, ZeroMergeWindowWithBudgetRejected) {
   QueryPlan plan = smallPlan();
   plan.spec.spillDirectory =
-      (std::filesystem::temp_directory_path() / "sidr_ooc_reject").string();
+      (testsupport::scratchRoot() / "sidr_ooc_reject").string();
   plan.spec.memoryBudgetBytes = 1 << 20;
   plan.spec.mergeWindowBytes = 0;
   EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
@@ -151,7 +152,7 @@ TEST(OutOfCoreValidation, CompressWithoutSpillDirectoryRejected) {
 TEST(OutOfCoreValidation, CompressWithoutKeySpaceRejected) {
   QueryPlan plan = smallPlan();
   plan.spec.spillDirectory =
-      (std::filesystem::temp_directory_path() / "sidr_ooc_reject").string();
+      (testsupport::scratchRoot() / "sidr_ooc_reject").string();
   plan.spec.compressSpill = true;
   plan.spec.keySpace = nd::Coord{};  // the codec delta-encodes linear keys
   EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
@@ -184,7 +185,7 @@ TEST(OutOfCore, TightBudgetEvictsAndMatchesUnlimitedRun) {
       << "the pool meters residency even without a budget";
 
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "sidr_ooc_pressure").string();
+      (testsupport::scratchRoot() / "sidr_ooc_pressure").string();
   std::filesystem::remove_all(dir);
   QueryPlan plan = planner.plan(fn, opts);
   // Two pages of budget against ~8x6 published segments: every
@@ -271,8 +272,7 @@ TEST_P(OutOfCoreParity, ModeMatrixProducesIdenticalOutput) {
   std::vector<mr::KeyValue> referenceCollected;
   for (const Arm& arm : arms) {
     SCOPED_TRACE(arm.name);
-    const std::string dir =
-        (std::filesystem::temp_directory_path() /
+    const std::string dir = (testsupport::scratchRoot() /
          ("sidr_ooc_parity_" + std::to_string(GetParam()) + "_" + arm.name))
             .string();
     std::filesystem::remove_all(dir);
@@ -349,7 +349,7 @@ TEST(OutOfCoreHammer, EvictionRacesRecoveryAndStreamingFetch) {
   sh::ValueFn fn = sh::temperatureField(43);
   QueryPlanner planner(q, input);
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "sidr_ooc_hammer").string();
+      (testsupport::scratchRoot() / "sidr_ooc_hammer").string();
   sh::ExtractionMap ex(q, input);
   std::vector<mr::KeyValue> oracle = sh::runSerialOracle(q, ex, fn);
   for (int iter = 0; iter < 3; ++iter) {

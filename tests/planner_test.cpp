@@ -2,6 +2,7 @@
 
 #include "mapreduce/partitioners.hpp"
 #include "sidr/planner.hpp"
+#include "support/temp_dir.hpp"
 
 namespace sidr::core {
 namespace {
@@ -137,7 +138,8 @@ TEST(QueryPlanner, TransportRecommendationFollowsSpillMode) {
   EXPECT_FALSE(inMemory.spec.transport.has_value());
 
   // Eager spill: map output is committed files, so serve the files.
-  opts.spillDirectory = "/tmp/sidr_planner_transport";
+  opts.spillDirectory =
+      (testsupport::scratchRoot() / "sidr_planner_transport").string();
   QueryPlan eager = planner.plan(sh::temperatureField(), opts);
   EXPECT_EQ(eager.recommendedTransport,
             mr::ShuffleTransportKind::kFileServed);
@@ -173,7 +175,8 @@ TEST(QueryPlanner, FileServedWithoutEagerSpillRejectedAtPlanTime) {
                std::invalid_argument);
   // Hybrid budget is equally invalid: evicted-or-resident slots are not
   // a committed-file store.
-  opts.spillDirectory = "/tmp/sidr_planner_transport";
+  opts.spillDirectory =
+      (testsupport::scratchRoot() / "sidr_planner_transport").string();
   opts.memoryBudgetBytes = 1 << 20;
   EXPECT_THROW(planner.plan(sh::temperatureField(), opts),
                std::invalid_argument);

@@ -14,6 +14,7 @@
 #include "mapreduce/engine.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/temp_dir.hpp"
 #include "support/trace_check.hpp"
 
 namespace sidr::core {
@@ -229,7 +230,7 @@ TEST_P(RandomizedFaultPlan, EngineMatchesOracleUnderInjectedFaults) {
 
   std::string dir;
   if (spill) {
-    dir = (std::filesystem::temp_directory_path() /
+    dir = (testsupport::scratchRoot() /
            ("sidr_randfault_" + std::to_string(GetParam())))
               .string();
     plan.spec.spillDirectory = dir;
@@ -352,7 +353,7 @@ TEST_P(RandomizedJoinFaultPlan, JoinMatchesOracleUnderInjectedFaults) {
 
   std::string dir;
   if (spill) {
-    dir = (std::filesystem::temp_directory_path() /
+    dir = (testsupport::scratchRoot() /
            ("sidr_randjoinfault_" + std::to_string(GetParam())))
               .string();
     plan.spec.spillDirectory = dir;

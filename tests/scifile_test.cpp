@@ -1,37 +1,21 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <atomic>
+#include <cstdint>
 #include <filesystem>
+#include <random>
+#include <thread>
+#include <vector>
 
 #include "scifile/cdl.hpp"
 #include "scifile/dataset.hpp"
 #include "scifile/output_writers.hpp"
+#include "support/temp_dir.hpp"
 
 namespace sidr::sci {
 namespace {
 
-namespace fs = std::filesystem;
-
-class TempDir {
- public:
-  TempDir() {
-    path_ = fs::temp_directory_path() /
-            ("sidr_test_" + std::to_string(::getpid()) + "_" +
-             std::to_string(counter_++));
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  std::string file(const std::string& name) const {
-    return (path_ / name).string();
-  }
-
- private:
-  fs::path path_;
-  static inline int counter_ = 0;
-};
+using testsupport::TempDir;
 
 Metadata paperMetadata() {
   Metadata meta;
@@ -112,6 +96,11 @@ TEST(FileStorage, ReadWritePersistence) {
   {
     FileStorage s(path, FileStorage::Mode::kCreate);
     s.writeAt(10, data);
+    // Reads and size() on a writable handle see unflushed writes.
+    EXPECT_EQ(s.size(), 110u);
+    std::vector<std::byte> back(100);
+    s.readAt(10, back);
+    EXPECT_EQ(back, data);
     s.flush();
     EXPECT_EQ(s.size(), 110u);
   }
@@ -122,6 +111,15 @@ TEST(FileStorage, ReadWritePersistence) {
     EXPECT_EQ(back, data);
     EXPECT_THROW(s.writeAt(0, data), std::logic_error);
   }
+}
+
+TEST(FileStorage, ShortReadThrows) {
+  TempDir dir;
+  std::string path = dir.file("short.bin");
+  FileStorage s(path, FileStorage::Mode::kCreate);
+  s.writeAt(0, std::vector<std::byte>(16, std::byte{1}));
+  std::vector<std::byte> back(8);
+  EXPECT_THROW(s.readAt(12, back), std::runtime_error);
 }
 
 TEST(FileStorage, OpenMissingFileThrows) {
@@ -182,6 +180,72 @@ TEST(Dataset, OpenRoundTripFile) {
     EXPECT_EQ(ds.metadata(), paperMetadata());
     EXPECT_EQ(ds.readRegion(0, r), values);
   }
+}
+
+TEST(Dataset, ConcurrentReadsThroughOneSharedHandle) {
+  // Map tasks of one job read the same dataset concurrently through one
+  // shared FileStorage; every thread must decode exactly the generator's
+  // values, whatever the other threads are reading at the time.
+  TempDir dir;
+  const std::string path = dir.file("shared.sndf");
+  const nd::Coord shape{48, 40, 36};
+  auto valueAt = [&shape](const nd::Coord& c) {
+    return 0.5 * static_cast<double>(nd::linearize(c, shape)) + 1.0;
+  };
+  Metadata meta;
+  meta.addDimension("t", shape[0]);
+  meta.addDimension("y", shape[1]);
+  meta.addDimension("x", shape[2]);
+  meta.addVariable("v", DataType::kFloat64, {"t", "y", "x"});
+  {
+    auto storage = std::make_shared<FileStorage>(path,
+                                                 FileStorage::Mode::kCreate);
+    Dataset ds = Dataset::create(storage, meta);
+    const nd::Region whole = nd::Region::wholeSpace(shape);
+    std::vector<double> values;
+    for (nd::RegionCursor c(whole); c.valid(); c.next()) {
+      values.push_back(valueAt(c.coord()));
+    }
+    ds.writeRegion(0, whole, values);
+    storage->flush();
+  }
+  const Dataset shared = Dataset::open(
+      std::make_shared<FileStorage>(path, FileStorage::Mode::kOpenReadOnly));
+
+  constexpr int kThreads = 4;
+  constexpr int kReadsPerThread = 400;
+  std::atomic<std::uint64_t> wrong{0};
+  std::atomic<std::uint64_t> thrown{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(1000 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < kReadsPerThread; ++i) {
+        nd::Coord corner = nd::Coord::zeros(3);
+        nd::Coord extent = nd::Coord::zeros(3);
+        for (std::size_t d = 0; d < 3; ++d) {
+          corner[d] = static_cast<nd::Index>(
+              rng() % static_cast<std::uint64_t>(shape[d]));
+          extent[d] = 1 + static_cast<nd::Index>(
+                              rng() % static_cast<std::uint64_t>(
+                                          shape[d] - corner[d]));
+        }
+        const nd::Region region(corner, extent);
+        try {
+          const std::vector<double> got = shared.readRegion(0, region);
+          std::size_t k = 0;
+          for (nd::RegionCursor c(region); c.valid(); c.next(), ++k) {
+            if (got[k] != valueAt(c.coord())) ++wrong;
+          }
+        } catch (const std::exception&) {
+          ++thrown;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(thrown.load(), 0u);
 }
 
 TEST(Dataset, OpenRejectsGarbage) {

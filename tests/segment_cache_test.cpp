@@ -38,6 +38,7 @@
 #include "scihadoop/datagen.hpp"
 #include "sidr/fingerprint.hpp"
 #include "sidr/planner.hpp"
+#include "support/temp_dir.hpp"
 #include "support/trace_check.hpp"
 
 namespace sidr::core {
@@ -48,7 +49,7 @@ namespace ts = testsupport;
 using sh::OperatorKind;
 
 std::string tempDir(const std::string& name) {
-  const std::string dir = (fs::temp_directory_path() / name).string();
+  const std::string dir = (testsupport::scratchRoot() / name).string();
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;

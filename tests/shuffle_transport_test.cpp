@@ -43,6 +43,7 @@
 #include "mapreduce/shuffle_transport.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/temp_dir.hpp"
 #include "support/trace_check.hpp"
 
 namespace sidr::core {
@@ -63,7 +64,7 @@ void expectSameCollected(const std::vector<mr::KeyValue>& xs,
 }
 
 std::string tempDir(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
+  return (testsupport::scratchRoot() / name).string();
 }
 
 // ---- wire framing: property and fuzz coverage ----

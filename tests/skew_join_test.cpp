@@ -23,6 +23,7 @@
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
 #include "sidr/skew_sampler.hpp"
+#include "support/temp_dir.hpp"
 #include "support/trace_check.hpp"
 
 namespace sidr::core {
@@ -247,7 +248,7 @@ TEST_P(SkewAdaptDifferential, RefinedPlanIsBitIdenticalToUnrefined) {
   DiffConfig cfg = makeDiffConfig(rng);
   const Regime regime = regimeFor(seed, "diff");
   const std::string dirBase =
-      (std::filesystem::temp_directory_path() /
+      (testsupport::scratchRoot() /
        ("sidr_skewdiff_" + std::to_string(seed)))
           .string();
   SCOPED_TRACE("input " + cfg.input.toString() + " " +
@@ -686,7 +687,7 @@ TEST_P(SkewJoinHammer, FullRegimeMatrixStaysBitIdentical) {
     DiffConfig cfg = makeDiffConfig(rng);
     const Regime regime = regimeFor(regimeSeed, "hammer");
     const std::string dirBase =
-        (std::filesystem::temp_directory_path() /
+        (testsupport::scratchRoot() /
          ("sidr_skewhammer_" + std::to_string(seed) + "_" +
           std::to_string(regimeSeed)))
             .string();

@@ -34,6 +34,7 @@
 #include "mapreduce/partitioners.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/temp_dir.hpp"
 
 namespace sidr::core {
 namespace {
@@ -430,8 +431,7 @@ TEST_P(SpillWriterParity, PoolSizesProduceByteIdenticalSpills) {
   std::vector<mr::KeyValue> referenceCollected;
   for (std::uint32_t writers : {1u, 2u, 8u}) {
     SCOPED_TRACE("writers=" + std::to_string(writers));
-    const std::string dir =
-        (std::filesystem::temp_directory_path() /
+    const std::string dir = (testsupport::scratchRoot() /
          ("sidr_spill_parity_" + std::to_string(GetParam()) + "_w" +
           std::to_string(writers)))
             .string();
@@ -483,8 +483,7 @@ TEST(SpillPoolHammer, ReattemptDuringConcurrentReduceFetch) {
   sh::ValueFn fn = sh::temperatureField(43);
   QueryPlanner planner(q, input);
   const std::string dir =
-      (std::filesystem::temp_directory_path() / "sidr_spillpool_hammer")
-          .string();
+      (testsupport::scratchRoot() / "sidr_spillpool_hammer").string();
   sh::ExtractionMap ex(q, input);
   std::vector<mr::KeyValue> oracle = sh::runSerialOracle(q, ex, fn);
   for (int iter = 0; iter < 3; ++iter) {

@@ -20,6 +20,7 @@
 #include "obs/report.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/temp_dir.hpp"
 #include "support/trace_check.hpp"
 
 namespace sidr::core {
@@ -73,7 +74,7 @@ TEST_P(TraceInvariants, RandomizedSchedulingContract) {
 
   std::string dir;
   if (spill) {
-    dir = (std::filesystem::temp_directory_path() /
+    dir = (testsupport::scratchRoot() /
            ("sidr_traceinv_" + std::to_string(GetParam())))
               .string();
     plan.spec.spillDirectory = dir;
@@ -130,8 +131,7 @@ TEST(TraceInvariants, BothShuffleModesWithFaultsDeterministic) {
     QueryPlan plan = planner.plan(fn, opts);
     std::vector<std::vector<std::uint32_t>> deps = plan.spec.reduceDeps;
     std::string dir =
-        (std::filesystem::temp_directory_path() / "sidr_traceinv_det")
-            .string();
+        (testsupport::scratchRoot() / "sidr_traceinv_det").string();
     if (spill) plan.spec.spillDirectory = dir;
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     if (spill) std::filesystem::remove_all(dir);
