@@ -1,5 +1,5 @@
 // Map-side pipeline micro-benchmark: per-record lexicographic baseline
-// vs. the linearized-key fast path (DESIGN.md section 11).
+// vs. the linearized-key production pipeline (DESIGN.md section 11).
 //
 // Three workloads cover the fast path's three wins:
 //   * identity_pp   — identity mapper over partition+; row-major (already
@@ -13,11 +13,12 @@
 // Arms per workload:
 //   * legacy     — frozen copy of the seed map loop: per-record next(),
 //     per-emit virtual partition(), full std::sort under lexicographic
-//     Coord compares, and the seed's std::map structural mapper
-//     (tests/support/frozen_mappers.hpp) — kept as an honest baseline;
-//   * fallback   — today's pipeline with keySpace absent (batched reads,
-//     stable lex sort with sorted precheck);
-//   * linearized — today's pipeline with keySpace set (the fast path).
+//     Coord compares, the frozen equal-key combine
+//     (tests/support/fallback_pipeline.hpp) and the seed's std::map
+//     structural mapper (tests/support/frozen_mappers.hpp) — kept as an
+//     honest baseline;
+//   * linearized — the production pipeline;
+//   * traced     — the production pipeline with span recording on.
 //
 // A fourth group, BM_SortMicro, isolates the sort stage: the LSD radix
 // sort vs a frozen copy of the seed's (u64, index) comparison sort on
@@ -42,6 +43,7 @@
 #include "scihadoop/operators.hpp"
 #include "scihadoop/record_reader.hpp"
 #include "sidr/partition_plus.hpp"
+#include "support/fallback_pipeline.hpp"
 #include "support/frozen_mappers.hpp"
 
 namespace {
@@ -188,16 +190,18 @@ std::vector<mr::Segment> runMap(const Workload& w, mr::Mapper& mapper,
               [](const mr::KeyValue& a, const mr::KeyValue& b) {
                 return a.key < b.key;
               });
-    mr::Segment seg(0, kb, std::move(buf));
-    if (combiner != nullptr) seg.combineWith(*combiner);
-    segs.push_back(std::move(seg));
+    segs.emplace_back(0, kb,
+                      combiner != nullptr
+                          ? testsupport::frozenCombine(std::move(buf),
+                                                       *combiner)
+                          : std::move(buf));
   }
   return segs;
 }
 
 }  // namespace legacy
 
-enum class Arm { kLegacy, kFallback, kLinearized, kTraced };
+enum class Arm { kLegacy, kLinearized, kTraced };
 
 void BM_MapPipeline(benchmark::State& state, Workload (*make)(), Arm arm) {
   const Workload w = make();
@@ -210,11 +214,6 @@ void BM_MapPipeline(benchmark::State& state, Workload (*make)(), Arm arm) {
     switch (arm) {
       case Arm::kLegacy:
         segs = legacy::runMap(w, *mapper, combiner.get());
-        break;
-      case Arm::kFallback:
-        segs = mr::runMapPipeline(w.split, 0, w.readerFactory, *mapper,
-                                  *w.partitioner, kReducers, combiner.get(),
-                                  nd::Coord());
         break;
       case Arm::kLinearized:
         segs = mr::runMapPipeline(w.split, 0, w.readerFactory, *mapper,
@@ -242,22 +241,15 @@ void BM_MapPipeline(benchmark::State& state, Workload (*make)(), Arm arm) {
 
 BENCHMARK_CAPTURE(BM_MapPipeline, identity_pp_legacy, &identityPartitionPlus,
                   Arm::kLegacy)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_MapPipeline, identity_pp_fallback, &identityPartitionPlus,
-                  Arm::kFallback)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_MapPipeline, identity_pp_linearized,
                   &identityPartitionPlus, Arm::kLinearized)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_MapPipeline, transpose_mod_legacy, &transposeModulo,
                   Arm::kLegacy)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_MapPipeline, transpose_mod_fallback, &transposeModulo,
-                  Arm::kFallback)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_MapPipeline, transpose_mod_linearized, &transposeModulo,
                   Arm::kLinearized)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_MapPipeline, struct_mean_pp_legacy,
                   &structuralMeanPartitionPlus, Arm::kLegacy)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_MapPipeline, struct_mean_pp_fallback,
-                  &structuralMeanPartitionPlus, Arm::kFallback)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_MapPipeline, struct_mean_pp_linearized,
                   &structuralMeanPartitionPlus, Arm::kLinearized)

@@ -8,6 +8,7 @@
 // in-process engine with the in-memory (zero-copy) segment store.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <stdexcept>
@@ -191,9 +192,10 @@ Segment makeSegment(std::size_t numRecords, Workload workload) {
     }
     records.push_back(std::move(kv));
   }
-  Segment seg(3, 1, std::move(records));
-  seg.sortByKey();
-  return seg;
+  std::stable_sort(
+      records.begin(), records.end(),
+      [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
+  return Segment(3, 1, std::move(records));
 }
 
 Segment makeSegment(const benchmark::State& state) {

@@ -26,8 +26,8 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" -L slow
 #                                    stress test checks values; TSan is
 #                                    blind to stdio-internal locking)
 #   engine_test / randomized_test    both shuffle paths + recovery races
-#   linear_fastpath_test             packed segments' lazy materialization
-#                                    on concurrently running reduces
+#   linear_fastpath_test             packed segments merged in place by
+#                                    concurrently running reduces
 #   sort_spill_parity_test           spill-writer pool re-encoding failed
 #                                    attempts while lock-free fetches read
 #                                    committed segments
@@ -79,13 +79,21 @@ done
 # classic heap-overflow territory, so it rides in the ASan pass too.
 # skew_join_test joins two value streams inside one reduce (side-tagged
 # list payloads, sorted in place) across every spill regime — buffer
-# reuse across sides is where a stale-pointer bug would live.
+# reuse across sides is where a stale-pointer bug would live. The
+# packed-segment code rides along: segment_test (codec, packed
+# sort/combine, the merger's cursors over packed, decoded and streamed
+# inputs), linear_fastpath_test (packed map output against the frozen
+# lexicographic pipeline) and structural_mapper_parity_test (dense cell
+# tables feeding the packed buffers).
 ASAN_SUITES=(
   out_of_core_test
   engine_service_test
   segment_cache_test
   shuffle_transport_test
   skew_join_test
+  segment_test
+  linear_fastpath_test
+  structural_mapper_parity_test
 )
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)" --target "${ASAN_SUITES[@]}"

@@ -1,7 +1,7 @@
 #include "mapreduce/engine.hpp"
 
 #include <algorithm>
-#include <span>
+#include <compare>
 #include <thread>
 #include <vector>
 
@@ -12,33 +12,41 @@ namespace sidr::mr {
 std::vector<KeyValue> JobResult::collectAll() const {
   // Each reducer's output is already key-sorted (the merger iterates
   // keys ascending), so a k-way merge over the outputs suffices — no
-  // full re-sort of the concatenation, and no per-output staging
-  // copies: SegmentMerger streams straight out of the ReduceOutput
-  // vectors and the result is filled through one exact-size reserve.
+  // full re-sort of the concatenation.
+  struct Cursor {
+    const KeyValue* at;
+    const KeyValue* end;
+    std::size_t keyblock;
+  };
+  // Max-heap comparator ordering the smallest (key, keyblock) first.
+  const auto after = [](const Cursor& a, const Cursor& b) {
+    if (const auto order = a.at->key <=> b.at->key; order != 0) {
+      return order > 0;
+    }
+    return a.keyblock > b.keyblock;
+  };
+  std::vector<Cursor> heap;
   std::size_t total = 0;
-  bool allLinear = true;
-  for (const ReduceOutput& out : outputs) {
-    total += out.records.size();
-    if (!out.records.empty() && out.linearKeys.size() != out.records.size()) {
-      // Any merged output lacking cached linear keys drops every cursor
-      // to Coord order, which the u64 order matches exactly (DESIGN.md
-      // section 11).
-      allLinear = false;
+  for (std::size_t kb = 0; kb < outputs.size(); ++kb) {
+    const std::vector<KeyValue>& recs = outputs[kb].records;
+    total += recs.size();
+    if (!recs.empty()) {
+      heap.push_back({recs.data(), recs.data() + recs.size(), kb});
     }
   }
-  std::vector<SegmentMerger::Input> inputs;
-  inputs.reserve(outputs.size());
-  for (const ReduceOutput& out : outputs) {
-    SegmentMerger::Input in;
-    in.run = &out.records;
-    in.runLin = allLinear ? out.linearKeys.data() : nullptr;
-    inputs.push_back(in);
-  }
-  SegmentMerger merger{std::span<const SegmentMerger::Input>(inputs)};
+  std::make_heap(heap.begin(), heap.end(), after);
   std::vector<KeyValue> all;
   all.reserve(total);
-  merger.forEachRecord(
-      [&all](const KeyValue& rec, std::uint64_t /*lin*/) { all.push_back(rec); });
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    Cursor& c = heap.back();
+    all.push_back(*c.at);
+    if (++c.at == c.end) {
+      heap.pop_back();
+    } else {
+      std::push_heap(heap.begin(), heap.end(), after);
+    }
+  }
   return all;
 }
 

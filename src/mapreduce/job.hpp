@@ -276,16 +276,14 @@ struct JobSpec {
   /// Worker threads executing tasks (a slot is only a capacity token).
   std::uint32_t numThreads = 4;
 
-  /// Optional bounding shape of the intermediate key space K' (the
-  /// output grid). When non-empty (a valid shape whose rank matches
-  /// every intermediate key), the engine switches on the linearized-key
-  /// fast path (DESIGN.md section 11): emit-time linearization, run-
-  /// cached partitioning, (u64, index) permutation sort, and u64 heap
-  /// compares in merge — all observably identical to the lexicographic
-  /// path because row-major linearization is an order-preserving
-  /// injection on the space. The planner populates this from
-  /// ExtractionMap::intermediateSpaceShape(); hand-built jobs may leave
-  /// it empty (rank 0) to run the fallback path.
+  /// Bounding shape of the intermediate key space K' (the output grid).
+  /// Required: a valid non-empty shape whose volume fits int64 and whose
+  /// rank matches every intermediate key. Every stage from map emit to
+  /// the reduce merge works on row-major u64 linear keys in this space
+  /// (DESIGN.md section 11) — an order-preserving injection, so key
+  /// order is exactly lexicographic Coord order. The planner populates
+  /// it from ExtractionMap::intermediateSpaceShape(); hand-built jobs
+  /// must declare it too.
   nd::Coord keySpace;
 
   RecoveryModel recovery = RecoveryModel::kPersistAll;
@@ -335,9 +333,7 @@ struct JobSpec {
   std::size_t mergeWindowBytes = 1 << 20;
 
   /// Encode spill (and eviction) files with the varint/delta compressed
-  /// framing instead of the fixed-width one. Requires spillDirectory
-  /// and a non-empty keySpace (the compressed framing is keyed on
-  /// linear keys).
+  /// framing instead of the fixed-width one. Requires spillDirectory.
   bool compressSpill = false;
 
   /// Canonical MapFingerprint of everything that determines this job's
@@ -406,10 +402,6 @@ struct TaskEvent {
 struct ReduceOutput {
   std::uint32_t keyblock = 0;
   std::vector<KeyValue> records;    ///< sorted by key
-  /// Parallel to `records` when JobSpec::keySpace was set and every
-  /// output key fits it: linearize(key, keySpace), letting
-  /// JobResult::collectAll's k-way merge compare u64s. Empty otherwise.
-  std::vector<std::uint64_t> linearKeys;
   double availableAt = 0.0;         ///< commit time (seconds from start)
   std::uint64_t annotationTally = 0;  ///< sum of fetched segment headers
 };
@@ -499,7 +491,8 @@ struct JobResult {
   /// ("shuffle.bytes", "sort.radixSorts", ...) at job end.
   obs::Trace trace;
 
-  /// Flattens all reduce outputs into one key-sorted list (for oracles).
+  /// Flattens all reduce outputs into one key-sorted list (for oracles):
+  /// a k-way merge in Coord order, equal keys in keyblock order.
   std::vector<KeyValue> collectAll() const;
 };
 

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -26,9 +27,18 @@ void validateJobSpec(const JobSpec& spec) {
   if (!std::isfinite(spec.weight) || spec.weight <= 0.0) {
     throw std::invalid_argument("Engine: weight must be finite and > 0");
   }
-  if (spec.keySpace.rank() > 0 && !spec.keySpace.isValidShape()) {
+  if (spec.keySpace.rank() == 0 || !spec.keySpace.isValidShape()) {
     throw std::invalid_argument(
-        "Engine: keySpace must be a valid shape (all extents > 0) or empty");
+        "Engine: keySpace must be a valid non-empty shape (all extents > 0)");
+  }
+  // Linear keys are int64 row-major indices: every key of the space must
+  // have one, or linearization overflows (undefined behaviour).
+  nd::Index volume = 1;
+  for (nd::Index extent : spec.keySpace.values()) {
+    if (volume > std::numeric_limits<nd::Index>::max() / extent) {
+      throw std::invalid_argument("Engine: keySpace volume overflows int64");
+    }
+    volume *= extent;
   }
   if (spec.mode == ExecutionMode::kSidr &&
       spec.reduceDeps.size() != spec.numReducers) {
@@ -90,16 +100,9 @@ void validateJobSpec(const JobSpec& spec) {
           "Engine: mergeWindowBytes must be > 0 when a memory budget is set");
     }
   }
-  if (spec.compressSpill) {
-    if (spec.spillDirectory.empty()) {
-      throw std::invalid_argument(
-          "Engine: compressSpill requires a spillDirectory");
-    }
-    if (spec.keySpace.rank() == 0) {
-      throw std::invalid_argument(
-          "Engine: compressSpill requires a keySpace (the codec delta-encodes "
-          "linear keys)");
-    }
+  if (spec.compressSpill && spec.spillDirectory.empty()) {
+    throw std::invalid_argument(
+        "Engine: compressSpill requires a spillDirectory");
   }
   for (const FaultSpec& f : spec.faultPlan.faults) {
     if (f.attempt == 0) {
@@ -227,26 +230,15 @@ SegmentHeader JobContext::peekSpilledHeader(std::uint32_t m,
 }
 
 /// Reads and decodes a spilled segment; adds the bytes moved to
-/// `bytesFetched` (the shuffleBytes accounting). Compressed spill
-/// files decode through the streaming reader (the only decoder that
-/// understands the delta/varint wire form); the window is irrelevant
-/// here since the whole segment materializes anyway.
+/// `bytesFetched` (the shuffleBytes accounting).
 Segment JobContext::loadSpilledSegment(std::uint32_t m, std::uint32_t kb,
                                        std::uint64_t& bytesFetched) const {
-  if (spec.compressSpill) {
-    SegmentStream stream(segmentPath(m, kb),
-                         std::max<std::size_t>(spec.mergeWindowBytes, 1),
-                         /*compressed=*/true, spec.keySpace);
-    Segment seg = Segment::fromStream(stream);
-    bytesFetched += stream.bytesRead();
-    return seg;
-  }
   sci::FileStorage file(segmentPath(m, kb),
                         sci::FileStorage::Mode::kOpenReadOnly);
   std::vector<std::byte> bytes(file.size());
   file.readAt(0, bytes);
   bytesFetched += bytes.size();
-  return Segment::deserialize(bytes);
+  return Segment::decode(bytes, spec.compressSpill, spec.keySpace);
 }
 
 // Marks a map schedulable (SIDR: because a scheduled reduce depends on
@@ -731,11 +723,9 @@ void JobContext::runMap(std::uint32_t m) {
   std::unique_ptr<Combiner> combiner =
       spec.combinerFactory ? spec.combinerFactory() : nullptr;
   // Batched read → map → route → sort/combine lives in the shared map
-  // pipeline (map_pipeline.cpp); with spec.keySpace set it runs the
-  // linearized fast path, otherwise the per-record lexicographic one.
-  // The sink scopes every sort counter the pipeline touches to THIS
-  // attempt, so the counts fold into the owning job's totals below no
-  // matter which jobs share the worker thread.
+  // pipeline (map_pipeline.cpp). The sink scopes every sort counter the
+  // pipeline touches to THIS attempt, so the counts fold into the owning
+  // job's totals below no matter which jobs share the worker thread.
   SortStats taskSort;
   std::vector<Segment> produced;
   {
@@ -1274,9 +1264,9 @@ void JobContext::runReduce(std::uint32_t kb) {
 
   // Merge/group/reduce (outside the lock: pure local computation). One
   // ordered input sequence feeds the merger whatever the source kind —
-  // materialized spill loads, resident handles (merged straight from
-  // their packed form), or bounded streaming cursors — and the record
-  // tally comes off the headers, so no input is materialized just to be
+  // decoded spill loads, resident handles (merged straight from their
+  // packed form), or bounded streaming cursors — and the record tally
+  // comes off the headers, so no input is materialized just to be
   // counted.
   std::vector<SegmentMerger::Input> inputs;
   inputs.reserve(fetchedInputs.size());
@@ -1299,7 +1289,7 @@ void JobContext::runReduce(std::uint32_t kb) {
       inputs.push_back(in);
     }
     merger = std::make_unique<SegmentMerger>(
-        std::span<const SegmentMerger::Input>(inputs));
+        std::span<const SegmentMerger::Input>(inputs), spec.keySpace);
     mergeSpan.setRecords(recordsFetched);
   }
   auto reducer = spec.reducerFactory();
@@ -1327,26 +1317,6 @@ void JobContext::runReduce(std::uint32_t kb) {
     }
   }
 
-  // Linearize the output keys OUTSIDE the lock (reducers usually emit
-  // the group key, which lies inside keySpace; an out-of-space emission
-  // just forfeits the collectAll fast merge rather than failing).
-  std::vector<std::uint64_t> outLinear;
-  if (spec.keySpace.rank() > 0) {
-    outLinear.reserve(outRecords.size());
-    for (const KeyValue& kv : outRecords) {
-      bool inSpace = kv.key.rank() == spec.keySpace.rank();
-      for (std::size_t d = 0; inSpace && d < spec.keySpace.rank(); ++d) {
-        inSpace = kv.key[d] >= 0 && kv.key[d] < spec.keySpace[d];
-      }
-      if (!inSpace) {
-        outLinear.clear();
-        break;
-      }
-      outLinear.push_back(
-          static_cast<std::uint64_t>(nd::linearize(kv.key, spec.keySpace)));
-    }
-  }
-
   attemptSpan.setBytes(bytesFetched);
   attemptSpan.setRecords(outRecords.size());
   attemptSpan.setRepresents(tally);
@@ -1364,7 +1334,6 @@ void JobContext::runReduce(std::uint32_t kb) {
   ReduceOutput& ro = result.outputs[kb];
   ro.keyblock = kb;
   ro.records = std::move(outRecords);
-  ro.linearKeys = std::move(outLinear);
   ro.availableAt = tEnd;
   ro.annotationTally = tally;
   commitSpan.setRecords(ro.records.size());

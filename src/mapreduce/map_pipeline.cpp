@@ -12,14 +12,16 @@ BufferingMapContext::BufferingMapContext(const Partitioner& partitioner,
                                          std::uint32_t numReducers,
                                          nd::Coord keySpace,
                                          SegmentPagePool* pool)
-    : partitioner_(partitioner), keySpace_(std::move(keySpace)), pool_(pool) {
-  if (linearized()) {
-    packed_.resize(numReducers);
-    lists_.resize(numReducers);
-    emitSorted_.assign(numReducers, true);
-    lastLin_.assign(numReducers, 0);
-  } else {
-    buffers_.resize(numReducers);
+    : partitioner_(partitioner),
+      keySpace_(std::move(keySpace)),
+      packed_(numReducers),
+      lists_(numReducers),
+      emitSorted_(numReducers, true),
+      lastLin_(numReducers, 0),
+      pool_(pool) {
+  if (keySpace_.rank() == 0 || !keySpace_.isValidShape()) {
+    throw std::invalid_argument(
+        "BufferingMapContext: keySpace must be a valid non-empty shape");
   }
 }
 
@@ -53,7 +55,7 @@ void BufferingMapContext::emit(const nd::Coord& key, Value value,
     // Approximate footprint of this emission in its buffered form;
     // charged in whole pages once enough accumulates, so the pool's
     // atomic is touched once per ~kPageBytes, not once per record.
-    pending_ += linearized() ? sizeof(PackedRecord) : sizeof(KeyValue);
+    pending_ += sizeof(PackedRecord);
     if (value.kind() == ValueKind::kList) {
       pending_ += sizeof(std::vector<double>) +
                   value.asList().size() * sizeof(double);
@@ -62,15 +64,6 @@ void BufferingMapContext::emit(const nd::Coord& key, Value value,
       charged_ += pool_->charge(pending_);
       pending_ = 0;
     }
-  }
-  if (!linearized()) {
-    const auto numReducers = static_cast<std::uint32_t>(buffers_.size());
-    std::uint32_t kb = partitioner_.partition(key, numReducers);
-    if (kb >= buffers_.size()) {
-      throw std::logic_error("Partitioner returned out-of-range keyblock");
-    }
-    buffers_[kb].push_back(KeyValue{key, std::move(value), represents});
-    return;
   }
   const auto numReducers = static_cast<std::uint32_t>(packed_.size());
   const std::uint64_t lin = linearizeChecked(key);
@@ -120,15 +113,19 @@ void BufferingMapContext::emit(const nd::Coord& key, Value value,
 Segment BufferingMapContext::takeSegment(std::uint32_t mapTask,
                                          std::uint32_t kb,
                                          const Combiner* combiner) {
-  Segment seg = linearized()
-                    ? Segment(mapTask, kb, std::move(packed_[kb]),
-                              std::move(lists_[kb]), keySpace_)
-                    : Segment(mapTask, kb, std::move(buffers_[kb]));
+  // The reserve hint assumes one emission per input record; aggregating
+  // mappers emit one per output cell and leave most of it unused. Give
+  // that back now rather than hold it until the keyblock's reduce runs:
+  // a job's untouched reservations otherwise grow the allocator's heaps
+  // by hundreds of MiB, and they are returned and re-faulted every job.
+  std::vector<PackedRecord>& buf = packed_[kb];
+  if (buf.capacity() > 2 * buf.size()) buf.shrink_to_fit();
+  Segment seg(mapTask, kb, std::move(buf), std::move(lists_[kb]), keySpace_);
   // A keyblock whose emissions were tracked as already nondecreasing
   // needs no sort at all — skipping the call also skips the O(n)
   // sorted rescan, and guarantees sorted combiner output is never
   // re-examined after the combine merge.
-  if (!linearized() || !emitSorted_[kb]) seg.sortByKey();
+  if (!emitSorted_[kb]) seg.sortByKey();
   if (combiner != nullptr) seg.combineWith(*combiner);
   return seg;
 }

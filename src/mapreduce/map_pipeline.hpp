@@ -2,12 +2,9 @@
 // partitioning, and per-keyblock segment construction.
 //
 // This is the engine's map task body factored into a standalone unit so
-// benchmarks and parity tests can drive the exact production path (and
-// its lexicographic fallback) without standing up a whole engine. The
-// linearized-key fast path (DESIGN.md section 11) activates when the
-// job declares a keySpace; with it absent every stage falls back to the
-// original per-record, lexicographic behavior — observably identical
-// output either way.
+// benchmarks and parity tests can drive the exact production path
+// without standing up a whole engine. Every stage works on row-major
+// linear keys in the job's declared keySpace (DESIGN.md section 11).
 #pragma once
 
 #include <cstdint>
@@ -21,33 +18,27 @@ namespace sidr::mr {
 
 /// Buffers a map task's emitted records per destination keyblock.
 ///
-/// With a non-empty `keySpace` the context linearizes each emitted key
-/// once and routes through Partitioner::partitionRun, caching the
-/// returned [linearKey, runEnd) same-keyblock run — a structure-aware
+/// The context linearizes each emitted key once in `keySpace` and
+/// routes through Partitioner::partitionRun, caching the returned
+/// [linearKey, runEnd) same-keyblock run — a structure-aware
 /// partitioner is then consulted once per granule row instead of once
 /// per record — and buffers PackedRecords, which takeSegment hands to
-/// the Segment still packed (full KeyValues materialize lazily at the
-/// first consumer that needs them). With an empty keySpace it routes
-/// every emit through the classic virtual partition() into KeyValue
-/// buffers and attaches no cache.
+/// the Segment still packed.
 class BufferingMapContext final : public MapContext {
  public:
-  /// `pool` (optional) is the job's SegmentPagePool: emitted bytes are
-  /// charged against it in page-sized increments as buffers grow, so
-  /// the engine observes map-side pressure while the task is still
-  /// running. The context's whole charge is released when it is
-  /// destroyed (by then the engine has charged the published segments
-  /// themselves).
+  /// `keySpace` must be a valid non-empty shape (std::invalid_argument
+  /// otherwise) bounding every emitted key. `pool` (optional) is the
+  /// job's SegmentPagePool: emitted bytes are charged against it in
+  /// page-sized increments as buffers grow, so the engine observes
+  /// map-side pressure while the task is still running. The context's
+  /// whole charge is released when it is destroyed (by then the engine
+  /// has charged the published segments themselves).
   BufferingMapContext(const Partitioner& partitioner, std::uint32_t numReducers,
-                      nd::Coord keySpace = nd::Coord(),
-                      SegmentPagePool* pool = nullptr);
+                      nd::Coord keySpace, SegmentPagePool* pool = nullptr);
   ~BufferingMapContext() override;
 
   void emit(const nd::Coord& key, Value value,
             std::uint64_t represents = 1) override;
-
-  /// True when the linearized fast path is active.
-  bool linearized() const noexcept { return keySpace_.rank() > 0; }
 
   /// Capacity hint: expected records per keyblock buffer, applied lazily
   /// on a buffer's first insertion so untouched keyblocks allocate
@@ -56,13 +47,12 @@ class BufferingMapContext final : public MapContext {
     reserveHint_ = perKeyblock;
   }
 
-  /// Moves keyblock `kb`'s buffered records (plus their linear keys in
-  /// fast mode) into a Segment, sorts it, and applies the optional
-  /// combiner. In fast mode a keyblock whose emissions arrived in
-  /// nondecreasing linear-key order (tracked per emit, the common
-  /// row-major case) skips the sort call outright — not even the O(n)
-  /// sorted scan runs, and already-sorted combiner output is never
-  /// re-sorted. Each keyblock can be taken once.
+  /// Moves keyblock `kb`'s buffered records into a packed Segment,
+  /// sorts it, and applies the optional combiner. A keyblock whose
+  /// emissions arrived in nondecreasing linear-key order (tracked per
+  /// emit, the common row-major case) skips the sort call outright —
+  /// not even the O(n) sorted scan runs, and already-sorted combiner
+  /// output is never re-sorted. Each keyblock can be taken once.
   Segment takeSegment(std::uint32_t mapTask, std::uint32_t kb,
                       const Combiner* combiner);
 
@@ -71,14 +61,12 @@ class BufferingMapContext final : public MapContext {
 
   const Partitioner& partitioner_;
   nd::Coord keySpace_;
-  /// Fallback mode: full KeyValue buffers, one per keyblock.
-  std::vector<std::vector<KeyValue>> buffers_;
-  /// Fast mode: packed buffers plus the out-of-line list payloads.
+  /// Packed buffers plus the out-of-line list payloads, per keyblock.
   std::vector<std::vector<PackedRecord>> packed_;
   std::vector<std::vector<std::vector<double>>> lists_;
-  /// Fast mode: per-keyblock "emissions arrived in nondecreasing linear
-  /// order so far" flag plus the last emitted linear key, maintained in
-  /// emit — lets takeSegment skip the sort without rescanning.
+  /// Per-keyblock "emissions arrived in nondecreasing linear order so
+  /// far" flag plus the last emitted linear key, maintained in emit —
+  /// lets takeSegment skip the sort without rescanning.
   std::vector<bool> emitSorted_;
   std::vector<std::uint64_t> lastLin_;
   std::size_t reserveHint_ = 0;
@@ -98,9 +86,9 @@ class BufferingMapContext final : public MapContext {
 /// (Mapper::beginSplit), reads every region of `split` as row runs in
 /// batches of at most 512 records, feeds each run to Mapper::mapRun,
 /// and returns one sorted (and, when `combiner` is
-/// non-null, combined) segment per keyblock — exactly the segments the
-/// engine publishes or spills. `keySpace` selects the fast path as in
-/// BufferingMapContext.
+/// non-null, combined) packed segment per keyblock — exactly the
+/// segments the engine publishes or spills. `keySpace` is the job's
+/// key space, as in BufferingMapContext.
 std::vector<Segment> runMapPipeline(const InputSplit& split,
                                     std::uint32_t mapTask,
                                     const RecordReaderFactory& readerFactory,

@@ -62,13 +62,13 @@ void radixSortPacked(std::vector<PackedRecord>& records) {
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t k = records[i].lin;
     front[i] = LinIdx{k, static_cast<std::uint32_t>(i)};
-    for (int b = 0; b < 8; ++b) ++counts[b][(k >> (8 * b)) & 0xff];
+    for (std::size_t b = 0; b < 8; ++b) ++counts[b][(k >> (8 * b)) & 0xff];
   }
   LinIdx* src = front.data();
   LinIdx* dst = back.data();
-  for (int pass = 0; pass < 8; ++pass) {
+  for (std::size_t pass = 0; pass < 8; ++pass) {
     std::array<std::uint32_t, 256>& c = counts[pass];
-    const int shift = 8 * pass;
+    const std::size_t shift = 8 * pass;
     // A byte that is constant across the segment contributes nothing to
     // the order: a stable counting scatter on it is the identity.
     if (c[(src[0].lin >> shift) & 0xff] == n) {
@@ -146,17 +146,6 @@ Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
 }
 
 Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
-                 std::vector<KeyValue> records,
-                 std::vector<std::uint64_t> linearKeys)
-    : Segment(mapTask, keyblock, std::move(records)) {
-  if (linearKeys.size() != records_.size()) {
-    throw std::invalid_argument(
-        "Segment: linearKeys size does not match records");
-  }
-  linearKeys_ = std::move(linearKeys);
-}
-
-Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
                  std::vector<PackedRecord> packed,
                  std::vector<std::vector<double>> lists, nd::Coord keySpace)
     : packed_(std::move(packed)),
@@ -179,9 +168,7 @@ void Segment::materializeNow() const {
   // sorted runs delinearize by bumping the innermost coordinate instead
   // of re-dividing (mappers over row-major input emit dense runs).
   std::vector<KeyValue> records;
-  std::vector<std::uint64_t> linearKeys;
   records.reserve(packed_.size());
-  linearKeys.reserve(packed_.size());
   const std::size_t lastD = keySpace_.rank() - 1;
   nd::Coord cur;
   std::uint64_t prevLin = 0;
@@ -208,10 +195,8 @@ void Segment::materializeNow() const {
         kv.value = Value::list(std::move(lists_[r.payload.listIndex]));
         break;
     }
-    linearKeys.push_back(r.lin);
   }
   records_ = std::move(records);
-  linearKeys_ = std::move(linearKeys);
   packed_.clear();
   packed_.shrink_to_fit();
   lists_.clear();
@@ -219,90 +204,14 @@ void Segment::materializeNow() const {
   packedMode_ = false;
 }
 
-void Segment::computeLinearKeys(const nd::Coord& keySpace) {
-  if (packedMode_) return;  // packed records ARE linear keys already
-  std::vector<std::uint64_t> lin;
-  lin.reserve(records_.size());
-  for (const KeyValue& kv : records_) {
-    if (kv.key.rank() != keySpace.rank()) {
-      throw std::out_of_range("Segment::computeLinearKeys: key rank mismatch");
-    }
-    for (std::size_t d = 0; d < keySpace.rank(); ++d) {
-      if (kv.key[d] < 0 || kv.key[d] >= keySpace[d]) {
-        throw std::out_of_range(
-            "Segment::computeLinearKeys: key outside space");
-      }
-    }
-    lin.push_back(static_cast<std::uint64_t>(nd::linearize(kv.key, keySpace)));
-  }
-  linearKeys_ = std::move(lin);
-}
-
 void Segment::sortByKey() {
+  if (!packedMode_) {
+    throw std::logic_error("Segment::sortByKey: only packed map output sorts");
+  }
   obs::SpanScope span(obs::Phase::kSortPacked, obs::TaskSide::kMap,
                       header_.mapTask, 0, header_.keyblock);
   span.setRecords(header_.numRecords);
-  if (packedMode_) {
-    sortPacked();
-    return;
-  }
-  if (hasLinearKeys() && !records_.empty()) {
-    sortByLinearKey();
-    return;
-  }
-  // Already-sorted detection matters on both paths: mappers that walk a
-  // region emit in row-major order, so the common case is a no-op scan.
-  auto lexLess = [](const KeyValue& a, const KeyValue& b) {
-    return a.key < b.key;
-  };
-  if (std::is_sorted(records_.begin(), records_.end(), lexLess)) {
-    ++activeSortStats().sortedSkips;
-    return;
-  }
-  // stable_sort, not sort: duplicate keys must keep emission order so the
-  // fallback and linearized paths build byte-identical segments.
-  ++activeSortStats().comparisonSorts;
-  std::stable_sort(records_.begin(), records_.end(), lexLess);
-}
-
-void Segment::sortByLinearKey() {
-  if (std::is_sorted(linearKeys_.begin(), linearKeys_.end())) {
-    ++activeSortStats().sortedSkips;
-    return;
-  }
-  ++activeSortStats().comparisonSorts;
-  // Sort compact (u64 key, u32 index) pairs and permute the ~130-byte
-  // KeyValues once, instead of swapping them under Coord compares. The
-  // index tie-break makes the sort stable. Segments beyond u32 indexing
-  // would need a wider pair; no in-memory map output gets near that.
-  struct KeyIdx {
-    std::uint64_t key;
-    std::uint32_t idx;
-  };
-  if (records_.size() > std::numeric_limits<std::uint32_t>::max()) {
-    linearKeys_.clear();  // cache dropped; fall back to a stable lex sort
-    std::stable_sort(
-        records_.begin(), records_.end(),
-        [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
-    return;
-  }
-  std::vector<KeyIdx> order(records_.size());
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    order[i] = {linearKeys_[i], static_cast<std::uint32_t>(i)};
-  }
-  std::sort(order.begin(), order.end(), [](const KeyIdx& a, const KeyIdx& b) {
-    return a.key < b.key || (a.key == b.key && a.idx < b.idx);
-  });
-  std::vector<KeyValue> sorted;
-  sorted.reserve(records_.size());
-  std::vector<std::uint64_t> sortedLin;
-  sortedLin.reserve(records_.size());
-  for (const KeyIdx& ki : order) {
-    sorted.push_back(std::move(records_[ki.idx]));
-    sortedLin.push_back(ki.key);
-  }
-  records_ = std::move(sorted);
-  linearKeys_ = std::move(sortedLin);
+  sortPacked();
 }
 
 void Segment::sortPacked() {
@@ -323,8 +232,7 @@ void Segment::sortPacked() {
   }
   // Small segment: the comparison sort on (lin, idx) pairs wins below
   // the radix threshold. Buffer order is emission order, so the index
-  // tie-break keeps the sort stable — the same record order
-  // std::stable_sort produces in the lexicographic fallback.
+  // tie-break keeps the sort stable.
   ++activeSortStats().comparisonSorts;
   struct LinIdx {
     std::uint64_t lin;
@@ -344,30 +252,53 @@ void Segment::sortPacked() {
 }
 
 void Segment::combineWith(const Combiner& combiner) {
-  if (packedMode_) materializeNow();  // combiners consume full Values
-  if (records_.empty()) return;
-  const bool lin = hasLinearKeys();
-  std::vector<KeyValue> combined;
-  std::vector<std::uint64_t> combinedLin;
-  combined.push_back(std::move(records_.front()));
-  if (lin) combinedLin.push_back(linearKeys_.front());
-  for (std::size_t i = 1; i < records_.size(); ++i) {
-    KeyValue& last = combined.back();
-    // Equal-run detection on the cached u64 when present: linearization
-    // is injective over the key space, so u64 equality == Coord equality.
-    const bool sameKey =
-        lin ? linearKeys_[i] == combinedLin.back() : records_[i].key == last.key;
-    if (sameKey) {
-      last.value = combiner.combine(last.value, records_[i].value);
-      last.represents += records_[i].represents;
-    } else {
-      combined.push_back(std::move(records_[i]));
-      if (lin) combinedLin.push_back(linearKeys_[i]);
-    }
+  if (!packedMode_) {
+    throw std::logic_error(
+        "Segment::combineWith: only packed map output combines");
   }
-  records_ = std::move(combined);
-  linearKeys_ = std::move(combinedLin);
-  header_.numRecords = records_.size();
+  // Combiners consume and produce full Values: unpack each equal-key
+  // run, fold it, and pack the result back (lists into a fresh side
+  // table, so indices stay dense).
+  const auto unpack = [this](const PackedRecord& r) {
+    switch (r.kind) {
+      case ValueKind::kScalar:
+        return Value::scalar(r.payload.scalar);
+      case ValueKind::kPartial:
+        return Value::partial(r.payload.partial);
+      case ValueKind::kList:
+        break;
+    }
+    return Value::list(std::move(lists_[r.payload.listIndex]));
+  };
+  std::vector<PackedRecord> combined;
+  std::vector<std::vector<double>> lists;
+  for (std::size_t i = 0; i < packed_.size();) {
+    PackedRecord out = packed_[i];
+    Value value = unpack(packed_[i]);
+    std::size_t j = i + 1;
+    for (; j < packed_.size() && packed_[j].lin == out.lin; ++j) {
+      value = combiner.combine(value, unpack(packed_[j]));
+      out.represents += packed_[j].represents;
+    }
+    out.kind = value.kind();
+    switch (out.kind) {
+      case ValueKind::kScalar:
+        out.payload.scalar = value.asScalar();
+        break;
+      case ValueKind::kPartial:
+        out.payload.partial = value.asPartial();
+        break;
+      case ValueKind::kList:
+        out.payload.listIndex = static_cast<std::uint32_t>(lists.size());
+        lists.push_back(std::move(value.mutableList()));
+        break;
+    }
+    combined.push_back(out);
+    i = j;
+  }
+  packed_ = std::move(combined);
+  lists_ = std::move(lists);
+  header_.numRecords = packed_.size();
   // header_.represents is preserved: combining merges values but still
   // stands for the same original input pairs.
 }
@@ -580,19 +511,24 @@ inline double loadF64(const std::byte* p) {
   return v;
 }
 
-/// Range-checked linearization for the compressed encode of segments
-/// without a linear-key cache (deserialize output, hand-built tests).
-std::uint64_t checkedLinearize(const nd::Coord& key,
-                               const nd::Coord& keySpace) {
+/// Range-checked row-major linearization of a decoded record's key —
+/// the codec validates structure, not coordinate ranges, so a corrupt
+/// spill file or payload surfaces here. `who` names the caller.
+std::uint64_t checkedLinearize(const nd::Coord& key, const nd::Coord& keySpace,
+                               const char* who) {
   if (key.rank() != keySpace.rank()) {
-    throw std::out_of_range("Segment::serializeCompressed: key rank mismatch");
+    throw std::out_of_range(std::string(who) + ": key rank mismatch");
   }
+  // Bounds check and accumulation fused into one pass.
+  std::uint64_t lin = 0;
   for (std::size_t d = 0; d < keySpace.rank(); ++d) {
     if (key[d] < 0 || key[d] >= keySpace[d]) {
-      throw std::out_of_range("Segment::serializeCompressed: key outside space");
+      throw std::out_of_range(std::string(who) + ": key outside key space");
     }
+    lin = lin * static_cast<std::uint64_t>(keySpace[d]) +
+          static_cast<std::uint64_t>(key[d]);
   }
-  return static_cast<std::uint64_t>(nd::linearize(key, keySpace));
+  return lin;
 }
 
 }  // namespace
@@ -738,7 +674,6 @@ std::uint64_t Segment::residentBytes() const noexcept {
       bytes += kv.value.asList().size() * sizeof(double);
     }
   }
-  bytes += linearKeys_.size() * sizeof(std::uint64_t);
   return bytes;
 }
 
@@ -786,11 +721,10 @@ std::size_t Segment::serializedCompressedSize(const nd::Coord& keySpace) const {
     }
     return size;
   }
-  const bool cached = linearKeys_.size() == records_.size();
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const KeyValue& kv = records_[i];
-    recordFixed(cached ? linearKeys_[i] : checkedLinearize(kv.key, keySpace),
-                kv.represents);
+  for (const KeyValue& kv : records_) {
+    recordFixed(
+        checkedLinearize(kv.key, keySpace, "Segment::serializeCompressed"),
+        kv.represents);
     switch (kv.value.kind()) {
       case ValueKind::kScalar:
         size += 8;
@@ -856,11 +790,9 @@ void Segment::serializeCompressedInto(std::vector<std::byte>& out,
     }
     return;
   }
-  const bool cached = linearKeys_.size() == records_.size();
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const KeyValue& kv = records_[i];
-    w.varint(delta(cached ? linearKeys_[i]
-                          : checkedLinearize(kv.key, keySpace)));
+  for (const KeyValue& kv : records_) {
+    w.varint(delta(
+        checkedLinearize(kv.key, keySpace, "Segment::serializeCompressed")));
     w.varint(kv.represents);
     w.u8(static_cast<std::uint8_t>(kv.value.kind()));
     switch (kv.value.kind()) {
@@ -896,17 +828,21 @@ Segment Segment::fromStream(SegmentStream& stream) {
   const SegmentHeader h = stream.header();
   std::vector<KeyValue> records;
   records.reserve(h.numRecords);  // bounded by the stream's count check
-  std::vector<std::uint64_t> lin;
-  const bool hasLin = stream.hasLin();
-  if (hasLin) lin.reserve(h.numRecords);
-  while (!stream.exhausted()) {
-    if (hasLin) lin.push_back(stream.currentLin());
-    records.push_back(stream.take());
-  }
-  if (hasLin) {
-    return Segment(h.mapTask, h.keyblock, std::move(records), std::move(lin));
-  }
+  while (!stream.exhausted()) records.push_back(stream.take());
   return Segment(h.mapTask, h.keyblock, std::move(records));
+}
+
+Segment Segment::decode(std::span<const std::byte> bytes, bool compressed,
+                        const nd::Coord& keySpace) {
+  if (!compressed) return deserialize(bytes);
+  // Only the streaming reader understands the delta/varint framing; the
+  // window is irrelevant here since the whole segment decodes anyway.
+  auto storage = std::make_unique<sci::MemoryStorage>();
+  storage->writeAt(0, bytes);
+  SegmentStream stream(std::move(storage),
+                       std::max<std::size_t>(bytes.size(), 1),
+                       /*compressed=*/true, keySpace);
+  return fromStream(stream);
 }
 
 Segment Segment::deserialize(std::span<const std::byte> bytes) {
@@ -1039,9 +975,6 @@ void SegmentStream::init() {
       }
       refill();
     }
-    hasLin_ = true;
-  } else {
-    hasLin_ = keySpace_.rank() > 0;
   }
   if (header_.numRecords == 0) {
     finishChecks();
@@ -1187,9 +1120,6 @@ bool SegmentStream::tryDecodeUncompressed() {
   cur_.key = std::move(key);
   cur_.represents = represents;
   cur_.value = std::move(value);
-  if (hasLin_) {
-    curLin_ = checkedLinearize(cur_.key, keySpace_);
-  }
   return true;
 }
 
@@ -1275,7 +1205,6 @@ bool SegmentStream::tryDecodeCompressed() {
   cur_.key = prevKey_;
   cur_.represents = represents;
   cur_.value = std::move(value);
-  curLin_ = lin;
   return true;
 }
 
@@ -1309,7 +1238,9 @@ void SegmentStream::finishChecks() {
   }
 }
 
-SegmentMerger::SegmentMerger(std::span<const Segment* const> segments) {
+SegmentMerger::SegmentMerger(std::span<const Segment* const> segments,
+                             nd::Coord keySpace)
+    : keySpace_(std::move(keySpace)) {
   std::vector<Input> inputs(segments.size());
   for (std::size_t i = 0; i < segments.size(); ++i) {
     inputs[i].segment = segments[i];
@@ -1317,23 +1248,15 @@ SegmentMerger::SegmentMerger(std::span<const Segment* const> segments) {
   init(inputs);
 }
 
-SegmentMerger::SegmentMerger(std::span<const Input> inputs) { init(inputs); }
+SegmentMerger::SegmentMerger(std::span<const Input> inputs, nd::Coord keySpace)
+    : keySpace_(std::move(keySpace)) {
+  init(inputs);
+}
 
 void SegmentMerger::init(std::span<const Input> inputs) {
-  // The u64 heap is only valid when EVERY participating input serves
-  // linear keys: a mixed heap would compare a u64 against a Coord.
-  for (const Input& in : inputs) {
-    if (in.segment != nullptr) {
-      if (!in.segment->empty() && !in.segment->hasLinearKeys()) {
-        allLinear_ = false;
-      }
-    } else if (in.stream != nullptr) {
-      if (!in.stream->exhausted() && !in.stream->hasLin()) {
-        allLinear_ = false;
-      }
-    } else if (in.run != nullptr) {
-      if (!in.run->empty() && in.runLin == nullptr) allLinear_ = false;
-    }
+  if (keySpace_.rank() == 0 || !keySpace_.isValidShape()) {
+    throw std::invalid_argument(
+        "SegmentMerger: needs a valid non-empty key space");
   }
   // Cursor creation order == input order: the heap's evolution depends
   // only on key comparisons and this sequence, never on which KIND of
@@ -1343,92 +1266,52 @@ void SegmentMerger::init(std::span<const Input> inputs) {
     Cursor c{};
     if (in.segment != nullptr && !in.segment->empty()) {
       c.segment = in.segment;
-      if (in.segment->packed() && allLinear_) {
-        // Iterate the packed form directly — merging never builds the
-        // segment's KeyValue view.
+      if (in.segment->packed()) {
+        // A packed segment's stored keys are only comparable with this
+        // merge's if they were linearized in the same space.
+        if (!(in.segment->keySpaceShape() == keySpace_)) {
+          throw std::invalid_argument(
+              "SegmentMerger: packed input linearized in a different key "
+              "space");
+        }
         c.kind = Kind::kPacked;
         c.packed = in.segment->packedRecords().data();
         c.count = in.segment->packedRecords().size();
       } else {
-        c.kind = Kind::kMaterialized;
+        c.kind = Kind::kDecoded;
         c.recs = in.segment->records().data();
         c.count = in.segment->records().size();
-        c.lin = allLinear_ ? in.segment->linearKeys().data() : nullptr;
       }
     } else if (in.stream != nullptr && !in.stream->exhausted()) {
       c.kind = Kind::kStream;
       c.stream = in.stream;
-    } else if (in.run != nullptr && !in.run->empty()) {
-      c.kind = Kind::kRun;
-      c.recs = in.run->data();
-      c.count = in.run->size();
-      c.lin = allLinear_ ? in.runLin : nullptr;
     } else {
       continue;  // empty or absent input
     }
+    c.lin = currentLin(c);
     heap_.push_back(c);
   }
   // Build a binary min-heap on the cursors' current keys.
   for (std::size_t i = heap_.size(); i-- > 0;) siftDown(i);
 }
 
-std::uint64_t SegmentMerger::linAt(const Cursor& c) const {
+std::uint64_t SegmentMerger::currentLin(const Cursor& c) const {
   switch (c.kind) {
     case Kind::kPacked:
       return c.packed[c.pos].lin;
+    case Kind::kDecoded:
+      return checkedLinearize(c.recs[c.pos].key, keySpace_, "SegmentMerger");
     case Kind::kStream:
-      return c.stream->currentLin();
-    case Kind::kRun:
-    case Kind::kMaterialized:
       break;
   }
-  return c.lin[c.pos];
-}
-
-const nd::Coord& SegmentMerger::keyAt(const Cursor& c) const {
-  // Never sees kPacked: packed cursors exist only on the allLinear_
-  // path, where every compare goes through linAt.
-  if (c.kind == Kind::kStream) return c.stream->current().key;
-  return c.recs[c.pos].key;
-}
-
-nd::Coord SegmentMerger::topKey() const {
-  const Cursor& c = heap_.front();
-  if (c.kind == Kind::kPacked) {
-    return nd::delinearize(static_cast<nd::Index>(c.packed[c.pos].lin),
-                           c.segment->keySpaceShape());
-  }
-  return keyAt(c);
-}
-
-std::uint64_t SegmentMerger::topLin() const { return linAt(heap_.front()); }
-
-bool SegmentMerger::topKeyEquals(const nd::Coord& key,
-                                 std::uint64_t keyLin) const {
-  const Cursor& c = heap_.front();
-  if (allLinear_) return linAt(c) == keyLin;
-  return keyAt(c) == key;
-}
-
-const KeyValue& SegmentMerger::topRecord() const {
-  return heap_.front().recs[heap_.front().pos];
-}
-
-void SegmentMerger::requireRunCursors() const {
-  for (const Cursor& c : heap_) {
-    if (c.kind != Kind::kRun && c.kind != Kind::kMaterialized) {
-      throw std::logic_error(
-          "SegmentMerger::forEachRecord: needs run or materialized inputs");
-    }
-  }
+  return checkedLinearize(c.stream->current().key, keySpace_, "SegmentMerger");
 }
 
 std::uint64_t SegmentMerger::takeTopValue() {
   Cursor& c = heap_.front();
   std::uint64_t represents = 0;
   switch (c.kind) {
-    case Kind::kRun:
-    case Kind::kMaterialized: {
+    case Kind::kDecoded: {
       const KeyValue& kv = c.recs[c.pos];
       groupValues_.push_back(&kv.value);
       represents = kv.represents;
@@ -1465,19 +1348,14 @@ std::uint64_t SegmentMerger::takeTopValue() {
   return represents;
 }
 
-bool SegmentMerger::cursorLess(const Cursor& a, const Cursor& b) const {
-  if (allLinear_) return linAt(a) < linAt(b);
-  return keyAt(a) < keyAt(b);
-}
-
 void SegmentMerger::siftDown(std::size_t i) {
   const std::size_t n = heap_.size();
   while (true) {
     std::size_t smallest = i;
     std::size_t l = 2 * i + 1;
     std::size_t r = 2 * i + 2;
-    if (l < n && cursorLess(heap_[l], heap_[smallest])) smallest = l;
-    if (r < n && cursorLess(heap_[r], heap_[smallest])) smallest = r;
+    if (l < n && heap_[l].lin < heap_[smallest].lin) smallest = l;
+    if (r < n && heap_[r].lin < heap_[smallest].lin) smallest = r;
     if (smallest == i) return;
     std::swap(heap_[i], heap_[smallest]);
     i = smallest;
@@ -1498,6 +1376,8 @@ void SegmentMerger::pop() {
     heap_.front() = heap_.back();
     heap_.pop_back();
     if (heap_.empty()) return;
+  } else {
+    c.lin = currentLin(c);
   }
   siftDown(0);
 }

@@ -235,31 +235,22 @@ struct SegmentHeader {
 class Segment {
  public:
   Segment() = default;
+
+  /// Constructs a segment in DECODED form: full KeyValue records, as
+  /// deserialize() and fromStream() rebuild them from the wire format.
+  /// Decoded segments are read-only inputs to the merge and the codec;
+  /// they carry no key space and are never sorted or combined.
   Segment(std::uint32_t mapTask, std::uint32_t keyblock,
           std::vector<KeyValue> records);
 
-  /// Constructs a segment that carries the linearized-key cache: one
-  /// row-major u64 per record (linearize(key, JobSpec::keySpace)),
-  /// computed by the map pipeline at emit time. The cache is an
-  /// in-memory acceleration only — it never reaches the wire format —
-  /// and because linearization is an order-preserving injection, u64
-  /// compares on it agree exactly with lexicographic Coord compares.
-  /// Throws std::invalid_argument when sizes differ.
-  Segment(std::uint32_t mapTask, std::uint32_t keyblock,
-          std::vector<KeyValue> records,
-          std::vector<std::uint64_t> linearKeys);
-
-  /// Constructs a segment in PACKED form (DESIGN.md section 11): the
-  /// records stay as trivially-copyable PackedRecords (keys linearized
-  /// in `keySpace`, list payloads out-of-line in `lists`) until a
-  /// consumer needs full KeyValues. Sorting and the annotation header
-  /// work directly on the packed form; records()/linearKeys()/
-  /// serialize() materialize the KeyValue view lazily, exactly once.
-  /// This keeps the map side free of the dominant per-record cost
-  /// (writing ~160-byte KeyValues); the cost moves to whoever actually
-  /// needs the materialized view (spill encoding, the reduce-side
-  /// merge). Throws std::invalid_argument when keySpace is not a valid
-  /// non-empty shape.
+  /// Constructs a segment in PACKED form (DESIGN.md section 11), the
+  /// only form map output takes: the records stay as trivially-copyable
+  /// PackedRecords (keys linearized in `keySpace`, list payloads
+  /// out-of-line in `lists`). Sorting, combining, the annotation header,
+  /// the merge and both encoders work directly on the packed form;
+  /// records() materializes the KeyValue view lazily, exactly once, for
+  /// callers that inspect it. Throws std::invalid_argument when
+  /// keySpace is not a valid non-empty shape.
   Segment(std::uint32_t mapTask, std::uint32_t keyblock,
           std::vector<PackedRecord> packed,
           std::vector<std::vector<double>> lists, nd::Coord keySpace);
@@ -269,19 +260,11 @@ class Segment {
   /// Record access; materializes a packed segment on first use. Lazy
   /// materialization is NOT internally synchronized: concurrent first
   /// access from multiple threads needs external ordering. The engine
-  /// provides it — each segment is consumed by exactly one reduce task
-  /// (its keyblock's), attempts are serialized, and publication/
-  /// consumption are ordered by the engine mutex.
+  /// never materializes a published segment (the merge and the
+  /// encoders read the packed form), so only single-threaded callers
+  /// reach this path.
   const std::vector<KeyValue>& records() const {
     if (packedMode_) materializeNow();
-    return records_;
-  }
-
-  /// Mutable record access drops the linear-key cache (the caller may
-  /// reorder or rewrite keys, which would desynchronize it).
-  std::vector<KeyValue>& mutableRecords() {
-    if (packedMode_) materializeNow();
-    linearKeys_.clear();
     return records_;
   }
 
@@ -306,52 +289,29 @@ class Segment {
   }
 
   /// The keySpace a packed segment's linear keys were computed in
-  /// (rank 0 for segments built from full KeyValues).
+  /// (rank 0 for decoded segments).
   const nd::Coord& keySpaceShape() const noexcept { return keySpace_; }
 
   /// Approximate heap footprint of the record data in its CURRENT
   /// representation — what a published in-memory segment costs against
   /// the page pool. Packed form counts the packed array plus list
-  /// payloads; materialized form counts KeyValues, list payloads and
-  /// the linear-key cache.
+  /// payloads; decoded form counts KeyValues and list payloads.
   std::uint64_t residentBytes() const noexcept;
 
-  /// True when every record has a cached linear key (trivially true in
-  /// packed form — the linear key IS the stored key).
-  bool hasLinearKeys() const noexcept {
-    return packedMode_ || linearKeys_.size() == records_.size();
-  }
-
-  /// Cached linear keys, parallel to records(); empty when not cached.
-  /// Materializes a packed segment (see records() for the threading
-  /// contract).
-  std::span<const std::uint64_t> linearKeys() const {
-    if (packedMode_) materializeNow();
-    return {linearKeys_.data(), linearKeys_.size()};
-  }
-
-  /// (Re)builds the linear-key cache from the records — used after
-  /// deserialize() so spilled segments merge on u64s too. Throws
-  /// std::out_of_range when a key falls outside `keySpace` (possible
-  /// with corrupt spill files: the codec validates structure, not
-  /// coordinate ranges).
-  void computeLinearKeys(const nd::Coord& keySpace);
-
-  /// Sorts records by key (row-major lexicographic order), ties broken
-  /// by emission order (stable, so the fallback and linearized paths
-  /// produce identical segments). Map tasks sort their output before
-  /// serving it to reducers, as Hadoop does. Packed segments radix-sort
-  /// (see radixSortPacked) above kRadixSortMinRecords and comparison-
-  /// sort (u64, u32 index) pairs below it; materialized segments with a
-  /// linear-key cache comparison-sort the same pairs; non-linear keys
-  /// fall back to a stable lexicographic sort. Already-sorted output
-  /// (the common case: mappers emit in row-major order) is detected in
-  /// O(n) on every path.
+  /// Sorts packed records by linear key — row-major key order — ties
+  /// broken by emission order. Map tasks sort their output before
+  /// serving it to reducers, as Hadoop does. Radix-sorts (see
+  /// radixSortPacked) at or above kRadixSortMinRecords and comparison-
+  /// sorts (u64, u32 index) pairs below it. Already-sorted output (the
+  /// common case: mappers emit in row-major order) is detected in O(n).
+  /// Throws std::logic_error on a decoded segment.
   void sortByKey();
 
-  /// Applies a combiner: merges runs of equal-key records into one,
-  /// summing their count annotations (so the paper's section 3.2.1
-  /// tally stays exact across combining). Precondition: isSorted().
+  /// Applies a combiner to a sorted packed segment: merges runs of
+  /// equal-key records into one (folding values left to right in
+  /// emission order), summing their count annotations so the paper's
+  /// section 3.2.1 tally stays exact across combining. The segment
+  /// stays packed. Throws std::logic_error on a decoded segment.
   void combineWith(const class Combiner& combiner);
 
   /// True when records are sorted by key.
@@ -387,6 +347,14 @@ class Segment {
   /// huge reserve. Trailing bytes after the last record are rejected.
   static Segment deserialize(std::span<const std::byte> bytes);
 
+  /// Decodes one whole encoded segment in either framing into a decoded
+  /// segment: deserialize() for the fixed-width one, a drained
+  /// SegmentStream for the compressed one (whose embedded key space
+  /// must equal `keySpace`). The one entry point for every consumer
+  /// that holds a spill file's or a fetched payload's bytes.
+  static Segment decode(std::span<const std::byte> bytes, bool compressed,
+                        const nd::Coord& keySpace);
+
   /// Reads ONLY the header fields from an encoded segment — the cheap
   /// "partially understand the data without reading and parsing it"
   /// access the paper describes for the annotation tally.
@@ -408,27 +376,25 @@ class Segment {
 
   /// Compressed encoding into a caller-owned buffer. Encodes STRAIGHT
   /// from the packed form when present — eviction of a packed segment
-  /// never materializes its KeyValue view — and from the materialized
-  /// records otherwise (using the linear-key cache, or linearizing
-  /// against `keySpace` when the cache is absent). Throws
-  /// std::invalid_argument when keySpace is empty or (packed form)
-  /// differs from the segment's own, std::out_of_range when a key falls
-  /// outside it, and std::logic_error when records are not sorted by
-  /// linear key (deltas must be non-negative).
+  /// never materializes its KeyValue view — and from the decoded
+  /// records otherwise (linearizing each key against `keySpace`).
+  /// Throws std::invalid_argument when keySpace is empty or (packed
+  /// form) differs from the segment's own, std::out_of_range when a key
+  /// falls outside it, and std::logic_error when records are not sorted
+  /// by linear key (deltas must be non-negative).
   void serializeCompressedInto(std::vector<std::byte>& out,
                                const nd::Coord& keySpace) const;
 
   std::vector<std::byte> serializeCompressed(const nd::Coord& keySpace) const;
 
-  /// Drains a SegmentStream (either framing) into a fully materialized
-  /// segment — the non-windowed decode used where whole-segment access
-  /// is still wanted. Validates exactly what deserialize() validates
-  /// (the stream itself checks truncation, structure, trailing bytes
-  /// and the annotation sum).
+  /// Drains a SegmentStream (either framing) into a decoded segment —
+  /// the non-windowed decode used where whole-segment access is still
+  /// wanted. Validates exactly what deserialize() validates (the stream
+  /// itself checks truncation, structure, trailing bytes and the
+  /// annotation sum).
   static Segment fromStream(class SegmentStream& stream);
 
  private:
-  void sortByLinearKey();
   void sortPacked();
   void materializeNow() const;
 
@@ -436,10 +402,6 @@ class Segment {
   // Lazy materialization: these are written once by materializeNow()
   // under const access (see records() for the threading contract).
   mutable std::vector<KeyValue> records_;
-  /// Parallel to records_: row-major linear key per record, or empty
-  /// when the producing job declared no keySpace (and after
-  /// deserialize(), until computeLinearKeys() rebuilds it).
-  mutable std::vector<std::uint64_t> linearKeys_;
   /// Packed form (packedMode_ only); cleared by materializeNow().
   mutable std::vector<PackedRecord> packed_;
   mutable std::vector<std::vector<double>> lists_;
@@ -464,10 +426,9 @@ class Segment {
 /// propagate as the storage layer's own exceptions.
 class SegmentStream {
  public:
-  /// Opens `path` read-only. `keySpace` lets the uncompressed framing
-  /// serve linear keys (currentLin); pass an empty Coord to skip that.
-  /// For the compressed framing the embedded key space is
-  /// authoritative; a non-empty `keySpace` must match it.
+  /// Opens `path` read-only. For the compressed framing the embedded key
+  /// space is authoritative; a non-empty `keySpace` must match it. The
+  /// uncompressed framing carries keys as coordinates and ignores it.
   SegmentStream(const std::string& path, std::size_t windowBytes,
                 bool compressed, const nd::Coord& keySpace);
 
@@ -488,10 +449,6 @@ class SegmentStream {
 
   /// The record at the cursor; valid until advance()/take().
   const KeyValue& current() const noexcept { return cur_; }
-
-  /// Row-major linear key of current(), when hasLin().
-  std::uint64_t currentLin() const noexcept { return curLin_; }
-  bool hasLin() const noexcept { return hasLin_; }
 
   /// Decodes the next record (or runs end-of-stream validation).
   void advance();
@@ -521,7 +478,7 @@ class SegmentStream {
   std::unique_ptr<sci::Storage> storage_;
   std::size_t windowBytes_;
   bool compressed_;
-  /// Job key space for uncompressed lin computation (may be empty).
+  /// Caller's key space; checked against the compressed framing's.
   nd::Coord keySpace_;
   /// Compressed framing's embedded key space and its element count
   /// (bounds every decoded linear key).
@@ -535,8 +492,6 @@ class SegmentStream {
   std::uint64_t fileSize_ = 0;
 
   KeyValue cur_;
-  std::uint64_t curLin_ = 0;
-  bool hasLin_ = false;
   bool exhausted_ = true;
   std::uint64_t decoded_ = 0;  ///< records decoded so far
   std::uint64_t repSum_ = 0;   ///< running represents sum (tally check)
@@ -552,32 +507,32 @@ class SegmentStream {
 ///   fn(key, span<const Value*> values, totalRepresents).
 /// This is the sort/merge/group step that precedes the Reduce function.
 ///
-/// Inputs may be in-memory segments (iterated in packed form without
-/// materializing when possible), windowed SegmentStreams over spilled
-/// files, or plain sorted KeyValue runs (collectAll's reduce outputs).
-/// When every input serves linear keys, the heap orders cursors and
-/// detects group boundaries by comparing u64s instead of lexicographic
-/// Coords; since linearization is an order-preserving injection the pop
-/// order is identical either way. The heap's comparison sequence
-/// depends only on key order and input order, so a merge over the same
-/// records produces the same output no matter which source kinds carry
-/// them — the property the out-of-core parity suite pins down.
+/// Inputs may be in-memory segments (packed map output, iterated
+/// without materializing; or decoded spill loads) and windowed
+/// SegmentStreams over spilled files. Every cursor caches the u64
+/// linear key of its current record in the job's key space — packed
+/// records store it, decoded and streamed records are linearized
+/// (range-checked) as the cursor advances — so the heap orders cursors
+/// and detects group boundaries on u64 compares only. The heap's
+/// comparison sequence depends only on key order and input order, so a
+/// merge over the same records produces the same output no matter
+/// which source kinds carry them — the property the out-of-core parity
+/// suite pins down.
 class SegmentMerger {
  public:
-  /// One merge input: exactly one of segment / stream / run set.
-  /// `runLin` optionally parallels `*run` with cached linear keys.
+  /// One merge input: exactly one of segment / stream set.
   struct Input {
     const Segment* segment = nullptr;
     SegmentStream* stream = nullptr;
-    const std::vector<KeyValue>* run = nullptr;
-    const std::uint64_t* runLin = nullptr;
   };
 
-  explicit SegmentMerger(std::span<const Segment* const> segments);
-  explicit SegmentMerger(std::span<const Input> inputs);
-
-  /// True when every input serves linear keys (u64 compare path).
-  bool allLinear() const noexcept { return allLinear_; }
+  /// Throws std::invalid_argument when `keySpace` is not a valid
+  /// non-empty shape or a packed input was linearized in a different
+  /// one, and std::out_of_range when a decoded or streamed record's key
+  /// lies outside `keySpace` (here for first records, from
+  /// forEachGroup for later ones).
+  SegmentMerger(std::span<const Segment* const> segments, nd::Coord keySpace);
+  SegmentMerger(std::span<const Input> inputs, nd::Coord keySpace);
 
   /// Grouped iteration; see class comment. Value pointers passed to
   /// `fn` are valid only during that call (packed/stream sources hold
@@ -585,77 +540,52 @@ class SegmentMerger {
   template <typename Fn>
   void forEachGroup(Fn&& fn) {
     while (!heap_.empty()) {
-      const nd::Coord key = topKey();
-      const std::uint64_t keyLin = allLinear_ ? topLin() : 0;
+      const std::uint64_t lin = heap_.front().lin;
       groupValues_.clear();
       hold_.clear();
       std::uint64_t represents = 0;
-      while (!heap_.empty() && topKeyEquals(key, keyLin)) {
+      while (!heap_.empty() && heap_.front().lin == lin) {
         represents += takeTopValue();
       }
-      fn(key, std::span<const Value* const>(groupValues_), represents);
-    }
-  }
-
-  /// Flat merged-record iteration: fn(const KeyValue&, lin) per record
-  /// in merge order (lin meaningful only when allLinear()). Only valid
-  /// for run-backed inputs (collectAll); throws std::logic_error
-  /// otherwise.
-  template <typename Fn>
-  void forEachRecord(Fn&& fn) {
-    requireRunCursors();
-    while (!heap_.empty()) {
-      fn(topRecord(), allLinear_ ? topLin() : 0);
-      pop();
+      fn(nd::delinearize(static_cast<nd::Index>(lin), keySpace_),
+         std::span<const Value* const>(groupValues_), represents);
     }
   }
 
  private:
-  enum class Kind : std::uint8_t { kRun, kMaterialized, kPacked, kStream };
+  enum class Kind : std::uint8_t { kPacked, kDecoded, kStream };
 
   struct Cursor {
+    std::uint64_t lin;  ///< linear key of the current record
     Kind kind;
-    /// kMaterialized / kPacked: owning segment (list payloads, key
-    /// space for delinearization).
-    const Segment* segment;
-    SegmentStream* stream;      ///< kStream
-    const KeyValue* recs;       ///< kRun / kMaterialized base pointer
-    const PackedRecord* packed; ///< kPacked base pointer
-    /// Cached linear keys parallel to recs (null on the Coord path).
-    const std::uint64_t* lin;
+    const Segment* segment;      ///< kPacked: owner of the list payloads
+    SegmentStream* stream;       ///< kStream
+    const PackedRecord* packed;  ///< kPacked base pointer
+    const KeyValue* recs;        ///< kDecoded base pointer
     std::size_t pos;
     std::size_t count;
   };
 
   void init(std::span<const Input> inputs);
 
-  /// Current linear key / key of a cursor. linAt is only meaningful on
-  /// the allLinear_ path; keyAt never sees a kPacked cursor (packed
-  /// inputs materialize when any input lacks linear keys).
-  std::uint64_t linAt(const Cursor& c) const;
-  const nd::Coord& keyAt(const Cursor& c) const;
+  /// Linear key of the cursor's current record.
+  std::uint64_t currentLin(const Cursor& c) const;
 
-  nd::Coord topKey() const;
-  std::uint64_t topLin() const;
-  bool topKeyEquals(const nd::Coord& key, std::uint64_t keyLin) const;
-  const KeyValue& topRecord() const;
   /// Appends the top cursor's value to groupValues_ (holding a decoded
   /// copy in hold_ for packed/stream sources), returns its represents
   /// count, and advances past it.
   std::uint64_t takeTopValue();
-  void requireRunCursors() const;
 
   void pop();
   void siftDown(std::size_t i);
-  bool cursorLess(const Cursor& a, const Cursor& b) const;
 
+  nd::Coord keySpace_;
   std::vector<Cursor> heap_;
   std::vector<const Value*> groupValues_;
   /// Per-group storage for values that have no stable in-memory home
   /// (packed list copies, stream-decoded records). A deque: growing it
   /// never moves elements already pointed to by groupValues_.
   std::deque<Value> hold_;
-  bool allLinear_ = true;
 };
 
 }  // namespace sidr::mr

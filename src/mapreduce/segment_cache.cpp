@@ -23,11 +23,9 @@ std::uint64_t matrixResidentBytes(
 
 /// Re-loads a demoted entry's segments from its committed spill files.
 /// Returns false on any failure (missing file, truncated bytes): the
-/// caller drops the entry and the claimant runs cold. Decoding mirrors
-/// JobContext::loadSpilledSegment — the streaming reader for the
-/// compressed framing (which restores linear keys itself), plain
-/// deserialize + computeLinearKeys otherwise — so a reloaded segment is
-/// indistinguishable from the donor's resident one.
+/// caller drops the entry and the claimant runs cold. Decoding is
+/// JobContext::loadSpilledSegment's (Segment::decode), so a reloaded
+/// segment merges exactly like a spilled one.
 bool SegmentCache::loadEntryFiles(Entry& entry) {
   if (entry.paths.empty()) return false;
   std::vector<std::vector<std::shared_ptr<const Segment>>> loaded(
@@ -36,22 +34,12 @@ bool SegmentCache::loadEntryFiles(Entry& entry) {
   try {
     for (std::uint32_t m = 0; m < entry.numMaps; ++m) {
       for (std::uint32_t kb = 0; kb < entry.numReduces; ++kb) {
-        const std::string& path = entry.paths[m][kb];
-        Segment seg;
-        if (entry.compressed) {
-          SegmentStream stream(path, /*windowBytes=*/1 << 16,
-                               /*compressed=*/true, entry.keySpace);
-          seg = Segment::fromStream(stream);
-        } else {
-          sci::FileStorage file(path, sci::FileStorage::Mode::kOpenReadOnly);
-          std::vector<std::byte> bytes(file.size());
-          file.readAt(0, bytes);
-          seg = Segment::deserialize(bytes);
-          if (entry.keySpace.rank() > 0 && !seg.hasLinearKeys()) {
-            seg.computeLinearKeys(entry.keySpace);
-          }
-        }
-        loaded[m][kb] = std::make_shared<const Segment>(std::move(seg));
+        sci::FileStorage file(entry.paths[m][kb],
+                              sci::FileStorage::Mode::kOpenReadOnly);
+        std::vector<std::byte> bytes(file.size());
+        file.readAt(0, bytes);
+        loaded[m][kb] = std::make_shared<const Segment>(
+            Segment::decode(bytes, entry.compressed, entry.keySpace));
       }
     }
   } catch (...) {

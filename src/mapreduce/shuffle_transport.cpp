@@ -357,12 +357,6 @@ class InProcessTransport final : public ShuffleTransport {
           fs.owned = std::make_unique<Segment>(
               source_.loadCommittedSegment(m, req.keyblock,
                                            stats.bytesFetched));
-          // Linear keys never travel on the uncompressed wire; rebuild
-          // the cache so spilled segments merge on u64s like in-memory
-          // ones (the compressed decoder already restored them).
-          if (source_.keySpace().rank() > 0 && !fs.owned->hasLinearKeys()) {
-            fs.owned->computeLinearKeys(source_.keySpace());
-          }
         }
         out.push_back(std::move(fs));
       }
@@ -755,20 +749,9 @@ class SocketTransport final : public ShuffleTransport {
             std::move(storage), std::max<std::size_t>(
                                     source_.mergeWindowBytes(), 1),
             compressed, source_.keySpace());
-      } else if (compressed) {
-        auto storage = std::make_unique<sci::MemoryStorage>();
-        storage->writeAt(0, payload);
-        SegmentStream stream(std::move(storage),
-                             std::max<std::size_t>(
-                                 source_.mergeWindowBytes(), 1),
-                             /*compressed=*/true, source_.keySpace());
-        fs.owned = std::make_unique<Segment>(Segment::fromStream(stream));
       } else {
-        fs.owned = std::make_unique<Segment>(Segment::deserialize(payload));
-      }
-      if (fs.owned != nullptr && source_.keySpace().rank() > 0 &&
-          !fs.owned->hasLinearKeys()) {
-        fs.owned->computeLinearKeys(source_.keySpace());
+        fs.owned = std::make_unique<Segment>(
+            Segment::decode(payload, compressed, source_.keySpace()));
       }
     } catch (const TransportError&) {
       throw;

@@ -128,7 +128,8 @@ class TransportSource {
   /// True when committed spill files use the compressed framing.
   virtual bool compressedFiles() const noexcept = 0;
 
-  /// Job key space (rank 0 = lexicographic fallback path).
+  /// Job key space (JobSpec::keySpace): the compressed framing's
+  /// embedded space must equal it.
   virtual const nd::Coord& keySpace() const = 0;
 
   /// Per-input decode window for streamed merge inputs.

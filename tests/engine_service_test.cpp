@@ -233,6 +233,27 @@ TEST(EngineServiceValidation, SubmitRejectsBadSpecsLikeEngine) {
   EXPECT_EQ(service.stats().submitted, 0u);
 }
 
+TEST(EngineServiceValidation, SubmitRejectsMissingOrOverflowingKeySpace) {
+  // Linear keys are int64 row-major indices in JobSpec::keySpace: a job
+  // must declare one, and every key of it must have an index.
+  QueryPlan plan = makePlan(1, tempDir("sidr_svc_keyspace"));
+  const nd::Index big = nd::Index{1} << 31;
+  for (const nd::Coord& keySpace :
+       {nd::Coord(), nd::Coord::filled(8, 1024), nd::Coord{2 * big, big}}) {
+    SCOPED_TRACE(keySpace.toString());
+    mr::JobSpec bad = plan.spec;
+    bad.keySpace = keySpace;
+    EXPECT_THROW(mr::Engine{mr::JobSpec(bad)}, std::invalid_argument);
+    mr::EngineService service;
+    EXPECT_THROW(service.submit(std::move(bad)), std::invalid_argument);
+    EXPECT_EQ(service.stats().submitted, 0u);
+  }
+  // Volume 2^62 still fits.
+  mr::JobSpec fits = plan.spec;
+  fits.keySpace = nd::Coord{big, big};
+  EXPECT_NO_THROW(mr::Engine{std::move(fits)});
+}
+
 TEST(EngineServiceValidation, ZeroThreadsClampedToOne) {
   mr::ServiceConfig config;
   config.numThreads = 0;

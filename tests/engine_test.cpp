@@ -8,6 +8,7 @@
 #include "mapreduce/engine.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/oracle_check.hpp"
 #include "support/temp_dir.hpp"
 #include "support/trace_check.hpp"
 
@@ -16,6 +17,7 @@ namespace {
 
 using sh::OperatorKind;
 using testsupport::CheckJobTrace;
+using testsupport::expectMatchesOracle;
 
 sh::StructuralQuery makeQuery(OperatorKind op, nd::Coord eshape,
                               double threshold = 0.0) {
@@ -25,26 +27,6 @@ sh::StructuralQuery makeQuery(OperatorKind op, nd::Coord eshape,
   q.extractionShape = eshape;
   q.filterThreshold = threshold;
   return q;
-}
-
-void expectMatchesOracle(const mr::JobResult& result,
-                         const std::vector<mr::KeyValue>& oracle) {
-  auto got = result.collectAll();
-  ASSERT_EQ(got.size(), oracle.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].key, oracle[i].key) << "at " << i;
-    ASSERT_EQ(got[i].value.kind(), oracle[i].value.kind());
-    if (got[i].value.kind() == mr::ValueKind::kScalar) {
-      EXPECT_NEAR(got[i].value.asScalar(), oracle[i].value.asScalar(), 1e-9);
-    } else if (got[i].value.kind() == mr::ValueKind::kList) {
-      const auto& a = got[i].value.asList();
-      const auto& b = oracle[i].value.asList();
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t j = 0; j < a.size(); ++j) {
-        EXPECT_NEAR(a[j], b[j], 1e-9);
-      }
-    }
-  }
 }
 
 struct EngineCase {
@@ -72,7 +54,7 @@ TEST_P(EngineOracle, MatchesSerialExecution) {
   mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
 
   sh::ExtractionMap ex(q, input);
-  expectMatchesOracle(result, sh::runSerialOracle(q, ex, fn));
+  expectMatchesOracle(result.collectAll(), sh::runSerialOracle(q, ex, fn));
   EXPECT_EQ(result.annotationViolations, 0u);
   EXPECT_EQ(result.reduceFailures, 0u);
   CheckJobTrace(result);
@@ -220,7 +202,7 @@ TEST(Engine, RecoveryRecomputeOnlyDeps) {
   EXPECT_EQ(result.mapsReExecuted, depsOfFailed);
   EXPECT_EQ(result.annotationViolations, 0u);
   sh::ExtractionMap ex(q, input);
-  expectMatchesOracle(result, sh::runSerialOracle(q, ex, fn));
+  expectMatchesOracle(result.collectAll(), sh::runSerialOracle(q, ex, fn));
   CheckJobTrace(result);
 }
 
@@ -241,7 +223,7 @@ TEST(Engine, RecoveryPersistAllReRunsNothing) {
   EXPECT_EQ(result.reduceFailures, 2u);
   EXPECT_EQ(result.mapsReExecuted, 0u);
   sh::ExtractionMap ex(q, input);
-  expectMatchesOracle(result, sh::runSerialOracle(q, ex, fn));
+  expectMatchesOracle(result.collectAll(), sh::runSerialOracle(q, ex, fn));
   CheckJobTrace(result);
 }
 
@@ -277,7 +259,7 @@ TEST(Engine, FaultPlanMapAndReduceFailuresBothShuffleModes) {
     EXPECT_EQ(result.annotationViolations, 0u);
     CheckJobTrace(result);
     sh::ExtractionMap ex(q, input);
-    expectMatchesOracle(result, sh::runSerialOracle(q, ex, fn));
+    expectMatchesOracle(result.collectAll(), sh::runSerialOracle(q, ex, fn));
   }
 }
 
@@ -312,7 +294,7 @@ TEST(Engine, FaultPlanUnderRecomputeDepsRecovery) {
     EXPECT_EQ(result.annotationViolations, 0u);
     CheckJobTrace(result);
     sh::ExtractionMap ex(q, input);
-    expectMatchesOracle(result, sh::runSerialOracle(q, ex, fn));
+    expectMatchesOracle(result.collectAll(), sh::runSerialOracle(q, ex, fn));
   }
 }
 
@@ -388,7 +370,7 @@ TEST(Engine, SpillRecoveryRaceHammer) {
     EXPECT_EQ(result.reduceFailures, 4u);
     EXPECT_EQ(result.annotationViolations, 0u);
     CheckJobTrace(result);
-    expectMatchesOracle(result, oracle);
+    expectMatchesOracle(result.collectAll(), oracle);
   }
   std::filesystem::remove_all(dir);
 }
@@ -525,7 +507,7 @@ TEST(Engine, SingleThreadSingleReducer) {
   QueryPlan plan = planner.plan(fn, opts);
   mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
   sh::ExtractionMap ex(q, input);
-  expectMatchesOracle(result, sh::runSerialOracle(q, ex, fn));
+  expectMatchesOracle(result.collectAll(), sh::runSerialOracle(q, ex, fn));
   CheckJobTrace(result);
 }
 
@@ -546,6 +528,7 @@ TEST(Engine, ByteRangeSplitsMatchOracle) {
   spec.numReducers = 3;
   auto pp = std::make_shared<const PartitionPlus>(extraction, 3, 0);
   spec.partitioner = pp;
+  spec.keySpace = extraction->intermediateSpaceShape();
   spec.mode = mr::ExecutionMode::kSidr;
   DependencyCalculator calc(pp);
   DependencyInfo deps = calc.computeAll(spec.splits);
@@ -554,7 +537,7 @@ TEST(Engine, ByteRangeSplitsMatchOracle) {
 
   mr::JobResult result = mr::Engine(std::move(spec)).run();
   EXPECT_EQ(result.annotationViolations, 0u);
-  expectMatchesOracle(result, sh::runSerialOracle(q, exm, fn));
+  expectMatchesOracle(result.collectAll(), sh::runSerialOracle(q, exm, fn));
   CheckJobTrace(result);
 }
 
@@ -574,7 +557,7 @@ TEST(Engine, RangeAndSortOperators) {
     QueryPlan plan = planner.plan(fn, opts);
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     sh::ExtractionMap ex(q, input);
-    expectMatchesOracle(result, sh::runSerialOracle(q, ex, fn));
+    expectMatchesOracle(result.collectAll(), sh::runSerialOracle(q, ex, fn));
     CheckJobTrace(result);
   }
 }
@@ -632,7 +615,7 @@ TEST(Engine, SpilledSegmentsMatchInMemory) {
     EXPECT_EQ(a[i].value, b[i].value);
   }
   sh::ExtractionMap ex(q, input);
-  expectMatchesOracle(spillResult, sh::runSerialOracle(q, ex, fn));
+  expectMatchesOracle(spillResult.collectAll(), sh::runSerialOracle(q, ex, fn));
 }
 
 TEST(Engine, InMemoryShuffleIsZeroCopy) {
@@ -786,7 +769,7 @@ TEST(Engine, CombinerShrinksSegmentsWithoutChangingResults) {
   EXPECT_EQ(raw.annotationViolations, 0u);
   EXPECT_EQ(combined.annotationViolations, 0u);
   sh::ExtractionMap exm(q, input);
-  expectMatchesOracle(combined, sh::runSerialOracle(q, exm, fn));
+  expectMatchesOracle(combined.collectAll(), sh::runSerialOracle(q, exm, fn));
 }
 
 TEST(Engine, DatasetBackedRun) {
@@ -804,7 +787,7 @@ TEST(Engine, DatasetBackedRun) {
   QueryPlan plan = planner.plan(dataset, 0, opts);
   mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
   sh::ExtractionMap ex(q, input);
-  expectMatchesOracle(result, sh::runSerialOracle(q, ex, fn));
+  expectMatchesOracle(result.collectAll(), sh::runSerialOracle(q, ex, fn));
   CheckJobTrace(result);
 }
 

@@ -1,17 +1,17 @@
-// Parity suite for the linearized-key fast path (DESIGN.md section 11).
+// Parity suite for the linearized-key map path (DESIGN.md section 11).
 //
-// The fast path must be a pure optimization: with a keySpace declared
-// the pipeline batches reads, routes through partitionRun, buffers
-// packed records, and sorts (u64, index) pairs — yet every observable
-// artifact (segment wire bytes, reduce outputs, annotation tallies)
-// must be identical to the per-record lexicographic fallback. These
-// tests pin that equivalence at three levels: the map pipeline's
-// segments, the packed Segment representation itself, and whole engine
-// runs (in-memory, spilled, and under fault recovery).
+// Linearization must be a pure optimization: the pipeline batches
+// reads, routes through partitionRun, buffers packed records, and sorts
+// (u64, index) pairs — yet every observable artifact must match the
+// per-record lexicographic computation. These tests pin that at three
+// levels: the map pipeline's segment bytes against the frozen fallback
+// pipeline (tests/support/fallback_pipeline.hpp), the packed Segment
+// representation itself, and whole engine runs (in-memory, spilled, and
+// under fault recovery) against the serial oracle, values included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <random>
@@ -24,6 +24,8 @@
 #include "mapreduce/partitioners.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/fallback_pipeline.hpp"
+#include "support/oracle_check.hpp"
 #include "support/temp_dir.hpp"
 
 namespace sidr::core {
@@ -42,7 +44,7 @@ double cellValue(const nd::Coord& c) {
 /// Folds every input coordinate into the key space by per-dimension
 /// modulo, so keys repeat (stability is observable) and emission order
 /// is far from sorted. The per-emission counter makes each value
-/// unique: any reordering between the two paths flips bytes.
+/// unique: any reordering relative to the oracle flips bytes.
 class FoldingMapper final : public mr::Mapper {
  public:
   FoldingMapper(nd::Coord keySpace, bool partialOnly)
@@ -85,12 +87,12 @@ nd::Coord randomShape(std::mt19937_64& rng, std::size_t rank, int lo, int hi) {
 /// Byte-for-byte segment equality, the strongest parity statement the
 /// wire format allows.
 void expectSegmentsBitIdentical(const std::vector<mr::Segment>& fast,
-                                const std::vector<mr::Segment>& fallback) {
-  ASSERT_EQ(fast.size(), fallback.size());
+                                const std::vector<mr::Segment>& oracle) {
+  ASSERT_EQ(fast.size(), oracle.size());
   for (std::size_t kb = 0; kb < fast.size(); ++kb) {
     SCOPED_TRACE("keyblock " + std::to_string(kb));
-    EXPECT_EQ(fast[kb].header(), fallback[kb].header());
-    EXPECT_EQ(fast[kb].serialize(), fallback[kb].serialize());
+    EXPECT_EQ(fast[kb].header(), oracle[kb].header());
+    EXPECT_EQ(fast[kb].serialize(), oracle[kb].serialize());
   }
 }
 
@@ -135,7 +137,7 @@ void expectEventLogWellPaired(const mr::JobResult& result) {
 TEST(MapPipelineParity, RandomizedSegmentsBitIdentical) {
   std::mt19937_64 rng(20260806);
   for (int trial = 0; trial < 12; ++trial) {
-    const std::size_t rank = trial % 4 + 1;
+    const auto rank = static_cast<std::size_t>(trial % 4 + 1);
     const nd::Coord keySpace = randomShape(rng, rank, 2, 7);
     const nd::Coord inputShape = randomShape(rng, rank, 3, 9);
     const std::uint32_t reducers = trial % 2 ? 3 : 5;
@@ -148,13 +150,12 @@ TEST(MapPipelineParity, RandomizedSegmentsBitIdentical) {
     FoldingMapper fastMapper(keySpace, /*partialOnly=*/false);
     auto fast = mr::runMapPipeline(split, 0, factory, fastMapper, part,
                                    reducers, nullptr, keySpace);
-    FoldingMapper slowMapper(keySpace, /*partialOnly=*/false);
-    auto fallback = mr::runMapPipeline(split, 0, factory, slowMapper, part,
-                                       reducers, nullptr, nd::Coord());
-    // Without a combiner the fast path's segments are still packed —
-    // the map side never materializes KeyValues.
+    FoldingMapper oracleMapper(keySpace, /*partialOnly=*/false);
+    auto oracle = testsupport::runFrozenFallbackPipeline(
+        split, 0, factory, oracleMapper, part, reducers, nullptr);
+    // The map side never materializes KeyValues.
     for (const auto& seg : fast) EXPECT_TRUE(seg.packed());
-    expectSegmentsBitIdentical(fast, fallback);
+    expectSegmentsBitIdentical(fast, oracle);
   }
 }
 
@@ -162,7 +163,7 @@ TEST(MapPipelineParity, CombinerSegmentsBitIdentical) {
   std::mt19937_64 rng(7);
   mr::PartialMergeCombiner combiner;
   for (int trial = 0; trial < 6; ++trial) {
-    const std::size_t rank = trial % 3 + 1;
+    const auto rank = static_cast<std::size_t>(trial % 3 + 1);
     const nd::Coord keySpace = randomShape(rng, rank, 2, 5);
     const nd::Coord inputShape = randomShape(rng, rank, 4, 9);
     SCOPED_TRACE("trial " + std::to_string(trial));
@@ -174,16 +175,18 @@ TEST(MapPipelineParity, CombinerSegmentsBitIdentical) {
     FoldingMapper fastMapper(keySpace, /*partialOnly=*/true);
     auto fast = mr::runMapPipeline(split, 0, factory, fastMapper, part, 4,
                                    &combiner, keySpace);
-    FoldingMapper slowMapper(keySpace, /*partialOnly=*/true);
-    auto fallback = mr::runMapPipeline(split, 0, factory, slowMapper, part, 4,
-                                       &combiner, nd::Coord());
-    expectSegmentsBitIdentical(fast, fallback);
+    FoldingMapper oracleMapper(keySpace, /*partialOnly=*/true);
+    auto oracle = testsupport::runFrozenFallbackPipeline(
+        split, 0, factory, oracleMapper, part, 4, &combiner);
+    // Combining keeps the packed form too.
+    for (const auto& seg : fast) EXPECT_TRUE(seg.packed());
+    expectSegmentsBitIdentical(fast, oracle);
   }
 }
 
 TEST(MapPipelineParity, DuplicateKeysKeepEmissionOrder) {
   // Every emission lands on one of two keys; values encode emission
-  // order. A non-stable sort anywhere in the fast path would reorder
+  // order. A non-stable sort anywhere in the pipeline would reorder
   // equal keys and flip the serialized bytes.
   class TwoKeyMapper final : public mr::Mapper {
    public:
@@ -207,10 +210,10 @@ TEST(MapPipelineParity, DuplicateKeysKeepEmissionOrder) {
   auto fast =
       mr::runMapPipeline(split, 0, factory, fastMapper, part, 2, nullptr,
                          keySpace);
-  TwoKeyMapper slowMapper;
-  auto fallback = mr::runMapPipeline(split, 0, factory, slowMapper, part, 2,
-                                     nullptr, nd::Coord());
-  expectSegmentsBitIdentical(fast, fallback);
+  TwoKeyMapper oracleMapper;
+  auto oracle = testsupport::runFrozenFallbackPipeline(
+      split, 0, factory, oracleMapper, part, 2, nullptr);
+  expectSegmentsBitIdentical(fast, oracle);
 }
 
 TEST(MapPipelineParity, BatchedReadersMatchPerRecord) {
@@ -290,30 +293,34 @@ TEST(PackedSegment, LazyMaterializationMatchesEagerConstruction) {
   add(nd::Coord{2, 0}, mr::Value::partial(mr::Partial::ofValue(7.0)), 4);
   add(nd::Coord{0, 1}, mr::Value::list({2.0}), 1);  // duplicate key
 
+  // The reference: the same records stably sorted by Coord key.
+  std::stable_sort(eager.begin(), eager.end(),
+                   [](const mr::KeyValue& a, const mr::KeyValue& b) {
+                     return a.key < b.key;
+                   });
   mr::Segment lazy(1, 2, std::move(packed), std::move(lists), keySpace);
-  mr::Segment reference(1, 2, std::move(eager));
+  mr::Segment reference(1, 2, eager);
   EXPECT_TRUE(lazy.packed());
   EXPECT_FALSE(lazy.empty());
-  EXPECT_TRUE(lazy.hasLinearKeys());
   EXPECT_EQ(lazy.header(), reference.header());
   EXPECT_EQ(lazy.header().numRecords, 5u);
   EXPECT_EQ(lazy.header().represents, 11u);
 
   lazy.sortByKey();
-  reference.sortByKey();
   EXPECT_TRUE(lazy.packed()) << "sorting must not materialize";
   EXPECT_TRUE(lazy.isSorted());
   EXPECT_EQ(lazy.serialize(), reference.serialize());
   EXPECT_TRUE(lazy.packed()) << "serialization encodes straight from the "
                                 "packed form without materializing";
 
-  // Accessing the records forces the one materialization; the
-  // materialized linear-key cache matches linearize() per record.
-  auto lins = lazy.linearKeys();
-  ASSERT_EQ(lins.size(), lazy.records().size());
-  for (std::size_t i = 0; i < lins.size(); ++i) {
-    EXPECT_EQ(lins[i], static_cast<std::uint64_t>(
-                           nd::linearize(lazy.records()[i].key, keySpace)));
+  // Accessing the records forces the one materialization, which
+  // delinearizes every key back to the reference's.
+  ASSERT_EQ(lazy.records().size(), eager.size());
+  EXPECT_FALSE(lazy.packed());
+  for (std::size_t i = 0; i < eager.size(); ++i) {
+    EXPECT_EQ(lazy.records()[i].key, eager[i].key);
+    EXPECT_EQ(lazy.records()[i].value, eager[i].value);
+    EXPECT_EQ(lazy.records()[i].represents, eager[i].represents);
   }
 }
 
@@ -331,15 +338,19 @@ TEST(PackedSegment, SpillRoundTripPreservesRecords) {
   }
   mr::Segment seg(0, 0, std::move(packed), std::move(lists), keySpace);
   seg.sortByKey();
-  auto bytes = seg.serialize();
-  mr::Segment back = mr::Segment::deserialize(bytes);
-  EXPECT_EQ(back.header(), seg.header());
-  back.computeLinearKeys(keySpace);
-  ASSERT_EQ(back.records().size(), seg.records().size());
-  for (std::size_t i = 0; i < back.records().size(); ++i) {
-    EXPECT_EQ(back.records()[i].key, seg.records()[i].key);
-    EXPECT_EQ(back.records()[i].value, seg.records()[i].value);
-    EXPECT_EQ(back.linearKeys()[i], seg.linearKeys()[i]);
+  for (bool compressed : {false, true}) {
+    const auto bytes = compressed ? seg.serializeCompressed(keySpace)
+                                  : seg.serialize();
+    mr::Segment back = mr::Segment::decode(bytes, compressed, keySpace);
+    EXPECT_EQ(back.header(), seg.header());
+    EXPECT_FALSE(back.packed());
+    ASSERT_EQ(back.records().size(), 9u);
+    for (std::size_t i = 0; i < back.records().size(); ++i) {
+      EXPECT_EQ(back.records()[i].key,
+                nd::delinearize(static_cast<nd::Index>(i), keySpace));
+      EXPECT_EQ(back.records()[i].value,
+                mr::Value::scalar(static_cast<double>(i) * 0.5));
+    }
   }
 }
 
@@ -363,46 +374,11 @@ sh::StructuralQuery makeQuery(OperatorKind op, nd::Coord eshape,
   return q;
 }
 
-TEST(EngineParity, FastVsFallbackEndToEnd) {
-  const nd::Coord input{28, 15, 8};
-  sh::ValueFn fn = sh::temperatureField(11);
-  for (OperatorKind op :
-       {OperatorKind::kMean, OperatorKind::kMedian, OperatorKind::kFilter}) {
-    for (SystemMode system : {SystemMode::kSidr, SystemMode::kSciHadoop}) {
-      SCOPED_TRACE(static_cast<int>(op));
-      sh::StructuralQuery q = makeQuery(op, nd::Coord{7, 5, 2}, 18.0);
-      QueryPlanner planner(q, input);
-      PlanOptions opts;
-      opts.system = system;
-      opts.numReducers = 4;
-      opts.desiredSplitCount = 9;
-      opts.numThreads = 3;
-
-      QueryPlan fastPlan = planner.plan(fn, opts);
-      ASSERT_GT(fastPlan.spec.keySpace.rank(), 0u)
-          << "planner must enable the fast path";
-      mr::JobResult fast = mr::Engine(std::move(fastPlan.spec)).run();
-
-      QueryPlan slowPlan = planner.plan(fn, opts);
-      slowPlan.spec.keySpace = nd::Coord();  // force the fallback
-      mr::JobResult fallback = mr::Engine(std::move(slowPlan.spec)).run();
-
-      EXPECT_EQ(fast.annotationViolations, 0u);
-      EXPECT_EQ(fallback.annotationViolations, 0u);
-      expectSameCollected(fast, fallback);
-
-      sh::ExtractionMap ex(q, input);
-      auto oracle = sh::runSerialOracle(q, ex, fn);
-      auto got = fast.collectAll();
-      ASSERT_EQ(got.size(), oracle.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].key, oracle[i].key);
-      }
-    }
-  }
-}
-
-TEST(EngineParity, SpilledFastVsFallback) {
+TEST(EngineParity, SpilledMatchesSerialOracle) {
+  // Spilled segments reach the reduce merge decoded, so their keys are
+  // linearized there rather than read from the packed form: in-memory,
+  // spilled and compressed-spill runs must all be bit-identical and
+  // match the serial oracle.
   const nd::Coord input{30, 12, 6};
   sh::StructuralQuery q = makeQuery(OperatorKind::kMedian, nd::Coord{5, 4, 3});
   sh::ValueFn fn = sh::windspeedField(9);
@@ -411,28 +387,26 @@ TEST(EngineParity, SpilledFastVsFallback) {
   opts.system = SystemMode::kSidr;
   opts.numReducers = 4;
   opts.desiredSplitCount = 10;
-  const std::string dir =
-      (testsupport::scratchRoot() / "sidr_fastpath_spill").string();
-
-  QueryPlan fastPlan = planner.plan(fn, opts);
-  fastPlan.spec.spillDirectory = dir;
-  mr::JobResult fast = mr::Engine(std::move(fastPlan.spec)).run();
-
-  QueryPlan slowPlan = planner.plan(fn, opts);
-  slowPlan.spec.spillDirectory = dir + "_fb";
-  slowPlan.spec.keySpace = nd::Coord();
-  mr::JobResult fallback = mr::Engine(std::move(slowPlan.spec)).run();
+  testsupport::TempDir scratch;
 
   QueryPlan memPlan = planner.plan(fn, opts);
   mr::JobResult inMemory = mr::Engine(std::move(memPlan.spec)).run();
+  EXPECT_EQ(inMemory.annotationViolations, 0u);
+  sh::ExtractionMap ex(q, input);
+  testsupport::expectMatchesOracle(inMemory.collectAll(),
+                                   sh::runSerialOracle(q, ex, fn));
 
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(dir + "_fb");
-
-  EXPECT_EQ(fast.annotationViolations, 0u);
-  EXPECT_GT(fast.shuffleBytes, 0u) << "spill mode must hit the wire format";
-  expectSameCollected(fast, fallback);
-  expectSameCollected(fast, inMemory);
+  for (bool compress : {false, true}) {
+    SCOPED_TRACE(compress ? "compressed spill" : "spill");
+    QueryPlan plan = planner.plan(fn, opts);
+    plan.spec.spillDirectory = scratch.file(compress ? "compressed" : "plain");
+    plan.spec.compressSpill = compress;
+    mr::JobResult spilled = mr::Engine(std::move(plan.spec)).run();
+    EXPECT_EQ(spilled.annotationViolations, 0u);
+    EXPECT_GT(spilled.shuffleBytes, 0u)
+        << "spill mode must hit the wire format";
+    expectSameCollected(spilled, inMemory);
+  }
 }
 
 TEST(EngineParity, FaultRecoveryOnFastPath) {
@@ -440,6 +414,8 @@ TEST(EngineParity, FaultRecoveryOnFastPath) {
   sh::StructuralQuery q = makeQuery(OperatorKind::kMean, nd::Coord{4, 4});
   sh::ValueFn fn = sh::temperatureField(31);
   QueryPlanner planner(q, input);
+  sh::ExtractionMap ex(q, input);
+  const auto oracle = sh::runSerialOracle(q, ex, fn);
   for (bool spill : {false, true}) {
     SCOPED_TRACE(spill ? "spill" : "in-memory");
     PlanOptions opts;
@@ -449,28 +425,17 @@ TEST(EngineParity, FaultRecoveryOnFastPath) {
     opts.numThreads = 4;
     opts.recovery = mr::RecoveryModel::kRecomputeDeps;
     opts.faultPlan.failMap(0).failReduce(1);
-    const std::string dir =
-        (testsupport::scratchRoot() / "sidr_fastpath_fault").string();
+    testsupport::TempDir scratch;
 
-    QueryPlan fastPlan = planner.plan(fn, opts);
-    if (spill) fastPlan.spec.spillDirectory = dir;
-    mr::JobResult fast = mr::Engine(std::move(fastPlan.spec)).run();
+    QueryPlan plan = planner.plan(fn, opts);
+    if (spill) plan.spec.spillDirectory = scratch.path().string();
+    mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
 
-    QueryPlan slowPlan = planner.plan(fn, opts);
-    if (spill) slowPlan.spec.spillDirectory = dir + "_fb";
-    slowPlan.spec.keySpace = nd::Coord();
-    mr::JobResult fallback = mr::Engine(std::move(slowPlan.spec)).run();
-
-    if (spill) {
-      std::filesystem::remove_all(dir);
-      std::filesystem::remove_all(dir + "_fb");
-    }
-
-    EXPECT_EQ(fast.mapFailures, 1u);
-    EXPECT_EQ(fast.reduceFailures, 1u);
-    EXPECT_EQ(fast.annotationViolations, 0u);
-    expectEventLogWellPaired(fast);
-    expectSameCollected(fast, fallback);
+    EXPECT_EQ(result.mapFailures, 1u);
+    EXPECT_EQ(result.reduceFailures, 1u);
+    EXPECT_EQ(result.annotationViolations, 0u);
+    expectEventLogWellPaired(result);
+    testsupport::expectMatchesOracle(result.collectAll(), oracle);
   }
 }
 

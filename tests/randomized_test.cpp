@@ -14,6 +14,7 @@
 #include "mapreduce/engine.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/oracle_check.hpp"
 #include "support/temp_dir.hpp"
 #include "support/trace_check.hpp"
 
@@ -121,6 +122,7 @@ TEST_P(RandomizedOracle, EngineMatchesOracle) {
         sh::makeStructuralMapperFactory(cfg.query, extraction);
     spec.reducerFactory = sh::makeStructuralReducerFactory(cfg.query);
     spec.numReducers = cfg.reducers;
+    spec.keySpace = extraction->intermediateSpaceShape();
     if (cfg.system == SystemMode::kSidr) {
       auto pp = std::make_shared<const PartitionPlus>(extraction,
                                                       cfg.reducers, 0);
@@ -142,25 +144,8 @@ TEST_P(RandomizedOracle, EngineMatchesOracle) {
   EXPECT_EQ(result.annotationViolations, 0u);
   testsupport::CheckJobTrace(result);
 
-  std::vector<mr::KeyValue> oracle =
-      sh::runSerialOracle(cfg.query, exm, fn);
-  std::vector<mr::KeyValue> got = result.collectAll();
-  ASSERT_EQ(got.size(), oracle.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].key, oracle[i].key);
-    ASSERT_EQ(got[i].value.kind(), oracle[i].value.kind());
-    if (got[i].value.kind() == mr::ValueKind::kScalar) {
-      EXPECT_NEAR(got[i].value.asScalar(), oracle[i].value.asScalar(),
-                  1e-9);
-    } else {
-      const auto& a = got[i].value.asList();
-      const auto& b = oracle[i].value.asList();
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t j = 0; j < a.size(); ++j) {
-        EXPECT_NEAR(a[j], b[j], 1e-9);
-      }
-    }
-  }
+  testsupport::expectMatchesOracle(result.collectAll(),
+                                   sh::runSerialOracle(cfg.query, exm, fn));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedOracle, ::testing::Range(0, 24));
@@ -264,16 +249,9 @@ TEST_P(RandomizedFaultPlan, EngineMatchesOracleUnderInjectedFaults) {
   testsupport::ExpectCommitGating(result.trace, deps);
   testsupport::ExpectFetchTalliesMatchCommits(result.trace, deps);
 
-  std::vector<mr::KeyValue> oracle =
-      sh::runSerialOracle(q, sh::ExtractionMap(q, input), fn);
-  std::vector<mr::KeyValue> got = result.collectAll();
-  ASSERT_EQ(got.size(), oracle.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i].key, oracle[i].key);
-    if (got[i].value.kind() == mr::ValueKind::kScalar) {
-      EXPECT_NEAR(got[i].value.asScalar(), oracle[i].value.asScalar(), 1e-9);
-    }
-  }
+  testsupport::expectMatchesOracle(
+      result.collectAll(),
+      sh::runSerialOracle(q, sh::ExtractionMap(q, input), fn));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedFaultPlan,

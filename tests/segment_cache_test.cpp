@@ -537,14 +537,20 @@ TEST(SegmentCacheUnit, FileBackedEntryDemotesAndPromotes) {
   cache.insert(std::move(d));
   EXPECT_EQ(cache.residentBytes(), 0u) << "file-backed entries born demoted";
 
-  // First claim promotes: reload, relinearize, serve.
+  // First claim promotes: reload, serve.
   const auto claimed = cache.claim(testKey(1), 1, 1);
   ASSERT_TRUE(claimed.has_value());
   EXPECT_GT(cache.residentBytes(), 0u);
   const auto& records = claimed->segments[0][0]->records();
   ASSERT_EQ(records.size(), 5u);
   EXPECT_EQ(records[2].value.asScalar(), 9.0);
-  EXPECT_TRUE(claimed->segments[0][0]->hasLinearKeys());
+  // The reloaded segment is a valid reduce-merge input in the entry's
+  // key space.
+  std::vector<const mr::Segment*> mergeInputs{claimed->segments[0][0].get()};
+  mr::SegmentMerger merger(mergeInputs, nd::Coord{8});
+  std::size_t groups = 0;
+  merger.forEachGroup([&](auto&&...) { ++groups; });
+  EXPECT_EQ(groups, 5u);
 
   // Shedding demotes (the files still back it) instead of evicting.
   cache.shedTo(0);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "mapreduce/combiners.hpp"
@@ -58,6 +59,46 @@ std::vector<KeyValue> sampleRecords() {
   };
 }
 
+/// `records` in emission order as a packed segment (map output form) in
+/// `keySpace`.
+Segment packedSegment(std::uint32_t mapTask, std::uint32_t keyblock,
+                      const std::vector<KeyValue>& records,
+                      const nd::Coord& keySpace) {
+  std::vector<PackedRecord> packed;
+  std::vector<std::vector<double>> lists;
+  for (const KeyValue& kv : records) {
+    PackedRecord r;
+    r.lin = static_cast<std::uint64_t>(nd::linearize(kv.key, keySpace));
+    r.represents = kv.represents;
+    r.kind = kv.value.kind();
+    switch (r.kind) {
+      case ValueKind::kScalar:
+        r.payload.scalar = kv.value.asScalar();
+        break;
+      case ValueKind::kPartial:
+        r.payload.partial = kv.value.asPartial();
+        break;
+      case ValueKind::kList:
+        r.payload.listIndex = static_cast<std::uint32_t>(lists.size());
+        lists.push_back(kv.value.asList());
+        break;
+    }
+    packed.push_back(r);
+  }
+  return Segment(mapTask, keyblock, std::move(packed), std::move(lists),
+                 keySpace);
+}
+
+/// Stable Coord-order sort: how a decoded test segment is made sorted.
+std::vector<KeyValue> sortedByKey(std::vector<KeyValue> records) {
+  std::stable_sort(
+      records.begin(), records.end(),
+      [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
+  return records;
+}
+
+const nd::Coord kSampleSpace{3, 4};  // bounds every sampleRecords() key
+
 TEST(Segment, HeaderAnnotationsSumRepresents) {
   Segment seg(7, 3, sampleRecords());
   EXPECT_EQ(seg.header().mapTask, 7u);
@@ -67,7 +108,7 @@ TEST(Segment, HeaderAnnotationsSumRepresents) {
 }
 
 TEST(Segment, SortByKey) {
-  Segment seg(0, 0, sampleRecords());
+  Segment seg = packedSegment(0, 0, sampleRecords(), kSampleSpace);
   EXPECT_FALSE(seg.isSorted());
   seg.sortByKey();
   EXPECT_TRUE(seg.isSorted());
@@ -75,8 +116,18 @@ TEST(Segment, SortByKey) {
   EXPECT_EQ(seg.records().back().key, (nd::Coord{2, 1}));
 }
 
+TEST(Segment, DecodedSegmentsNeitherSortNorCombine) {
+  // Only map output (packed) is ever sorted or combined; a decoded
+  // segment is a read-only merge input.
+  Segment seg(0, 0, sortedByKey(sampleRecords()));
+  EXPECT_TRUE(seg.isSorted());
+  EXPECT_THROW(seg.sortByKey(), std::logic_error);
+  PartialMergeCombiner combiner;
+  EXPECT_THROW(seg.combineWith(combiner), std::logic_error);
+}
+
 TEST(Segment, SerializeRoundTrip) {
-  Segment seg(9, 2, sampleRecords());
+  Segment seg = packedSegment(9, 2, sampleRecords(), kSampleSpace);
   seg.sortByKey();
   auto bytes = seg.serialize();
   Segment back = Segment::deserialize(bytes);
@@ -234,15 +285,18 @@ TEST(Segment, EmptySegment) {
 }
 
 TEST(Segment, CombineWithMergesEqualKeys) {
-  Segment seg(0, 0,
-              {{nd::Coord{1}, Value::partial(Partial::ofValue(2.0)), 1},
-               {nd::Coord{1}, Value::partial(Partial::ofValue(4.0)), 2},
-               {nd::Coord{2}, Value::partial(Partial::ofValue(9.0)), 1},
-               {nd::Coord{1}, Value::partial(Partial::ofValue(6.0)), 1}});
+  Segment seg = packedSegment(
+      0, 0,
+      {{nd::Coord{1}, Value::partial(Partial::ofValue(2.0)), 1},
+       {nd::Coord{1}, Value::partial(Partial::ofValue(4.0)), 2},
+       {nd::Coord{2}, Value::partial(Partial::ofValue(9.0)), 1},
+       {nd::Coord{1}, Value::partial(Partial::ofValue(6.0)), 1}},
+      nd::Coord{3});
   seg.sortByKey();
   std::uint64_t representsBefore = seg.header().represents;
   PartialMergeCombiner combiner;
   seg.combineWith(combiner);
+  EXPECT_TRUE(seg.packed()) << "combining keeps the packed form";
   ASSERT_EQ(seg.records().size(), 2u);
   EXPECT_EQ(seg.records()[0].key, (nd::Coord{1}));
   EXPECT_EQ(seg.records()[0].value.asPartial().sum, 12.0);
@@ -259,9 +313,10 @@ TEST(Segment, CombineWithMergesEqualKeys) {
 }
 
 TEST(Segment, ListConcatCombiner) {
-  Segment seg(0, 0,
-              {{nd::Coord{5}, Value::list({1.0, 2.0}), 2},
-               {nd::Coord{5}, Value::list({3.0}), 1}});
+  Segment seg = packedSegment(0, 0,
+                              {{nd::Coord{5}, Value::list({1.0, 2.0}), 2},
+                               {nd::Coord{5}, Value::list({3.0}), 1}},
+                              nd::Coord{6});
   seg.sortByKey();
   ListConcatCombiner combiner;
   seg.combineWith(combiner);
@@ -272,16 +327,16 @@ TEST(Segment, ListConcatCombiner) {
 }
 
 TEST(SegmentMerger, GroupsAcrossSegments) {
+  // One decoded input, one packed: both cursor kinds in one heap.
   Segment a(0, 0,
             {{nd::Coord{1}, Value::scalar(1.0), 1},
              {nd::Coord{3}, Value::scalar(3.0), 1}});
-  Segment b(1, 0,
-            {{nd::Coord{1}, Value::scalar(10.0), 2},
-             {nd::Coord{2}, Value::scalar(2.0), 1}});
-  a.sortByKey();
-  b.sortByKey();
+  Segment b = packedSegment(1, 0,
+                            {{nd::Coord{1}, Value::scalar(10.0), 2},
+                             {nd::Coord{2}, Value::scalar(2.0), 1}},
+                            nd::Coord{4});
   std::vector<const Segment*> segs{&a, &b};
-  SegmentMerger merger(segs);
+  SegmentMerger merger(segs, nd::Coord{4});
   std::vector<std::pair<nd::Coord, std::size_t>> groups;
   std::vector<std::uint64_t> reps;
   merger.forEachGroup([&](const nd::Coord& key,
@@ -304,13 +359,18 @@ TEST(SegmentMerger, ManySegmentsStaySorted) {
     for (nd::Index k = 0; k < 20; ++k) {
       recs.push_back({nd::Coord{(k * 7 + m) % 40}, Value::scalar(1.0), 1});
     }
-    Segment s(m, 0, std::move(recs));
-    s.sortByKey();
-    segs.push_back(std::move(s));
+    // Alternate packed map output and decoded spill loads.
+    if (m % 2 == 0) {
+      Segment s = packedSegment(m, 0, recs, nd::Coord{40});
+      s.sortByKey();
+      segs.push_back(std::move(s));
+    } else {
+      segs.emplace_back(m, 0, sortedByKey(std::move(recs)));
+    }
   }
   std::vector<const Segment*> ptrs;
   for (const auto& s : segs) ptrs.push_back(&s);
-  SegmentMerger merger(ptrs);
+  SegmentMerger merger(ptrs, nd::Coord{40});
   nd::Coord prev;
   bool first = true;
   std::size_t total = 0;
@@ -328,10 +388,43 @@ TEST(SegmentMerger, ManySegmentsStaySorted) {
 }
 
 TEST(SegmentMerger, EmptyInput) {
-  SegmentMerger merger(std::span<const Segment* const>{});
+  SegmentMerger merger(std::span<const Segment* const>{}, nd::Coord{1});
   int calls = 0;
   merger.forEachGroup([&](auto&&...) { ++calls; });
   EXPECT_EQ(calls, 0);
+}
+
+TEST(SegmentMerger, RejectsDecodedKeyOutsideKeySpace) {
+  // The codec validates structure, not coordinate ranges: a decoded
+  // record outside the key space must fail the merge, whether it is a
+  // cursor's first record (construction) or a later one (iteration).
+  const nd::Coord keySpace{4};
+  Segment first(0, 0, {{nd::Coord{4}, Value::scalar(1.0), 1}});
+  std::vector<const Segment*> firstOnly{&first};
+  EXPECT_THROW(SegmentMerger(firstOnly, keySpace), std::out_of_range);
+
+  Segment later(0, 0,
+                {{nd::Coord{1}, Value::scalar(1.0), 1},
+                 {nd::Coord{-1}, Value::scalar(2.0), 1}});
+  std::vector<const Segment*> laterOnly{&later};
+  SegmentMerger merger(laterOnly, keySpace);
+  EXPECT_THROW(merger.forEachGroup([](auto&&...) {}), std::out_of_range);
+
+  Segment wrongRank(0, 0, {{nd::Coord{1, 1}, Value::scalar(1.0), 1}});
+  std::vector<const Segment*> rankOnly{&wrongRank};
+  EXPECT_THROW(SegmentMerger(rankOnly, keySpace), std::out_of_range);
+}
+
+TEST(SegmentMerger, RejectsPackedInputFromAnotherKeySpace) {
+  // Packed keys are only comparable within the space they were
+  // linearized in: lin 5 is {1, 1} in {4, 4} but {1, 0} in {4, 5}.
+  Segment packed =
+      packedSegment(0, 0, {{nd::Coord{1, 1}, Value::scalar(1.0), 1}},
+                    nd::Coord{4, 4});
+  std::vector<const Segment*> inputs{&packed};
+  EXPECT_THROW(SegmentMerger(inputs, nd::Coord{4, 5}), std::invalid_argument);
+  EXPECT_THROW(SegmentMerger(inputs, nd::Coord()), std::invalid_argument);
+  EXPECT_NO_THROW(SegmentMerger(inputs, nd::Coord{4, 4}));
 }
 
 TEST(ModuloPartitioner, LinearIndexModulo) {
@@ -420,23 +513,13 @@ Segment randomSortedSegment(std::mt19937_64& rng, const nd::Coord& keySpace,
     }
     records.push_back(std::move(kv));
   }
-  Segment seg(1, 0, std::move(records));
-  seg.computeLinearKeys(keySpace);
-  seg.sortByKey();
-  return seg;
+  return Segment(1, 0, sortedByKey(std::move(records)));
 }
 
-void expectStreamMatches(SegmentStream& stream, const Segment& want,
-                         bool wantLin, const nd::Coord& keySpace) {
+void expectStreamMatches(SegmentStream& stream, const Segment& want) {
   EXPECT_EQ(stream.header(), want.header());
-  EXPECT_EQ(stream.hasLin(), wantLin);
   for (std::size_t i = 0; i < want.records().size(); ++i) {
     ASSERT_FALSE(stream.exhausted());
-    if (wantLin) {
-      EXPECT_EQ(stream.currentLin(),
-                static_cast<std::uint64_t>(
-                    nd::linearize(want.records()[i].key, keySpace)));
-    }
     KeyValue got = stream.take();
     EXPECT_EQ(got.key, want.records()[i].key);
     EXPECT_EQ(got.value, want.records()[i].value);
@@ -457,17 +540,16 @@ TEST(SegmentStream, WindowedDecodeMatchesDeserialize) {
                                std::size_t{1} << 20}) {
       SegmentStream stream(memoryStorageOf(bytes), window,
                            /*compressed=*/false, keySpace);
-      expectStreamMatches(stream, seg, /*wantLin=*/true, keySpace);
+      expectStreamMatches(stream, seg);
       EXPECT_EQ(stream.bytesRead(), bytes.size());
       if (window == 64 && count == 80) {
         EXPECT_LT(stream.peakWindowBytes(), bytes.size())
             << "a small window must never buffer the whole file";
       }
     }
-    // Without a key space the stream serves no linear keys but the
-    // records are the same.
+    // The uncompressed framing carries coordinates: no key space needed.
     SegmentStream plain(memoryStorageOf(bytes), 512, false, nd::Coord());
-    expectStreamMatches(plain, seg, /*wantLin=*/false, keySpace);
+    expectStreamMatches(plain, seg);
   }
 }
 
@@ -483,12 +565,11 @@ TEST(SegmentStream, CompressedRoundTripMatches) {
     for (std::size_t window : {std::size_t{64}, std::size_t{1} << 20}) {
       SegmentStream stream(memoryStorageOf(bytes), window,
                            /*compressed=*/true, keySpace);
-      expectStreamMatches(stream, seg, /*wantLin=*/true, keySpace);
+      expectStreamMatches(stream, seg);
     }
-    // fromStream materializes the same segment (the eager-spill decode
-    // path for compressed files).
-    SegmentStream stream(memoryStorageOf(bytes), 256, true, keySpace);
-    Segment back = Segment::fromStream(stream);
+    // Segment::decode materializes the same segment (the whole-segment
+    // decode of spill files and fetched payloads).
+    Segment back = Segment::decode(bytes, /*compressed=*/true, keySpace);
     EXPECT_EQ(back.header(), seg.header());
     ASSERT_EQ(back.records().size(), seg.records().size());
     for (std::size_t i = 0; i < seg.records().size(); ++i) {
@@ -496,7 +577,9 @@ TEST(SegmentStream, CompressedRoundTripMatches) {
       EXPECT_EQ(back.records()[i].value, seg.records()[i].value);
       EXPECT_EQ(back.records()[i].represents, seg.records()[i].represents);
     }
-    EXPECT_TRUE(back.hasLinearKeys());
+    EXPECT_THROW(Segment::decode(bytes, true, nd::Coord{6, 7, 9}),
+                 std::runtime_error)
+        << "the embedded key space must match the job's";
   }
 }
 
@@ -642,14 +725,14 @@ TEST(SegmentStream, MergerOverStreamsMatchesInMemory) {
   };
 
   std::vector<const Segment*> both{&a, &b};
-  SegmentMerger reference{std::span<const Segment* const>(both)};
+  SegmentMerger reference{std::span<const Segment* const>(both), keySpace};
   auto want = collect(reference);
 
   SegmentStream streamB(memoryStorageOf(bytesB), 128, false, keySpace);
   std::vector<SegmentMerger::Input> inputs(2);
   inputs[0].segment = &a;
   inputs[1].stream = &streamB;
-  SegmentMerger mixed{std::span<const SegmentMerger::Input>(inputs)};
+  SegmentMerger mixed{std::span<const SegmentMerger::Input>(inputs), keySpace};
   auto got = collect(mixed);
 
   ASSERT_EQ(got.size(), want.size());

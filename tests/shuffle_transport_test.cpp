@@ -27,6 +27,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -78,9 +79,11 @@ mr::Segment sampleSegment(std::uint32_t map, std::uint32_t kb,
                    mr::Value::scalar(static_cast<double>(i) * 0.5),
                    i % 3 + 1});
   }
-  mr::Segment seg(map, kb, std::move(kvs));
-  seg.sortByKey();
-  return seg;
+  std::stable_sort(kvs.begin(), kvs.end(),
+                   [](const mr::KeyValue& a, const mr::KeyValue& b) {
+                     return a.key < b.key;
+                   });
+  return mr::Segment(map, kb, std::move(kvs));
 }
 
 /// A full valid per-map response byte string: header frame + data

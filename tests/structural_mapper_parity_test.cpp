@@ -190,8 +190,6 @@ TEST_P(StructuralMapperParity, MatchesFrozenSeedMapper) {
            g.input, static_cast<std::size_t>(pick(rng, 1, 6)))) {
     splits.push_back(std::move(s));
   }
-  const nd::Coord keySpace =
-      pick(rng, 0, 3) ? plan.spec.keySpace : nd::Coord();
   const auto batch = static_cast<std::size_t>(pick(rng, 1, 40));
 
   for (const mr::InputSplit& split : splits) {
@@ -210,10 +208,10 @@ TEST_P(StructuralMapperParity, MatchesFrozenSeedMapper) {
     expectSegmentsBitIdentical(
         mr::runMapPipeline(split, split.id, readers, pipe,
                            *plan.spec.partitioner, opts.numReducers, nullptr,
-                           keySpace),
+                           plan.spec.keySpace),
         mr::runMapPipeline(split, split.id, readers, frozenPipe,
                            *plan.spec.partitioner, opts.numReducers, nullptr,
-                           keySpace));
+                           plan.spec.keySpace));
   }
 }
 

@@ -1,0 +1,98 @@
+// Frozen copy of the map pipeline's lexicographic path: per-record
+// reads, a per-emit virtual Partitioner::partition into KeyValue buffers
+// per keyblock, a stable Coord sort and an equal-key combine. Production
+// map tasks work on packed linear keys (DESIGN.md section 11); this is
+// the oracle they are differentially tested against — their segments
+// must serialize to exactly these bytes — and bench_map_pipeline's
+// legacy arm reuses its combine step. Do not optimize it.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "mapreduce/interfaces.hpp"
+#include "mapreduce/job.hpp"
+#include "mapreduce/segment.hpp"
+
+namespace sidr::testsupport {
+
+/// Folds each run of equal keys in a key-sorted record vector into one
+/// record: values combined left to right in emission order, count
+/// annotations summed.
+inline std::vector<mr::KeyValue> frozenCombine(
+    std::vector<mr::KeyValue> records, const mr::Combiner& combiner) {
+  std::vector<mr::KeyValue> combined;
+  for (mr::KeyValue& kv : records) {
+    if (!combined.empty() && combined.back().key == kv.key) {
+      mr::KeyValue& last = combined.back();
+      last.value = combiner.combine(last.value, kv.value);
+      last.represents += kv.represents;
+    } else {
+      combined.push_back(std::move(kv));
+    }
+  }
+  return combined;
+}
+
+/// Routes every emission through Partitioner::partition into one
+/// KeyValue buffer per keyblock.
+class FrozenFallbackContext final : public mr::MapContext {
+ public:
+  FrozenFallbackContext(const mr::Partitioner& partitioner,
+                        std::uint32_t numReducers)
+      : partitioner_(partitioner), buffers_(numReducers) {}
+
+  void emit(const nd::Coord& key, mr::Value value,
+            std::uint64_t represents) override {
+    const std::uint32_t kb = partitioner_.partition(
+        key, static_cast<std::uint32_t>(buffers_.size()));
+    if (kb >= buffers_.size()) {
+      throw std::logic_error("Partitioner returned out-of-range keyblock");
+    }
+    buffers_[kb].push_back(mr::KeyValue{key, std::move(value), represents});
+  }
+
+  std::vector<mr::KeyValue>& buffer(std::uint32_t kb) { return buffers_[kb]; }
+
+ private:
+  const mr::Partitioner& partitioner_;
+  std::vector<std::vector<mr::KeyValue>> buffers_;
+};
+
+/// One map task through the frozen path: one decoded segment per
+/// keyblock, sorted (stable, so equal keys keep emission order) and,
+/// with a combiner, combined.
+inline std::vector<mr::Segment> runFrozenFallbackPipeline(
+    const mr::InputSplit& split, std::uint32_t mapTask,
+    const mr::RecordReaderFactory& readerFactory, mr::Mapper& mapper,
+    const mr::Partitioner& partitioner, std::uint32_t numReducers,
+    const mr::Combiner* combiner) {
+  FrozenFallbackContext ctx(partitioner, numReducers);
+  mapper.beginSplit(split.regions);
+  nd::Coord key;
+  double value = 0;
+  for (const nd::Region& region : split.regions) {
+    auto reader = readerFactory(region);
+    while (reader->next(key, value)) mapper.map(key, value, ctx);
+  }
+  mapper.finish(ctx);
+  std::vector<mr::Segment> segs;
+  segs.reserve(numReducers);
+  for (std::uint32_t kb = 0; kb < numReducers; ++kb) {
+    std::vector<mr::KeyValue>& buf = ctx.buffer(kb);
+    std::stable_sort(buf.begin(), buf.end(),
+                     [](const mr::KeyValue& a, const mr::KeyValue& b) {
+                       return a.key < b.key;
+                     });
+    segs.emplace_back(mapTask, kb,
+                      combiner != nullptr
+                          ? frozenCombine(std::move(buf), *combiner)
+                          : std::move(buf));
+  }
+  return segs;
+}
+
+}  // namespace sidr::testsupport
