@@ -22,15 +22,20 @@
 //
 // A fourth group, BM_SortMicro, isolates the sort stage: the LSD radix
 // sort vs a frozen copy of the seed's (u64, index) comparison sort on
-// identical packed buffers. Its results are written to a separate
-// BENCH_sort_micro.json (see main) so the sort trajectory is trackable
-// independently of the whole-pipeline numbers.
+// identical packed buffers. A fifth, BM_MedianSelect, isolates the
+// holistic reduce of Query 1: the radix-select median kernel vs the
+// seed's copy + std::nth_element on float32-rounded cells of 60, 720
+// and 1440 values. Both are written to a separate BENCH_sort_micro.json
+// (see main) so their trajectory is trackable independently of the
+// whole-pipeline numbers.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -325,12 +330,61 @@ BENCHMARK_CAPTURE(BM_SortMicro, radix, true)
 BENCHMARK_CAPTURE(BM_SortMicro, comparison, false)
     ->Arg(1 << 16)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
 
+// ---- median-select micro arm: radix select vs std::nth_element ----
+
+/// 256 distinct float32-rounded windspeed-like cells, the reduce input
+/// of the paper's Query 1. Cycling through many cells keeps the branch
+/// predictor from learning one cell's selection path.
+std::vector<std::vector<double>> makeMedianCells(std::size_t cellSize) {
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<std::vector<double>> cells(256);
+  for (std::vector<double>& cell : cells) {
+    cell.resize(cellSize);
+    for (double& v : cell) {
+      const double diurnal = 6.0 + 2.5 * std::sin(6.283185307179586 * u(rng));
+      v = static_cast<float>(diurnal + 5.0 * u(rng));
+    }
+  }
+  return cells;
+}
+
+void BM_MedianSelect(benchmark::State& state, bool radix) {
+  const std::vector<std::vector<double>> cells =
+      makeMedianCells(static_cast<std::size_t>(state.range(0)));
+  std::vector<std::uint64_t> keys;
+  std::vector<double> copy;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const std::vector<double>& cell = cells[next++ % cells.size()];
+    double median = 0;
+    if (radix) {
+      const std::span<const double> list(cell);
+      median = sh::radixSelectMedian({&list, 1}, keys);
+    } else {
+      // The seed's reduce: concatenate the group, then select in place.
+      copy.assign(cell.begin(), cell.end());
+      const auto mid =
+          copy.begin() + static_cast<std::ptrdiff_t>((copy.size() - 1) / 2);
+      std::nth_element(copy.begin(), mid, copy.end());
+      median = *mid;
+    }
+    benchmark::DoNotOptimize(median);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+BENCHMARK_CAPTURE(BM_MedianSelect, radix, true)
+    ->Arg(60)->Arg(720)->Arg(1440)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_MedianSelect, nth_element, false)
+    ->Arg(60)->Arg(720)->Arg(1440)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {
   // Same contract as bench::runBenchmarksWithJson, but split across two
   // JSON files: the pipeline arms keep BENCH_map_pipeline.json and the
-  // sort micro-arm gets its own BENCH_sort_micro.json.
+  // sort and median-select micro-arms get BENCH_sort_micro.json.
   static std::string quickFlag = "--benchmark_min_time=0.01";
   std::vector<char*> args(argv, argv + argc);
   for (char*& a : args) {
@@ -347,7 +401,8 @@ int main(int argc, char** argv) {
   {
     sidr::bench::BenchJson json("sort_micro");
     sidr::bench::JsonCapturingReporter reporter(json);
-    ::benchmark::RunSpecifiedBenchmarks(&reporter, "BM_SortMicro.*");
+    ::benchmark::RunSpecifiedBenchmarks(&reporter,
+                                        "BM_(SortMicro|MedianSelect).*");
     json.write();
   }
   // Per-phase breakdown of ONE traced execution of each workload,

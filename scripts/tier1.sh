@@ -84,7 +84,9 @@ done
 # sort/combine, the merger's cursors over packed, decoded and streamed
 # inputs), linear_fastpath_test (packed map output against the frozen
 # lexicographic pipeline) and structural_mapper_parity_test (dense cell
-# tables feeding the packed buffers).
+# tables feeding the packed buffers). operators_test drives the
+# radix-select median kernel, which indexes its reused key buffer with
+# counts taken from digit histograms (DESIGN.md section 20).
 ASAN_SUITES=(
   out_of_core_test
   engine_service_test
@@ -94,6 +96,7 @@ ASAN_SUITES=(
   segment_test
   linear_fastpath_test
   structural_mapper_parity_test
+  operators_test
 )
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)" --target "${ASAN_SUITES[@]}"

@@ -1,9 +1,45 @@
 #include "scihadoop/operators.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <compare>
+#include <limits>
 #include <stdexcept>
 
 namespace sidr::sh {
+
+namespace {
+
+/// The order of every list this file sorts and of the median kernel:
+/// IEEE-754 totalOrder, a strict weak order even with NaNs present
+/// (-NaN < -inf < ... < -0.0 < +0.0 < ... < +inf < +NaN).
+bool totalOrderLess(double a, double b) {
+  return std::strong_order(a, b) < 0;
+}
+
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+
+/// Order-preserving key: unsigned key order is totalOrder. Flips the
+/// sign bit of a non-negative value and every bit of a negative one.
+std::uint64_t totalOrderKey(double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const std::uint64_t negative = std::uint64_t{0} - (bits >> 63);
+  return bits ^ (negative | kSignBit);
+}
+
+/// Inverse of totalOrderKey: a key whose top bit is clear came from a
+/// negative value.
+double fromTotalOrderKey(std::uint64_t key) {
+  const std::uint64_t negative = (key >> 63) - 1;
+  return std::bit_cast<double>(key ^ (negative | kSignBit));
+}
+
+/// Below this many candidates an insertion sort is cheaper than
+/// another histogram pass.
+constexpr std::size_t kInsertionSortBelow = 24;
+
+}  // namespace
 
 StructuralMapper::StructuralMapper(
     const StructuralQuery& query,
@@ -82,19 +118,13 @@ mr::Value finalizeCell(const StructuralQuery& query, const mr::Partial& p,
     case OperatorKind::kRange:
       return mr::Value::scalar(p.count > 0 ? p.max - p.min : 0.0);
     case OperatorKind::kMedian: {
-      if (list.empty()) {
-        throw std::logic_error("median over empty cell");
-      }
-      // Lower median: element at index (n-1)/2 in sorted order.
-      std::size_t mid = (list.size() - 1) / 2;
-      std::nth_element(list.begin(),
-                       list.begin() + static_cast<std::ptrdiff_t>(mid),
-                       list.end());
-      return mr::Value::scalar(list[mid]);
+      std::vector<std::uint64_t> keys;
+      const std::span<const double> all(list);
+      return mr::Value::scalar(radixSelectMedian({&all, 1}, keys));
     }
     case OperatorKind::kFilter:
     case OperatorKind::kSort: {
-      std::sort(list.begin(), list.end());
+      std::sort(list.begin(), list.end(), totalOrderLess);
       return mr::Value::list(std::move(list));
     }
     case OperatorKind::kJoin:
@@ -104,9 +134,78 @@ mr::Value finalizeCell(const StructuralQuery& query, const mr::Partial& p,
   throw std::invalid_argument("finalizeCell: bad OperatorKind");
 }
 
+double radixSelectMedian(std::span<const std::span<const double>> lists,
+                         std::vector<std::uint64_t>& keys) {
+  std::size_t count = 0;
+  for (std::span<const double> list : lists) count += list.size();
+  if (count == 0) throw std::logic_error("median over empty cell");
+  if (keys.size() < count) keys.resize(count);
+  std::uint64_t* const cand = keys.data();
+  std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t hi = 0;
+  std::size_t n = 0;
+  for (std::span<const double> list : lists) {
+    for (double v : list) {
+      const std::uint64_t k = totalOrderKey(v);
+      cand[n++] = k;
+      lo = std::min(lo, k);
+      hi = std::max(hi, k);
+    }
+  }
+  std::size_t rank = (count - 1) / 2;
+  // Each pass keeps the bucket holding `rank` of the 8-bit digit whose
+  // top bit is the highest bit where lo and hi differ. The survivors
+  // agree on that digit and every bit above it, so the next digit sits
+  // at least 8 bits lower: at most 8 passes over 64-bit keys.
+  while (lo != hi) {
+    if (count < kInsertionSortBelow) {
+      for (std::size_t i = 1; i < count; ++i) {
+        const std::uint64_t k = cand[i];
+        std::size_t j = i;
+        for (; j > 0 && cand[j - 1] > k; --j) cand[j] = cand[j - 1];
+        cand[j] = k;
+      }
+      return fromTotalOrderKey(cand[rank]);
+    }
+    const int shift =
+        std::max(0, static_cast<int>(std::bit_width(lo ^ hi)) - 8);
+    std::array<std::size_t, 256> histogram{};
+    for (std::size_t i = 0; i < count; ++i) {
+      ++histogram[(cand[i] >> shift) & 0xFF];
+    }
+    std::size_t bucket = 0;
+    while (rank >= histogram[bucket]) rank -= histogram[bucket++];
+    // Branch-free in-place compaction: the write index never passes the
+    // read index.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint64_t k = cand[i];
+      cand[kept] = k;
+      kept += static_cast<std::size_t>(((k >> shift) & 0xFF) == bucket);
+    }
+    count = kept;
+    lo = std::numeric_limits<std::uint64_t>::max();
+    hi = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      lo = std::min(lo, cand[i]);
+      hi = std::max(hi, cand[i]);
+    }
+  }
+  return fromTotalOrderKey(lo);
+}
+
 void StructuralReducer::reduce(const nd::Coord& key,
                                std::span<const mr::Value* const> values,
                                mr::ReduceContext& ctx) {
+  if (query_.op == OperatorKind::kMedian) {
+    // Median groups carry lists only; the kernel reads them in place.
+    lists_.clear();
+    for (const mr::Value* v : values) {
+      if (v->kind() == mr::ValueKind::kList) lists_.emplace_back(v->asList());
+    }
+    ctx.emit(key, mr::Value::scalar(radixSelectMedian(lists_, keys_)));
+    return;
+  }
   mr::Partial merged;
   std::vector<double> list;
   for (const mr::Value* v : values) {
@@ -134,6 +233,21 @@ mr::ReducerFactory makeStructuralReducerFactory(const StructuralQuery& query) {
   return [query] { return std::make_unique<StructuralReducer>(query); };
 }
 
+namespace {
+
+/// The serial oracle's lower median, kept apart from radixSelectMedian
+/// on purpose: a comparison-based selection under the same totalOrder,
+/// so a kernel bug shows up as an oracle mismatch.
+double referenceMedian(std::vector<double>& list) {
+  if (list.empty()) throw std::logic_error("median over empty cell");
+  const auto mid =
+      list.begin() + static_cast<std::ptrdiff_t>((list.size() - 1) / 2);
+  std::nth_element(list.begin(), mid, list.end(), totalOrderLess);
+  return *mid;
+}
+
+}  // namespace
+
 std::vector<mr::KeyValue> runSerialOracle(const StructuralQuery& query,
                                           const ExtractionMap& extraction,
                                           const ValueFn& fn) {
@@ -160,7 +274,9 @@ std::vector<mr::KeyValue> runSerialOracle(const StructuralQuery& query,
     }
     mr::KeyValue kv;
     kv.key = extraction.keyForInstance(g.coord());
-    kv.value = finalizeCell(query, partial, std::move(list));
+    kv.value = query.op == OperatorKind::kMedian
+                   ? mr::Value::scalar(referenceMedian(list))
+                   : finalizeCell(query, partial, std::move(list));
     kv.represents = static_cast<std::uint64_t>(cell.volume());
     out.push_back(std::move(kv));
   }
@@ -224,11 +340,12 @@ void JoinReducer::reduce(const nd::Coord& key,
     auto& side = xs.front() == 0.0 ? left : right;
     side.insert(side.end(), xs.begin() + 1, xs.end());
   }
-  // Sorting each side makes the output a pure function of the two value
-  // MULTISETS: merge order (and with it shuffle regime, transport, and
-  // partition refinement) cannot show through.
-  std::sort(left.begin(), left.end());
-  std::sort(right.begin(), right.end());
+  // Sorting each side in totalOrder makes the output a pure function of
+  // the two value MULTISETS: merge order (and with it shuffle regime,
+  // transport, and partition refinement) cannot show through, not even
+  // as the order of -0.0 and +0.0.
+  std::sort(left.begin(), left.end(), totalOrderLess);
+  std::sort(right.begin(), right.end(), totalOrderLess);
   std::vector<double> products;
   products.reserve(left.size() * right.size());
   for (double a : left) {
@@ -292,7 +409,7 @@ std::vector<mr::KeyValue> runJoinOracle(const StructuralQuery& query,
         double v = fn(c.coord());
         if (v > keepAbove) vs.push_back(v);
       }
-      std::sort(vs.begin(), vs.end());
+      std::sort(vs.begin(), vs.end(), totalOrderLess);
       return vs;
     };
     std::uint64_t consumed = 0;

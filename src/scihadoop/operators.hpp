@@ -19,6 +19,10 @@
 // arrives (row runs via mapRun or single records via map).
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "mapreduce/interfaces.hpp"
 #include "scihadoop/cell_table.hpp"
 #include "scihadoop/extraction.hpp"
@@ -51,6 +55,9 @@ class StructuralMapper final : public mr::Mapper {
   CellTable<CellState> cells_;
 };
 
+/// A median group goes straight from the fetched value lists into the
+/// radix-select kernel; its key buffer lives across the keys of one
+/// reduce task. Every other operator finalizes through finalizeCell.
 class StructuralReducer final : public mr::Reducer {
  public:
   explicit StructuralReducer(const StructuralQuery& query) : query_(query) {}
@@ -60,10 +67,26 @@ class StructuralReducer final : public mr::Reducer {
 
  private:
   StructuralQuery query_;
+  std::vector<std::span<const double>> lists_;
+  std::vector<std::uint64_t> keys_;
 };
 
+/// Lower median of the values of `lists` taken together: element
+/// (n-1)/2 of their sort in IEEE-754 totalOrder (std::strong_order on
+/// double), returned bit for bit. An MSD radix select over
+/// order-preserving u64 keys (DESIGN.md section 20): at most 8 passes,
+/// no quadratic worst case. Reads the lists without changing them;
+/// `keys` is scratch that callers reuse across calls. Throws
+/// std::logic_error when the lists hold no value.
+double radixSelectMedian(std::span<const std::span<const double>> lists,
+                         std::vector<std::uint64_t>& keys);
+
 /// Finalizes a merged partial / value list into the operator's output
-/// value (shared by the reducer and the serial oracle).
+/// value. kSort and kFilter lists come back sorted in totalOrder; a
+/// kMedian list goes through radixSelectMedian. runSerialOracle never
+/// calls this for kMedian: it keeps its own reference selection, so a
+/// kernel bug shows up as an oracle mismatch instead of agreeing with
+/// itself.
 mr::Value finalizeCell(const StructuralQuery& query, const mr::Partial& p,
                        std::vector<double>&& list);
 
@@ -75,7 +98,11 @@ mr::ReducerFactory makeStructuralReducerFactory(const StructuralQuery& query);
 
 /// Evaluates the query serially over the whole input (values supplied by
 /// `fn`) — the ground-truth oracle for engine tests. Returns key-sorted
-/// results. Rejects kJoin (use runJoinOracle).
+/// results. Rejects kJoin (use runJoinOracle). Medians come from a
+/// reference std::nth_element under a std::strong_order comparator,
+/// never from the reducer's radixSelectMedian, so the oracle stays
+/// independent of the kernel it checks; the other operators finalize
+/// through finalizeCell.
 std::vector<mr::KeyValue> runSerialOracle(const StructuralQuery& query,
                                           const ExtractionMap& extraction,
                                           const ValueFn& fn);
@@ -115,9 +142,9 @@ class JoinSideMapper final : public mr::Mapper {
 };
 
 /// Reduce-side join: splits the fetched lists by side tag, sorts each
-/// side ascending (making the output independent of merge order, hence
-/// of shuffle regime, transport and partition refinement), and emits
-/// the nested-loop products left[i]*right[j], j fastest.
+/// side in totalOrder (making the output independent of merge order,
+/// hence of shuffle regime, transport and partition refinement), and
+/// emits the nested-loop products left[i]*right[j], j fastest.
 class JoinReducer final : public mr::Reducer {
  public:
   void reduce(const nd::Coord& key, std::span<const mr::Value* const> values,
