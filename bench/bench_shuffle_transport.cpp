@@ -5,9 +5,8 @@
 //   * inproc / socket over the in-memory shuffle — zero-copy handle
 //     handoff vs. serializing every segment through framed localhost
 //     TCP (the cost of a real network data plane, measured);
-//   * inproc / socket / file-served over eager spill — the socket plane
-//     serves committed files in bounded chunks; file-served streams
-//     them through SegmentStream windows on the receive side too.
+//   * inproc / socket over eager spill — the socket plane serves the
+//     committed files in bounded chunks.
 //
 // Every arm is a correctness gate, not just a timing: collectAll must
 // be bit-identical to the in-process in-memory baseline, or the bench
@@ -91,7 +90,6 @@ int main(int argc, char** argv) {
       {"socket", mr::ShuffleTransportKind::kSocket, false},
       {"inproc-spill", mr::ShuffleTransportKind::kInProcess, true},
       {"socket-spill", mr::ShuffleTransportKind::kSocket, true},
-      {"file-served", mr::ShuffleTransportKind::kFileServed, true},
   };
 
   const double cells = static_cast<double>(input.volume());

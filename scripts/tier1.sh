@@ -119,8 +119,9 @@ cmake --build --preset bench -j"$(nproc)" --target bench_map_pipeline \
 # results observed mid-run, and the warm-resubmission arm hitting the
 # segment cache with zero map tasks (exits non-zero on any violation).
 ./build-bench/bench/bench_engine_service --quick
-# Transport sweep: socket and file-served data planes must reproduce
-# the in-process run bit-identically (exits non-zero on divergence).
+# Transport sweep: the socket data plane, over the in-memory shuffle
+# and over eager spill, must reproduce the in-process run
+# bit-identically (exits non-zero on divergence).
 ./build-bench/bench/bench_shuffle_transport --quick
 # Skew-adaptive join gate: refined plan bit-identical to uniform, both
 # matching the nested-loop oracle, p99 keyblock load improved >= 1.5x

@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -93,12 +92,6 @@ struct ServiceConfig {
   /// win memory over cache residency). Spill-backed entries demote to
   /// their committed files instead of being dropped.
   std::uint64_t segmentCacheBytes = 0;
-  /// Shuffle data plane for submitted jobs that leave JobSpec::transport
-  /// unset: submit() resolves the job's transport to this value before
-  /// validation. Unset = each job's own default (in-process). A job that
-  /// sets its transport explicitly always wins over this service-wide
-  /// default; cache-served executions force in-process regardless.
-  std::optional<ShuffleTransportKind> defaultTransport;
 };
 
 /// Monotonic service-lifetime counters (stats() returns a snapshot).

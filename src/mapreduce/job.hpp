@@ -54,15 +54,12 @@ enum class ShuffleTransportKind : std::uint8_t {
   /// handles (or direct spill-file reads in eager mode). The default;
   /// byte-identical to the historical fetch path, zero new copies.
   kInProcess = 0,
-  /// Localhost TCP: a per-job server thread serves segments over
-  /// length-prefixed frames (the exact-size bulk codec is the wire
-  /// format); clients batch multiple maps per request across a pooled
-  /// set of connections.
+  /// Localhost TCP, valid in every spill regime: a per-job server
+  /// thread serves each slot's resident handle, or its committed spill
+  /// file when the slot holds none, over length-prefixed frames (the
+  /// exact-size bulk codec is the wire format); clients batch multiple
+  /// maps per request across a pooled set of connections.
   kSocket,
-  /// Localhost TCP serving ONLY committed `job<id>/` spill files,
-  /// streamed through bounded windows server-side and decoded through
-  /// SegmentStream windows client-side. Requires eager spill.
-  kFileServed,
 };
 
 const char* shuffleTransportName(ShuffleTransportKind kind) noexcept;
@@ -82,7 +79,7 @@ struct FaultSpec {
 
 /// One injected shuffle-transport failure: keyblock `keyblock`'s reduce
 /// loses its `fetchAttempt`-th transport fetch (1-based, counted per
-/// reduce attempt) — the socket backends drop the connections mid-read,
+/// reduce attempt) — the socket backend drops the connections mid-read,
 /// the in-process backend fails before returning any segment. The
 /// engine retries with bounded backoff up to FaultPlan::maxFetchAttempts
 /// per reduce attempt; a failed fetch's bytes count toward
@@ -357,24 +354,24 @@ struct JobSpec {
   /// done).
   bool keepSpillOnFailure = false;
 
-  /// Shuffle data plane (DESIGN.md §17). Unset = kInProcess, which is
-  /// byte-identical to the historical fetch path. EngineService fills an
-  /// unset value from ServiceConfig::defaultTransport at submission.
-  /// kFileServed requires eager spill (spillDirectory set, no memory
-  /// budget); cache-served runs always use kInProcess regardless of this
-  /// field (warm handles have no spill files to serve).
+  /// Shuffle data plane (DESIGN.md §17); the only transport setting,
+  /// filled from PlanOptions::transport by the planner. Unset =
+  /// kInProcess, which is byte-identical to the historical fetch path.
+  /// Cache-served runs always use kInProcess regardless of this field:
+  /// their warm handles are already resident, so the in-process handoff
+  /// copies nothing.
   std::optional<ShuffleTransportKind> transport;
 
   /// What skew-adaptive planning did for this job (informational; the
   /// engine only mirrors it into trace counters). Filled by the planner.
   SkewAdaptStats skewStats;
 
-  /// Connection-pool size per reduce fetch for the socket-backed
-  /// transports: a fetch splits its dependency set across up to this
-  /// many pooled connections. Must be > 0. Ignored by kInProcess.
+  /// Connection-pool size per reduce fetch for the socket transport: a
+  /// fetch splits its dependency set across up to this many pooled
+  /// connections. Must be > 0. Ignored by kInProcess.
   std::uint32_t transportConnections = 2;
 
-  /// Per-read timeout for socket transports; a peer that stalls longer
+  /// Per-read timeout for the socket transport; a peer that stalls longer
   /// than this fails the fetch attempt (typed timeout error, retried
   /// under FaultPlan::maxFetchAttempts). Must be > 0.
   std::uint32_t transportTimeoutMillis = 10000;

@@ -162,13 +162,6 @@ void validateJobSpec(const JobSpec& spec) {
   if (spec.transportTimeoutMillis == 0) {
     throw std::invalid_argument("Engine: transportTimeoutMillis must be > 0");
   }
-  if (spec.transport == ShuffleTransportKind::kFileServed &&
-      (spec.spillDirectory.empty() || spec.memoryBudgetBytes > 0)) {
-    throw std::invalid_argument(
-        "Engine: the file-served transport requires eager spill "
-        "(spillDirectory set, no memory budget) — it serves committed "
-        "job<id>/ segment files");
-  }
 }
 
 namespace {
@@ -216,6 +209,39 @@ void JobContext::spillSegmentAttempt(std::uint32_t m, std::uint32_t kb,
                         sci::FileStorage::Mode::kCreate);
   file.writeAt(0, bytes);
   file.flush();
+}
+
+/// Encodes `seg` in the job's spill framing — the one place that picks
+/// it, for eager spill and pressure eviction alike.
+void JobContext::encodeSpill(const Segment& seg,
+                             std::vector<std::byte>& buf) {
+  if (spec.compressSpill) {
+    seg.serializeCompressedInto(buf, spec.keySpace);
+    compressedSpillBytes.fetch_add(buf.size(), std::memory_order_relaxed);
+  } else {
+    seg.serializeInto(buf);
+  }
+}
+
+void JobContext::runSpillBatch(std::size_t count, const SpillItem& item) {
+  // Pool threads are not workers: every item installs the recorder so
+  // its spans land on the owning job's trace (a shared pool interleaves
+  // items from many jobs).
+  auto run = [this, &item](std::size_t i, std::vector<std::byte>& buf) {
+    obs::ScopedRecorder scope(recorder.get());
+    item(i, buf);
+  };
+  if (spillPool == nullptr) {
+    std::vector<std::byte> buf;  // one encode buffer for the whole batch
+    for (std::size_t i = 0; i < count; ++i) run(i, buf);
+    return;
+  }
+  SpillWriterPool::Batch batch;
+  for (std::size_t i = 0; i < count; ++i) {
+    spillPool->submit(batch,
+                      [&run, i](std::vector<std::byte>& buf) { run(i, buf); });
+  }
+  batch.wait();  // rethrows the first encode/write failure
 }
 
 /// Reads ONLY the header of a spilled segment — the cheap
@@ -374,8 +400,8 @@ void JobContext::start() {
 
   // Shuffle data plane, last: start() completes before any claim, so
   // the (possible) server threads never observe half-sized state. A
-  // cache-served run always shuffles in-process — its warm segments
-  // are resident handles with no committed files behind them.
+  // cache-served run always shuffles in-process: its warm handles are
+  // already resident, so the in-process handoff copies nothing.
   transportKind = cacheServed
                       ? ShuffleTransportKind::kInProcess
                       : spec.transport.value_or(ShuffleTransportKind::kInProcess);
@@ -751,12 +777,10 @@ void JobContext::runMap(std::uint32_t m) {
   }
   // In-memory mode never serializes: the segment itself becomes the
   // published immutable handle. Spill mode encodes with the bulk codec
-  // and writes a map-output file per keyblock — on the spill-writer
-  // pool when one is configured, so keyblocks overlap; each pool job
-  // owns its keyblock's segment exclusively (lazy materialization
-  // included), and the batch barrier below orders every write before
-  // the fault check and the commit phase, exactly as the sequential
-  // path does.
+  // and writes a map-output file per keyblock through runSpillBatch;
+  // each item owns its keyblock's segment exclusively, and the batch
+  // returns only after every write, ordering them all before the fault
+  // check and the commit phase.
   std::uint64_t producedRecords = 0;
   std::uint64_t producedRepresents = 0;
   for (const Segment& seg : produced) {
@@ -768,66 +792,27 @@ void JobContext::runMap(std::uint32_t m) {
   std::vector<std::shared_ptr<const Segment>> localSegments(numReduces);
   std::vector<std::uint64_t> localSegBytes;
   std::uint64_t bytesSpilled = 0;
-  if (eagerSpill() && spillPool != nullptr) {
-    SpillWriterPool::Batch batch;
+  if (eagerSpill()) {
+    // Persist map output to attempt-scoped temp files; nothing is
+    // visible under the committed names until the attempt commits below
+    // (Hadoop commits map output files atomically with the task).
     std::atomic<std::uint64_t> batchBytes{0};
-    for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
-      Segment* seg = &produced[kb];
-      spillPool->submit(
-          batch, [this, seg, m, kb, attempt,
-                  &batchBytes](std::vector<std::byte>& encodeBuf) {
-            // Pool threads are not workers: install the recorder per
-            // item so encode/write spans land on the owning job's trace
-            // (a shared pool interleaves items from many jobs).
-            obs::ScopedRecorder poolScope(recorder.get());
-            {
-              obs::SpanScope enc(obs::Phase::kSpillEncode,
-                                 obs::TaskSide::kMap, m, attempt, kb);
-              if (spec.compressSpill) {
-                seg->serializeCompressedInto(encodeBuf, spec.keySpace);
-                compressedSpillBytes.fetch_add(encodeBuf.size(),
-                                               std::memory_order_relaxed);
-              } else {
-                seg->serializeInto(encodeBuf);
-              }
-              enc.setBytes(encodeBuf.size());
-              enc.setRecords(seg->header().numRecords);
-            }
-            batchBytes.fetch_add(encodeBuf.size(), std::memory_order_relaxed);
-            obs::SpanScope write(obs::Phase::kSpillWrite, obs::TaskSide::kMap,
-                                 m, attempt, kb);
-            write.setBytes(encodeBuf.size());
-            spillSegmentAttempt(m, kb, attempt, encodeBuf);
-          });
-    }
-    batch.wait();  // rethrows the first encode/write failure
-    bytesSpilled = batchBytes.load(std::memory_order_relaxed);
-  } else if (eagerSpill()) {
-    std::vector<std::byte> spillBuf;  // one encode buffer for all keyblocks
-    for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
-      // Persist map output to attempt-scoped temp files; nothing is
-      // visible under the committed names until the attempt commits
-      // below (Hadoop commits map output files atomically with the
-      // task).
+    runSpillBatch(numReduces, [&](std::size_t i, std::vector<std::byte>& buf) {
+      const auto kb = static_cast<std::uint32_t>(i);
       {
         obs::SpanScope enc(obs::Phase::kSpillEncode, obs::TaskSide::kMap, m,
                            attempt, kb);
-        if (spec.compressSpill) {
-          produced[kb].serializeCompressedInto(spillBuf, spec.keySpace);
-          compressedSpillBytes.fetch_add(spillBuf.size(),
-                                         std::memory_order_relaxed);
-        } else {
-          produced[kb].serializeInto(spillBuf);
-        }
-        enc.setBytes(spillBuf.size());
+        encodeSpill(produced[kb], buf);
+        enc.setBytes(buf.size());
         enc.setRecords(produced[kb].header().numRecords);
       }
-      bytesSpilled += spillBuf.size();
+      batchBytes.fetch_add(buf.size(), std::memory_order_relaxed);
       obs::SpanScope write(obs::Phase::kSpillWrite, obs::TaskSide::kMap, m,
                            attempt, kb);
-      write.setBytes(spillBuf.size());
-      spillSegmentAttempt(m, kb, attempt, spillBuf);
-    }
+      write.setBytes(buf.size());
+      spillSegmentAttempt(m, kb, attempt, buf);
+    });
+    bytesSpilled = batchBytes.load(std::memory_order_relaxed);
   } else {
     // In-memory and hybrid modes publish handles. The resident
     // footprints are measured here, outside the engine mutex — the
@@ -1020,39 +1005,22 @@ void JobContext::maybePressureSpill() {
     }
     if (victims.empty()) return;  // over budget but nothing evictable
 
-    // Encode + write the attempt files outside the lock, overlapping
-    // keyblocks on the spill-writer pool when one exists. Renames run
+    // Encode + write the attempt files outside the lock. Renames run
     // only after every write succeeded.
     std::exception_ptr error;
-    auto writeOne = [this](const Victim& v, std::vector<std::byte>& buf) {
-      obs::SpanScope span(obs::Phase::kPressureSpill, obs::TaskSide::kMap, v.m,
-                          v.attempt, v.kb);
-      span.setRecords(v.seg->header().numRecords);
-      span.setRepresents(v.seg->header().represents);
-      if (spec.compressSpill) {
-        v.seg->serializeCompressedInto(buf, spec.keySpace);
-        compressedSpillBytes.fetch_add(buf.size(), std::memory_order_relaxed);
-      } else {
-        v.seg->serializeInto(buf);
-      }
-      span.setBytes(buf.size());
-      spillSegmentAttempt(v.m, v.kb, v.attempt, buf);
-    };
     try {
-      if (spillPool != nullptr) {
-        SpillWriterPool::Batch batch;
-        for (const Victim& v : victims) {
-          spillPool->submit(batch,
-                            [this, &v, &writeOne](std::vector<std::byte>& buf) {
-                              obs::ScopedRecorder poolScope(recorder.get());
-                              writeOne(v, buf);
-                            });
-        }
-        batch.wait();
-      } else {
-        std::vector<std::byte> buf;
-        for (const Victim& v : victims) writeOne(v, buf);
-      }
+      runSpillBatch(victims.size(),
+                    [&](std::size_t i, std::vector<std::byte>& buf) {
+                      const Victim& v = victims[i];
+                      obs::SpanScope span(obs::Phase::kPressureSpill,
+                                          obs::TaskSide::kMap, v.m, v.attempt,
+                                          v.kb);
+                      span.setRecords(v.seg->header().numRecords);
+                      span.setRepresents(v.seg->header().represents);
+                      encodeSpill(*v.seg, buf);
+                      span.setBytes(buf.size());
+                      spillSegmentAttempt(v.m, v.kb, v.attempt, buf);
+                    });
       for (const Victim& v : victims) {
         // The eviction commit reuses the publication span schema; the
         // gating checker takes the EARLIEST commit per (map, keyblock),
@@ -1306,15 +1274,11 @@ void JobContext::runReduce(std::uint32_t kb) {
     outRecords = out.take();
     reduceSpan.setRecords(outRecords.size());
   }
-  // Hybrid-mode streams over committed files read their windows lazily
-  // during the merge; fold their I/O into the shuffle accounting now
-  // that they are drained. Transports that already counted the full
-  // payload at fetch time (file-served over a resident buffer) leave
-  // countStreamBytes false so nothing is double-counted.
+  // Streams over evicted slots' committed files read their windows
+  // lazily during the merge; fold their I/O into the shuffle accounting
+  // now that they are drained.
   for (const FetchedSegment& fs : fetchedInputs) {
-    if (fs.stream != nullptr && fs.countStreamBytes) {
-      bytesFetched += fs.stream->bytesRead();
-    }
+    if (fs.stream != nullptr) bytesFetched += fs.stream->bytesRead();
   }
 
   attemptSpan.setBytes(bytesFetched);

@@ -38,6 +38,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -348,13 +349,24 @@ class JobContext : private TransportSource {
   void spillSegmentAttempt(std::uint32_t m, std::uint32_t kb,
                            std::uint32_t attempt,
                            std::span<const std::byte> bytes) const;
+  void encodeSpill(const Segment& seg, std::vector<std::byte>& buf);
+  /// One encode+write item: index into the caller's batch, and the
+  /// encode buffer it may reuse.
+  using SpillItem =
+      std::function<void(std::size_t, std::vector<std::byte>&)>;
+  /// Runs items 0..count-1 on the spill-writer pool when one exists, so
+  /// keyblocks overlap, else inline on the caller with one reused
+  /// buffer. Returns once every item succeeded; otherwise throws the
+  /// first encode/write failure.
+  void runSpillBatch(std::size_t count, const SpillItem& item);
   SegmentHeader peekSpilledHeader(std::uint32_t m, std::uint32_t kb) const;
   Segment loadSpilledSegment(std::uint32_t m, std::uint32_t kb,
                              std::uint64_t& bytesFetched) const;
 
   // ---- shuffle data plane (DESIGN.md §17) ----
   // The resolved backend: spec.transport, forced to kInProcess for
-  // cache-served runs (warm handles have no spill files to serve).
+  // cache-served runs (warm handles are already resident, so the
+  // in-process handoff copies nothing).
   // Constructed at the end of start(), stopped first in finalize().
   ShuffleTransportKind transportKind = ShuffleTransportKind::kInProcess;
   std::unique_ptr<ShuffleTransport> transport;

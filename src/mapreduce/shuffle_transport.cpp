@@ -23,8 +23,6 @@ const char* shuffleTransportName(ShuffleTransportKind kind) noexcept {
       return "in-process";
     case ShuffleTransportKind::kSocket:
       return "socket";
-    case ShuffleTransportKind::kFileServed:
-      return "file-served";
   }
   return "?";
 }
@@ -376,10 +374,9 @@ class InProcessTransport final : public ShuffleTransport {
             source_.keySpace());
         fs.header = stream->header();
         if (fs.header.numRecords > 0) {
+          // Reads its windows lazily during the merge; the reduce folds
+          // its bytesRead() into shuffleBytes once the merge drains it.
           fs.stream = std::move(stream);
-          // A hybrid stream reads its windows lazily during the merge;
-          // its bytes fold into shuffleBytes once it drains.
-          fs.countStreamBytes = true;
         } else {
           stats.bytesFetched += stream->bytesRead();
         }
@@ -396,12 +393,14 @@ class InProcessTransport final : public ShuffleTransport {
   TransportOptions options_;
 };
 
-// ---- the localhost segment server (kSocket and kFileServed) ----
+// ---- the localhost segment server ----
 
+/// Serves each requested slot's resident handle when it holds one and
+/// its committed spill file otherwise (eager spill, or a slot evicted
+/// under a memory budget) — one rule for every spill regime.
 class SegmentServer {
  public:
-  SegmentServer(ShuffleTransportKind kind, const TransportSource& source)
-      : kind_(kind), source_(source) {
+  explicit SegmentServer(const TransportSource& source) : source_(source) {
     listenFd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listenFd_ < 0) {
       throw std::runtime_error("ShuffleTransport: socket(): " +
@@ -520,22 +519,19 @@ class SegmentServer {
                     const wire::FetchRequestFrame& req) {
     std::vector<std::byte> encodeBuf;
     for (std::uint32_t m : req.maps) {
-      if (kind_ == ShuffleTransportKind::kSocket) {
-        // Served from memory when resident. The locked read is the
-        // point: a server thread never observed the publication order
-        // the engine's lock-free reduce fetch relies on, so it must
-        // take the engine mutex for its snapshot.
-        const std::shared_ptr<const Segment> seg =
-            source_.residentSegmentLocked(m, req.keyblock);
-        if (seg != nullptr) {
-          // serializeInto is const and encodes straight from the
-          // packed form — safe against the owning reduce reading the
-          // same immutable segment concurrently.
-          encodeBuf.clear();
-          seg->serializeInto(encodeBuf);
-          sendSegment(conn, m, req.keyblock, /*flags=*/0, encodeBuf);
-          continue;
-        }
+      // The locked read is the point: a server thread never observed
+      // the publication order the engine's lock-free reduce fetch
+      // relies on, so it must take the engine mutex for its snapshot.
+      const std::shared_ptr<const Segment> seg =
+          source_.residentSegmentLocked(m, req.keyblock);
+      if (seg != nullptr) {
+        // serializeInto is const and encodes straight from the packed
+        // form — safe against the owning reduce reading the same
+        // immutable segment concurrently.
+        encodeBuf.clear();
+        seg->serializeInto(encodeBuf);
+        sendSegment(conn, m, req.keyblock, /*flags=*/0, encodeBuf);
+        continue;
       }
       serveFile(conn, m, req.keyblock);
     }
@@ -591,7 +587,6 @@ class SegmentServer {
     }
   }
 
-  ShuffleTransportKind kind_;
   const TransportSource& source_;
   std::atomic<bool> stopping_{false};
   int listenFd_ = -1;
@@ -602,20 +597,19 @@ class SegmentServer {
   std::vector<int> connFds_;
 };
 
-// ---- socket-backed client (kSocket and kFileServed) ----
+// ---- socket client ----
 
 class SocketTransport final : public ShuffleTransport {
  public:
-  SocketTransport(ShuffleTransportKind kind, const TransportSource& source,
+  SocketTransport(const TransportSource& source,
                   const TransportOptions& options)
-      : kind_(kind),
-        source_(source),
-        options_(options),
-        server_(kind, source) {}
+      : source_(source), options_(options), server_(source) {}
 
   ~SocketTransport() override { stop(); }
 
-  ShuffleTransportKind kind() const noexcept override { return kind_; }
+  ShuffleTransportKind kind() const noexcept override {
+    return ShuffleTransportKind::kSocket;
+  }
 
   std::vector<FetchedSegment> fetch(const TransportFetchRequest& req,
                                     FetchStats& stats) override {
@@ -738,23 +732,8 @@ class SocketTransport final : public ShuffleTransport {
     stats.bytesFetched += payload.size();
     if (fs.header.numRecords == 0) return fs;
     try {
-      if (kind_ == ShuffleTransportKind::kFileServed) {
-        // Decode through SegmentStream windows during the merge — the
-        // client never materializes the segment either. The wire bytes
-        // were counted above; the stream re-reads its own in-memory
-        // copy, so countStreamBytes stays false.
-        auto storage = std::make_unique<sci::MemoryStorage>();
-        storage->writeAt(0, payload);
-        fs.stream = std::make_unique<SegmentStream>(
-            std::move(storage), std::max<std::size_t>(
-                                    source_.mergeWindowBytes(), 1),
-            compressed, source_.keySpace());
-      } else {
-        fs.owned = std::make_unique<Segment>(
-            Segment::decode(payload, compressed, source_.keySpace()));
-      }
-    } catch (const TransportError&) {
-      throw;
+      fs.owned = std::make_unique<Segment>(
+          Segment::decode(payload, compressed, source_.keySpace()));
     } catch (const std::exception& e) {
       throw TransportError(TransportFaultKind::kCorruptFrame,
                            std::string("segment payload undecodable: ") +
@@ -763,7 +742,6 @@ class SocketTransport final : public ShuffleTransport {
     return fs;
   }
 
-  ShuffleTransportKind kind_;
   const TransportSource& source_;
   TransportOptions options_;
   SegmentServer server_;
@@ -780,7 +758,7 @@ std::unique_ptr<ShuffleTransport> makeShuffleTransport(
   if (kind == ShuffleTransportKind::kInProcess) {
     return std::make_unique<InProcessTransport>(source, options);
   }
-  return std::make_unique<SocketTransport>(kind, source, options);
+  return std::make_unique<SocketTransport>(source, options);
 }
 
 }  // namespace sidr::mr

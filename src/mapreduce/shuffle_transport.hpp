@@ -2,12 +2,13 @@
 //
 // A reduce task's fetch phase acquires the committed map-output
 // segments of its dependency set. HOW the bytes move is a transport
-// concern with three backends — same-address-space handle/file handoff
-// (the historical path, byte-identical), a localhost socket data plane
-// framing the exact-size bulk codec onto pooled TCP connections, and a
-// file-served plane that streams committed `job<id>/` spill files
-// through bounded windows on both sides of the wire. WHAT the fetch
-// means is fixed by the engine and identical across backends:
+// concern with two backends — same-address-space handle/file handoff
+// (the historical path, byte-identical) and a localhost socket data
+// plane framing the exact-size bulk codec onto pooled TCP connections.
+// The socket server follows one rule in every spill regime: it serves a
+// slot's resident handle when the slot holds one and the committed
+// `job<id>/` spill file otherwise. WHAT the fetch means is fixed by the
+// engine and identical across backends:
 //
 //  - a reduce fetches only after observing, under the engine mutex,
 //    that every dependency committed (publication ordering);
@@ -21,7 +22,7 @@
 //    FaultPlan::maxFetchAttempts; their partial bytes land in
 //    TransportStats::wastedWireBytes, never JobResult::shuffleBytes.
 //
-// Wire protocol (kSocket / kFileServed; namespace wire below):
+// Wire protocol (kSocket; namespace wire below):
 // little-endian u32 length-prefixed frames, payload <= kFrameMax. A
 // fetch request is ONE frame: {kRequestMagic, keyblock, count, count x
 // map id} — a whole batch of maps per round trip. The server answers
@@ -79,9 +80,10 @@ class TransportError : public std::runtime_error {
 
 // ---- what the engine exposes to a transport ----
 
-/// The engine-side segment store a transport serves from. Implemented
-/// by JobContext; split out so transports (and their tests) depend on
-/// an interface, not on engine internals.
+/// The engine-side segment store a transport serves from: resident
+/// handles, plus the committed spill files behind eager-spill and
+/// evicted slots. Implemented by JobContext; split out so transports
+/// (and their tests) depend on an interface, not on engine internals.
 class TransportSource {
  public:
   virtual ~TransportSource() = default;
@@ -145,13 +147,11 @@ class TransportSource {
 struct FetchedSegment {
   SegmentHeader header;
   std::shared_ptr<const Segment> handle;  ///< resident (in-process)
-  std::unique_ptr<Segment> owned;         ///< decoded whole segment
-  std::unique_ptr<SegmentStream> stream;  ///< windowed streaming input
-  /// True when `stream` reads lazily during the merge and its
-  /// bytesRead() must be folded into shuffleBytes AFTER the merge
-  /// drains it (hybrid-eviction streams). False when the fetch already
-  /// accounted the bytes (file-served wire transfers).
-  bool countStreamBytes = false;
+  std::unique_ptr<Segment> owned;  ///< decoded spill file or wire payload
+  /// In-process stream over an evicted slot's committed file. It reads
+  /// lazily during the merge, so its bytesRead() is folded into
+  /// shuffleBytes after the merge drains it, never at fetch time.
+  std::unique_ptr<SegmentStream> stream;
 };
 
 /// Per-fetch-attempt data-plane counters. `bytesFetched` keeps the
@@ -204,8 +204,8 @@ class ShuffleTransport {
 };
 
 /// Builds the backend for `kind` over `source` (not owned; must outlive
-/// the transport). Socket backends bind a listener on 127.0.0.1 and
-/// start their server threads here; kInProcess allocates nothing.
+/// the transport). kSocket binds a listener on 127.0.0.1 and starts its
+/// server threads here; kInProcess allocates nothing.
 std::unique_ptr<ShuffleTransport> makeShuffleTransport(
     ShuffleTransportKind kind, const TransportSource& source,
     const TransportOptions& options);
@@ -221,9 +221,9 @@ inline constexpr std::uint32_t kFrameMax = 64u << 20;
 /// Hard bound on one segment's totalBytes across its data frames.
 inline constexpr std::uint64_t kSegmentMax = 1ull << 30;
 
-/// Server-side streaming granule: committed files are served in chunks
-/// of at most this many payload bytes, so the file-served plane never
-/// holds a whole segment resident server-side.
+/// Data-frame granule: the server splits every segment payload into
+/// frames of at most this many bytes, and streams a committed spill
+/// file chunk by chunk so it never holds that file resident.
 inline constexpr std::uint32_t kChunkBytes = 256u << 10;
 
 inline constexpr std::uint32_t kRequestMagic = 0x52444953u;   // "SIDR"

@@ -107,8 +107,7 @@ namespace {
 
 /// Execution-option plumbing shared by single-input and join assembly:
 /// everything in PlanOptions that forwards verbatim to the JobSpec.
-/// Returns whether the plan spills eagerly (drives transport choices).
-bool fillExecutionOptions(mr::JobSpec& spec, const PlanOptions& options) {
+void fillExecutionOptions(mr::JobSpec& spec, const PlanOptions& options) {
   spec.numReducers = options.numReducers;
   spec.mapSlots = options.mapSlots;
   spec.reduceSlots = options.reduceSlots;
@@ -121,24 +120,11 @@ bool fillExecutionOptions(mr::JobSpec& spec, const PlanOptions& options) {
   spec.memoryBudgetBytes = options.memoryBudgetBytes;
   spec.mergeWindowBytes = options.mergeWindowBytes;
   spec.compressSpill = options.compressSpill;
-  // Transport selection (DESIGN.md section 17): kFileServed only makes
-  // sense when map output commits to files eagerly — reject the
-  // combination here with the same rule validateJobSpec enforces, so a
-  // planner caller learns at plan time rather than submit time.
-  const bool eagerSpillPlan =
-      !options.spillDirectory.empty() && options.memoryBudgetBytes == 0;
-  if (options.transport == mr::ShuffleTransportKind::kFileServed &&
-      !eagerSpillPlan) {
-    throw std::invalid_argument(
-        "QueryPlanner: the file-served transport requires an eager-spill "
-        "plan (spillDirectory set, memoryBudgetBytes == 0)");
-  }
   spec.transport = options.transport;
   spec.transportConnections = options.transportConnections;
   spec.transportTimeoutMillis = options.transportTimeoutMillis;
   spec.weight = options.jobWeight;
   spec.keepSpillOnFailure = options.keepSpillOnFailure;
-  return eagerSpillPlan;
 }
 
 /// Runs the skew sampler over one side's splits and returns smoothed
@@ -218,7 +204,7 @@ QueryPlan QueryPlanner::assemble(mr::RecordReaderFactory readerFactory,
   spec.readerFactory = std::move(readerFactory);
   spec.mapperFactory = sh::makeStructuralMapperFactory(query_, extraction);
   spec.reducerFactory = sh::makeStructuralReducerFactory(query_);
-  const bool eagerSpillPlan = fillExecutionOptions(spec, options);
+  fillExecutionOptions(spec, options);
   // The extraction map bounds every intermediate key, so every planner
   // job runs the linearized-key fast path (DESIGN.md section 11). This
   // is the same space both partitioners linearize over: ModuloPartitioner
@@ -266,13 +252,6 @@ QueryPlan QueryPlanner::assemble(mr::RecordReaderFactory readerFactory,
 
   spec.mapFingerprint =
       computeMapFingerprint(query_, inputShape_, options.datasetId, spec);
-
-  // Advisory transport recommendation: an eager-spill plan's map output
-  // is already committed files, so file-serving it adds no residency;
-  // anything else is best served by the zero-copy in-process handoff.
-  plan.recommendedTransport = eagerSpillPlan
-                                  ? mr::ShuffleTransportKind::kFileServed
-                                  : mr::ShuffleTransportKind::kInProcess;
 
   plan.spec = std::move(spec);
   return plan;
@@ -345,7 +324,7 @@ QueryPlan QueryPlanner::planJoin(const sh::ValueFn& leftFn,
   spec.mapperFactory = sh::makeJoinMapperFactory(query_, leftEx, 0);
   spec.secondaryMapperFactory = sh::makeJoinMapperFactory(query_, rightEx, 1);
   spec.reducerFactory = sh::makeJoinReducerFactory();
-  const bool eagerSpillPlan = fillExecutionOptions(spec, options);
+  fillExecutionOptions(spec, options);
   // Both sides renumber into the shared instance grid, so the grid IS
   // the intermediate key space (checked equal above).
   spec.keySpace = leftEx->intermediateSpaceShape();
@@ -394,9 +373,6 @@ QueryPlan QueryPlanner::planJoin(const sh::ValueFn& leftFn,
 
   spec.mapFingerprint =
       computeMapFingerprint(query_, inputShape_, options.datasetId, spec);
-  plan.recommendedTransport = eagerSpillPlan
-                                  ? mr::ShuffleTransportKind::kFileServed
-                                  : mr::ShuffleTransportKind::kInProcess;
   plan.spec = std::move(spec);
   return plan;
 }

@@ -93,15 +93,12 @@ struct PlanOptions {
   bool compressSpill = false;
 
   /// Shuffle data plane (DESIGN.md section 17), forwarded verbatim to
-  /// mr::JobSpec::transport. Unset (the default) keeps the engine's
-  /// zero-copy in-process handoff and the planner records its own
-  /// recommendation in QueryPlan::recommendedTransport instead. An
-  /// explicit kFileServed is validated here: it requires an eager-spill
-  /// plan (spillDirectory set, memoryBudgetBytes == 0), since it serves
-  /// committed job<id>/ segment files.
+  /// mr::JobSpec::transport — the one place a plan picks its transport.
+  /// Unset (the default) keeps the engine's zero-copy in-process
+  /// handoff; kSocket works in every spill regime.
   std::optional<mr::ShuffleTransportKind> transport;
-  /// Socket/file-served connection-pool size and per-fetch stall
-  /// timeout, forwarded to the matching mr::JobSpec fields.
+  /// Socket connection-pool size and per-fetch stall timeout,
+  /// forwarded to the matching mr::JobSpec fields.
   std::uint32_t transportConnections = 2;
   std::uint32_t transportTimeoutMillis = 10000;
 
@@ -141,15 +138,6 @@ struct QueryPlan {
   /// lifted to the service level), barrier plans kFifo. Callers
   /// submitting to a service can seed ServiceConfig::policy from it.
   mr::SchedulingPolicy servicePolicy = mr::SchedulingPolicy::kFifo;
-  /// Recommended shuffle transport for this plan: eager-spill plans
-  /// (spillDirectory set, no memory budget) recommend kFileServed —
-  /// their map output is already committed files, so serving those
-  /// files through SegmentStream windows adds no residency — everything
-  /// else recommends the zero-copy kInProcess handoff. Purely advisory:
-  /// the spec carries PlanOptions::transport (or stays unset), never
-  /// this field.
-  mr::ShuffleTransportKind recommendedTransport =
-      mr::ShuffleTransportKind::kInProcess;
 };
 
 /// Canonical MapFingerprint: digests exactly the fields that determine

@@ -2,7 +2,6 @@
 
 #include "mapreduce/partitioners.hpp"
 #include "sidr/planner.hpp"
-#include "support/temp_dir.hpp"
 
 namespace sidr::core {
 namespace {
@@ -126,35 +125,14 @@ TEST(QueryPlanner, ValidateAnnotationsOptional) {
   EXPECT_TRUE(plan.spec.expectedRepresents.empty());
 }
 
-TEST(QueryPlanner, TransportRecommendationFollowsSpillMode) {
-  QueryPlanner planner(weeklyQuery(), nd::Coord{70, 25, 10});
-  PlanOptions opts;
-  opts.system = SystemMode::kSidr;
-
-  // No spill: zero-copy in-process handoff, transport left unset.
-  QueryPlan inMemory = planner.plan(sh::temperatureField(), opts);
-  EXPECT_EQ(inMemory.recommendedTransport,
-            mr::ShuffleTransportKind::kInProcess);
-  EXPECT_FALSE(inMemory.spec.transport.has_value());
-
-  // Eager spill: map output is committed files, so serve the files.
-  opts.spillDirectory =
-      (testsupport::scratchRoot() / "sidr_planner_transport").string();
-  QueryPlan eager = planner.plan(sh::temperatureField(), opts);
-  EXPECT_EQ(eager.recommendedTransport,
-            mr::ShuffleTransportKind::kFileServed);
-
-  // Hybrid budget: segments are (mostly) resident; back to in-process.
-  opts.memoryBudgetBytes = 1 << 20;
-  QueryPlan hybrid = planner.plan(sh::temperatureField(), opts);
-  EXPECT_EQ(hybrid.recommendedTransport,
-            mr::ShuffleTransportKind::kInProcess);
-}
-
 TEST(QueryPlanner, TransportKnobsForwardToSpec) {
   QueryPlanner planner(weeklyQuery(), nd::Coord{70, 25, 10});
   PlanOptions opts;
   opts.system = SystemMode::kSidr;
+  // Unset by default: the engine then uses the in-process handoff.
+  EXPECT_FALSE(
+      planner.plan(sh::temperatureField(), opts).spec.transport.has_value());
+
   opts.transport = mr::ShuffleTransportKind::kSocket;
   opts.transportConnections = 5;
   opts.transportTimeoutMillis = 250;
@@ -163,25 +141,6 @@ TEST(QueryPlanner, TransportKnobsForwardToSpec) {
   EXPECT_EQ(*plan.spec.transport, mr::ShuffleTransportKind::kSocket);
   EXPECT_EQ(plan.spec.transportConnections, 5u);
   EXPECT_EQ(plan.spec.transportTimeoutMillis, 250u);
-}
-
-TEST(QueryPlanner, FileServedWithoutEagerSpillRejectedAtPlanTime) {
-  QueryPlanner planner(weeklyQuery(), nd::Coord{70, 25, 10});
-  PlanOptions opts;
-  opts.system = SystemMode::kSidr;
-  opts.transport = mr::ShuffleTransportKind::kFileServed;
-  // No spill directory at all.
-  EXPECT_THROW(planner.plan(sh::temperatureField(), opts),
-               std::invalid_argument);
-  // Hybrid budget is equally invalid: evicted-or-resident slots are not
-  // a committed-file store.
-  opts.spillDirectory =
-      (testsupport::scratchRoot() / "sidr_planner_transport").string();
-  opts.memoryBudgetBytes = 1 << 20;
-  EXPECT_THROW(planner.plan(sh::temperatureField(), opts),
-               std::invalid_argument);
-  opts.memoryBudgetBytes = 0;
-  EXPECT_NO_THROW(planner.plan(sh::temperatureField(), opts));
 }
 
 TEST(QueryPlanner, TransportDoesNotLeakIntoMapFingerprint) {

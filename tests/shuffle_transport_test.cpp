@@ -1,6 +1,6 @@
 // ShuffleTransport suite (DESIGN.md §17): the pluggable shuffle data
-// plane — in-process handle handoff, localhost socket framing, and the
-// file-served plane over committed spill files — must be an invisible
+// plane — in-process handle handoff and localhost socket framing over
+// resident handles or committed spill files — must be an invisible
 // execution detail:
 //
 //  * wire-framing fuzz/property tests drive the production frame
@@ -8,7 +8,7 @@
 //    strings and assert every violation maps to a typed TransportError
 //    (never a hang, never a crash, never an unbounded allocation);
 //  * JobSpec validation for the transport knobs and FetchFaultSpec;
-//  * a 16-seed differential: {in-process, socket, file-served} x
+//  * a 16-seed differential: {in-process, socket} x
 //    {in-memory, eager spill, compressed, hybrid budget} x {fault-free,
 //    injected task faults} produce bit-identical collectAll output,
 //    identical committed segment bytes (eager regimes), satisfy the §13
@@ -407,20 +407,6 @@ QueryPlan smallPlan() {
   return QueryPlanner(q, input).plan(sh::temperatureField(1), opts);
 }
 
-TEST(TransportValidation, FileServedRequiresSpillDirectory) {
-  QueryPlan plan = smallPlan();
-  plan.spec.transport = mr::ShuffleTransportKind::kFileServed;
-  EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
-}
-
-TEST(TransportValidation, FileServedRejectsHybridBudget) {
-  QueryPlan plan = smallPlan();
-  plan.spec.transport = mr::ShuffleTransportKind::kFileServed;
-  plan.spec.spillDirectory = tempDir("sidr_transport_reject");
-  plan.spec.memoryBudgetBytes = 1 << 20;
-  EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
-}
-
 TEST(TransportValidation, ZeroConnectionsRejected) {
   QueryPlan plan = smallPlan();
   plan.spec.transportConnections = 0;
@@ -534,14 +520,9 @@ TEST_P(TransportParity, BackendsProduceIdenticalOutputAndCommits) {
 
   for (const Regime& regime : regimes) {
     SCOPED_TRACE(regime.name);
-    // kFileServed only exists for eager spill; everything takes the
-    // socket and in-process planes.
-    std::vector<mr::ShuffleTransportKind> kinds = {
+    const mr::ShuffleTransportKind kinds[] = {
         mr::ShuffleTransportKind::kInProcess,
         mr::ShuffleTransportKind::kSocket};
-    if (regime.spill && !regime.hybrid) {
-      kinds.push_back(mr::ShuffleTransportKind::kFileServed);
-    }
 
     std::vector<mr::KeyValue> reference;
     std::map<std::string, std::string> referenceFiles;
@@ -660,7 +641,6 @@ TEST(TransportFaults, DroppedFetchRetriesWithoutDoubleCounting) {
       {"in-process", mr::ShuffleTransportKind::kInProcess, false},
       {"socket", mr::ShuffleTransportKind::kSocket, false},
       {"socket-spill", mr::ShuffleTransportKind::kSocket, true},
-      {"file-served", mr::ShuffleTransportKind::kFileServed, true},
   };
   for (const FaultArm& arm : arms) {
     SCOPED_TRACE(arm.name);
@@ -738,26 +718,6 @@ TEST(TransportFaults, ExhaustedRetriesFailTheJobNamingTheTask) {
   }
 }
 
-TEST(TransportFaults, ServiceResolvesDefaultTransport) {
-  // A submitted spec that never names a transport inherits the
-  // service-wide default; wireBytes > 0 proves the socket plane ran.
-  mr::ServiceConfig config;
-  config.numThreads = 4;
-  config.defaultTransport = mr::ShuffleTransportKind::kSocket;
-  mr::EngineService service(config);
-  QueryPlan plan = smallPlan();
-  ASSERT_FALSE(plan.spec.transport.has_value());
-  mr::JobHandle handle = service.submit(std::move(plan.spec));
-  const mr::JobResult& result = handle.wait();
-  EXPECT_GT(result.transportTotals.wireBytes, 0u);
-
-  // An explicit per-job choice wins over the default.
-  QueryPlan inproc = smallPlan();
-  inproc.spec.transport = mr::ShuffleTransportKind::kInProcess;
-  mr::JobHandle h2 = service.submit(std::move(inproc.spec));
-  EXPECT_EQ(h2.wait().transportTotals.wireBytes, 0u);
-}
-
 // ---- hammers (TSan/ASan via tier1.sh) ----
 
 TEST(ShuffleTransportHammer, ConcurrentSocketFetchRacesRepublication) {
@@ -790,14 +750,13 @@ TEST(ShuffleTransportHammer, ConcurrentSocketFetchRacesRepublication) {
     opts.faultPlan.failMap(1).failMap(7);
     opts.faultPlan.dropFetch(2, 1).dropFetch(5, 1).dropFetch(5, 2);
     QueryPlan plan = planner.plan(fn, opts);
-    const bool spill = (iter != 1);  // iter 1: pure in-memory sockets
-    if (spill) {
+    // iter 0: eager spill, iter 1: pure in-memory sockets, iter 2:
+    // compressed eager spill — the server streams compressed files.
+    if (iter != 1) {
       plan.spec.spillDirectory = dir;
       plan.spec.compressSpill = (iter == 2);
     }
-    plan.spec.transport = (spill && iter == 2)
-                              ? mr::ShuffleTransportKind::kFileServed
-                              : mr::ShuffleTransportKind::kSocket;
+    plan.spec.transport = mr::ShuffleTransportKind::kSocket;
     plan.spec.transportConnections = 3;
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     EXPECT_EQ(result.reduceFailures, 2u);
@@ -833,7 +792,6 @@ TEST(ShuffleTransportHammer, MidFetchCancelTearsDownSocketsCleanly) {
   mr::ServiceConfig config;
   config.numThreads = 6;
   config.maxConcurrentJobs = 4;
-  config.defaultTransport = mr::ShuffleTransportKind::kSocket;
   mr::EngineService service(config);
 
   PlanOptions opts;
@@ -841,6 +799,7 @@ TEST(ShuffleTransportHammer, MidFetchCancelTearsDownSocketsCleanly) {
   opts.numReducers = 5;
   opts.desiredSplitCount = 10;
   opts.reduceSlots = 3;
+  opts.transport = mr::ShuffleTransportKind::kSocket;
   std::vector<mr::JobHandle> cancelled;
   std::vector<mr::JobHandle> kept;
   for (int i = 0; i < 8; ++i) {

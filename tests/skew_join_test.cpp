@@ -4,9 +4,9 @@
 // The headline property is a 16-seed differential: a skew-adapted plan
 // must produce BIT-IDENTICAL collectAll() output to the unrefined plan
 // for the same query, across shuffle regimes (in-memory / eager spill /
-// hybrid budget / compressed) and transports (in-process / socket /
-// file-served) — refinement may only move keys between keyblocks, never
-// change a single output byte. The join operator is pinned by a frozen
+// hybrid budget / compressed) and transports (in-process / socket) —
+// refinement may only move keys between keyblocks, never change a
+// single output byte. The join operator is pinned by a frozen
 // test-local nested-loop oracle written against floor-division geometry
 // (independent of ExtractionMap), and refined dependency sets are
 // checked EXACT against brute-force realized (split, keyblock) pairs.
@@ -79,13 +79,10 @@ Regime regimeFor(int seed, const std::string& dirTag) {
       r.transport = (seed / 4) % 2 == 0 ? mr::ShuffleTransportKind::kInProcess
                                         : mr::ShuffleTransportKind::kSocket;
       break;
-    case 1:  // eager spill: all three transports are legal
+    case 1:  // eager spill
       r.spill = true;
-      switch ((seed / 4) % 3) {
-        case 0: r.transport = mr::ShuffleTransportKind::kInProcess; break;
-        case 1: r.transport = mr::ShuffleTransportKind::kSocket; break;
-        default: r.transport = mr::ShuffleTransportKind::kFileServed; break;
-      }
+      r.transport = (seed / 4) % 2 == 0 ? mr::ShuffleTransportKind::kInProcess
+                                        : mr::ShuffleTransportKind::kSocket;
       break;
     case 2:  // hybrid memory budget
       r.spill = true;
@@ -93,11 +90,10 @@ Regime regimeFor(int seed, const std::string& dirTag) {
       r.transport = (seed / 4) % 2 == 0 ? mr::ShuffleTransportKind::kInProcess
                                         : mr::ShuffleTransportKind::kSocket;
       break;
-    default:  // eager spill, compressed framing
+    default:  // eager spill, compressed framing, served over sockets
       r.spill = true;
       r.compress = true;
-      r.transport = (seed / 4) % 2 == 0 ? mr::ShuffleTransportKind::kSocket
-                                        : mr::ShuffleTransportKind::kFileServed;
+      r.transport = mr::ShuffleTransportKind::kSocket;
       break;
   }
   (void)dirTag;

@@ -9,7 +9,8 @@
 //    key populations;
 //  * the spill-writer pool vs the sequential encode+write path —
 //    byte-identical committed segment files and identical collectAll
-//    output for pool sizes {1, 2, 8}, including under FaultPlan
+//    output for pool sizes {1, 2, 8}, in both spill framings, for eager
+//    spill and for hybrid pressure eviction, including under FaultPlan
 //    map/reduce re-attempts, with no torn or double-committed tmp
 //    files left behind.
 //
@@ -423,43 +424,73 @@ TEST_P(SpillWriterParity, PoolSizesProduceByteIdenticalSpills) {
     }
   }
 
+  struct SpillRegime {
+    const char* name;
+    bool compress;
+    bool hybrid;
+  };
+  const SpillRegime regimes[] = {
+      {"eager", false, false},
+      {"eager-compress", true, false},
+      {"hybrid", false, true},
+      {"hybrid-compress", true, true},
+  };
+
   SCOPED_TRACE("input " + input.toString() + " r=" +
                std::to_string(opts.numReducers) +
                " faults=" + std::to_string(faults.faults.size()));
 
-  std::map<std::string, std::vector<char>> referenceFiles;
-  std::vector<mr::KeyValue> referenceCollected;
-  for (std::uint32_t writers : {1u, 2u, 8u}) {
-    SCOPED_TRACE("writers=" + std::to_string(writers));
-    const std::string dir = (testsupport::scratchRoot() /
-         ("sidr_spill_parity_" + std::to_string(GetParam()) + "_w" +
-          std::to_string(writers)))
-            .string();
-    std::filesystem::remove_all(dir);
-    QueryPlan plan = planner.plan(fn, opts);
-    plan.spec.spillDirectory = dir;
-    plan.spec.spillWriters = writers;
-    plan.spec.faultPlan = faults;
-    mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
-    EXPECT_EQ(result.annotationViolations, 0u);
-    auto files = readSpillDir(dir);
-    auto collected = result.collectAll();
-    std::filesystem::remove_all(dir);
-    if (writers == 1) {
-      referenceFiles = std::move(files);
-      referenceCollected = std::move(collected);
-      continue;
+  for (const SpillRegime& regime : regimes) {
+    SCOPED_TRACE(regime.name);
+    std::map<std::string, std::vector<char>> referenceFiles;
+    std::vector<mr::KeyValue> referenceCollected;
+    for (std::uint32_t writers : {1u, 2u, 8u}) {
+      SCOPED_TRACE("writers=" + std::to_string(writers));
+      const std::string dir =
+          (testsupport::scratchRoot() /
+           ("sidr_spill_parity_" + std::to_string(GetParam()) + "_" +
+            regime.name + "_w" + std::to_string(writers)))
+              .string();
+      std::filesystem::remove_all(dir);
+      QueryPlan plan = planner.plan(fn, opts);
+      plan.spec.spillDirectory = dir;
+      plan.spec.spillWriters = writers;
+      plan.spec.faultPlan = faults;
+      plan.spec.compressSpill = regime.compress;
+      if (regime.hybrid) {
+        // The smallest legal budget: pressure eviction, not map commits,
+        // writes the files, and every seed evicts (under a two-page
+        // budget seeds 7 and 11 never do).
+        plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+        // One worker claims every task, so which segments get evicted
+        // (and so which files exist) is deterministic; only the pool
+        // size varies between runs.
+        plan.spec.numThreads = 1;
+      }
+      mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
+      EXPECT_EQ(result.annotationViolations, 0u);
+      if (regime.hybrid) {
+        EXPECT_GT(result.pressureSpillEvents, 0u);
+      }
+      auto files = readSpillDir(dir);
+      auto collected = result.collectAll();
+      std::filesystem::remove_all(dir);
+      if (writers == 1) {
+        referenceFiles = std::move(files);
+        referenceCollected = std::move(collected);
+        continue;
+      }
+      // Committed files must be byte-identical to the sequential
+      // path's, name for name — the pool may only change WHEN tmp files
+      // get written, never what gets committed.
+      ASSERT_EQ(files.size(), referenceFiles.size());
+      for (const auto& [name, bytes] : referenceFiles) {
+        auto it = files.find(name);
+        ASSERT_NE(it, files.end()) << "missing committed file " << name;
+        EXPECT_EQ(it->second, bytes) << "bytes differ in " << name;
+      }
+      expectSameCollected(collected, referenceCollected);
     }
-    // Committed files must be byte-identical to the sequential path's,
-    // name for name — the pool may only change WHEN tmp files get
-    // written, never what gets committed.
-    ASSERT_EQ(files.size(), referenceFiles.size());
-    for (const auto& [name, bytes] : referenceFiles) {
-      auto it = files.find(name);
-      ASSERT_NE(it, files.end()) << "missing committed file " << name;
-      EXPECT_EQ(it->second, bytes) << "bytes differ in " << name;
-    }
-    expectSameCollected(collected, referenceCollected);
   }
 }
 
