@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "mapreduce/heap_policy.hpp"
 #include "mapreduce/job_context.hpp"
 
 namespace sidr::mr {
@@ -52,6 +53,7 @@ std::vector<KeyValue> JobResult::collectAll() const {
 
 Engine::Engine(JobSpec spec) : spec_(std::move(spec)) {
   validateJobSpec(spec_);
+  pinHeapThresholds();
 }
 
 JobResult Engine::run() {

@@ -27,14 +27,17 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "mapreduce/engine.hpp"
 #include "mapreduce/engine_service.hpp"
+#include "mapreduce/heap_policy.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/heap_check.hpp"
 #include "support/temp_dir.hpp"
 #include "support/trace_check.hpp"
 
@@ -262,6 +265,17 @@ TEST(EngineServiceValidation, ZeroThreadsClampedToOne) {
   QueryPlan plan = makePlan(0, "");
   mr::JobHandle handle = service.submit(mr::JobSpec(plan.spec));
   EXPECT_NO_THROW(handle.wait());
+}
+
+TEST(EngineServiceValidation, ConstructionPinsHeapThresholds) {
+  // Same policy as Engine (DESIGN.md section 21), applied before the
+  // service's workers allocate anything.
+  mr::EngineService service;
+  const std::optional<bool> mapped = ts::mallocMapsBlock(24u << 20);
+  if (!mr::pinHeapThresholds() || !mapped.has_value()) {
+    GTEST_SKIP() << "malloc thresholds set by the environment, or not glibc";
+  }
+  EXPECT_FALSE(*mapped);
 }
 
 // ---- single job: the service is a drop-in for Engine::run ----

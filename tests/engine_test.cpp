@@ -2,12 +2,15 @@
 
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <tuple>
 
 #include "mapreduce/combiners.hpp"
 #include "mapreduce/engine.hpp"
+#include "mapreduce/heap_policy.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/heap_check.hpp"
 #include "support/oracle_check.hpp"
 #include "support/temp_dir.hpp"
 #include "support/trace_check.hpp"
@@ -489,6 +492,26 @@ TEST(Engine, InvalidSpecsRejected) {
   QueryPlan plan = planner.plan(sh::temperatureField(), opts);
   plan.spec.reduceDeps.pop_back();  // break the dependency sets
   EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
+}
+
+TEST(Engine, ConstructionPinsHeapThresholds) {
+  // Whether a job's freed buffers go back to the kernel, to be
+  // re-faulted by the next job, must not depend on what the process
+  // freed before (DESIGN.md section 21): constructing an engine pins
+  // glibc's thresholds before its first job allocates.
+  QueryPlanner planner(makeQuery(OperatorKind::kMean, nd::Coord{2, 2}),
+                       nd::Coord{8, 8});
+  PlanOptions opts;
+  opts.numReducers = 2;
+  QueryPlan plan = planner.plan(sh::temperatureField(), opts);
+  mr::Engine engine(std::move(plan.spec));
+  // 24 MiB sits under the pinned 32 MiB mmap threshold and far above
+  // glibc's 128 KiB starting one.
+  const std::optional<bool> mapped = testsupport::mallocMapsBlock(24u << 20);
+  if (!mr::pinHeapThresholds() || !mapped.has_value()) {
+    GTEST_SKIP() << "malloc thresholds set by the environment, or not glibc";
+  }
+  EXPECT_FALSE(*mapped);
 }
 
 TEST(Engine, SingleThreadSingleReducer) {
