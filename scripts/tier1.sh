@@ -27,7 +27,9 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" -L slow
 #                                    blind to stdio-internal locking)
 #   engine_test / randomized_test    both shuffle paths + recovery races
 #   linear_fastpath_test             packed segments merged in place by
-#                                    concurrently running reduces
+#                                    concurrently running reduces; dataset
+#                                    readers streaming from one shared
+#                                    handle on four threads
 #   sort_spill_parity_test           spill-writer pool re-encoding failed
 #                                    attempts while lock-free fetches read
 #                                    committed segments
@@ -87,7 +89,11 @@ done
 # tables feeding the packed buffers). operators_test drives the
 # radix-select median kernel, which indexes its reused key buffer with
 # counts taken from digit histograms (DESIGN.md section 20).
+# scifile_test streams regions through the RegionWalker's fixed staging
+# buffer, whose offsets are where a heap overflow would hide (DESIGN.md
+# section 19).
 ASAN_SUITES=(
+  scifile_test
   out_of_core_test
   engine_service_test
   segment_cache_test

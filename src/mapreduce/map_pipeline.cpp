@@ -143,9 +143,11 @@ std::vector<Segment> runMapPipeline(const InputSplit& split,
   if (numReducers > 0) {
     ctx.reserveHint(static_cast<std::size_t>(split.volume()) / numReducers);
   }
-  // One batch's worth of value staging plus the start key of every row
-  // run in it, reused across regions. 512 records keeps the working set
-  // inside L1/L2; each batch is one kRead and one kMap span.
+  // One batch's worth of values plus the start key of every row run in
+  // it, reused across regions. Readers decode straight into it, so a
+  // dataset reader's positioned file reads happen inside the batch's
+  // kRead span. 512 records keeps the working set inside L1/L2; each
+  // batch is one kRead and one kMap span.
   constexpr std::size_t kBatch = 512;
   struct Run {
     nd::Coord start;

@@ -72,6 +72,16 @@ void decodeValues(DataType t, std::span<const std::byte> in,
   }
 }
 
+/// Throws unless `region` is a rank >= 1 box inside `varShape`.
+void checkRegion(const nd::Coord& varShape, const nd::Region& region) {
+  if (!nd::Region::wholeSpace(varShape).containsRegion(region)) {
+    throw std::out_of_range("Dataset: region outside variable bounds");
+  }
+  if (region.rank() == 0) {
+    throw std::invalid_argument("Dataset: rank-0 region I/O is not supported");
+  }
+}
+
 }  // namespace
 
 Dataset::Dataset(std::shared_ptr<Storage> storage, Metadata meta)
@@ -112,10 +122,16 @@ Dataset Dataset::open(std::shared_ptr<Storage> storage) {
     metaLen |= static_cast<std::uint64_t>(head[8 + static_cast<std::size_t>(b)])
                << (b * 8);
   }
+  // Checked before allocating: a garbage length must not become a huge
+  // allocation (std::bad_alloc) or a zero-fill before the short read.
+  if (metaLen > storage->size() - head.size()) {
+    throw std::runtime_error(
+        "Dataset::open: metadata length exceeds the container");
+  }
   std::vector<std::byte> metaBytes(metaLen);
-  storage->readAt(16, metaBytes);
+  storage->readAt(head.size(), metaBytes);
   Dataset ds(std::move(storage), Metadata::deserialize(metaBytes));
-  ds.dataStart_ = 16 + metaLen;
+  ds.dataStart_ = head.size() + metaLen;
   return ds;
 }
 
@@ -135,15 +151,10 @@ template <typename Fn>
 void Dataset::forEachRow(std::size_t varIdx, const nd::Region& region,
                          Fn&& fn) const {
   const nd::Coord varShape = meta_.variableShape(varIdx);
-  if (!nd::Region::wholeSpace(varShape).containsRegion(region)) {
-    throw std::out_of_range("Dataset: region outside variable bounds");
-  }
+  checkRegion(varShape, region);
   const std::size_t elemSize = dataTypeSize(meta_.variable(varIdx).type);
   const std::uint64_t base = variableOffset(varIdx);
   const std::size_t rank = region.rank();
-  if (rank == 0) {
-    throw std::invalid_argument("Dataset: rank-0 region I/O is not supported");
-  }
   const auto rowLen = static_cast<std::uint64_t>(region.shape()[rank - 1]);
 
   // Iterate the region's prefix (all dims but the innermost); each prefix
@@ -189,38 +200,80 @@ void Dataset::writeRegion(std::size_t varIdx, const nd::Region& region,
 
 std::vector<double> Dataset::readRegion(std::size_t varIdx,
                                         const nd::Region& region) const {
-  std::vector<double> values(static_cast<std::size_t>(region.volume()));
-  const DataType t = meta_.variable(varIdx).type;
-  const std::size_t elemSize = dataTypeSize(t);
-  // Rows that are adjacent in the file coalesce into one positioned read
-  // (a slab region spanning whole trailing dimensions is a single read),
-  // capped so the staging buffer stays bounded on huge regions.
-  constexpr std::uint64_t kMaxReadBytes = 4u << 20;
-  std::vector<std::byte> bytes;
-  std::uint64_t runOff = 0;
-  std::uint64_t runElems = 0;
-  std::uint64_t runValueOffset = 0;
-  auto readRun = [&] {
-    bytes.resize(runElems * elemSize);
-    storage_->readAt(runOff, bytes);
-    decodeValues(t, bytes,
-                 std::span<double>(values.data() + runValueOffset, runElems));
-  };
-  forEachRow(varIdx, region,
-             [&](std::uint64_t fileOff, std::uint64_t rowLen,
-                 std::uint64_t valueOffset) {
-               if (runElems > 0 && fileOff == runOff + runElems * elemSize &&
-                   (runElems + rowLen) * elemSize <= kMaxReadBytes) {
-                 runElems += rowLen;
-                 return;
-               }
-               if (runElems > 0) readRun();
-               runOff = fileOff;
-               runElems = rowLen;
-               runValueOffset = valueOffset;
-             });
-  if (runElems > 0) readRun();
+  RegionWalker walker(*this, varIdx, region);
+  std::vector<double> values(walker.remaining());
+  walker.read(values);
   return values;
+}
+
+RegionWalker::RegionWalker(const Dataset& dataset, std::size_t varIdx,
+                           const nd::Region& region)
+    : storage_(dataset.storage_.get()),
+      type_(dataset.meta_.variable(varIdx).type),
+      elemSize_(dataTypeSize(type_)),
+      base_(dataset.variableOffset(varIdx)),
+      varShape_(dataset.meta_.variableShape(varIdx)),
+      region_(region) {
+  checkRegion(varShape_, region_);
+  // Rows are adjacent in the file exactly while every dimension inner to
+  // the one being stepped is whole, so a run spans the trailing whole
+  // dimensions plus the next one out, and only the dimensions outer to
+  // that step from run to run.
+  const nd::Coord& shape = region_.shape();
+  std::size_t d = shape.rank() - 1;
+  runElems_ = static_cast<std::uint64_t>(shape[d]);
+  while (d > 0 && shape[d] == varShape_[d]) {
+    --d;
+    runElems_ *= static_cast<std::uint64_t>(shape[d]);
+  }
+  outerDims_ = d;
+  runAt_ = region_.corner();
+  runLeft_ = runElems_;
+  fileOff_ = base_ + static_cast<std::uint64_t>(
+                         nd::linearize(runAt_, varShape_)) * elemSize_;
+  remaining_ = static_cast<std::uint64_t>(region_.volume());
+  stagingElems_ = static_cast<std::size_t>(
+      std::min<std::uint64_t>(remaining_, kStagingBytes / elemSize_));
+  staging_ = std::make_unique_for_overwrite<std::byte[]>(stagingElems_ *
+                                                          elemSize_);
+}
+
+void RegionWalker::read(std::span<double> out) {
+  if (out.size() > remaining_) {
+    throw std::out_of_range("RegionWalker::read: past the region's end");
+  }
+  while (!out.empty()) {
+    if (stagedPos_ == stagedEnd_) refill();
+    const std::size_t n = std::min(out.size(), stagedEnd_ - stagedPos_);
+    decodeValues(type_,
+                 std::span<const std::byte>(
+                     staging_.get() + stagedPos_ * elemSize_, n * elemSize_),
+                 out.first(n));
+    stagedPos_ += n;
+    remaining_ -= n;
+    out = out.subspan(n);
+  }
+}
+
+void RegionWalker::refill() {
+  if (runLeft_ == 0) {
+    // Step the outer dimensions in row-major order; remaining_ > 0
+    // guarantees there is a next run.
+    for (std::size_t d = outerDims_; d-- > 0;) {
+      if (++runAt_[d] < region_.corner()[d] + region_.shape()[d]) break;
+      runAt_[d] = region_.corner()[d];
+    }
+    runLeft_ = runElems_;
+    fileOff_ = base_ + static_cast<std::uint64_t>(
+                           nd::linearize(runAt_, varShape_)) * elemSize_;
+  }
+  const auto n =
+      static_cast<std::size_t>(std::min<std::uint64_t>(runLeft_, stagingElems_));
+  storage_->readAt(fileOff_, std::span<std::byte>(staging_.get(), n * elemSize_));
+  fileOff_ += n * elemSize_;
+  runLeft_ -= n;
+  stagedPos_ = 0;
+  stagedEnd_ = n;
 }
 
 void Dataset::fill(std::size_t varIdx, double value) {

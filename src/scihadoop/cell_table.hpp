@@ -54,6 +54,13 @@ class CellTable {
   /// its cell's `consumed` and calls fold(cell, chunk). Keys before the
   /// query subset, in stride gaps or past a truncated edge fold nowhere
   /// — exactly the keys ExtractionMap::instanceOf rejects.
+  ///
+  /// Row-run readers hand out the rows of a box one after another, so
+  /// consecutive runs repeat most of their geometry: an outer
+  /// coordinate's instance index is recomputed only when it differs from
+  /// the previous run's, and the innermost chunk layout is reused while
+  /// (start[last], length) repeats. A full row then folds without a
+  /// division.
   template <typename Fold>
   void foldRun(const nd::Coord& start, std::span<const double> values,
                Fold&& fold) {
@@ -65,41 +72,18 @@ class CellTable {
       fold(cells_[0], values);
       return;
     }
-    const ExtractionMap& ex = *extraction_;
-    const nd::Coord& corner = ex.domain().corner();
-    const nd::Coord& stride = ex.stride();
-    const nd::Coord& eshape = ex.extractionShape();
-    const nd::Coord& grid = ex.instanceGridShape();
     const std::size_t last = rank - 1;
     // Every key of the run shares the outer coordinates, hence one
     // instance prefix (or none).
-    nd::Coord lo = start;
-    for (std::size_t d = 0; d < last; ++d) {
-      const nd::Index rel = start[d] - corner[d];
-      if (rel < 0) return;
-      const nd::Index g = rel / stride[d];
-      if (rel - g * stride[d] >= eshape[d] || g >= grid[d]) return;
-      lo[d] = g;
+    if (!locateOuter(start)) return;
+    if (start[last] != rowFirst_ || values.size() != rowLength_) {
+      layoutRow(start[last], values.size());
     }
-    const nd::Index s = stride[last];
-    const nd::Index e = eshape[last];
-    const auto n = static_cast<nd::Index>(values.size());
-    nd::Index rel = start[last] - corner[last];
-    nd::Index i = 0;
-    if (rel < 0) {
-      if (rel + n <= 0) return;
-      i = -rel;
-      rel = 0;
-    }
-    // The run's instances along the innermost dimension: from the first
-    // whose cell reaches `rel` to the last that starts inside the run.
-    nd::Index gFirst = rel / s;
-    if (rel - gFirst * s >= e) ++gFirst;
-    const nd::Index gLast = std::min((rel + n - i - 1) / s, grid[last] - 1);
-    if (gFirst > gLast) return;
-    lo[last] = gFirst;
-    nd::Coord hi = lo;
-    hi[last] = gLast;
+    if (chunks_.empty()) return;
+    nd::Coord lo = outer_;
+    lo[last] = chunks_.front().instance;
+    nd::Coord hi = outer_;
+    hi[last] = chunks_.back().instance;
     if (!covers(lo, hi)) cover(lo, hi, true);
 
     std::size_t row = 0;  // table index of the box row holding the run
@@ -107,22 +91,11 @@ class CellTable {
       row = row * static_cast<std::size_t>(boxShape_[d]) +
             static_cast<std::size_t>(d < last ? lo[d] - boxLo_[d] : 0);
     }
-    while (i < n) {
-      const nd::Index g = rel / s;
-      if (g >= grid[last]) return;
-      const nd::Index within = rel - g * s;
-      if (within >= e) {  // stride gap up to the next instance
-        i += s - within;
-        rel += s - within;
-        continue;
-      }
-      const nd::Index len = std::min(e - within, n - i);
-      Cell& cell = cells_[row + static_cast<std::size_t>(g - boxLo_[last])];
-      cell.consumed += static_cast<std::uint64_t>(len);
-      fold(cell, values.subspan(static_cast<std::size_t>(i),
-                                static_cast<std::size_t>(len)));
-      i += len;
-      rel += len;
+    for (const Chunk& chunk : chunks_) {
+      Cell& cell =
+          cells_[row + static_cast<std::size_t>(chunk.instance - boxLo_[last])];
+      cell.consumed += chunk.length;
+      fold(cell, values.subspan(chunk.offset, chunk.length));
     }
   }
 
@@ -145,6 +118,84 @@ class CellTable {
   }
 
  private:
+  /// Keys start + offset .. start + offset + length - 1 of a run fold
+  /// into the cell of innermost instance index `instance`.
+  struct Chunk {
+    std::size_t offset;
+    std::size_t length;
+    nd::Index instance;
+  };
+
+  /// Brings outer_[d] up to date for every outer dimension d (all but
+  /// the innermost) whose coordinate differs from the previous run's.
+  /// Returns false when some outer coordinate folds nowhere.
+  bool locateOuter(const nd::Coord& start) {
+    const bool fresh = outerKey_.rank() != start.rank();
+    if (fresh) {
+      outerKey_ = start;
+      outer_ = start;
+    }
+    bool located = true;
+    for (std::size_t d = 0; d + 1 < start.rank(); ++d) {
+      if (fresh || start[d] != outerKey_[d]) {
+        outerKey_[d] = start[d];
+        outer_[d] = instanceAlong(d, start[d]);
+      }
+      located = located && outer_[d] >= 0;
+    }
+    return located;
+  }
+
+  /// The instance index along dimension d whose cell holds input
+  /// coordinate x, or -1 when x folds nowhere.
+  nd::Index instanceAlong(std::size_t d, nd::Index x) const {
+    const ExtractionMap& ex = *extraction_;
+    const nd::Index rel = x - ex.domain().corner()[d];
+    if (rel < 0) return -1;
+    const nd::Index g = rel / ex.stride()[d];
+    if (rel - g * ex.stride()[d] >= ex.extractionShape()[d] ||
+        g >= ex.instanceGridShape()[d]) {
+      return -1;
+    }
+    return g;
+  }
+
+  /// Lays a run of `length` keys from innermost coordinate `first` out
+  /// into chunks_, one per instance it touches, in key order.
+  void layoutRow(nd::Index first, std::size_t length) {
+    rowFirst_ = first;
+    rowLength_ = length;
+    chunks_.clear();
+    const ExtractionMap& ex = *extraction_;
+    const std::size_t last = ex.stride().rank() - 1;
+    const nd::Index s = ex.stride()[last];
+    const nd::Index e = ex.extractionShape()[last];
+    const nd::Index grid = ex.instanceGridShape()[last];
+    const auto n = static_cast<nd::Index>(length);
+    nd::Index rel = first - ex.domain().corner()[last];
+    nd::Index i = 0;
+    if (rel < 0) {
+      if (rel + n <= 0) return;
+      i = -rel;
+      rel = 0;
+    }
+    while (i < n) {
+      const nd::Index g = rel / s;
+      if (g >= grid) return;
+      const nd::Index within = rel - g * s;
+      if (within >= e) {  // stride gap up to the next instance
+        i += s - within;
+        rel += s - within;
+        continue;
+      }
+      const nd::Index len = std::min(e - within, n - i);
+      chunks_.push_back(Chunk{static_cast<std::size_t>(i),
+                              static_cast<std::size_t>(len), g});
+      i += len;
+      rel += len;
+    }
+  }
+
   /// True when the box holds every instance in [lo, hi] (inclusive).
   bool covers(const nd::Coord& lo, const nd::Coord& hi) const {
     if (cells_.empty()) return false;
@@ -195,6 +246,16 @@ class CellTable {
   nd::Coord boxLo_;
   nd::Coord boxShape_;
   std::vector<Cell> cells_;
+  /// The previous run's geometry, kept across runs and splits (it
+  /// depends on the extraction map alone). outerKey_ holds its
+  /// coordinates (rank 0 before the first run) and outer_ their instance
+  /// indices, -1 where a coordinate folds nowhere; rowFirst_/rowLength_
+  /// key the innermost layout in chunks_.
+  nd::Coord outerKey_;
+  nd::Coord outer_;
+  nd::Index rowFirst_ = 0;
+  std::size_t rowLength_ = 0;
+  std::vector<Chunk> chunks_;
 };
 
 }  // namespace sidr::sh

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <utility>
 
 namespace sidr::sh {
 
@@ -9,13 +10,13 @@ DatasetRecordReader::DatasetRecordReader(std::shared_ptr<sci::Dataset> dataset,
                                          std::size_t varIdx,
                                          const nd::Region& region)
     : dataset_(std::move(dataset)),
-      values_(dataset_->readRegion(varIdx, region)),
+      walker_(*dataset_, varIdx, region),
       cursor_(region) {}
 
 bool DatasetRecordReader::next(nd::Coord& key, double& value) {
   if (!cursor_.valid()) return false;
+  walker_.read({&value, 1});
   key = cursor_.coord();
-  value = values_[pos_++];
   cursor_.next();
   return true;
 }
@@ -25,10 +26,8 @@ std::size_t DatasetRecordReader::nextRun(nd::Coord& start,
   if (!cursor_.valid() || values.empty()) return 0;
   const auto run = std::min(values.size(),
                             static_cast<std::size_t>(cursor_.rowRemaining()));
+  walker_.read(values.first(run));
   start = cursor_.coord();
-  std::copy_n(values_.begin() + static_cast<std::ptrdiff_t>(pos_), run,
-              values.begin());
-  pos_ += run;
   cursor_.advanceInRow(static_cast<nd::Index>(run));
   return run;
 }

@@ -15,9 +15,12 @@
 namespace sidr::sh {
 
 /// Reads a coordinate region of an SNDF variable, emitting one
-/// (coordinate, value) record per element in row-major order. Reads the
-/// region in bulk (a handful of contiguous runs) as the scientific
-/// access library would.
+/// (coordinate, value) record per element in row-major order. Streams
+/// the region through a sci::RegionWalker: file runs are fetched in
+/// bounded positioned reads as records are asked for, so the reader's
+/// memory does not grow with its region. Bounds are checked when the
+/// reader is built; a read that fails later (a truncated file) throws
+/// from next/nextRun.
 class DatasetRecordReader final : public mr::RecordReader {
  public:
   DatasetRecordReader(std::shared_ptr<sci::Dataset> dataset,
@@ -25,15 +28,14 @@ class DatasetRecordReader final : public mr::RecordReader {
 
   bool next(nd::Coord& key, double& value) override;
 
-  /// Row-run read: copies a row tail out of the preloaded value buffer,
-  /// paying cursor carry once per run instead of once per cell.
+  /// Row-run read: decodes a row tail straight into `values`, paying
+  /// cursor carry once per run instead of once per cell.
   std::size_t nextRun(nd::Coord& start, std::span<double> values) override;
 
  private:
   std::shared_ptr<sci::Dataset> dataset_;
-  std::vector<double> values_;
+  sci::RegionWalker walker_;
   nd::RegionCursor cursor_;
-  std::size_t pos_ = 0;
 };
 
 /// Value function of a logical coordinate; lets experiments run over

@@ -11,10 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <random>
+#include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -26,6 +30,7 @@
 #include "sidr/planner.hpp"
 #include "support/fallback_pipeline.hpp"
 #include "support/oracle_check.hpp"
+#include "support/staged_dataset.hpp"
 #include "support/temp_dir.hpp"
 
 namespace sidr::core {
@@ -258,6 +263,159 @@ TEST(MapPipelineParity, BatchedReadersMatchPerRecord) {
       EXPECT_EQ(seen, refKeys.size());
     }
   }
+}
+
+// ---- DatasetRecordReader streaming from a file ----
+//
+// The reader decodes file runs through one fixed staging buffer
+// (sci::RegionWalker::kStagingBytes); these datasets are sized from that
+// constant so every region crosses refills and rows straddle them.
+
+/// Drains `reader` by nextRun in runs of at most `batch` values (and, if
+/// `interleave`, a next() between runs), checking every key against
+/// row-major order over `region` and every value against the file's
+/// generator. Returns the number of mismatches.
+std::size_t drainAndCheck(mr::RecordReader& reader, const nd::Region& region,
+                          const testsupport::StagedDataset& file,
+                          std::size_t batch, bool interleave) {
+  std::vector<double> values(batch);
+  nd::RegionCursor want(region);
+  std::size_t wrong = 0;
+  while (true) {
+    if (interleave) {
+      nd::Coord key;
+      double value;
+      if (!reader.next(key, value)) break;
+      if (!want.valid() || key != want.coord() ||
+          value != file.expected(key)) {
+        ++wrong;
+      }
+      want.next();
+    }
+    nd::Coord start;
+    const std::size_t n = reader.nextRun(start, values);
+    if (n == 0) break;
+    nd::Coord key = start;
+    for (std::size_t i = 0; i < n; ++i) {
+      key[key.rank() - 1] = start[start.rank() - 1] + static_cast<nd::Index>(i);
+      if (!want.valid() || key != want.coord() ||
+          values[i] != file.expected(key)) {
+        ++wrong;
+      }
+      want.next();
+    }
+  }
+  if (want.valid()) ++wrong;  // stopped early
+  return wrong;
+}
+
+TEST(DatasetReaderStreaming, RunsAndRecordsAcrossRefills) {
+  for (const sci::DataType type : testsupport::kAllDataTypes) {
+    testsupport::TempDir dir;
+    const testsupport::StagedDataset file(dir, type);
+    const auto readers = sh::makeDatasetReaderFactory(file.dataset, 0);
+    for (const nd::Region& region : file.regions()) {
+      for (const std::size_t batch :
+           {std::size_t{1}, std::size_t{7}, std::size_t{512}}) {
+        for (const bool interleave : {false, true}) {
+          SCOPED_TRACE("type " + std::to_string(static_cast<int>(type)) +
+                       ", region " + region.toString() + ", batch " +
+                       std::to_string(batch) +
+                       (interleave ? ", next() interleaved" : ""));
+          auto reader = readers(region);
+          EXPECT_EQ(drainAndCheck(*reader, region, file, batch, interleave),
+                    0u);
+          // The end is sticky.
+          std::vector<double> values(batch);
+          nd::Coord start;
+          EXPECT_EQ(reader->nextRun(start, values), 0u);
+          EXPECT_EQ(reader->nextRun(start, values), 0u);
+          double value;
+          EXPECT_FALSE(reader->next(start, value));
+        }
+      }
+    }
+  }
+}
+
+TEST(DatasetReaderStreaming, TruncatedFileThrowsOnRead) {
+  testsupport::TempDir dir;
+  const testsupport::StagedDataset file(dir, sci::DataType::kFloat64);
+  const nd::Region region = file.regions().front();
+  auto reader = sh::makeDatasetReaderFactory(file.dataset, 0)(region);
+  // Cut the file one staging buffer into the region: the first refill
+  // still succeeds, a later one comes up short.
+  std::filesystem::resize_file(
+      file.path, file.dataset->variableOffset(0) +
+                     static_cast<std::uint64_t>(nd::linearize(
+                         region.corner(), file.shape)) *
+                         8 +
+                     sci::RegionWalker::kStagingBytes + 100);
+  std::vector<double> values(512);
+  nd::Coord start;
+  EXPECT_THROW(
+      {
+        while (reader->nextRun(start, values) > 0) {
+        }
+      },
+      std::runtime_error);
+}
+
+TEST(DatasetReaderStreaming, OutOfBoundsRegionThrowsWhenBuilt) {
+  testsupport::TempDir dir;
+  const testsupport::StagedDataset file(dir, sci::DataType::kFloat32);
+  const auto readers = sh::makeDatasetReaderFactory(file.dataset, 0);
+  EXPECT_THROW(readers(nd::Region(nd::Coord{0, 0, 20}, nd::Coord{1, 1, 6})),
+               std::out_of_range);
+  EXPECT_THROW(readers(nd::Region(nd::Coord{0, 0}, nd::Coord{1, 1})),
+               std::out_of_range);
+}
+
+TEST(DatasetReaderStreaming, ConcurrentReadersOverOneSharedHandle) {
+  // The planner's default reader factory hands every map task a reader
+  // over one shared Dataset (one FileStorage handle); each reader owns
+  // its staging buffer, so concurrent readers must each see exactly the
+  // generator's values.
+  testsupport::TempDir dir;
+  const testsupport::StagedDataset file(dir, sci::DataType::kFloat32);
+  const auto readers = sh::makeDatasetReaderFactory(file.dataset, 0);
+  constexpr int kThreads = 4;
+  constexpr int kReadersPerThread = 24;
+  std::atomic<std::uint64_t> wrong{0};
+  std::atomic<std::uint64_t> thrown{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(2000 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < kReadersPerThread; ++i) {
+        // Every thread also reads the large fixed regions once.
+        nd::Region region;
+        if (i < 3) {
+          region = file.regions()[static_cast<std::size_t>(i)];
+        } else {
+          nd::Coord corner = nd::Coord::zeros(3);
+          nd::Coord extent = nd::Coord::zeros(3);
+          for (std::size_t d = 0; d < 3; ++d) {
+            corner[d] = static_cast<nd::Index>(
+                rng() % static_cast<std::uint64_t>(file.shape[d]));
+            extent[d] = 1 + static_cast<nd::Index>(
+                                rng() % static_cast<std::uint64_t>(
+                                            file.shape[d] - corner[d]));
+          }
+          region = nd::Region(corner, extent);
+        }
+        try {
+          auto reader = readers(region);
+          wrong += drainAndCheck(*reader, region, file, 512, false);
+        } catch (const std::exception&) {
+          ++thrown;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(thrown.load(), 0u);
 }
 
 // ---- packed Segment representation ----

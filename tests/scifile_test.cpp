@@ -1,20 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "scifile/cdl.hpp"
 #include "scifile/dataset.hpp"
 #include "scifile/output_writers.hpp"
+#include "support/staged_dataset.hpp"
 #include "support/temp_dir.hpp"
 
 namespace sidr::sci {
 namespace {
 
+using testsupport::StagedDataset;
 using testsupport::TempDir;
 
 Metadata paperMetadata() {
@@ -255,6 +261,27 @@ TEST(Dataset, OpenRejectsGarbage) {
   EXPECT_THROW(Dataset::open(storage), std::runtime_error);
 }
 
+TEST(Dataset, OpenRejectsOversizedMetadataLength) {
+  // A valid magic followed by a metadata length the storage cannot hold
+  // is garbage too: rejected before anything is allocated, whether the
+  // length is beyond the allocator (2^40) or merely past the end.
+  for (const std::uint64_t claimed : {std::uint64_t{1} << 40,
+                                      std::uint64_t{1} << 20,
+                                      std::uint64_t{49}}) {
+    SCOPED_TRACE("claimed " + std::to_string(claimed));
+    std::vector<std::byte> head(64, std::byte{0});
+    const char magic[8] = {'S', 'N', 'D', 'F', '1', '\0', '\0', '\0'};
+    std::memcpy(head.data(), magic, sizeof(magic));
+    for (int b = 0; b < 8; ++b) {
+      head[8 + static_cast<std::size_t>(b)] =
+          static_cast<std::byte>((claimed >> (b * 8)) & 0xff);
+    }
+    auto storage = std::make_shared<MemoryStorage>();
+    storage->writeAt(0, head);
+    EXPECT_THROW(Dataset::open(storage), std::runtime_error);
+  }
+}
+
 TEST(Dataset, FillWholeVariable) {
   Metadata meta;
   meta.addDimension("x", 100);
@@ -282,6 +309,66 @@ TEST(Dataset, MultipleVariablesHaveDisjointPayloads) {
   EXPECT_EQ(ds.readRegion(0, whole), va);
   EXPECT_EQ(ds.readRegion(1, whole), vb);
   EXPECT_EQ(ds.variableOffset(1) - ds.variableOffset(0), 80u);
+}
+
+// ---- RegionWalker: bounded staging reads ----
+
+TEST(RegionWalker, ReadsAcrossStagingRefills) {
+  for (const DataType type : testsupport::kAllDataTypes) {
+    TempDir dir;
+    const StagedDataset file(dir, type);
+    ASSERT_NE((RegionWalker::kStagingBytes / dataTypeSize(type)) % 25, 0u);
+    for (const nd::Region& region : file.regions()) {
+      SCOPED_TRACE("type " + std::to_string(static_cast<int>(type)) +
+                   ", region " + region.toString());
+      ASSERT_GT(static_cast<std::uint64_t>(region.volume()) *
+                    dataTypeSize(type),
+                2 * RegionWalker::kStagingBytes);
+      const std::vector<double> all = file.dataset->readRegion(0, region);
+      ASSERT_EQ(all.size(), static_cast<std::size_t>(region.volume()));
+      std::size_t k = 0;
+      std::size_t wrong = 0;
+      for (nd::RegionCursor c(region); c.valid(); c.next(), ++k) {
+        if (all[k] != file.expected(c.coord())) ++wrong;
+      }
+      EXPECT_EQ(wrong, 0u);
+
+      // The same values in uneven pieces, so reads end mid-row,
+      // mid-buffer and exactly on a refill.
+      RegionWalker walker(*file.dataset, 0, region);
+      std::vector<double> piece(512);
+      const std::size_t sizes[] = {1, 7, 512, 33, 25};
+      std::size_t at = 0;
+      for (std::size_t i = 0; walker.remaining() > 0; ++i) {
+        const std::size_t n = std::min<std::size_t>(
+            sizes[i % std::size(sizes)], walker.remaining());
+        walker.read({piece.data(), n});
+        for (std::size_t j = 0; j < n; ++j) {
+          if (piece[j] != all[at + j]) ++wrong;
+        }
+        at += n;
+      }
+      EXPECT_EQ(at, all.size());
+      EXPECT_EQ(wrong, 0u);
+      EXPECT_THROW(walker.read({piece.data(), 1}), std::out_of_range);
+    }
+  }
+}
+
+TEST(RegionWalker, BoundsCheckedWhenBuilt) {
+  TempDir dir;
+  const StagedDataset file(dir, DataType::kFloat32);
+  EXPECT_THROW(RegionWalker(*file.dataset, 0,
+                            nd::Region(nd::Coord{4, 0, 0},
+                                       nd::Coord{2, 1, 1})),
+               std::out_of_range);
+  EXPECT_THROW(RegionWalker(*file.dataset, 0, nd::Region()),
+               std::out_of_range);  // rank 0 against a rank-3 variable
+
+  Metadata scalar;
+  scalar.addVariable("s", DataType::kFloat64, {});
+  const Dataset ds = Dataset::create(std::make_shared<MemoryStorage>(), scalar);
+  EXPECT_THROW(RegionWalker(ds, 0, nd::Region()), std::invalid_argument);
 }
 
 TEST(OutputWriters, DenseChunkRoundTrip) {

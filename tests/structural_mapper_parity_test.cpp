@@ -295,6 +295,63 @@ TEST(StructuralMapperTable, ReusedAcrossSplitsAndOutOfBoxRecords) {
   expectSameEmissions(got.records, want.records);
 }
 
+TEST(StructuralMapperTable, FoldMemoNeverReusedForRowsThatFoldNowhere) {
+  // The table remembers the previous run's outer instance indices and
+  // its innermost chunk layout. Feed it runs with the same innermost
+  // (start, length) while the outer coordinates move between instances,
+  // stride gaps, points before the query subset and past a truncated
+  // edge — changing one outer dimension at a time — so a stale prefix
+  // would fold a row that belongs nowhere, or into the wrong cell.
+  sh::StructuralQuery q;
+  q.op = OperatorKind::kMedian;  // lists: every value and its order show
+  q.subset = nd::Region(nd::Coord{2, 2, 1}, nd::Coord{10, 10, 11});
+  q.extractionShape = nd::Coord{2, 2, 3};
+  q.stride = nd::Coord{3, 3, 4};
+  q.edgeMode = sh::EdgeMode::kTruncate;
+  const nd::Coord input{12, 12, 12};
+  auto ex = std::make_shared<const sh::ExtractionMap>(q, input);
+  const sh::ValueFn fn = valueFn(11);
+
+  // Outer (d0, d1) along the subset's corner 2, stride 3, eshape 2 and
+  // 3 whole instances: 2, 3, 5, 8 fall in an instance, 4 in a stride
+  // gap, 1 before the subset, 11 past the truncated edge. Innermost, the
+  // run from 0 holds a key before the subset, two instances and two
+  // gaps; a few runs change its start or only its length.
+  struct Run {
+    nd::Index d0, d1, first, length;
+  };
+  const Run runs[] = {
+      {2, 2, 0, 9},  {4, 2, 0, 9},  {5, 2, 0, 9},  {1, 2, 0, 9},
+      {1, 5, 0, 9},  {2, 5, 0, 9},  {2, 4, 0, 9},  {3, 4, 0, 9},
+      {3, 3, 0, 9},  {11, 3, 0, 9}, {8, 3, 0, 9},  {8, 11, 0, 9},
+      {8, 8, 0, 9},  {2, 2, 5, 4},  {4, 2, 5, 4},  {2, 2, 0, 9},
+      {2, 2, 0, 2},  {11, 11, 0, 9}, {3, 2, 0, 9},
+  };
+  sh::StructuralMapper mapper(q, ex);
+  for (int pass = 0; pass < 2; ++pass) {  // the memo outlives finish()
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    FrozenStructuralMapper frozen(q, ex);
+    CapturingContext got;
+    CapturingContext want;
+    std::vector<double> values;
+    for (const Run& run : runs) {
+      const nd::Coord start{run.d0, run.d1, run.first};
+      values.clear();
+      nd::Coord key = start;
+      for (nd::Index i = 0; i < run.length; ++i) {
+        key[2] = run.first + i;
+        values.push_back(fn(key));
+        frozen.map(key, values.back(), want);
+      }
+      mapper.mapRun(start, values, got);
+    }
+    mapper.finish(got);
+    frozen.finish(want);
+    ASSERT_FALSE(want.records.empty());
+    expectSameEmissions(got.records, want.records);
+  }
+}
+
 TEST(StructuralMapperTable, RankZeroInput) {
   sh::StructuralQuery q;
   q.op = OperatorKind::kMedian;
