@@ -21,10 +21,10 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" -LE slow
 ctest --test-dir build --output-on-failure -j"$(nproc)" -L slow
 
 # The TSan sweep, one suite per line. Why each is here:
-#   scifile_test                     concurrent positioned reads through
-#                                    one shared FileStorage handle (the
-#                                    stress test checks values; TSan is
-#                                    blind to stdio-internal locking)
+#   scifile_test                     concurrent positioned reads and
+#                                    disjoint writes through one shared
+#                                    FileStorage descriptor (the stress
+#                                    tests check every value read back)
 #   engine_test / randomized_test    both shuffle paths + recovery races
 #   linear_fastpath_test             packed segments merged in place by
 #                                    concurrently running reduces; dataset

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace sidr::sci {
 
@@ -11,36 +12,62 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'N', 'D', 'F', '1', '\0', '\0', '\0'};
 
-/// Converts `count` doubles to the on-disk representation.
-void encodeValues(DataType t, std::span<const double> in,
-                  std::vector<std::byte>& out) {
-  out.resize(in.size() * dataTypeSize(t));
+/// Throws std::invalid_argument unless every value converts to `t`
+/// without undefined behaviour: a double converts to an integer type only
+/// if its truncation fits the type, so NaN, the infinities and values
+/// past either end are refused. Floating-point types take any value.
+void checkStorable(DataType t, std::span<const double> values) {
+  // Exclusive bounds: the nearest doubles outside the range that truncates
+  // into the type (-2^31 - 1 and 2^31; the double below -2^63 and 2^63).
+  // NaN fails both comparisons.
+  double lo = 0.0;
+  double hi = 0.0;
   switch (t) {
-    case DataType::kInt32: {
-      auto* p = reinterpret_cast<std::int32_t*>(out.data());
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        p[i] = static_cast<std::int32_t>(in[i]);
-      }
+    case DataType::kInt32:
+      lo = -2147483649.0;
+      hi = 0x1p31;
       break;
-    }
-    case DataType::kInt64: {
-      auto* p = reinterpret_cast<std::int64_t*>(out.data());
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        p[i] = static_cast<std::int64_t>(in[i]);
-      }
+    case DataType::kInt64:
+      lo = -0x1.0000000000001p63;
+      hi = 0x1p63;
       break;
+    case DataType::kFloat32:
+    case DataType::kFloat64:
+      return;
+  }
+  for (const double v : values) {
+    if (!(v > lo && v < hi)) {
+      throw std::invalid_argument("Dataset: value " + std::to_string(v) +
+                                  " does not fit the variable's " +
+                                  dataTypeName(t) + " type");
     }
-    case DataType::kFloat32: {
-      auto* p = reinterpret_cast<float*>(out.data());
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        p[i] = static_cast<float>(in[i]);
-      }
+  }
+}
+
+template <typename T>
+void encodeAs(std::span<const double> in, std::byte* out) {
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const auto x = static_cast<T>(in[i]);
+    std::memcpy(out + i * sizeof(T), &x, sizeof(T));
+  }
+}
+
+/// Converts doubles to the on-disk representation at `out`, which holds
+/// in.size() elements of `t`. Integer types need checkStorable first.
+void encodeValues(DataType t, std::span<const double> in, std::byte* out) {
+  switch (t) {
+    case DataType::kInt32:
+      encodeAs<std::int32_t>(in, out);
       break;
-    }
-    case DataType::kFloat64: {
-      std::memcpy(out.data(), in.data(), in.size() * sizeof(double));
+    case DataType::kInt64:
+      encodeAs<std::int64_t>(in, out);
       break;
-    }
+    case DataType::kFloat32:
+      encodeAs<float>(in, out);
+      break;
+    case DataType::kFloat64:
+      encodeAs<double>(in, out);
+      break;
   }
 }
 
@@ -147,55 +174,12 @@ std::uint64_t Dataset::totalByteSize() const {
   return total;
 }
 
-template <typename Fn>
-void Dataset::forEachRow(std::size_t varIdx, const nd::Region& region,
-                         Fn&& fn) const {
-  const nd::Coord varShape = meta_.variableShape(varIdx);
-  checkRegion(varShape, region);
-  const std::size_t elemSize = dataTypeSize(meta_.variable(varIdx).type);
-  const std::uint64_t base = variableOffset(varIdx);
-  const std::size_t rank = region.rank();
-  const auto rowLen = static_cast<std::uint64_t>(region.shape()[rank - 1]);
-
-  // Iterate the region's prefix (all dims but the innermost); each prefix
-  // coordinate identifies one contiguous run of rowLen elements.
-  nd::Coord cur = region.corner();
-  std::uint64_t valueOffset = 0;
-  while (true) {
-    std::uint64_t fileOff =
-        base + static_cast<std::uint64_t>(nd::linearize(cur, varShape)) *
-                   elemSize;
-    fn(fileOff, rowLen, valueOffset);
-    valueOffset += rowLen;
-    // Advance the prefix coordinate (dims [0, rank-1)) in row-major order.
-    bool done = true;
-    for (std::size_t d = rank - 1; d-- > 0;) {
-      if (++cur[d] < region.corner()[d] + region.shape()[d]) {
-        done = false;
-        break;
-      }
-      cur[d] = region.corner()[d];
-    }
-    if (done) break;
-  }
-}
-
 void Dataset::writeRegion(std::size_t varIdx, const nd::Region& region,
                           std::span<const double> values) {
   if (static_cast<nd::Index>(values.size()) != region.volume()) {
     throw std::invalid_argument("Dataset::writeRegion: value count mismatch");
   }
-  const DataType t = meta_.variable(varIdx).type;
-  const std::size_t elemSize = dataTypeSize(t);
-  std::vector<std::byte> rowBytes;
-  forEachRow(varIdx, region,
-             [&](std::uint64_t fileOff, std::uint64_t rowLen,
-                 std::uint64_t valueOffset) {
-               encodeValues(t, values.subspan(valueOffset, rowLen), rowBytes);
-               storage_->writeAt(fileOff,
-                                 std::span<const std::byte>(
-                                     rowBytes.data(), rowLen * elemSize));
-             });
+  RegionWriter(*this, varIdx, region).write(values);
 }
 
 std::vector<double> Dataset::readRegion(std::size_t varIdx,
@@ -206,13 +190,12 @@ std::vector<double> Dataset::readRegion(std::size_t varIdx,
   return values;
 }
 
-RegionWalker::RegionWalker(const Dataset& dataset, std::size_t varIdx,
-                           const nd::Region& region)
-    : storage_(dataset.storage_.get()),
-      type_(dataset.meta_.variable(varIdx).type),
+RegionRuns::RegionRuns(const Dataset& dataset, std::size_t varIdx,
+                       const nd::Region& region)
+    : type_(dataset.metadata().variable(varIdx).type),
       elemSize_(dataTypeSize(type_)),
       base_(dataset.variableOffset(varIdx)),
-      varShape_(dataset.meta_.variableShape(varIdx)),
+      varShape_(dataset.metadata().variableShape(varIdx)),
       region_(region) {
   checkRegion(varShape_, region_);
   // Rows are adjacent in the file exactly while every dimension inner to
@@ -231,33 +214,16 @@ RegionWalker::RegionWalker(const Dataset& dataset, std::size_t varIdx,
   runLeft_ = runElems_;
   fileOff_ = base_ + static_cast<std::uint64_t>(
                          nd::linearize(runAt_, varShape_)) * elemSize_;
-  remaining_ = static_cast<std::uint64_t>(region_.volume());
+  volume_ = static_cast<std::uint64_t>(region_.volume());
   stagingElems_ = static_cast<std::size_t>(
-      std::min<std::uint64_t>(remaining_, kStagingBytes / elemSize_));
+      std::min<std::uint64_t>(volume_, kStagingBytes / elemSize_));
   staging_ = std::make_unique_for_overwrite<std::byte[]>(stagingElems_ *
                                                           elemSize_);
 }
 
-void RegionWalker::read(std::span<double> out) {
-  if (out.size() > remaining_) {
-    throw std::out_of_range("RegionWalker::read: past the region's end");
-  }
-  while (!out.empty()) {
-    if (stagedPos_ == stagedEnd_) refill();
-    const std::size_t n = std::min(out.size(), stagedEnd_ - stagedPos_);
-    decodeValues(type_,
-                 std::span<const std::byte>(
-                     staging_.get() + stagedPos_ * elemSize_, n * elemSize_),
-                 out.first(n));
-    stagedPos_ += n;
-    remaining_ -= n;
-    out = out.subspan(n);
-  }
-}
-
-void RegionWalker::refill() {
+RegionRuns::Piece RegionRuns::next() {
   if (runLeft_ == 0) {
-    // Step the outer dimensions in row-major order; remaining_ > 0
+    // Step the outer dimensions in row-major order; the precondition
     // guarantees there is a next run.
     for (std::size_t d = outerDims_; d-- > 0;) {
       if (++runAt_[d] < region_.corner()[d] + region_.shape()[d]) break;
@@ -269,22 +235,75 @@ void RegionWalker::refill() {
   }
   const auto n =
       static_cast<std::size_t>(std::min<std::uint64_t>(runLeft_, stagingElems_));
-  storage_->readAt(fileOff_, std::span<std::byte>(staging_.get(), n * elemSize_));
+  const Piece piece{fileOff_, {staging_.get(), n * elemSize_}};
   fileOff_ += n * elemSize_;
   runLeft_ -= n;
-  stagedPos_ = 0;
-  stagedEnd_ = n;
+  return piece;
+}
+
+RegionWalker::RegionWalker(const Dataset& dataset, std::size_t varIdx,
+                           const nd::Region& region)
+    : storage_(dataset.storage_.get()),
+      runs_(dataset, varIdx, region),
+      remaining_(runs_.volume()) {}
+
+void RegionWalker::read(std::span<double> out) {
+  if (out.size() > remaining_) {
+    throw std::out_of_range("RegionWalker::read: past the region's end");
+  }
+  const std::size_t elemSize = runs_.elemSize();
+  while (!out.empty()) {
+    if (staged_.empty()) {
+      const RegionRuns::Piece piece = runs_.next();
+      storage_->readAt(piece.fileOffset, piece.bytes);
+      staged_ = piece.bytes;
+    }
+    const std::size_t n = std::min(out.size(), staged_.size() / elemSize);
+    decodeValues(runs_.type(), staged_.first(n * elemSize), out.first(n));
+    staged_ = staged_.subspan(n * elemSize);
+    remaining_ -= n;
+    out = out.subspan(n);
+  }
+}
+
+RegionWriter::RegionWriter(Dataset& dataset, std::size_t varIdx,
+                           const nd::Region& region)
+    : storage_(&dataset.storage()),
+      runs_(dataset, varIdx, region),
+      remaining_(runs_.volume()) {}
+
+void RegionWriter::write(std::span<const double> values) {
+  if (values.size() > remaining_) {
+    throw std::out_of_range("RegionWriter::write: past the region's end");
+  }
+  checkStorable(runs_.type(), values);
+  const std::size_t elemSize = runs_.elemSize();
+  while (!values.empty()) {
+    if (staged_ == piece_.bytes.size()) {
+      piece_ = runs_.next();
+      staged_ = 0;
+    }
+    const std::size_t n =
+        std::min(values.size(), (piece_.bytes.size() - staged_) / elemSize);
+    encodeValues(runs_.type(), values.first(n), piece_.bytes.data() + staged_);
+    staged_ += n * elemSize;
+    remaining_ -= n;
+    values = values.subspan(n);
+    if (staged_ == piece_.bytes.size()) {
+      storage_->writeAt(piece_.fileOffset, piece_.bytes);
+    }
+  }
 }
 
 void Dataset::fill(std::size_t varIdx, double value) {
   const nd::Coord shape = meta_.variableShape(varIdx);
-  // Write in 1 MiB chunks of repeated encoded values.
   const DataType t = meta_.variable(varIdx).type;
+  checkStorable(t, {&value, 1});
+  // Write in 1 MiB chunks of repeated encoded values.
   const std::size_t elemSize = dataTypeSize(t);
-  const std::size_t chunkElems = (1u << 20) / elemSize;
-  std::vector<double> chunk(chunkElems, value);
-  std::vector<std::byte> encoded;
-  encodeValues(t, chunk, encoded);
+  const std::vector<double> chunk((1u << 20) / elemSize, value);
+  std::vector<std::byte> encoded(chunk.size() * elemSize);
+  encodeValues(t, chunk, encoded.data());
   std::uint64_t remaining =
       static_cast<std::uint64_t>(shape.volume()) * elemSize;
   std::uint64_t off = variableOffset(varIdx);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -36,39 +37,32 @@ namespace {
 }  // namespace
 
 FileStorage::FileStorage(const std::string& path, Mode mode) : path_(path) {
-  const char* flags = nullptr;
+  int flags = O_CLOEXEC;
   switch (mode) {
     case Mode::kCreate:
-      flags = "w+b";
+      flags |= O_RDWR | O_CREAT | O_TRUNC;
       writable_ = true;
       break;
     case Mode::kOpenExisting:
-      flags = "r+b";
+      flags |= O_RDWR;
       writable_ = true;
       break;
     case Mode::kOpenReadOnly:
-      flags = "rb";
+      flags |= O_RDONLY;
       writable_ = false;
       break;
   }
-  file_ = std::fopen(path.c_str(), flags);
-  if (file_ == nullptr) throwErrno("FileStorage: open failed", path_);
+  fd_ = ::open(path.c_str(), flags, 0666);
+  if (fd_ < 0) throwErrno("FileStorage: open failed", path_);
 }
 
-FileStorage::~FileStorage() {
-  if (file_ != nullptr) std::fclose(file_);
-}
+FileStorage::~FileStorage() { ::close(fd_); }
 
 void FileStorage::readAt(std::uint64_t offset, std::span<std::byte> buf) const {
-  // Pending stdio-buffered writes must reach the descriptor first.
-  if (writable_ && std::fflush(file_) != 0) {
-    throwErrno("FileStorage: flush failed", path_);
-  }
-  const int fd = ::fileno(file_);
   std::size_t done = 0;
   while (done < buf.size()) {
     const ssize_t got =
-        ::pread(fd, buf.data() + done, buf.size() - done,
+        ::pread(fd_, buf.data() + done, buf.size() - done,
                 static_cast<off_t>(offset + done));
     if (got < 0) {
       if (errno == EINTR) continue;
@@ -86,41 +80,40 @@ void FileStorage::writeAt(std::uint64_t offset,
   if (!writable_) {
     throw std::logic_error("FileStorage: write to read-only file " + path_);
   }
-  if (::fseeko(file_, static_cast<off_t>(offset), SEEK_SET) != 0) {
-    throwErrno("FileStorage: seek failed", path_);
-  }
-  if (std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size()) {
-    throwErrno("FileStorage: write failed", path_);
+  std::size_t done = 0;
+  while (done < buf.size()) {
+    const ssize_t put =
+        ::pwrite(fd_, buf.data() + done, buf.size() - done,
+                 static_cast<off_t>(offset + done));
+    if (put < 0) {
+      if (errno == EINTR) continue;
+      throwErrno("FileStorage: write failed", path_);
+    }
+    if (put == 0) {
+      throw std::runtime_error("FileStorage: short write in " + path_);
+    }
+    done += static_cast<std::size_t>(put);
   }
 }
 
 std::uint64_t FileStorage::size() const {
-  if (writable_ && std::fflush(file_) != 0) {
-    throwErrno("FileStorage: flush failed", path_);
-  }
   struct stat st {};
-  if (::fstat(::fileno(file_), &st) != 0) {
-    throwErrno("FileStorage: stat failed", path_);
-  }
+  if (::fstat(fd_, &st) != 0) throwErrno("FileStorage: stat failed", path_);
   return static_cast<std::uint64_t>(st.st_size);
 }
 
 void FileStorage::resize(std::uint64_t newSize) {
-  // Extend by writing a final zero byte (sparse on most filesystems) or
-  // truncate via freopen-free ftruncate on the underlying descriptor.
-  std::fflush(file_);
-  if (::ftruncate(fileno(file_), static_cast<off_t>(newSize)) != 0) {
+  // Growing leaves a hole that reads back as zeros (sparse on most
+  // filesystems).
+  if (::ftruncate(fd_, static_cast<off_t>(newSize)) != 0) {
     throwErrno("FileStorage: ftruncate failed", path_);
   }
 }
 
 void FileStorage::flush() {
-  if (std::fflush(file_) != 0) throwErrno("FileStorage: flush failed", path_);
   // Durability matters for the output-scaling measurements (Table 2):
   // without it, write timings measure the page cache, not the medium.
-  if (::fsync(fileno(file_)) != 0) {
-    throwErrno("FileStorage: fsync failed", path_);
-  }
+  if (::fsync(fd_) != 0) throwErrno("FileStorage: fsync failed", path_);
 }
 
 }  // namespace sidr::sci

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <span>
 #include <string>
@@ -50,13 +49,13 @@ class MemoryStorage final : public Storage {
   std::vector<std::byte> bytes_;
 };
 
-/// File-backed storage with RAII ownership of the handle. Reads are
-/// positional (pread) and never touch the stdio stream position, so any
-/// number of threads may read through one shared handle concurrently;
-/// size() uses fstat for the same reason. Writes still go through the
-/// stdio buffer, which readAt and size flush first on a writable handle
-/// so they observe every earlier writeAt. Writers must not run
-/// concurrently with each other or with readers.
+/// File-backed storage owning one file descriptor. Every access is
+/// positional (pread/pwrite loops) and size() uses fstat, so the handle
+/// has no buffer and no stream position: any number of threads may read
+/// and write through one shared handle at once, as long as concurrent
+/// writes touch disjoint byte ranges and no read overlaps a concurrent
+/// write. A write is in the file (page cache) when writeAt returns;
+/// flush() fsyncs it to the medium.
 class FileStorage final : public Storage {
  public:
   enum class Mode { kCreate, kOpenExisting, kOpenReadOnly };
@@ -77,7 +76,7 @@ class FileStorage final : public Storage {
 
  private:
   std::string path_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
   bool writable_ = false;
 };
 

@@ -1,7 +1,9 @@
 #include "scihadoop/datagen.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
 namespace sidr::sh {
 
@@ -90,14 +92,23 @@ sci::Metadata arrayMetadata(const std::string& varName, sci::DataType type,
 
 void fillDataset(sci::Dataset& dataset, std::size_t varIdx,
                  const ValueFn& fn) {
-  nd::Coord shape = dataset.metadata().variableShape(varIdx);
-  nd::Region whole = nd::Region::wholeSpace(shape);
-  std::vector<double> values(static_cast<std::size_t>(shape.volume()));
-  std::size_t i = 0;
+  const nd::Region whole =
+      nd::Region::wholeSpace(dataset.metadata().variableShape(varIdx));
+  sci::RegionWriter writer(dataset, varIdx, whole);
+  // Row-major batches of one staging buffer's worth of doubles: the
+  // writer encodes them into pieces as they fill, so memory stays
+  // bounded whatever the variable's size.
+  std::vector<double> batch(static_cast<std::size_t>(std::min<std::uint64_t>(
+      writer.remaining(), sci::RegionRuns::kStagingBytes / sizeof(double))));
+  std::size_t n = 0;
   for (nd::RegionCursor cur(whole); cur.valid(); cur.next()) {
-    values[i++] = fn(cur.coord());
+    batch[n++] = fn(cur.coord());
+    if (n == batch.size()) {
+      writer.write(batch);
+      n = 0;
+    }
   }
-  dataset.writeRegion(varIdx, whole, values);
+  writer.write({batch.data(), n});
 }
 
 std::shared_ptr<sci::Dataset> makeMemoryDataset(const std::string& varName,

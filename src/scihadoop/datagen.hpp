@@ -40,7 +40,11 @@ sci::Metadata temperatureMetadata(nd::Index time = 365, nd::Index lat = 250,
 sci::Metadata arrayMetadata(const std::string& varName, sci::DataType type,
                             const nd::Coord& shape);
 
-/// Materializes fn over the full variable (small datasets / examples).
+/// Writes fn over the full variable, evaluated in row-major order and
+/// streamed through one sci::RegionWriter in bounded batches, so memory
+/// does not grow with the variable. Throws std::invalid_argument if fn
+/// yields a value the variable's integer type cannot hold; batches
+/// before the one holding it may already be written.
 void fillDataset(sci::Dataset& dataset, std::size_t varIdx, const ValueFn& fn);
 
 /// Convenience: creates an in-memory SNDF dataset of the given shape

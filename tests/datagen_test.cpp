@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "scihadoop/datagen.hpp"
+#include "support/frozen_writer.hpp"
+#include "support/staged_dataset.hpp"
+#include "support/temp_dir.hpp"
 
 namespace sidr::sh {
 namespace {
@@ -107,6 +113,45 @@ TEST(Datagen, MakeMemoryDatasetRoundTrip) {
   for (nd::RegionCursor cur(nd::Region::wholeSpace(nd::Coord{5, 4}));
        cur.valid(); cur.next()) {
     EXPECT_EQ(values[i++], fn(cur.coord()));
+  }
+}
+
+TEST(Datagen, FillDatasetMatchesWritingTheMaterializedVariable) {
+  // fillDataset streams the generator through bounded batches; its file
+  // must be byte-identical to writing the whole materialized variable,
+  // with writeRegion and with the frozen row-at-a-time writer. The
+  // variable spans several staging buffers and batches.
+  for (const sci::DataType type : testsupport::kAllDataTypes) {
+    SCOPED_TRACE("type " + std::to_string(static_cast<int>(type)));
+    testsupport::TempDir dir;
+    const std::size_t stagingElems =
+        sci::RegionRuns::kStagingBytes / sci::dataTypeSize(type);
+    const nd::Coord shape{3, static_cast<nd::Index>(stagingElems / 25 + 3),
+                          25};
+    const ValueFn fn = temperatureField(11);
+    auto create = [&](const std::string& name) {
+      return sci::Dataset::create(
+          std::make_shared<sci::FileStorage>(
+              dir.file(name), sci::FileStorage::Mode::kCreate),
+          arrayMetadata("v", type, shape));
+    };
+    sci::Dataset streamed = create("streamed.sndf");
+    fillDataset(streamed, 0, fn);
+
+    const nd::Region whole = nd::Region::wholeSpace(shape);
+    std::vector<double> values;
+    for (nd::RegionCursor cur(whole); cur.valid(); cur.next()) {
+      values.push_back(fn(cur.coord()));
+    }
+    sci::Dataset written = create("written.sndf");
+    written.writeRegion(0, whole, values);
+    sci::Dataset frozen = create("frozen.sndf");
+    testsupport::frozenWriteRegion(frozen, 0, whole, values);
+
+    const std::vector<char> want =
+        testsupport::fileBytes(dir.file("frozen.sndf"));
+    EXPECT_TRUE(testsupport::fileBytes(dir.file("streamed.sndf")) == want);
+    EXPECT_TRUE(testsupport::fileBytes(dir.file("written.sndf")) == want);
   }
 }
 

@@ -268,7 +268,7 @@ TEST(MapPipelineParity, BatchedReadersMatchPerRecord) {
 // ---- DatasetRecordReader streaming from a file ----
 //
 // The reader decodes file runs through one fixed staging buffer
-// (sci::RegionWalker::kStagingBytes); these datasets are sized from that
+// (sci::RegionRuns::kStagingBytes); these datasets are sized from that
 // constant so every region crosses refills and rows straddle them.
 
 /// Drains `reader` by nextRun in runs of at most `batch` values (and, if
@@ -350,7 +350,7 @@ TEST(DatasetReaderStreaming, TruncatedFileThrowsOnRead) {
                      static_cast<std::uint64_t>(nd::linearize(
                          region.corner(), file.shape)) *
                          8 +
-                     sci::RegionWalker::kStagingBytes + 100);
+                     sci::RegionRuns::kStagingBytes + 100);
   std::vector<double> values(512);
   nd::Coord start;
   EXPECT_THROW(

@@ -1,8 +1,8 @@
-// File-backed SNDF datasets sized from sci::RegionWalker::kStagingBytes,
-// for tests of the streamed read path: one plane holds more elements
-// than a staging buffer and the row length (25) does not divide the
-// buffer's element count, so file runs cross refills and rows straddle
-// them whatever the constant is set to.
+// File-backed SNDF datasets sized from sci::RegionRuns::kStagingBytes,
+// for tests of the streamed read and write paths: one plane holds more
+// elements than a staging buffer and the row length (25) does not divide
+// the buffer's element count, so file runs cross pieces and rows
+// straddle them whatever the constant is set to.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +49,7 @@ struct StagedDataset {
   StagedDataset(const TempDir& dir, sci::DataType t)
       : type(t), path(dir.file("staged.sndf")) {
     const std::size_t stagingElems =
-        sci::RegionWalker::kStagingBytes / sci::dataTypeSize(type);
+        sci::RegionRuns::kStagingBytes / sci::dataTypeSize(type);
     shape = nd::Coord{5, static_cast<nd::Index>(stagingElems / 25 + 3), 25};
     sci::Metadata meta;
     meta.addDimension("t", shape[0]);
