@@ -1,7 +1,7 @@
 // Multi-job service driver (DESIGN.md section 15): submits a fleet of
-// 72 queued jobs to one EngineService — cycling every shuffle regime
-// (in-memory, eager spill, hybrid budget, compressed spill, injected
-// faults with recovery, barrier mode) plus terminally-failing and
+// 72 queued jobs to one EngineService — cycling no budget, one-page and
+// two-page budgets, compressed eviction files, injected faults with
+// recovery and barrier mode, plus terminally-failing and
 // cancelled jobs — over ONE shared spill directory, and verifies the
 // service is a correctness-preserving substrate:
 //
@@ -95,7 +95,10 @@ core::QueryPlan makePlan(int variant, const std::string& spillDir,
   opts.numReducers = static_cast<std::uint32_t>(3 + variant % 4);
   opts.desiredSplitCount = quick ? 6 : 10;
   opts.numThreads = 2;  // solo baselines only; the service has its own
-  if (v != 0) opts.spillDirectory = spillDir;
+  if (v != 0) {
+    opts.spillDirectory = spillDir;
+    opts.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+  }
   if (v == 2) {
     opts.memoryBudgetBytes = 2 * mr::SegmentPagePool::kPageBytes;
     opts.mergeWindowBytes = 4096;
@@ -121,6 +124,7 @@ core::QueryPlan fatalPlan(const std::string& spillDir) {
   opts.desiredSplitCount = 5;
   opts.numThreads = 2;
   opts.spillDirectory = spillDir;
+  opts.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
   opts.faultPlan.maxAttempts = 2;
   opts.faultPlan.failReduce(0, 1).failReduce(0, 2);
   return core::QueryPlanner(q, nd::Coord{16, 10, 8})

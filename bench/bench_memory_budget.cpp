@@ -2,15 +2,19 @@
 // through the REAL engine at decreasing memory budgets (DESIGN.md
 // section 14). Arms:
 //
-//   * in-memory      — no spill, unlimited budget (the baseline every
-//     bounded run must reproduce bit-identically);
-//   * spill-eager    — spillDirectory set, budget 0 (the pre-existing
-//     write-everything mode);
-//   * hybrid-<B>     — spillDirectory + memoryBudgetBytes = B: maps
-//     publish in-memory handles, pressure evicts the coldest committed
-//     keyblocks, reduces stream evicted inputs through bounded windows;
-//   * hybrid-256MiB-z — the 256 MiB arm with varint/delta spill
-//     compression on.
+//   * in-memory      — unlimited budget, nothing evicted (the baseline
+//     every bounded run must reproduce bit-identically);
+//   * hybrid-<B>     — spillDirectory + memoryBudgetBytes = B: pressure
+//     evicts the coldest committed keyblocks, reduces stream evicted
+//     inputs through bounded windows;
+//   * hybrid-256MiB-z / hybrid-8MiB-z — those arms with varint/delta
+//     spill compression on;
+//   * hybrid-64KiB   — one page, the smallest legal budget: nearly
+//     every segment spills.
+//
+// Every job releases a keyblock's segments once its reduce commits, so
+// the in-memory arm must peak near the never-evicting hybrid-1GiB arm:
+// the sweep exits non-zero when it peaks at more than twice that.
 //
 // Geometry defaults to a scaled Query 1 dataset ({360,36,72,25}, ~23.3M
 // cells) so the sweep finishes in seconds; `--quick` shrinks it to a
@@ -21,6 +25,7 @@
 // Emits BENCH_memory_budget.json: per-arm wall seconds, throughput,
 // peak resident segment bytes, pressure-spill events, compressed spill
 // bytes, and an `identical` flag against the in-memory baseline.
+// Exits non-zero on any output difference or a violated peak gate.
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -39,8 +44,7 @@ using namespace sidr;
 
 struct Arm {
   std::string label;
-  bool spill;
-  std::uint64_t budget;
+  std::uint64_t budget;  ///< memoryBudgetBytes; 0 = unlimited
   bool compress;
 };
 
@@ -101,20 +105,20 @@ int main(int argc, char** argv) {
 
   constexpr std::uint64_t kMiB = 1ull << 20;
   const std::vector<Arm> arms = {
-      {"in-memory", false, 0, false},
-      {"spill-eager", true, 0, false},
-      {"hybrid-1GiB", true, 1024 * kMiB, false},
-      {"hybrid-256MiB", true, 256 * kMiB, false},
-      {"hybrid-64MiB", true, 64 * kMiB, false},
-      {"hybrid-256MiB-z", true, 256 * kMiB, true},
+      {"in-memory", 0, false},
+      {"hybrid-1GiB", 1024 * kMiB, false},
+      {"hybrid-256MiB", 256 * kMiB, false},
+      {"hybrid-64MiB", 64 * kMiB, false},
+      {"hybrid-256MiB-z", 256 * kMiB, true},
       // Early-start reduces drain segments almost as fast as maps
       // publish them, so concurrent residency sits far below the total
       // intermediate volume — these arms squeeze below it to put the
       // pressure evictor (and compression, which only encodes evicted
       // keyblocks) on the hot path.
-      {"hybrid-16MiB", true, 16 * kMiB, false},
-      {"hybrid-8MiB", true, 8 * kMiB, false},
-      {"hybrid-8MiB-z", true, 8 * kMiB, true},
+      {"hybrid-16MiB", 16 * kMiB, false},
+      {"hybrid-8MiB", 8 * kMiB, false},
+      {"hybrid-8MiB-z", 8 * kMiB, true},
+      {"hybrid-64KiB", mr::SegmentPagePool::kPageBytes, false},
   };
 
   const double cells = static_cast<double>(input.volume());
@@ -126,6 +130,8 @@ int main(int argc, char** argv) {
   json.metric("input_cells", cells);
   std::vector<mr::KeyValue> baseline;
   double baselineSecs = 0;
+  std::uint64_t inMemoryPeak = 0;
+  std::uint64_t hybrid1GiBPeak = 0;
   for (const Arm& arm : arms) {
     const std::string dir =
         (std::filesystem::temp_directory_path() /
@@ -133,7 +139,7 @@ int main(int argc, char** argv) {
             .string();
     std::filesystem::remove_all(dir);
     core::QueryPlan plan = planner.plan(fn, opts);
-    if (arm.spill) plan.spec.spillDirectory = dir;
+    if (arm.budget > 0) plan.spec.spillDirectory = dir;
     plan.spec.memoryBudgetBytes = arm.budget;
     plan.spec.compressSpill = arm.compress;
     const auto t0 = std::chrono::steady_clock::now();
@@ -145,6 +151,12 @@ int main(int argc, char** argv) {
     std::filesystem::remove_all(dir);
 
     bool identical = true;
+    if (arm.label == "in-memory") {
+      inMemoryPeak = result.peakResidentSegmentBytes;
+    }
+    if (arm.label == "hybrid-1GiB") {
+      hybrid1GiBPeak = result.peakResidentSegmentBytes;
+    }
     if (baseline.empty() && arm.label == "in-memory") {
       baseline = std::move(collected);
       baselineSecs = secs;
@@ -179,5 +191,13 @@ int main(int argc, char** argv) {
   }
   json.write();
   std::printf("\nwrote BENCH_memory_budget.json\n");
+  if (inMemoryPeak > 2 * hybrid1GiBPeak) {
+    std::fprintf(stderr,
+                 "FAIL: in-memory peak %.1f MiB exceeds twice the "
+                 "hybrid-1GiB peak %.1f MiB\n",
+                 static_cast<double>(inMemoryPeak) / kMiB,
+                 static_cast<double>(hybrid1GiBPeak) / kMiB);
+    return 1;
+  }
   return 0;
 }

@@ -5,8 +5,9 @@
 //   * inproc / socket over the in-memory shuffle — zero-copy handle
 //     handoff vs. serializing every segment through framed localhost
 //     TCP (the cost of a real network data plane, measured);
-//   * inproc / socket over eager spill — the socket plane serves the
-//     committed files in bounded chunks.
+//   * inproc / socket under a one-page memory budget — nearly every
+//     segment is evicted, so the in-process plane streams the committed
+//     files and the socket plane serves them in bounded chunks.
 //
 // Every arm is a correctness gate, not just a timing: collectAll must
 // be bit-identical to the in-process in-memory baseline, or the bench
@@ -109,7 +110,10 @@ int main(int argc, char** argv) {
             .string();
     std::filesystem::remove_all(dir);
     core::QueryPlan plan = planner.plan(fn, opts);
-    if (arm.spill) plan.spec.spillDirectory = dir;
+    if (arm.spill) {
+      plan.spec.spillDirectory = dir;
+      plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+    }
     plan.spec.transport = arm.kind;
     plan.spec.transportConnections = 4;
     const auto t0 = std::chrono::steady_clock::now();

@@ -2,12 +2,13 @@
 # Tier-1 verification: full build + test suite, then the concurrency-
 # sensitive engine tests again under ThreadSanitizer (the engine's
 # locking discipline — lock-free reduce fetch over published segment
-# handles, atomic attempt commits of spilled map output — is exactly
-# what TSan checks). engine_test and randomized_test cover BOTH shuffle
-# paths: the fault-plan / recovery suites (Engine.SpillRecoveryRaceHammer,
-# Engine.FaultPlan*, RandomizedFaultPlan.*) run with spillDirectory set,
-# so the spilled path's recovery races are sanitized too, not just the
-# in-memory path. The trace suites run under TSan as well: the lock-free
+# handles, atomic attempt commits of evicted segments — is exactly what
+# TSan checks). engine_test and randomized_test cover both residency
+# settings: the fault-plan / recovery suites (Engine.SpillRecoveryRaceHammer,
+# Engine.FaultPlan*, RandomizedFaultPlan.*) also run under a one-page
+# memory budget, where nearly every segment is evicted and streamed
+# back, so eviction's recovery races are sanitized too, not just the
+# resident path. The trace suites run under TSan as well: the lock-free
 # span recorder publishes chunks concurrently from workers and the
 # spill-writer pool, and the invariant checks read them back after join.
 set -euo pipefail
@@ -25,14 +26,15 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" -L slow
 #                                    disjoint writes through one shared
 #                                    FileStorage descriptor (the stress
 #                                    tests check every value read back)
-#   engine_test / randomized_test    both shuffle paths + recovery races
+#   engine_test / randomized_test    resident + evicted inputs, recovery
+#                                    races
 #   linear_fastpath_test             packed segments merged in place by
 #                                    concurrently running reduces; dataset
 #                                    readers streaming from one shared
 #                                    handle on four threads
-#   sort_spill_parity_test           spill-writer pool re-encoding failed
-#                                    attempts while lock-free fetches read
-#                                    committed segments
+#   sort_spill_parity_test           spill-writer pool re-evicting
+#                                    republished segments while streaming
+#                                    fetches read committed files
 #   trace_invariants_test            per-thread span-chunk publication
 #   trace_differential_test          engine-vs-sim traces, recorder on
 #   out_of_core_test                 pressure eviction vs recovery vs
@@ -48,7 +50,7 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" -L slow
 #                                    (DESIGN.md section 17)
 #   skew_join_test                   two-input maps feeding one shuffle,
 #                                    refined-deal routing under every
-#                                    regime/transport, join reduces over
+#                                    budget/transport, join reduces over
 #                                    dual-side segments (DESIGN.md §18)
 TSAN_SUITES=(
   scifile_test
@@ -80,7 +82,7 @@ done
 # transport suite's framed-decode fuzzing and chunked file serving are
 # classic heap-overflow territory, so it rides in the ASan pass too.
 # skew_join_test joins two value streams inside one reduce (side-tagged
-# list payloads, sorted in place) across every spill regime — buffer
+# list payloads, sorted in place) across every memory budget — buffer
 # reuse across sides is where a stale-pointer bug would live. The
 # packed-segment code rides along: segment_test (codec, packed
 # sort/combine, the merger's cursors over packed, decoded and streamed
@@ -117,7 +119,8 @@ done
 # and checks the disabled-recorder arm stays within its overhead gate.
 cmake --preset bench
 cmake --build --preset bench -j"$(nproc)" --target bench_map_pipeline \
-  bench_engine_service bench_shuffle_transport bench_join_skew
+  bench_engine_service bench_shuffle_transport bench_join_skew \
+  bench_memory_budget
 ./build-bench/bench/bench_map_pipeline --quick
 # The multi-job fleet driver is a correctness gate, not just a timing:
 # 72 queued jobs against one EngineService, every success bit-identical
@@ -125,10 +128,15 @@ cmake --build --preset bench -j"$(nproc)" --target bench_map_pipeline \
 # results observed mid-run, and the warm-resubmission arm hitting the
 # segment cache with zero map tasks (exits non-zero on any violation).
 ./build-bench/bench/bench_engine_service --quick
-# Transport sweep: the socket data plane, over the in-memory shuffle
-# and over eager spill, must reproduce the in-process run
-# bit-identically (exits non-zero on divergence).
+# Transport sweep: the socket data plane, unbudgeted and under a
+# one-page budget, must reproduce the in-process run bit-identically
+# (exits non-zero on divergence).
 ./build-bench/bench/bench_shuffle_transport --quick
+# Memory-budget sweep: every budget down to one page reproduces the
+# unbudgeted run bit-identically, and the unbudgeted run, which releases
+# consumed keyblocks like any other, peaks at no more than twice the
+# never-evicting 1 GiB arm (exits non-zero on either violation).
+./build-bench/bench/bench_memory_budget --quick
 # Skew-adaptive join gate: refined plan bit-identical to uniform, both
 # matching the nested-loop oracle, p99 keyblock load improved >= 1.5x
 # (exits non-zero on any violation).

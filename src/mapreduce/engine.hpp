@@ -4,15 +4,15 @@
 //
 // The engine is the "Hadoop" of this reproduction: it owns split
 // assignment, map execution, the map-output segment store (one
-// immutable segment handle per (map, keyblock) in memory, or one
-// bulk-encoded map-output file when spilling, each with a
-// count-annotation header), lock-free shuffle fetches, merge/group,
+// immutable segment handle per (map, keyblock), each with a
+// count-annotation header, evicted to a bulk-encoded file under a
+// memory budget), lock-free shuffle fetches, merge/group,
 // reduce execution and atomic output commit. Scheduling policy and reduce gating vary with
 // JobSpec::mode; everything else is shared, so mode comparisons isolate
 // exactly the mechanisms the paper changes.
 //
 // Every task execution is a numbered ATTEMPT (Hadoop's task-attempt
-// discipline): spilled output is written to attempt-suffixed temp files
+// discipline): evicted output is written to attempt-suffixed temp files
 // and committed by atomic rename, events carry the attempt id, and
 // JobSpec::faultPlan injects map/reduce attempt failures with a per-task
 // retry bound — exceeding it raises mr::JobError from run() naming the

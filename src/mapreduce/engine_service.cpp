@@ -123,8 +123,7 @@ void admitLocked(ServiceState& s) {
         s.config.memoryBudgetBytes > 0 ? head->spec.memoryBudgetBytes : 0;
     if (cost > 0 && s.cache != nullptr) {
       // Admission pressure sheds the cache FIRST: jobs always win the
-      // ledger over cache residency. LRU-by-fingerprint; spill-backed
-      // entries demote to their committed files instead of dropping.
+      // ledger over cache residency (LRU-by-fingerprint drops).
       const std::uint64_t need = s.admittedBytes + cost;
       if (need + s.cache->residentBytes() > s.config.memoryBudgetBytes) {
         s.cache->shedTo(s.config.memoryBudgetBytes > need
@@ -439,7 +438,6 @@ ServiceStats EngineService::stats() const {
     out.cacheMisses = cs.misses;
     out.cacheBytesServed = cs.bytesServed;
     out.cacheEvictions = cs.evictions;
-    out.cacheDemotions = cs.demotions;
     out.cacheInsertions = cs.insertions;
     out.cacheResidentBytes = cs.residentBytes;
   }

@@ -89,8 +89,7 @@ struct ServiceConfig {
   bool segmentCacheEnabled = false;
   /// Resident-byte cap for cached segments; 0 = no dedicated cap (the
   /// admission ledger still sheds the cache under pressure: jobs always
-  /// win memory over cache residency). Spill-backed entries demote to
-  /// their committed files instead of being dropped.
+  /// win memory over cache residency). Shedding drops whole entries.
   std::uint64_t segmentCacheBytes = 0;
 };
 
@@ -109,7 +108,6 @@ struct ServiceStats {
   std::uint64_t cacheMisses = 0;
   std::uint64_t cacheBytesServed = 0;
   std::uint64_t cacheEvictions = 0;
-  std::uint64_t cacheDemotions = 0;
   std::uint64_t cacheInsertions = 0;
   /// Gauge: resident cached segment bytes right now.
   std::uint64_t cacheResidentBytes = 0;

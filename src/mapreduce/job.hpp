@@ -51,10 +51,10 @@ inline const char* taskKindName(TaskKind kind) {
 /// whichever data plane moves the bytes.
 enum class ShuffleTransportKind : std::uint8_t {
   /// Same-address-space handoff: resident `shared_ptr<const Segment>`
-  /// handles (or direct spill-file reads in eager mode). The default;
-  /// byte-identical to the historical fetch path, zero new copies.
+  /// handles, and a bounded SegmentStream over an evicted slot's
+  /// committed file. The default; zero copies for resident slots.
   kInProcess = 0,
-  /// Localhost TCP, valid in every spill regime: a per-job server
+  /// Localhost TCP, valid under any memory budget: a per-job server
   /// thread serves each slot's resident handle, or its committed spill
   /// file when the slot holds none, over length-prefixed frames (the
   /// exact-size bulk codec is the wire format); clients batch multiple
@@ -288,23 +288,23 @@ struct JobSpec {
   /// attempts die, and the per-task retry bound.
   FaultPlan faultPlan;
 
-  /// When non-empty, map-output segments are spilled to files under
-  /// this directory (as Hadoop's map-output files) instead of held in
-  /// memory; reduces tally count annotations by reading ONLY the 32-byte
-  /// segment header from disk — the paper's "without having to read and
+  /// Where a budgeted job evicts map-output segments (DESIGN.md section
+  /// 14), under its `job<jobId>/` namespace, as Hadoop's map-output
+  /// files. Required when memoryBudgetBytes > 0 and rejected otherwise:
+  /// without a budget nothing is ever written. A reduce tallies an
+  /// evicted input's count annotation from the 32-byte header its
+  /// stream reads on open — the paper's "without having to read and
   /// parse those files" property (section 3.2.1).
   std::string spillDirectory;
 
-  /// Spill-writer pool size: how many threads encode and write map
-  /// attempts' per-keyblock spill files concurrently (DESIGN.md section
-  /// 12). 1 runs the seed's sequential encode+write inline on the map
-  /// worker; larger values overlap keyblocks on a shared pool. Only the
-  /// attempt-suffixed TEMPORARY files are written concurrently — the
-  /// map worker still commits every keyblock itself via atomic rename
-  /// after the whole batch lands, so the publication order the
-  /// lock-free reduce fetch relies on is unchanged, and committed bytes
-  /// are identical for every pool size. Ignored when spillDirectory is
-  /// empty; must be > 0.
+  /// Spill-writer pool size: how many threads encode and write one
+  /// pressure eviction's (map, keyblock) files concurrently (DESIGN.md
+  /// section 12). 1 runs encode+write inline on the evicting worker;
+  /// larger values overlap victims on a pool. Only the attempt-suffixed
+  /// TEMPORARY files are written concurrently — the evicting worker
+  /// renames every file itself after the whole batch lands, and
+  /// committed bytes are identical for every pool size. Ignored
+  /// without a budget; must be > 0.
   std::uint32_t spillWriters = 4;
 
   /// Record a per-attempt / per-phase obs::Trace into JobResult::trace
@@ -314,13 +314,16 @@ struct JobSpec {
   bool recordTrace = false;
 
   /// Global memory budget for resident intermediate data (DESIGN.md
-  /// section 14); 0 = unlimited. With a budget set, spillDirectory must
-  /// also be set: map output publishes in-memory handles as usual, but
-  /// when the SegmentPagePool crosses its high-water mark the engine
-  /// evicts the coldest committed keyblocks' segments to spill files
-  /// (same attempt-suffix + atomic-rename protocol) and reduces stream
-  /// the evicted inputs back through bounded windows. Must be at least
-  /// one page (SegmentPagePool::kPageBytes) when non-zero.
+  /// section 14) — the one residency setting. Every job publishes its
+  /// map output as resident handles charged to a SegmentPagePool and
+  /// drops a keyblock's handles once its reduce commits; 0 = unlimited
+  /// (nothing is evicted). With a budget, spillDirectory must also be
+  /// set: when the pool crosses its high-water mark the engine evicts
+  /// the coldest committed keyblocks' segments to spill files
+  /// (attempt-suffix + atomic-rename protocol) and reduces stream the
+  /// evicted inputs back through bounded windows. Must be at least one
+  /// page (SegmentPagePool::kPageBytes) when non-zero; a one-page
+  /// budget evicts nearly every segment it publishes.
   std::uint64_t memoryBudgetBytes = 0;
 
   /// Per-input decode window for the streaming reduce merge: a reduce
@@ -329,8 +332,8 @@ struct JobSpec {
   /// is set.
   std::size_t mergeWindowBytes = 1 << 20;
 
-  /// Encode spill (and eviction) files with the varint/delta compressed
-  /// framing instead of the fixed-width one. Requires spillDirectory.
+  /// Encode eviction files with the varint/delta compressed framing
+  /// instead of the fixed-width one. Requires spillDirectory.
   bool compressSpill = false;
 
   /// Canonical MapFingerprint of everything that determines this job's
@@ -433,10 +436,10 @@ struct JobResult {
 
   /// Total (map, reduce) fetches performed — Table 3's connection count.
   std::uint64_t shuffleConnections = 0;
-  /// Bytes moved through the serialized shuffle path (segment encode on
-  /// the map side plus decode on the reduce side). Zero when spill is
-  /// disabled: the in-memory store publishes immutable segment handles,
-  /// so reduces fetch by pointer and never touch the wire format.
+  /// Serialized bytes reduces moved: evicted files streamed back, plus
+  /// socket payloads. Zero for an unbudgeted in-process job: reduces
+  /// fetch resident handles by pointer and never touch the wire format.
+  /// Eviction writes are not counted here (see pressureSpillEvents).
   std::uint64_t shuffleBytes = 0;
   /// Total seconds reduce tasks spent in their fetch phase (header
   /// tallies + segment acquisition), summed across reduces.

@@ -9,6 +9,7 @@
 #include <limits>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "scifile/storage.hpp"
 
@@ -99,6 +100,11 @@ void validateJobSpec(const JobSpec& spec) {
       throw std::invalid_argument(
           "Engine: mergeWindowBytes must be > 0 when a memory budget is set");
     }
+  } else if (!spec.spillDirectory.empty()) {
+    // The directory is only ever an eviction target; without a budget
+    // nothing would be written there.
+    throw std::invalid_argument(
+        "Engine: spillDirectory requires a memoryBudgetBytes to evict under");
   }
   if (spec.compressSpill && spec.spillDirectory.empty()) {
     throw std::invalid_argument(
@@ -197,11 +203,11 @@ std::string JobContext::segmentPath(std::uint32_t m, std::uint32_t kb) const {
   return jobDir + "/" + segmentFileName(m, kb);
 }
 
-/// Writes one serialized segment to the attempt's TEMPORARY file.
-/// Nothing becomes visible under the committed name until the whole
-/// attempt commits via commitSegmentFile (atomic rename), so a
-/// recovery re-run never truncates a file a concurrent lock-free
-/// reduce fetch may be mid-read on.
+/// Writes one evicted segment to the attempt's TEMPORARY file. Nothing
+/// becomes visible under the committed name until the eviction commits
+/// via commitSegmentFile (atomic rename), so evicting a republished
+/// slot never truncates a file a concurrent streaming fetch may be
+/// mid-read on.
 void JobContext::spillSegmentAttempt(std::uint32_t m, std::uint32_t kb,
                                      std::uint32_t attempt,
                                      std::span<const std::byte> bytes) const {
@@ -209,62 +215,6 @@ void JobContext::spillSegmentAttempt(std::uint32_t m, std::uint32_t kb,
                         sci::FileStorage::Mode::kCreate);
   file.writeAt(0, bytes);
   file.flush();
-}
-
-/// Encodes `seg` in the job's spill framing — the one place that picks
-/// it, for eager spill and pressure eviction alike.
-void JobContext::encodeSpill(const Segment& seg,
-                             std::vector<std::byte>& buf) {
-  if (spec.compressSpill) {
-    seg.serializeCompressedInto(buf, spec.keySpace);
-    compressedSpillBytes.fetch_add(buf.size(), std::memory_order_relaxed);
-  } else {
-    seg.serializeInto(buf);
-  }
-}
-
-void JobContext::runSpillBatch(std::size_t count, const SpillItem& item) {
-  // Pool threads are not workers: every item installs the recorder so
-  // its spans land on the owning job's trace (a shared pool interleaves
-  // items from many jobs).
-  auto run = [this, &item](std::size_t i, std::vector<std::byte>& buf) {
-    obs::ScopedRecorder scope(recorder.get());
-    item(i, buf);
-  };
-  if (spillPool == nullptr) {
-    std::vector<std::byte> buf;  // one encode buffer for the whole batch
-    for (std::size_t i = 0; i < count; ++i) run(i, buf);
-    return;
-  }
-  SpillWriterPool::Batch batch;
-  for (std::size_t i = 0; i < count; ++i) {
-    spillPool->submit(batch,
-                      [&run, i](std::vector<std::byte>& buf) { run(i, buf); });
-  }
-  batch.wait();  // rethrows the first encode/write failure
-}
-
-/// Reads ONLY the header of a spilled segment — the cheap
-/// annotation-tally access of paper section 3.2.1.
-SegmentHeader JobContext::peekSpilledHeader(std::uint32_t m,
-                                            std::uint32_t kb) const {
-  sci::FileStorage file(segmentPath(m, kb),
-                        sci::FileStorage::Mode::kOpenReadOnly);
-  std::array<std::byte, Segment::kHeaderBytes> head{};
-  file.readAt(0, head);
-  return Segment::peekHeader(head);
-}
-
-/// Reads and decodes a spilled segment; adds the bytes moved to
-/// `bytesFetched` (the shuffleBytes accounting).
-Segment JobContext::loadSpilledSegment(std::uint32_t m, std::uint32_t kb,
-                                       std::uint64_t& bytesFetched) const {
-  sci::FileStorage file(segmentPath(m, kb),
-                        sci::FileStorage::Mode::kOpenReadOnly);
-  std::vector<std::byte> bytes(file.size());
-  file.readAt(0, bytes);
-  bytesFetched += bytes.size();
-  return Segment::decode(bytes, spec.compressSpill, spec.keySpace);
 }
 
 // Marks a map schedulable (SIDR: because a scheduled reduce depends on
@@ -297,15 +247,14 @@ void JobContext::scheduleReducesLocked() {
 void JobContext::start() {
   numMaps = static_cast<std::uint32_t>(spec.splits.size());
   numReduces = spec.numReducers;
-  if (spillEnabled()) {
+  if (budgetEnabled()) {
     jobDir = spec.spillDirectory + "/" + jobSpillDirName(spec.jobId);
     std::filesystem::create_directories(jobDir);
     if (sharedSpillPool != nullptr) {
       spillPool = sharedSpillPool;
     } else if (spec.spillWriters > 1 && numReduces > 0) {
-      // No point running more writers than keyblocks: each item covers
-      // one (map, keyblock) file and a map attempt submits numReduces
-      // of them at once.
+      // At most one writer per keyblock: each item writes one
+      // (map, keyblock) eviction file.
       ownedSpillPool = std::make_unique<SpillWriterPool>(
           std::min(spec.spillWriters, numReduces));
       spillPool = ownedSpillPool.get();
@@ -319,10 +268,11 @@ void JobContext::start() {
   segments.assign(numMaps,
                   std::vector<std::shared_ptr<const Segment>>(numReduces));
   segAvail.assign(numMaps, std::vector<bool>(numReduces, false));
-  // The page pool exists in every mode (budget 0 = unlimited): it is
+  // The page pool exists in every job (budget 0 = unlimited): it is
   // also the job-wide peak-residency meter.
   pagePool = std::make_unique<SegmentPagePool>(spec.memoryBudgetBytes);
   segCharge.assign(numMaps, std::vector<std::uint64_t>(numReduces, 0));
+  segLane.assign(numMaps, std::vector<std::uint32_t>(numReduces, kNoLane));
   segEvicting.assign(numMaps, std::vector<bool>(numReduces, false));
   evictingCount.assign(numReduces, 0);
   publishedAttempt.assign(numMaps, 0);
@@ -681,27 +631,13 @@ JobOutcome JobContext::finalize() {
     d.key = *spec.mapFingerprint;
     d.numMaps = numMaps;
     d.numReduces = numReduces;
-    d.keySpace = spec.keySpace;
-    if (eagerSpill()) {
-      // File-backed donation: the committed `job<id>/` files ARE the
-      // entry (successful jobs always keep their namespace); the cache
-      // reloads them through the same codec path a reduce fetch uses.
-      d.compressed = spec.compressSpill;
-      d.paths.assign(numMaps, std::vector<std::string>(numReduces));
-      for (std::uint32_t m = 0; m < numMaps; ++m) {
-        for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
-          d.paths[m][kb] = segmentPath(m, kb);
-        }
-      }
-    } else {
-      d.segments = std::move(stagedDonation);
-      // Every slot must have been staged exactly once (fault-free donor
-      // jobs run each map once). A hole means the donation contract was
-      // violated somewhere — withhold rather than cache a partial run.
-      for (const auto& row : d.segments) {
-        for (const auto& seg : row) {
-          if (seg == nullptr) d.present = false;
-        }
+    d.segments = std::move(stagedDonation);
+    // Every slot must have been staged exactly once (fault-free donor
+    // jobs run each map once). A hole means the donation contract was
+    // violated somewhere — withhold rather than cache a partial run.
+    for (const auto& row : d.segments) {
+      for (const auto& seg : row) {
+        if (seg == nullptr) d.present = false;
       }
     }
     if (d.present) outcome.donation = std::move(d);
@@ -713,7 +649,7 @@ JobOutcome JobContext::finalize() {
   // cancelled job strands nothing. keepSpillOnFailure opts out for
   // post-mortem debugging; successful jobs always keep their committed
   // files (callers may read them).
-  if (!succeeded && spillEnabled() && !spec.keepSpillOnFailure) {
+  if (!succeeded && budgetEnabled() && !spec.keepSpillOnFailure) {
     std::error_code ec;  // swallowed: cleanup is advisory
     std::filesystem::remove_all(jobDir, ec);
   }
@@ -722,15 +658,33 @@ JobOutcome JobContext::finalize() {
   return outcome;
 }
 
+std::uint32_t JobContext::retireLaneLocked() {
+  const std::thread::id self = std::this_thread::get_id();
+  for (std::uint32_t i = 0; i < retireLanes.size(); ++i) {
+    if (retireLanes[i].owner == self) return i;
+  }
+  retireLanes.push_back(RetireLane{self, {}});
+  return static_cast<std::uint32_t>(retireLanes.size() - 1);
+}
+
+std::vector<std::shared_ptr<const Segment>> JobContext::takeParkedLocked() {
+  return std::exchange(retireLanes[retireLaneLocked()].parked, {});
+}
+
 void JobContext::runMap(std::uint32_t m) {
   std::uint32_t attempt;
+  std::vector<std::shared_ptr<const Segment>> parked;
   {
     std::scoped_lock lock(mtx);
     attempt = ++mapAttempts[m];
     // Any execution beyond the first attempt is recovery cost, whether
     // it re-runs after a recovery reset or retries a failed attempt.
     if (attempt > 1) ++result.mapsReExecuted;
+    parked = takeParkedLocked();
   }
+  // Freed here, by the thread that built them, before this attempt
+  // allocates its own output.
+  parked.clear();
   // The attempt span brackets the whole execution; being the first
   // local, it is destroyed last and therefore contains every phase span
   // below — including the publication spans recorded under the mutex
@@ -775,12 +729,8 @@ void JobContext::runMap(std::uint32_t m) {
           " produced data for undeclared keyblock " + std::to_string(kb));
     }
   }
-  // In-memory mode never serializes: the segment itself becomes the
-  // published immutable handle. Spill mode encodes with the bulk codec
-  // and writes a map-output file per keyblock through runSpillBatch;
-  // each item owns its keyblock's segment exclusively, and the batch
-  // returns only after every write, ordering them all before the fault
-  // check and the commit phase.
+  // The segment itself becomes the published immutable handle; nothing
+  // is serialized on the map side.
   std::uint64_t producedRecords = 0;
   std::uint64_t producedRepresents = 0;
   for (const Segment& seg : produced) {
@@ -789,53 +739,21 @@ void JobContext::runMap(std::uint32_t m) {
   }
   attemptSpan.setRecords(producedRecords);
   attemptSpan.setRepresents(producedRepresents);
+  // The resident footprints are measured here, outside the engine
+  // mutex — the locked commit section below only charges the
+  // precomputed sizes.
   std::vector<std::shared_ptr<const Segment>> localSegments(numReduces);
-  std::vector<std::uint64_t> localSegBytes;
-  std::uint64_t bytesSpilled = 0;
-  if (eagerSpill()) {
-    // Persist map output to attempt-scoped temp files; nothing is
-    // visible under the committed names until the attempt commits below
-    // (Hadoop commits map output files atomically with the task).
-    std::atomic<std::uint64_t> batchBytes{0};
-    runSpillBatch(numReduces, [&](std::size_t i, std::vector<std::byte>& buf) {
-      const auto kb = static_cast<std::uint32_t>(i);
-      {
-        obs::SpanScope enc(obs::Phase::kSpillEncode, obs::TaskSide::kMap, m,
-                           attempt, kb);
-        encodeSpill(produced[kb], buf);
-        enc.setBytes(buf.size());
-        enc.setRecords(produced[kb].header().numRecords);
-      }
-      batchBytes.fetch_add(buf.size(), std::memory_order_relaxed);
-      obs::SpanScope write(obs::Phase::kSpillWrite, obs::TaskSide::kMap, m,
-                           attempt, kb);
-      write.setBytes(buf.size());
-      spillSegmentAttempt(m, kb, attempt, buf);
-    });
-    bytesSpilled = batchBytes.load(std::memory_order_relaxed);
-  } else {
-    // In-memory and hybrid modes publish handles. The resident
-    // footprints are measured here, outside the engine mutex — the
-    // locked commit section below only charges the precomputed sizes.
-    localSegBytes.assign(numReduces, 0);
-    for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
-      localSegments[kb] =
-          std::make_shared<const Segment>(std::move(produced[kb]));
-      localSegBytes[kb] = localSegments[kb]->residentBytes();
-    }
+  std::vector<std::uint64_t> localSegBytes(numReduces, 0);
+  for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
+    localSegments[kb] =
+        std::make_shared<const Segment>(std::move(produced[kb]));
+    localSegBytes[kb] = localSegments[kb]->residentBytes();
   }
 
-  attemptSpan.setBytes(bytesSpilled);
-
-  // Injected failure: the attempt did its work (including any temp
-  // spill writes) but dies before committing anything.
+  // Injected failure: the attempt did its work but dies before
+  // publishing anything.
   if (spec.faultPlan.shouldFail(TaskKind::kMap, m, attempt)) {
     attemptSpan.fail();
-    if (eagerSpill()) {
-      for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
-        discardSegmentAttemptFile(jobDir, m, kb, attempt);
-      }
-    }
     double tFail = now();
     std::scoped_lock lock(mtx);
     result.sortTotals.add(taskSort);
@@ -856,22 +774,6 @@ void JobContext::runMap(std::uint32_t m) {
     return;
   }
 
-  // Commit phase. Spill mode publishes every keyblock file with an
-  // atomic rename FIRST: once segAvail flips below, any reduce may open
-  // the committed path lock-free, and a reader still holding the
-  // previous attempt's file (recovery races) keeps its old inode.
-  if (eagerSpill()) {
-    for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
-      // One commit span per keyblock, carrying the segment's count
-      // annotation: the trace-side proof a reduce may start (the
-      // gating invariant compares reduce-attempt starts against these).
-      obs::SpanScope commit(obs::Phase::kRenameCommit, obs::TaskSide::kMap, m,
-                            attempt, kb);
-      commit.setRecords(produced[kb].header().numRecords);
-      commit.setRepresents(produced[kb].header().represents);
-      commitSegmentFile(jobDir, m, kb, attempt);
-    }
-  }
   double tEnd = now();
 
   {
@@ -879,45 +781,46 @@ void JobContext::runMap(std::uint32_t m) {
     result.sortTotals.add(taskSort);
     recordEvent(TaskEvent::Kind::kMapStart, m, tStart, attempt);
     recordEvent(TaskEvent::Kind::kMapEnd, m, tEnd, attempt);
-    result.shuffleBytes += bytesSpilled;
-    if (!eagerSpill()) {
-      // Publication is a pointer flip per keyblock — no data copy runs
-      // under the engine mutex. The commit spans are near-zero-width but
-      // keep the schema uniform across shuffle modes: they end inside
-      // this critical section, and any gated reduce starts only after a
-      // later acquire of mtx, so commit-span end <= reduce-span start.
-      for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
-        obs::SpanScope commit(obs::Phase::kRenameCommit, obs::TaskSide::kMap,
-                              m, attempt, kb);
-        commit.setRecords(localSegments[kb]->header().numRecords);
-        commit.setRepresents(localSegments[kb]->header().represents);
-        // Only slots whose availability was revoked take the new handle
-        // (first publication, or a recovery reset of this keyblock). A
-        // slot still marked available keeps its original — identical —
-        // segment: map execution is deterministic, and the slot's reduce
-        // may be runnable or mid-fetch reading the slot WITHOUT mtx, so
-        // a recovery re-run overwriting it here would race that read.
-        // (A pressure-evicted slot also stays untouched: its handle is
-        // null but its committed spill file serves the streaming path.)
-        if (segAvail[m][kb]) continue;
-        // Charge the published segment's resident footprint; a recovery
-        // republish first releases whatever the replaced handle charged.
-        if (segCharge[m][kb] != 0) {
-          pagePool->release(segCharge[m][kb]);
-          segCharge[m][kb] = 0;
-        }
-        if (localSegBytes[kb] > 0) {
-          segCharge[m][kb] = pagePool->charge(localSegBytes[kb]);
-        }
-        // Donor staging is a pointer copy of the very handle published
-        // below — byte-identity of the cached entry is structural. (It
-        // also pins a hybrid-mode segment across pressure eviction; the
-        // eviction's pointer-equality finalize is unaffected.)
-        if (donateToCache) stagedDonation[m][kb] = localSegments[kb];
-        segments[m][kb] = std::move(localSegments[kb]);
+    // Publication is a pointer flip per keyblock — no data copy runs
+    // under the engine mutex. One commit span per keyblock carries the
+    // segment's count annotation, the trace-side proof a reduce may
+    // start: the spans end inside this critical section, and any gated
+    // reduce starts only after a later acquire of mtx, so commit-span
+    // end <= reduce-span start.
+    const std::uint32_t lane = retireLaneLocked();
+    for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
+      obs::SpanScope commit(obs::Phase::kRenameCommit, obs::TaskSide::kMap, m,
+                            attempt, kb);
+      commit.setRecords(localSegments[kb]->header().numRecords);
+      commit.setRepresents(localSegments[kb]->header().represents);
+      // Only slots whose availability was revoked take the new handle
+      // (first publication, or a recovery reset of this keyblock). A
+      // slot still marked available keeps its original — identical —
+      // segment: map execution is deterministic, and the slot's reduce
+      // may be runnable or mid-fetch reading the slot WITHOUT mtx, so a
+      // recovery re-run overwriting it here would race that read. (A
+      // pressure-evicted slot also stays untouched — its handle is null
+      // but its committed spill file serves the streaming path — and so
+      // does a consumed slot, whose reduce already committed.)
+      if (segAvail[m][kb]) continue;
+      // Charge the published segment's resident footprint; a recovery
+      // republish first releases whatever the replaced handle charged.
+      if (segCharge[m][kb] != 0) {
+        pagePool->release(segCharge[m][kb]);
+        segCharge[m][kb] = 0;
       }
-      publishedAttempt[m] = attempt;
+      if (localSegBytes[kb] > 0) {
+        segCharge[m][kb] = pagePool->charge(localSegBytes[kb]);
+      }
+      // Donor staging is a pointer copy of the very handle published
+      // below — byte-identity of the cached entry is structural. (It
+      // also pins the segment across pressure eviction and consumed-slot
+      // release; the eviction's pointer-equality finalize is unaffected.)
+      if (donateToCache) stagedDonation[m][kb] = localSegments[kb];
+      segments[m][kb] = std::move(localSegments[kb]);
+      segLane[m][kb] = lane;
     }
+    publishedAttempt[m] = attempt;
     mapDone[m] = true;
     // Dependency accounting: only a false->true availability transition
     // satisfies a dependency, so a recovery re-run of this map cannot
@@ -950,11 +853,11 @@ void JobContext::runMap(std::uint32_t m) {
 }
 
 void JobContext::maybePressureSpill() {
-  // Pressure-driven eviction (hybrid mode): when the page pool crosses
+  // Pressure-driven eviction (budgeted jobs): when the page pool crosses
   // its high-water mark, encode the coldest committed keyblocks to the
-  // spill directory — through the SAME attempt-file + atomic-rename
-  // protocol eager spill uses — then drop their in-memory handles and
-  // reclaim the pages. "Coldest" = largest priorityOrder position (its
+  // spill directory — through the attempt-file + atomic-rename protocol
+  // Hadoop commits map output with — then drop their in-memory handles
+  // and reclaim the pages. "Coldest" = largest priorityOrder position (its
   // reduce runs last, so its pages stay reclaimed longest), ties broken
   // toward the larger charge.
   //
@@ -1005,22 +908,42 @@ void JobContext::maybePressureSpill() {
     }
     if (victims.empty()) return;  // over budget but nothing evictable
 
-    // Encode + write the attempt files outside the lock. Renames run
-    // only after every write succeeded.
+    // Encode + write the attempt files outside the lock, on the
+    // spill-writer pool when one exists (victims overlap), else inline
+    // with one reused buffer. Renames run only after every write
+    // succeeded.
+    auto evict = [&](std::size_t i, std::vector<std::byte>& buf) {
+      // Pool threads are not workers: every item installs the recorder
+      // so its spans land on the owning job's trace (a shared pool
+      // interleaves items from many jobs).
+      obs::ScopedRecorder scope(recorder.get());
+      const Victim& v = victims[i];
+      obs::SpanScope span(obs::Phase::kPressureSpill, obs::TaskSide::kMap,
+                          v.m, v.attempt, v.kb);
+      span.setRecords(v.seg->header().numRecords);
+      span.setRepresents(v.seg->header().represents);
+      if (spec.compressSpill) {
+        v.seg->serializeCompressedInto(buf, spec.keySpace);
+        compressedSpillBytes.fetch_add(buf.size(), std::memory_order_relaxed);
+      } else {
+        v.seg->serializeInto(buf);
+      }
+      span.setBytes(buf.size());
+      spillSegmentAttempt(v.m, v.kb, v.attempt, buf);
+    };
     std::exception_ptr error;
     try {
-      runSpillBatch(victims.size(),
-                    [&](std::size_t i, std::vector<std::byte>& buf) {
-                      const Victim& v = victims[i];
-                      obs::SpanScope span(obs::Phase::kPressureSpill,
-                                          obs::TaskSide::kMap, v.m, v.attempt,
-                                          v.kb);
-                      span.setRecords(v.seg->header().numRecords);
-                      span.setRepresents(v.seg->header().represents);
-                      encodeSpill(*v.seg, buf);
-                      span.setBytes(buf.size());
-                      spillSegmentAttempt(v.m, v.kb, v.attempt, buf);
-                    });
+      if (spillPool == nullptr) {
+        std::vector<std::byte> buf;
+        for (std::size_t i = 0; i < victims.size(); ++i) evict(i, buf);
+      } else {
+        SpillWriterPool::Batch batch;
+        for (std::size_t i = 0; i < victims.size(); ++i) {
+          spillPool->submit(
+              batch, [&evict, i](std::vector<std::byte>& buf) { evict(i, buf); });
+        }
+        batch.wait();  // rethrows the first encode/write failure
+      }
       for (const Victim& v : victims) {
         // The eviction commit reuses the publication span schema; the
         // gating checker takes the EARLIEST commit per (map, keyblock),
@@ -1070,10 +993,13 @@ void JobContext::maybePressureSpill() {
 
 void JobContext::runReduce(std::uint32_t kb) {
   std::uint32_t attempt;
+  std::vector<std::shared_ptr<const Segment>> parked;
   {
     std::scoped_lock lock(mtx);
     attempt = ++reduceAttempts[kb];
+    parked = takeParkedLocked();
   }
+  parked.clear();  // see runMap
   obs::SpanScope attemptSpan(obs::Phase::kTaskAttempt, obs::TaskSide::kReduce,
                              kb, attempt, kb);
   double tStart = now();
@@ -1136,12 +1062,12 @@ void JobContext::runReduce(std::uint32_t kb) {
     for (std::uint32_t m = 0; m < numMaps; ++m) fetchSet[m] = m;
   }
 
-  // The entire fetch runs WITHOUT the engine mutex, in both modes:
-  // segments are immutable once published, and this reduce only became
-  // runnable after observing (under mtx) that every fetched dependency
+  // The entire fetch runs WITHOUT the engine mutex: segments are
+  // immutable once published, and this reduce only became runnable
+  // after observing (under mtx) that every fetched dependency
   // committed, which ordered those publications before these reads.
   // The transport turns that observation into segments however its
-  // data plane works — handles, spill-file reads, or framed sockets —
+  // data plane works — handles, evicted-file streams, or framed sockets —
   // one FetchedSegment per dependency, in fetchSet order, so the
   // accounting and the merge below are transport-agnostic.
   std::vector<FetchedSegment> fetchedInputs;
@@ -1232,7 +1158,7 @@ void JobContext::runReduce(std::uint32_t kb) {
 
   // Merge/group/reduce (outside the lock: pure local computation). One
   // ordered input sequence feeds the merger whatever the source kind —
-  // decoded spill loads, resident handles (merged straight from their
+  // decoded wire payloads, resident handles (merged straight from their
   // packed form), or bounded streaming cursors — and the record tally
   // comes off the headers, so no input is materialized just to be
   // counted.
@@ -1280,6 +1206,12 @@ void JobContext::runReduce(std::uint32_t kb) {
   for (const FetchedSegment& fs : fetchedInputs) {
     if (fs.stream != nullptr) bytesFetched += fs.stream->bytesRead();
   }
+  // Drop this attempt's own references before the commit parks the
+  // handles, so a parked handle is the last one and its producer frees
+  // it.
+  merger.reset();
+  inputs.clear();
+  fetchedInputs.clear();
 
   attemptSpan.setBytes(bytesFetched);
   attemptSpan.setRecords(outRecords.size());
@@ -1307,18 +1239,21 @@ void JobContext::runReduce(std::uint32_t kb) {
   }
   result.recordsPerReducer[kb] = recordsFetched;
   recordEvent(TaskEvent::Kind::kReduceEnd, kb, tEnd, attempt);
-  if (budgetEnabled()) {
-    // This keyblock's inputs are consumed for good (reduceDone blocks
-    // any further fetch or eviction): drop the handles and give their
-    // pages back to the pool. The actual frees run when this frame's
-    // local references unwind, outside the mutex.
-    for (std::uint32_t m : fetchSet) {
-      if (segCharge[m][kb] != 0) {
-        pagePool->release(segCharge[m][kb]);
-        segCharge[m][kb] = 0;
-      }
-      segments[m][kb] = nullptr;
+  // This keyblock's inputs are consumed for good (reduceDone blocks any
+  // further fetch or eviction): give their pages back to the pool and
+  // park each handle on its producer's lane, in every job. A reduce
+  // attempt that failed never got here, so recovery still finds its
+  // inputs as handles or evicted files.
+  for (std::uint32_t m : fetchSet) {
+    if (segCharge[m][kb] != 0) {
+      pagePool->release(segCharge[m][kb]);
+      segCharge[m][kb] = 0;
     }
+    std::shared_ptr<const Segment>& slot = segments[m][kb];
+    if (slot != nullptr && segLane[m][kb] != kNoLane) {
+      retireLanes[segLane[m][kb]].parked.push_back(std::move(slot));
+    }
+    slot = nullptr;
   }
   reduceDone[kb] = true;
   ++completedReduces;

@@ -38,11 +38,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mapreduce/job.hpp"
@@ -209,7 +209,7 @@ class JobContext : private TransportSource {
   std::uint32_t runningMaps = 0;
 
   // --- segment store: map output per (map, keyblock) ---
-  // In-memory mode publishes one immutable, shared segment handle per
+  // Every job publishes one immutable, shared segment handle per
   // (map, keyblock): runMap builds the Segment outside the lock and the
   // commit section only moves the pointer into its slot (an
   // availability flip, not a data copy). A reduce fetch is then a plain
@@ -222,7 +222,8 @@ class JobContext : private TransportSource {
   // — a still-available slot's reduce may be mid-fetch, so its handle
   // (identical content: map execution is deterministic) is never
   // overwritten, and any still-referenced old handle stays alive
-  // through shared ownership.
+  // through shared ownership. Once a keyblock's reduce commits, its
+  // slots are dropped (null) and their page charges released.
   std::vector<std::vector<std::shared_ptr<const Segment>>> segments;
   std::vector<std::vector<bool>> segAvail;
 
@@ -231,37 +232,35 @@ class JobContext : private TransportSource {
   /// start()'s cache publication, then cleared.
   std::vector<std::vector<std::shared_ptr<const Segment>>> cachedWarm;
   /// True when this job's map output was served from the cache: zero
-  /// map tasks run, and reduces fetch handles even in eager-spill specs
-  /// (there are no spill files to read).
+  /// map tasks run.
   bool cacheServed = false;
   /// True when committed map output should be staged for donation.
   bool donateToCache = false;
   /// Donor staging: per (map, keyblock) copies of the published
-  /// handles, taken at commit time (in-memory / hybrid modes). These
-  /// are pointer copies of the SAME immutable segments the job
-  /// publishes, so staging changes no donor behavior — but it does keep
-  /// hybrid-mode segments alive past their pressure eviction until the
-  /// donation lands in the cache (the cache then owns the residency).
-  /// Eager-spill donors stage nothing: their donation references the
-  /// committed files in `jobDir` instead (built at finalize).
+  /// handles, taken at commit time. These are pointer copies of the
+  /// SAME immutable segments the job publishes, so staging changes no
+  /// donor behavior — but it does keep segments alive past their
+  /// pressure eviction or consumed-slot release until the donation
+  /// lands in the cache (the cache then owns the residency).
   std::vector<std::vector<std::shared_ptr<const Segment>>> stagedDonation;
   /// Resident bytes published from the cache (result.cacheBytesServed).
   std::uint64_t cacheBytesServed = 0;
 
-  // --- memory budget / hybrid out-of-core state (DESIGN.md §14) ---
-  // With spillDirectory set AND memoryBudgetBytes > 0 the engine runs in
-  // hybrid mode: maps publish in-memory handles exactly like the
-  // in-memory engine, every published segment's resident footprint is
-  // charged against `pagePool`, and when the pool crosses its high-water
-  // mark the coldest committed keyblocks are evicted — encoded through
-  // the same attempt-file + atomic-rename protocol eager spill uses —
-  // until the pool drops to its low-water mark. A reduce whose handle
-  // slot is null streams the evicted file back through a bounded
-  // SegmentStream window instead of materializing it.
+  // --- memory budget / out-of-core state (DESIGN.md §14) ---
+  // Every published segment's resident footprint is charged against
+  // `pagePool`. With memoryBudgetBytes > 0 (which requires a
+  // spillDirectory), a pool crossing its high-water mark evicts the
+  // coldest committed keyblocks — encoded through the attempt-file +
+  // atomic-rename protocol — until it drops to its low-water mark. A
+  // reduce whose handle slot is null streams the evicted file back
+  // through a bounded SegmentStream window instead of materializing it.
   std::unique_ptr<SegmentPagePool> pagePool;
   /// Pages charged for the published segment in segments[m][kb] (bytes
   /// after page rounding); 0 when nothing is charged for the slot.
   std::vector<std::vector<std::uint64_t>> segCharge;
+  /// Retire lane of the worker whose map attempt built segments[m][kb];
+  /// kNoLane for a cache-served slot (the cache owns those bytes).
+  std::vector<std::vector<std::uint32_t>> segLane;
   /// True while a pressure eviction of (m, kb) is writing its file.
   std::vector<std::vector<bool>> segEvicting;
   /// Per keyblock: number of in-flight evictions of its segments. A
@@ -278,6 +277,29 @@ class JobContext : private TransportSource {
   std::vector<std::uint32_t> posOf;
   std::atomic<std::uint64_t> pressureSpills{0};
   std::atomic<std::uint64_t> compressedSpillBytes{0};
+
+  // --- consumed-segment release ---
+  // glibc frees a block into the arena it came from, under that arena's
+  // lock. A reduce that dropped its consumed inputs itself would free
+  // into every producing worker's arena while those workers allocate
+  // the next map output there, and the threads would queue on each
+  // other's arena locks. Instead a committed reduce parks each consumed
+  // handle on its producer's lane, and every worker drops its own lane
+  // when it starts its next task, so each block is freed by the thread
+  // that allocated it. Whatever is parked when the job ends goes with
+  // the context.
+  static constexpr std::uint32_t kNoLane = ~std::uint32_t{0};
+  struct RetireLane {
+    std::thread::id owner;
+    std::vector<std::shared_ptr<const Segment>> parked;
+  };
+  std::vector<RetireLane> retireLanes;
+  /// Index of the calling thread's lane, added on first use. Caller
+  /// holds mtx.
+  std::uint32_t retireLaneLocked();
+  /// Takes the calling thread's parked handles; the caller drops them
+  /// after releasing mtx. Caller holds mtx.
+  std::vector<std::shared_ptr<const Segment>> takeParkedLocked();
 
   // --- reduce state ---
   std::vector<std::vector<std::uint32_t>> deps;  // resolved I_l per keyblock
@@ -306,15 +328,15 @@ class JobContext : private TransportSource {
   JobResult result;
   std::exception_ptr firstError;
 
-  /// This job's spill namespace: spillDirectory + "/" + job<jobId>.
-  /// Every spill artifact (attempt temporaries, committed segments,
-  /// pressure evictions) lives under it; cleanup removes the whole
+  /// This job's spill namespace: spillDirectory + "/" + job<jobId>
+  /// (budgeted jobs only). Every eviction artifact (attempt temporaries
+  /// and committed segments) lives under it; cleanup removes the whole
   /// subtree.
   std::string jobDir;
 
-  /// Spill writers executing this job's encode+write items: the
-  /// caller's shared pool, the owned pool, or null (spillWriters == 1:
-  /// encode+write runs inline on the claiming worker, as the seed did).
+  /// Spill writers executing this job's eviction encode+write items:
+  /// the caller's shared pool, the owned pool, or null (spillWriters ==
+  /// 1: encode+write runs inline on the evicting worker).
   SpillWriterPool* spillPool = nullptr;
   SpillWriterPool* sharedSpillPool = nullptr;
   std::unique_ptr<SpillWriterPool> ownedSpillPool;
@@ -335,33 +357,16 @@ class JobContext : private TransportSource {
 
   bool isSidr() const { return spec.mode == ExecutionMode::kSidr; }
 
-  // ---- map-output segment store (in-memory or spilled to files) ----
+  // ---- map-output segment store (resident handles, evicted files) ----
 
-  bool spillEnabled() const { return !spec.spillDirectory.empty(); }
+  /// The one residency setting: only a budgeted job evicts, and only it
+  /// has a spill namespace (validateJobSpec ties spillDirectory to it).
   bool budgetEnabled() const { return spec.memoryBudgetBytes > 0; }
-  /// Eager spill = the pre-budget spill mode: every map attempt encodes
-  /// all keyblocks to files and reduces always load from disk. With a
-  /// budget the spill directory is instead the eviction target and maps
-  /// publish in-memory handles.
-  bool eagerSpill() const { return spillEnabled() && !budgetEnabled(); }
 
   std::string segmentPath(std::uint32_t m, std::uint32_t kb) const;
   void spillSegmentAttempt(std::uint32_t m, std::uint32_t kb,
                            std::uint32_t attempt,
                            std::span<const std::byte> bytes) const;
-  void encodeSpill(const Segment& seg, std::vector<std::byte>& buf);
-  /// One encode+write item: index into the caller's batch, and the
-  /// encode buffer it may reuse.
-  using SpillItem =
-      std::function<void(std::size_t, std::vector<std::byte>&)>;
-  /// Runs items 0..count-1 on the spill-writer pool when one exists, so
-  /// keyblocks overlap, else inline on the caller with one reused
-  /// buffer. Returns once every item succeeded; otherwise throws the
-  /// first encode/write failure.
-  void runSpillBatch(std::size_t count, const SpillItem& item);
-  SegmentHeader peekSpilledHeader(std::uint32_t m, std::uint32_t kb) const;
-  Segment loadSpilledSegment(std::uint32_t m, std::uint32_t kb,
-                             std::uint64_t& bytesFetched) const;
 
   // ---- shuffle data plane (DESIGN.md §17) ----
   // The resolved backend: spec.transport, forced to kInProcess for
@@ -384,17 +389,6 @@ class JobContext : private TransportSource {
   std::string committedSegmentPath(std::uint32_t m,
                                    std::uint32_t kb) const override {
     return segmentPath(m, kb);
-  }
-  SegmentHeader peekCommittedHeader(std::uint32_t m,
-                                    std::uint32_t kb) const override {
-    return peekSpilledHeader(m, kb);
-  }
-  Segment loadCommittedSegment(std::uint32_t m, std::uint32_t kb,
-                               std::uint64_t& bytesFetched) const override {
-    return loadSpilledSegment(m, kb, bytesFetched);
-  }
-  bool servesFromFiles() const noexcept override {
-    return eagerSpill() && !cacheServed;
   }
   bool streamsEvicted() const noexcept override { return budgetEnabled(); }
   bool compressedFiles() const noexcept override { return spec.compressSpill; }

@@ -125,16 +125,6 @@ void commitSegmentFile(const std::string& dir, std::uint32_t mapTask,
       std::filesystem::path(dir) / segmentFileName(mapTask, keyblock));
 }
 
-void discardSegmentAttemptFile(const std::string& dir, std::uint32_t mapTask,
-                               std::uint32_t keyblock,
-                               std::uint32_t attempt) {
-  std::error_code ec;  // swallowed: cleanup of a dead attempt is advisory
-  std::filesystem::remove(
-      std::filesystem::path(dir) /
-          segmentAttemptFileName(mapTask, keyblock, attempt),
-      ec);
-}
-
 Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
                  std::vector<KeyValue> records)
     : records_(std::move(records)) {

@@ -100,8 +100,8 @@ class SegmentPagePool {
 
 // ---- spilled map-output file naming and atomic attempt commit ----
 //
-// Spill mode follows Hadoop's task-commit discipline: an attempt writes
-// its output under an attempt-scoped temporary name and only an atomic
+// Pressure eviction follows Hadoop's task-commit discipline: it writes
+// a segment under an attempt-scoped temporary name and only an atomic
 // rename publishes it under the committed name. A concurrent reader
 // that already opened the committed file keeps reading the old inode;
 // a reader opening the path sees either the old or the new complete
@@ -126,7 +126,7 @@ std::string segmentFileName(std::uint32_t mapTask, std::uint32_t keyblock);
 std::string segmentFileName(std::uint64_t jobId, std::uint32_t mapTask,
                             std::uint32_t keyblock);
 
-/// Attempt-scoped temporary name a map attempt writes before commit.
+/// Attempt-scoped temporary name an eviction writes before commit.
 std::string segmentAttemptFileName(std::uint32_t mapTask,
                                    std::uint32_t keyblock,
                                    std::uint32_t attempt);
@@ -136,11 +136,6 @@ std::string segmentAttemptFileName(std::uint32_t mapTask,
 /// replaces any previously committed file in one step).
 void commitSegmentFile(const std::string& dir, std::uint32_t mapTask,
                        std::uint32_t keyblock, std::uint32_t attempt);
-
-/// Best-effort removal of a failed attempt's temporary file; missing
-/// files are ignored (the attempt may have died before writing it).
-void discardSegmentAttemptFile(const std::string& dir, std::uint32_t mapTask,
-                               std::uint32_t keyblock, std::uint32_t attempt);
 
 // ---- packed-sort instrumentation and the radix sort itself ----
 
@@ -161,16 +156,6 @@ struct SortStats {
   std::uint64_t radixPassesSkipped = 0;  ///< passes skipped (constant key byte)
 
   void reset() { *this = SortStats{}; }
-
-  /// Field-wise difference against an earlier snapshot of the same
-  /// thread's counters — how workers compute their per-run delta.
-  SortStats minus(const SortStats& earlier) const noexcept {
-    return SortStats{sortedSkips - earlier.sortedSkips,
-                     comparisonSorts - earlier.comparisonSorts,
-                     radixSorts - earlier.radixSorts,
-                     radixPasses - earlier.radixPasses,
-                     radixPassesSkipped - earlier.radixPassesSkipped};
-  }
 
   /// Field-wise accumulation (JobResult::sortTotals aggregation).
   void add(const SortStats& other) noexcept {

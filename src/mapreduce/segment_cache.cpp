@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "scifile/storage.hpp"
-
 namespace sidr::mr {
 
 namespace {
@@ -21,42 +19,9 @@ std::uint64_t matrixResidentBytes(
 
 }  // namespace
 
-/// Re-loads a demoted entry's segments from its committed spill files.
-/// Returns false on any failure (missing file, truncated bytes): the
-/// caller drops the entry and the claimant runs cold. Decoding is
-/// JobContext::loadSpilledSegment's (Segment::decode), so a reloaded
-/// segment merges exactly like a spilled one.
-bool SegmentCache::loadEntryFiles(Entry& entry) {
-  if (entry.paths.empty()) return false;
-  std::vector<std::vector<std::shared_ptr<const Segment>>> loaded(
-      entry.numMaps,
-      std::vector<std::shared_ptr<const Segment>>(entry.numReduces));
-  try {
-    for (std::uint32_t m = 0; m < entry.numMaps; ++m) {
-      for (std::uint32_t kb = 0; kb < entry.numReduces; ++kb) {
-        sci::FileStorage file(entry.paths[m][kb],
-                              sci::FileStorage::Mode::kOpenReadOnly);
-        std::vector<std::byte> bytes(file.size());
-        file.readAt(0, bytes);
-        loaded[m][kb] = std::make_shared<const Segment>(
-            Segment::decode(bytes, entry.compressed, entry.keySpace));
-      }
-    }
-  } catch (...) {
-    return false;
-  }
-  entry.segments = std::move(loaded);
-  entry.resident = matrixResidentBytes(entry.segments);
-  stats_.residentBytes += entry.resident;
-  return true;
-}
-
-void SegmentCache::dropResident(Entry& entry) {
-  stats_.residentBytes -= entry.resident;
-  entry.resident = 0;
-  for (auto& row : entry.segments) {
-    for (auto& seg : row) seg = nullptr;
-  }
+void SegmentCache::drop(EntryMap::iterator it) {
+  stats_.residentBytes -= it->second.resident;
+  entries_.erase(it);
 }
 
 std::optional<SegmentCache::Claimed> SegmentCache::claim(
@@ -69,17 +34,7 @@ std::optional<SegmentCache::Claimed> SegmentCache::claim(
   }
   Entry& entry = it->second;
   if (entry.numMaps != numMaps || entry.numReduces != numReduces) {
-    dropResident(entry);
-    entries_.erase(it);
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  // Resident entries hold EVERY slot (empty segments included, which
-  // charge zero bytes); demoted entries hold none — one probe decides.
-  const bool resident =
-      !entry.segments.empty() && entry.segments[0][0] != nullptr;
-  if (!resident && !loadEntryFiles(entry)) {
-    entries_.erase(it);
+    drop(it);
     ++stats_.misses;
     return std::nullopt;
   }
@@ -89,11 +44,6 @@ std::optional<SegmentCache::Claimed> SegmentCache::claim(
   claimed.bytesServed = entry.resident;
   ++stats_.hits;
   stats_.bytesServed += entry.resident;
-  // A reload may have pushed resident bytes over the cap; the entry
-  // just claimed carries the newest tick, so LRU shedding takes every
-  // other entry first and only demotes this one if it alone overflows
-  // (its handles are already copied out either way).
-  if (cap_ > 0 && stats_.residentBytes > cap_) shedTo(cap_);
   return claimed;
 }
 
@@ -103,19 +53,8 @@ void SegmentCache::insert(SegmentCacheDonation donation) {
   Entry entry;
   entry.numMaps = donation.numMaps;
   entry.numReduces = donation.numReduces;
-  entry.compressed = donation.compressed;
-  entry.keySpace = donation.keySpace;
-  if (!donation.segments.empty()) {
-    entry.segments = std::move(donation.segments);
-    entry.resident = matrixResidentBytes(entry.segments);
-  } else {
-    // File-backed (eager-spill donor): born demoted, zero resident
-    // charge; a claim promotes it.
-    entry.segments.assign(
-        entry.numMaps,
-        std::vector<std::shared_ptr<const Segment>>(entry.numReduces));
-  }
-  entry.paths = std::move(donation.paths);
+  entry.segments = std::move(donation.segments);
+  entry.resident = matrixResidentBytes(entry.segments);
   entry.lruTick = ++tick_;
   stats_.residentBytes += entry.resident;
   ++stats_.insertions;
@@ -127,21 +66,15 @@ void SegmentCache::shedTo(std::uint64_t targetResidentBytes) {
   while (stats_.residentBytes > targetResidentBytes) {
     auto victim = entries_.end();
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second.resident == 0) continue;  // already demoted / empty
+      if (it->second.resident == 0) continue;  // frees nothing
       if (victim == entries_.end() ||
           it->second.lruTick < victim->second.lruTick) {
         victim = it;
       }
     }
     if (victim == entries_.end()) return;  // nothing sheddable
-    if (!victim->second.paths.empty()) {
-      dropResident(victim->second);
-      ++stats_.demotions;
-    } else {
-      dropResident(victim->second);
-      entries_.erase(victim);
-      ++stats_.evictions;
-    }
+    drop(victim);
+    ++stats_.evictions;
   }
 }
 

@@ -16,24 +16,18 @@
 // publication and the key is content-addressed (dataset identity is
 // part of the fingerprint), so an entry can never go stale — only cold.
 //
-// Memory: resident entries are charged against the owning service's
-// admission ledger (jobs always win — admission pressure sheds the
-// cache first). Shedding is LRU by fingerprint; an entry whose segments
-// also live in committed spill files (an eager-spill donor's `job<id>/`
-// namespace) is DEMOTED to its file paths instead of dropped, and a
-// later claim re-loads it through the SegmentStream / codec path.
+// Memory: entries are charged against the owning service's admission
+// ledger (jobs always win — admission pressure sheds the cache first).
+// An entry is resident or gone: shedding drops whole entries, LRU by
+// fingerprint.
 //
 // Thread safety: externally synchronized. EngineService accesses the
-// cache only under its service mutex; the claim path's file reloads do
-// run I/O under that lock, accepted for the same reason JobContext::
-// start() runs namespace creation there — admission is rare and a warm
-// claim replaces an entire map phase.
+// cache only under its service mutex.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -43,21 +37,14 @@
 namespace sidr::mr {
 
 /// A successful job's committed map output, staged by JobContext and
-/// handed to the cache at finalize. Exactly one of `segments` (resident
-/// donor: in-memory or hybrid mode) or `paths` (file-backed donor:
-/// eager-spill mode, pointing into the donor's committed `job<id>/`
-/// namespace) is populated; both are [numMaps][numReduces].
+/// handed to the cache at finalize: the [numMaps][numReduces] matrix of
+/// the handles it published.
 struct SegmentCacheDonation {
   bool present = false;
   core::Fingerprint128 key{};
   std::uint32_t numMaps = 0;
   std::uint32_t numReduces = 0;
-  /// File framing of `paths` entries (donor's compressSpill), and the
-  /// key space needed to decode/relinearize them on reload.
-  bool compressed = false;
-  nd::Coord keySpace;
   std::vector<std::vector<std::shared_ptr<const Segment>>> segments;
-  std::vector<std::vector<std::string>> paths;
 };
 
 /// Monotonic counters (residentBytes is a gauge). Snapshot via stats().
@@ -65,19 +52,17 @@ struct SegmentCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t bytesServed = 0;
-  /// Entries dropped entirely (no file backing to demote to).
+  /// Entries dropped by shedding.
   std::uint64_t evictions = 0;
-  /// Resident entries demoted to their committed spill files.
-  std::uint64_t demotions = 0;
   std::uint64_t insertions = 0;
   std::uint64_t residentBytes = 0;
 };
 
 class SegmentCache {
  public:
-  /// `capBytes`: resident-byte cap enforced after every insert and
-  /// promotion; 0 = no own cap (the owning service's admission ledger
-  /// still sheds the cache under pressure via shedTo()).
+  /// `capBytes`: resident-byte cap enforced after every insert; 0 = no
+  /// own cap (the owning service's admission ledger still sheds the
+  /// cache under pressure via shedTo()).
   explicit SegmentCache(std::uint64_t capBytes) : cap_(capBytes) {}
 
   struct Claimed {
@@ -86,12 +71,9 @@ class SegmentCache {
   };
 
   /// Looks up `key` and returns handle copies for a job with the given
-  /// geometry. A demoted entry is re-loaded from its committed files
-  /// (and promoted back to resident); a load failure — e.g. the donor's
-  /// namespace was removed out-of-band — drops the entry and counts a
-  /// miss, so the claimant just runs cold. A geometry mismatch (same
-  /// fingerprint, different matrix shape) would be a canonicalization
-  /// bug; it is treated as a miss and the entry is dropped defensively.
+  /// geometry. A geometry mismatch (same fingerprint, different matrix
+  /// shape) would be a canonicalization bug; it is treated as a miss
+  /// and the entry is dropped defensively.
   std::optional<Claimed> claim(const core::Fingerprint128& key,
                                std::uint32_t numMaps,
                                std::uint32_t numReduces);
@@ -101,8 +83,7 @@ class SegmentCache {
   /// duplicate is dropped. Enforces the cap afterwards.
   void insert(SegmentCacheDonation donation);
 
-  /// Sheds LRU-by-fingerprint until residentBytes() <= target: demotes
-  /// file-backed entries to their paths, drops memory-only ones.
+  /// Drops entries LRU-by-fingerprint until residentBytes() <= target.
   void shedTo(std::uint64_t targetResidentBytes);
 
   std::uint64_t residentBytes() const noexcept {
@@ -115,22 +96,16 @@ class SegmentCache {
   struct Entry {
     std::uint32_t numMaps = 0;
     std::uint32_t numReduces = 0;
-    bool compressed = false;
-    nd::Coord keySpace;
-    /// Resident handles; all-null rows when demoted to `paths`.
     std::vector<std::vector<std::shared_ptr<const Segment>>> segments;
-    /// Committed spill files backing this entry; empty for a resident-
-    /// only (in-memory/hybrid donor) entry.
-    std::vector<std::vector<std::string>> paths;
-    std::uint64_t resident = 0;  ///< bytes charged while resident
+    std::uint64_t resident = 0;  ///< bytes charged
     std::uint64_t lruTick = 0;
   };
 
-  bool loadEntryFiles(Entry& entry);
-  void dropResident(Entry& entry);
+  using EntryMap = std::unordered_map<core::Fingerprint128, Entry,
+                                      core::Fingerprint128Hash>;
+  void drop(EntryMap::iterator it);
 
-  std::unordered_map<core::Fingerprint128, Entry, core::Fingerprint128Hash>
-      entries_;
+  EntryMap entries_;
   std::uint64_t cap_ = 0;
   std::uint64_t tick_ = 0;
   SegmentCacheStats stats_;

@@ -322,10 +322,9 @@ namespace {
 
 // ---- in-process backend: the historical fetch path behind the API ----
 
-/// Byte-identical to the pre-transport fetch: eager mode reads the
-/// 32-byte header then loads non-empty committed files; otherwise it
-/// takes published handles lock-free (the caller IS the reduce thread
-/// that observed the publications) and streams evicted slots back.
+/// Byte-identical to the pre-transport fetch: takes published handles
+/// lock-free (the caller IS the reduce thread that observed the
+/// publications) and streams evicted slots' committed files back.
 class InProcessTransport final : public ShuffleTransport {
  public:
   InProcessTransport(const TransportSource& source,
@@ -346,20 +345,6 @@ class InProcessTransport final : public ShuffleTransport {
     }
     std::vector<FetchedSegment> out;
     out.reserve(req.maps.size());
-    if (source_.servesFromFiles()) {
-      for (std::uint32_t m : req.maps) {
-        FetchedSegment fs;
-        fs.header = source_.peekCommittedHeader(m, req.keyblock);
-        stats.bytesFetched += Segment::kHeaderBytes;
-        if (fs.header.numRecords > 0) {
-          fs.owned = std::make_unique<Segment>(
-              source_.loadCommittedSegment(m, req.keyblock,
-                                           stats.bytesFetched));
-        }
-        out.push_back(std::move(fs));
-      }
-      return out;
-    }
     for (std::uint32_t m : req.maps) {
       FetchedSegment fs;
       std::shared_ptr<const Segment> seg =
@@ -396,8 +381,8 @@ class InProcessTransport final : public ShuffleTransport {
 // ---- the localhost segment server ----
 
 /// Serves each requested slot's resident handle when it holds one and
-/// its committed spill file otherwise (eager spill, or a slot evicted
-/// under a memory budget) — one rule for every spill regime.
+/// its committed spill file otherwise (a slot evicted under a memory
+/// budget) — the same rule the in-process backend follows.
 class SegmentServer {
  public:
   explicit SegmentServer(const TransportSource& source) : source_(source) {

@@ -2,18 +2,20 @@
 //
 // A reduce task's fetch phase acquires the committed map-output
 // segments of its dependency set. HOW the bytes move is a transport
-// concern with two backends — same-address-space handle/file handoff
-// (the historical path, byte-identical) and a localhost socket data
-// plane framing the exact-size bulk codec onto pooled TCP connections.
-// The socket server follows one rule in every spill regime: it serves a
-// slot's resident handle when the slot holds one and the committed
-// `job<id>/` spill file otherwise. WHAT the fetch means is fixed by the
-// engine and identical across backends:
+// concern with two backends — same-address-space handle handoff (the
+// historical path, byte-identical) and a localhost socket data plane
+// framing the exact-size bulk codec onto pooled TCP connections. Both
+// follow one rule: a slot's resident handle when the slot holds one,
+// else the slot's committed `job<id>/` eviction file (streamed through
+// a bounded window in process, chunked over the wire by the socket
+// server). WHAT the fetch means is fixed by the engine and identical
+// across backends:
 //
 //  - a reduce fetches only after observing, under the engine mutex,
 //    that every dependency committed (publication ordering);
 //  - the per-map SegmentHeader supplies the count-annotation tally
-//    (paper §3.2.1) before any record is parsed;
+//    (paper §3.2.1) before any record is parsed — for an evicted slot,
+//    the 32-byte header the SegmentStream reads when it opens;
 //  - each fetch attempt emits one obs::Phase::kTransportFetch span
 //    nested inside the reduce's kFetch span, carrying bytes / records /
 //    connection tallies, so the §13 trace invariants check the same
@@ -81,9 +83,9 @@ class TransportError : public std::runtime_error {
 // ---- what the engine exposes to a transport ----
 
 /// The engine-side segment store a transport serves from: resident
-/// handles, plus the committed spill files behind eager-spill and
-/// evicted slots. Implemented by JobContext; split out so transports
-/// (and their tests) depend on an interface, not on engine internals.
+/// handles, plus the committed spill files behind evicted slots.
+/// Implemented by JobContext; split out so transports depend on an
+/// interface, not on engine internals.
 class TransportSource {
  public:
   virtual ~TransportSource() = default;
@@ -91,8 +93,8 @@ class TransportSource {
   /// Published handle for (map, keyblock), read WITHOUT the engine
   /// mutex. Safe ONLY on the fetching reduce's own thread: the reduce
   /// became runnable after observing the publications under the mutex,
-  /// which ordered them before this read. Null = not resident (eager
-  /// mode, or evicted under a memory budget).
+  /// which ordered them before this read. Null = evicted under a
+  /// memory budget.
   virtual std::shared_ptr<const Segment> residentSegment(
       std::uint32_t map, std::uint32_t keyblock) const = 0;
 
@@ -103,25 +105,9 @@ class TransportSource {
       std::uint32_t map, std::uint32_t keyblock) const = 0;
 
   /// Committed spill-file path for (map, keyblock) — valid when the
-  /// segment is not resident (eager mode / evicted slots).
+  /// segment is not resident (an evicted slot).
   virtual std::string committedSegmentPath(std::uint32_t map,
                                            std::uint32_t keyblock) const = 0;
-
-  /// Header-only read of a committed spill file (the §3.2.1 tally
-  /// access: 32 bytes, no record parsing).
-  virtual SegmentHeader peekCommittedHeader(std::uint32_t map,
-                                            std::uint32_t keyblock) const = 0;
-
-  /// Full read + decode of a committed spill file; adds the file bytes
-  /// moved to `bytesFetched` (the shuffleBytes accounting).
-  virtual Segment loadCommittedSegment(std::uint32_t map,
-                                       std::uint32_t keyblock,
-                                       std::uint64_t& bytesFetched) const = 0;
-
-  /// True when reduces must read committed files (eager spill and not
-  /// cache-served: a cache-served job's segments are resident handles
-  /// even under an eager-spill spec).
-  virtual bool servesFromFiles() const noexcept = 0;
 
   /// True when a null resident slot means "evicted, stream its file"
   /// (memory budget set) rather than a publication-protocol violation.
@@ -147,7 +133,7 @@ class TransportSource {
 struct FetchedSegment {
   SegmentHeader header;
   std::shared_ptr<const Segment> handle;  ///< resident (in-process)
-  std::unique_ptr<Segment> owned;  ///< decoded spill file or wire payload
+  std::unique_ptr<Segment> owned;  ///< decoded wire payload (kSocket)
   /// In-process stream over an evicted slot's committed file. It reads
   /// lazily during the merge, so its bytesRead() is folded into
   /// shuffleBytes after the merge drains it, never at fetch time.

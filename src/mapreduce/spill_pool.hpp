@@ -1,11 +1,11 @@
-// Shared pool of threads that encode and write map attempts' per-
-// keyblock spill files, so keyblocks overlap instead of running
-// sequentially on the map worker (DESIGN.md section 12). Only the
-// attempt-suffixed TEMPORARY files are written here: the submitting
-// map worker waits for its whole batch, and only then commits each
-// keyblock with the atomic rename itself — so the per-(map, keyblock)
-// publication order the lock-free reduce fetch relies on, and the
-// crash/recovery guarantees, are exactly the sequential path's.
+// Shared pool of threads that encode and write a pressure eviction's
+// per-(map, keyblock) spill files, so victims overlap instead of
+// running sequentially on the evicting worker (DESIGN.md sections 12
+// and 14). Only the attempt-suffixed TEMPORARY files are written here:
+// the submitting worker waits for its whole batch, and only then
+// commits each file with the atomic rename itself — so the committed
+// bytes and the crash/recovery guarantees are exactly the sequential
+// path's.
 //
 // The pool is job-agnostic: batches from different jobs interleave
 // freely on the same workers (EngineService owns ONE pool for all
@@ -30,7 +30,7 @@ class SpillWriterPool {
   /// buffer and write one attempt file.
   using Job = std::function<void(std::vector<std::byte>& encodeBuf)>;
 
-  /// Completion handle for one map attempt's group of writes.
+  /// Completion handle for one eviction's group of writes.
   class Batch {
    public:
     /// Blocks until every job submitted against this batch finished;

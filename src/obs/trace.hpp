@@ -49,8 +49,8 @@ enum class Phase : std::uint8_t {
   kRead,          ///< map: one reader batch
   kMap,           ///< map: mapper.map over one batch
   kSortPacked,    ///< map: Segment::sortByKey of one keyblock
-  kSpillEncode,   ///< map: segment serialization (spill mode)
-  kSpillWrite,    ///< map: attempt-file write (spill mode)
+  kSpillEncode,   ///< map: segment serialization (not emitted by the engine)
+  kSpillWrite,    ///< map: map-output file write (emitted by the simulator)
   kRenameCommit,  ///< map: per-keyblock publication (rename / pointer flip)
   kFetch,         ///< reduce: acquiring all dependency segments
   kMerge,         ///< reduce: merge prep + heap construction

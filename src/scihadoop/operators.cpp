@@ -341,7 +341,7 @@ void JoinReducer::reduce(const nd::Coord& key,
     side.insert(side.end(), xs.begin() + 1, xs.end());
   }
   // Sorting each side in totalOrder makes the output a pure function of
-  // the two value MULTISETS: merge order (and with it shuffle regime,
+  // the two value MULTISETS: merge order (and with it memory budget,
   // transport, and partition refinement) cannot show through, not even
   // as the order of -0.0 and +0.0.
   std::sort(left.begin(), left.end(), totalOrderLess);

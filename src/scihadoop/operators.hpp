@@ -143,7 +143,7 @@ class JoinSideMapper final : public mr::Mapper {
 
 /// Reduce-side join: splits the fetched lists by side tag, sorts each
 /// side in totalOrder (making the output independent of merge order,
-/// hence of shuffle regime, transport and partition refinement), and
+/// hence of memory budget, transport and partition refinement), and
 /// emits the nested-loop products left[i]*right[j], j fastest.
 class JoinReducer final : public mr::Reducer {
  public:

@@ -83,9 +83,10 @@ struct PlanOptions {
   bool recordTrace = false;
 
   /// Out-of-core knobs, forwarded verbatim to the matching
-  /// mr::JobSpec fields (DESIGN.md section 14). Empty spillDirectory =
-  /// in-memory shuffle; with it set, memoryBudgetBytes selects eager
-  /// spill (0) or the pressure-evicting hybrid mode (> 0).
+  /// mr::JobSpec fields (DESIGN.md section 14). memoryBudgetBytes is the
+  /// one residency setting: 0 keeps every segment resident until its
+  /// reduce commits; > 0 evicts cold keyblocks into spillDirectory,
+  /// which must then be set (and may only be set with a budget).
   std::string spillDirectory;
   std::uint32_t spillWriters = 4;
   std::uint64_t memoryBudgetBytes = 0;
@@ -95,7 +96,7 @@ struct PlanOptions {
   /// Shuffle data plane (DESIGN.md section 17), forwarded verbatim to
   /// mr::JobSpec::transport — the one place a plan picks its transport.
   /// Unset (the default) keeps the engine's zero-copy in-process
-  /// handoff; kSocket works in every spill regime.
+  /// handoff; kSocket works under any memory budget.
   std::optional<mr::ShuffleTransportKind> transport;
   /// Socket connection-pool size and per-fetch stall timeout,
   /// forwarded to the matching mr::JobSpec fields.

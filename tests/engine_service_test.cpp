@@ -3,9 +3,10 @@
 // every job bit-identical to a solo Engine::run of the same spec:
 //
 //  * config/spec validation shared with the Engine constructor;
-//  * a mixed fleet (in-memory, eager spill, hybrid budget, compressed,
-//    faulted, barrier) over ONE shared spill directory, each output and
-//    each job's sort counters identical to its solo baseline;
+//  * a mixed fleet (unbudgeted, one-page and two-page budgets,
+//    compressed, faulted, barrier) over ONE shared spill directory, each
+//    output and each job's sort counters identical to its solo
+//    baseline;
 //  * failed jobs: wait() rethrows JobError, the job's spill namespace
 //    is removed (kept with keepSpillOnFailure), committed keyblocks
 //    stay readable and exact through partialResults();
@@ -97,8 +98,9 @@ void expectNoDanglingAttempts(const std::string& dir) {
 }
 
 /// One of six job shapes cycled by the fleet tests. All six succeed;
-/// they cover every shuffle regime the engine has plus injected-fault
-/// recovery and the barrier mode.
+/// they cover no budget, a one-page budget (nearly every segment
+/// evicted) and a two-page one, compressed eviction files, injected-
+/// fault recovery and the barrier mode.
 QueryPlan makePlan(int variant, const std::string& spillDir) {
   const int v = variant % 6;
   sh::StructuralQuery q;
@@ -111,7 +113,10 @@ QueryPlan makePlan(int variant, const std::string& spillDir) {
   opts.numReducers = static_cast<std::uint32_t>(3 + variant % 3);
   opts.desiredSplitCount = 6;
   opts.numThreads = 2;  // ignored by the service; used by solo baselines
-  if (v != 0) opts.spillDirectory = spillDir;
+  if (v != 0) {
+    opts.spillDirectory = spillDir;
+    opts.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+  }
   if (v == 2) {
     opts.memoryBudgetBytes = 2 * mr::SegmentPagePool::kPageBytes;
     opts.mergeWindowBytes = 4096;
@@ -138,6 +143,7 @@ QueryPlan fatalPlan(const std::string& spillDir) {
   opts.desiredSplitCount = 5;
   opts.numThreads = 2;
   opts.spillDirectory = spillDir;
+  opts.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
   opts.faultPlan.maxAttempts = 2;
   opts.faultPlan.failReduce(0, 1).failReduce(0, 2);
   return QueryPlanner(q, nd::Coord{18, 10})
@@ -406,7 +412,7 @@ TEST(EngineService, KeepSpillOnFailurePreservesNamespace) {
   for (const auto& entry : fs::recursive_directory_iterator(ns)) {
     if (entry.is_regular_file()) ++files;
   }
-  EXPECT_GT(files, 0u) << "the preserved namespace holds the committed "
+  EXPECT_GT(files, 0u) << "the preserved namespace holds the evicted "
                           "map output the post-mortem needs";
 }
 
@@ -460,6 +466,7 @@ TEST(EngineService, CancelMidShuffleDropsNamespaceKeepsExactPartials) {
   opts.reduceSlots = 1;
   opts.numThreads = 2;
   opts.spillDirectory = dir;
+  opts.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
   QueryPlanner planner(q, nd::Coord{18, 12});
   QueryPlan plan = planner.plan(sh::temperatureField(11), opts);
 

@@ -233,8 +233,9 @@ TEST(Engine, RecoveryPersistAllReRunsNothing) {
 TEST(Engine, FaultPlanMapAndReduceFailuresBothShuffleModes) {
   // The acceptance scenario: >=2 map failures and >=2 reduce failures
   // (fail-on-attempt-2 included — reduce 1 dies on attempts 1 AND 2),
-  // in both spill and in-memory modes. The job completes with correct
-  // output and counters matching the plan exactly.
+  // unbudgeted and under a one-page budget that evicts nearly every
+  // segment. The job completes with correct output and counters
+  // matching the plan exactly.
   nd::Coord input{28, 12};
   sh::StructuralQuery q = makeQuery(OperatorKind::kMean, nd::Coord{4, 4});
   sh::ValueFn fn = sh::temperatureField(31);
@@ -250,7 +251,10 @@ TEST(Engine, FaultPlanMapAndReduceFailuresBothShuffleModes) {
     QueryPlan plan = planner.plan(fn, opts);
     std::string dir =
         (testsupport::scratchRoot() / "sidr_fault_spill").string();
-    if (spill) plan.spec.spillDirectory = dir;
+    if (spill) {
+      plan.spec.spillDirectory = dir;
+      plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+    }
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     if (spill) std::filesystem::remove_all(dir);
     SCOPED_TRACE(spill ? "spill" : "in-memory");
@@ -286,7 +290,10 @@ TEST(Engine, FaultPlanUnderRecomputeDepsRecovery) {
     std::size_t depsOfFailed = plan.dependencies.keyblockToSplits[2].size();
     std::string dir =
         (testsupport::scratchRoot() / "sidr_fault_spill_rc").string();
-    if (spill) plan.spec.spillDirectory = dir;
+    if (spill) {
+      plan.spec.spillDirectory = dir;
+      plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+    }
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     if (spill) std::filesystem::remove_all(dir);
     SCOPED_TRACE(spill ? "spill" : "in-memory");
@@ -342,13 +349,14 @@ TEST(Engine, RetryLimitRaisesJobErrorNamingTaskAndAttempt) {
 }
 
 TEST(Engine, SpillRecoveryRaceHammer) {
-  // Regression for the spill-mode recovery race: a recovering map used
-  // to rewrite mapX_kbY.seg IN PLACE (truncating via
+  // Regression for the spill recovery race: a recovering map used to
+  // rewrite mapX_kbY.seg IN PLACE (truncating via
   // FileStorage::Mode::kCreate) while another reduce's lock-free fetch
   // could be mid-read of the same file. Attempt-suffixed temp files +
   // atomic rename commits keep every committed file immutable at its
-  // inode. Hammer recovery with spill enabled and many threads; run
-  // under TSan via scripts/tier1.sh.
+  // inode. Hammer recovery under a one-page budget (republished
+  // segments are evicted again) with many threads; run under TSan via
+  // scripts/tier1.sh.
   nd::Coord input{36, 10};
   sh::StructuralQuery q = makeQuery(OperatorKind::kMean, nd::Coord{3, 5});
   sh::ValueFn fn = sh::temperatureField(43);
@@ -369,6 +377,7 @@ TEST(Engine, SpillRecoveryRaceHammer) {
     opts.faultPlan.failReduce(0).failReduce(2).failReduce(3).failReduce(5);
     QueryPlan plan = planner.plan(fn, opts);
     plan.spec.spillDirectory = dir;
+    plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     EXPECT_EQ(result.reduceFailures, 4u);
     EXPECT_EQ(result.annotationViolations, 0u);
@@ -586,9 +595,10 @@ TEST(Engine, RangeAndSortOperators) {
 }
 
 TEST(Engine, SpilledSegmentsMatchInMemory) {
-  // With spillDirectory set, map output lives in real files and reduces
-  // tally annotations from 32-byte header reads; results must be
-  // identical to the in-memory run.
+  // Under a one-page budget nearly all map output is evicted to real
+  // files, and reduces tally those inputs' annotations from the 32-byte
+  // header their streams read on open; results must be identical to
+  // the unbudgeted run.
   nd::Coord input{30, 12, 6};
   sh::StructuralQuery q = makeQuery(OperatorKind::kMedian, nd::Coord{5, 4, 3});
   sh::ValueFn fn = sh::windspeedField(9);
@@ -606,15 +616,17 @@ TEST(Engine, SpilledSegmentsMatchInMemory) {
   QueryPlan spill = planner.plan(fn, opts);
   spill.spec.spillDirectory =
       (testsupport::scratchRoot() / "sidr_engine_spill").string();
+  spill.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
   mr::JobResult spillResult = mr::Engine(std::move(spill.spec)).run();
   std::filesystem::remove_all(spill.spec.spillDirectory);
   CheckJobTrace(spillResult);
 
   EXPECT_EQ(spillResult.annotationViolations, 0u);
   EXPECT_EQ(spillResult.shuffleConnections, memResult.shuffleConnections);
-  // In-memory mode is zero-copy: no bytes cross the wire format. Spill
-  // mode moves every segment through encode + decode.
+  // The unbudgeted run is zero-copy: no bytes cross the wire format.
+  // Evicted segments come back through encode + decode.
   EXPECT_EQ(memResult.shuffleBytes, 0u);
+  EXPECT_GT(spillResult.pressureSpillEvents, 0u);
   EXPECT_GT(spillResult.shuffleBytes, 0u);
   // Identical per-keyblock outputs AND annotation tallies.
   ASSERT_EQ(spillResult.outputs.size(), memResult.outputs.size());

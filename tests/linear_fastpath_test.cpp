@@ -533,10 +533,11 @@ sh::StructuralQuery makeQuery(OperatorKind op, nd::Coord eshape,
 }
 
 TEST(EngineParity, SpilledMatchesSerialOracle) {
-  // Spilled segments reach the reduce merge decoded, so their keys are
-  // linearized there rather than read from the packed form: in-memory,
-  // spilled and compressed-spill runs must all be bit-identical and
-  // match the serial oracle.
+  // Evicted segments reach the reduce merge through decoding streams,
+  // so their keys are linearized there rather than read from the packed
+  // form: unbudgeted runs and one-page-budget runs (plain and
+  // compressed files) must all be bit-identical and match the serial
+  // oracle.
   const nd::Coord input{30, 12, 6};
   sh::StructuralQuery q = makeQuery(OperatorKind::kMedian, nd::Coord{5, 4, 3});
   sh::ValueFn fn = sh::windspeedField(9);
@@ -558,11 +559,12 @@ TEST(EngineParity, SpilledMatchesSerialOracle) {
     SCOPED_TRACE(compress ? "compressed spill" : "spill");
     QueryPlan plan = planner.plan(fn, opts);
     plan.spec.spillDirectory = scratch.file(compress ? "compressed" : "plain");
+    plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
     plan.spec.compressSpill = compress;
     mr::JobResult spilled = mr::Engine(std::move(plan.spec)).run();
     EXPECT_EQ(spilled.annotationViolations, 0u);
     EXPECT_GT(spilled.shuffleBytes, 0u)
-        << "spill mode must hit the wire format";
+        << "evicted inputs must come back through the wire format";
     expectSameCollected(spilled, inMemory);
   }
 }
@@ -586,7 +588,10 @@ TEST(EngineParity, FaultRecoveryOnFastPath) {
     testsupport::TempDir scratch;
 
     QueryPlan plan = planner.plan(fn, opts);
-    if (spill) plan.spec.spillDirectory = scratch.path().string();
+    if (spill) {
+      plan.spec.spillDirectory = scratch.path().string();
+      plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+    }
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
 
     EXPECT_EQ(result.mapFailures, 1u);

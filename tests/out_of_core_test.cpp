@@ -1,14 +1,16 @@
-// Out-of-core engine suite (DESIGN.md section 14): the bounded-memory
-// hybrid mode — segment page accounting, pressure-driven eviction of
-// cold committed keyblocks, and the windowed streaming reduce merge —
-// must be an invisible execution detail:
+// Out-of-core engine suite (DESIGN.md section 14): the memory budget —
+// segment page accounting, pressure-driven eviction of cold committed
+// keyblocks, the windowed streaming reduce merge, and the release of
+// consumed keyblocks in every job — must be an invisible execution
+// detail:
 //
 //  * SegmentPagePool accounting: page rounding, peak tracking and the
 //    high/low watermark hysteresis the eviction loop keys on;
-//  * constructor validation for the new JobSpec knobs;
+//  * constructor validation for the out-of-core JobSpec knobs;
 //  * a deterministic pressure test where a tight budget forces
-//    evictions and the output still matches the unlimited run;
-//  * a 16-seed differential: budget ∈ {unlimited, tight} × spill ×
+//    evictions and the output still matches the unlimited run, and a
+//    budget that is never reached peaking exactly like no budget;
+//  * a 16-seed differential: budget ∈ {unlimited, one page, tight} ×
 //    compression × faults produce bit-identical collectAll output,
 //    satisfy the commit-before-reduce trace invariants, and mirror the
 //    mem.* counters into the trace registry;
@@ -126,6 +128,15 @@ TEST(OutOfCoreValidation, BudgetWithoutSpillDirectoryRejected) {
   EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
 }
 
+TEST(OutOfCoreValidation, SpillDirectoryWithoutBudgetRejected) {
+  // The spill directory is only an eviction target: without a budget
+  // nothing would ever be written to it.
+  QueryPlan plan = smallPlan();
+  plan.spec.spillDirectory =
+      (testsupport::scratchRoot() / "sidr_ooc_reject").string();
+  EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
+}
+
 TEST(OutOfCoreValidation, BudgetSmallerThanOnePageRejected) {
   QueryPlan plan = smallPlan();
   plan.spec.spillDirectory =
@@ -153,6 +164,7 @@ TEST(OutOfCoreValidation, CompressWithoutKeySpaceRejected) {
   QueryPlan plan = smallPlan();
   plan.spec.spillDirectory =
       (testsupport::scratchRoot() / "sidr_ooc_reject").string();
+  plan.spec.memoryBudgetBytes = 1 << 20;
   plan.spec.compressSpill = true;
   plan.spec.keySpace = nd::Coord{};  // the codec delta-encodes linear keys
   EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
@@ -201,12 +213,46 @@ TEST(OutOfCore, TightBudgetEvictsAndMatchesUnlimitedRun) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(OutOfCore, UnreachedBudgetPeaksLikeNoBudget) {
+  // Every job releases a keyblock's handles once its reduce commits,
+  // so a budget that never evicts is no different from none: on one
+  // worker (a deterministic schedule) both runs reach the same peak.
+  const nd::Coord input{36, 12};
+  sh::StructuralQuery q;
+  q.variable = "v";
+  q.op = OperatorKind::kMean;
+  q.extractionShape = nd::Coord{3, 3};
+  sh::ValueFn fn = sh::temperatureField(77);
+  QueryPlanner planner(q, input);
+  PlanOptions opts;
+  opts.system = SystemMode::kSidr;
+  opts.numReducers = 6;
+  opts.desiredSplitCount = 8;
+  opts.numThreads = 1;
+
+  QueryPlan reference = planner.plan(fn, opts);
+  mr::JobResult unbudgeted = mr::Engine(std::move(reference.spec)).run();
+
+  const std::string dir =
+      (testsupport::scratchRoot() / "sidr_ooc_unreached").string();
+  QueryPlan plan = planner.plan(fn, opts);
+  plan.spec.spillDirectory = dir;
+  plan.spec.memoryBudgetBytes = std::uint64_t{1} << 30;
+  mr::JobResult budgeted = mr::Engine(std::move(plan.spec)).run();
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(budgeted.pressureSpillEvents, 0u);
+  EXPECT_GT(unbudgeted.peakResidentSegmentBytes, 0u);
+  EXPECT_EQ(unbudgeted.peakResidentSegmentBytes,
+            budgeted.peakResidentSegmentBytes);
+  expectSameCollected(budgeted.collectAll(), unbudgeted.collectAll());
+}
+
 // ---- 16-seed differential across the mode matrix ----
 
 struct Arm {
   const char* name;
-  bool spill;
-  std::uint64_t budget;
+  std::uint64_t budget;  ///< memoryBudgetBytes; 0 = unbudgeted
   bool compress;
 };
 
@@ -257,12 +303,13 @@ TEST_P(OutOfCoreParity, ModeMatrixProducesIdenticalOutput) {
   // streamed inputs decode through many refills.
   const std::uint64_t tight =
       (1 + rng() % 8) * mr::SegmentPagePool::kPageBytes;
+  constexpr std::uint64_t kPage = mr::SegmentPagePool::kPageBytes;
   const Arm arms[] = {
-      {"spill-eager", true, 0, false},
-      {"in-memory", false, 0, false},
-      {"hybrid-tight", true, tight, false},
-      {"hybrid-tight-compress", true, tight, true},
-      {"spill-eager-compress", true, 0, true},
+      {"in-memory", 0, false},
+      {"one-page", kPage, false},
+      {"hybrid-tight", tight, false},
+      {"hybrid-tight-compress", tight, true},
+      {"one-page-compress", kPage, true},
   };
   SCOPED_TRACE("input " + input.toString() + " r=" +
                std::to_string(opts.numReducers) +
@@ -277,14 +324,14 @@ TEST_P(OutOfCoreParity, ModeMatrixProducesIdenticalOutput) {
             .string();
     std::filesystem::remove_all(dir);
     QueryPlan plan = planner.plan(fn, opts);
-    if (arm.spill) plan.spec.spillDirectory = dir;
+    if (arm.budget > 0) plan.spec.spillDirectory = dir;
     plan.spec.memoryBudgetBytes = arm.budget;
     plan.spec.mergeWindowBytes = 4096;
     plan.spec.compressSpill = arm.compress;
     plan.spec.faultPlan = faults;
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     EXPECT_EQ(result.annotationViolations, 0u);
-    if (arm.spill) expectNoDanglingAttempts(dir);
+    if (arm.budget > 0) expectNoDanglingAttempts(dir);
 
     // Scheduling contract holds in every mode: eviction's extra
     // rename-commit spans must not weaken commit gating, and their
@@ -300,16 +347,13 @@ TEST_P(OutOfCoreParity, ModeMatrixProducesIdenticalOutput) {
               result.pressureSpillEvents);
     EXPECT_EQ(result.trace.counterValue("mem.spillCompressedBytes"),
               result.spillCompressedBytes);
-    // In-memory and hybrid runs keep published segments resident, so
-    // the pool must have metered them; eager spill writes map output
-    // straight to disk and these small jobs never buffer a full page.
-    if (!arm.spill || arm.budget > 0) {
-      EXPECT_GT(result.peakResidentSegmentBytes, 0u);
-    }
-    // Eager spill always encodes; hybrid only writes when pressure
-    // actually evicted something (an eviction that loses the republish
-    // race still counts encoded bytes, so no upper assertion there).
-    if (arm.compress && (arm.budget == 0 || result.pressureSpillEvents > 0)) {
+    // Every job publishes resident handles before any eviction, so
+    // the pool must have metered them.
+    EXPECT_GT(result.peakResidentSegmentBytes, 0u);
+    // Compressed bytes are written only when pressure actually evicted
+    // something (an eviction that loses the republish race still counts
+    // encoded bytes, so no upper assertion there).
+    if (arm.compress && result.pressureSpillEvents > 0) {
       EXPECT_GT(result.spillCompressedBytes, 0u);
     }
     if (!arm.compress) {
@@ -321,7 +365,7 @@ TEST_P(OutOfCoreParity, ModeMatrixProducesIdenticalOutput) {
 
     auto collected = result.collectAll();
     std::filesystem::remove_all(dir);
-    if (referenceCollected.empty() && std::string(arm.name) == "spill-eager") {
+    if (referenceCollected.empty() && arm.budget == 0) {
       referenceCollected = std::move(collected);
       continue;
     }

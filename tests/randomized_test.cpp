@@ -219,6 +219,7 @@ TEST_P(RandomizedFaultPlan, EngineMatchesOracleUnderInjectedFaults) {
            ("sidr_randfault_" + std::to_string(GetParam())))
               .string();
     plan.spec.spillDirectory = dir;
+    plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
   }
   SCOPED_TRACE("input " + input.toString() + " r=" +
                std::to_string(opts.numReducers) + " maps=" +
@@ -335,6 +336,7 @@ TEST_P(RandomizedJoinFaultPlan, JoinMatchesOracleUnderInjectedFaults) {
            ("sidr_randjoinfault_" + std::to_string(GetParam())))
               .string();
     plan.spec.spillDirectory = dir;
+    plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
   }
   SCOPED_TRACE("grid " + grid.toString() + " r=" +
                std::to_string(opts.numReducers) + " maps=" +

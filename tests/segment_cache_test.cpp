@@ -7,11 +7,11 @@
 //    field that changes map-output bytes changes the key; execution
 //    knobs (threads, slots, spill plumbing, trace, faults) do not;
 //  * SegmentCache in isolation: hit/miss accounting, first-donor-wins,
-//    LRU eviction under a cap, demotion to committed spill files and
-//    promotion back, graceful miss when the backing files vanish;
+//    LRU eviction under a cap (an entry is resident or gone);
 //  * through EngineService: a warm resubmission is bit-identical to its
 //    cold run with ZERO map tasks (pinned by attempt-span counts),
-//    across the in-memory / eager-spill / compressed / hybrid regimes;
+//    unbudgeted and under one-page (also compressed) and two-page
+//    memory budgets;
 //    negative keying, faulted and cancelled jobs never donate, eviction
 //    under admission pressure, and cache-off behaves exactly like PR 7;
 //  * a 16-seed cache-on/off differential and concurrency hammers (slow
@@ -34,7 +34,6 @@
 #include "mapreduce/engine.hpp"
 #include "mapreduce/engine_service.hpp"
 #include "mapreduce/segment_cache.hpp"
-#include "scifile/storage.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/fingerprint.hpp"
 #include "sidr/planner.hpp"
@@ -86,10 +85,12 @@ std::size_t countSpans(const obs::Trace& trace, obs::Phase phase,
       }));
 }
 
-/// The shuffle regimes a cached query can run under. kFaulted is the
-/// control arm: fault-injected jobs are excluded from the cache by
-/// construction and must behave exactly as without it.
-enum class Regime { kInMemory, kEagerSpill, kCompressed, kHybrid, kFaulted };
+/// The memory budgets a cached query can run under: none, one page
+/// (nearly every segment evicted; also with compressed files) and two
+/// pages. kFaulted is the control arm: fault-injected jobs are excluded
+/// from the cache by construction and must behave exactly as without
+/// it.
+enum class Regime { kInMemory, kOnePage, kCompressed, kHybrid, kFaulted };
 
 /// One fingerprinted query plan per (regime, seed). recordTrace is on
 /// so tests can pin span-level facts (zero map attempts on a warm run).
@@ -109,11 +110,13 @@ QueryPlan cachePlan(Regime regime, const std::string& spillDir,
   switch (regime) {
     case Regime::kInMemory:
       break;
-    case Regime::kEagerSpill:
+    case Regime::kOnePage:
       opts.spillDirectory = spillDir;
+      opts.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
       break;
     case Regime::kCompressed:
       opts.spillDirectory = spillDir;
+      opts.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
       opts.compressSpill = true;
       break;
     case Regime::kHybrid:
@@ -123,6 +126,7 @@ QueryPlan cachePlan(Regime regime, const std::string& spillDir,
       break;
     case Regime::kFaulted:
       opts.spillDirectory = spillDir;
+      opts.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
       opts.faultPlan.failMap(0, 1);
       opts.faultPlan.failReduce(1, 1);
       break;
@@ -360,7 +364,7 @@ TEST(FingerprintPlanner, ExecutionKnobsDoNotLeakIntoTheKey) {
   // cache at the SERVICE level, not by keying them differently.)
   const std::string dir = tempDir("sidr_fp_nonkey");
   for (const Regime regime :
-       {Regime::kEagerSpill, Regime::kCompressed, Regime::kHybrid,
+       {Regime::kOnePage, Regime::kCompressed, Regime::kHybrid,
         Regime::kFaulted}) {
     const QueryPlan other = cachePlan(regime, dir, "ds");
     ASSERT_TRUE(other.spec.mapFingerprint.has_value());
@@ -508,77 +512,6 @@ TEST(SegmentCacheUnit, ShedToZeroEmptiesMemoryOnlyEntries) {
   EXPECT_EQ(cache.residentBytes(), 0u);
   EXPECT_EQ(cache.entryCount(), 0u);
   EXPECT_EQ(cache.stats().evictions, 2u);
-  EXPECT_EQ(cache.stats().demotions, 0u);
-}
-
-TEST(SegmentCacheUnit, FileBackedEntryDemotesAndPromotes) {
-  const std::string dir = tempDir("sidr_cache_files");
-  // Write one committed-segment file the way the spill path frames an
-  // uncompressed segment: Segment::serialize bytes, whole file.
-  const auto original = makeSegment(0, 0, 5, 7.0);
-  const std::vector<std::byte> bytes = original->serialize();
-  const std::string path = dir + "/seg_m0_kb0.seg";
-  {
-    sci::FileStorage file(path, sci::FileStorage::Mode::kCreate);
-    file.resize(bytes.size());
-    file.writeAt(0, bytes);
-    file.flush();
-  }
-
-  mr::SegmentCacheDonation d;
-  d.present = true;
-  d.key = testKey(1);
-  d.numMaps = 1;
-  d.numReduces = 1;
-  d.compressed = false;
-  d.keySpace = nd::Coord{8};
-  d.paths = {{path}};
-  mr::SegmentCache cache(0);
-  cache.insert(std::move(d));
-  EXPECT_EQ(cache.residentBytes(), 0u) << "file-backed entries born demoted";
-
-  // First claim promotes: reload, serve.
-  const auto claimed = cache.claim(testKey(1), 1, 1);
-  ASSERT_TRUE(claimed.has_value());
-  EXPECT_GT(cache.residentBytes(), 0u);
-  const auto& records = claimed->segments[0][0]->records();
-  ASSERT_EQ(records.size(), 5u);
-  EXPECT_EQ(records[2].value.asScalar(), 9.0);
-  // The reloaded segment is a valid reduce-merge input in the entry's
-  // key space.
-  std::vector<const mr::Segment*> mergeInputs{claimed->segments[0][0].get()};
-  mr::SegmentMerger merger(mergeInputs, nd::Coord{8});
-  std::size_t groups = 0;
-  merger.forEachGroup([&](auto&&...) { ++groups; });
-  EXPECT_EQ(groups, 5u);
-
-  // Shedding demotes (the files still back it) instead of evicting.
-  cache.shedTo(0);
-  EXPECT_EQ(cache.residentBytes(), 0u);
-  EXPECT_EQ(cache.entryCount(), 1u);
-  EXPECT_EQ(cache.stats().demotions, 1u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-
-  // And a later claim promotes it right back.
-  const auto again = cache.claim(testKey(1), 1, 1);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->segments[0][0]->records()[0].value.asScalar(), 7.0);
-}
-
-TEST(SegmentCacheUnit, VanishedBackingFilesDegradeToAMiss) {
-  mr::SegmentCacheDonation d;
-  d.present = true;
-  d.key = testKey(1);
-  d.numMaps = 1;
-  d.numReduces = 1;
-  d.paths = {{"/nonexistent/sidr/seg_m0_kb0.seg"}};
-  mr::SegmentCache cache(0);
-  cache.insert(std::move(d));
-  EXPECT_EQ(cache.entryCount(), 1u);
-
-  EXPECT_FALSE(cache.claim(testKey(1), 1, 1).has_value());
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.entryCount(), 0u) << "unloadable entries are dropped";
 }
 
 // ---- through the service: warm hits must be invisible ----
@@ -634,10 +567,12 @@ TEST(SegmentCacheService, WarmResubmissionBitIdenticalWithZeroMapTasks) {
 }
 
 TEST(SegmentCacheService, SpillDonorsServeWarmHitsFromCommittedFiles) {
-  // Eager-spill and compressed donors donate file-backed entries (born
-  // demoted, zero resident charge); the warm claim re-loads them
-  // through the same decode paths a reduce fetch uses.
-  for (const Regime regime : {Regime::kEagerSpill, Regime::kCompressed}) {
+  // One-page donors (plain and compressed framing) commit eviction
+  // files for nearly every slot during the cold run, yet donate the
+  // full resident matrix: staging pins every handle until the donation
+  // lands, so the warm claim never reads those files back.
+  for (const Regime regime : {Regime::kOnePage, Regime::kCompressed}) {
+    SCOPED_TRACE(static_cast<int>(regime));
     const std::string dir =
         tempDir(std::string("sidr_cache_spill_") +
                 (regime == Regime::kCompressed ? "z" : "raw"));
@@ -652,8 +587,12 @@ TEST(SegmentCacheService, SpillDonorsServeWarmHitsFromCommittedFiles) {
 
     const mr::JobResult cold = runService(service, mr::JobSpec(plan.spec));
     expectSameCollected(cold.collectAll(), solo.collectAll());
-    EXPECT_EQ(service.stats().cacheResidentBytes, 0u)
-        << "spill donations must not charge resident memory at insert";
+    EXPECT_GT(cold.pressureSpillEvents, 0u);
+    if (regime == Regime::kCompressed) {
+      EXPECT_GT(cold.spillCompressedBytes, 0u);
+    }
+    EXPECT_GT(service.stats().cacheResidentBytes, 0u)
+        << "spill donations are resident entries, charged at insert";
 
     const mr::JobResult warm = runService(service, mr::JobSpec(plan.spec));
     expectSameCollected(warm.collectAll(), solo.collectAll());
@@ -666,6 +605,8 @@ TEST(SegmentCacheService, SpillDonorsServeWarmHitsFromCommittedFiles) {
 }
 
 TEST(SegmentCacheService, HybridBudgetJobsHitWarmUnderPressure) {
+  // Budgeted donors evict their own slots and release consumed ones,
+  // yet donate the full resident matrix.
   const std::string dir = tempDir("sidr_cache_hybrid");
   const QueryPlan plan = cachePlan(Regime::kHybrid, dir, "ds/hybrid");
   const mr::JobResult solo = runSolo(plan, 500);
@@ -677,10 +618,14 @@ TEST(SegmentCacheService, HybridBudgetJobsHitWarmUnderPressure) {
 
   const mr::JobResult cold = runService(service, mr::JobSpec(plan.spec));
   expectSameCollected(cold.collectAll(), solo.collectAll());
+  EXPECT_GT(service.stats().cacheResidentBytes, 0u);
   const mr::JobResult warm = runService(service, mr::JobSpec(plan.spec));
   expectSameCollected(warm.collectAll(), solo.collectAll());
   EXPECT_EQ(warm.cacheServedMaps,
             static_cast<std::uint32_t>(plan.spec.splits.size()));
+  EXPECT_EQ(countSpans(warm.trace, obs::Phase::kTaskAttempt,
+                       obs::TaskSide::kMap),
+            0u);
   EXPECT_EQ(service.stats().cacheHits, 1u);
 }
 
@@ -832,39 +777,11 @@ TEST(SegmentCacheService, TinyCapEvictsMemoryOnlyDonationsButStaysCorrect) {
 
   const mr::JobResult cold = runService(service, mr::JobSpec(plan.spec));
   expectSameCollected(cold.collectAll(), solo.collectAll());
-  EXPECT_GE(service.stats().cacheEvictions, 1u)
-      << "an in-memory donation has no files to demote to";
+  EXPECT_GE(service.stats().cacheEvictions, 1u);
 
   const mr::JobResult second = runService(service, mr::JobSpec(plan.spec));
   expectSameCollected(second.collectAll(), solo.collectAll());
   EXPECT_EQ(second.cacheServedMaps, 0u) << "evicted entries cannot serve";
-}
-
-TEST(SegmentCacheService, TinyCapDemotesSpillDonationsAndStillServes) {
-  const std::string dir = tempDir("sidr_cache_tiny_spill");
-  const QueryPlan plan = cachePlan(Regime::kEagerSpill, dir, "ds/tinyspill");
-  const mr::JobResult solo = runSolo(plan, 500);
-
-  mr::ServiceConfig config;
-  config.numThreads = 3;
-  config.segmentCacheEnabled = true;
-  config.segmentCacheBytes = 1;
-  mr::EngineService service(config);
-
-  runService(service, mr::JobSpec(plan.spec));
-  // The warm claim promotes the entry, serves handle copies, and the
-  // cap immediately demotes it back to its files — every round trip.
-  for (int round = 0; round < 2; ++round) {
-    const mr::JobResult warm = runService(service, mr::JobSpec(plan.spec));
-    expectSameCollected(warm.collectAll(), solo.collectAll());
-    EXPECT_EQ(warm.cacheServedMaps,
-              static_cast<std::uint32_t>(plan.spec.splits.size()))
-        << "round " << round;
-  }
-  const mr::ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.cacheHits, 2u);
-  EXPECT_GE(stats.cacheDemotions, 2u);
-  EXPECT_LE(stats.cacheResidentBytes, 1u);
 }
 
 TEST(SegmentCacheService, AdmissionPressureShedsTheCacheJobsWin) {
@@ -883,7 +800,7 @@ TEST(SegmentCacheService, AdmissionPressureShedsTheCacheJobsWin) {
   EXPECT_GT(service.stats().cacheResidentBytes, 0u);
 
   // A job claiming the WHOLE ledger must not wait on cache residency:
-  // admission sheds the cache first (memory-only entry -> evicted).
+  // admission sheds the cache first (the entry is evicted).
   // Unfingerprinted, so it neither claims the entry nor re-donates one
   // after its reservation is released.
   mr::JobSpec hungry = plan.spec;
@@ -957,7 +874,7 @@ TEST(SegmentCacheService, SixteenSeedDifferentialCacheOnOff) {
 
 TEST(SegmentCacheHammer, ConcurrentFingerprintsRaceDonationAndClaim) {
   // 24 jobs over 3 fingerprints x every regime, racing on 4 workers
-  // with a cap small enough to force eviction/demotion churn while
+  // with a cap small enough to force eviction churn while
   // claims are in flight. Every job must match its solo baseline.
   const std::string dir = tempDir("sidr_cache_hammer");
   constexpr std::size_t kDistinct = 3;

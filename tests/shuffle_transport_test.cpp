@@ -9,10 +9,11 @@
 //    (never a hang, never a crash, never an unbounded allocation);
 //  * JobSpec validation for the transport knobs and FetchFaultSpec;
 //  * a 16-seed differential: {in-process, socket} x
-//    {in-memory, eager spill, compressed, hybrid budget} x {fault-free,
-//    injected task faults} produce bit-identical collectAll output,
-//    identical committed segment bytes (eager regimes), satisfy the §13
-//    trace invariants, and mirror the net.* counters;
+//    {no budget, one page, one page compressed, tight budget} x
+//    {fault-free, injected task faults} produce bit-identical
+//    collectAll output, identical committed segment bytes (single-
+//    worker one-page runs), satisfy the §13 trace invariants, and
+//    mirror the net.* counters;
 //  * injected connection drops: bounded retry succeeds without double
 //    counting shuffleBytes or emitting unpaired spans; exhaustion
 //    surfaces as a JobError naming the reduce task;
@@ -441,9 +442,12 @@ TEST(TransportValidation, ZeroMaxFetchAttemptsRejected) {
 
 struct Regime {
   const char* name;
-  bool spill;
-  bool hybrid;     ///< tight memory budget (pressure eviction)
+  std::uint64_t budget;  ///< memoryBudgetBytes; 0 = unbudgeted
   bool compress;
+  /// One worker claims every task, so which segments get evicted (and
+  /// so the committed file set) is deterministic and compared across
+  /// transports; eviction under several workers is timing-driven.
+  bool singleWorker;
 };
 
 /// Recursively snapshots every regular file under `dir` as
@@ -508,16 +512,19 @@ TEST_P(TransportParity, BackendsProduceIdenticalOutputAndCommits) {
 
   const std::uint64_t tight =
       (1 + rng() % 4) * mr::SegmentPagePool::kPageBytes;
+  constexpr std::uint64_t kPage = mr::SegmentPagePool::kPageBytes;
   const Regime regimes[] = {
-      {"in-memory", false, false, false},
-      {"spill-eager", true, false, false},
-      {"spill-eager-compress", true, false, true},
-      {"hybrid-tight", true, true, false},
+      {"in-memory", 0, false, false},
+      {"one-page", kPage, false, true},
+      {"one-page-compress", kPage, true, true},
+      {"hybrid-tight", tight, false, false},
   };
   SCOPED_TRACE("input " + input.toString() + " r=" +
                std::to_string(opts.numReducers) +
                " faults=" + std::to_string(faults.faults.size()));
 
+  // Every budget must also reproduce the unbudgeted in-process run.
+  std::vector<mr::KeyValue> unbudgeted;
   for (const Regime& regime : regimes) {
     SCOPED_TRACE(regime.name);
     const mr::ShuffleTransportKind kinds[] = {
@@ -533,8 +540,9 @@ TEST_P(TransportParity, BackendsProduceIdenticalOutputAndCommits) {
                   regime.name + "_" + mr::shuffleTransportName(kind));
       fs::remove_all(dir);
       QueryPlan plan = planner.plan(fn, opts);
-      if (regime.spill) plan.spec.spillDirectory = dir;
-      plan.spec.memoryBudgetBytes = regime.hybrid ? tight : 0;
+      if (regime.budget > 0) plan.spec.spillDirectory = dir;
+      plan.spec.memoryBudgetBytes = regime.budget;
+      if (regime.singleWorker) plan.spec.numThreads = 1;
       plan.spec.mergeWindowBytes = 4096;
       plan.spec.compressSpill = regime.compress;
       plan.spec.faultPlan = faults;
@@ -589,18 +597,21 @@ TEST_P(TransportParity, BackendsProduceIdenticalOutputAndCommits) {
 
       auto collected = result.collectAll();
       std::map<std::string, std::string> files;
-      // Committed bytes are deterministic only in eager regimes (every
-      // map commits every keyblock); hybrid eviction is timing-driven.
-      if (regime.spill && !regime.hybrid) files = snapshotFiles(dir);
+      if (regime.singleWorker) files = snapshotFiles(dir);
       fs::remove_all(dir);
 
       if (kind == mr::ShuffleTransportKind::kInProcess) {
+        if (unbudgeted.empty()) {
+          unbudgeted = collected;
+        } else {
+          expectSameCollected(collected, unbudgeted);
+        }
         reference = std::move(collected);
         referenceFiles = std::move(files);
         continue;
       }
       expectSameCollected(collected, reference);
-      if (regime.spill && !regime.hybrid) {
+      if (regime.singleWorker) {
         ASSERT_EQ(files.size(), referenceFiles.size());
         for (const auto& [path, bytes] : referenceFiles) {
           auto it = files.find(path);
@@ -649,7 +660,10 @@ TEST(TransportFaults, DroppedFetchRetriesWithoutDoubleCounting) {
     auto runOnce = [&](bool injectDrop) {
       fs::remove_all(dir);
       QueryPlan plan = planner.plan(fn, opts);
-      if (arm.spill) plan.spec.spillDirectory = dir;
+      if (arm.spill) {
+        plan.spec.spillDirectory = dir;
+        plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+      }
       plan.spec.transport = arm.kind;
       if (injectDrop) plan.spec.faultPlan.dropFetch(1, 1);
       return mr::Engine(std::move(plan.spec)).run();
@@ -750,10 +764,11 @@ TEST(ShuffleTransportHammer, ConcurrentSocketFetchRacesRepublication) {
     opts.faultPlan.failMap(1).failMap(7);
     opts.faultPlan.dropFetch(2, 1).dropFetch(5, 1).dropFetch(5, 2);
     QueryPlan plan = planner.plan(fn, opts);
-    // iter 0: eager spill, iter 1: pure in-memory sockets, iter 2:
-    // compressed eager spill — the server streams compressed files.
+    // iter 0: one-page budget, iter 1: unbudgeted sockets, iter 2:
+    // one-page budget with compressed files — the server streams them.
     if (iter != 1) {
       plan.spec.spillDirectory = dir;
+      plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
       plan.spec.compressSpill = (iter == 2);
     }
     plan.spec.transport = mr::ShuffleTransportKind::kSocket;
@@ -805,6 +820,7 @@ TEST(ShuffleTransportHammer, MidFetchCancelTearsDownSocketsCleanly) {
   for (int i = 0; i < 8; ++i) {
     QueryPlan plan = planner.plan(fn, opts);
     plan.spec.spillDirectory = dir;
+    plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
     mr::JobHandle h = service.submit(std::move(plan.spec));
     if (i % 2 == 0) {
       cancelled.push_back(h);

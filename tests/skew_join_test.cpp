@@ -3,8 +3,8 @@
 //
 // The headline property is a 16-seed differential: a skew-adapted plan
 // must produce BIT-IDENTICAL collectAll() output to the unrefined plan
-// for the same query, across shuffle regimes (in-memory / eager spill /
-// hybrid budget / compressed) and transports (in-process / socket) —
+// for the same query, across memory budgets (none / one page / 1 MiB /
+// one page with compressed files) and transports (in-process / socket) —
 // refinement may only move keys between keyblocks, never change a
 // single output byte. The join operator is pinned by a frozen
 // test-local nested-loop oracle written against floor-division geometry
@@ -79,8 +79,9 @@ Regime regimeFor(int seed, const std::string& dirTag) {
       r.transport = (seed / 4) % 2 == 0 ? mr::ShuffleTransportKind::kInProcess
                                         : mr::ShuffleTransportKind::kSocket;
       break;
-    case 1:  // eager spill
+    case 1:  // one-page budget: nearly every segment evicted
       r.spill = true;
+      r.budget = mr::SegmentPagePool::kPageBytes;
       r.transport = (seed / 4) % 2 == 0 ? mr::ShuffleTransportKind::kInProcess
                                         : mr::ShuffleTransportKind::kSocket;
       break;
@@ -90,8 +91,9 @@ Regime regimeFor(int seed, const std::string& dirTag) {
       r.transport = (seed / 4) % 2 == 0 ? mr::ShuffleTransportKind::kInProcess
                                         : mr::ShuffleTransportKind::kSocket;
       break;
-    default:  // eager spill, compressed framing, served over sockets
+    default:  // one page, compressed framing, served over sockets
       r.spill = true;
+      r.budget = mr::SegmentPagePool::kPageBytes;
       r.compress = true;
       r.transport = mr::ShuffleTransportKind::kSocket;
       break;
@@ -108,7 +110,7 @@ void applyRegime(PlanOptions& opts, const Regime& r, const std::string& dir) {
 }
 
 std::string regimeName(const Regime& r) {
-  std::string s = r.spill ? (r.budget ? "hybrid" : "spill") : "mem";
+  std::string s = r.spill ? "budget" + std::to_string(r.budget) : "mem";
   if (r.compress) s += "+z";
   s += std::string("/") + mr::shuffleTransportName(r.transport);
   return s;

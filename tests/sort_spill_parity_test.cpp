@@ -9,10 +9,10 @@
 //    key populations;
 //  * the spill-writer pool vs the sequential encode+write path —
 //    byte-identical committed segment files and identical collectAll
-//    output for pool sizes {1, 2, 8}, in both spill framings, for eager
-//    spill and for hybrid pressure eviction, including under FaultPlan
-//    map/reduce re-attempts, with no torn or double-committed tmp
-//    files left behind.
+//    output for pool sizes {1, 2, 8}, in both spill framings, for
+//    pressure eviction under a one-page budget, including under
+//    FaultPlan map/reduce re-attempts, with no torn or double-committed
+//    tmp files left behind.
 //
 // SIDR's early-start correctness depends on every segment arriving
 // sorted and count-annotated, so the sort/spill rewrite ships pinned by
@@ -424,24 +424,21 @@ TEST_P(SpillWriterParity, PoolSizesProduceByteIdenticalSpills) {
     }
   }
 
-  struct SpillRegime {
-    const char* name;
-    bool compress;
-    bool hybrid;
-  };
-  const SpillRegime regimes[] = {
-      {"eager", false, false},
-      {"eager-compress", true, false},
-      {"hybrid", false, true},
-      {"hybrid-compress", true, true},
-  };
-
   SCOPED_TRACE("input " + input.toString() + " r=" +
                std::to_string(opts.numReducers) +
                " faults=" + std::to_string(faults.faults.size()));
 
-  for (const SpillRegime& regime : regimes) {
-    SCOPED_TRACE(regime.name);
+  // Every arm must also reproduce the unbudgeted run.
+  std::vector<mr::KeyValue> unbudgeted;
+  {
+    QueryPlan plan = planner.plan(fn, opts);
+    plan.spec.faultPlan = faults;
+    unbudgeted = mr::Engine(std::move(plan.spec)).run().collectAll();
+  }
+
+  for (const bool compress : {false, true}) {
+    const std::string framing = compress ? "compress" : "plain";
+    SCOPED_TRACE(framing);
     std::map<std::string, std::vector<char>> referenceFiles;
     std::vector<mr::KeyValue> referenceCollected;
     for (std::uint32_t writers : {1u, 2u, 8u}) {
@@ -449,33 +446,29 @@ TEST_P(SpillWriterParity, PoolSizesProduceByteIdenticalSpills) {
       const std::string dir =
           (testsupport::scratchRoot() /
            ("sidr_spill_parity_" + std::to_string(GetParam()) + "_" +
-            regime.name + "_w" + std::to_string(writers)))
+            framing + "_w" + std::to_string(writers)))
               .string();
       std::filesystem::remove_all(dir);
       QueryPlan plan = planner.plan(fn, opts);
       plan.spec.spillDirectory = dir;
       plan.spec.spillWriters = writers;
       plan.spec.faultPlan = faults;
-      plan.spec.compressSpill = regime.compress;
-      if (regime.hybrid) {
-        // The smallest legal budget: pressure eviction, not map commits,
-        // writes the files, and every seed evicts (under a two-page
-        // budget seeds 7 and 11 never do).
-        plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
-        // One worker claims every task, so which segments get evicted
-        // (and so which files exist) is deterministic; only the pool
-        // size varies between runs.
-        plan.spec.numThreads = 1;
-      }
+      plan.spec.compressSpill = compress;
+      // The smallest legal budget: every seed evicts (under a two-page
+      // budget seeds 7 and 11 never do).
+      plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+      // One worker claims every task, so which segments get evicted
+      // (and so which files exist) is deterministic; only the pool size
+      // varies between runs.
+      plan.spec.numThreads = 1;
       mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
       EXPECT_EQ(result.annotationViolations, 0u);
-      if (regime.hybrid) {
-        EXPECT_GT(result.pressureSpillEvents, 0u);
-      }
+      EXPECT_GT(result.pressureSpillEvents, 0u);
       auto files = readSpillDir(dir);
       auto collected = result.collectAll();
       std::filesystem::remove_all(dir);
       if (writers == 1) {
+        expectSameCollected(collected, unbudgeted);
         referenceFiles = std::move(files);
         referenceCollected = std::move(collected);
         continue;
@@ -500,12 +493,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpillWriterParity, ::testing::Range(0, 16));
 
 TEST(SpillPoolHammer, ReattemptDuringConcurrentReduceFetch) {
   // Parallel-spill twin of Engine.SpillRecoveryRaceHammer: with
-  // kRecomputeDeps, failed reduces force their I_l maps to re-run, so
-  // pool workers re-encode and re-write attempt files while OTHER
-  // reduces' lock-free fetches read committed files of the same
-  // (map, keyblock) grid. The attempt-suffixed tmp + atomic-rename
-  // protocol must keep every committed inode immutable regardless of
-  // which pool worker wrote it.
+  // kRecomputeDeps, failed reduces force their I_l maps to re-run, and
+  // under a one-page budget pool workers evict the republished
+  // segments again — re-encoding and re-writing attempt files while
+  // OTHER reduces stream committed files of the same (map, keyblock)
+  // grid. The attempt-suffixed tmp + atomic-rename protocol must keep
+  // every committed inode immutable regardless of which pool worker
+  // wrote it.
   const nd::Coord input{36, 10};
   sh::StructuralQuery q;
   q.variable = "v";
@@ -531,6 +525,7 @@ TEST(SpillPoolHammer, ReattemptDuringConcurrentReduceFetch) {
     QueryPlan plan = planner.plan(fn, opts);
     plan.spec.spillDirectory = dir;
     plan.spec.spillWriters = 8;
+    plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     EXPECT_EQ(result.reduceFailures, 4u);
     EXPECT_EQ(result.mapFailures, 2u);

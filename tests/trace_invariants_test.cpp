@@ -78,6 +78,7 @@ TEST_P(TraceInvariants, RandomizedSchedulingContract) {
            ("sidr_traceinv_" + std::to_string(GetParam())))
               .string();
     plan.spec.spillDirectory = dir;
+    plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
   }
   SCOPED_TRACE(std::string(stock ? "stock" : "sidr") +
                (spill ? " spill" : " mem") +
@@ -109,9 +110,10 @@ TEST_P(TraceInvariants, RandomizedSchedulingContract) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceInvariants, ::testing::Range(0, 16));
 
 TEST(TraceInvariants, BothShuffleModesWithFaultsDeterministic) {
-  // The acceptance scenario pinned deterministically: SIDR mode, both
-  // shuffle modes, with map AND reduce fault injection (including a
-  // fail-on-attempt-2), every trace invariant holding.
+  // The acceptance scenario pinned deterministically: SIDR mode, no
+  // budget and a one-page budget (nearly every segment evicted), with
+  // map AND reduce fault injection (including a fail-on-attempt-2),
+  // every trace invariant holding.
   nd::Coord input{30, 12};
   sh::StructuralQuery q;
   q.variable = "v";
@@ -132,7 +134,10 @@ TEST(TraceInvariants, BothShuffleModesWithFaultsDeterministic) {
     std::vector<std::vector<std::uint32_t>> deps = plan.spec.reduceDeps;
     std::string dir =
         (testsupport::scratchRoot() / "sidr_traceinv_det").string();
-    if (spill) plan.spec.spillDirectory = dir;
+    if (spill) {
+      plan.spec.spillDirectory = dir;
+      plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+    }
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     if (spill) std::filesystem::remove_all(dir);
 
@@ -155,15 +160,18 @@ TEST(TraceInvariants, BothShuffleModesWithFaultsDeterministic) {
                                          obs::Outcome::kFail,
                                          obs::Outcome::kOk}));
 
-    // Spill mode must carry spill-phase spans; in-memory must not.
-    bool sawSpillWrite = false;
-    bool sawEncode = false;
+    // Only the budgeted run evicts, and eviction is the engine's one
+    // spill path: it never emits the map-side encode/write phases
+    // (kSpillWrite stays in the schema for the simulator).
+    bool sawPressureSpill = false;
+    bool sawMapSideSpill = false;
     for (const obs::Span& s : result.trace.spans) {
-      sawSpillWrite |= s.phase == obs::Phase::kSpillWrite;
-      sawEncode |= s.phase == obs::Phase::kSpillEncode;
+      sawPressureSpill |= s.phase == obs::Phase::kPressureSpill;
+      sawMapSideSpill |= s.phase == obs::Phase::kSpillWrite ||
+                         s.phase == obs::Phase::kSpillEncode;
     }
-    EXPECT_EQ(sawSpillWrite, spill);
-    EXPECT_EQ(sawEncode, spill);
+    EXPECT_EQ(sawPressureSpill, spill);
+    EXPECT_FALSE(sawMapSideSpill);
   }
 }
 
