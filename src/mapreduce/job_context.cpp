@@ -207,14 +207,15 @@ std::string JobContext::segmentPath(std::uint32_t m, std::uint32_t kb) const {
 /// becomes visible under the committed name until the eviction commits
 /// via commitSegmentFile (atomic rename), so evicting a republished
 /// slot never truncates a file a concurrent streaming fetch may be
-/// mid-read on.
+/// mid-read on. No fsync: the file is a job-scoped temporary that only
+/// this process reads back, through the page cache, and writeAt has
+/// put every byte there before the rename publishes it (DESIGN.md §10).
 void JobContext::spillSegmentAttempt(std::uint32_t m, std::uint32_t kb,
                                      std::uint32_t attempt,
                                      std::span<const std::byte> bytes) const {
   sci::FileStorage file(jobDir + "/" + segmentAttemptFileName(m, kb, attempt),
                         sci::FileStorage::Mode::kCreate);
   file.writeAt(0, bytes);
-  file.flush();
 }
 
 // Marks a map schedulable (SIDR: because a scheduled reduce depends on

@@ -139,12 +139,15 @@ Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
                  std::vector<PackedRecord> packed,
                  std::vector<std::vector<double>> lists, nd::Coord keySpace)
     : packed_(std::move(packed)),
-      lists_(std::move(lists)),
       packedMode_(true),
       keySpace_(std::move(keySpace)) {
   if (keySpace_.rank() == 0 || !keySpace_.isValidShape()) {
     throw std::invalid_argument(
         "Segment: packed form requires a valid non-empty keySpace");
+  }
+  lists_.reserve(lists.size());
+  for (std::vector<double>& xs : lists) {
+    lists_.push_back(Value::list(std::move(xs)));
   }
   header_.mapTask = mapTask;
   header_.keyblock = keyblock;
@@ -182,7 +185,7 @@ void Segment::materializeNow() const {
         kv.value = Value::partial(r.payload.partial);
         break;
       case ValueKind::kList:
-        kv.value = Value::list(std::move(lists_[r.payload.listIndex]));
+        kv.value = std::move(lists_[r.payload.listIndex]);
         break;
     }
   }
@@ -258,10 +261,10 @@ void Segment::combineWith(const Combiner& combiner) {
       case ValueKind::kList:
         break;
     }
-    return Value::list(std::move(lists_[r.payload.listIndex]));
+    return std::move(lists_[r.payload.listIndex]);
   };
   std::vector<PackedRecord> combined;
-  std::vector<std::vector<double>> lists;
+  std::vector<Value> lists;
   for (std::size_t i = 0; i < packed_.size();) {
     PackedRecord out = packed_[i];
     Value value = unpack(packed_[i]);
@@ -280,7 +283,7 @@ void Segment::combineWith(const Combiner& combiner) {
         break;
       case ValueKind::kList:
         out.payload.listIndex = static_cast<std::uint32_t>(lists.size());
-        lists.push_back(std::move(value.mutableList()));
+        lists.push_back(std::move(value));
         break;
     }
     combined.push_back(out);
@@ -539,7 +542,7 @@ std::size_t Segment::serializedSize() const {
           size += 4 * 8;
           break;
         case ValueKind::kList:
-          size += 8 + 8 * lists_[r.payload.listIndex].size();
+          size += 8 + 8 * packedListAt(r.payload.listIndex).size();
           break;
       }
     }
@@ -613,7 +616,7 @@ void Segment::serializeInto(std::vector<std::byte>& out) const {
           break;
         }
         case ValueKind::kList: {
-          const auto& xs = lists_[r.payload.listIndex];
+          const auto& xs = packedListAt(r.payload.listIndex);
           w.u64(xs.size());
           w.words(xs.data(), xs.size());
           break;
@@ -653,8 +656,9 @@ std::uint64_t Segment::residentBytes() const noexcept {
   std::uint64_t bytes = 0;
   if (packedMode_) {
     bytes += packed_.size() * sizeof(PackedRecord);
-    for (const auto& xs : lists_) {
-      bytes += sizeof(std::vector<double>) + xs.size() * sizeof(double);
+    for (const Value& list : lists_) {
+      bytes +=
+          sizeof(std::vector<double>) + list.asList().size() * sizeof(double);
     }
     return bytes;
   }
@@ -703,7 +707,7 @@ std::size_t Segment::serializedCompressedSize(const nd::Coord& keySpace) const {
           size += 24 + varintLen(static_cast<std::uint64_t>(r.payload.partial.count));
           break;
         case ValueKind::kList: {
-          const auto& xs = lists_[r.payload.listIndex];
+          const auto& xs = packedListAt(r.payload.listIndex);
           size += varintLen(xs.size()) + 8 * xs.size();
           break;
         }
@@ -771,7 +775,7 @@ void Segment::serializeCompressedInto(std::vector<std::byte>& out,
           break;
         }
         case ValueKind::kList: {
-          const auto& xs = lists_[r.payload.listIndex];
+          const auto& xs = packedListAt(r.payload.listIndex);
           w.varint(xs.size());
           w.words(xs.data(), xs.size());
           break;
@@ -1313,18 +1317,20 @@ std::uint64_t SegmentMerger::takeTopValue() {
       switch (r.kind) {
         case ValueKind::kScalar:
           hold_.push_back(Value::scalar(r.payload.scalar));
+          groupValues_.push_back(&hold_.back());
           break;
         case ValueKind::kPartial:
           hold_.push_back(Value::partial(r.payload.partial));
+          groupValues_.push_back(&hold_.back());
           break;
         case ValueKind::kList:
-          // Copy, not move: the segment stays intact (recovery may
-          // republish it).
-          hold_.push_back(
-              Value::list(c.segment->packedListAt(r.payload.listIndex)));
+          // In place: the segment's own list value, no copy. The
+          // segment outlives the merge and is never mutated once
+          // published.
+          groupValues_.push_back(
+              &c.segment->packedListValueAt(r.payload.listIndex));
           break;
       }
-      groupValues_.push_back(&hold_.back());
       break;
     }
     case Kind::kStream: {

@@ -270,6 +270,12 @@ class Segment {
 
   /// Out-of-line list payload of a packed record (valid while packed).
   const std::vector<double>& packedListAt(std::uint32_t idx) const {
+    return lists_[idx].asList();
+  }
+
+  /// The same list as the segment's own kList Value — what the merger
+  /// hands a reducer, in place (valid while packed).
+  const Value& packedListValueAt(std::uint32_t idx) const {
     return lists_[idx];
   }
 
@@ -387,9 +393,11 @@ class Segment {
   // Lazy materialization: these are written once by materializeNow()
   // under const access (see records() for the threading contract).
   mutable std::vector<KeyValue> records_;
-  /// Packed form (packedMode_ only); cleared by materializeNow().
+  /// Packed form (packedMode_ only); cleared by materializeNow(). The
+  /// list side table holds kList Values so the merge can pass them to a
+  /// reducer by pointer.
   mutable std::vector<PackedRecord> packed_;
-  mutable std::vector<std::vector<double>> lists_;
+  mutable std::vector<Value> lists_;
   mutable bool packedMode_ = false;
   nd::Coord keySpace_;
 };
@@ -556,9 +564,10 @@ class SegmentMerger {
   /// Linear key of the cursor's current record.
   std::uint64_t currentLin(const Cursor& c) const;
 
-  /// Appends the top cursor's value to groupValues_ (holding a decoded
-  /// copy in hold_ for packed/stream sources), returns its represents
-  /// count, and advances past it.
+  /// Appends the top cursor's value to groupValues_ (a packed list is
+  /// the segment's own Value; packed scalars/partials and stream-decoded
+  /// values are held in hold_), returns its represents count, and
+  /// advances past it.
   std::uint64_t takeTopValue();
 
   void pop();
@@ -568,8 +577,9 @@ class SegmentMerger {
   std::vector<Cursor> heap_;
   std::vector<const Value*> groupValues_;
   /// Per-group storage for values that have no stable in-memory home
-  /// (packed list copies, stream-decoded records). A deque: growing it
-  /// never moves elements already pointed to by groupValues_.
+  /// (packed scalars and partials, stream-decoded records). A deque:
+  /// growing it never moves elements already pointed to by
+  /// groupValues_.
   std::deque<Value> hold_;
 };
 

@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -81,6 +82,80 @@ std::uint64_t getU64(const std::byte* p) {
          << (8 * i);
   }
   return v;
+}
+
+/// A frame's little-endian u32 length prefix.
+std::array<std::byte, 4> lengthPrefix(std::size_t len) {
+  std::array<std::byte, 4> prefix{};
+  for (std::size_t i = 0; i < prefix.size(); ++i) {
+    prefix[i] = static_cast<std::byte>((len >> (8 * i)) & 0xffu);
+  }
+  return prefix;
+}
+
+/// Sends every byte of the `count` buffers in `iov`, resuming after
+/// short writes (advancing `iov` in place). MSG_NOSIGNAL turns a peer
+/// reset into a typed kConnectionDrop instead of a SIGPIPE.
+void sendAll(int fd, iovec* iov, std::size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw TransportError(TransportFaultKind::kConnectionDrop,
+                           errnoString("sendmsg()"));
+    }
+    auto left = static_cast<std::size_t>(n);
+    while (count > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<std::byte*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
+  }
+}
+
+/// Reads one frame's length prefix and enforces kFrameMax BEFORE
+/// anything is allocated or received for the payload: a corrupt length
+/// can fail the fetch attempt but never drive a multi-gigabyte buffer.
+std::uint32_t readFrameLength(ByteSource& src) {
+  std::array<std::byte, 4> lenBuf{};
+  src.readExact(lenBuf);
+  const std::uint32_t len = getU32(lenBuf.data());
+  if (len > kFrameMax) {
+    throw TransportError(TransportFaultKind::kOversizedFrame,
+                         "frame payload " + std::to_string(len) +
+                             " bytes exceeds the " +
+                             std::to_string(kFrameMax) + "-byte bound");
+  }
+  return len;
+}
+
+/// Appends `len` payload bytes from `src` to `out`, growing it one
+/// kChunkBytes piece at a time as the bytes arrive: a length that passed
+/// the frame checks but then stops arriving buys at most one piece of
+/// memory, never the whole claimed length.
+void receiveAppend(ByteSource& src, std::vector<std::byte>& out,
+                   std::uint32_t len) {
+  for (std::uint32_t done = 0; done < len;) {
+    const std::uint32_t n = std::min(len - done, kChunkBytes);
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    src.readExact(std::span<std::byte>(out).subspan(at, n));
+    done += n;
+  }
+}
+
+/// Books one frame received in full (prefix + payload) into `stats`.
+void countFrame(FetchStats* stats, std::uint32_t len) {
+  if (stats == nullptr) return;
+  ++stats->framesReceived;
+  stats->wireBytes += 4 + static_cast<std::uint64_t>(len);
 }
 
 }  // namespace
@@ -171,43 +246,29 @@ void SocketConnection::readExact(std::span<std::byte> buf) {
 }
 
 void SocketConnection::writeAll(std::span<const std::byte> buf) {
-  std::size_t sent = 0;
-  while (sent < buf.size()) {
-    const ssize_t n =
-        ::send(fd_, buf.data() + sent, buf.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw TransportError(TransportFaultKind::kConnectionDrop,
-                           errnoString("send()"));
-    }
-    sent += static_cast<std::size_t>(n);
-  }
+  iovec iov{const_cast<std::byte*>(buf.data()), buf.size()};
+  sendAll(fd_, &iov, 1);
+}
+
+void SocketConnection::writeFrame(std::span<const std::byte> payload) {
+  std::array<std::byte, 4> prefix = lengthPrefix(payload.size());
+  iovec iov[2] = {{prefix.data(), prefix.size()},
+                  {const_cast<std::byte*>(payload.data()), payload.size()}};
+  sendAll(fd_, iov, 2);
 }
 
 void appendFrame(std::vector<std::byte>& out,
                  std::span<const std::byte> payload) {
-  putU32(out, static_cast<std::uint32_t>(payload.size()));
+  const std::array<std::byte, 4> prefix = lengthPrefix(payload.size());
+  out.insert(out.end(), prefix.begin(), prefix.end());
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
 std::vector<std::byte> readFrame(ByteSource& src, FetchStats* stats) {
-  std::array<std::byte, 4> lenBuf{};
-  src.readExact(lenBuf);
-  const std::uint32_t len = getU32(lenBuf.data());
-  // Bound BEFORE the allocation: a corrupt length can fail the fetch
-  // attempt but never drive a multi-gigabyte reserve.
-  if (len > kFrameMax) {
-    throw TransportError(TransportFaultKind::kOversizedFrame,
-                         "frame payload " + std::to_string(len) +
-                             " bytes exceeds the " +
-                             std::to_string(kFrameMax) + "-byte bound");
-  }
-  std::vector<std::byte> payload(len);
-  if (len > 0) src.readExact(payload);
-  if (stats != nullptr) {
-    ++stats->framesReceived;
-    stats->wireBytes += 4 + static_cast<std::uint64_t>(len);
-  }
+  const std::uint32_t len = readFrameLength(src);
+  std::vector<std::byte> payload;
+  receiveAppend(src, payload, len);
+  countFrame(stats, len);
   return payload;
 }
 
@@ -298,20 +359,34 @@ SegmentResponseHeader readSegmentResponse(ByteSource& src,
                          "segment totalBytes " + std::to_string(h.totalBytes) +
                              " exceeds the protocol bound");
   }
-  payload.reserve(payload.size() + h.totalBytes);
+  // Each data frame lands straight in the payload's tail, which grows
+  // only within a frame length that passed the checks (receiveAppend),
+  // and a throw cuts it back to the frames received in full. The
+  // up-front reserve is capped at kFrameMax rather than trusting
+  // totalBytes, which may overstate up to kSegmentMax; a true total
+  // within the cap never reallocates.
+  const std::size_t base = payload.size();
+  payload.reserve(base + std::min<std::uint64_t>(h.totalBytes, kFrameMax));
   std::uint64_t got = 0;
-  while (got < h.totalBytes) {
-    const std::vector<std::byte> chunk = readFrame(src, stats);
-    if (chunk.empty()) {
-      throw TransportError(TransportFaultKind::kCorruptFrame,
-                           "empty data frame inside a segment response");
+  try {
+    while (got < h.totalBytes) {
+      const std::uint32_t len = readFrameLength(src);
+      if (len == 0) {
+        countFrame(stats, 0);
+        throw TransportError(TransportFaultKind::kCorruptFrame,
+                             "empty data frame inside a segment response");
+      }
+      if (got + len > h.totalBytes) {
+        throw TransportError(TransportFaultKind::kCorruptFrame,
+                             "data frames overshoot the declared totalBytes");
+      }
+      receiveAppend(src, payload, len);
+      countFrame(stats, len);
+      got += len;
     }
-    if (got + chunk.size() > h.totalBytes) {
-      throw TransportError(TransportFaultKind::kCorruptFrame,
-                           "data frames overshoot the declared totalBytes");
-    }
-    payload.insert(payload.end(), chunk.begin(), chunk.end());
-    got += chunk.size();
+  } catch (...) {
+    payload.resize(base + got);
+    throw;
   }
   return h;
 }
@@ -502,7 +577,9 @@ class SegmentServer {
 
   void serveRequest(wire::SocketConnection& conn,
                     const wire::FetchRequestFrame& req) {
-    std::vector<std::byte> encodeBuf;
+    // One buffer per request: a resident segment's encoding, or the
+    // chunk a committed file is read through.
+    std::vector<std::byte> buf;
     for (std::uint32_t m : req.maps) {
       // The locked read is the point: a server thread never observed
       // the publication order the engine's lock-free reduce fetch
@@ -513,62 +590,47 @@ class SegmentServer {
         // serializeInto is const and encodes straight from the packed
         // form — safe against the owning reduce reading the same
         // immutable segment concurrently.
-        encodeBuf.clear();
-        seg->serializeInto(encodeBuf);
-        sendSegment(conn, m, req.keyblock, /*flags=*/0, encodeBuf);
+        seg->serializeInto(buf);
+        sendSegment(conn, m, req.keyblock, buf);
         continue;
       }
-      serveFile(conn, m, req.keyblock);
+      serveFile(conn, m, req.keyblock, buf);
     }
   }
 
-  /// Ships one in-memory encoding: header frame, then data frames.
+  /// Ships one in-memory encoding: header frame, then data frames sent
+  /// straight out of `bytes`.
   void sendSegment(wire::SocketConnection& conn, std::uint32_t m,
-                   std::uint32_t kb, std::uint32_t flags,
-                   std::span<const std::byte> bytes) {
-    wire::SegmentResponseHeader h;
-    h.mapTask = m;
-    h.keyblock = kb;
-    h.flags = flags;
-    h.totalBytes = bytes.size();
-    std::vector<std::byte> out;
-    wire::appendFrame(out, wire::encodeSegmentResponseHeader(h));
-    conn.writeAll(out);
+                   std::uint32_t kb, std::span<const std::byte> bytes) {
+    conn.writeFrame(
+        wire::encodeSegmentResponseHeader({m, kb, /*flags=*/0, bytes.size()}));
     for (std::size_t off = 0; off < bytes.size();) {
       const std::size_t n =
           std::min<std::size_t>(wire::kChunkBytes, bytes.size() - off);
-      out.clear();
-      wire::appendFrame(out, bytes.subspan(off, n));
-      conn.writeAll(out);
+      conn.writeFrame(bytes.subspan(off, n));
       off += n;
     }
   }
 
-  /// Streams one committed spill file in bounded chunks — the server
-  /// never holds a whole segment resident.
+  /// Streams one committed spill file in bounded chunks through `chunk`
+  /// — the server never holds a whole segment resident.
   void serveFile(wire::SocketConnection& conn, std::uint32_t m,
-                 std::uint32_t kb) {
+                 std::uint32_t kb, std::vector<std::byte>& chunk) {
     sci::FileStorage file(source_.committedSegmentPath(m, kb),
                           sci::FileStorage::Mode::kOpenReadOnly);
     const std::uint64_t size = file.size();
-    wire::SegmentResponseHeader h;
-    h.mapTask = m;
-    h.keyblock = kb;
-    h.flags = source_.compressedFiles() ? wire::kFlagCompressed : 0;
-    h.totalBytes = size;
-    std::vector<std::byte> out;
-    wire::appendFrame(out, wire::encodeSegmentResponseHeader(h));
-    conn.writeAll(out);
-    std::vector<std::byte> chunk(std::min<std::uint64_t>(
-        wire::kChunkBytes, std::max<std::uint64_t>(size, 1)));
+    const std::uint32_t flags =
+        source_.compressedFiles() ? wire::kFlagCompressed : 0;
+    conn.writeFrame(wire::encodeSegmentResponseHeader({m, kb, flags, size}));
+    chunk.resize(std::min<std::uint64_t>(wire::kChunkBytes, size));
     for (std::uint64_t off = 0; off < size;) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(chunk.size(), size - off));
-      file.readAt(off, std::span<std::byte>(chunk.data(), n));
-      out.clear();
-      wire::appendFrame(out, std::span<const std::byte>(chunk.data(), n));
-      conn.writeAll(out);
-      off += n;
+      const std::span<std::byte> piece(
+          chunk.data(),
+          static_cast<std::size_t>(
+              std::min<std::uint64_t>(chunk.size(), size - off)));
+      file.readAt(off, piece);
+      conn.writeFrame(piece);
+      off += piece.size();
     }
   }
 

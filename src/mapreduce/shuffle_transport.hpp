@@ -209,7 +209,9 @@ inline constexpr std::uint64_t kSegmentMax = 1ull << 30;
 
 /// Data-frame granule: the server splits every segment payload into
 /// frames of at most this many bytes, and streams a committed spill
-/// file chunk by chunk so it never holds that file resident.
+/// file chunk by chunk so it never holds that file resident. Receivers
+/// grow a frame's buffer by at most this much ahead of the bytes that
+/// arrived.
 inline constexpr std::uint32_t kChunkBytes = 256u << 10;
 
 inline constexpr std::uint32_t kRequestMagic = 0x52444953u;   // "SIDR"
@@ -278,6 +280,11 @@ class SocketConnection final : public ByteSource {
   /// the peer resets.
   void writeAll(std::span<const std::byte> buf);
 
+  /// Writes one frame (u32 length prefix + payload) as a single gather
+  /// write straight from `payload`: no staging copy. Same errors as
+  /// writeAll.
+  void writeFrame(std::span<const std::byte> payload);
+
   /// Server-side shutdown hook: when set and `*stop` becomes true, a
   /// blocked readExact throws kConnectionDrop at its next poll tick. A
   /// timeout of 0 means "no stall limit" (server connections wait
@@ -296,7 +303,9 @@ class SocketConnection final : public ByteSource {
 void appendFrame(std::vector<std::byte>& out, std::span<const std::byte> payload);
 
 /// Reads one length-prefixed frame. Enforces kFrameMax BEFORE
-/// allocating. `stats` (optional) counts the frame and its wire bytes.
+/// allocating, and grows the payload at most kChunkBytes ahead of the
+/// bytes received. `stats` (optional) counts the frame and its wire
+/// bytes.
 std::vector<std::byte> readFrame(ByteSource& src, FetchStats* stats);
 
 /// Encodes a fetch-request frame for `maps` of `keyblock`.
@@ -312,12 +321,17 @@ std::vector<std::byte> encodeSegmentResponseHeader(
     const SegmentResponseHeader& header);
 
 /// Reads one map's full response (header frame + data frames),
-/// appending exactly totalBytes of codec payload to `payload`.
+/// appending exactly totalBytes of codec payload to `payload`. Each data
+/// frame is received straight into the payload's tail, which grows only
+/// within a frame length that passed the checks, at most kChunkBytes
+/// ahead of the bytes received; on a throw, `payload` keeps just the
+/// data frames received in full.
 /// Validates against the request order: a response for a different
 /// (map, keyblock) throws kReorderedFrame; bad magic / short header /
-/// totalBytes below the 32-byte codec header / a data frame
-/// overshooting totalBytes throw kCorruptFrame; totalBytes beyond
-/// kSegmentMax throws kOversizedFrame.
+/// totalBytes below the 32-byte codec header / an empty data frame / a
+/// data frame overshooting totalBytes throw kCorruptFrame; totalBytes
+/// beyond kSegmentMax or a frame beyond kFrameMax throws
+/// kOversizedFrame.
 SegmentResponseHeader readSegmentResponse(ByteSource& src,
                                           std::uint32_t expectMap,
                                           std::uint32_t expectKeyblock,

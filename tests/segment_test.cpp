@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <random>
+#include <set>
 
 #include "mapreduce/combiners.hpp"
 #include "mapreduce/partitioners.hpp"
@@ -350,6 +351,51 @@ TEST(SegmentMerger, GroupsAcrossSegments) {
   EXPECT_EQ(groups[1], std::make_pair(nd::Coord{2}, std::size_t{1}));
   EXPECT_EQ(groups[2], std::make_pair(nd::Coord{3}, std::size_t{1}));
   EXPECT_EQ(reps, (std::vector<std::uint64_t>{3, 1, 1}));
+}
+
+TEST(SegmentMerger, PackedListsReachTheReducerInPlace) {
+  // A packed list is handed over as the segment's own value, not as a
+  // per-record copy: every list the reducer sees points at the data of
+  // one of the inputs' side-table lists.
+  const nd::Coord keySpace{6};
+  Segment a = packedSegment(0, 0,
+                            {{nd::Coord{1}, Value::list({1.0, 2.0}), 1},
+                             {nd::Coord{3}, Value::list({3.0}), 1},
+                             {nd::Coord{4}, Value::scalar(4.0), 1}},
+                            keySpace);
+  Segment b = packedSegment(1, 0,
+                            {{nd::Coord{1}, Value::list({5.0, 6.0, 7.0}), 2},
+                             {nd::Coord{5}, Value::list({8.0}), 1}},
+                            keySpace);
+  std::set<const double*> own;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    own.insert(a.packedListAt(i).data());
+    own.insert(b.packedListAt(i).data());
+  }
+  ASSERT_EQ(own.size(), 4u);
+
+  std::vector<const Segment*> segs{&a, &b};
+  SegmentMerger merger(segs, keySpace);
+  std::size_t lists = 0;
+  double sum = 0.0;
+  merger.forEachGroup([&](const nd::Coord&,
+                          std::span<const Value* const> values,
+                          std::uint64_t) {
+    for (const Value* v : values) {
+      if (v->kind() != ValueKind::kList) {
+        sum += v->asScalar();
+        continue;
+      }
+      ++lists;
+      EXPECT_EQ(own.count(v->asList().data()), 1u)
+          << "a packed list reached the reducer as a copy";
+      for (double x : v->asList()) sum += x;
+    }
+  });
+  EXPECT_EQ(lists, 4u);
+  EXPECT_EQ(sum, 36.0);
+  EXPECT_TRUE(a.packed());
+  EXPECT_TRUE(b.packed());
 }
 
 TEST(SegmentMerger, ManySegmentsStaySorted) {

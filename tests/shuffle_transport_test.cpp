@@ -131,13 +131,65 @@ TEST(WireFraming, SegmentResponseRoundTripAcrossChunkSizes) {
     std::vector<std::byte> bytes = buildResponseBytes(seg, chunk);
     mr::wire::SpanByteSource src(bytes);
     std::vector<std::byte> payload;
+    mr::FetchStats stats;
     mr::wire::SegmentResponseHeader h =
-        mr::wire::readSegmentResponse(src, 4, 2, payload, nullptr);
+        mr::wire::readSegmentResponse(src, 4, 2, payload, &stats);
     EXPECT_EQ(h.totalBytes, whole.size());
     ASSERT_EQ(payload.size(), whole.size());
     EXPECT_EQ(std::memcmp(payload.data(), whole.data(), whole.size()), 0)
         << "chunk " << chunk;
+    // The header frame plus every data frame, prefixes included: the
+    // receive loop books the whole response into the net.* counters.
+    EXPECT_EQ(stats.framesReceived, 1 + (whole.size() + chunk - 1) / chunk)
+        << "chunk " << chunk;
+    EXPECT_EQ(stats.wireBytes, bytes.size()) << "chunk " << chunk;
   }
+}
+
+/// SpanByteSource that also records the largest size `payload` had
+/// whenever the decoder asked for more bytes.
+class PayloadWatchingSource final : public mr::wire::ByteSource {
+ public:
+  PayloadWatchingSource(std::span<const std::byte> bytes,
+                        const std::vector<std::byte>& payload)
+      : inner_(bytes), payload_(payload) {}
+
+  void readExact(std::span<std::byte> buf) override {
+    largest_ = std::max(largest_, payload_.size());
+    inner_.readExact(buf);
+  }
+
+  std::size_t largestPayload() const { return largest_; }
+
+ private:
+  mr::wire::SpanByteSource inner_;
+  const std::vector<std::byte>& payload_;
+  std::size_t largest_ = 0;
+};
+
+TEST(WireFraming, OverstatedTotalGrowsPayloadOnlyByReceivedFrames) {
+  // A header claiming the largest legal segment, one 1-byte data frame,
+  // then EOF: the decoder fails typed, and the payload only ever held
+  // the one byte that arrived, never the claimed total.
+  mr::wire::SegmentResponseHeader h;
+  h.totalBytes = mr::wire::kSegmentMax;
+  std::vector<std::byte> bytes;
+  mr::wire::appendFrame(bytes, mr::wire::encodeSegmentResponseHeader(h));
+  const std::byte one[] = {std::byte{0x5a}};
+  mr::wire::appendFrame(bytes, one);
+  std::vector<std::byte> payload;
+  PayloadWatchingSource src(bytes, payload);
+  try {
+    mr::wire::readSegmentResponse(src, 0, 0, payload, nullptr);
+    FAIL() << "a truncated response decoded";
+  } catch (const mr::TransportError& e) {
+    EXPECT_EQ(e.fault(), mr::TransportFaultKind::kTruncatedFrame);
+  }
+  EXPECT_LE(src.largestPayload(), 1u);
+  ASSERT_EQ(payload.size(), 1u);
+  EXPECT_EQ(payload[0], std::byte{0x5a});
+  EXPECT_LE(payload.capacity(), mr::wire::kFrameMax)
+      << "capacity was reserved for the claimed total";
 }
 
 TEST(WireFraming, EveryPrefixTruncationIsTypedNeverAHang) {
@@ -625,6 +677,89 @@ TEST_P(TransportParity, BackendsProduceIdenticalOutputAndCommits) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TransportParity, ::testing::Range(0, 16));
+
+// ---- multi-frame segments: list-valued map output over the socket ----
+
+TEST(TransportMultiFrame, ListSegmentsSpanSeveralFramesBitIdentically) {
+  // TransportParity ships only mean/max partials over small inputs, so
+  // each of its responses fits one data frame. Median map output
+  // carries every cell value in a list; at this size every response
+  // spans several wire::kChunkBytes frames, sent from resident
+  // encodings (no budget) and from committed files (one page).
+  const nd::Coord input{640, 480};
+  sh::StructuralQuery q;
+  q.variable = "v";
+  q.op = OperatorKind::kMedian;
+  q.extractionShape = nd::Coord{4, 4};
+  sh::ValueFn fn = sh::temperatureField(61);
+  PlanOptions opts;
+  opts.system = SystemMode::kSidr;
+  opts.numReducers = 2;
+  opts.desiredSplitCount = 4;
+  opts.numThreads = 3;
+  QueryPlanner planner(q, input);
+
+  struct Arm {
+    const char* name;
+    mr::ShuffleTransportKind kind;
+    bool evicted;  ///< one-page budget on one worker
+  };
+  const Arm arms[] = {
+      {"in-process", mr::ShuffleTransportKind::kInProcess, false},
+      {"socket", mr::ShuffleTransportKind::kSocket, false},
+      {"in-process-one-page", mr::ShuffleTransportKind::kInProcess, true},
+      {"socket-one-page", mr::ShuffleTransportKind::kSocket, true},
+  };
+  std::vector<mr::KeyValue> reference;
+  std::map<std::string, std::string> referenceFiles;
+  for (const Arm& arm : arms) {
+    SCOPED_TRACE(arm.name);
+    const std::string dir =
+        tempDir(std::string("sidr_tp_multiframe_") + arm.name);
+    fs::remove_all(dir);
+    QueryPlan plan = planner.plan(fn, opts);
+    if (arm.evicted) {
+      plan.spec.spillDirectory = dir;
+      plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+      plan.spec.numThreads = 1;
+    }
+    plan.spec.transport = arm.kind;
+    mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
+    EXPECT_EQ(result.annotationViolations, 0u);
+    if (arm.evicted) {
+      EXPECT_GT(result.pressureSpillEvents, 0u);
+    }
+    if (arm.kind == mr::ShuffleTransportKind::kSocket) {
+      // One header frame per response, the rest data frames: at least
+      // three of them per response on average (each segment here is
+      // about 0.8 MiB).
+      const std::uint64_t responses = result.shuffleConnections;
+      const std::uint64_t frames = result.transportTotals.framesReceived;
+      ASSERT_GT(responses, 0u);
+      EXPECT_GE(frames, 4 * responses)
+          << frames << " frames for " << responses << " responses";
+    }
+
+    std::vector<mr::KeyValue> collected = result.collectAll();
+    std::map<std::string, std::string> files;
+    if (arm.evicted) files = snapshotFiles(dir);
+    fs::remove_all(dir);
+    if (reference.empty()) {
+      ASSERT_FALSE(collected.empty());
+      reference = std::move(collected);
+    } else {
+      expectSameCollected(collected, reference);
+    }
+    if (!arm.evicted) continue;
+    ASSERT_FALSE(files.empty());
+    if (referenceFiles.empty()) {
+      referenceFiles = std::move(files);
+      continue;
+    }
+    EXPECT_EQ(files, referenceFiles)
+        << "committed eviction files differ across transports";
+  }
+}
 
 // ---- injected connection drops: retry, accounting, exhaustion ----
 
