@@ -175,8 +175,11 @@ class BufferingMapContext final : public mr::MapContext {
   std::vector<std::vector<mr::KeyValue>> buffers_;
 };
 
-std::vector<mr::Segment> runMap(const Workload& w, mr::Mapper& mapper,
-                                const mr::Combiner* combiner) {
+/// Each keyblock's sorted (and combined) records: the seed's segments,
+/// which held KeyValues.
+std::vector<std::vector<mr::KeyValue>> runMap(const Workload& w,
+                                              mr::Mapper& mapper,
+                                              const mr::Combiner* combiner) {
   BufferingMapContext ctx(*w.partitioner, kReducers);
   nd::Coord key;
   double value = 0;
@@ -185,7 +188,7 @@ std::vector<mr::Segment> runMap(const Workload& w, mr::Mapper& mapper,
     while (reader->next(key, value)) mapper.map(key, value, ctx);
   }
   mapper.finish(ctx);
-  std::vector<mr::Segment> segs;
+  std::vector<std::vector<mr::KeyValue>> segs;
   segs.reserve(kReducers);
   for (std::uint32_t kb = 0; kb < kReducers; ++kb) {
     // The seed's Segment::sortByKey: unconditional std::sort under
@@ -195,11 +198,9 @@ std::vector<mr::Segment> runMap(const Workload& w, mr::Mapper& mapper,
               [](const mr::KeyValue& a, const mr::KeyValue& b) {
                 return a.key < b.key;
               });
-    segs.emplace_back(0, kb,
-                      combiner != nullptr
-                          ? testsupport::frozenCombine(std::move(buf),
-                                                       *combiner)
-                          : std::move(buf));
+    segs.push_back(combiner != nullptr
+                       ? testsupport::frozenCombine(std::move(buf), *combiner)
+                       : std::move(buf));
   }
   return segs;
 }
@@ -216,9 +217,10 @@ void BM_MapPipeline(benchmark::State& state, Workload (*make)(), Arm arm) {
     std::unique_ptr<mr::Combiner> combiner =
         w.combinerFactory ? w.combinerFactory() : nullptr;
     std::vector<mr::Segment> segs;
+    std::vector<std::vector<mr::KeyValue>> legacySegs;
     switch (arm) {
       case Arm::kLegacy:
-        segs = legacy::runMap(w, *mapper, combiner.get());
+        legacySegs = legacy::runMap(w, *mapper, combiner.get());
         break;
       case Arm::kLinearized:
         segs = mr::runMapPipeline(w.split, 0, w.readerFactory, *mapper,
@@ -239,6 +241,7 @@ void BM_MapPipeline(benchmark::State& state, Workload (*make)(), Arm arm) {
       }
     }
     benchmark::DoNotOptimize(segs.data());
+    benchmark::DoNotOptimize(legacySegs.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * w.records);

@@ -1,14 +1,19 @@
 // Microbenchmark for the map-output segment codec and the in-memory
-// shuffle path.
+// shuffle path, and a codec parity gate.
 //
 // `legacy::` freezes the original byte-at-a-time codec (push_back per
-// byte on serialize, shift-loop per word on deserialize) so the bulk
-// codec in `Segment` can be compared against it in one binary. The
-// engine benchmark runs a fig10-style reduce sweep on the real
-// in-process engine with the in-memory (zero-copy) segment store.
+// byte on serialize, shift-loop per word on deserialize) over KeyValue
+// records, so the bulk codec in `Segment`, which encodes packed
+// segments straight from their linear keys, can be compared against it
+// in one binary. Before timing anything, main checks once per workload
+// that both encoders produce the same bytes and both decoders the same
+// records, and exits non-zero on any mismatch. The engine benchmark
+// runs a fig10-style reduce sweep on the real in-process engine with
+// the in-memory (zero-copy) segment store.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <random>
 #include <stdexcept>
@@ -18,6 +23,7 @@
 #include "mapreduce/segment.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/frozen_codec.hpp"
 
 namespace sidr::mr {
 namespace legacy {
@@ -65,14 +71,16 @@ class Cursor {
   std::size_t pos_ = 0;
 };
 
-std::vector<std::byte> serialize(const Segment& seg) {
+std::vector<std::byte> serialize(std::uint32_t mapTask, std::uint32_t keyblock,
+                                 const std::vector<KeyValue>& records) {
   std::vector<std::byte> out;
-  const SegmentHeader& h = seg.header();
-  putU64(out, h.mapTask);
-  putU64(out, h.keyblock);
-  putU64(out, h.numRecords);
-  putU64(out, h.represents);
-  for (const KeyValue& kv : seg.records()) {
+  std::uint64_t represents = 0;
+  for (const KeyValue& kv : records) represents += kv.represents;
+  putU64(out, mapTask);
+  putU64(out, keyblock);
+  putU64(out, records.size());
+  putU64(out, represents);
+  for (const KeyValue& kv : records) {
     putU64(out, kv.key.rank());
     for (nd::Index c : kv.key) putU64(out, static_cast<std::uint64_t>(c));
     putU64(out, kv.represents);
@@ -100,7 +108,12 @@ std::vector<std::byte> serialize(const Segment& seg) {
   return out;
 }
 
-Segment deserialize(std::span<const std::byte> bytes) {
+struct Decoded {
+  SegmentHeader header;
+  std::vector<KeyValue> records;
+};
+
+Decoded deserialize(std::span<const std::byte> bytes) {
   Cursor cur(bytes);
   SegmentHeader h;
   h.mapTask = static_cast<std::uint32_t>(cur.getU64());
@@ -144,21 +157,25 @@ Segment deserialize(std::span<const std::byte> bytes) {
     }
     records.push_back(std::move(kv));
   }
-  return Segment(h.mapTask, h.keyblock, std::move(records));
+  return Decoded{h, std::move(records)};
 }
 
 }  // namespace legacy
 
 namespace {
 
-/// Benchmark workloads. Mixed: rank-3 keys, alternating scalar /
-/// partial / short-list values — an algebraic-query shuffle. Median:
-/// every value is a ~32-63 element list — what a holistic operator
-/// (paper Query 1, median over windspeed) actually ships, where the
-/// payload dwarfs the per-record framing.
+/// Benchmark workloads, keys in kKeySpace. Mixed: rank-3 keys,
+/// alternating scalar / partial / short-list values — an
+/// algebraic-query shuffle. Median: every value is a ~32-63 element
+/// list — what a holistic operator (paper Query 1, median over
+/// windspeed) actually ships, where the payload dwarfs the per-record
+/// framing.
 enum Workload : std::int64_t { kMixed = 0, kMedian = 1 };
 
-Segment makeSegment(std::size_t numRecords, Workload workload) {
+const nd::Coord kKeySpace{512, 128, 64};
+
+/// One workload's records, sorted by key.
+std::vector<KeyValue> makeRecords(std::size_t numRecords, Workload workload) {
   std::mt19937_64 rng(42);
   std::vector<KeyValue> records;
   records.reserve(numRecords);
@@ -195,19 +212,23 @@ Segment makeSegment(std::size_t numRecords, Workload workload) {
   std::stable_sort(
       records.begin(), records.end(),
       [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
-  return Segment(3, 1, std::move(records));
+  return records;
 }
 
-Segment makeSegment(const benchmark::State& state) {
-  return makeSegment(static_cast<std::size_t>(state.range(0)),
+std::vector<KeyValue> makeRecords(const benchmark::State& state) {
+  return makeRecords(static_cast<std::size_t>(state.range(0)),
                      static_cast<Workload>(state.range(1)));
 }
 
+Segment makeSegment(const benchmark::State& state) {
+  return testsupport::pack(3, 1, makeRecords(state), kKeySpace);
+}
+
 void BM_LegacySerialize(benchmark::State& state) {
-  Segment seg = makeSegment(state);
-  std::size_t bytes = legacy::serialize(seg).size();
+  const std::vector<KeyValue> records = makeRecords(state);
+  std::size_t bytes = legacy::serialize(3, 1, records).size();
   for (auto _ : state) {
-    auto out = legacy::serialize(seg);
+    auto out = legacy::serialize(3, 1, records);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
@@ -229,8 +250,8 @@ void BM_LegacyDeserialize(benchmark::State& state) {
   Segment seg = makeSegment(state);
   auto bytes = seg.serialize();
   for (auto _ : state) {
-    Segment back = legacy::deserialize(bytes);
-    benchmark::DoNotOptimize(back.records().data());
+    legacy::Decoded back = legacy::deserialize(bytes);
+    benchmark::DoNotOptimize(back.records.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes.size()) *
                           state.iterations());
@@ -241,19 +262,19 @@ void BM_BulkDeserialize(benchmark::State& state) {
   auto bytes = seg.serialize();
   for (auto _ : state) {
     Segment back = Segment::deserialize(bytes);
-    benchmark::DoNotOptimize(back.records().data());
+    benchmark::DoNotOptimize(back.packedRecords().data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes.size()) *
                           state.iterations());
 }
 
 void BM_LegacyRoundTrip(benchmark::State& state) {
-  Segment seg = makeSegment(state);
-  std::size_t bytes = legacy::serialize(seg).size();
+  const std::vector<KeyValue> records = makeRecords(state);
+  std::size_t bytes = legacy::serialize(3, 1, records).size();
   for (auto _ : state) {
-    auto out = legacy::serialize(seg);
-    Segment back = legacy::deserialize(out);
-    benchmark::DoNotOptimize(back.records().data());
+    auto out = legacy::serialize(3, 1, records);
+    legacy::Decoded back = legacy::deserialize(out);
+    benchmark::DoNotOptimize(back.records.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes) * 2 *
                           state.iterations());
@@ -265,7 +286,7 @@ void BM_BulkRoundTrip(benchmark::State& state) {
   for (auto _ : state) {
     auto out = seg.serialize();
     Segment back = Segment::deserialize(out);
-    benchmark::DoNotOptimize(back.records().data());
+    benchmark::DoNotOptimize(back.packedRecords().data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes) * 2 *
                           state.iterations());
@@ -337,9 +358,49 @@ BENCHMARK(BM_EngineInMemoryReduceSweep)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
+/// The parity gate: for one workload, the legacy and bulk encoders must
+/// produce the same bytes and the legacy and bulk decoders the same
+/// records. Prints the first mismatch and returns false on one.
+bool codecsAgree(std::size_t numRecords, Workload workload) {
+  const std::vector<KeyValue> records = makeRecords(numRecords, workload);
+  const Segment seg = testsupport::pack(3, 1, records, kKeySpace);
+  const std::vector<std::byte> bytes = seg.serialize();
+  const char* what = nullptr;
+  if (legacy::serialize(3, 1, records) != bytes) {
+    what = "encoders differ";
+  } else {
+    const legacy::Decoded want = legacy::deserialize(bytes);
+    const Segment back = Segment::deserialize(bytes);
+    const std::vector<KeyValue> got = testsupport::unpack(back);
+    if (!(back.header() == want.header) || got.size() != want.records.size()) {
+      what = "decoded headers differ";
+    }
+    for (std::size_t i = 0; what == nullptr && i < got.size(); ++i) {
+      const KeyValue& a = got[i];
+      const KeyValue& b = want.records[i];
+      if (!(a.key == b.key) || !(a.value == b.value) ||
+          a.represents != b.represents) {
+        what = "decoded records differ";
+      }
+    }
+  }
+  if (what != nullptr) {
+    std::fprintf(stderr, "bench_segment_codec: %s (records=%zu median=%d)\n",
+                 what, numRecords, workload == kMedian ? 1 : 0);
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 }  // namespace sidr::mr
 
 int main(int argc, char** argv) {
+  using sidr::mr::codecsAgree;
+  bool ok = true;
+  ok = codecsAgree(1000, sidr::mr::kMixed) && ok;
+  ok = codecsAgree(20000, sidr::mr::kMixed) && ok;
+  ok = codecsAgree(4000, sidr::mr::kMedian) && ok;
+  if (!ok) return 1;
   return sidr::bench::runBenchmarksWithJson("segment_codec", argc, argv);
 }

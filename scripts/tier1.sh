@@ -84,9 +84,9 @@ done
 # skew_join_test joins two value streams inside one reduce (side-tagged
 # list payloads, sorted in place) across every memory budget — buffer
 # reuse across sides is where a stale-pointer bug would live. The
-# packed-segment code rides along: segment_test (codec, packed
-# sort/combine, the merger's cursors over packed, decoded and streamed
-# inputs), linear_fastpath_test (packed map output against the frozen
+# packed-segment code rides along: segment_test (codec, sort/combine,
+# the merger's cursors over segments and streamed inputs),
+# linear_fastpath_test (packed map output against the frozen
 # lexicographic pipeline) and structural_mapper_parity_test (dense cell
 # tables feeding the packed buffers). operators_test drives the
 # radix-select median kernel, which indexes its reused key buffer with
@@ -120,8 +120,12 @@ done
 cmake --preset bench
 cmake --build --preset bench -j"$(nproc)" --target bench_map_pipeline \
   bench_engine_service bench_shuffle_transport bench_join_skew \
-  bench_memory_budget
+  bench_memory_budget bench_segment_codec
 ./build-bench/bench/bench_map_pipeline --quick
+# Codec parity gate: the bulk encoder must write the frozen byte-at-a-
+# time codec's bytes and both decoders must yield the same records, on
+# every workload (exits non-zero on a mismatch before timing anything).
+./build-bench/bench/bench_segment_codec --quick
 # The multi-job fleet driver is a correctness gate, not just a timing:
 # 72 queued jobs against one EngineService, every success bit-identical
 # to its solo baseline, failed/cancelled namespaces left empty, partial

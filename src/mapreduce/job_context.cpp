@@ -344,11 +344,6 @@ void JobContext::start() {
       }
     }
   }
-  // Warm publication is the moment resident bytes grow for a budgeted
-  // job — shed pressure exactly as a committing map would (no locks
-  // held; selection and finalize take mtx internally).
-  if (cacheServed && budgetEnabled()) maybePressureSpill();
-
   // Shuffle data plane, last: start() completes before any claim, so
   // the (possible) server threads never observe half-sized state. A
   // cache-served run always shuffles in-process: its warm handles are
@@ -368,9 +363,7 @@ void JobContext::start() {
 /// kRenameCommit spans (with count annotations) a real map attempt
 /// emits, so the trace invariants — commit-before-reduce gating, fetch
 /// tallies vs commits — hold verbatim while the attempt-span count pins
-/// "zero map tasks ran". publishedAttempt is 1: a budget eviction of a
-/// warm slot names its file exactly like a first-attempt commit.
-/// Caller holds mtx.
+/// "zero map tasks ran". Caller holds mtx.
 void JobContext::publishCachedSegmentsLocked() {
   obs::ScopedRecorder scoped(recorder.get());
   for (std::uint32_t m = 0; m < numMaps; ++m) {
@@ -924,7 +917,7 @@ void JobContext::maybePressureSpill() {
       span.setRecords(v.seg->header().numRecords);
       span.setRepresents(v.seg->header().represents);
       if (spec.compressSpill) {
-        v.seg->serializeCompressedInto(buf, spec.keySpace);
+        v.seg->serializeCompressedInto(buf);
         compressedSpillBytes.fetch_add(buf.size(), std::memory_order_relaxed);
       } else {
         v.seg->serializeInto(buf);
@@ -1159,10 +1152,9 @@ void JobContext::runReduce(std::uint32_t kb) {
 
   // Merge/group/reduce (outside the lock: pure local computation). One
   // ordered input sequence feeds the merger whatever the source kind —
-  // decoded wire payloads, resident handles (merged straight from their
-  // packed form), or bounded streaming cursors — and the record tally
-  // comes off the headers, so no input is materialized just to be
-  // counted.
+  // segments (resident handles or decoded wire payloads, merged in
+  // place) or bounded streaming cursors — and the record tally comes
+  // off the headers, so no input is decoded just to be counted.
   std::vector<SegmentMerger::Input> inputs;
   inputs.reserve(fetchedInputs.size());
   std::unique_ptr<SegmentMerger> merger;
@@ -1173,15 +1165,7 @@ void JobContext::runReduce(std::uint32_t kb) {
     // records — the merger never sees them, whatever the transport.
     for (const FetchedSegment& fs : fetchedInputs) {
       if (fs.header.numRecords == 0) continue;
-      SegmentMerger::Input in;
-      if (fs.stream != nullptr) {
-        in.stream = fs.stream.get();
-      } else if (fs.owned != nullptr) {
-        in.segment = fs.owned.get();
-      } else {
-        in.segment = fs.handle.get();
-      }
-      inputs.push_back(in);
+      inputs.push_back({fs.handle.get(), fs.stream.get()});
     }
     merger = std::make_unique<SegmentMerger>(
         std::span<const SegmentMerger::Input>(inputs), spec.keySpace);

@@ -126,24 +126,12 @@ void commitSegmentFile(const std::string& dir, std::uint32_t mapTask,
 }
 
 Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
-                 std::vector<KeyValue> records)
-    : records_(std::move(records)) {
-  header_.mapTask = mapTask;
-  header_.keyblock = keyblock;
-  header_.numRecords = records_.size();
-  header_.represents = 0;
-  for (const KeyValue& kv : records_) header_.represents += kv.represents;
-}
-
-Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
                  std::vector<PackedRecord> packed,
                  std::vector<std::vector<double>> lists, nd::Coord keySpace)
-    : packed_(std::move(packed)),
-      packedMode_(true),
-      keySpace_(std::move(keySpace)) {
+    : packed_(std::move(packed)), keySpace_(std::move(keySpace)) {
   if (keySpace_.rank() == 0 || !keySpace_.isValidShape()) {
     throw std::invalid_argument(
-        "Segment: packed form requires a valid non-empty keySpace");
+        "Segment: requires a valid non-empty keySpace");
   }
   lists_.reserve(lists.size());
   for (std::vector<double>& xs : lists) {
@@ -156,51 +144,7 @@ Segment::Segment(std::uint32_t mapTask, std::uint32_t keyblock,
   for (const PackedRecord& r : packed_) header_.represents += r.represents;
 }
 
-void Segment::materializeNow() const {
-  // Builds the KeyValue view in final order with exact capacity. Dense
-  // sorted runs delinearize by bumping the innermost coordinate instead
-  // of re-dividing (mappers over row-major input emit dense runs).
-  std::vector<KeyValue> records;
-  records.reserve(packed_.size());
-  const std::size_t lastD = keySpace_.rank() - 1;
-  nd::Coord cur;
-  std::uint64_t prevLin = 0;
-  bool havePrev = false;
-  for (const PackedRecord& r : packed_) {
-    if (havePrev && r.lin == prevLin + 1 && cur[lastD] + 1 < keySpace_[lastD]) {
-      ++cur[lastD];
-    } else if (!havePrev || r.lin != prevLin) {
-      cur = nd::delinearize(static_cast<nd::Index>(r.lin), keySpace_);
-    }
-    prevLin = r.lin;
-    havePrev = true;
-    KeyValue& kv = records.emplace_back();
-    kv.key = cur;
-    kv.represents = r.represents;
-    switch (r.kind) {
-      case ValueKind::kScalar:
-        kv.value = Value::scalar(r.payload.scalar);
-        break;
-      case ValueKind::kPartial:
-        kv.value = Value::partial(r.payload.partial);
-        break;
-      case ValueKind::kList:
-        kv.value = std::move(lists_[r.payload.listIndex]);
-        break;
-    }
-  }
-  records_ = std::move(records);
-  packed_.clear();
-  packed_.shrink_to_fit();
-  lists_.clear();
-  lists_.shrink_to_fit();
-  packedMode_ = false;
-}
-
 void Segment::sortByKey() {
-  if (!packedMode_) {
-    throw std::logic_error("Segment::sortByKey: only packed map output sorts");
-  }
   obs::SpanScope span(obs::Phase::kSortPacked, obs::TaskSide::kMap,
                       header_.mapTask, 0, header_.keyblock);
   span.setRecords(header_.numRecords);
@@ -210,10 +154,7 @@ void Segment::sortByKey() {
 void Segment::sortPacked() {
   // Mappers over row-major input usually emit each keyblock's records
   // already key-ordered; detect that in O(n) and skip the sort.
-  const auto linLess = [](const PackedRecord& a, const PackedRecord& b) {
-    return a.lin < b.lin;
-  };
-  if (std::is_sorted(packed_.begin(), packed_.end(), linLess)) {
+  if (isSorted()) {
     ++activeSortStats().sortedSkips;
     return;
   }
@@ -245,10 +186,6 @@ void Segment::sortPacked() {
 }
 
 void Segment::combineWith(const Combiner& combiner) {
-  if (!packedMode_) {
-    throw std::logic_error(
-        "Segment::combineWith: only packed map output combines");
-  }
   // Combiners consume and produce full Values: unpack each equal-key
   // run, fold it, and pack the result back (lists into a fresh side
   // table, so indices stay dense).
@@ -297,16 +234,10 @@ void Segment::combineWith(const Combiner& combiner) {
 }
 
 bool Segment::isSorted() const {
-  if (packedMode_) {
-    return std::is_sorted(
-        packed_.begin(), packed_.end(),
-        [](const PackedRecord& a, const PackedRecord& b) {
-          return a.lin < b.lin;
-        });
-  }
-  return std::is_sorted(
-      records_.begin(), records_.end(),
-      [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
+  return std::is_sorted(packed_.begin(), packed_.end(),
+                        [](const PackedRecord& a, const PackedRecord& b) {
+                          return a.lin < b.lin;
+                        });
 }
 
 namespace {
@@ -337,6 +268,13 @@ inline std::uint64_t loadU64(const std::byte* src) {
     }
     return x;
   }
+}
+
+inline double loadF64(const std::byte* p) {
+  const std::uint64_t bits = loadU64(p);
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
 }
 
 /// Appends words into a preallocated, exact-size buffer.
@@ -384,75 +322,8 @@ class Writer {
     u8(static_cast<std::uint8_t>(x));
   }
 
-  const std::byte* pos() const noexcept { return p_; }
-
  private:
   std::byte* p_;
-};
-
-/// Bounds-checked reading cursor: every read (and every length-derived
-/// allocation) is validated against the remaining byte count first.
-class Reader {
- public:
-  explicit Reader(std::span<const std::byte> bytes)
-      : p_(bytes.data()), end_(bytes.data() + bytes.size()) {}
-
-  std::size_t remaining() const noexcept {
-    return static_cast<std::size_t>(end_ - p_);
-  }
-
-  void require(std::size_t n) const {
-    if (remaining() < n) {
-      throw std::out_of_range("Segment::deserialize: truncated");
-    }
-  }
-
-  std::uint64_t u64() {
-    require(8);
-    return u64Unchecked();
-  }
-
-  /// Read after a covering require(): bounds already validated.
-  std::uint64_t u64Unchecked() {
-    std::uint64_t x = loadU64(p_);
-    p_ += 8;
-    return x;
-  }
-
-  double f64() {
-    std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  double f64Unchecked() {
-    std::uint64_t bits = u64Unchecked();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  /// Bulk-reads `n` contiguous 8-byte values after a covering
-  /// require().
-  template <typename T>
-  void wordsUnchecked(T* dst, std::size_t n) {
-    static_assert(sizeof(T) == 8);
-    if (n == 0) return;  // dst may be null (empty vector): memcpy forbids it
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(dst, p_, n * 8);
-      p_ += n * 8;
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t bits = u64Unchecked();
-        std::memcpy(dst + i, &bits, 8);
-      }
-    }
-  }
-
- private:
-  const std::byte* p_;
-  const std::byte* end_;
 };
 
 /// Smallest possible encoded record: rank-0 key + represents + kind +
@@ -462,6 +333,9 @@ constexpr std::size_t kMinRecordBytes = 8 + 8 + 8 + 8;
 /// Compressed-framing floor: 1-byte delta + 1-byte represents + kind
 /// byte + smallest payload (an empty list's 1-byte length varint).
 constexpr std::size_t kMinCompressedRecordBytes = 1 + 1 + 1 + 1;
+
+constexpr auto kMaxIndex =
+    static_cast<std::uint64_t>(std::numeric_limits<nd::Index>::max());
 
 inline std::size_t varintLen(std::uint64_t x) {
   std::size_t n = 1;
@@ -485,73 +359,351 @@ bool readVarint(const std::byte*& p, const std::byte* end,
     if (q == end) return false;
     const auto b = static_cast<std::uint8_t>(*q++);
     if (shift == 63 && (b & 0x7f) > 1) {
-      throw std::runtime_error("SegmentStream: varint overflow");
+      throw std::runtime_error("Segment: varint overflow");
     }
     x |= static_cast<std::uint64_t>(b & 0x7f) << shift;
     if ((b & 0x80) == 0) break;
     shift += 7;
-    if (shift >= 64) throw std::runtime_error("SegmentStream: varint overflow");
+    if (shift >= 64) throw std::runtime_error("Segment: varint overflow");
   }
   p = q;
   out = x;
   return true;
 }
 
-inline double loadF64(const std::byte* p) {
-  const std::uint64_t bits = loadU64(p);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+/// Element count of a valid shape, or 0 when it exceeds INT64_MAX (no
+/// key in it would have an int64 row-major index).
+std::uint64_t volumeWithinInt64(const nd::Coord& shape) {
+  std::uint64_t total = 1;
+  for (std::size_t d = 0; d < shape.rank(); ++d) {
+    const auto ext = static_cast<std::uint64_t>(shape[d]);
+    if (total > kMaxIndex / ext) return 0;
+    total *= ext;
+  }
+  return total;
 }
 
-/// Range-checked row-major linearization of a decoded record's key —
-/// the codec validates structure, not coordinate ranges, so a corrupt
-/// spill file or payload surfaces here. `who` names the caller.
-std::uint64_t checkedLinearize(const nd::Coord& key, const nd::Coord& keySpace,
-                               const char* who) {
-  if (key.rank() != keySpace.rank()) {
-    throw std::out_of_range(std::string(who) + ": key rank mismatch");
+/// Element count of a key space every key can be linearized in: a
+/// valid non-empty shape whose volume fits int64. Throws
+/// std::invalid_argument otherwise.
+std::uint64_t checkedKeySpaceSize(const nd::Coord& space, const char* who) {
+  const std::uint64_t total = space.rank() != 0 && space.isValidShape()
+                                  ? volumeWithinInt64(space)
+                                  : 0;
+  if (total == 0) {
+    throw std::invalid_argument(
+        std::string(who) +
+        ": needs a valid non-empty key space whose volume fits int64");
   }
-  // Bounds check and accumulation fused into one pass.
-  std::uint64_t lin = 0;
-  for (std::size_t d = 0; d < keySpace.rank(); ++d) {
-    if (key[d] < 0 || key[d] >= keySpace[d]) {
-      throw std::out_of_range(std::string(who) + ": key outside key space");
-    }
-    lin = lin * static_cast<std::uint64_t>(keySpace[d]) +
-          static_cast<std::uint64_t>(key[d]);
-  }
-  return lin;
+  return total;
 }
+
+// ---- one record decoder per framing ----
+//
+// Segment::decode (a whole payload) and SegmentStream (a sliding window
+// over a file) run the same two functions. Each decodes the record at
+// `p` and returns the position just past it, or nullptr when [p, end)
+// holds only a prefix of it: nothing is consumed then, and the stream
+// refills and retries. `pending` counts the input bytes not yet in
+// [p, end), so a corrupt list length throws instead of waiting for
+// bytes that never come.
+
+/// One decoded record: the key as its linear index, scalar and partial
+/// payloads inline, a list as its raw words in the input (copied out by
+/// the caller that keeps it).
+struct RawRecord {
+  PackedRecord rec;
+  const std::byte* listWords = nullptr;
+  std::uint64_t listLength = 0;
+};
+
+std::vector<double> listOf(const RawRecord& r) {
+  std::vector<double> xs(r.listLength);
+  if constexpr (std::endian::native == std::endian::little) {
+    // An empty list's data() may be null, which memcpy forbids.
+    if (!xs.empty()) std::memcpy(xs.data(), r.listWords, xs.size() * 8);
+  } else {
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      xs[i] = loadF64(r.listWords + 8 * i);
+    }
+  }
+  return xs;
+}
+
+Value valueOf(const RawRecord& r) {
+  switch (r.rec.kind) {
+    case ValueKind::kScalar:
+      return Value::scalar(r.rec.payload.scalar);
+    case ValueKind::kPartial:
+      return Value::partial(r.rec.payload.partial);
+    case ValueKind::kList:
+      break;
+  }
+  return Value::list(listOf(r));
+}
+
+/// Row-major linearization of a fixed-width key's coordinate words,
+/// each range-checked against `space`: a corrupt key fails the decode.
+struct Linearizer {
+  const nd::Coord& space;
+
+  std::uint64_t operator()(const std::byte* words, std::uint64_t rank) const {
+    if (rank != space.rank()) {
+      throw std::out_of_range("Segment: key rank differs from the key space");
+    }
+    std::uint64_t lin = 0;
+    for (std::size_t d = 0; d < rank; ++d) {
+      const auto c = static_cast<nd::Index>(loadU64(words + 8 * d));
+      if (c < 0 || c >= space[d]) {
+        throw std::out_of_range("Segment: key outside the key space");
+      }
+      lin = lin * static_cast<std::uint64_t>(space[d]) +
+            static_cast<std::uint64_t>(c);
+    }
+    return lin;
+  }
+};
+
+/// The fixed-width framing: rank word, coordinate words, represents,
+/// kind word, payload words. `key(coordinateWords, rank)` yields the
+/// record's linear key once the whole record is present.
+template <typename KeyFn>
+const std::byte* decodeFixedRecord(const std::byte* p, const std::byte* end,
+                                   std::uint64_t pending, KeyFn&& key,
+                                   RawRecord& out) {
+  if (end - p < 8) return nullptr;
+  const std::uint64_t rank = loadU64(p);
+  if (rank > nd::kMaxRank) throw std::runtime_error("Segment: bad key rank");
+  if (static_cast<std::uint64_t>(end - p) < 8 + 8 * rank + 16) return nullptr;
+  const std::byte* coords = p + 8;
+  p += 8 + 8 * rank;
+  const std::uint64_t represents = loadU64(p);
+  const std::uint64_t kind = loadU64(p + 8);
+  p += 16;
+  PackedRecord& r = out.rec;
+  switch (kind) {
+    case 0:
+      if (end - p < 8) return nullptr;
+      r.payload.scalar = loadF64(p);
+      p += 8;
+      break;
+    case 1:
+      if (end - p < 4 * 8) return nullptr;
+      r.payload.partial =
+          Partial{loadF64(p), loadF64(p + 8), loadF64(p + 16),
+                  static_cast<std::int64_t>(loadU64(p + 24))};
+      p += 4 * 8;
+      break;
+    case 2: {
+      if (end - p < 8) return nullptr;
+      const std::uint64_t n = loadU64(p);
+      const std::uint64_t here = static_cast<std::uint64_t>(end - p) - 8;
+      if (n > (here + pending) / 8) {
+        throw std::out_of_range("Segment: list length exceeds input");
+      }
+      if (here < 8 * n) return nullptr;
+      out.listWords = p + 8;
+      out.listLength = n;
+      p += 8 + 8 * n;
+      break;
+    }
+    default:
+      throw std::runtime_error("Segment: bad value kind");
+  }
+  r.kind = static_cast<ValueKind>(kind);
+  r.represents = represents;
+  r.lin = key(coords, rank);
+  return p;
+}
+
+/// The compressed framing: varint delta from the previous record's
+/// linear key (`prev`; null for the first record, whose delta is its
+/// key), varint represents, kind byte, payload. Keys must lie below
+/// `spaceSize`.
+const std::byte* decodeCompressedRecord(const std::byte* p,
+                                        const std::byte* end,
+                                        std::uint64_t pending,
+                                        std::uint64_t spaceSize,
+                                        const std::uint64_t* prev,
+                                        RawRecord& out) {
+  std::uint64_t delta = 0;
+  std::uint64_t represents = 0;
+  if (!readVarint(p, end, delta)) return nullptr;
+  if (!readVarint(p, end, represents)) return nullptr;
+  if (p == end) return nullptr;
+  const auto kind = static_cast<std::uint8_t>(*p++);
+  PackedRecord& r = out.rec;
+  switch (kind) {
+    case 0:
+      if (end - p < 8) return nullptr;
+      r.payload.scalar = loadF64(p);
+      p += 8;
+      break;
+    case 1: {
+      if (end - p < 3 * 8) return nullptr;
+      Partial pa;
+      pa.sum = loadF64(p);
+      pa.min = loadF64(p + 8);
+      pa.max = loadF64(p + 16);
+      p += 3 * 8;
+      std::uint64_t count = 0;
+      if (!readVarint(p, end, count)) return nullptr;
+      pa.count = static_cast<std::int64_t>(count);
+      r.payload.partial = pa;
+      break;
+    }
+    case 2: {
+      std::uint64_t n = 0;
+      if (!readVarint(p, end, n)) return nullptr;
+      const auto here = static_cast<std::uint64_t>(end - p);
+      if (n > (here + pending) / 8) {
+        throw std::out_of_range("Segment: list length exceeds input");
+      }
+      if (here < 8 * n) return nullptr;
+      out.listWords = p;
+      out.listLength = n;
+      p += 8 * n;
+      break;
+    }
+    default:
+      throw std::runtime_error("Segment: bad value kind");
+  }
+  std::uint64_t lin = delta;
+  if (prev != nullptr) {
+    if (delta > std::numeric_limits<std::uint64_t>::max() - *prev) {
+      throw std::out_of_range("Segment: linear key outside the key space");
+    }
+    lin = *prev + delta;
+  }
+  if (lin >= spaceSize) {
+    throw std::out_of_range("Segment: linear key outside the key space");
+  }
+  r.kind = static_cast<ValueKind>(kind);
+  r.represents = represents;
+  r.lin = lin;
+  return p;
+}
+
+/// The compressed framing's embedded key space (varint rank, then
+/// extents), which must equal `space`; `space` is valid, so equality
+/// rules out every corrupt extent. Returns the position past it, or
+/// nullptr when [p, end) holds only a prefix of it.
+const std::byte* decodeKeySpace(const std::byte* p, const std::byte* end,
+                                const nd::Coord& space) {
+  std::uint64_t rank = 0;
+  if (!readVarint(p, end, rank)) return nullptr;
+  if (rank > nd::kMaxRank) throw std::runtime_error("Segment: bad key rank");
+  nd::Coord embedded = nd::Coord::zeros(rank);
+  for (std::size_t d = 0; d < rank; ++d) {
+    std::uint64_t ext = 0;
+    if (!readVarint(p, end, ext)) return nullptr;
+    embedded[d] = static_cast<nd::Index>(ext);
+  }
+  if (!(embedded == space)) {
+    throw std::runtime_error("Segment: key space mismatch");
+  }
+  return p;
+}
+
+/// The header, then the guard every decode runs before trusting its
+/// record count: each record costs at least its framing's minimum on
+/// the wire, so a corrupt count can never drive a huge reserve.
+SegmentHeader readCountedHeader(std::span<const std::byte> head,
+                                std::uint64_t totalBytes, bool compressed) {
+  const SegmentHeader h = Segment::peekHeader(head);
+  const std::uint64_t minRecord =
+      compressed ? kMinCompressedRecordBytes : kMinRecordBytes;
+  if (h.numRecords > (totalBytes - Segment::kHeaderBytes) / minRecord) {
+    throw std::out_of_range("Segment: record count exceeds input");
+  }
+  return h;
+}
+
+/// After the last record: leftover bytes are trailing garbage, and the
+/// records' represents must add up to the header's annotation.
+void checkSegmentEnd(bool trailing, std::uint64_t repSum,
+                     const SegmentHeader& h) {
+  if (trailing) throw std::runtime_error("Segment: trailing bytes");
+  if (repSum != h.represents) {
+    throw std::runtime_error("Segment: annotation mismatch");
+  }
+}
+
+/// Decodes a whole encoding into `packed` and `lists`. The fixed-width
+/// framing gets each linear key from `key`; the compressed one checks
+/// its embedded key space against `space`.
+template <typename KeyFn>
+SegmentHeader decodeWhole(std::span<const std::byte> bytes, bool compressed,
+                          const nd::Coord& space, KeyFn&& key,
+                          std::vector<PackedRecord>& packed,
+                          std::vector<Value>& lists) {
+  const SegmentHeader h = readCountedHeader(bytes, bytes.size(), compressed);
+  const std::byte* p = bytes.data() + Segment::kHeaderBytes;
+  const std::byte* end = bytes.data() + bytes.size();
+  std::uint64_t spaceSize = 0;
+  if (compressed) {
+    p = decodeKeySpace(p, end, space);
+    if (p == nullptr) throw std::out_of_range("Segment: truncated");
+    spaceSize = static_cast<std::uint64_t>(space.volume());
+  }
+  packed.reserve(h.numRecords);
+  std::uint64_t repSum = 0;
+  for (std::uint64_t i = 0; i < h.numRecords; ++i) {
+    RawRecord r;
+    p = compressed ? decodeCompressedRecord(p, end, 0, spaceSize,
+                                            i == 0 ? nullptr
+                                                   : &packed.back().lin,
+                                            r)
+                   : decodeFixedRecord(p, end, 0, key, r);
+    if (p == nullptr) throw std::out_of_range("Segment: truncated");
+    repSum += r.rec.represents;
+    if (r.rec.kind == ValueKind::kList) {
+      r.rec.payload.listIndex = static_cast<std::uint32_t>(lists.size());
+      lists.push_back(Value::list(listOf(r)));
+    }
+    packed.push_back(r.rec);
+  }
+  checkSegmentEnd(p != end, repSum, h);
+  return h;
+}
+
+/// deserialize()'s key function: keeps every key's coordinates and
+/// grows the per-dimension extents that hold them all.
+struct KeyBounds {
+  nd::Coord extent;  ///< rank 0 until the first key
+  std::vector<nd::Index> coords;
+
+  std::uint64_t operator()(const std::byte* words, std::uint64_t rank) {
+    if (rank == 0) {
+      throw std::out_of_range("Segment::deserialize: rank-0 key");
+    }
+    if (coords.empty()) {
+      extent = nd::Coord::zeros(rank);
+    } else if (rank != extent.rank()) {
+      throw std::out_of_range("Segment::deserialize: mixed key ranks");
+    }
+    for (std::size_t d = 0; d < rank; ++d) {
+      const auto c = static_cast<nd::Index>(loadU64(words + 8 * d));
+      if (c < 0 || c == std::numeric_limits<nd::Index>::max()) {
+        throw std::out_of_range("Segment::deserialize: key in no key space");
+      }
+      extent[d] = std::max(extent[d], c + 1);
+      coords.push_back(c);
+    }
+    return 0;  // linearized once the key space is known
+  }
+};
 
 }  // namespace
 
 std::size_t Segment::serializedSize() const {
+  // Every record's key has the key space's rank; only list payloads
+  // vary in size.
   std::size_t size = kHeaderBytes;
-  if (packedMode_) {
-    // Packed records all share the key space's rank; only list payloads
-    // vary in size.
-    const std::size_t rank = keySpace_.rank();
-    for (const PackedRecord& r : packed_) {
-      size += 8 + 8 * rank + 16;
-      switch (r.kind) {
-        case ValueKind::kScalar:
-          size += 8;
-          break;
-        case ValueKind::kPartial:
-          size += 4 * 8;
-          break;
-        case ValueKind::kList:
-          size += 8 + 8 * packedListAt(r.payload.listIndex).size();
-          break;
-      }
-    }
-    return size;
-  }
-  for (const KeyValue& kv : records_) {
-    size += 8 + 8 * kv.key.rank();  // rank word + coordinates
-    size += 8 + 8;                  // represents + value kind
-    switch (kv.value.kind()) {
+  const std::size_t rank = keySpace_.rank();
+  for (const PackedRecord& r : packed_) {
+    size += 8 + 8 * rank + 16;
+    switch (r.kind) {
       case ValueKind::kScalar:
         size += 8;
         break;
@@ -559,7 +711,7 @@ std::size_t Segment::serializedSize() const {
         size += 4 * 8;
         break;
       case ValueKind::kList:
-        size += 8 + 8 * kv.value.asList().size();
+        size += 8 + 8 * packedListAt(r.payload.listIndex).size();
         break;
     }
   }
@@ -579,63 +731,31 @@ void Segment::serializeInto(std::vector<std::byte>& out) const {
   w.u64(header_.keyblock);
   w.u64(header_.numRecords);
   w.u64(header_.represents);
-  if (packedMode_) {
-    // Encode straight from the packed form: delinearize each record
-    // with the same dense-run bump materializeNow uses, producing the
-    // exact bytes the materialized encode would — without ever building
-    // the ~160-byte-per-record KeyValue view (which matters most at
-    // eviction time, when memory is the thing being reclaimed).
-    const std::size_t rank = keySpace_.rank();
-    const std::size_t lastD = rank - 1;
-    nd::Coord cur;
-    std::uint64_t prevLin = 0;
-    bool havePrev = false;
-    for (const PackedRecord& r : packed_) {
-      if (havePrev && r.lin == prevLin + 1 &&
-          cur[lastD] + 1 < keySpace_[lastD]) {
-        ++cur[lastD];
-      } else if (!havePrev || r.lin != prevLin) {
-        cur = nd::delinearize(static_cast<nd::Index>(r.lin), keySpace_);
-      }
-      prevLin = r.lin;
-      havePrev = true;
-      w.u64(rank);
-      w.words(cur.begin(), rank);
-      w.u64(r.represents);
-      w.u64(static_cast<std::uint64_t>(r.kind));
-      switch (r.kind) {
-        case ValueKind::kScalar:
-          w.f64(r.payload.scalar);
-          break;
-        case ValueKind::kPartial: {
-          const Partial& p = r.payload.partial;
-          w.f64(p.sum);
-          w.f64(p.min);
-          w.f64(p.max);
-          w.u64(static_cast<std::uint64_t>(p.count));
-          break;
-        }
-        case ValueKind::kList: {
-          const auto& xs = packedListAt(r.payload.listIndex);
-          w.u64(xs.size());
-          w.words(xs.data(), xs.size());
-          break;
-        }
-      }
+  // Delinearize each key for the wire; dense sorted runs (row-major
+  // emission) bump the innermost coordinate instead of re-dividing.
+  const std::size_t rank = keySpace_.rank();
+  nd::Coord cur;
+  std::uint64_t prevLin = 0;
+  bool havePrev = false;
+  for (const PackedRecord& r : packed_) {
+    if (havePrev && r.lin == prevLin + 1 &&
+        cur[rank - 1] + 1 < keySpace_[rank - 1]) {
+      ++cur[rank - 1];
+    } else if (!havePrev || r.lin != prevLin) {
+      cur = nd::delinearize(static_cast<nd::Index>(r.lin), keySpace_);
     }
-    return;
-  }
-  for (const KeyValue& kv : records_) {
-    w.u64(kv.key.rank());
-    w.words(kv.key.begin(), kv.key.rank());
-    w.u64(kv.represents);
-    w.u64(static_cast<std::uint64_t>(kv.value.kind()));
-    switch (kv.value.kind()) {
+    prevLin = r.lin;
+    havePrev = true;
+    w.u64(rank);
+    w.words(cur.begin(), rank);
+    w.u64(r.represents);
+    w.u64(static_cast<std::uint64_t>(r.kind));
+    switch (r.kind) {
       case ValueKind::kScalar:
-        w.f64(kv.value.asScalar());
+        w.f64(r.payload.scalar);
         break;
       case ValueKind::kPartial: {
-        const Partial& p = kv.value.asPartial();
+        const Partial& p = r.payload.partial;
         w.f64(p.sum);
         w.f64(p.min);
         w.f64(p.max);
@@ -643,7 +763,7 @@ void Segment::serializeInto(std::vector<std::byte>& out) const {
         break;
       }
       case ValueKind::kList: {
-        const auto& xs = kv.value.asList();
+        const auto& xs = packedListAt(r.payload.listIndex);
         w.u64(xs.size());
         w.words(xs.data(), xs.size());
         break;
@@ -653,82 +773,40 @@ void Segment::serializeInto(std::vector<std::byte>& out) const {
 }
 
 std::uint64_t Segment::residentBytes() const noexcept {
-  std::uint64_t bytes = 0;
-  if (packedMode_) {
-    bytes += packed_.size() * sizeof(PackedRecord);
-    for (const Value& list : lists_) {
-      bytes +=
-          sizeof(std::vector<double>) + list.asList().size() * sizeof(double);
-    }
-    return bytes;
-  }
-  bytes += records_.size() * sizeof(KeyValue);
-  for (const KeyValue& kv : records_) {
-    if (kv.value.kind() == ValueKind::kList) {
-      bytes += kv.value.asList().size() * sizeof(double);
-    }
+  std::uint64_t bytes = packed_.size() * sizeof(PackedRecord);
+  for (const Value& list : lists_) {
+    bytes += sizeof(std::vector<double>) + list.asList().size() * sizeof(double);
   }
   return bytes;
 }
 
-std::size_t Segment::serializedCompressedSize(const nd::Coord& keySpace) const {
-  if (keySpace.rank() == 0 || !keySpace.isValidShape()) {
+std::size_t Segment::serializedCompressedSize() const {
+  if (keySpace_.rank() == 0) {
     throw std::invalid_argument(
-        "Segment::serializeCompressed: needs a valid non-empty key space");
+        "Segment::serializeCompressed: the segment has no key space");
   }
-  if (packedMode_ && !(keySpace == keySpace_)) {
-    throw std::invalid_argument(
-        "Segment::serializeCompressed: key space differs from the packed "
-        "segment's");
+  std::size_t size = kHeaderBytes + varintLen(keySpace_.rank());
+  for (std::size_t d = 0; d < keySpace_.rank(); ++d) {
+    size += varintLen(static_cast<std::uint64_t>(keySpace_[d]));
   }
-  std::size_t size = kHeaderBytes + varintLen(keySpace.rank());
-  for (std::size_t d = 0; d < keySpace.rank(); ++d) {
-    size += varintLen(static_cast<std::uint64_t>(keySpace[d]));
-  }
-  std::uint64_t prev = 0;
-  bool have = false;
-  const auto recordFixed = [&](std::uint64_t lin, std::uint64_t represents) {
-    if (have && lin < prev) {
+  for (std::size_t i = 0; i < packed_.size(); ++i) {
+    const PackedRecord& r = packed_[i];
+    if (i > 0 && r.lin < packed_[i - 1].lin) {
       throw std::logic_error(
           "Segment::serializeCompressed: records not sorted by linear key");
     }
-    size += varintLen(have ? lin - prev : lin) + varintLen(represents) + 1;
-    prev = lin;
-    have = true;
-  };
-  if (packedMode_) {
-    for (const PackedRecord& r : packed_) {
-      recordFixed(r.lin, r.represents);
-      switch (r.kind) {
-        case ValueKind::kScalar:
-          size += 8;
-          break;
-        case ValueKind::kPartial:
-          size += 24 + varintLen(static_cast<std::uint64_t>(r.payload.partial.count));
-          break;
-        case ValueKind::kList: {
-          const auto& xs = packedListAt(r.payload.listIndex);
-          size += varintLen(xs.size()) + 8 * xs.size();
-          break;
-        }
-      }
-    }
-    return size;
-  }
-  for (const KeyValue& kv : records_) {
-    recordFixed(
-        checkedLinearize(kv.key, keySpace, "Segment::serializeCompressed"),
-        kv.represents);
-    switch (kv.value.kind()) {
+    size += varintLen(i > 0 ? r.lin - packed_[i - 1].lin : r.lin) +
+            varintLen(r.represents) + 1;
+    switch (r.kind) {
       case ValueKind::kScalar:
         size += 8;
         break;
       case ValueKind::kPartial:
-        size +=
-            24 + varintLen(static_cast<std::uint64_t>(kv.value.asPartial().count));
+        size += 24 +
+                varintLen(static_cast<std::uint64_t>(r.payload.partial.count));
         break;
       case ValueKind::kList: {
-        const auto& xs = kv.value.asList();
+        const auto& xs = packedListAt(r.payload.listIndex);
         size += varintLen(xs.size()) + 8 * xs.size();
         break;
       }
@@ -737,64 +815,29 @@ std::size_t Segment::serializedCompressedSize(const nd::Coord& keySpace) const {
   return size;
 }
 
-void Segment::serializeCompressedInto(std::vector<std::byte>& out,
-                                      const nd::Coord& keySpace) const {
-  out.resize(serializedCompressedSize(keySpace));  // validates everything
+void Segment::serializeCompressedInto(std::vector<std::byte>& out) const {
+  out.resize(serializedCompressedSize());  // validates everything
   Writer w(out.data());
   w.u64(header_.mapTask);
   w.u64(header_.keyblock);
   w.u64(header_.numRecords);
   w.u64(header_.represents);
-  w.varint(keySpace.rank());
-  for (std::size_t d = 0; d < keySpace.rank(); ++d) {
-    w.varint(static_cast<std::uint64_t>(keySpace[d]));
+  w.varint(keySpace_.rank());
+  for (std::size_t d = 0; d < keySpace_.rank(); ++d) {
+    w.varint(static_cast<std::uint64_t>(keySpace_[d]));
   }
   std::uint64_t prev = 0;
-  bool have = false;
-  const auto delta = [&](std::uint64_t lin) {
-    const std::uint64_t d = have ? lin - prev : lin;
-    prev = lin;
-    have = true;
-    return d;
-  };
-  if (packedMode_) {
-    for (const PackedRecord& r : packed_) {
-      w.varint(delta(r.lin));
-      w.varint(r.represents);
-      w.u8(static_cast<std::uint8_t>(r.kind));
-      switch (r.kind) {
-        case ValueKind::kScalar:
-          w.f64(r.payload.scalar);
-          break;
-        case ValueKind::kPartial: {
-          const Partial& p = r.payload.partial;
-          w.f64(p.sum);
-          w.f64(p.min);
-          w.f64(p.max);
-          w.varint(static_cast<std::uint64_t>(p.count));
-          break;
-        }
-        case ValueKind::kList: {
-          const auto& xs = packedListAt(r.payload.listIndex);
-          w.varint(xs.size());
-          w.words(xs.data(), xs.size());
-          break;
-        }
-      }
-    }
-    return;
-  }
-  for (const KeyValue& kv : records_) {
-    w.varint(delta(
-        checkedLinearize(kv.key, keySpace, "Segment::serializeCompressed")));
-    w.varint(kv.represents);
-    w.u8(static_cast<std::uint8_t>(kv.value.kind()));
-    switch (kv.value.kind()) {
+  for (const PackedRecord& r : packed_) {
+    w.varint(r.lin - prev);
+    prev = r.lin;
+    w.varint(r.represents);
+    w.u8(static_cast<std::uint8_t>(r.kind));
+    switch (r.kind) {
       case ValueKind::kScalar:
-        w.f64(kv.value.asScalar());
+        w.f64(r.payload.scalar);
         break;
       case ValueKind::kPartial: {
-        const Partial& p = kv.value.asPartial();
+        const Partial& p = r.payload.partial;
         w.f64(p.sum);
         w.f64(p.min);
         w.f64(p.max);
@@ -802,7 +845,7 @@ void Segment::serializeCompressedInto(std::vector<std::byte>& out,
         break;
       }
       case ValueKind::kList: {
-        const auto& xs = kv.value.asList();
+        const auto& xs = packedListAt(r.payload.listIndex);
         w.varint(xs.size());
         w.words(xs.data(), xs.size());
         break;
@@ -811,112 +854,57 @@ void Segment::serializeCompressedInto(std::vector<std::byte>& out,
   }
 }
 
-std::vector<std::byte> Segment::serializeCompressed(
-    const nd::Coord& keySpace) const {
+std::vector<std::byte> Segment::serializeCompressed() const {
   std::vector<std::byte> out;
-  serializeCompressedInto(out, keySpace);
+  serializeCompressedInto(out);
   return out;
-}
-
-Segment Segment::fromStream(SegmentStream& stream) {
-  const SegmentHeader h = stream.header();
-  std::vector<KeyValue> records;
-  records.reserve(h.numRecords);  // bounded by the stream's count check
-  while (!stream.exhausted()) records.push_back(stream.take());
-  return Segment(h.mapTask, h.keyblock, std::move(records));
 }
 
 Segment Segment::decode(std::span<const std::byte> bytes, bool compressed,
                         const nd::Coord& keySpace) {
-  if (!compressed) return deserialize(bytes);
-  // Only the streaming reader understands the delta/varint framing; the
-  // window is irrelevant here since the whole segment decodes anyway.
-  auto storage = std::make_unique<sci::MemoryStorage>();
-  storage->writeAt(0, bytes);
-  SegmentStream stream(std::move(storage),
-                       std::max<std::size_t>(bytes.size(), 1),
-                       /*compressed=*/true, keySpace);
-  return fromStream(stream);
+  checkedKeySpaceSize(keySpace, "Segment::decode");
+  Segment s;
+  s.keySpace_ = keySpace;
+  s.header_ = decodeWhole(bytes, compressed, keySpace, Linearizer{keySpace},
+                          s.packed_, s.lists_);
+  return s;
 }
 
 Segment Segment::deserialize(std::span<const std::byte> bytes) {
-  Reader cur(bytes);
-  cur.require(kHeaderBytes);
-  SegmentHeader h;
-  h.mapTask = static_cast<std::uint32_t>(cur.u64());
-  h.keyblock = static_cast<std::uint32_t>(cur.u64());
-  h.numRecords = cur.u64();
-  h.represents = cur.u64();
-  // A corrupt header must not drive a huge reserve: every record costs
-  // at least kMinRecordBytes on the wire, so the claimed count is
-  // bounded by the bytes actually present.
-  if (h.numRecords > cur.remaining() / kMinRecordBytes) {
-    throw std::out_of_range("Segment::deserialize: record count exceeds input");
+  // The key space is known only once every key has been seen: decode
+  // with the coordinates set aside, then linearize them in the smallest
+  // space that holds them all.
+  KeyBounds bounds;
+  Segment s;
+  s.header_ = decodeWhole(bytes, /*compressed=*/false, nd::Coord(), bounds,
+                          s.packed_, s.lists_);
+  if (s.packed_.empty()) return s;
+  const nd::Coord& space = bounds.extent;
+  if (volumeWithinInt64(space) == 0) {
+    throw std::out_of_range("Segment::deserialize: no key space holds the keys");
   }
-  // Records are constructed in place (no build-then-move), and bounds
-  // checks are hoisted: one covering require() per record's fixed part
-  // and one per payload, instead of one per word. reserve + emplace
-  // avoids zero-initializing the whole array up front.
-  std::vector<KeyValue> records;
-  records.reserve(h.numRecords);
-  for (std::uint64_t i = 0; i < h.numRecords; ++i) {
-    KeyValue& kv = records.emplace_back();
-    std::uint64_t rank = cur.u64();
-    if (rank > nd::kMaxRank) {
-      throw std::runtime_error("Segment::deserialize: bad key rank");
+  const nd::Index* c = bounds.coords.data();
+  for (PackedRecord& r : s.packed_) {
+    std::uint64_t lin = 0;
+    for (std::size_t d = 0; d < space.rank(); ++d) {
+      lin = lin * static_cast<std::uint64_t>(space[d]) +
+            static_cast<std::uint64_t>(*c++);
     }
-    cur.require(8 * rank + 16);  // coords + represents + value kind
-    kv.key = nd::Coord::zeros(rank);
-    cur.wordsUnchecked(kv.key.begin(), rank);
-    kv.represents = cur.u64Unchecked();
-    auto kind = static_cast<ValueKind>(cur.u64Unchecked());
-    switch (kind) {
-      case ValueKind::kScalar:
-        kv.value = Value::scalar(cur.f64());
-        break;
-      case ValueKind::kPartial: {
-        cur.require(4 * 8);
-        Partial p;
-        p.sum = cur.f64Unchecked();
-        p.min = cur.f64Unchecked();
-        p.max = cur.f64Unchecked();
-        p.count = static_cast<std::int64_t>(cur.u64Unchecked());
-        kv.value = Value::partial(p);
-        break;
-      }
-      case ValueKind::kList: {
-        std::uint64_t n = cur.u64();
-        if (n > cur.remaining() / 8) {
-          throw std::out_of_range(
-              "Segment::deserialize: list length exceeds input");
-        }
-        std::vector<double> xs(n);
-        cur.wordsUnchecked(xs.data(), n);
-        kv.value = Value::list(std::move(xs));
-        break;
-      }
-      default:
-        throw std::runtime_error("Segment::deserialize: bad value kind");
-    }
+    r.lin = lin;
   }
-  if (cur.remaining() != 0) {
-    throw std::runtime_error("Segment::deserialize: trailing bytes");
-  }
-  Segment s(h.mapTask, h.keyblock, std::move(records));
-  if (s.header_.represents != h.represents) {
-    throw std::runtime_error("Segment::deserialize: annotation mismatch");
-  }
+  s.keySpace_ = space;
   return s;
 }
 
 SegmentHeader Segment::peekHeader(std::span<const std::byte> bytes) {
-  Reader cur(bytes);
-  cur.require(kHeaderBytes);
+  if (bytes.size() < kHeaderBytes) {
+    throw std::out_of_range("Segment: truncated header");
+  }
   SegmentHeader h;
-  h.mapTask = static_cast<std::uint32_t>(cur.u64());
-  h.keyblock = static_cast<std::uint32_t>(cur.u64());
-  h.numRecords = cur.u64();
-  h.represents = cur.u64();
+  h.mapTask = static_cast<std::uint32_t>(loadU64(bytes.data()));
+  h.keyblock = static_cast<std::uint32_t>(loadU64(bytes.data() + 8));
+  h.numRecords = loadU64(bytes.data() + 16);
+  h.represents = loadU64(bytes.data() + 24);
   return h;
 }
 
@@ -945,30 +933,27 @@ void SegmentStream::init() {
   if (windowBytes_ == 0) {
     throw std::invalid_argument("SegmentStream: window must be non-zero");
   }
+  spaceSize_ = checkedKeySpaceSize(keySpace_, "SegmentStream");
   fileSize_ = storage_->size();
   if (fileSize_ < Segment::kHeaderBytes) {
     throw std::out_of_range("SegmentStream: truncated");
   }
   std::array<std::byte, Segment::kHeaderBytes> hdr;
   storage_->readAt(0, hdr);
-  header_ = Segment::peekHeader(hdr);
+  header_ = readCountedHeader(hdr, fileSize_, compressed_);
   fileOffset_ = Segment::kHeaderBytes;
   bytesRead_ = Segment::kHeaderBytes;
-  // Same guard as deserialize: a corrupt count must not drive a huge
-  // reserve downstream — every record costs at least the framing's
-  // per-record floor on the wire.
-  const std::uint64_t minRecord =
-      compressed_ ? kMinCompressedRecordBytes : kMinRecordBytes;
-  if (header_.numRecords > (fileSize_ - Segment::kHeaderBytes) / minRecord) {
-    throw std::out_of_range("SegmentStream: record count exceeds input");
-  }
   if (compressed_) {
-    while (!tryDecodeKeySpace()) {
+    const std::byte* p;
+    while ((p = decodeKeySpace(buf_.data() + bufPos_,
+                               buf_.data() + buf_.size(), keySpace_)) ==
+           nullptr) {
       if (fileOffset_ >= fileSize_) {
         throw std::out_of_range("SegmentStream: truncated");
       }
       refill();
     }
+    bufPos_ = static_cast<std::size_t>(p - buf_.data());
   }
   if (header_.numRecords == 0) {
     finishChecks();
@@ -976,39 +961,6 @@ void SegmentStream::init() {
   }
   exhausted_ = false;
   decodeNext();
-}
-
-bool SegmentStream::tryDecodeKeySpace() {
-  const std::byte* p = buf_.data() + bufPos_;
-  const std::byte* end = buf_.data() + buf_.size();
-  std::uint64_t rank = 0;
-  if (!readVarint(p, end, rank)) return false;
-  if (rank == 0 || rank > nd::kMaxRank) {
-    throw std::runtime_error("SegmentStream: bad key rank");
-  }
-  nd::Coord space = nd::Coord::zeros(rank);
-  std::uint64_t total = 1;
-  constexpr auto kMaxIndex =
-      static_cast<std::uint64_t>(std::numeric_limits<nd::Index>::max());
-  for (std::size_t d = 0; d < rank; ++d) {
-    std::uint64_t ext = 0;
-    if (!readVarint(p, end, ext)) return false;
-    if (ext == 0 || ext > kMaxIndex) {
-      throw std::runtime_error("SegmentStream: bad key space extent");
-    }
-    if (total > kMaxIndex / ext) {
-      throw std::runtime_error("SegmentStream: key space overflow");
-    }
-    total *= ext;
-    space[d] = static_cast<nd::Index>(ext);
-  }
-  if (keySpace_.rank() != 0 && !(space == keySpace_)) {
-    throw std::runtime_error("SegmentStream: key space mismatch");
-  }
-  fileKeySpace_ = std::move(space);
-  spaceSize_ = total;
-  bufPos_ = static_cast<std::size_t>(p - buf_.data());
-  return true;
 }
 
 void SegmentStream::refill() {
@@ -1031,175 +983,30 @@ void SegmentStream::refill() {
 }
 
 void SegmentStream::decodeNext() {
-  while (!(compressed_ ? tryDecodeCompressed() : tryDecodeUncompressed())) {
+  RawRecord r;
+  const std::byte* next;
+  while (true) {
+    const std::byte* p = buf_.data() + bufPos_;
+    const std::byte* end = buf_.data() + buf_.size();
+    const std::uint64_t pending = fileSize_ - fileOffset_;
+    // lin_ still holds the previous record's key: the compressed
+    // framing's delta base.
+    next = compressed_
+               ? decodeCompressedRecord(p, end, pending, spaceSize_,
+                                        decoded_ == 0 ? nullptr : &lin_, r)
+               : decodeFixedRecord(p, end, pending, Linearizer{keySpace_}, r);
+    if (next != nullptr) break;
     if (fileOffset_ >= fileSize_) {
       throw std::out_of_range("SegmentStream: truncated");
     }
     refill();
   }
+  bufPos_ = static_cast<std::size_t>(next - buf_.data());
+  lin_ = r.rec.lin;
+  represents_ = r.rec.represents;
+  value_ = valueOf(r);
   ++decoded_;
-  repSum_ += cur_.represents;
-}
-
-bool SegmentStream::tryDecodeUncompressed() {
-  const std::byte* base = buf_.data();
-  const std::byte* p = base + bufPos_;
-  const std::byte* end = base + buf_.size();
-  if (end - p < 8) return false;
-  const std::uint64_t rank = loadU64(p);
-  if (rank > nd::kMaxRank) {
-    throw std::runtime_error("SegmentStream: bad key rank");
-  }
-  const std::size_t fixed = 8 + 8 * static_cast<std::size_t>(rank) + 16;
-  if (static_cast<std::size_t>(end - p) < fixed) return false;
-  p += 8;
-  nd::Coord key = nd::Coord::zeros(rank);
-  for (std::size_t d = 0; d < rank; ++d) {
-    key[d] = static_cast<nd::Index>(loadU64(p));
-    p += 8;
-  }
-  const std::uint64_t represents = loadU64(p);
-  p += 8;
-  const std::uint64_t kindWord = loadU64(p);
-  p += 8;
-  Value value;
-  switch (kindWord) {
-    case 0:
-      if (end - p < 8) return false;
-      value = Value::scalar(loadF64(p));
-      p += 8;
-      break;
-    case 1: {
-      if (end - p < 4 * 8) return false;
-      Partial pa;
-      pa.sum = loadF64(p);
-      pa.min = loadF64(p + 8);
-      pa.max = loadF64(p + 16);
-      pa.count = static_cast<std::int64_t>(loadU64(p + 24));
-      p += 4 * 8;
-      value = Value::partial(pa);
-      break;
-    }
-    case 2: {
-      if (end - p < 8) return false;
-      const std::uint64_t n = loadU64(p);
-      // Bound against ALL remaining file bytes (buffered + unfetched):
-      // a garbage length must throw, not refill forever.
-      const std::uint64_t rest = static_cast<std::uint64_t>(end - p) - 8 +
-                                 (fileSize_ - fileOffset_);
-      if (n > rest / 8) {
-        throw std::out_of_range("SegmentStream: list length exceeds input");
-      }
-      if (static_cast<std::uint64_t>(end - p) < 8 + 8 * n) return false;
-      p += 8;
-      std::vector<double> xs(n);
-      if constexpr (std::endian::native == std::endian::little) {
-        // An empty list's data() may be null, which memcpy forbids.
-        if (n != 0) {
-          std::memcpy(xs.data(), p, static_cast<std::size_t>(n) * 8);
-        }
-      } else {
-        for (std::uint64_t i = 0; i < n; ++i) xs[i] = loadF64(p + 8 * i);
-      }
-      p += 8 * n;
-      value = Value::list(std::move(xs));
-      break;
-    }
-    default:
-      throw std::runtime_error("SegmentStream: bad value kind");
-  }
-  // Commit: nothing above mutated stream state, so a false return (from
-  // any insufficient-bytes check) leaves the cursor untouched.
-  bufPos_ = static_cast<std::size_t>(p - base);
-  cur_.key = std::move(key);
-  cur_.represents = represents;
-  cur_.value = std::move(value);
-  return true;
-}
-
-bool SegmentStream::tryDecodeCompressed() {
-  const std::byte* base = buf_.data();
-  const std::byte* p = base + bufPos_;
-  const std::byte* end = base + buf_.size();
-  std::uint64_t delta = 0;
-  std::uint64_t represents = 0;
-  if (!readVarint(p, end, delta)) return false;
-  if (!readVarint(p, end, represents)) return false;
-  if (p == end) return false;
-  const auto kindByte = static_cast<std::uint8_t>(*p++);
-  Value value;
-  switch (kindByte) {
-    case 0:
-      if (end - p < 8) return false;
-      value = Value::scalar(loadF64(p));
-      p += 8;
-      break;
-    case 1: {
-      if (end - p < 3 * 8) return false;
-      Partial pa;
-      pa.sum = loadF64(p);
-      pa.min = loadF64(p + 8);
-      pa.max = loadF64(p + 16);
-      p += 3 * 8;
-      std::uint64_t count = 0;
-      if (!readVarint(p, end, count)) return false;
-      pa.count = static_cast<std::int64_t>(count);
-      value = Value::partial(pa);
-      break;
-    }
-    case 2: {
-      std::uint64_t n = 0;
-      if (!readVarint(p, end, n)) return false;
-      const std::uint64_t rest =
-          static_cast<std::uint64_t>(end - p) + (fileSize_ - fileOffset_);
-      if (n > rest / 8) {
-        throw std::out_of_range("SegmentStream: list length exceeds input");
-      }
-      if (static_cast<std::uint64_t>(end - p) < 8 * n) return false;
-      std::vector<double> xs(n);
-      if constexpr (std::endian::native == std::endian::little) {
-        // An empty list's data() may be null, which memcpy forbids.
-        if (n != 0) {
-          std::memcpy(xs.data(), p, static_cast<std::size_t>(n) * 8);
-        }
-      } else {
-        for (std::uint64_t i = 0; i < n; ++i) xs[i] = loadF64(p + 8 * i);
-      }
-      p += 8 * n;
-      value = Value::list(std::move(xs));
-      break;
-    }
-    default:
-      throw std::runtime_error("SegmentStream: bad value kind");
-  }
-  std::uint64_t lin;
-  if (!havePrev_) {
-    lin = delta;
-  } else {
-    if (delta > std::numeric_limits<std::uint64_t>::max() - prevLin_) {
-      throw std::out_of_range("SegmentStream: lin outside key space");
-    }
-    lin = prevLin_ + delta;
-  }
-  if (lin >= spaceSize_) {
-    throw std::out_of_range("SegmentStream: lin outside key space");
-  }
-  // Delinearize with the dense-run bump (sorted runs over row-major
-  // emission make lin == prev + 1 the common case).
-  const std::size_t lastD = fileKeySpace_.rank() - 1;
-  if (havePrev_ && lin == prevLin_ + 1 &&
-      prevKey_[lastD] + 1 < fileKeySpace_[lastD]) {
-    ++prevKey_[lastD];
-  } else if (!havePrev_ || lin != prevLin_) {
-    prevKey_ = nd::delinearize(static_cast<nd::Index>(lin), fileKeySpace_);
-  }
-  bufPos_ = static_cast<std::size_t>(p - base);
-  prevLin_ = lin;
-  havePrev_ = true;
-  cur_.key = prevKey_;
-  cur_.represents = represents;
-  cur_.value = std::move(value);
-  return true;
+  repSum_ += represents_;
 }
 
 void SegmentStream::advance() {
@@ -1209,27 +1016,17 @@ void SegmentStream::advance() {
   if (decoded_ == header_.numRecords) {
     finishChecks();
     exhausted_ = true;
-    cur_ = KeyValue{};
+    value_ = Value{};
     return;
   }
   decodeNext();
 }
 
-KeyValue SegmentStream::take() {
-  KeyValue kv = std::move(cur_);
-  advance();
-  return kv;
-}
-
 void SegmentStream::finishChecks() {
   // Unconsumed buffered bytes or unfetched file bytes after the last
   // record are both trailing garbage.
-  if (bufPos_ < buf_.size() || fileOffset_ < fileSize_) {
-    throw std::runtime_error("SegmentStream: trailing bytes");
-  }
-  if (repSum_ != header_.represents) {
-    throw std::runtime_error("SegmentStream: annotation mismatch");
-  }
+  checkSegmentEnd(bufPos_ < buf_.size() || fileOffset_ < fileSize_, repSum_,
+                  header_);
 }
 
 SegmentMerger::SegmentMerger(std::span<const Segment* const> segments,
@@ -1255,89 +1052,62 @@ void SegmentMerger::init(std::span<const Input> inputs) {
   // Cursor creation order == input order: the heap's evolution depends
   // only on key comparisons and this sequence, never on which KIND of
   // source carries the records — the bit-identical-output property the
-  // out-of-core parity suite asserts.
+  // out-of-core parity suite asserts. Linear keys are only comparable
+  // with this merge's if they were linearized in the same space.
   for (const Input& in : inputs) {
     Cursor c{};
     if (in.segment != nullptr && !in.segment->empty()) {
-      c.segment = in.segment;
-      if (in.segment->packed()) {
-        // A packed segment's stored keys are only comparable with this
-        // merge's if they were linearized in the same space.
-        if (!(in.segment->keySpaceShape() == keySpace_)) {
-          throw std::invalid_argument(
-              "SegmentMerger: packed input linearized in a different key "
-              "space");
-        }
-        c.kind = Kind::kPacked;
-        c.packed = in.segment->packedRecords().data();
-        c.count = in.segment->packedRecords().size();
-      } else {
-        c.kind = Kind::kDecoded;
-        c.recs = in.segment->records().data();
-        c.count = in.segment->records().size();
+      if (!(in.segment->keySpaceShape() == keySpace_)) {
+        throw std::invalid_argument(
+            "SegmentMerger: segment linearized in a different key space");
       }
+      c.kind = Kind::kPacked;
+      c.segment = in.segment;
+      c.packed = in.segment->packedRecords().data();
+      c.count = in.segment->packedRecords().size();
+      c.lin = c.packed[0].lin;
     } else if (in.stream != nullptr && !in.stream->exhausted()) {
+      if (!(in.stream->keySpace() == keySpace_)) {
+        throw std::invalid_argument(
+            "SegmentMerger: stream decodes in a different key space");
+      }
       c.kind = Kind::kStream;
       c.stream = in.stream;
+      c.lin = in.stream->lin();
     } else {
       continue;  // empty or absent input
     }
-    c.lin = currentLin(c);
     heap_.push_back(c);
   }
   // Build a binary min-heap on the cursors' current keys.
   for (std::size_t i = heap_.size(); i-- > 0;) siftDown(i);
 }
 
-std::uint64_t SegmentMerger::currentLin(const Cursor& c) const {
-  switch (c.kind) {
-    case Kind::kPacked:
-      return c.packed[c.pos].lin;
-    case Kind::kDecoded:
-      return checkedLinearize(c.recs[c.pos].key, keySpace_, "SegmentMerger");
-    case Kind::kStream:
-      break;
-  }
-  return checkedLinearize(c.stream->current().key, keySpace_, "SegmentMerger");
-}
-
 std::uint64_t SegmentMerger::takeTopValue() {
   Cursor& c = heap_.front();
   std::uint64_t represents = 0;
-  switch (c.kind) {
-    case Kind::kDecoded: {
-      const KeyValue& kv = c.recs[c.pos];
-      groupValues_.push_back(&kv.value);
-      represents = kv.represents;
-      break;
-    }
-    case Kind::kPacked: {
-      const PackedRecord& r = c.packed[c.pos];
-      represents = r.represents;
-      switch (r.kind) {
-        case ValueKind::kScalar:
-          hold_.push_back(Value::scalar(r.payload.scalar));
-          groupValues_.push_back(&hold_.back());
-          break;
-        case ValueKind::kPartial:
-          hold_.push_back(Value::partial(r.payload.partial));
-          groupValues_.push_back(&hold_.back());
-          break;
-        case ValueKind::kList:
-          // In place: the segment's own list value, no copy. The
-          // segment outlives the merge and is never mutated once
-          // published.
-          groupValues_.push_back(
-              &c.segment->packedListValueAt(r.payload.listIndex));
-          break;
-      }
-      break;
-    }
-    case Kind::kStream: {
-      represents = c.stream->current().represents;
-      hold_.push_back(c.stream->takeValue());
-      groupValues_.push_back(&hold_.back());
-      break;
+  if (c.kind == Kind::kStream) {
+    represents = c.stream->represents();
+    hold_.push_back(c.stream->takeValue());
+    groupValues_.push_back(&hold_.back());
+  } else {
+    const PackedRecord& r = c.packed[c.pos];
+    represents = r.represents;
+    switch (r.kind) {
+      case ValueKind::kScalar:
+        hold_.push_back(Value::scalar(r.payload.scalar));
+        groupValues_.push_back(&hold_.back());
+        break;
+      case ValueKind::kPartial:
+        hold_.push_back(Value::partial(r.payload.partial));
+        groupValues_.push_back(&hold_.back());
+        break;
+      case ValueKind::kList:
+        // In place: the segment's own list value, no copy. The segment
+        // outlives the merge and is never mutated once published.
+        groupValues_.push_back(
+            &c.segment->packedListValueAt(r.payload.listIndex));
+        break;
     }
   }
   pop();
@@ -1364,16 +1134,15 @@ void SegmentMerger::pop() {
   if (c.kind == Kind::kStream) {
     c.stream->advance();
     more = !c.stream->exhausted();
+    if (more) c.lin = c.stream->lin();
   } else {
     more = c.pos + 1 < c.count;
-    if (more) ++c.pos;
+    if (more) c.lin = c.packed[++c.pos].lin;
   }
   if (!more) {
     heap_.front() = heap_.back();
     heap_.pop_back();
     if (heap_.empty()) return;
-  } else {
-    c.lin = currentLin(c);
   }
   siftDown(0);
 }

@@ -221,88 +221,58 @@ class Segment {
  public:
   Segment() = default;
 
-  /// Constructs a segment in DECODED form: full KeyValue records, as
-  /// deserialize() and fromStream() rebuild them from the wire format.
-  /// Decoded segments are read-only inputs to the merge and the codec;
-  /// they carry no key space and are never sorted or combined.
-  Segment(std::uint32_t mapTask, std::uint32_t keyblock,
-          std::vector<KeyValue> records);
-
-  /// Constructs a segment in PACKED form (DESIGN.md section 11), the
-  /// only form map output takes: the records stay as trivially-copyable
-  /// PackedRecords (keys linearized in `keySpace`, list payloads
-  /// out-of-line in `lists`). Sorting, combining, the annotation header,
-  /// the merge and both encoders work directly on the packed form;
-  /// records() materializes the KeyValue view lazily, exactly once, for
-  /// callers that inspect it. Throws std::invalid_argument when
-  /// keySpace is not a valid non-empty shape.
+  /// Constructs a segment from packed records (DESIGN.md section 11),
+  /// the one in-memory form every segment takes: keys linearized in
+  /// `keySpace`, list payloads out-of-line in `lists`. Sorting,
+  /// combining, the annotation header, the merge and both encoders work
+  /// on it directly. Throws std::invalid_argument when keySpace is not a
+  /// valid non-empty shape.
   Segment(std::uint32_t mapTask, std::uint32_t keyblock,
           std::vector<PackedRecord> packed,
           std::vector<std::vector<double>> lists, nd::Coord keySpace);
 
   const SegmentHeader& header() const noexcept { return header_; }
 
-  /// Record access; materializes a packed segment on first use. Lazy
-  /// materialization is NOT internally synchronized: concurrent first
-  /// access from multiple threads needs external ordering. The engine
-  /// never materializes a published segment (the merge and the
-  /// encoders read the packed form), so only single-threaded callers
-  /// reach this path.
-  const std::vector<KeyValue>& records() const {
-    if (packedMode_) materializeNow();
-    return records_;
-  }
+  bool empty() const noexcept { return packed_.empty(); }
 
-  bool empty() const noexcept {
-    return packedMode_ ? packed_.empty() : records_.empty();
-  }
-
-  /// True when the segment still holds the packed representation.
-  bool packed() const noexcept { return packedMode_; }
-
-  /// Packed-form record view (empty span when not packed). Does NOT
-  /// materialize — this is how the merger iterates a packed segment
-  /// without ever building its KeyValue vector (DESIGN.md section 14).
+  /// The records, in their current order.
   std::span<const PackedRecord> packedRecords() const noexcept {
-    return packedMode_ ? std::span<const PackedRecord>(packed_)
-                       : std::span<const PackedRecord>();
+    return packed_;
   }
 
-  /// Out-of-line list payload of a packed record (valid while packed).
+  /// Out-of-line list payload of a kList record.
   const std::vector<double>& packedListAt(std::uint32_t idx) const {
     return lists_[idx].asList();
   }
 
   /// The same list as the segment's own kList Value — what the merger
-  /// hands a reducer, in place (valid while packed).
+  /// hands a reducer, in place.
   const Value& packedListValueAt(std::uint32_t idx) const {
     return lists_[idx];
   }
 
-  /// The keySpace a packed segment's linear keys were computed in
-  /// (rank 0 for decoded segments).
+  /// The key space the linear keys were computed in. Rank 0 only for a
+  /// record-less segment that has none: default-constructed, or decoded
+  /// by deserialize().
   const nd::Coord& keySpaceShape() const noexcept { return keySpace_; }
 
-  /// Approximate heap footprint of the record data in its CURRENT
-  /// representation — what a published in-memory segment costs against
-  /// the page pool. Packed form counts the packed array plus list
-  /// payloads; decoded form counts KeyValues and list payloads.
+  /// Approximate heap footprint of the record data — what a published
+  /// in-memory segment costs against the page pool: the packed array
+  /// plus list payloads.
   std::uint64_t residentBytes() const noexcept;
 
-  /// Sorts packed records by linear key — row-major key order — ties
-  /// broken by emission order. Map tasks sort their output before
-  /// serving it to reducers, as Hadoop does. Radix-sorts (see
-  /// radixSortPacked) at or above kRadixSortMinRecords and comparison-
-  /// sorts (u64, u32 index) pairs below it. Already-sorted output (the
-  /// common case: mappers emit in row-major order) is detected in O(n).
-  /// Throws std::logic_error on a decoded segment.
+  /// Sorts records by linear key — row-major key order — ties broken by
+  /// emission order. Map tasks sort their output before serving it to
+  /// reducers, as Hadoop does. Radix-sorts (see radixSortPacked) at or
+  /// above kRadixSortMinRecords and comparison-sorts (u64, u32 index)
+  /// pairs below it. Already-sorted output (the common case: mappers
+  /// emit in row-major order) is detected in O(n).
   void sortByKey();
 
-  /// Applies a combiner to a sorted packed segment: merges runs of
-  /// equal-key records into one (folding values left to right in
-  /// emission order), summing their count annotations so the paper's
-  /// section 3.2.1 tally stays exact across combining. The segment
-  /// stays packed. Throws std::logic_error on a decoded segment.
+  /// Applies a combiner to a sorted segment: merges runs of equal-key
+  /// records into one (folding values left to right in emission order),
+  /// summing their count annotations so the paper's section 3.2.1 tally
+  /// stays exact across combining.
   void combineWith(const class Combiner& combiner);
 
   /// True when records are sorted by key.
@@ -313,36 +283,42 @@ class Segment {
   static constexpr std::size_t kHeaderBytes = 32;
 
   /// Exact byte size of serialize()'s output, computed without
-  /// encoding anything. serialize() allocates once from this. Works on
-  /// the packed form directly — sizing never materializes.
+  /// encoding anything. serialize() allocates once from this.
   std::size_t serializedSize() const;
 
   /// Flat binary encoding (header + records), as written to the local
   /// map-output file a reducer fetches. Wire format: fixed-width
-  /// little-endian u64 words (doubles as IEEE-754 bit patterns),
-  /// written with bulk stores into a single exact-size allocation.
+  /// little-endian u64 words (doubles as IEEE-754 bit patterns), each
+  /// key as its rank and coordinates, written with bulk stores into a
+  /// single exact-size allocation.
   std::vector<std::byte> serialize() const;
 
-  /// serialize() into a caller-owned buffer, reusing its capacity —
-  /// the map side encodes one segment per keyblock and can amortize
-  /// one allocation across all of them. A packed segment encodes
-  /// straight from its packed form (delinearizing per record into the
-  /// exact bytes the materialized encode would produce), so spilling or
-  /// evicting one never builds its KeyValue view.
+  /// serialize() into a caller-owned buffer, reusing its capacity — the
+  /// map side encodes one segment per keyblock and can amortize one
+  /// allocation across all of them.
   void serializeInto(std::vector<std::byte>& out) const;
 
-  /// Decodes serialize()'s output. Every length field (record count,
-  /// key rank, list length) is validated against the remaining byte
-  /// count BEFORE any allocation, so corrupt or truncated input throws
-  /// (std::out_of_range / std::runtime_error) instead of triggering a
-  /// huge reserve. Trailing bytes after the last record are rejected.
+  /// Decodes serialize()'s output over the smallest key space that
+  /// holds its keys (per dimension, the largest coordinate plus one), so
+  /// that re-encoding the result reproduces `bytes`. A segment without
+  /// records has no key to place and gets no key space. Every length
+  /// field (record count, key rank, list length) is validated against
+  /// the remaining byte count BEFORE any allocation, so corrupt or
+  /// truncated input throws (std::out_of_range / std::runtime_error)
+  /// instead of triggering a huge reserve; trailing bytes are rejected.
+  /// Throws std::out_of_range when no valid key space holds the keys
+  /// (a rank-0 or negative key, mixed ranks, an int64-overflowing
+  /// volume).
   static Segment deserialize(std::span<const std::byte> bytes);
 
-  /// Decodes one whole encoded segment in either framing into a decoded
-  /// segment: deserialize() for the fixed-width one, a drained
-  /// SegmentStream for the compressed one (whose embedded key space
-  /// must equal `keySpace`). The one entry point for every consumer
-  /// that holds a spill file's or a fetched payload's bytes.
+  /// Decodes one whole encoded segment in either framing into a segment
+  /// over `keySpace` — the one entry point for every consumer that holds
+  /// a fetched payload's bytes. Each key is linearized and range-checked
+  /// once: a fixed-width key of another rank or outside the space, or a
+  /// compressed linear key past its end, throws std::out_of_range, and a
+  /// compressed framing whose embedded key space differs throws
+  /// std::runtime_error. Structural errors throw as deserialize()'s do,
+  /// and an invalid `keySpace` throws std::invalid_argument.
   static Segment decode(std::span<const std::byte> bytes, bool compressed,
                         const nd::Coord& keySpace);
 
@@ -363,42 +339,24 @@ class Segment {
   // dominant per-record cost: the 8-byte-per-coordinate key encoding.
 
   /// Exact encoded size of serializeCompressedInto's output.
-  std::size_t serializedCompressedSize(const nd::Coord& keySpace) const;
+  std::size_t serializedCompressedSize() const;
 
-  /// Compressed encoding into a caller-owned buffer. Encodes STRAIGHT
-  /// from the packed form when present — eviction of a packed segment
-  /// never materializes its KeyValue view — and from the decoded
-  /// records otherwise (linearizing each key against `keySpace`).
-  /// Throws std::invalid_argument when keySpace is empty or (packed
-  /// form) differs from the segment's own, std::out_of_range when a key
-  /// falls outside it, and std::logic_error when records are not sorted
+  /// Compressed encoding, in the segment's own key space, into a
+  /// caller-owned buffer. Throws std::invalid_argument when the segment
+  /// has no key space, and std::logic_error when records are not sorted
   /// by linear key (deltas must be non-negative).
-  void serializeCompressedInto(std::vector<std::byte>& out,
-                               const nd::Coord& keySpace) const;
+  void serializeCompressedInto(std::vector<std::byte>& out) const;
 
-  std::vector<std::byte> serializeCompressed(const nd::Coord& keySpace) const;
-
-  /// Drains a SegmentStream (either framing) into a decoded segment —
-  /// the non-windowed decode used where whole-segment access is still
-  /// wanted. Validates exactly what deserialize() validates (the stream
-  /// itself checks truncation, structure, trailing bytes and the
-  /// annotation sum).
-  static Segment fromStream(class SegmentStream& stream);
+  std::vector<std::byte> serializeCompressed() const;
 
  private:
   void sortPacked();
-  void materializeNow() const;
 
   SegmentHeader header_;
-  // Lazy materialization: these are written once by materializeNow()
-  // under const access (see records() for the threading contract).
-  mutable std::vector<KeyValue> records_;
-  /// Packed form (packedMode_ only); cleared by materializeNow(). The
-  /// list side table holds kList Values so the merge can pass them to a
-  /// reducer by pointer.
-  mutable std::vector<PackedRecord> packed_;
-  mutable std::vector<Value> lists_;
-  mutable bool packedMode_ = false;
+  std::vector<PackedRecord> packed_;
+  /// List side table. It holds kList Values so the merge can pass them
+  /// to a reducer by pointer.
+  std::vector<Value> lists_;
   nd::Coord keySpace_;
 };
 
@@ -408,20 +366,22 @@ class Segment {
 /// the window), decoding one record at a time, so a reduce task's
 /// resident cost per spilled input is the window — never the whole
 /// decoded segment. Handles both framings: the fixed-width uncompressed
-/// wire format and the varint/delta compressed one (compressed = true).
+/// wire format and the varint/delta compressed one (compressed = true),
+/// with the same per-framing record decoders Segment::decode runs, and
+/// hands out each record's key as its linear index in the key space.
 ///
-/// Validation matches Segment::deserialize: structural corruption
-/// (bad kind byte, over-long varint, rank/extent garbage, a linear key
-/// outside the key space) throws std::runtime_error /
-/// std::out_of_range; truncation mid-record throws std::out_of_range;
-/// after the last record, trailing bytes and a represents-sum mismatch
-/// with the header annotation are rejected. Short reads from storage
-/// propagate as the storage layer's own exceptions.
+/// Validation matches Segment::decode: structural corruption (bad kind
+/// byte, over-long varint, rank/extent garbage) throws
+/// std::runtime_error; a key outside the key space and truncation
+/// mid-record throw std::out_of_range; after the last record, trailing
+/// bytes and a represents-sum mismatch with the header annotation are
+/// rejected. Short reads from storage propagate as the storage layer's
+/// own exceptions.
 class SegmentStream {
  public:
-  /// Opens `path` read-only. For the compressed framing the embedded key
-  /// space is authoritative; a non-empty `keySpace` must match it. The
-  /// uncompressed framing carries keys as coordinates and ignores it.
+  /// Opens `path` read-only. Keys are linearized in `keySpace`, which
+  /// must be a valid non-empty shape (std::invalid_argument otherwise);
+  /// the compressed framing's embedded key space must equal it.
   SegmentStream(const std::string& path, std::size_t windowBytes,
                 bool compressed, const nd::Coord& keySpace);
 
@@ -436,22 +396,24 @@ class SegmentStream {
 
   const SegmentHeader& header() const noexcept { return header_; }
 
+  const nd::Coord& keySpace() const noexcept { return keySpace_; }
+
   /// True once every record has been consumed (end-of-stream checks
   /// have run by then). A zero-record segment starts exhausted.
   bool exhausted() const noexcept { return exhausted_; }
 
-  /// The record at the cursor; valid until advance()/take().
-  const KeyValue& current() const noexcept { return cur_; }
+  /// The record at the cursor, valid until advance(): its linear key,
+  /// count annotation and value.
+  std::uint64_t lin() const noexcept { return lin_; }
+  std::uint64_t represents() const noexcept { return represents_; }
+  const Value& value() const noexcept { return value_; }
 
   /// Decodes the next record (or runs end-of-stream validation).
   void advance();
 
-  /// Moves the current record out, then advances.
-  KeyValue take();
-
   /// Moves just the current value out. The cursor MUST be advanced
   /// before the record is read again (the merger does exactly that).
-  Value takeValue() { return std::move(cur_.value); }
+  Value takeValue() { return std::move(value_); }
 
   /// File bytes fetched so far (shuffle accounting).
   std::uint64_t bytesRead() const noexcept { return bytesRead_; }
@@ -461,22 +423,15 @@ class SegmentStream {
 
  private:
   void init();
-  bool tryDecodeKeySpace();
   void decodeNext();
-  bool tryDecodeUncompressed();
-  bool tryDecodeCompressed();
   void refill();
   void finishChecks();
 
   std::unique_ptr<sci::Storage> storage_;
   std::size_t windowBytes_;
   bool compressed_;
-  /// Caller's key space; checked against the compressed framing's.
   nd::Coord keySpace_;
-  /// Compressed framing's embedded key space and its element count
-  /// (bounds every decoded linear key).
-  nd::Coord fileKeySpace_;
-  std::uint64_t spaceSize_ = 0;
+  std::uint64_t spaceSize_ = 0;  ///< element count: bounds compressed keys
 
   SegmentHeader header_;
   std::vector<std::byte> buf_;
@@ -484,13 +439,12 @@ class SegmentStream {
   std::uint64_t fileOffset_ = 0;  ///< next file byte to fetch
   std::uint64_t fileSize_ = 0;
 
-  KeyValue cur_;
+  std::uint64_t lin_ = 0;
+  std::uint64_t represents_ = 0;
+  Value value_;
   bool exhausted_ = true;
   std::uint64_t decoded_ = 0;  ///< records decoded so far
   std::uint64_t repSum_ = 0;   ///< running represents sum (tally check)
-  std::uint64_t prevLin_ = 0;  ///< delta base / dense-run detection
-  bool havePrev_ = false;
-  nd::Coord prevKey_;  ///< dense-run coord cache (compressed decode)
   std::uint64_t bytesRead_ = 0;
   std::size_t peakWindow_ = 0;
 };
@@ -500,13 +454,12 @@ class SegmentStream {
 ///   fn(key, span<const Value*> values, totalRepresents).
 /// This is the sort/merge/group step that precedes the Reduce function.
 ///
-/// Inputs may be in-memory segments (packed map output, iterated
-/// without materializing; or decoded spill loads) and windowed
-/// SegmentStreams over spilled files. Every cursor caches the u64
-/// linear key of its current record in the job's key space — packed
-/// records store it, decoded and streamed records are linearized
-/// (range-checked) as the cursor advances — so the heap orders cursors
-/// and detects group boundaries on u64 compares only. The heap's
+/// Inputs are in-memory segments (published map output, or decoded
+/// fetched payloads) iterated in place, and windowed SegmentStreams over
+/// spilled files. Both carry u64 linear keys in the job's key space —
+/// a segment stores them, a stream decodes them — so the heap orders
+/// cursors and detects group boundaries on u64 compares only, and each
+/// group's key is delinearized once for the Reducer. The heap's
 /// comparison sequence depends only on key order and input order, so a
 /// merge over the same records produces the same output no matter
 /// which source kinds carry them — the property the out-of-core parity
@@ -520,10 +473,9 @@ class SegmentMerger {
   };
 
   /// Throws std::invalid_argument when `keySpace` is not a valid
-  /// non-empty shape or a packed input was linearized in a different
-  /// one, and std::out_of_range when a decoded or streamed record's key
-  /// lies outside `keySpace` (here for first records, from
-  /// forEachGroup for later ones).
+  /// non-empty shape or an input's keys were linearized in a different
+  /// one. A stream's own range check surfaces as std::out_of_range (here
+  /// for first records, from forEachGroup for later ones).
   SegmentMerger(std::span<const Segment* const> segments, nd::Coord keySpace);
   SegmentMerger(std::span<const Input> inputs, nd::Coord keySpace);
 
@@ -546,7 +498,7 @@ class SegmentMerger {
   }
 
  private:
-  enum class Kind : std::uint8_t { kPacked, kDecoded, kStream };
+  enum class Kind : std::uint8_t { kPacked, kStream };
 
   struct Cursor {
     std::uint64_t lin;  ///< linear key of the current record
@@ -554,15 +506,11 @@ class SegmentMerger {
     const Segment* segment;      ///< kPacked: owner of the list payloads
     SegmentStream* stream;       ///< kStream
     const PackedRecord* packed;  ///< kPacked base pointer
-    const KeyValue* recs;        ///< kDecoded base pointer
     std::size_t pos;
     std::size_t count;
   };
 
   void init(std::span<const Input> inputs);
-
-  /// Linear key of the cursor's current record.
-  std::uint64_t currentLin(const Cursor& c) const;
 
   /// Appends the top cursor's value to groupValues_ (a packed list is
   /// the segment's own Value; packed scalars/partials and stream-decoded

@@ -587,9 +587,8 @@ class SegmentServer {
       const std::shared_ptr<const Segment> seg =
           source_.residentSegmentLocked(m, req.keyblock);
       if (seg != nullptr) {
-        // serializeInto is const and encodes straight from the packed
-        // form — safe against the owning reduce reading the same
-        // immutable segment concurrently.
+        // serializeInto is const and a published segment is immutable —
+        // safe against the owning reduce reading it concurrently.
         seg->serializeInto(buf);
         sendSegment(conn, m, req.keyblock, buf);
         continue;
@@ -779,7 +778,7 @@ class SocketTransport final : public ShuffleTransport {
     stats.bytesFetched += payload.size();
     if (fs.header.numRecords == 0) return fs;
     try {
-      fs.owned = std::make_unique<Segment>(
+      fs.handle = std::make_shared<const Segment>(
           Segment::decode(payload, compressed, source_.keySpace()));
     } catch (const std::exception& e) {
       throw TransportError(TransportFaultKind::kCorruptFrame,

@@ -116,8 +116,9 @@ class TransportSource {
   /// True when committed spill files use the compressed framing.
   virtual bool compressedFiles() const noexcept = 0;
 
-  /// Job key space (JobSpec::keySpace): the compressed framing's
-  /// embedded space must equal it.
+  /// Job key space (JobSpec::keySpace): fetched and streamed keys are
+  /// linearized in it, and the compressed framing's embedded space must
+  /// equal it.
   virtual const nd::Coord& keySpace() const = 0;
 
   /// Per-input decode window for streamed merge inputs.
@@ -128,12 +129,12 @@ class TransportSource {
 
 /// One fetched dependency, in fetch-set order: the header is always
 /// populated (the annotation tally never needs record bytes); exactly
-/// one of {handle, owned, stream} is set when the segment is non-empty,
-/// none when it is empty (empty segments contribute no merge input).
+/// one of {handle, stream} is set when the segment is non-empty, none
+/// when it is empty (empty segments contribute no merge input).
 struct FetchedSegment {
   SegmentHeader header;
-  std::shared_ptr<const Segment> handle;  ///< resident (in-process)
-  std::unique_ptr<Segment> owned;  ///< decoded wire payload (kSocket)
+  /// A resident handle (in-process) or a decoded wire payload (kSocket).
+  std::shared_ptr<const Segment> handle;
   /// In-process stream over an evicted slot's committed file. It reads
   /// lazily during the merge, so its bytesRead() is folded into
   /// shuffleBytes after the merge drains it, never at fetch time.

@@ -5,9 +5,11 @@
 // (u64, index) pairs — yet every observable artifact must match the
 // per-record lexicographic computation. These tests pin that at three
 // levels: the map pipeline's segment bytes against the frozen fallback
-// pipeline (tests/support/fallback_pipeline.hpp), the packed Segment
-// representation itself, and whole engine runs (in-memory, spilled, and
-// under fault recovery) against the serial oracle, values included.
+// pipeline's records encoded by the frozen KeyValue encoders
+// (tests/support/fallback_pipeline.hpp, frozen_codec.hpp), the packed
+// Segment representation itself, and whole engine runs (in-memory,
+// spilled, and under fault recovery) against the serial oracle, values
+// included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +31,7 @@
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
 #include "support/fallback_pipeline.hpp"
+#include "support/frozen_codec.hpp"
 #include "support/oracle_check.hpp"
 #include "support/staged_dataset.hpp"
 #include "support/temp_dir.hpp"
@@ -90,14 +93,18 @@ nd::Coord randomShape(std::mt19937_64& rng, std::size_t rank, int lo, int hi) {
 }
 
 /// Byte-for-byte segment equality, the strongest parity statement the
-/// wire format allows.
-void expectSegmentsBitIdentical(const std::vector<mr::Segment>& fast,
-                                const std::vector<mr::Segment>& oracle) {
+/// wire format allows: each of map task 0's segments against the frozen
+/// encoding of the oracle's records for its keyblock.
+void expectSegmentsBitIdentical(
+    const std::vector<mr::Segment>& fast,
+    const std::vector<std::vector<mr::KeyValue>>& oracle) {
   ASSERT_EQ(fast.size(), oracle.size());
   for (std::size_t kb = 0; kb < fast.size(); ++kb) {
     SCOPED_TRACE("keyblock " + std::to_string(kb));
-    EXPECT_EQ(fast[kb].header(), oracle[kb].header());
-    EXPECT_EQ(fast[kb].serialize(), oracle[kb].serialize());
+    const std::vector<std::byte> want = testsupport::frozenSerialize(
+        0, static_cast<std::uint32_t>(kb), oracle[kb]);
+    EXPECT_EQ(fast[kb].header(), mr::Segment::peekHeader(want));
+    EXPECT_EQ(fast[kb].serialize(), want);
   }
 }
 
@@ -157,9 +164,7 @@ TEST(MapPipelineParity, RandomizedSegmentsBitIdentical) {
                                    reducers, nullptr, keySpace);
     FoldingMapper oracleMapper(keySpace, /*partialOnly=*/false);
     auto oracle = testsupport::runFrozenFallbackPipeline(
-        split, 0, factory, oracleMapper, part, reducers, nullptr);
-    // The map side never materializes KeyValues.
-    for (const auto& seg : fast) EXPECT_TRUE(seg.packed());
+        split, factory, oracleMapper, part, reducers, nullptr);
     expectSegmentsBitIdentical(fast, oracle);
   }
 }
@@ -182,9 +187,7 @@ TEST(MapPipelineParity, CombinerSegmentsBitIdentical) {
                                    &combiner, keySpace);
     FoldingMapper oracleMapper(keySpace, /*partialOnly=*/true);
     auto oracle = testsupport::runFrozenFallbackPipeline(
-        split, 0, factory, oracleMapper, part, 4, &combiner);
-    // Combining keeps the packed form too.
-    for (const auto& seg : fast) EXPECT_TRUE(seg.packed());
+        split, factory, oracleMapper, part, 4, &combiner);
     expectSegmentsBitIdentical(fast, oracle);
   }
 }
@@ -217,7 +220,7 @@ TEST(MapPipelineParity, DuplicateKeysKeepEmissionOrder) {
                          keySpace);
   TwoKeyMapper oracleMapper;
   auto oracle = testsupport::runFrozenFallbackPipeline(
-      split, 0, factory, oracleMapper, part, 2, nullptr);
+      split, factory, oracleMapper, part, 2, nullptr);
   expectSegmentsBitIdentical(fast, oracle);
 }
 
@@ -420,65 +423,44 @@ TEST(DatasetReaderStreaming, ConcurrentReadersOverOneSharedHandle) {
 
 // ---- packed Segment representation ----
 
-TEST(PackedSegment, LazyMaterializationMatchesEagerConstruction) {
+TEST(PackedSegment, SortedEncodingMatchesEagerConstruction) {
+  // A segment built from packed records in emission order, once sorted,
+  // encodes to the bytes of the same records stably sorted by Coord key
+  // and encoded by the frozen KeyValue encoder, and holds exactly those
+  // records.
   const nd::Coord keySpace{4, 6};
-  std::vector<mr::KeyValue> eager;
-  std::vector<mr::PackedRecord> packed;
-  std::vector<std::vector<double>> lists;
-  auto add = [&](nd::Coord key, mr::Value v, std::uint64_t rep) {
-    mr::PackedRecord r;
-    r.lin = static_cast<std::uint64_t>(nd::linearize(key, keySpace));
-    r.represents = rep;
-    r.kind = v.kind();
-    switch (v.kind()) {
-      case mr::ValueKind::kScalar:
-        r.payload.scalar = v.asScalar();
-        break;
-      case mr::ValueKind::kPartial:
-        r.payload.partial = v.asPartial();
-        break;
-      case mr::ValueKind::kList:
-        r.payload.listIndex = static_cast<std::uint32_t>(lists.size());
-        lists.push_back(v.asList());
-        break;
-    }
-    packed.push_back(r);
-    eager.push_back(mr::KeyValue{key, std::move(v), rep});
+  std::vector<mr::KeyValue> eager{
+      {nd::Coord{3, 5}, mr::Value::list({9.0, 8.0}), 2},
+      {nd::Coord{0, 1}, mr::Value::scalar(1.5), 1},
+      {nd::Coord{3, 5}, mr::Value::scalar(4.0), 3},  // duplicate key
+      {nd::Coord{2, 0}, mr::Value::partial(mr::Partial::ofValue(7.0)), 4},
+      {nd::Coord{0, 1}, mr::Value::list({2.0}), 1},  // duplicate key
   };
-  add(nd::Coord{3, 5}, mr::Value::list({9.0, 8.0}), 2);
-  add(nd::Coord{0, 1}, mr::Value::scalar(1.5), 1);
-  add(nd::Coord{3, 5}, mr::Value::scalar(4.0), 3);  // duplicate key
-  add(nd::Coord{2, 0}, mr::Value::partial(mr::Partial::ofValue(7.0)), 4);
-  add(nd::Coord{0, 1}, mr::Value::list({2.0}), 1);  // duplicate key
+  mr::Segment seg = testsupport::pack(1, 2, eager, keySpace);
 
   // The reference: the same records stably sorted by Coord key.
   std::stable_sort(eager.begin(), eager.end(),
                    [](const mr::KeyValue& a, const mr::KeyValue& b) {
                      return a.key < b.key;
                    });
-  mr::Segment lazy(1, 2, std::move(packed), std::move(lists), keySpace);
-  mr::Segment reference(1, 2, eager);
-  EXPECT_TRUE(lazy.packed());
-  EXPECT_FALSE(lazy.empty());
-  EXPECT_EQ(lazy.header(), reference.header());
-  EXPECT_EQ(lazy.header().numRecords, 5u);
-  EXPECT_EQ(lazy.header().represents, 11u);
+  const std::vector<std::byte> reference =
+      testsupport::frozenSerialize(1, 2, eager);
+  EXPECT_FALSE(seg.empty());
+  EXPECT_EQ(seg.header(), mr::Segment::peekHeader(reference));
+  EXPECT_EQ(seg.header().numRecords, 5u);
+  EXPECT_EQ(seg.header().represents, 11u);
 
-  lazy.sortByKey();
-  EXPECT_TRUE(lazy.packed()) << "sorting must not materialize";
-  EXPECT_TRUE(lazy.isSorted());
-  EXPECT_EQ(lazy.serialize(), reference.serialize());
-  EXPECT_TRUE(lazy.packed()) << "serialization encodes straight from the "
-                                "packed form without materializing";
+  seg.sortByKey();
+  EXPECT_TRUE(seg.isSorted());
+  EXPECT_EQ(seg.serialize(), reference);
 
-  // Accessing the records forces the one materialization, which
-  // delinearizes every key back to the reference's.
-  ASSERT_EQ(lazy.records().size(), eager.size());
-  EXPECT_FALSE(lazy.packed());
+  // Every linear key delinearizes back to the reference's key.
+  const std::vector<mr::KeyValue> records = testsupport::unpack(seg);
+  ASSERT_EQ(records.size(), eager.size());
   for (std::size_t i = 0; i < eager.size(); ++i) {
-    EXPECT_EQ(lazy.records()[i].key, eager[i].key);
-    EXPECT_EQ(lazy.records()[i].value, eager[i].value);
-    EXPECT_EQ(lazy.records()[i].represents, eager[i].represents);
+    EXPECT_EQ(records[i].key, eager[i].key);
+    EXPECT_EQ(records[i].value, eager[i].value);
+    EXPECT_EQ(records[i].represents, eager[i].represents);
   }
 }
 
@@ -497,18 +479,19 @@ TEST(PackedSegment, SpillRoundTripPreservesRecords) {
   mr::Segment seg(0, 0, std::move(packed), std::move(lists), keySpace);
   seg.sortByKey();
   for (bool compressed : {false, true}) {
-    const auto bytes = compressed ? seg.serializeCompressed(keySpace)
-                                  : seg.serialize();
+    const auto bytes =
+        compressed ? seg.serializeCompressed() : seg.serialize();
     mr::Segment back = mr::Segment::decode(bytes, compressed, keySpace);
     EXPECT_EQ(back.header(), seg.header());
-    EXPECT_FALSE(back.packed());
-    ASSERT_EQ(back.records().size(), 9u);
-    for (std::size_t i = 0; i < back.records().size(); ++i) {
-      EXPECT_EQ(back.records()[i].key,
-                nd::delinearize(static_cast<nd::Index>(i), keySpace));
-      EXPECT_EQ(back.records()[i].value,
-                mr::Value::scalar(static_cast<double>(i) * 0.5));
+    EXPECT_EQ(back.keySpaceShape(), keySpace);
+    ASSERT_EQ(back.packedRecords().size(), 9u);
+    for (std::size_t i = 0; i < back.packedRecords().size(); ++i) {
+      EXPECT_EQ(back.packedRecords()[i].lin, i);
+      EXPECT_EQ(back.packedRecords()[i].payload.scalar,
+                static_cast<double>(i) * 0.5);
     }
+    EXPECT_EQ(compressed ? back.serializeCompressed() : back.serialize(),
+              bytes);
   }
 }
 

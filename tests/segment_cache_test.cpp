@@ -37,6 +37,7 @@
 #include "scihadoop/datagen.hpp"
 #include "sidr/fingerprint.hpp"
 #include "sidr/planner.hpp"
+#include "support/frozen_codec.hpp"
 #include "support/temp_dir.hpp"
 #include "support/trace_check.hpp"
 
@@ -409,7 +410,8 @@ std::shared_ptr<const mr::Segment> makeSegment(std::uint32_t map,
     kv.represents = 2;
     kvs.push_back(std::move(kv));
   }
-  return std::make_shared<const mr::Segment>(map, kb, std::move(kvs));
+  return std::make_shared<const mr::Segment>(testsupport::pack(
+      map, kb, kvs, nd::Coord{static_cast<nd::Index>(records)}));
 }
 
 mr::SegmentCacheDonation makeDonation(Fingerprint128 key, std::uint32_t maps,
@@ -445,8 +447,8 @@ TEST(SegmentCacheUnit, InsertThenClaimServesHandleCopies) {
   ASSERT_EQ(claimed->segments.size(), 2u);
   ASSERT_EQ(claimed->segments[0].size(), 3u);
   EXPECT_EQ(claimed->bytesServed, cache.residentBytes());
-  EXPECT_EQ(claimed->segments[1][2]->records()[0].value.asScalar(), 10.0);
-  EXPECT_EQ(claimed->segments[1][2]->records()[0].represents, 2u);
+  EXPECT_EQ(claimed->segments[1][2]->packedRecords()[0].payload.scalar, 10.0);
+  EXPECT_EQ(claimed->segments[1][2]->packedRecords()[0].represents, 2u);
 
   const mr::SegmentCacheStats& stats = cache.stats();
   EXPECT_EQ(stats.insertions, 1u);
@@ -481,7 +483,7 @@ TEST(SegmentCacheUnit, FirstDonorWinsOnDuplicateKeys) {
   EXPECT_EQ(cache.stats().insertions, 1u);
   const auto claimed = cache.claim(testKey(1), 1, 1);
   ASSERT_TRUE(claimed.has_value());
-  EXPECT_EQ(claimed->segments[0][0]->records()[0].value.asScalar(), 10.0);
+  EXPECT_EQ(claimed->segments[0][0]->packedRecords()[0].payload.scalar, 10.0);
 }
 
 TEST(SegmentCacheUnit, CapEvictsLeastRecentlyUsedFirst) {
@@ -627,6 +629,44 @@ TEST(SegmentCacheService, HybridBudgetJobsHitWarmUnderPressure) {
                        obs::TaskSide::kMap),
             0u);
   EXPECT_EQ(service.stats().cacheHits, 1u);
+}
+
+TEST(SegmentCacheService, WarmBudgetedRunNeverEvictsCachedSegments) {
+  // A warm job runs no map task, and the cache holds every segment it
+  // publishes: evicting one would write a file and free nothing. Under
+  // a one-page budget with one reduce slot (so most keyblocks wait
+  // while their inputs stay resident) the warm run evicts nothing and
+  // leaves no segment file in its namespace.
+  const std::string dir = tempDir("sidr_cache_warm_budget");
+  QueryPlan plan = cachePlan(Regime::kOnePage, dir, "ds/warm-budget");
+  plan.spec.reduceSlots = 1;
+  const mr::JobResult solo = runSolo(plan, 500);
+
+  mr::ServiceConfig config;
+  config.numThreads = 3;
+  config.segmentCacheEnabled = true;
+  mr::EngineService service(config);
+
+  const mr::JobResult cold = runService(service, mr::JobSpec(plan.spec));
+  expectSameCollected(cold.collectAll(), solo.collectAll());
+  EXPECT_GT(cold.pressureSpillEvents, 0u);
+
+  mr::JobHandle handle = service.submit(mr::JobSpec(plan.spec));
+  const mr::JobResult warm = handle.wait();
+  expectSameCollected(warm.collectAll(), solo.collectAll());
+  EXPECT_EQ(warm.cacheServedMaps,
+            static_cast<std::uint32_t>(plan.spec.splits.size()));
+  EXPECT_EQ(warm.pressureSpillEvents, 0u);
+  EXPECT_EQ(warm.annotationViolations, 0u);
+  const fs::path ns = fs::path(dir) / mr::jobSpillDirName(handle.id());
+  std::size_t segFiles = 0;
+  if (fs::exists(ns)) {
+    for (const fs::directory_entry& e : fs::recursive_directory_iterator(ns)) {
+      if (e.path().extension() == ".seg") ++segFiles;
+    }
+  }
+  EXPECT_EQ(segFiles, 0u);
+  fs::remove_all(dir);
 }
 
 TEST(SegmentCacheService, NegativeKeyingRunsEveryVariantCold) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <set>
 
@@ -8,6 +9,7 @@
 #include "mapreduce/partitioners.hpp"
 #include "mapreduce/segment.hpp"
 #include "scifile/storage.hpp"
+#include "support/frozen_codec.hpp"
 
 namespace sidr::mr {
 namespace {
@@ -60,37 +62,7 @@ std::vector<KeyValue> sampleRecords() {
   };
 }
 
-/// `records` in emission order as a packed segment (map output form) in
-/// `keySpace`.
-Segment packedSegment(std::uint32_t mapTask, std::uint32_t keyblock,
-                      const std::vector<KeyValue>& records,
-                      const nd::Coord& keySpace) {
-  std::vector<PackedRecord> packed;
-  std::vector<std::vector<double>> lists;
-  for (const KeyValue& kv : records) {
-    PackedRecord r;
-    r.lin = static_cast<std::uint64_t>(nd::linearize(kv.key, keySpace));
-    r.represents = kv.represents;
-    r.kind = kv.value.kind();
-    switch (r.kind) {
-      case ValueKind::kScalar:
-        r.payload.scalar = kv.value.asScalar();
-        break;
-      case ValueKind::kPartial:
-        r.payload.partial = kv.value.asPartial();
-        break;
-      case ValueKind::kList:
-        r.payload.listIndex = static_cast<std::uint32_t>(lists.size());
-        lists.push_back(kv.value.asList());
-        break;
-    }
-    packed.push_back(r);
-  }
-  return Segment(mapTask, keyblock, std::move(packed), std::move(lists),
-                 keySpace);
-}
-
-/// Stable Coord-order sort: how a decoded test segment is made sorted.
+/// Stable Coord-order sort: the order a sorted segment holds.
 std::vector<KeyValue> sortedByKey(std::vector<KeyValue> records) {
   std::stable_sort(
       records.begin(), records.end(),
@@ -98,10 +70,21 @@ std::vector<KeyValue> sortedByKey(std::vector<KeyValue> records) {
   return records;
 }
 
+/// Field-wise record equality (KeyValue has no operator==).
+void expectSameRecords(const std::vector<KeyValue>& got,
+                       const std::vector<KeyValue>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].key) << "at " << i;
+    EXPECT_EQ(got[i].value, want[i].value) << "at " << i;
+    EXPECT_EQ(got[i].represents, want[i].represents) << "at " << i;
+  }
+}
+
 const nd::Coord kSampleSpace{3, 4};  // bounds every sampleRecords() key
 
 TEST(Segment, HeaderAnnotationsSumRepresents) {
-  Segment seg(7, 3, sampleRecords());
+  Segment seg = testsupport::pack(7, 3, sampleRecords(), kSampleSpace);
   EXPECT_EQ(seg.header().mapTask, 7u);
   EXPECT_EQ(seg.header().keyblock, 3u);
   EXPECT_EQ(seg.header().numRecords, 4u);
@@ -109,42 +92,32 @@ TEST(Segment, HeaderAnnotationsSumRepresents) {
 }
 
 TEST(Segment, SortByKey) {
-  Segment seg = packedSegment(0, 0, sampleRecords(), kSampleSpace);
+  Segment seg = testsupport::pack(0, 0, sampleRecords(), kSampleSpace);
   EXPECT_FALSE(seg.isSorted());
   seg.sortByKey();
   EXPECT_TRUE(seg.isSorted());
-  EXPECT_EQ(seg.records().front().key, (nd::Coord{0, 1}));
-  EXPECT_EQ(seg.records().back().key, (nd::Coord{2, 1}));
-}
-
-TEST(Segment, DecodedSegmentsNeitherSortNorCombine) {
-  // Only map output (packed) is ever sorted or combined; a decoded
-  // segment is a read-only merge input.
-  Segment seg(0, 0, sortedByKey(sampleRecords()));
-  EXPECT_TRUE(seg.isSorted());
-  EXPECT_THROW(seg.sortByKey(), std::logic_error);
-  PartialMergeCombiner combiner;
-  EXPECT_THROW(seg.combineWith(combiner), std::logic_error);
+  const std::vector<KeyValue> records = testsupport::unpack(seg);
+  EXPECT_EQ(records.front().key, (nd::Coord{0, 1}));
+  EXPECT_EQ(records.back().key, (nd::Coord{2, 1}));
 }
 
 TEST(Segment, SerializeRoundTrip) {
-  Segment seg = packedSegment(9, 2, sampleRecords(), kSampleSpace);
+  Segment seg = testsupport::pack(9, 2, sampleRecords(), kSampleSpace);
   seg.sortByKey();
   auto bytes = seg.serialize();
+  EXPECT_EQ(bytes, testsupport::frozenSerialize(9, 2, sortedByKey(sampleRecords())));
   Segment back = Segment::deserialize(bytes);
   EXPECT_EQ(back.header(), seg.header());
-  ASSERT_EQ(back.records().size(), seg.records().size());
-  for (std::size_t i = 0; i < seg.records().size(); ++i) {
-    EXPECT_EQ(back.records()[i].key, seg.records()[i].key);
-    EXPECT_EQ(back.records()[i].value, seg.records()[i].value);
-    EXPECT_EQ(back.records()[i].represents, seg.records()[i].represents);
-  }
+  EXPECT_EQ(back.keySpaceShape(), kSampleSpace)
+      << "the smallest key space holding the keys";
+  expectSameRecords(testsupport::unpack(back), testsupport::unpack(seg));
+  EXPECT_EQ(back.serialize(), bytes);
 }
 
 TEST(Segment, PeekHeaderWithoutParsingRecords) {
   // Section 3.2.1: reduces tally annotations "without having to read
   // and parse those files" — the header must be readable standalone.
-  Segment seg(4, 1, sampleRecords());
+  Segment seg = testsupport::pack(4, 1, sampleRecords(), kSampleSpace);
   auto bytes = seg.serialize();
   SegmentHeader h = Segment::peekHeader(bytes);
   EXPECT_EQ(h, seg.header());
@@ -154,25 +127,29 @@ TEST(Segment, PeekHeaderWithoutParsingRecords) {
 }
 
 TEST(Segment, DeserializeRejectsTruncation) {
-  Segment seg(0, 0, sampleRecords());
+  Segment seg = testsupport::pack(0, 0, sampleRecords(), kSampleSpace);
   auto bytes = seg.serialize();
   bytes.resize(bytes.size() - 1);
   EXPECT_THROW(Segment::deserialize(bytes), std::out_of_range);
 }
 
 TEST(Segment, SerializedSizeIsExact) {
-  for (auto& records :
-       {sampleRecords(), std::vector<KeyValue>{},
-        std::vector<KeyValue>{{nd::Coord{}, Value::scalar(1.0), 1}}}) {
-    Segment seg(1, 2, records);
+  const std::vector<std::pair<std::vector<KeyValue>, nd::Coord>> cases{
+      {sampleRecords(), kSampleSpace},
+      {{}, nd::Coord{1}},
+      {{{nd::Coord{0}, Value::scalar(1.0), 1}}, nd::Coord{1}},
+  };
+  for (const auto& [records, space] : cases) {
+    Segment seg = testsupport::pack(1, 2, records, space);
     EXPECT_EQ(seg.serializedSize(), seg.serialize().size());
+    EXPECT_EQ(seg.serialize(), testsupport::frozenSerialize(1, 2, records));
   }
 }
 
 TEST(Segment, DeserializeRejectsEveryTruncationPoint) {
   // Cutting the encoding anywhere must throw — never crash, never
   // succeed with partial data.
-  Segment seg(3, 1, sampleRecords());
+  Segment seg = testsupport::pack(3, 1, sampleRecords(), kSampleSpace);
   auto bytes = seg.serialize();
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<std::byte> prefix(bytes.begin(),
@@ -185,7 +162,7 @@ TEST(Segment, DeserializeRejectsEveryTruncationPoint) {
 TEST(Segment, DeserializeRejectsCorruptRecordCount) {
   // A corrupt header claiming a huge record count must be rejected by
   // comparing against the remaining byte count, BEFORE any reserve.
-  Segment seg(0, 0, sampleRecords());
+  Segment seg = testsupport::pack(0, 0, sampleRecords(), kSampleSpace);
   auto bytes = seg.serialize();
   auto writeU64At = [&](std::size_t off, std::uint64_t x) {
     for (int b = 0; b < 8; ++b) {
@@ -198,7 +175,8 @@ TEST(Segment, DeserializeRejectsCorruptRecordCount) {
 }
 
 TEST(Segment, DeserializeRejectsCorruptListLength) {
-  Segment seg(0, 0, {{nd::Coord{1}, Value::list({1.0, 2.0}), 1}});
+  Segment seg = testsupport::pack(
+      0, 0, {{nd::Coord{1}, Value::list({1.0, 2.0}), 1}}, nd::Coord{2});
   auto bytes = seg.serialize();
   // Layout: header (32) + rank (8) + 1 coord (8) + represents (8) +
   // kind (8) = 64 bytes before the list length word.
@@ -211,32 +189,82 @@ TEST(Segment, DeserializeRejectsCorruptListLength) {
 }
 
 TEST(Segment, DeserializeRejectsCorruptRank) {
-  Segment seg(0, 0, {{nd::Coord{1}, Value::scalar(2.0), 1}});
+  Segment seg = testsupport::pack(
+      0, 0, {{nd::Coord{1}, Value::scalar(2.0), 1}}, nd::Coord{2});
   auto bytes = seg.serialize();
   bytes[32] = static_cast<std::byte>(200);  // rank word: > kMaxRank
   EXPECT_THROW(Segment::deserialize(bytes), std::runtime_error);
 }
 
 TEST(Segment, DeserializeRejectsTrailingBytes) {
-  Segment seg(0, 0, sampleRecords());
+  Segment seg = testsupport::pack(0, 0, sampleRecords(), kSampleSpace);
   auto bytes = seg.serialize();
   bytes.push_back(std::byte{0});
   EXPECT_THROW(Segment::deserialize(bytes), std::runtime_error);
 }
 
+TEST(Segment, DeserializeRejectsKeysNoKeySpaceHolds) {
+  // deserialize() places keys in the smallest key space that holds
+  // them; a key no valid key space holds cannot be decoded.
+  const auto rejects = [](const std::vector<KeyValue>& records) {
+    EXPECT_THROW(Segment::deserialize(testsupport::frozenSerialize(0, 0, records)),
+                 std::out_of_range);
+  };
+  rejects({{nd::Coord{}, Value::scalar(1.0), 1}});  // rank 0
+  rejects({{nd::Coord{2, -1}, Value::scalar(1.0), 1}});
+  rejects({{nd::Coord{1}, Value::scalar(1.0), 1},
+           {nd::Coord{1, 1}, Value::scalar(1.0), 1}});  // mixed ranks
+  rejects({{nd::Coord{std::numeric_limits<nd::Index>::max()},
+            Value::scalar(1.0), 1}});
+  const nd::Index big = nd::Index{1} << 32;
+  rejects({{nd::Coord{big, big}, Value::scalar(1.0), 1}});  // volume > int64
+}
+
+TEST(Segment, DecodeRejectsKeysOutsideTheKeySpace) {
+  // Segment::decode linearizes every key once, against the job key
+  // space, so a corrupt key fails the decode — never a later merge.
+  const nd::Coord keySpace{4, 4};
+  const auto decodes = [&](const std::vector<KeyValue>& records) {
+    return Segment::decode(testsupport::frozenSerialize(0, 0, records),
+                           /*compressed=*/false, keySpace);
+  };
+  EXPECT_THROW(decodes({{nd::Coord{4, 0}, Value::scalar(1.0), 1}}),
+               std::out_of_range);
+  EXPECT_THROW(decodes({{nd::Coord{1, 1}, Value::scalar(1.0), 1},
+                        {nd::Coord{1, -1}, Value::scalar(1.0), 1}}),
+               std::out_of_range)
+      << "a later record";
+  EXPECT_THROW(decodes({{nd::Coord{1}, Value::scalar(1.0), 1}}),
+               std::out_of_range)
+      << "key rank differs from the key space's";
+  EXPECT_THROW(decodes({{nd::Coord{1, 1, 0}, Value::scalar(1.0), 1}}),
+               std::out_of_range)
+      << "key rank differs from the key space's";
+  const Segment ok = decodes({{nd::Coord{3, 3}, Value::scalar(1.0), 1}});
+  EXPECT_EQ(ok.keySpaceShape(), keySpace);
+  EXPECT_EQ(ok.packedRecords()[0].lin, 15u);
+  EXPECT_THROW(Segment::decode(ok.serialize(), false, nd::Coord()),
+               std::invalid_argument);
+}
+
 TEST(Segment, RoundTripPropertyAllValueKinds) {
-  // Randomized round-trip sweep over every ValueKind, ranks 0..4
-  // (including rank-0 keys) and empty segments.
+  // Randomized sweep over every ValueKind, ranks 0..4 and empty
+  // segments, encoded by the frozen KeyValue encoder: whatever a key
+  // space holds decodes and re-encodes to the same bytes; rank-0 and
+  // negative keys fit no key space and are rejected.
   std::mt19937_64 rng(1234);
-  for (int trial = 0; trial < 50; ++trial) {
+  for (int trial = 0; trial < 60; ++trial) {
     std::size_t rank = rng() % 5;
     std::size_t count = trial == 0 ? 0 : rng() % 40;
+    const bool signedKeys = trial % 4 == 3;
+    bool negative = false;
     std::vector<KeyValue> records;
     for (std::size_t i = 0; i < count; ++i) {
       KeyValue kv;
       nd::Coord key = nd::Coord::zeros(rank);
       for (std::size_t d = 0; d < rank; ++d) {
-        key[d] = static_cast<nd::Index>(rng() % 1000) - 500;
+        key[d] = static_cast<nd::Index>(rng() % 1000) - (signedKeys ? 500 : 0);
+        negative = negative || key[d] < 0;
       }
       kv.key = key;
       kv.represents = rng() % 1000;
@@ -262,31 +290,36 @@ TEST(Segment, RoundTripPropertyAllValueKinds) {
       }
       records.push_back(std::move(kv));
     }
-    Segment seg(static_cast<std::uint32_t>(rng() % 64),
-                static_cast<std::uint32_t>(rng() % 16), std::move(records));
-    auto bytes = seg.serialize();
-    ASSERT_EQ(bytes.size(), seg.serializedSize());
-    Segment back = Segment::deserialize(bytes);
-    EXPECT_EQ(back.header(), seg.header());
-    ASSERT_EQ(back.records().size(), seg.records().size());
-    for (std::size_t i = 0; i < seg.records().size(); ++i) {
-      EXPECT_EQ(back.records()[i].key, seg.records()[i].key);
-      EXPECT_EQ(back.records()[i].value, seg.records()[i].value);
-      EXPECT_EQ(back.records()[i].represents, seg.records()[i].represents);
+    const auto mapTask = static_cast<std::uint32_t>(rng() % 64);
+    const auto keyblock = static_cast<std::uint32_t>(rng() % 16);
+    const std::vector<std::byte> bytes =
+        testsupport::frozenSerialize(mapTask, keyblock, records);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    if (count > 0 && (rank == 0 || negative)) {
+      EXPECT_THROW(Segment::deserialize(bytes), std::out_of_range);
+      continue;
     }
+    Segment back = Segment::deserialize(bytes);
+    EXPECT_EQ(back.header(), Segment::peekHeader(bytes));
+    ASSERT_EQ(back.serializedSize(), bytes.size());
+    EXPECT_EQ(back.serialize(), bytes);
+    if (count > 0) expectSameRecords(testsupport::unpack(back), records);
   }
 }
 
 TEST(Segment, EmptySegment) {
-  Segment seg(1, 2, {});
+  Segment seg = testsupport::pack(1, 2, {}, nd::Coord{1});
   EXPECT_TRUE(seg.empty());
   EXPECT_EQ(seg.header().represents, 0u);
   Segment back = Segment::deserialize(seg.serialize());
   EXPECT_TRUE(back.empty());
+  EXPECT_EQ(back.header(), seg.header());
+  EXPECT_EQ(back.keySpaceShape().rank(), 0u) << "no key to place";
+  EXPECT_EQ(back.serialize(), seg.serialize());
 }
 
 TEST(Segment, CombineWithMergesEqualKeys) {
-  Segment seg = packedSegment(
+  Segment seg = testsupport::pack(
       0, 0,
       {{nd::Coord{1}, Value::partial(Partial::ofValue(2.0)), 1},
        {nd::Coord{1}, Value::partial(Partial::ofValue(4.0)), 2},
@@ -297,13 +330,13 @@ TEST(Segment, CombineWithMergesEqualKeys) {
   std::uint64_t representsBefore = seg.header().represents;
   PartialMergeCombiner combiner;
   seg.combineWith(combiner);
-  EXPECT_TRUE(seg.packed()) << "combining keeps the packed form";
-  ASSERT_EQ(seg.records().size(), 2u);
-  EXPECT_EQ(seg.records()[0].key, (nd::Coord{1}));
-  EXPECT_EQ(seg.records()[0].value.asPartial().sum, 12.0);
-  EXPECT_EQ(seg.records()[0].value.asPartial().count, 3);
-  EXPECT_EQ(seg.records()[0].represents, 4u);
-  EXPECT_EQ(seg.records()[1].value.asPartial().sum, 9.0);
+  const std::vector<KeyValue> records = testsupport::unpack(seg);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].key, (nd::Coord{1}));
+  EXPECT_EQ(records[0].value.asPartial().sum, 12.0);
+  EXPECT_EQ(records[0].value.asPartial().count, 3);
+  EXPECT_EQ(records[0].represents, 4u);
+  EXPECT_EQ(records[1].value.asPartial().sum, 9.0);
   // The count annotation total is invariant under combining
   // (section 3.2.1: combined pairs still represent their inputs).
   EXPECT_EQ(seg.header().represents, representsBefore);
@@ -314,30 +347,41 @@ TEST(Segment, CombineWithMergesEqualKeys) {
 }
 
 TEST(Segment, ListConcatCombiner) {
-  Segment seg = packedSegment(0, 0,
-                              {{nd::Coord{5}, Value::list({1.0, 2.0}), 2},
-                               {nd::Coord{5}, Value::list({3.0}), 1}},
-                              nd::Coord{6});
+  Segment seg = testsupport::pack(0, 0,
+                                  {{nd::Coord{5}, Value::list({1.0, 2.0}), 2},
+                                   {nd::Coord{5}, Value::list({3.0}), 1}},
+                                  nd::Coord{6});
   seg.sortByKey();
   ListConcatCombiner combiner;
   seg.combineWith(combiner);
-  ASSERT_EQ(seg.records().size(), 1u);
-  EXPECT_EQ(seg.records()[0].value.asList(),
-            (std::vector<double>{1.0, 2.0, 3.0}));
-  EXPECT_EQ(seg.records()[0].represents, 3u);
+  const std::vector<KeyValue> records = testsupport::unpack(seg);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].value.asList(), (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(records[0].represents, 3u);
+}
+
+std::unique_ptr<sci::Storage> memoryStorageOf(
+    std::span<const std::byte> bytes) {
+  auto storage = std::make_unique<sci::MemoryStorage>();
+  storage->writeAt(0, bytes);
+  return storage;
 }
 
 TEST(SegmentMerger, GroupsAcrossSegments) {
-  // One decoded input, one packed: both cursor kinds in one heap.
-  Segment a(0, 0,
-            {{nd::Coord{1}, Value::scalar(1.0), 1},
-             {nd::Coord{3}, Value::scalar(3.0), 1}});
-  Segment b = packedSegment(1, 0,
-                            {{nd::Coord{1}, Value::scalar(10.0), 2},
-                             {nd::Coord{2}, Value::scalar(2.0), 1}},
-                            nd::Coord{4});
-  std::vector<const Segment*> segs{&a, &b};
-  SegmentMerger merger(segs, nd::Coord{4});
+  // One segment input, one streamed: both cursor kinds in one heap.
+  const nd::Coord keySpace{4};
+  Segment a = testsupport::pack(0, 0,
+                                {{nd::Coord{1}, Value::scalar(1.0), 1},
+                                 {nd::Coord{3}, Value::scalar(3.0), 1}},
+                                keySpace);
+  const std::vector<std::byte> b = testsupport::frozenSerialize(
+      1, 0,
+      {{nd::Coord{1}, Value::scalar(10.0), 2},
+       {nd::Coord{2}, Value::scalar(2.0), 1}});
+  SegmentStream streamB(memoryStorageOf(b), 64, /*compressed=*/false,
+                        keySpace);
+  const SegmentMerger::Input inputs[] = {{&a, nullptr}, {nullptr, &streamB}};
+  SegmentMerger merger(inputs, keySpace);
   std::vector<std::pair<nd::Coord, std::size_t>> groups;
   std::vector<std::uint64_t> reps;
   merger.forEachGroup([&](const nd::Coord& key,
@@ -358,15 +402,15 @@ TEST(SegmentMerger, PackedListsReachTheReducerInPlace) {
   // per-record copy: every list the reducer sees points at the data of
   // one of the inputs' side-table lists.
   const nd::Coord keySpace{6};
-  Segment a = packedSegment(0, 0,
-                            {{nd::Coord{1}, Value::list({1.0, 2.0}), 1},
-                             {nd::Coord{3}, Value::list({3.0}), 1},
-                             {nd::Coord{4}, Value::scalar(4.0), 1}},
-                            keySpace);
-  Segment b = packedSegment(1, 0,
-                            {{nd::Coord{1}, Value::list({5.0, 6.0, 7.0}), 2},
-                             {nd::Coord{5}, Value::list({8.0}), 1}},
-                            keySpace);
+  Segment a = testsupport::pack(0, 0,
+                                {{nd::Coord{1}, Value::list({1.0, 2.0}), 1},
+                                 {nd::Coord{3}, Value::list({3.0}), 1},
+                                 {nd::Coord{4}, Value::scalar(4.0), 1}},
+                                keySpace);
+  Segment b = testsupport::pack(1, 0,
+                                {{nd::Coord{1}, Value::list({5.0, 6.0, 7.0}), 2},
+                                 {nd::Coord{5}, Value::list({8.0}), 1}},
+                                keySpace);
   std::set<const double*> own;
   for (std::uint32_t i = 0; i < 2; ++i) {
     own.insert(a.packedListAt(i).data());
@@ -394,8 +438,6 @@ TEST(SegmentMerger, PackedListsReachTheReducerInPlace) {
   });
   EXPECT_EQ(lists, 4u);
   EXPECT_EQ(sum, 36.0);
-  EXPECT_TRUE(a.packed());
-  EXPECT_TRUE(b.packed());
 }
 
 TEST(SegmentMerger, ManySegmentsStaySorted) {
@@ -405,13 +447,16 @@ TEST(SegmentMerger, ManySegmentsStaySorted) {
     for (nd::Index k = 0; k < 20; ++k) {
       recs.push_back({nd::Coord{(k * 7 + m) % 40}, Value::scalar(1.0), 1});
     }
-    // Alternate packed map output and decoded spill loads.
+    // Alternate map output sorted in place and fetched payloads decoded
+    // from the wire.
     if (m % 2 == 0) {
-      Segment s = packedSegment(m, 0, recs, nd::Coord{40});
+      Segment s = testsupport::pack(m, 0, recs, nd::Coord{40});
       s.sortByKey();
       segs.push_back(std::move(s));
     } else {
-      segs.emplace_back(m, 0, sortedByKey(std::move(recs)));
+      segs.push_back(Segment::decode(
+          testsupport::frozenSerialize(m, 0, sortedByKey(std::move(recs))),
+          /*compressed=*/false, nd::Coord{40}));
     }
   }
   std::vector<const Segment*> ptrs;
@@ -441,36 +486,47 @@ TEST(SegmentMerger, EmptyInput) {
 }
 
 TEST(SegmentMerger, RejectsDecodedKeyOutsideKeySpace) {
-  // The codec validates structure, not coordinate ranges: a decoded
-  // record outside the key space must fail the merge, whether it is a
-  // cursor's first record (construction) or a later one (iteration).
+  // A streamed record outside the key space must fail the merge,
+  // whether it is a cursor's first record (construction) or a later
+  // one (iteration).
   const nd::Coord keySpace{4};
-  Segment first(0, 0, {{nd::Coord{4}, Value::scalar(1.0), 1}});
-  std::vector<const Segment*> firstOnly{&first};
-  EXPECT_THROW(SegmentMerger(firstOnly, keySpace), std::out_of_range);
+  const auto streamOf = [&](const std::vector<KeyValue>& records) {
+    return std::make_unique<SegmentStream>(
+        memoryStorageOf(testsupport::frozenSerialize(0, 0, records)), 64,
+        /*compressed=*/false, keySpace);
+  };
+  const auto mergeOf = [&](SegmentStream& stream) {
+    const SegmentMerger::Input in[] = {{nullptr, &stream}};
+    return SegmentMerger(in, keySpace);
+  };
+  EXPECT_THROW(mergeOf(*streamOf({{nd::Coord{4}, Value::scalar(1.0), 1}})),
+               std::out_of_range);
 
-  Segment later(0, 0,
-                {{nd::Coord{1}, Value::scalar(1.0), 1},
-                 {nd::Coord{-1}, Value::scalar(2.0), 1}});
-  std::vector<const Segment*> laterOnly{&later};
-  SegmentMerger merger(laterOnly, keySpace);
+  auto later = streamOf({{nd::Coord{1}, Value::scalar(1.0), 1},
+                         {nd::Coord{-1}, Value::scalar(2.0), 1}});
+  SegmentMerger merger = mergeOf(*later);
   EXPECT_THROW(merger.forEachGroup([](auto&&...) {}), std::out_of_range);
 
-  Segment wrongRank(0, 0, {{nd::Coord{1, 1}, Value::scalar(1.0), 1}});
-  std::vector<const Segment*> rankOnly{&wrongRank};
-  EXPECT_THROW(SegmentMerger(rankOnly, keySpace), std::out_of_range);
+  EXPECT_THROW(
+      mergeOf(*streamOf({{nd::Coord{1, 1}, Value::scalar(1.0), 1}})),
+      std::out_of_range);
 }
 
 TEST(SegmentMerger, RejectsPackedInputFromAnotherKeySpace) {
-  // Packed keys are only comparable within the space they were
+  // Linear keys are only comparable within the space they were
   // linearized in: lin 5 is {1, 1} in {4, 4} but {1, 0} in {4, 5}.
-  Segment packed =
-      packedSegment(0, 0, {{nd::Coord{1, 1}, Value::scalar(1.0), 1}},
-                    nd::Coord{4, 4});
+  Segment packed = testsupport::pack(
+      0, 0, {{nd::Coord{1, 1}, Value::scalar(1.0), 1}}, nd::Coord{4, 4});
   std::vector<const Segment*> inputs{&packed};
   EXPECT_THROW(SegmentMerger(inputs, nd::Coord{4, 5}), std::invalid_argument);
   EXPECT_THROW(SegmentMerger(inputs, nd::Coord()), std::invalid_argument);
   EXPECT_NO_THROW(SegmentMerger(inputs, nd::Coord{4, 4}));
+
+  SegmentStream stream(memoryStorageOf(packed.serialize()), 64, false,
+                       nd::Coord{4, 4});
+  const SegmentMerger::Input streamed[] = {{nullptr, &stream}};
+  EXPECT_THROW(SegmentMerger(streamed, nd::Coord{4, 5}),
+               std::invalid_argument);
 }
 
 TEST(ModuloPartitioner, LinearIndexModulo) {
@@ -509,17 +565,12 @@ TEST(HashPartitioner, BreaksKeyPatterns) {
 
 // ---- streaming decoder + compressed spill framing ----
 
-std::unique_ptr<sci::Storage> memoryStorageOf(
-    std::span<const std::byte> bytes) {
-  auto storage = std::make_unique<sci::MemoryStorage>();
-  storage->writeAt(0, bytes);
-  return storage;
-}
-
-/// Random sorted segment whose keys all lie inside `keySpace`, covering
-/// every value kind (lists include empty and window-busting big ones).
-Segment randomSortedSegment(std::mt19937_64& rng, const nd::Coord& keySpace,
-                            std::size_t count) {
+/// Random records, sorted by key, whose keys all lie inside `keySpace`,
+/// covering every value kind (lists include empty and window-busting
+/// big ones).
+std::vector<KeyValue> randomSortedRecords(std::mt19937_64& rng,
+                                          const nd::Coord& keySpace,
+                                          std::size_t count) {
   nd::Index space = 1;
   for (std::size_t d = 0; d < keySpace.rank(); ++d) space *= keySpace[d];
   std::vector<KeyValue> records;
@@ -559,17 +610,20 @@ Segment randomSortedSegment(std::mt19937_64& rng, const nd::Coord& keySpace,
     }
     records.push_back(std::move(kv));
   }
-  return Segment(1, 0, sortedByKey(std::move(records)));
+  return sortedByKey(std::move(records));
 }
 
-void expectStreamMatches(SegmentStream& stream, const Segment& want) {
-  EXPECT_EQ(stream.header(), want.header());
-  for (std::size_t i = 0; i < want.records().size(); ++i) {
+/// Drains `stream`, checking it yields exactly `want`, keys linearized
+/// in the stream's key space.
+void expectStreamMatches(SegmentStream& stream,
+                         const std::vector<KeyValue>& want) {
+  for (const KeyValue& kv : want) {
     ASSERT_FALSE(stream.exhausted());
-    KeyValue got = stream.take();
-    EXPECT_EQ(got.key, want.records()[i].key);
-    EXPECT_EQ(got.value, want.records()[i].value);
-    EXPECT_EQ(got.represents, want.records()[i].represents);
+    EXPECT_EQ(stream.lin(),
+              testsupport::frozenLinearize(kv.key, stream.keySpace()));
+    EXPECT_EQ(stream.value(), kv.value);
+    EXPECT_EQ(stream.represents(), kv.represents);
+    stream.advance();
   }
   EXPECT_TRUE(stream.exhausted());
 }
@@ -578,24 +632,28 @@ TEST(SegmentStream, WindowedDecodeMatchesDeserialize) {
   const nd::Coord keySpace{6, 7, 8};
   std::mt19937_64 rng(99);
   for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{80}}) {
-    Segment seg = randomSortedSegment(rng, keySpace, count);
+    const std::vector<KeyValue> records =
+        randomSortedRecords(rng, keySpace, count);
+    Segment seg = testsupport::pack(1, 0, records, keySpace);
     auto bytes = seg.serialize();
+    EXPECT_EQ(bytes, testsupport::frozenSerialize(1, 0, records));
     // Windows below one record, around a few records, and way past the
     // whole encoding must all decode identically.
     for (std::size_t window : {std::size_t{64}, std::size_t{4096},
                                std::size_t{1} << 20}) {
       SegmentStream stream(memoryStorageOf(bytes), window,
                            /*compressed=*/false, keySpace);
-      expectStreamMatches(stream, seg);
+      EXPECT_EQ(stream.header(), seg.header());
+      expectStreamMatches(stream, records);
       EXPECT_EQ(stream.bytesRead(), bytes.size());
       if (window == 64 && count == 80) {
         EXPECT_LT(stream.peakWindowBytes(), bytes.size())
             << "a small window must never buffer the whole file";
       }
     }
-    // The uncompressed framing carries coordinates: no key space needed.
-    SegmentStream plain(memoryStorageOf(bytes), 512, false, nd::Coord());
-    expectStreamMatches(plain, seg);
+    // The stream hands out linear keys, so it needs the key space.
+    EXPECT_THROW(SegmentStream(memoryStorageOf(bytes), 512, false, nd::Coord()),
+                 std::invalid_argument);
   }
 }
 
@@ -603,26 +661,26 @@ TEST(SegmentStream, CompressedRoundTripMatches) {
   const nd::Coord keySpace{6, 7, 8};
   std::mt19937_64 rng(7);
   for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{80}}) {
-    Segment seg = randomSortedSegment(rng, keySpace, count);
-    auto bytes = seg.serializeCompressed(keySpace);
-    ASSERT_EQ(bytes.size(), seg.serializedCompressedSize(keySpace));
+    const std::vector<KeyValue> records =
+        randomSortedRecords(rng, keySpace, count);
+    Segment seg = testsupport::pack(1, 0, records, keySpace);
+    auto bytes = seg.serializeCompressed();
+    ASSERT_EQ(bytes.size(), seg.serializedCompressedSize());
+    EXPECT_EQ(bytes,
+              testsupport::frozenSerializeCompressed(1, 0, records, keySpace));
     EXPECT_EQ(Segment::peekHeader(bytes), seg.header())
         << "compressed framing keeps the raw header (annotation peek)";
     for (std::size_t window : {std::size_t{64}, std::size_t{1} << 20}) {
       SegmentStream stream(memoryStorageOf(bytes), window,
                            /*compressed=*/true, keySpace);
-      expectStreamMatches(stream, seg);
+      expectStreamMatches(stream, records);
     }
-    // Segment::decode materializes the same segment (the whole-segment
-    // decode of spill files and fetched payloads).
+    // Segment::decode yields the same segment (the whole-segment decode
+    // of fetched payloads).
     Segment back = Segment::decode(bytes, /*compressed=*/true, keySpace);
     EXPECT_EQ(back.header(), seg.header());
-    ASSERT_EQ(back.records().size(), seg.records().size());
-    for (std::size_t i = 0; i < seg.records().size(); ++i) {
-      EXPECT_EQ(back.records()[i].key, seg.records()[i].key);
-      EXPECT_EQ(back.records()[i].value, seg.records()[i].value);
-      EXPECT_EQ(back.records()[i].represents, seg.records()[i].represents);
-    }
+    expectSameRecords(testsupport::unpack(back), records);
+    EXPECT_EQ(back.serializeCompressed(), bytes);
     EXPECT_THROW(Segment::decode(bytes, true, nd::Coord{6, 7, 9}),
                  std::runtime_error)
         << "the embedded key space must match the job's";
@@ -630,8 +688,8 @@ TEST(SegmentStream, CompressedRoundTripMatches) {
 }
 
 TEST(SegmentStream, CompressedPackedEncodeMatchesMaterialized) {
-  // The packed-direct compressed encoder must emit byte-identical
-  // output to encoding the materialized view of the same records.
+  // The packed-direct encoders must emit byte-identical output to the
+  // frozen encoders over the materialized view of the same records.
   const nd::Coord keySpace{4, 5};
   std::vector<PackedRecord> packed;
   std::vector<std::vector<double>> lists;
@@ -659,20 +717,21 @@ TEST(SegmentStream, CompressedPackedEncodeMatchesMaterialized) {
   addPacked(2, Value::partial(Partial::ofValue(3.0)), 4);
   addPacked(7, Value::list({}), 9);
   addPacked(19, Value::scalar(-2.5), 1);
-  Segment lazy(0, 0, std::move(packed), std::move(lists), keySpace);
-  Segment eager = Segment::deserialize(lazy.serialize());
-  EXPECT_EQ(lazy.serializeCompressed(keySpace),
-            eager.serializeCompressed(keySpace));
-  EXPECT_TRUE(lazy.packed()) << "compressed encode must not materialize";
+  Segment seg(0, 0, std::move(packed), std::move(lists), keySpace);
+  const std::vector<KeyValue> materialized = testsupport::unpack(seg);
+  EXPECT_EQ(seg.serializeCompressed(),
+            testsupport::frozenSerializeCompressed(0, 0, materialized,
+                                                   keySpace));
+  EXPECT_EQ(seg.serialize(), testsupport::frozenSerialize(0, 0, materialized));
 }
 
 TEST(SegmentStream, RejectsEveryTruncationPoint) {
   const nd::Coord keySpace{6, 7, 8};
   std::mt19937_64 rng(31);
-  Segment seg = randomSortedSegment(rng, keySpace, 12);
+  Segment seg = testsupport::pack(1, 0, randomSortedRecords(rng, keySpace, 12),
+                                  keySpace);
   for (bool compressed : {false, true}) {
-    auto bytes =
-        compressed ? seg.serializeCompressed(keySpace) : seg.serialize();
+    auto bytes = compressed ? seg.serializeCompressed() : seg.serialize();
     for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
       std::span<const std::byte> prefix(bytes.data(), cut);
       EXPECT_THROW(
@@ -690,9 +749,10 @@ TEST(SegmentStream, RejectsEveryTruncationPoint) {
 
 TEST(SegmentStream, RejectsStructuralCorruption) {
   const nd::Coord keySpace{4, 4};
-  Segment seg(0, 0,
-              {{nd::Coord{1, 2}, Value::scalar(2.0), 1},
-               {nd::Coord{3, 0}, Value::list({1.0}), 2}});
+  Segment seg = testsupport::pack(0, 0,
+                                  {{nd::Coord{1, 2}, Value::scalar(2.0), 1},
+                                   {nd::Coord{3, 0}, Value::list({1.0}), 2}},
+                                  keySpace);
   auto drain = [&](std::span<const std::byte> bytes, bool compressed) {
     SegmentStream stream(memoryStorageOf(bytes), 64, compressed, keySpace);
     while (!stream.exhausted()) stream.advance();
@@ -718,7 +778,7 @@ TEST(SegmentStream, RejectsStructuralCorruption) {
   }
   {
     // Compressed: bad kind byte in the first record.
-    auto bytes = seg.serializeCompressed(keySpace);
+    auto bytes = seg.serializeCompressed();
     // header(32) + rank varint(1) + two extent varints(2) +
     // lin varint(1) + represents varint(1) = kind byte at offset 37.
     bytes[37] = std::byte{9};
@@ -728,8 +788,9 @@ TEST(SegmentStream, RejectsStructuralCorruption) {
 
 TEST(SegmentStream, CompressedRejectsKeySpaceMismatch) {
   const nd::Coord keySpace{4, 4};
-  Segment seg(0, 0, {{nd::Coord{1, 2}, Value::scalar(2.0), 1}});
-  auto bytes = seg.serializeCompressed(keySpace);
+  Segment seg = testsupport::pack(
+      0, 0, {{nd::Coord{1, 2}, Value::scalar(2.0), 1}}, keySpace);
+  auto bytes = seg.serializeCompressed();
   EXPECT_THROW(
       {
         SegmentStream stream(memoryStorageOf(bytes), 64, true,
@@ -737,9 +798,12 @@ TEST(SegmentStream, CompressedRejectsKeySpaceMismatch) {
         while (!stream.exhausted()) stream.advance();
       },
       std::runtime_error);
-  // An empty caller key space defers to the embedded one.
-  SegmentStream ok(memoryStorageOf(bytes), 64, true, nd::Coord());
-  EXPECT_EQ(ok.take().key, (nd::Coord{1, 2}));
+  // The stream hands out linear keys in the caller's key space, so it
+  // cannot defer to the embedded one.
+  EXPECT_THROW(SegmentStream(memoryStorageOf(bytes), 64, true, nd::Coord()),
+               std::invalid_argument);
+  SegmentStream ok(memoryStorageOf(bytes), 64, true, keySpace);
+  EXPECT_EQ(ok.lin(), 6u);
 }
 
 TEST(SegmentStream, MergerOverStreamsMatchesInMemory) {
@@ -747,8 +811,10 @@ TEST(SegmentStream, MergerOverStreamsMatchesInMemory) {
   // sequence must be identical to merging both in memory.
   const nd::Coord keySpace{8, 8};
   std::mt19937_64 rng(5);
-  Segment a = randomSortedSegment(rng, keySpace, 30);
-  Segment b = randomSortedSegment(rng, keySpace, 45);
+  Segment a = testsupport::pack(1, 0, randomSortedRecords(rng, keySpace, 30),
+                                keySpace);
+  Segment b = testsupport::pack(2, 0, randomSortedRecords(rng, keySpace, 45),
+                                keySpace);
   auto bytesB = b.serialize();
 
   struct Group {

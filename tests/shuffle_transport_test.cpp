@@ -45,6 +45,7 @@
 #include "mapreduce/shuffle_transport.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
+#include "support/frozen_codec.hpp"
 #include "support/temp_dir.hpp"
 #include "support/trace_check.hpp"
 
@@ -80,11 +81,10 @@ mr::Segment sampleSegment(std::uint32_t map, std::uint32_t kb,
                    mr::Value::scalar(static_cast<double>(i) * 0.5),
                    i % 3 + 1});
   }
-  std::stable_sort(kvs.begin(), kvs.end(),
-                   [](const mr::KeyValue& a, const mr::KeyValue& b) {
-                     return a.key < b.key;
-                   });
-  return mr::Segment(map, kb, std::move(kvs));
+  mr::Segment seg = testsupport::pack(
+      map, kb, kvs, nd::Coord{7, static_cast<nd::Index>(records / 7 + 1)});
+  seg.sortByKey();
+  return seg;
 }
 
 /// A full valid per-map response byte string: header frame + data
@@ -865,6 +865,72 @@ TEST(TransportFaults, ExhaustedRetriesFailTheJobNamingTheTask) {
     EXPECT_NE(what.find("connection-drop"), std::string::npos) << what;
     EXPECT_NE(what.find("socket"), std::string::npos) << what;
   }
+}
+
+/// Serves fixed resident segments, keyed by map, over a job key space
+/// that need not hold their keys.
+class StubSource final : public mr::TransportSource {
+ public:
+  StubSource(nd::Coord keySpace,
+             std::vector<std::shared_ptr<const mr::Segment>> segments)
+      : keySpace_(std::move(keySpace)), segments_(std::move(segments)) {}
+
+  std::shared_ptr<const mr::Segment> residentSegment(
+      std::uint32_t map, std::uint32_t) const override {
+    return segments_.at(map);
+  }
+  std::shared_ptr<const mr::Segment> residentSegmentLocked(
+      std::uint32_t map, std::uint32_t kb) const override {
+    return residentSegment(map, kb);
+  }
+  std::string committedSegmentPath(std::uint32_t, std::uint32_t) const override {
+    return {};
+  }
+  bool streamsEvicted() const noexcept override { return false; }
+  bool compressedFiles() const noexcept override { return false; }
+  const nd::Coord& keySpace() const override { return keySpace_; }
+  std::size_t mergeWindowBytes() const override { return 4096; }
+
+ private:
+  nd::Coord keySpace_;
+  std::vector<std::shared_ptr<const mr::Segment>> segments_;
+};
+
+TEST(TransportFaults, KeyOutsideKeySpaceIsACorruptFrame) {
+  // A fetched payload whose keys the job key space cannot hold is as
+  // undecodable as a bad frame: the socket client reports the retryable
+  // kCorruptFrame at decode time instead of letting the merge fail the
+  // job. Map 0 is well formed; map 1's key {5, 2} lies outside {4, 4}
+  // and map 2's keys have rank 1.
+  const nd::Coord keySpace{4, 4};
+  auto segmentOf = [](std::uint32_t map, nd::Coord key, nd::Coord space) {
+    return std::make_shared<const mr::Segment>(testsupport::pack(
+        map, 0, {{std::move(key), mr::Value::scalar(1.0), 1}}, space));
+  };
+  StubSource source(keySpace, {segmentOf(0, nd::Coord{1, 2}, keySpace),
+                               segmentOf(1, nd::Coord{5, 2}, {8, 4}),
+                               segmentOf(2, nd::Coord{3}, {4})});
+  mr::TransportOptions options;
+  options.timeoutMillis = 2000;
+  auto transport = mr::makeShuffleTransport(mr::ShuffleTransportKind::kSocket,
+                                            source, options);
+  const std::uint32_t good[] = {0};
+  mr::FetchStats stats;
+  const auto fetched = transport->fetch({0, good, 1}, stats);
+  ASSERT_EQ(fetched.size(), 1u);
+  ASSERT_NE(fetched[0].handle, nullptr);
+  EXPECT_EQ(fetched[0].handle->packedRecords()[0].lin, 6u);
+  for (const std::uint32_t bad : {1u, 2u}) {
+    SCOPED_TRACE("map " + std::to_string(bad));
+    const std::uint32_t maps[] = {bad};
+    try {
+      transport->fetch({0, maps, 1}, stats);
+      FAIL() << "a key outside the key space decoded";
+    } catch (const mr::TransportError& e) {
+      EXPECT_EQ(e.fault(), mr::TransportFaultKind::kCorruptFrame);
+    }
+  }
+  transport->stop();
 }
 
 // ---- hammers (TSan/ASan via tier1.sh) ----

@@ -24,6 +24,7 @@
 #include "scihadoop/operators.hpp"
 #include "scihadoop/split_gen.hpp"
 #include "sidr/planner.hpp"
+#include "support/frozen_codec.hpp"
 #include "support/frozen_mappers.hpp"
 
 namespace sidr::core {
@@ -43,14 +44,14 @@ class CapturingContext final : public mr::MapContext {
   std::vector<mr::KeyValue> records;
 };
 
-/// Emission sequences compared through the wire codec, which encodes
-/// records in the order given — equal bytes means same keys, same
-/// values bit for bit, same annotations, same order.
+/// Emission sequences compared through the frozen wire encoder, which
+/// encodes records in the order given — equal bytes means same keys,
+/// same values bit for bit, same annotations, same order.
 void expectSameEmissions(const std::vector<mr::KeyValue>& got,
                          const std::vector<mr::KeyValue>& want) {
   ASSERT_EQ(got.size(), want.size());
-  EXPECT_EQ(mr::Segment(0, 0, got).serialize(),
-            mr::Segment(0, 0, want).serialize());
+  EXPECT_EQ(testsupport::frozenSerialize(0, 0, got),
+            testsupport::frozenSerialize(0, 0, want));
 }
 
 void expectSegmentsBitIdentical(const std::vector<mr::Segment>& got,

@@ -3,8 +3,9 @@
 // per keyblock, a stable Coord sort and an equal-key combine. Production
 // map tasks work on packed linear keys (DESIGN.md section 11); this is
 // the oracle they are differentially tested against — their segments
-// must serialize to exactly these bytes — and bench_map_pipeline's
-// legacy arm reuses its combine step. Do not optimize it.
+// must serialize to exactly the bytes frozen_codec.hpp encodes from
+// these records — and bench_map_pipeline's legacy arm reuses its
+// combine step. Do not optimize it.
 #pragma once
 
 #include <algorithm>
@@ -62,13 +63,13 @@ class FrozenFallbackContext final : public mr::MapContext {
   std::vector<std::vector<mr::KeyValue>> buffers_;
 };
 
-/// One map task through the frozen path: one decoded segment per
-/// keyblock, sorted (stable, so equal keys keep emission order) and,
-/// with a combiner, combined.
-inline std::vector<mr::Segment> runFrozenFallbackPipeline(
-    const mr::InputSplit& split, std::uint32_t mapTask,
-    const mr::RecordReaderFactory& readerFactory, mr::Mapper& mapper,
-    const mr::Partitioner& partitioner, std::uint32_t numReducers,
+/// One map task through the frozen path: each keyblock's records,
+/// sorted (stable, so equal keys keep emission order) and, with a
+/// combiner, combined.
+inline std::vector<std::vector<mr::KeyValue>> runFrozenFallbackPipeline(
+    const mr::InputSplit& split, const mr::RecordReaderFactory& readerFactory,
+    mr::Mapper& mapper, const mr::Partitioner& partitioner,
+    std::uint32_t numReducers,
     const mr::Combiner* combiner) {
   FrozenFallbackContext ctx(partitioner, numReducers);
   mapper.beginSplit(split.regions);
@@ -79,20 +80,19 @@ inline std::vector<mr::Segment> runFrozenFallbackPipeline(
     while (reader->next(key, value)) mapper.map(key, value, ctx);
   }
   mapper.finish(ctx);
-  std::vector<mr::Segment> segs;
-  segs.reserve(numReducers);
+  std::vector<std::vector<mr::KeyValue>> keyblocks;
+  keyblocks.reserve(numReducers);
   for (std::uint32_t kb = 0; kb < numReducers; ++kb) {
     std::vector<mr::KeyValue>& buf = ctx.buffer(kb);
     std::stable_sort(buf.begin(), buf.end(),
                      [](const mr::KeyValue& a, const mr::KeyValue& b) {
                        return a.key < b.key;
                      });
-    segs.emplace_back(mapTask, kb,
-                      combiner != nullptr
-                          ? frozenCombine(std::move(buf), *combiner)
-                          : std::move(buf));
+    keyblocks.push_back(combiner != nullptr
+                            ? frozenCombine(std::move(buf), *combiner)
+                            : std::move(buf));
   }
-  return segs;
+  return keyblocks;
 }
 
 }  // namespace sidr::testsupport
