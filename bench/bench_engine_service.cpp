@@ -1,7 +1,7 @@
 // Multi-job service driver (DESIGN.md section 15): submits a fleet of
 // 72 queued jobs to one EngineService — cycling no budget, one-page and
-// two-page budgets, compressed eviction files, injected faults with
-// recovery and barrier mode, plus terminally-failing and
+// two-page budgets, injected faults with recovery and barrier mode,
+// plus terminally-failing and
 // cancelled jobs — over ONE shared spill directory, and verifies the
 // service is a correctness-preserving substrate:
 //
@@ -103,7 +103,6 @@ core::QueryPlan makePlan(int variant, const std::string& spillDir,
     opts.memoryBudgetBytes = 2 * mr::SegmentPagePool::kPageBytes;
     opts.mergeWindowBytes = 4096;
   }
-  if (v == 3) opts.compressSpill = true;
   if (v == 4) {
     opts.faultPlan.failMap(0, 1);
     opts.faultPlan.failReduce(1, 1);

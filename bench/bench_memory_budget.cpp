@@ -7,8 +7,6 @@
 //   * hybrid-<B>     — spillDirectory + memoryBudgetBytes = B: pressure
 //     evicts the coldest committed keyblocks, reduces stream evicted
 //     inputs through bounded windows;
-//   * hybrid-256MiB-z / hybrid-8MiB-z — those arms with varint/delta
-//     spill compression on;
 //   * hybrid-64KiB   — one page, the smallest legal budget: nearly
 //     every segment spills.
 //
@@ -23,8 +21,8 @@
 // runs exercise the identical code paths and eviction behavior).
 //
 // Emits BENCH_memory_budget.json: per-arm wall seconds, throughput,
-// peak resident segment bytes, pressure-spill events, compressed spill
-// bytes, and an `identical` flag against the in-memory baseline.
+// peak resident segment bytes, pressure-spill events, bytes written by
+// eviction, and an `identical` flag against the in-memory baseline.
 // Exits non-zero on any output difference or a violated peak gate.
 #include <chrono>
 #include <cstdint>
@@ -45,7 +43,6 @@ using namespace sidr;
 struct Arm {
   std::string label;
   std::uint64_t budget;  ///< memoryBudgetBytes; 0 = unlimited
-  bool compress;
 };
 
 bool sameCollected(const std::vector<mr::KeyValue>& xs,
@@ -105,20 +102,17 @@ int main(int argc, char** argv) {
 
   constexpr std::uint64_t kMiB = 1ull << 20;
   const std::vector<Arm> arms = {
-      {"in-memory", 0, false},
-      {"hybrid-1GiB", 1024 * kMiB, false},
-      {"hybrid-256MiB", 256 * kMiB, false},
-      {"hybrid-64MiB", 64 * kMiB, false},
-      {"hybrid-256MiB-z", 256 * kMiB, true},
+      {"in-memory", 0},
+      {"hybrid-1GiB", 1024 * kMiB},
+      {"hybrid-256MiB", 256 * kMiB},
+      {"hybrid-64MiB", 64 * kMiB},
       // Early-start reduces drain segments almost as fast as maps
       // publish them, so concurrent residency sits far below the total
       // intermediate volume — these arms squeeze below it to put the
-      // pressure evictor (and compression, which only encodes evicted
-      // keyblocks) on the hot path.
-      {"hybrid-16MiB", 16 * kMiB, false},
-      {"hybrid-8MiB", 8 * kMiB, false},
-      {"hybrid-8MiB-z", 8 * kMiB, true},
-      {"hybrid-64KiB", mr::SegmentPagePool::kPageBytes, false},
+      // pressure evictor on the hot path.
+      {"hybrid-16MiB", 16 * kMiB},
+      {"hybrid-8MiB", 8 * kMiB},
+      {"hybrid-64KiB", mr::SegmentPagePool::kPageBytes},
   };
 
   const double cells = static_cast<double>(input.volume());
@@ -141,7 +135,6 @@ int main(int argc, char** argv) {
     core::QueryPlan plan = planner.plan(fn, opts);
     if (arm.budget > 0) plan.spec.spillDirectory = dir;
     plan.spec.memoryBudgetBytes = arm.budget;
-    plan.spec.compressSpill = arm.compress;
     const auto t0 = std::chrono::steady_clock::now();
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     const double secs =
@@ -165,11 +158,11 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "%-16s %7.2fs  %6.1fM cells/s  peak=%6.1fMiB  evictions=%-5llu "
-        "zbytes=%8.1fKiB  slowdown=%.2fx  %s\n",
+        "spilled=%8.1fKiB  slowdown=%.2fx  %s\n",
         arm.label.c_str(), secs, cells / secs / 1e6,
         static_cast<double>(result.peakResidentSegmentBytes) / kMiB,
         static_cast<unsigned long long>(result.pressureSpillEvents),
-        static_cast<double>(result.spillCompressedBytes) / 1024.0,
+        static_cast<double>(result.spillBytes) / 1024.0,
         secs / baselineSecs, identical ? "output identical" : "OUTPUT DIFFERS");
 
     json.metric(arm.label + ".seconds", secs, "s");
@@ -178,8 +171,8 @@ int main(int argc, char** argv) {
                 static_cast<double>(result.peakResidentSegmentBytes), "B");
     json.metric(arm.label + ".pressure_spill_events",
                 static_cast<double>(result.pressureSpillEvents));
-    json.metric(arm.label + ".spill_compressed_bytes",
-                static_cast<double>(result.spillCompressedBytes), "B");
+    json.metric(arm.label + ".spill_bytes",
+                static_cast<double>(result.spillBytes), "B");
     json.metric(arm.label + ".shuffle_bytes",
                 static_cast<double>(result.shuffleBytes), "B");
     json.metric(arm.label + ".identical", identical ? 1 : 0);

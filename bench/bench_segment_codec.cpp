@@ -1,15 +1,16 @@
 // Microbenchmark for the map-output segment codec and the in-memory
 // shuffle path, and a codec parity gate.
 //
-// `legacy::` freezes the original byte-at-a-time codec (push_back per
-// byte on serialize, shift-loop per word on deserialize) over KeyValue
-// records, so the bulk codec in `Segment`, which encodes packed
-// segments straight from their linear keys, can be compared against it
-// in one binary. Before timing anything, main checks once per workload
-// that both encoders produce the same bytes and both decoders the same
-// records, and exits non-zero on any mismatch. The engine benchmark
-// runs a fig10-style reduce sweep on the real in-process engine with
-// the in-memory (zero-copy) segment store.
+// `legacy::` is a frozen byte-at-a-time copy of the segment framing
+// over KeyValue records: testsupport::frozenSerializeCompressed
+// (push_back per byte) encodes, and a varint/word cursor decodes. The
+// bulk codec in `Segment`, which encodes packed segments straight from
+// their linear keys, is compared against it in one binary. Before timing
+// anything, main checks once per workload that both encoders produce
+// the same bytes and both decoders the same records, and exits non-zero
+// on any mismatch. The engine benchmark runs a fig10-style reduce sweep
+// on the real in-process engine with the in-memory (zero-copy) segment
+// store.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -28,34 +29,24 @@
 namespace sidr::mr {
 namespace legacy {
 
-// --- frozen copy of the pre-bulk codec, for baseline comparison ---
-
-void putU64(std::vector<std::byte>& out, std::uint64_t x) {
-  for (int b = 0; b < 8; ++b) {
-    out.push_back(static_cast<std::byte>((x >> (b * 8)) & 0xff));
-  }
-}
-
-void putF64(std::vector<std::byte>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  putU64(out, bits);
-}
+// --- frozen byte-at-a-time codec, for baseline comparison ---
 
 class Cursor {
  public:
   explicit Cursor(std::span<const std::byte> bytes) : bytes_(bytes) {}
 
-  std::uint64_t getU64() {
-    if (pos_ + 8 > bytes_.size()) {
+  std::uint8_t getU8() {
+    if (pos_ >= bytes_.size()) {
       throw std::out_of_range("legacy deserialize: truncated");
     }
+    return static_cast<std::uint8_t>(bytes_[pos_++]);
+  }
+
+  std::uint64_t getU64() {
     std::uint64_t x = 0;
     for (int b = 0; b < 8; ++b) {
-      x |= static_cast<std::uint64_t>(bytes_[pos_ + static_cast<std::size_t>(b)])
-           << (b * 8);
+      x |= static_cast<std::uint64_t>(getU8()) << (b * 8);
     }
-    pos_ += 8;
     return x;
   }
 
@@ -66,50 +57,32 @@ class Cursor {
     return v;
   }
 
+  /// LEB128, low bits first.
+  std::uint64_t getVarint() {
+    std::uint64_t x = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      const std::uint8_t b = getU8();
+      x |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) return x;
+    }
+    throw std::runtime_error("legacy deserialize: varint overflow");
+  }
+
  private:
   std::span<const std::byte> bytes_;
   std::size_t pos_ = 0;
 };
 
 std::vector<std::byte> serialize(std::uint32_t mapTask, std::uint32_t keyblock,
-                                 const std::vector<KeyValue>& records) {
-  std::vector<std::byte> out;
-  std::uint64_t represents = 0;
-  for (const KeyValue& kv : records) represents += kv.represents;
-  putU64(out, mapTask);
-  putU64(out, keyblock);
-  putU64(out, records.size());
-  putU64(out, represents);
-  for (const KeyValue& kv : records) {
-    putU64(out, kv.key.rank());
-    for (nd::Index c : kv.key) putU64(out, static_cast<std::uint64_t>(c));
-    putU64(out, kv.represents);
-    putU64(out, static_cast<std::uint64_t>(kv.value.kind()));
-    switch (kv.value.kind()) {
-      case ValueKind::kScalar:
-        putF64(out, kv.value.asScalar());
-        break;
-      case ValueKind::kPartial: {
-        const Partial& p = kv.value.asPartial();
-        putF64(out, p.sum);
-        putF64(out, p.min);
-        putF64(out, p.max);
-        putU64(out, static_cast<std::uint64_t>(p.count));
-        break;
-      }
-      case ValueKind::kList: {
-        const auto& xs = kv.value.asList();
-        putU64(out, xs.size());
-        for (double x : xs) putF64(out, x);
-        break;
-      }
-    }
-  }
-  return out;
+                                 const std::vector<KeyValue>& records,
+                                 const nd::Coord& keySpace) {
+  return testsupport::frozenSerializeCompressed(mapTask, keyblock, records,
+                                                keySpace);
 }
 
 struct Decoded {
   SegmentHeader header;
+  nd::Coord keySpace;
   std::vector<KeyValue> records;
 };
 
@@ -120,19 +93,18 @@ Decoded deserialize(std::span<const std::byte> bytes) {
   h.keyblock = static_cast<std::uint32_t>(cur.getU64());
   h.numRecords = cur.getU64();
   h.represents = cur.getU64();
+  nd::Coord space = nd::Coord::zeros(cur.getVarint());
+  for (std::size_t d = 0; d < space.rank(); ++d) {
+    space[d] = static_cast<nd::Index>(cur.getVarint());
+  }
   std::vector<KeyValue> records;
-  records.reserve(h.numRecords);
+  std::uint64_t lin = 0;
   for (std::uint64_t i = 0; i < h.numRecords; ++i) {
     KeyValue kv;
-    std::uint64_t rank = cur.getU64();
-    nd::Coord key = nd::Coord::zeros(rank);
-    for (std::uint64_t d = 0; d < rank; ++d) {
-      key[d] = static_cast<nd::Index>(cur.getU64());
-    }
-    kv.key = key;
-    kv.represents = cur.getU64();
-    auto kind = static_cast<ValueKind>(cur.getU64());
-    switch (kind) {
+    lin += cur.getVarint();
+    kv.key = nd::delinearize(static_cast<nd::Index>(lin), space);
+    kv.represents = cur.getVarint();
+    switch (static_cast<ValueKind>(cur.getU8())) {
       case ValueKind::kScalar:
         kv.value = Value::scalar(cur.getF64());
         break;
@@ -141,13 +113,12 @@ Decoded deserialize(std::span<const std::byte> bytes) {
         p.sum = cur.getF64();
         p.min = cur.getF64();
         p.max = cur.getF64();
-        p.count = static_cast<std::int64_t>(cur.getU64());
+        p.count = static_cast<std::int64_t>(cur.getVarint());
         kv.value = Value::partial(p);
         break;
       }
       case ValueKind::kList: {
-        std::uint64_t n = cur.getU64();
-        std::vector<double> xs(n);
+        std::vector<double> xs(cur.getVarint());
         for (auto& x : xs) x = cur.getF64();
         kv.value = Value::list(std::move(xs));
         break;
@@ -157,7 +128,7 @@ Decoded deserialize(std::span<const std::byte> bytes) {
     }
     records.push_back(std::move(kv));
   }
-  return Decoded{h, std::move(records)};
+  return Decoded{h, std::move(space), std::move(records)};
 }
 
 }  // namespace legacy
@@ -226,9 +197,9 @@ Segment makeSegment(const benchmark::State& state) {
 
 void BM_LegacySerialize(benchmark::State& state) {
   const std::vector<KeyValue> records = makeRecords(state);
-  std::size_t bytes = legacy::serialize(3, 1, records).size();
+  std::size_t bytes = legacy::serialize(3, 1, records, kKeySpace).size();
   for (auto _ : state) {
-    auto out = legacy::serialize(3, 1, records);
+    auto out = legacy::serialize(3, 1, records, kKeySpace);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
@@ -270,9 +241,9 @@ void BM_BulkDeserialize(benchmark::State& state) {
 
 void BM_LegacyRoundTrip(benchmark::State& state) {
   const std::vector<KeyValue> records = makeRecords(state);
-  std::size_t bytes = legacy::serialize(3, 1, records).size();
+  std::size_t bytes = legacy::serialize(3, 1, records, kKeySpace).size();
   for (auto _ : state) {
-    auto out = legacy::serialize(3, 1, records);
+    auto out = legacy::serialize(3, 1, records, kKeySpace);
     legacy::Decoded back = legacy::deserialize(out);
     benchmark::DoNotOptimize(back.records.data());
   }
@@ -292,7 +263,7 @@ void BM_BulkRoundTrip(benchmark::State& state) {
                           state.iterations());
 }
 
-/// The map side's actual spill pattern: serializeInto() with one
+/// The eviction and socket-server pattern: serializeInto() with one
 /// buffer reused across segments, so steady-state encoding never
 /// allocates at all.
 void BM_BulkSerializeReuse(benchmark::State& state) {
@@ -359,20 +330,23 @@ BENCHMARK(BM_EngineInMemoryReduceSweep)
     ->Unit(benchmark::kMillisecond);
 
 /// The parity gate: for one workload, the legacy and bulk encoders must
-/// produce the same bytes and the legacy and bulk decoders the same
-/// records. Prints the first mismatch and returns false on one.
+/// produce the same bytes and the legacy and bulk decoders the same key
+/// space and records. Prints the first mismatch and returns false on
+/// one.
 bool codecsAgree(std::size_t numRecords, Workload workload) {
   const std::vector<KeyValue> records = makeRecords(numRecords, workload);
   const Segment seg = testsupport::pack(3, 1, records, kKeySpace);
   const std::vector<std::byte> bytes = seg.serialize();
   const char* what = nullptr;
-  if (legacy::serialize(3, 1, records) != bytes) {
+  if (legacy::serialize(3, 1, records, kKeySpace) != bytes) {
     what = "encoders differ";
   } else {
     const legacy::Decoded want = legacy::deserialize(bytes);
     const Segment back = Segment::deserialize(bytes);
     const std::vector<KeyValue> got = testsupport::unpack(back);
-    if (!(back.header() == want.header) || got.size() != want.records.size()) {
+    if (!(back.header() == want.header) ||
+        !(back.keySpaceShape() == want.keySpace) ||
+        got.size() != want.records.size()) {
       what = "decoded headers differ";
     }
     for (std::size_t i = 0; what == nullptr && i < got.size(); ++i) {

@@ -9,8 +9,8 @@
 # memory budget, where nearly every segment is evicted and streamed
 # back, so eviction's recovery races are sanitized too, not just the
 # resident path. The trace suites run under TSan as well: the lock-free
-# span recorder publishes chunks concurrently from workers and the
-# spill-writer pool, and the invariant checks read them back after join.
+# span recorder publishes chunks concurrently from workers, and the
+# invariant checks read them back after join.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,15 +32,17 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" -L slow
 #                                    concurrently running reduces; dataset
 #                                    readers streaming from one shared
 #                                    handle on four threads
-#   sort_spill_parity_test           spill-writer pool re-evicting
-#                                    republished segments while streaming
-#                                    fetches read committed files
+#   sort_spill_parity_test           workers re-evicting republished
+#                                    segments while streaming fetches
+#                                    read committed files
 #   trace_invariants_test            per-thread span-chunk publication
 #   trace_differential_test          engine-vs-sim traces, recorder on
 #   out_of_core_test                 pressure eviction vs recovery vs
 #                                    streaming fetch (DESIGN.md section 14)
-#   engine_service_test              N jobs sharing workers, one pool, one
-#                                    spill dir; cancel/finalize races
+#   engine_service_test              N jobs sharing workers and one spill
+#                                    dir, evicting on those workers beside
+#                                    other jobs' streaming reduces;
+#                                    cancel/finalize races
 #   segment_cache_test               warm claims racing donation, eviction
 #                                    under pressure, cancel-mid-donation
 #                                    (DESIGN.md section 16)
@@ -73,7 +75,7 @@ for suite in "${TSAN_SUITES[@]}"; do
 done
 
 # ASan pass over the memory-motion-heavy suites: the windowed
-# SegmentStream decoder and the compressed varint codec move buffer
+# SegmentStream decoder and the varint segment framing move buffer
 # boundaries around under pressure — exactly where an off-by-one would
 # hide from TSan — the service's job teardown (namespace removal,
 # handle-outlives-service results) is where a use-after-free would, and

@@ -62,7 +62,7 @@ JobResult Engine::run() {
   // multi-job EngineService drives the same context through the
   // external claim API instead.
   const std::uint32_t nThreads = std::max(1u, spec_.numThreads);
-  JobContext ctx(std::move(spec_), /*sharedPool=*/nullptr);
+  JobContext ctx(std::move(spec_));
   ctx.start();
   {
     std::vector<std::jthread> workers;

@@ -8,7 +8,6 @@
 #include "mapreduce/heap_policy.hpp"
 #include "mapreduce/job_context.hpp"
 #include "mapreduce/segment_cache.hpp"
-#include "mapreduce/spill_pool.hpp"
 
 namespace sidr::mr {
 
@@ -70,9 +69,6 @@ struct ServiceState {
   std::condition_variable cv;
   std::deque<std::shared_ptr<ServiceJob>> queued;
   std::vector<std::shared_ptr<ServiceJob>> admitted;  // admission order
-  /// The ONE spill-writer pool shared by every spilling job (null when
-  /// spillWriters == 1: encode+write runs inline on workers).
-  std::unique_ptr<SpillWriterPool> spillPool;
   std::uint64_t admittedBytes = 0;  ///< ledger: reserved admission bytes
   /// Warm map-output cache (DESIGN.md §16); null unless
   /// ServiceConfig::segmentCacheEnabled. Accessed ONLY under `mtx` —
@@ -141,8 +137,7 @@ void admitLocked(ServiceState& s) {
     s.admittedBytes += cost;
     s.stats.peakAdmittedBytes =
         std::max(s.stats.peakAdmittedBytes, s.admittedBytes);
-    job->ctx =
-        std::make_unique<JobContext>(std::move(job->spec), s.spillPool.get());
+    job->ctx = std::make_unique<JobContext>(std::move(job->spec));
     if (s.cache != nullptr && cacheEligible(job->ctx->jobSpec())) {
       // Claim-or-donate, decided at admission under s.mtx (the claim's
       // file reloads run I/O under the lock, like start()'s namespace
@@ -370,16 +365,10 @@ std::vector<ReduceOutput> JobHandle::partialResults() const {
 }
 
 EngineService::EngineService(ServiceConfig config) : config_(config) {
-  if (config_.spillWriters == 0) {
-    throw std::invalid_argument("EngineService: spillWriters must be > 0");
-  }
   config_.numThreads = std::max(1u, config_.numThreads);
   pinHeapThresholds();  // before any worker allocates
   state_ = std::make_shared<ServiceState>();
   state_->config = config_;
-  if (config_.spillWriters > 1) {
-    state_->spillPool = std::make_unique<SpillWriterPool>(config_.spillWriters);
-  }
   if (config_.segmentCacheEnabled) {
     state_->cache = std::make_unique<SegmentCache>(config_.segmentCacheBytes);
   }
@@ -396,9 +385,6 @@ EngineService::~EngineService() {
   }
   state_->cv.notify_all();
   workers_.clear();  // joins: workers drain every queued and admitted job
-  // Join the shared spill-writer pool too; handles outliving the
-  // service must not keep idle pool threads alive.
-  state_->spillPool.reset();
 }
 
 JobHandle EngineService::submit(JobSpec spec) {

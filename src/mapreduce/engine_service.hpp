@@ -1,6 +1,6 @@
 // EngineService: a long-lived, multi-job engine. Where Engine::run owns
-// its worker threads and pools for the duration of ONE JobSpec, the
-// service owns them for its lifetime and multiplexes N in-flight jobs
+// its worker threads for the duration of ONE JobSpec, the service
+// owns them for its lifetime and multiplexes N in-flight jobs
 // over them — the serving substrate SIDR's early exact partial results
 // assume (many concurrent structural queries sharing one cluster's
 // task slots).
@@ -68,9 +68,6 @@ struct ServiceConfig {
   /// jobs). Per-job mapSlots/reduceSlots still cap each job's
   /// concurrency.
   std::uint32_t numThreads = 4;
-  /// Size of the ONE spill-writer pool shared by every spilling job;
-  /// 1 = encode+write inline on the claiming worker.
-  std::uint32_t spillWriters = 4;
   /// Maximum admitted (running) jobs; 0 = unbounded. Queued jobs wait.
   std::uint32_t maxConcurrentJobs = 4;
   /// Service-wide memory ledger: admission reserves each job's declared

@@ -57,7 +57,7 @@ enum class ShuffleTransportKind : std::uint8_t {
   /// Localhost TCP, valid under any memory budget: a per-job server
   /// thread serves each slot's resident handle, or its committed spill
   /// file when the slot holds none, over length-prefixed frames (the
-  /// exact-size bulk codec is the wire format); clients batch multiple
+  /// segment framing is the wire format); clients batch multiple
   /// maps per request across a pooled set of connections.
   kSocket,
 };
@@ -297,16 +297,6 @@ struct JobSpec {
   /// parse those files" property (section 3.2.1).
   std::string spillDirectory;
 
-  /// Spill-writer pool size: how many threads encode and write one
-  /// pressure eviction's (map, keyblock) files concurrently (DESIGN.md
-  /// section 12). 1 runs encode+write inline on the evicting worker;
-  /// larger values overlap victims on a pool. Only the attempt-suffixed
-  /// TEMPORARY files are written concurrently — the evicting worker
-  /// renames every file itself after the whole batch lands, and
-  /// committed bytes are identical for every pool size. Ignored
-  /// without a budget; must be > 0.
-  std::uint32_t spillWriters = 4;
-
   /// Record a per-attempt / per-phase obs::Trace into JobResult::trace
   /// (DESIGN.md section 13). Off by default: with no recorder installed
   /// the span scopes on the hot paths reduce to a thread-local load and
@@ -331,10 +321,6 @@ struct JobSpec {
   /// decoded record) per spilled input. Must be non-zero when a budget
   /// is set.
   std::size_t mergeWindowBytes = 1 << 20;
-
-  /// Encode eviction files with the varint/delta compressed framing
-  /// instead of the fixed-width one. Requires spillDirectory.
-  bool compressSpill = false;
 
   /// Canonical MapFingerprint of everything that determines this job's
   /// committed map-output bytes — (dataset identity, split geometry,
@@ -439,7 +425,7 @@ struct JobResult {
   /// Serialized bytes reduces moved: evicted files streamed back, plus
   /// socket payloads. Zero for an unbudgeted in-process job: reduces
   /// fetch resident handles by pointer and never touch the wire format.
-  /// Eviction writes are not counted here (see pressureSpillEvents).
+  /// Eviction writes are not counted here (see spillBytes).
   std::uint64_t shuffleBytes = 0;
   /// Total seconds reduce tasks spent in their fetch phase (header
   /// tallies + segment acquisition), summed across reduces.
@@ -463,9 +449,9 @@ struct JobResult {
   std::uint64_t peakResidentSegmentBytes = 0;
   /// Segments evicted to disk by memory pressure (tentpole (b)).
   std::uint64_t pressureSpillEvents = 0;
-  /// Bytes written through the compressed spill framing (0 when
-  /// compressSpill is off).
-  std::uint64_t spillCompressedBytes = 0;
+  /// Bytes pressure eviction wrote to spill files, over every eviction
+  /// (one that loses a recovery republish race counts too).
+  std::uint64_t spillBytes = 0;
   /// Map tasks this job never executed because the service segment
   /// cache served their committed output warm (DESIGN.md §16). Either 0
   /// (cold run) or the job's full map count: a fingerprint hit serves

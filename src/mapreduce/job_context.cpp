@@ -83,9 +83,6 @@ void validateJobSpec(const JobSpec& spec) {
   if (spec.faultPlan.maxAttempts == 0) {
     throw std::invalid_argument("Engine: FaultPlan::maxAttempts must be > 0");
   }
-  if (spec.spillWriters == 0) {
-    throw std::invalid_argument("Engine: spillWriters must be > 0");
-  }
   if (spec.memoryBudgetBytes > 0) {
     if (spec.spillDirectory.empty()) {
       throw std::invalid_argument(
@@ -105,10 +102,6 @@ void validateJobSpec(const JobSpec& spec) {
     // nothing would be written there.
     throw std::invalid_argument(
         "Engine: spillDirectory requires a memoryBudgetBytes to evict under");
-  }
-  if (spec.compressSpill && spec.spillDirectory.empty()) {
-    throw std::invalid_argument(
-        "Engine: compressSpill requires a spillDirectory");
   }
   for (const FaultSpec& f : spec.faultPlan.faults) {
     if (f.attempt == 0) {
@@ -186,10 +179,26 @@ class VectorReduceContext final : public ReduceContext {
   std::vector<KeyValue> records_;
 };
 
+/// Records a reduce-side phase span with explicit bounds on the calling
+/// thread's lane.
+void recordReduceSpan(obs::TraceRecorder& rec, obs::Phase phase,
+                      std::uint32_t kb, std::uint32_t attempt, double start,
+                      double end, std::uint64_t records) {
+  obs::Span span;
+  span.phase = phase;
+  span.side = obs::TaskSide::kReduce;
+  span.taskId = kb;
+  span.attempt = attempt;
+  span.keyblock = kb;
+  span.start = start;
+  span.end = end;
+  span.records = records;
+  rec.record(span);
+}
+
 }  // namespace
 
-JobContext::JobContext(JobSpec s, SpillWriterPool* sharedPool)
-    : spec(std::move(s)), sharedSpillPool(sharedPool) {}
+JobContext::JobContext(JobSpec s) : spec(std::move(s)) {}
 
 void JobContext::attachCachedSegments(
     std::vector<std::vector<std::shared_ptr<const Segment>>> warm) {
@@ -251,15 +260,6 @@ void JobContext::start() {
   if (budgetEnabled()) {
     jobDir = spec.spillDirectory + "/" + jobSpillDirName(spec.jobId);
     std::filesystem::create_directories(jobDir);
-    if (sharedSpillPool != nullptr) {
-      spillPool = sharedSpillPool;
-    } else if (spec.spillWriters > 1 && numReduces > 0) {
-      // At most one writer per keyblock: each item writes one
-      // (map, keyblock) eviction file.
-      ownedSpillPool = std::make_unique<SpillWriterPool>(
-          std::min(spec.spillWriters, numReduces));
-      spillPool = ownedSpillPool.get();
-    }
   }
   mapQueued.assign(numMaps, false);
   mapEverEligible.assign(numMaps, false);
@@ -482,6 +482,13 @@ void JobContext::runClaimedTask(const ClaimedTask& task) {
         --runningMaps;
         cv.notify_all();
       }
+      // With a budget, a map's publication is the moment resident bytes
+      // grow: shed pressure before this worker picks up its next task.
+      // Only after runMap returned, so each eviction is a root span on
+      // this worker's lane and no map attempt is charged for evicting
+      // other maps' segments. No locks held: selection and finalize
+      // take mtx themselves.
+      if (budgetEnabled()) maybePressureSpill();
     }
   }
   // Claim released: only now may the service observe this context as
@@ -542,14 +549,6 @@ JobOutcome JobContext::finalize() {
     transport->stop();
     transport.reset();
   }
-  // Join the owned spill pool before collecting: pool threads record
-  // spans too, and destruction guarantees their logs are final. (A
-  // shared pool needs no join here: every item this job submitted
-  // completed before its map attempt did — the batch barrier — and the
-  // job is quiescent.)
-  ownedSpillPool.reset();
-  spillPool = nullptr;
-
   // The job is quiescent, but partialOutputs() snapshots may still
   // arrive from JobHandle readers; holding mtx serializes them against
   // the result move below.
@@ -562,8 +561,7 @@ JobOutcome JobContext::finalize() {
 
   result.peakResidentSegmentBytes = pagePool->peakResidentBytes();
   result.pressureSpillEvents = pressureSpills.load(std::memory_order_relaxed);
-  result.spillCompressedBytes =
-      compressedSpillBytes.load(std::memory_order_relaxed);
+  result.spillBytes = spillBytes.load(std::memory_order_relaxed);
   result.totalSeconds = now();
   result.firstResultSeconds = result.totalSeconds;
   for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
@@ -594,7 +592,7 @@ JobOutcome JobContext::finalize() {
     t.addCounter("mem.peakResidentSegmentBytes",
                  result.peakResidentSegmentBytes);
     t.addCounter("mem.pressureSpillEvents", result.pressureSpillEvents);
-    t.addCounter("mem.spillCompressedBytes", result.spillCompressedBytes);
+    t.addCounter("mem.spillBytes", result.spillBytes);
     t.addCounter("cache.servedMaps", result.cacheServedMaps);
     t.addCounter("cache.bytesServed", result.cacheBytesServed);
     t.addCounter("net.wireBytes", result.transportTotals.wireBytes);
@@ -711,9 +709,8 @@ void JobContext::runMap(std::uint32_t m) {
 
   // Verify routing against the declared dependency sets (a record
   // landing in a keyblock that does not list this split is a
-  // partitioner/dependency bug). Validated for ALL keyblocks before any
-  // spill job is queued, so a violation can never throw while pool jobs
-  // still reference this frame's segments.
+  // partitioner/dependency bug), for ALL keyblocks before anything is
+  // published.
   for (std::uint32_t kb = 0; isSidr() && kb < numReduces; ++kb) {
     if (produced[kb].empty()) continue;
     const auto& dl = deps[kb];
@@ -839,11 +836,6 @@ void JobContext::runMap(std::uint32_t m) {
     --runningMaps;
     cv.notify_all();
   }
-
-  // With a budget, publication is the moment resident bytes grow; shed
-  // pressure before this worker picks up its next task. Runs with no
-  // locks held — selection and finalize take mtx internally.
-  if (budgetEnabled()) maybePressureSpill();
 }
 
 void JobContext::maybePressureSpill() {
@@ -860,6 +852,7 @@ void JobContext::maybePressureSpill() {
   // that is already runnable/running/done is never selected — so no
   // lock-free reduce fetch can race the handle reset. The finalize step
   // re-checks the gated push under mtx.
+  std::vector<std::byte> buf;  // one encode buffer for every victim
   while (pagePool->overHighWater()) {
     struct Victim {
       std::uint32_t m = 0;
@@ -902,41 +895,20 @@ void JobContext::maybePressureSpill() {
     }
     if (victims.empty()) return;  // over budget but nothing evictable
 
-    // Encode + write the attempt files outside the lock, on the
-    // spill-writer pool when one exists (victims overlap), else inline
-    // with one reused buffer. Renames run only after every write
+    // Encode + write every victim's attempt file outside the lock, then
+    // rename them all — no file is committed before every write
     // succeeded.
-    auto evict = [&](std::size_t i, std::vector<std::byte>& buf) {
-      // Pool threads are not workers: every item installs the recorder
-      // so its spans land on the owning job's trace (a shared pool
-      // interleaves items from many jobs).
-      obs::ScopedRecorder scope(recorder.get());
-      const Victim& v = victims[i];
-      obs::SpanScope span(obs::Phase::kPressureSpill, obs::TaskSide::kMap,
-                          v.m, v.attempt, v.kb);
-      span.setRecords(v.seg->header().numRecords);
-      span.setRepresents(v.seg->header().represents);
-      if (spec.compressSpill) {
-        v.seg->serializeCompressedInto(buf);
-        compressedSpillBytes.fetch_add(buf.size(), std::memory_order_relaxed);
-      } else {
-        v.seg->serializeInto(buf);
-      }
-      span.setBytes(buf.size());
-      spillSegmentAttempt(v.m, v.kb, v.attempt, buf);
-    };
     std::exception_ptr error;
     try {
-      if (spillPool == nullptr) {
-        std::vector<std::byte> buf;
-        for (std::size_t i = 0; i < victims.size(); ++i) evict(i, buf);
-      } else {
-        SpillWriterPool::Batch batch;
-        for (std::size_t i = 0; i < victims.size(); ++i) {
-          spillPool->submit(
-              batch, [&evict, i](std::vector<std::byte>& buf) { evict(i, buf); });
-        }
-        batch.wait();  // rethrows the first encode/write failure
+      for (const Victim& v : victims) {
+        obs::SpanScope span(obs::Phase::kPressureSpill, obs::TaskSide::kMap,
+                            v.m, v.attempt, v.kb);
+        span.setRecords(v.seg->header().numRecords);
+        span.setRepresents(v.seg->header().represents);
+        v.seg->serializeInto(buf);
+        span.setBytes(buf.size());
+        spillSegmentAttempt(v.m, v.kb, v.attempt, buf);
+        spillBytes.fetch_add(buf.size(), std::memory_order_relaxed);
       }
       for (const Victim& v : victims) {
         // The eviction commit reuses the publication span schema; the
@@ -1155,35 +1127,48 @@ void JobContext::runReduce(std::uint32_t kb) {
   // segments (resident handles or decoded wire payloads, merged in
   // place) or bounded streaming cursors — and the record tally comes
   // off the headers, so no input is decoded just to be counted.
-  std::vector<SegmentMerger::Input> inputs;
-  inputs.reserve(fetchedInputs.size());
-  std::unique_ptr<SegmentMerger> merger;
+  //
+  // kMerge's self time is the k-way merge (heap, stream refills and
+  // decodes), kReduce's the reducer callbacks. A span per group would
+  // cost q1 32,400 spans, so only a traced run reads the clock around
+  // each callback: their sum becomes the kReduce span and the rest of
+  // the interval the kMerge span before it.
+  auto reducer = spec.reducerFactory();
+  VectorReduceContext out;
+  obs::TraceRecorder* const rec = obs::currentRecorder();
+  const double tMerge = rec != nullptr ? rec->now() : 0.0;
+  double reduceSeconds = 0.0;
   {
-    obs::SpanScope mergeSpan(obs::Phase::kMerge, obs::TaskSide::kReduce, kb,
-                             attempt, kb);
     // Empty inputs contributed their header tallies above but carry no
     // records — the merger never sees them, whatever the transport.
+    std::vector<SegmentMerger::Input> inputs;
+    inputs.reserve(fetchedInputs.size());
     for (const FetchedSegment& fs : fetchedInputs) {
       if (fs.header.numRecords == 0) continue;
       inputs.push_back({fs.handle.get(), fs.stream.get()});
     }
-    merger = std::make_unique<SegmentMerger>(
-        std::span<const SegmentMerger::Input>(inputs), spec.keySpace);
-    mergeSpan.setRecords(recordsFetched);
-  }
-  auto reducer = spec.reducerFactory();
-  VectorReduceContext out;
-  std::vector<KeyValue> outRecords;
-  {
-    obs::SpanScope reduceSpan(obs::Phase::kReduce, obs::TaskSide::kReduce, kb,
-                              attempt, kb);
-    merger->forEachGroup([&](const nd::Coord& key,
-                             std::span<const Value* const> values,
-                             std::uint64_t /*groupRepresents*/) {
+    SegmentMerger merger(std::span<const SegmentMerger::Input>(inputs),
+                         spec.keySpace);
+    merger.forEachGroup([&](const nd::Coord& key,
+                            std::span<const Value* const> values,
+                            std::uint64_t /*groupRepresents*/) {
+      if (rec == nullptr) {
+        reducer->reduce(key, values, out);
+        return;
+      }
+      const double t = rec->now();
       reducer->reduce(key, values, out);
+      reduceSeconds += rec->now() - t;
     });
-    outRecords = out.take();
-    reduceSpan.setRecords(outRecords.size());
+  }
+  std::vector<KeyValue> outRecords = out.take();
+  if (rec != nullptr) {
+    const double tEnd = rec->now();
+    const double split = std::max(tMerge, tEnd - reduceSeconds);
+    recordReduceSpan(*rec, obs::Phase::kMerge, kb, attempt, tMerge, split,
+                     recordsFetched);
+    recordReduceSpan(*rec, obs::Phase::kReduce, kb, attempt, split, tEnd,
+                     outRecords.size());
   }
   // Streams over evicted slots' committed files read their windows
   // lazily during the merge; fold their I/O into the shuffle accounting
@@ -1194,8 +1179,6 @@ void JobContext::runReduce(std::uint32_t kb) {
   // Drop this attempt's own references before the commit parks the
   // handles, so a parked handle is the last one and its producer frees
   // it.
-  merger.reset();
-  inputs.clear();
   fetchedInputs.clear();
 
   attemptSpan.setBytes(bytesFetched);

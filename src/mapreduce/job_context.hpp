@@ -9,9 +9,8 @@
 //    spill directory can never clobber each other's committed segments;
 //    within the namespace the attempt-suffix + atomic-rename protocol
 //    is byte-identical to the historical flat layout;
-//  - the trace recorder: installed per claimed task (and per spill-pool
-//    item), so spans land on the owning job's trace no matter which
-//    jobs share the thread;
+//  - the trace recorder: installed per claimed task, so spans land on
+//    the owning job's trace no matter which jobs share the thread;
 //  - sort counters: each map attempt redirects the thread's SortStats
 //    into a task-local sink (ScopedSortStatsSink) and folds it into
 //    JobResult::sortTotals under the job mutex — replacing the old
@@ -48,7 +47,6 @@
 #include "mapreduce/job.hpp"
 #include "mapreduce/segment_cache.hpp"
 #include "mapreduce/shuffle_transport.hpp"
-#include "mapreduce/spill_pool.hpp"
 #include "obs/trace.hpp"
 
 namespace sidr::mr {
@@ -95,12 +93,9 @@ struct JobOutcome {
 
 class JobContext : private TransportSource {
  public:
-  /// `sharedPool`: spill-writer pool owned by the caller (the service
-  /// mode); null makes the context own a pool per the solo Engine rule
-  /// (spillWriters > 1, capped at the keyblock count).
   /// The spec's jobId must already be final: it names the on-disk
   /// namespace.
-  JobContext(JobSpec spec, SpillWriterPool* sharedPool);
+  explicit JobContext(JobSpec spec);
 
   JobContext(const JobContext&) = delete;
   JobContext& operator=(const JobContext&) = delete;
@@ -163,7 +158,7 @@ class JobContext : private TransportSource {
   /// exact partial results, observable while the job still runs.
   std::vector<ReduceOutput> partialOutputs();
 
-  /// Joins the owned spill pool, computes final metrics and the trace,
+  /// Stops the shuffle transport, computes final metrics and the trace,
   /// removes the spill namespace on non-success (unless
   /// keepSpillOnFailure) and returns the outcome. Call exactly once,
   /// after quiescentTerminal() (or after joining solo workers).
@@ -276,7 +271,7 @@ class JobContext : private TransportSource {
   /// first: it runs latest, so its pages are reclaimed longest).
   std::vector<std::uint32_t> posOf;
   std::atomic<std::uint64_t> pressureSpills{0};
-  std::atomic<std::uint64_t> compressedSpillBytes{0};
+  std::atomic<std::uint64_t> spillBytes{0};
 
   // --- consumed-segment release ---
   // glibc frees a block into the arena it came from, under that arena's
@@ -334,13 +329,6 @@ class JobContext : private TransportSource {
   /// subtree.
   std::string jobDir;
 
-  /// Spill writers executing this job's eviction encode+write items:
-  /// the caller's shared pool, the owned pool, or null (spillWriters ==
-  /// 1: encode+write runs inline on the evicting worker).
-  SpillWriterPool* spillPool = nullptr;
-  SpillWriterPool* sharedSpillPool = nullptr;
-  std::unique_ptr<SpillWriterPool> ownedSpillPool;
-
   /// Span/counter recorder; null unless spec.recordTrace. Shares the
   /// event log's epoch (`startTime`), so span times and event times are
   /// on one timebase.
@@ -391,7 +379,6 @@ class JobContext : private TransportSource {
     return segmentPath(m, kb);
   }
   bool streamsEvicted() const noexcept override { return budgetEnabled(); }
-  bool compressedFiles() const noexcept override { return spec.compressSpill; }
   const nd::Coord& keySpace() const override { return spec.keySpace; }
   std::size_t mergeWindowBytes() const override {
     return spec.mergeWindowBytes;

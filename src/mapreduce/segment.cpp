@@ -242,9 +242,9 @@ bool Segment::isSorted() const {
 
 namespace {
 
-// Fixed little-endian u64 words; on little-endian hosts every word is a
-// single memcpy (and runs of words — keys, list payloads — are a single
-// bulk memcpy), big-endian hosts fall back to byte shifts.
+// Fixed little-endian u64 words for the header and payload values; on
+// little-endian hosts every word is a single memcpy (and a list payload
+// one bulk memcpy), big-endian hosts fall back to byte shifts.
 
 inline void storeU64(std::byte* dst, std::uint64_t x) {
   if constexpr (std::endian::native == std::endian::little) {
@@ -293,20 +293,14 @@ class Writer {
     u64(bits);
   }
 
-  /// Bulk-writes `n` contiguous 8-byte values (int64/double arrays).
-  template <typename T>
-  void words(const T* src, std::size_t n) {
-    static_assert(sizeof(T) == 8);
+  /// Bulk-writes `n` contiguous doubles.
+  void f64s(const double* src, std::size_t n) {
     if (n == 0) return;  // src may be null (empty vector): memcpy forbids it
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(p_, src, n * 8);
       p_ += n * 8;
     } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t bits;
-        std::memcpy(&bits, src + i, 8);
-        u64(bits);
-      }
+      for (std::size_t i = 0; i < n; ++i) f64(src[i]);
     }
   }
 
@@ -326,13 +320,10 @@ class Writer {
   std::byte* p_;
 };
 
-/// Smallest possible encoded record: rank-0 key + represents + kind +
-/// scalar payload. Used to validate numRecords before reserving.
-constexpr std::size_t kMinRecordBytes = 8 + 8 + 8 + 8;
-
-/// Compressed-framing floor: 1-byte delta + 1-byte represents + kind
-/// byte + smallest payload (an empty list's 1-byte length varint).
-constexpr std::size_t kMinCompressedRecordBytes = 1 + 1 + 1 + 1;
+/// Smallest encoded record: 1-byte delta + 1-byte represents + kind
+/// byte + smallest payload (an empty list's 1-byte length varint). Used
+/// to validate numRecords before reserving.
+constexpr std::size_t kRecordFloorBytes = 1 + 1 + 1 + 1;
 
 constexpr auto kMaxIndex =
     static_cast<std::uint64_t>(std::numeric_limits<nd::Index>::max());
@@ -371,37 +362,10 @@ bool readVarint(const std::byte*& p, const std::byte* end,
   return true;
 }
 
-/// Element count of a valid shape, or 0 when it exceeds INT64_MAX (no
-/// key in it would have an int64 row-major index).
-std::uint64_t volumeWithinInt64(const nd::Coord& shape) {
-  std::uint64_t total = 1;
-  for (std::size_t d = 0; d < shape.rank(); ++d) {
-    const auto ext = static_cast<std::uint64_t>(shape[d]);
-    if (total > kMaxIndex / ext) return 0;
-    total *= ext;
-  }
-  return total;
-}
-
-/// Element count of a key space every key can be linearized in: a
-/// valid non-empty shape whose volume fits int64. Throws
-/// std::invalid_argument otherwise.
-std::uint64_t checkedKeySpaceSize(const nd::Coord& space, const char* who) {
-  const std::uint64_t total = space.rank() != 0 && space.isValidShape()
-                                  ? volumeWithinInt64(space)
-                                  : 0;
-  if (total == 0) {
-    throw std::invalid_argument(
-        std::string(who) +
-        ": needs a valid non-empty key space whose volume fits int64");
-  }
-  return total;
-}
-
-// ---- one record decoder per framing ----
+// ---- the record decoder ----
 //
-// Segment::decode (a whole payload) and SegmentStream (a sliding window
-// over a file) run the same two functions. Each decodes the record at
+// Segment::deserialize (a whole payload) and SegmentStream (a sliding
+// window over a file) run the same function. It decodes the record at
 // `p` and returns the position just past it, or nullptr when [p, end)
 // holds only a prefix of it: nothing is consumed then, and the stream
 // refills and retries. `pending` counts the input bytes not yet in
@@ -442,90 +406,12 @@ Value valueOf(const RawRecord& r) {
   return Value::list(listOf(r));
 }
 
-/// Row-major linearization of a fixed-width key's coordinate words,
-/// each range-checked against `space`: a corrupt key fails the decode.
-struct Linearizer {
-  const nd::Coord& space;
-
-  std::uint64_t operator()(const std::byte* words, std::uint64_t rank) const {
-    if (rank != space.rank()) {
-      throw std::out_of_range("Segment: key rank differs from the key space");
-    }
-    std::uint64_t lin = 0;
-    for (std::size_t d = 0; d < rank; ++d) {
-      const auto c = static_cast<nd::Index>(loadU64(words + 8 * d));
-      if (c < 0 || c >= space[d]) {
-        throw std::out_of_range("Segment: key outside the key space");
-      }
-      lin = lin * static_cast<std::uint64_t>(space[d]) +
-            static_cast<std::uint64_t>(c);
-    }
-    return lin;
-  }
-};
-
-/// The fixed-width framing: rank word, coordinate words, represents,
-/// kind word, payload words. `key(coordinateWords, rank)` yields the
-/// record's linear key once the whole record is present.
-template <typename KeyFn>
-const std::byte* decodeFixedRecord(const std::byte* p, const std::byte* end,
-                                   std::uint64_t pending, KeyFn&& key,
-                                   RawRecord& out) {
-  if (end - p < 8) return nullptr;
-  const std::uint64_t rank = loadU64(p);
-  if (rank > nd::kMaxRank) throw std::runtime_error("Segment: bad key rank");
-  if (static_cast<std::uint64_t>(end - p) < 8 + 8 * rank + 16) return nullptr;
-  const std::byte* coords = p + 8;
-  p += 8 + 8 * rank;
-  const std::uint64_t represents = loadU64(p);
-  const std::uint64_t kind = loadU64(p + 8);
-  p += 16;
-  PackedRecord& r = out.rec;
-  switch (kind) {
-    case 0:
-      if (end - p < 8) return nullptr;
-      r.payload.scalar = loadF64(p);
-      p += 8;
-      break;
-    case 1:
-      if (end - p < 4 * 8) return nullptr;
-      r.payload.partial =
-          Partial{loadF64(p), loadF64(p + 8), loadF64(p + 16),
-                  static_cast<std::int64_t>(loadU64(p + 24))};
-      p += 4 * 8;
-      break;
-    case 2: {
-      if (end - p < 8) return nullptr;
-      const std::uint64_t n = loadU64(p);
-      const std::uint64_t here = static_cast<std::uint64_t>(end - p) - 8;
-      if (n > (here + pending) / 8) {
-        throw std::out_of_range("Segment: list length exceeds input");
-      }
-      if (here < 8 * n) return nullptr;
-      out.listWords = p + 8;
-      out.listLength = n;
-      p += 8 + 8 * n;
-      break;
-    }
-    default:
-      throw std::runtime_error("Segment: bad value kind");
-  }
-  r.kind = static_cast<ValueKind>(kind);
-  r.represents = represents;
-  r.lin = key(coords, rank);
-  return p;
-}
-
-/// The compressed framing: varint delta from the previous record's
-/// linear key (`prev`; null for the first record, whose delta is its
-/// key), varint represents, kind byte, payload. Keys must lie below
-/// `spaceSize`.
-const std::byte* decodeCompressedRecord(const std::byte* p,
-                                        const std::byte* end,
-                                        std::uint64_t pending,
-                                        std::uint64_t spaceSize,
-                                        const std::uint64_t* prev,
-                                        RawRecord& out) {
+/// One record: varint delta from the previous record's linear key
+/// (`prev`; null for the first record, whose delta is its key), varint
+/// represents, kind byte, payload. Keys must lie below `spaceSize`.
+const std::byte* decodeRecord(const std::byte* p, const std::byte* end,
+                              std::uint64_t pending, std::uint64_t spaceSize,
+                              const std::uint64_t* prev, RawRecord& out) {
   std::uint64_t delta = 0;
   std::uint64_t represents = 0;
   if (!readVarint(p, end, delta)) return nullptr;
@@ -584,36 +470,41 @@ const std::byte* decodeCompressedRecord(const std::byte* p,
   return p;
 }
 
-/// The compressed framing's embedded key space (varint rank, then
-/// extents), which must equal `space`; `space` is valid, so equality
-/// rules out every corrupt extent. Returns the position past it, or
-/// nullptr when [p, end) holds only a prefix of it.
+/// The embedded key space (varint rank, then extents) into `space` and
+/// its element count into `volume`. Returns the position past it, or
+/// nullptr when [p, end) holds only a prefix of it. Throws
+/// std::runtime_error unless it is a valid non-empty shape whose volume
+/// fits int64 — the space every key must be linearizable in.
 const std::byte* decodeKeySpace(const std::byte* p, const std::byte* end,
-                                const nd::Coord& space) {
+                                nd::Coord& space, std::uint64_t& volume) {
   std::uint64_t rank = 0;
   if (!readVarint(p, end, rank)) return nullptr;
-  if (rank > nd::kMaxRank) throw std::runtime_error("Segment: bad key rank");
-  nd::Coord embedded = nd::Coord::zeros(rank);
+  if (rank == 0 || rank > nd::kMaxRank) {
+    throw std::runtime_error("Segment: bad key space rank");
+  }
+  nd::Coord shape = nd::Coord::zeros(rank);
+  std::uint64_t total = 1;
   for (std::size_t d = 0; d < rank; ++d) {
     std::uint64_t ext = 0;
     if (!readVarint(p, end, ext)) return nullptr;
-    embedded[d] = static_cast<nd::Index>(ext);
+    if (ext == 0 || total > kMaxIndex / ext) {
+      throw std::runtime_error("Segment: invalid key space");
+    }
+    total *= ext;
+    shape[d] = static_cast<nd::Index>(ext);
   }
-  if (!(embedded == space)) {
-    throw std::runtime_error("Segment: key space mismatch");
-  }
+  space = std::move(shape);
+  volume = total;
   return p;
 }
 
 /// The header, then the guard every decode runs before trusting its
-/// record count: each record costs at least its framing's minimum on
-/// the wire, so a corrupt count can never drive a huge reserve.
+/// record count: each record costs at least kRecordFloorBytes, so a
+/// corrupt count can never drive a huge reserve.
 SegmentHeader readCountedHeader(std::span<const std::byte> head,
-                                std::uint64_t totalBytes, bool compressed) {
+                                std::uint64_t totalBytes) {
   const SegmentHeader h = Segment::peekHeader(head);
-  const std::uint64_t minRecord =
-      compressed ? kMinCompressedRecordBytes : kMinRecordBytes;
-  if (h.numRecords > (totalBytes - Segment::kHeaderBytes) / minRecord) {
+  if (h.numRecords > (totalBytes - Segment::kHeaderBytes) / kRecordFloorBytes) {
     throw std::out_of_range("Segment: record count exceeds input");
   }
   return h;
@@ -629,161 +520,12 @@ void checkSegmentEnd(bool trailing, std::uint64_t repSum,
   }
 }
 
-/// Decodes a whole encoding into `packed` and `lists`. The fixed-width
-/// framing gets each linear key from `key`; the compressed one checks
-/// its embedded key space against `space`.
-template <typename KeyFn>
-SegmentHeader decodeWhole(std::span<const std::byte> bytes, bool compressed,
-                          const nd::Coord& space, KeyFn&& key,
-                          std::vector<PackedRecord>& packed,
-                          std::vector<Value>& lists) {
-  const SegmentHeader h = readCountedHeader(bytes, bytes.size(), compressed);
-  const std::byte* p = bytes.data() + Segment::kHeaderBytes;
-  const std::byte* end = bytes.data() + bytes.size();
-  std::uint64_t spaceSize = 0;
-  if (compressed) {
-    p = decodeKeySpace(p, end, space);
-    if (p == nullptr) throw std::out_of_range("Segment: truncated");
-    spaceSize = static_cast<std::uint64_t>(space.volume());
-  }
-  packed.reserve(h.numRecords);
-  std::uint64_t repSum = 0;
-  for (std::uint64_t i = 0; i < h.numRecords; ++i) {
-    RawRecord r;
-    p = compressed ? decodeCompressedRecord(p, end, 0, spaceSize,
-                                            i == 0 ? nullptr
-                                                   : &packed.back().lin,
-                                            r)
-                   : decodeFixedRecord(p, end, 0, key, r);
-    if (p == nullptr) throw std::out_of_range("Segment: truncated");
-    repSum += r.rec.represents;
-    if (r.rec.kind == ValueKind::kList) {
-      r.rec.payload.listIndex = static_cast<std::uint32_t>(lists.size());
-      lists.push_back(Value::list(listOf(r)));
-    }
-    packed.push_back(r.rec);
-  }
-  checkSegmentEnd(p != end, repSum, h);
-  return h;
-}
-
-/// deserialize()'s key function: keeps every key's coordinates and
-/// grows the per-dimension extents that hold them all.
-struct KeyBounds {
-  nd::Coord extent;  ///< rank 0 until the first key
-  std::vector<nd::Index> coords;
-
-  std::uint64_t operator()(const std::byte* words, std::uint64_t rank) {
-    if (rank == 0) {
-      throw std::out_of_range("Segment::deserialize: rank-0 key");
-    }
-    if (coords.empty()) {
-      extent = nd::Coord::zeros(rank);
-    } else if (rank != extent.rank()) {
-      throw std::out_of_range("Segment::deserialize: mixed key ranks");
-    }
-    for (std::size_t d = 0; d < rank; ++d) {
-      const auto c = static_cast<nd::Index>(loadU64(words + 8 * d));
-      if (c < 0 || c == std::numeric_limits<nd::Index>::max()) {
-        throw std::out_of_range("Segment::deserialize: key in no key space");
-      }
-      extent[d] = std::max(extent[d], c + 1);
-      coords.push_back(c);
-    }
-    return 0;  // linearized once the key space is known
-  }
-};
-
 }  // namespace
 
 std::size_t Segment::serializedSize() const {
-  // Every record's key has the key space's rank; only list payloads
-  // vary in size.
-  std::size_t size = kHeaderBytes;
-  const std::size_t rank = keySpace_.rank();
-  for (const PackedRecord& r : packed_) {
-    size += 8 + 8 * rank + 16;
-    switch (r.kind) {
-      case ValueKind::kScalar:
-        size += 8;
-        break;
-      case ValueKind::kPartial:
-        size += 4 * 8;
-        break;
-      case ValueKind::kList:
-        size += 8 + 8 * packedListAt(r.payload.listIndex).size();
-        break;
-    }
-  }
-  return size;
-}
-
-std::vector<std::byte> Segment::serialize() const {
-  std::vector<std::byte> out;
-  serializeInto(out);
-  return out;
-}
-
-void Segment::serializeInto(std::vector<std::byte>& out) const {
-  out.resize(serializedSize());
-  Writer w(out.data());
-  w.u64(header_.mapTask);
-  w.u64(header_.keyblock);
-  w.u64(header_.numRecords);
-  w.u64(header_.represents);
-  // Delinearize each key for the wire; dense sorted runs (row-major
-  // emission) bump the innermost coordinate instead of re-dividing.
-  const std::size_t rank = keySpace_.rank();
-  nd::Coord cur;
-  std::uint64_t prevLin = 0;
-  bool havePrev = false;
-  for (const PackedRecord& r : packed_) {
-    if (havePrev && r.lin == prevLin + 1 &&
-        cur[rank - 1] + 1 < keySpace_[rank - 1]) {
-      ++cur[rank - 1];
-    } else if (!havePrev || r.lin != prevLin) {
-      cur = nd::delinearize(static_cast<nd::Index>(r.lin), keySpace_);
-    }
-    prevLin = r.lin;
-    havePrev = true;
-    w.u64(rank);
-    w.words(cur.begin(), rank);
-    w.u64(r.represents);
-    w.u64(static_cast<std::uint64_t>(r.kind));
-    switch (r.kind) {
-      case ValueKind::kScalar:
-        w.f64(r.payload.scalar);
-        break;
-      case ValueKind::kPartial: {
-        const Partial& p = r.payload.partial;
-        w.f64(p.sum);
-        w.f64(p.min);
-        w.f64(p.max);
-        w.u64(static_cast<std::uint64_t>(p.count));
-        break;
-      }
-      case ValueKind::kList: {
-        const auto& xs = packedListAt(r.payload.listIndex);
-        w.u64(xs.size());
-        w.words(xs.data(), xs.size());
-        break;
-      }
-    }
-  }
-}
-
-std::uint64_t Segment::residentBytes() const noexcept {
-  std::uint64_t bytes = packed_.size() * sizeof(PackedRecord);
-  for (const Value& list : lists_) {
-    bytes += sizeof(std::vector<double>) + list.asList().size() * sizeof(double);
-  }
-  return bytes;
-}
-
-std::size_t Segment::serializedCompressedSize() const {
   if (keySpace_.rank() == 0) {
     throw std::invalid_argument(
-        "Segment::serializeCompressed: the segment has no key space");
+        "Segment::serialize: the segment has no key space");
   }
   std::size_t size = kHeaderBytes + varintLen(keySpace_.rank());
   for (std::size_t d = 0; d < keySpace_.rank(); ++d) {
@@ -793,7 +535,7 @@ std::size_t Segment::serializedCompressedSize() const {
     const PackedRecord& r = packed_[i];
     if (i > 0 && r.lin < packed_[i - 1].lin) {
       throw std::logic_error(
-          "Segment::serializeCompressed: records not sorted by linear key");
+          "Segment::serialize: records not sorted by linear key");
     }
     size += varintLen(i > 0 ? r.lin - packed_[i - 1].lin : r.lin) +
             varintLen(r.represents) + 1;
@@ -815,8 +557,14 @@ std::size_t Segment::serializedCompressedSize() const {
   return size;
 }
 
-void Segment::serializeCompressedInto(std::vector<std::byte>& out) const {
-  out.resize(serializedCompressedSize());  // validates everything
+std::vector<std::byte> Segment::serialize() const {
+  std::vector<std::byte> out;
+  serializeInto(out);
+  return out;
+}
+
+void Segment::serializeInto(std::vector<std::byte>& out) const {
+  out.resize(serializedSize());  // validates everything
   Writer w(out.data());
   w.u64(header_.mapTask);
   w.u64(header_.keyblock);
@@ -847,52 +595,44 @@ void Segment::serializeCompressedInto(std::vector<std::byte>& out) const {
       case ValueKind::kList: {
         const auto& xs = packedListAt(r.payload.listIndex);
         w.varint(xs.size());
-        w.words(xs.data(), xs.size());
+        w.f64s(xs.data(), xs.size());
         break;
       }
     }
   }
 }
 
-std::vector<std::byte> Segment::serializeCompressed() const {
-  std::vector<std::byte> out;
-  serializeCompressedInto(out);
-  return out;
-}
-
-Segment Segment::decode(std::span<const std::byte> bytes, bool compressed,
-                        const nd::Coord& keySpace) {
-  checkedKeySpaceSize(keySpace, "Segment::decode");
-  Segment s;
-  s.keySpace_ = keySpace;
-  s.header_ = decodeWhole(bytes, compressed, keySpace, Linearizer{keySpace},
-                          s.packed_, s.lists_);
-  return s;
+std::uint64_t Segment::residentBytes() const noexcept {
+  std::uint64_t bytes = packed_.size() * sizeof(PackedRecord);
+  for (const Value& list : lists_) {
+    bytes += sizeof(std::vector<double>) + list.asList().size() * sizeof(double);
+  }
+  return bytes;
 }
 
 Segment Segment::deserialize(std::span<const std::byte> bytes) {
-  // The key space is known only once every key has been seen: decode
-  // with the coordinates set aside, then linearize them in the smallest
-  // space that holds them all.
-  KeyBounds bounds;
   Segment s;
-  s.header_ = decodeWhole(bytes, /*compressed=*/false, nd::Coord(), bounds,
-                          s.packed_, s.lists_);
-  if (s.packed_.empty()) return s;
-  const nd::Coord& space = bounds.extent;
-  if (volumeWithinInt64(space) == 0) {
-    throw std::out_of_range("Segment::deserialize: no key space holds the keys");
-  }
-  const nd::Index* c = bounds.coords.data();
-  for (PackedRecord& r : s.packed_) {
-    std::uint64_t lin = 0;
-    for (std::size_t d = 0; d < space.rank(); ++d) {
-      lin = lin * static_cast<std::uint64_t>(space[d]) +
-            static_cast<std::uint64_t>(*c++);
+  s.header_ = readCountedHeader(bytes, bytes.size());
+  const std::byte* p = bytes.data() + kHeaderBytes;
+  const std::byte* end = bytes.data() + bytes.size();
+  std::uint64_t spaceSize = 0;
+  p = decodeKeySpace(p, end, s.keySpace_, spaceSize);
+  if (p == nullptr) throw std::out_of_range("Segment: truncated");
+  s.packed_.reserve(s.header_.numRecords);
+  std::uint64_t repSum = 0;
+  for (std::uint64_t i = 0; i < s.header_.numRecords; ++i) {
+    RawRecord r;
+    p = decodeRecord(p, end, 0, spaceSize,
+                     i == 0 ? nullptr : &s.packed_.back().lin, r);
+    if (p == nullptr) throw std::out_of_range("Segment: truncated");
+    repSum += r.rec.represents;
+    if (r.rec.kind == ValueKind::kList) {
+      r.rec.payload.listIndex = static_cast<std::uint32_t>(s.lists_.size());
+      s.lists_.push_back(Value::list(listOf(r)));
     }
-    r.lin = lin;
+    s.packed_.push_back(r.rec);
   }
-  s.keySpace_ = space;
+  checkSegmentEnd(p != end, repSum, s.header_);
   return s;
 }
 
@@ -910,20 +650,15 @@ SegmentHeader Segment::peekHeader(std::span<const std::byte> bytes) {
 
 // ---- SegmentStream: bounded-window decode of spilled segments ----
 
-SegmentStream::SegmentStream(const std::string& path, std::size_t windowBytes,
-                             bool compressed, const nd::Coord& keySpace)
+SegmentStream::SegmentStream(const std::string& path, std::size_t windowBytes)
     : SegmentStream(
           std::unique_ptr<sci::Storage>(std::make_unique<sci::FileStorage>(
               path, sci::FileStorage::Mode::kOpenReadOnly)),
-          windowBytes, compressed, keySpace) {}
+          windowBytes) {}
 
 SegmentStream::SegmentStream(std::unique_ptr<sci::Storage> storage,
-                             std::size_t windowBytes, bool compressed,
-                             const nd::Coord& keySpace)
-    : storage_(std::move(storage)),
-      windowBytes_(windowBytes),
-      compressed_(compressed),
-      keySpace_(keySpace) {
+                             std::size_t windowBytes)
+    : storage_(std::move(storage)), windowBytes_(windowBytes) {
   init();
 }
 
@@ -933,28 +668,24 @@ void SegmentStream::init() {
   if (windowBytes_ == 0) {
     throw std::invalid_argument("SegmentStream: window must be non-zero");
   }
-  spaceSize_ = checkedKeySpaceSize(keySpace_, "SegmentStream");
   fileSize_ = storage_->size();
   if (fileSize_ < Segment::kHeaderBytes) {
     throw std::out_of_range("SegmentStream: truncated");
   }
   std::array<std::byte, Segment::kHeaderBytes> hdr;
   storage_->readAt(0, hdr);
-  header_ = readCountedHeader(hdr, fileSize_, compressed_);
+  header_ = readCountedHeader(hdr, fileSize_);
   fileOffset_ = Segment::kHeaderBytes;
   bytesRead_ = Segment::kHeaderBytes;
-  if (compressed_) {
-    const std::byte* p;
-    while ((p = decodeKeySpace(buf_.data() + bufPos_,
-                               buf_.data() + buf_.size(), keySpace_)) ==
-           nullptr) {
-      if (fileOffset_ >= fileSize_) {
-        throw std::out_of_range("SegmentStream: truncated");
-      }
-      refill();
+  const std::byte* p;
+  while ((p = decodeKeySpace(buf_.data() + bufPos_, buf_.data() + buf_.size(),
+                             keySpace_, spaceSize_)) == nullptr) {
+    if (fileOffset_ >= fileSize_) {
+      throw std::out_of_range("SegmentStream: truncated");
     }
-    bufPos_ = static_cast<std::size_t>(p - buf_.data());
+    refill();
   }
+  bufPos_ = static_cast<std::size_t>(p - buf_.data());
   if (header_.numRecords == 0) {
     finishChecks();
     return;  // exhausted_ stays true
@@ -989,12 +720,9 @@ void SegmentStream::decodeNext() {
     const std::byte* p = buf_.data() + bufPos_;
     const std::byte* end = buf_.data() + buf_.size();
     const std::uint64_t pending = fileSize_ - fileOffset_;
-    // lin_ still holds the previous record's key: the compressed
-    // framing's delta base.
-    next = compressed_
-               ? decodeCompressedRecord(p, end, pending, spaceSize_,
-                                        decoded_ == 0 ? nullptr : &lin_, r)
-               : decodeFixedRecord(p, end, pending, Linearizer{keySpace_}, r);
+    // lin_ still holds the previous record's key: the delta base.
+    next = decodeRecord(p, end, pending, spaceSize_,
+                        decoded_ == 0 ? nullptr : &lin_, r);
     if (next != nullptr) break;
     if (fileOffset_ >= fileSize_) {
       throw std::out_of_range("SegmentStream: truncated");

@@ -252,8 +252,7 @@ class Segment {
   }
 
   /// The key space the linear keys were computed in. Rank 0 only for a
-  /// record-less segment that has none: default-constructed, or decoded
-  /// by deserialize().
+  /// default-constructed segment.
   const nd::Coord& keySpaceShape() const noexcept { return keySpace_; }
 
   /// Approximate heap footprint of the record data — what a published
@@ -278,76 +277,55 @@ class Segment {
   /// True when records are sorted by key.
   bool isSorted() const;
 
-  /// Encoded size of the fixed header prefix (4 little-endian u64
-  /// words); peekHeader needs exactly this many bytes.
+  // ---- the segment framing (eviction files, the socket wire) ----
+  //
+  // One self-describing encoding: the 32-byte header (4 little-endian
+  // u64 words: map task, keyblock, record count, count annotation —
+  // all peekHeader and the annotation tally read), the key space
+  // (varint rank, then varint extents), then per record
+  //   varint(linear-key delta) varint(represents) kind-byte payload
+  // where scalar/partial/list payloads keep their raw 8-byte words
+  // (varint only the list length and partial count). Records are
+  // sorted by linear key, so each delta is small: a key costs a byte
+  // or two, not a rank word plus a word per coordinate.
+
+  /// Encoded size of the fixed header prefix; peekHeader needs exactly
+  /// this many bytes.
   static constexpr std::size_t kHeaderBytes = 32;
 
   /// Exact byte size of serialize()'s output, computed without
-  /// encoding anything. serialize() allocates once from this.
+  /// encoding anything. serialize() allocates once from this. Throws
+  /// std::invalid_argument when the segment has no key space, and
+  /// std::logic_error when records are not sorted by linear key
+  /// (deltas must be non-negative).
   std::size_t serializedSize() const;
 
-  /// Flat binary encoding (header + records), as written to the local
-  /// map-output file a reducer fetches. Wire format: fixed-width
-  /// little-endian u64 words (doubles as IEEE-754 bit patterns), each
-  /// key as its rank and coordinates, written with bulk stores into a
-  /// single exact-size allocation.
+  /// The encoding, in the segment's own key space, into a single
+  /// exact-size allocation. Throws as serializedSize() does.
   std::vector<std::byte> serialize() const;
 
-  /// serialize() into a caller-owned buffer, reusing its capacity — the
-  /// map side encodes one segment per keyblock and can amortize one
-  /// allocation across all of them.
+  /// serialize() into a caller-owned buffer, reusing its capacity — an
+  /// eviction or a socket server encodes one segment after another and
+  /// amortizes one allocation across all of them.
   void serializeInto(std::vector<std::byte>& out) const;
 
-  /// Decodes serialize()'s output over the smallest key space that
-  /// holds its keys (per dimension, the largest coordinate plus one), so
-  /// that re-encoding the result reproduces `bytes`. A segment without
-  /// records has no key to place and gets no key space. Every length
-  /// field (record count, key rank, list length) is validated against
-  /// the remaining byte count BEFORE any allocation, so corrupt or
-  /// truncated input throws (std::out_of_range / std::runtime_error)
-  /// instead of triggering a huge reserve; trailing bytes are rejected.
-  /// Throws std::out_of_range when no valid key space holds the keys
-  /// (a rank-0 or negative key, mixed ranks, an int64-overflowing
-  /// volume).
+  /// Decodes one whole encoding — the one entry point for every
+  /// consumer that holds a payload's bytes — over the key space it
+  /// carries, so re-encoding the result reproduces `bytes`. An embedded
+  /// key space that is no valid non-empty shape with an int64 volume
+  /// throws std::runtime_error, and a linear key past its volume throws
+  /// std::out_of_range. Every length field (record count, rank, list
+  /// length) is validated against the remaining byte count BEFORE any
+  /// allocation, so corrupt or truncated input throws
+  /// (std::out_of_range / std::runtime_error) instead of triggering a
+  /// huge reserve; trailing bytes are rejected. Whether the key space is
+  /// the one a consumer expects is that consumer's check.
   static Segment deserialize(std::span<const std::byte> bytes);
-
-  /// Decodes one whole encoded segment in either framing into a segment
-  /// over `keySpace` — the one entry point for every consumer that holds
-  /// a fetched payload's bytes. Each key is linearized and range-checked
-  /// once: a fixed-width key of another rank or outside the space, or a
-  /// compressed linear key past its end, throws std::out_of_range, and a
-  /// compressed framing whose embedded key space differs throws
-  /// std::runtime_error. Structural errors throw as deserialize()'s do,
-  /// and an invalid `keySpace` throws std::invalid_argument.
-  static Segment decode(std::span<const std::byte> bytes, bool compressed,
-                        const nd::Coord& keySpace);
 
   /// Reads ONLY the header fields from an encoded segment — the cheap
   /// "partially understand the data without reading and parsing it"
   /// access the paper describes for the annotation tally.
   static SegmentHeader peekHeader(std::span<const std::byte> bytes);
-
-  // ---- compressed spill framing (JobSpec::compressSpill) ----
-  //
-  // Same 32-byte uncompressed header (peekHeader and the annotation
-  // tally work unchanged), then a self-describing key space (varint
-  // rank + extents) and one record per entry as
-  //   varint(lin delta) varint(represents) kind-byte payload
-  // where scalar/partial/list payloads keep their raw 8-byte words
-  // (varint only the list length and partial count). Records are
-  // sorted by linear key, so deltas are small and the stream drops the
-  // dominant per-record cost: the 8-byte-per-coordinate key encoding.
-
-  /// Exact encoded size of serializeCompressedInto's output.
-  std::size_t serializedCompressedSize() const;
-
-  /// Compressed encoding, in the segment's own key space, into a
-  /// caller-owned buffer. Throws std::invalid_argument when the segment
-  /// has no key space, and std::logic_error when records are not sorted
-  /// by linear key (deltas must be non-negative).
-  void serializeCompressedInto(std::vector<std::byte>& out) const;
-
-  std::vector<std::byte> serializeCompressed() const;
 
  private:
   void sortPacked();
@@ -365,30 +343,25 @@ class Segment {
 /// at most `windowBytes` (growing only for a single record larger than
 /// the window), decoding one record at a time, so a reduce task's
 /// resident cost per spilled input is the window — never the whole
-/// decoded segment. Handles both framings: the fixed-width uncompressed
-/// wire format and the varint/delta compressed one (compressed = true),
-/// with the same per-framing record decoders Segment::decode runs, and
-/// hands out each record's key as its linear index in the key space.
+/// decoded segment. Runs the same record decoder Segment::deserialize
+/// does and hands out each record's key as its linear index in the
+/// key space the encoding carries.
 ///
-/// Validation matches Segment::decode: structural corruption (bad kind
-/// byte, over-long varint, rank/extent garbage) throws
-/// std::runtime_error; a key outside the key space and truncation
+/// Validation matches Segment::deserialize: structural corruption (bad
+/// kind byte, over-long varint, an invalid embedded key space) throws
+/// std::runtime_error; a key past the key space and truncation
 /// mid-record throw std::out_of_range; after the last record, trailing
 /// bytes and a represents-sum mismatch with the header annotation are
 /// rejected. Short reads from storage propagate as the storage layer's
 /// own exceptions.
 class SegmentStream {
  public:
-  /// Opens `path` read-only. Keys are linearized in `keySpace`, which
-  /// must be a valid non-empty shape (std::invalid_argument otherwise);
-  /// the compressed framing's embedded key space must equal it.
-  SegmentStream(const std::string& path, std::size_t windowBytes,
-                bool compressed, const nd::Coord& keySpace);
+  /// Opens `path` read-only.
+  SegmentStream(const std::string& path, std::size_t windowBytes);
 
   /// Same, over caller-provided storage (tests stream MemoryStorage).
   SegmentStream(std::unique_ptr<sci::Storage> storage,
-                std::size_t windowBytes, bool compressed,
-                const nd::Coord& keySpace);
+                std::size_t windowBytes);
 
   ~SegmentStream();
   SegmentStream(const SegmentStream&) = delete;
@@ -396,6 +369,8 @@ class SegmentStream {
 
   const SegmentHeader& header() const noexcept { return header_; }
 
+  /// The key space the encoding carries: the merge compares it with
+  /// its own before it orders this stream's keys.
   const nd::Coord& keySpace() const noexcept { return keySpace_; }
 
   /// True once every record has been consumed (end-of-stream checks
@@ -429,9 +404,8 @@ class SegmentStream {
 
   std::unique_ptr<sci::Storage> storage_;
   std::size_t windowBytes_;
-  bool compressed_;
   nd::Coord keySpace_;
-  std::uint64_t spaceSize_ = 0;  ///< element count: bounds compressed keys
+  std::uint64_t spaceSize_ = 0;  ///< element count: bounds the keys
 
   SegmentHeader header_;
   std::vector<std::byte> buf_;

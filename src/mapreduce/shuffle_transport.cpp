@@ -312,11 +312,10 @@ FetchRequestFrame decodeFetchRequest(std::span<const std::byte> payload) {
 std::vector<std::byte> encodeSegmentResponseHeader(
     const SegmentResponseHeader& header) {
   std::vector<std::byte> payload;
-  payload.reserve(24);
+  payload.reserve(20);
   putU32(payload, kSegmentMagic);
   putU32(payload, header.mapTask);
   putU32(payload, header.keyblock);
-  putU32(payload, header.flags);
   putU64(payload, header.totalBytes);
   return payload;
 }
@@ -327,11 +326,11 @@ SegmentResponseHeader readSegmentResponse(ByteSource& src,
                                           std::vector<std::byte>& payload,
                                           FetchStats* stats) {
   const std::vector<std::byte> head = readFrame(src, stats);
-  if (head.size() != 24) {
+  if (head.size() != 20) {
     throw TransportError(TransportFaultKind::kCorruptFrame,
                          "segment response header is " +
                              std::to_string(head.size()) +
-                             " bytes, expected 24");
+                             " bytes, expected 20");
   }
   if (getU32(head.data()) != kSegmentMagic) {
     throw TransportError(TransportFaultKind::kCorruptFrame,
@@ -340,8 +339,7 @@ SegmentResponseHeader readSegmentResponse(ByteSource& src,
   SegmentResponseHeader h;
   h.mapTask = getU32(head.data() + 4);
   h.keyblock = getU32(head.data() + 8);
-  h.flags = getU32(head.data() + 12);
-  h.totalBytes = getU64(head.data() + 16);
+  h.totalBytes = getU64(head.data() + 12);
   if (h.mapTask != expectMap || h.keyblock != expectKeyblock) {
     throw TransportError(
         TransportFaultKind::kReorderedFrame,
@@ -352,7 +350,7 @@ SegmentResponseHeader readSegmentResponse(ByteSource& src,
   }
   if (h.totalBytes < Segment::kHeaderBytes) {
     throw TransportError(TransportFaultKind::kCorruptFrame,
-                         "segment shorter than its 32-byte codec header");
+                         "segment shorter than its 32-byte header");
   }
   if (h.totalBytes > kSegmentMax) {
     throw TransportError(TransportFaultKind::kOversizedFrame,
@@ -430,8 +428,7 @@ class InProcessTransport final : public ShuffleTransport {
       } else if (source_.streamsEvicted()) {
         auto stream = std::make_unique<SegmentStream>(
             source_.committedSegmentPath(m, req.keyblock),
-            source_.mergeWindowBytes(), source_.compressedFiles(),
-            source_.keySpace());
+            source_.mergeWindowBytes());
         fs.header = stream->header();
         if (fs.header.numRecords > 0) {
           // Reads its windows lazily during the merge; the reduce folds
@@ -601,8 +598,7 @@ class SegmentServer {
   /// straight out of `bytes`.
   void sendSegment(wire::SocketConnection& conn, std::uint32_t m,
                    std::uint32_t kb, std::span<const std::byte> bytes) {
-    conn.writeFrame(
-        wire::encodeSegmentResponseHeader({m, kb, /*flags=*/0, bytes.size()}));
+    conn.writeFrame(wire::encodeSegmentResponseHeader({m, kb, bytes.size()}));
     for (std::size_t off = 0; off < bytes.size();) {
       const std::size_t n =
           std::min<std::size_t>(wire::kChunkBytes, bytes.size() - off);
@@ -618,9 +614,7 @@ class SegmentServer {
     sci::FileStorage file(source_.committedSegmentPath(m, kb),
                           sci::FileStorage::Mode::kOpenReadOnly);
     const std::uint64_t size = file.size();
-    const std::uint32_t flags =
-        source_.compressedFiles() ? wire::kFlagCompressed : 0;
-    conn.writeFrame(wire::encodeSegmentResponseHeader({m, kb, flags, size}));
+    conn.writeFrame(wire::encodeSegmentResponseHeader({m, kb, size}));
     chunk.resize(std::min<std::uint64_t>(wire::kChunkBytes, size));
     for (std::uint64_t off = 0; off < size;) {
       const std::span<std::byte> piece(
@@ -762,28 +756,33 @@ class SocketTransport final : public ShuffleTransport {
                                std::vector<std::byte>&& payload,
                                FetchStats& stats) {
     FetchedSegment fs;
-    const bool compressed = (h.flags & wire::kFlagCompressed) != 0;
     try {
       fs.header = Segment::peekHeader(payload);
     } catch (const std::exception& e) {
       throw TransportError(TransportFaultKind::kCorruptFrame,
-                           std::string("segment codec header unreadable: ") +
+                           std::string("segment header unreadable: ") +
                                e.what());
     }
     if (fs.header.mapTask != h.mapTask || fs.header.keyblock != h.keyblock) {
       throw TransportError(
           TransportFaultKind::kCorruptFrame,
-          "codec header disagrees with the response header identity");
+          "segment header disagrees with the response header identity");
     }
     stats.bytesFetched += payload.size();
     if (fs.header.numRecords == 0) return fs;
     try {
-      fs.handle = std::make_shared<const Segment>(
-          Segment::decode(payload, compressed, source_.keySpace()));
+      fs.handle =
+          std::make_shared<const Segment>(Segment::deserialize(payload));
     } catch (const std::exception& e) {
       throw TransportError(TransportFaultKind::kCorruptFrame,
                            std::string("segment payload undecodable: ") +
                                e.what());
+    }
+    // Keys are only comparable in the job's key space: a payload in any
+    // other is as unusable as a corrupt frame.
+    if (!(fs.handle->keySpaceShape() == source_.keySpace())) {
+      throw TransportError(TransportFaultKind::kCorruptFrame,
+                           "segment payload carries another key space");
     }
     return fs;
   }

@@ -4,7 +4,7 @@
 // segments of its dependency set. HOW the bytes move is a transport
 // concern with two backends — same-address-space handle handoff (the
 // historical path, byte-identical) and a localhost socket data plane
-// framing the exact-size bulk codec onto pooled TCP connections. Both
+// framing the segment encoding onto pooled TCP connections. Both
 // follow one rule: a slot's resident handle when the slot holds one,
 // else the slot's committed `job<id>/` eviction file (streamed through
 // a bounded window in process, chunked over the wire by the socket
@@ -29,11 +29,11 @@
 // fetch request is ONE frame: {kRequestMagic, keyblock, count, count x
 // map id} — a whole batch of maps per round trip. The server answers
 // per map, in request order: a segment-response header frame
-// {kSegmentMagic, mapTask, keyblock, flags, u64 totalBytes}, then data
-// frames whose payloads concatenate to exactly totalBytes of the
-// segment codec (flags bit0 selects the compressed framing). Empty
-// segments ship their full 32-byte encoding — no special case on the
-// wire. Every violation maps to a typed TransportError (truncated,
+// {kSegmentMagic, mapTask, keyblock, u64 totalBytes}, then data frames
+// whose payloads concatenate to exactly totalBytes of the segment
+// framing (Segment::serialize, the eviction files' bytes). Empty
+// segments ship their full encoding — no special case on the wire.
+// Every violation maps to a typed TransportError (truncated,
 // corrupt, oversized, reordered, timeout) — malformed input can fail a
 // fetch attempt but never hang or crash the engine.
 #pragma once
@@ -113,12 +113,8 @@ class TransportSource {
   /// (memory budget set) rather than a publication-protocol violation.
   virtual bool streamsEvicted() const noexcept = 0;
 
-  /// True when committed spill files use the compressed framing.
-  virtual bool compressedFiles() const noexcept = 0;
-
-  /// Job key space (JobSpec::keySpace): fetched and streamed keys are
-  /// linearized in it, and the compressed framing's embedded space must
-  /// equal it.
+  /// Job key space (JobSpec::keySpace): a fetched payload must carry
+  /// it, or the socket client rejects the frame as corrupt.
   virtual const nd::Coord& keySpace() const = 0;
 
   /// Per-input decode window for streamed merge inputs.
@@ -218,14 +214,10 @@ inline constexpr std::uint32_t kChunkBytes = 256u << 10;
 inline constexpr std::uint32_t kRequestMagic = 0x52444953u;   // "SIDR"
 inline constexpr std::uint32_t kSegmentMagic = 0x31474553u;   // "SEG1"
 
-/// flags bit0: payload uses the compressed spill framing.
-inline constexpr std::uint32_t kFlagCompressed = 1u;
-
 /// Decoded segment-response header frame.
 struct SegmentResponseHeader {
   std::uint32_t mapTask = 0;
   std::uint32_t keyblock = 0;
-  std::uint32_t flags = 0;
   std::uint64_t totalBytes = 0;
 };
 
@@ -329,7 +321,7 @@ std::vector<std::byte> encodeSegmentResponseHeader(
 /// data frames received in full.
 /// Validates against the request order: a response for a different
 /// (map, keyblock) throws kReorderedFrame; bad magic / short header /
-/// totalBytes below the 32-byte codec header / an empty data frame / a
+/// totalBytes below the 32-byte segment header / an empty data frame / a
 /// data frame overshooting totalBytes throw kCorruptFrame; totalBytes
 /// beyond kSegmentMax or a frame beyond kFrameMax throws
 /// kOversizedFrame.

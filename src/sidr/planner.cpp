@@ -116,10 +116,8 @@ void fillExecutionOptions(mr::JobSpec& spec, const PlanOptions& options) {
   spec.faultPlan = options.faultPlan;
   spec.recordTrace = options.recordTrace;
   spec.spillDirectory = options.spillDirectory;
-  spec.spillWriters = options.spillWriters;
   spec.memoryBudgetBytes = options.memoryBudgetBytes;
   spec.mergeWindowBytes = options.mergeWindowBytes;
-  spec.compressSpill = options.compressSpill;
   spec.transport = options.transport;
   spec.transportConnections = options.transportConnections;
   spec.transportTimeoutMillis = options.transportTimeoutMillis;

@@ -88,10 +88,8 @@ struct PlanOptions {
   /// reduce commits; > 0 evicts cold keyblocks into spillDirectory,
   /// which must then be set (and may only be set with a budget).
   std::string spillDirectory;
-  std::uint32_t spillWriters = 4;
   std::uint64_t memoryBudgetBytes = 0;
   std::size_t mergeWindowBytes = 1 << 20;
-  bool compressSpill = false;
 
   /// Shuffle data plane (DESIGN.md section 17), forwarded verbatim to
   /// mr::JobSpec::transport — the one place a plan picks its transport.
@@ -147,7 +145,7 @@ struct QueryPlan {
 /// intermediate keySpace and the partition plan (mode + reducer count;
 /// skew bound and extraction are already absorbed via the query).
 /// Execution knobs that cannot change map-output bytes (threads, slots,
-/// spill/budget/compression settings, tracing, fault plans, weights,
+/// spill/budget settings, tracing, fault plans, weights,
 /// priorities) MUST NOT leak into the key: a spilling resubmission of
 /// an in-memory query is a cache HIT. Returns nullopt when datasetId is
 /// empty. The digest is part of the cache key format — pinned by unit

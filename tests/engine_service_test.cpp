@@ -4,7 +4,7 @@
 //
 //  * config/spec validation shared with the Engine constructor;
 //  * a mixed fleet (unbudgeted, one-page and two-page budgets,
-//    compressed, faulted, barrier) over ONE shared spill directory, each
+//    faulted, barrier) over ONE shared spill directory, each
 //    output and each job's sort counters identical to its solo
 //    baseline;
 //  * failed jobs: wait() rethrows JobError, the job's spill namespace
@@ -99,8 +99,8 @@ void expectNoDanglingAttempts(const std::string& dir) {
 
 /// One of six job shapes cycled by the fleet tests. All six succeed;
 /// they cover no budget, a one-page budget (nearly every segment
-/// evicted) and a two-page one, compressed eviction files, injected-
-/// fault recovery and the barrier mode.
+/// evicted) and a two-page one, injected-fault recovery and the
+/// barrier mode.
 QueryPlan makePlan(int variant, const std::string& spillDir) {
   const int v = variant % 6;
   sh::StructuralQuery q;
@@ -121,7 +121,6 @@ QueryPlan makePlan(int variant, const std::string& spillDir) {
     opts.memoryBudgetBytes = 2 * mr::SegmentPagePool::kPageBytes;
     opts.mergeWindowBytes = 4096;
   }
-  if (v == 3) opts.compressSpill = true;
   if (v == 4) {
     opts.faultPlan.failMap(0, 1);
     opts.faultPlan.failReduce(1, 1);
@@ -223,12 +222,6 @@ mr::ReducerFactory gateNthReducer(mr::ReducerFactory inner,
 }
 
 // ---- validation ----
-
-TEST(EngineServiceValidation, ZeroSpillWritersRejected) {
-  mr::ServiceConfig config;
-  config.spillWriters = 0;
-  EXPECT_THROW(mr::EngineService{config}, std::invalid_argument);
-}
 
 TEST(EngineServiceValidation, SubmitRejectsBadSpecsLikeEngine) {
   const std::string dir = tempDir("sidr_svc_validate");

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <thread>
 #include <tuple>
 
 #include "mapreduce/combiners.hpp"
@@ -824,6 +828,168 @@ TEST(Engine, DatasetBackedRun) {
   sh::ExtractionMap ex(q, input);
   expectMatchesOracle(result.collectAll(), sh::runSerialOracle(q, ex, fn));
   CheckJobTrace(result);
+}
+
+// ---- phase attribution in traces (DESIGN.md sections 13 and 14) ----
+
+TEST(EnginePhases, EvictionRunsOutsideMapAttempts) {
+  // A worker evicts after its map attempt closed, so every eviction is
+  // a span of its own on the worker's lane: no map attempt is charged
+  // for writing out other maps' segments.
+  nd::Coord input{30, 12};
+  QueryPlanner planner(makeQuery(OperatorKind::kMedian, nd::Coord{3, 4}),
+                       input);
+  PlanOptions opts;
+  opts.system = SystemMode::kSidr;
+  opts.numReducers = 4;
+  opts.desiredSplitCount = 8;
+  opts.numThreads = 3;
+  opts.recordTrace = true;
+  QueryPlan plan = planner.plan(sh::temperatureField(78), opts);
+  const std::string dir =
+      (testsupport::scratchRoot() / "sidr_phases_evict").string();
+  plan.spec.spillDirectory = dir;
+  plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+  mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
+  std::filesystem::remove_all(dir);
+  CheckJobTrace(result);
+  ASSERT_GT(result.pressureSpillEvents, 0u);
+
+  std::vector<const obs::Span*> mapAttempts;
+  std::vector<const obs::Span*> evictions;
+  for (const obs::Span& s : result.trace.spans) {
+    if (s.phase == obs::Phase::kTaskAttempt && s.side == obs::TaskSide::kMap) {
+      mapAttempts.push_back(&s);
+    }
+    if (s.phase == obs::Phase::kPressureSpill) evictions.push_back(&s);
+  }
+  ASSERT_FALSE(evictions.empty());
+  for (const obs::Span* e : evictions) {
+    for (const obs::Span* a : mapAttempts) {
+      EXPECT_FALSE(e->tid == a->tid && e->start >= a->start &&
+                   e->end <= a->end)
+          << "eviction of (map " << e->taskId << ", kb " << e->keyblock
+          << ") inside map " << a->taskId << "'s attempt on lane " << e->tid;
+    }
+  }
+}
+
+/// Per phase, the self time of reduce-side spans: each span's duration
+/// less that of the spans nested directly inside it on its lane.
+std::map<obs::Phase, double> reduceSelfSeconds(const obs::Trace& trace) {
+  std::map<std::uint32_t, std::vector<const obs::Span*>> lanes;
+  for (const obs::Span& s : trace.spans) lanes[s.tid].push_back(&s);
+  std::map<obs::Phase, double> self;
+  for (auto& [tid, spans] : lanes) {
+    std::stable_sort(spans.begin(), spans.end(),
+                     [](const obs::Span* a, const obs::Span* b) {
+                       return a->start < b->start ||
+                              (a->start == b->start && a->end > b->end);
+                     });
+    std::vector<std::pair<const obs::Span*, double>> open;  // span, children
+    const auto close = [&] {
+      const auto [span, children] = open.back();
+      open.pop_back();
+      if (span->side == obs::TaskSide::kReduce) {
+        self[span->phase] += (span->end - span->start) - children;
+      }
+    };
+    for (const obs::Span* s : spans) {
+      while (!open.empty() && !(s->start >= open.back().first->start &&
+                                s->end <= open.back().first->end)) {
+        close();
+      }
+      if (!open.empty()) open.back().second += s->end - s->start;
+      open.emplace_back(s, 0.0);
+    }
+    while (!open.empty()) close();
+  }
+  return self;
+}
+
+/// Sleeps before handing each group to the wrapped reducer, counting
+/// the calls.
+class SleepingReducer final : public mr::Reducer {
+ public:
+  static constexpr std::chrono::milliseconds kSleep{2};
+
+  SleepingReducer(std::unique_ptr<mr::Reducer> inner,
+                  std::atomic<std::uint64_t>& calls)
+      : inner_(std::move(inner)), calls_(calls) {}
+
+  void reduce(const nd::Coord& key, std::span<const mr::Value* const> values,
+              mr::ReduceContext& ctx) override {
+    std::this_thread::sleep_for(kSleep);
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    inner_->reduce(key, values, ctx);
+  }
+
+ private:
+  std::unique_ptr<mr::Reducer> inner_;
+  std::atomic<std::uint64_t>& calls_;
+};
+
+TEST(EnginePhases, MergeAndReduceSelfTimesSplit) {
+  // kReduce times the reducer callbacks and kMerge the k-way merge that
+  // feeds them, without a span per group: a reducer that sleeps a known
+  // total shows at least that much kReduce self time and less merge.
+  nd::Coord input{48, 24};
+  QueryPlanner planner(makeQuery(OperatorKind::kMedian, nd::Coord{8, 6}),
+                       input);
+  PlanOptions opts;
+  opts.system = SystemMode::kSidr;
+  opts.numReducers = 3;
+  opts.desiredSplitCount = 6;
+  opts.numThreads = 3;
+  opts.recordTrace = true;
+
+  std::atomic<std::uint64_t> calls{0};
+  QueryPlan plan = planner.plan(sh::temperatureField(79), opts);
+  plan.spec.reducerFactory = [inner = plan.spec.reducerFactory, &calls] {
+    return std::make_unique<SleepingReducer>(inner(), calls);
+  };
+  mr::JobResult sleepy = mr::Engine(std::move(plan.spec)).run();
+  CheckJobTrace(sleepy);
+  ASSERT_GT(calls.load(), 0u);
+  const double slept =
+      std::chrono::duration<double>(SleepingReducer::kSleep).count() *
+      static_cast<double>(calls.load());
+  std::map<obs::Phase, double> self = reduceSelfSeconds(sleepy.trace);
+  EXPECT_GE(self[obs::Phase::kReduce], slept);
+  EXPECT_LT(self[obs::Phase::kMerge], slept);
+
+  // Evicted inputs come back as streams the merge refills (a read per
+  // 256 bytes) and decodes: that work is merge time, and outweighs a
+  // reducer that only counts its values. Timing, so the best of three
+  // runs counts: a preempted callback can inflate one run's kReduce.
+  class CountingReducer final : public mr::Reducer {
+   public:
+    void reduce(const nd::Coord& key, std::span<const mr::Value* const> values,
+                mr::ReduceContext& ctx) override {
+      ctx.emit(key, mr::Value::scalar(static_cast<double>(values.size())));
+    }
+  };
+  const std::string dir =
+      (testsupport::scratchRoot() / "sidr_phases_merge").string();
+  bool mergeOutweighsReduce = false;
+  for (int run = 0; run < 3 && !mergeOutweighsReduce; ++run) {
+    QueryPlan streamed = planner.plan(sh::temperatureField(79), opts);
+    streamed.spec.spillDirectory = dir;
+    streamed.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+    streamed.spec.mergeWindowBytes = 256;
+    streamed.spec.reducerFactory = [] {
+      return std::make_unique<CountingReducer>();
+    };
+    mr::JobResult spilled = mr::Engine(std::move(streamed.spec)).run();
+    std::filesystem::remove_all(dir);
+    CheckJobTrace(spilled);
+    ASSERT_GT(spilled.shuffleBytes, 0u) << "no input was streamed";
+    self = reduceSelfSeconds(spilled.trace);
+    EXPECT_GT(self[obs::Phase::kMerge], 0.0);
+    mergeOutweighsReduce =
+        self[obs::Phase::kMerge] > self[obs::Phase::kReduce];
+  }
+  EXPECT_TRUE(mergeOutweighsReduce);
 }
 
 }  // namespace

@@ -94,15 +94,16 @@ nd::Coord randomShape(std::mt19937_64& rng, std::size_t rank, int lo, int hi) {
 
 /// Byte-for-byte segment equality, the strongest parity statement the
 /// wire format allows: each of map task 0's segments against the frozen
-/// encoding of the oracle's records for its keyblock.
+/// encoding of the oracle's records for its keyblock in `keySpace`.
 void expectSegmentsBitIdentical(
     const std::vector<mr::Segment>& fast,
-    const std::vector<std::vector<mr::KeyValue>>& oracle) {
+    const std::vector<std::vector<mr::KeyValue>>& oracle,
+    const nd::Coord& keySpace) {
   ASSERT_EQ(fast.size(), oracle.size());
   for (std::size_t kb = 0; kb < fast.size(); ++kb) {
     SCOPED_TRACE("keyblock " + std::to_string(kb));
-    const std::vector<std::byte> want = testsupport::frozenSerialize(
-        0, static_cast<std::uint32_t>(kb), oracle[kb]);
+    const std::vector<std::byte> want = testsupport::frozenSerializeCompressed(
+        0, static_cast<std::uint32_t>(kb), oracle[kb], keySpace);
     EXPECT_EQ(fast[kb].header(), mr::Segment::peekHeader(want));
     EXPECT_EQ(fast[kb].serialize(), want);
   }
@@ -165,7 +166,7 @@ TEST(MapPipelineParity, RandomizedSegmentsBitIdentical) {
     FoldingMapper oracleMapper(keySpace, /*partialOnly=*/false);
     auto oracle = testsupport::runFrozenFallbackPipeline(
         split, factory, oracleMapper, part, reducers, nullptr);
-    expectSegmentsBitIdentical(fast, oracle);
+    expectSegmentsBitIdentical(fast, oracle, keySpace);
   }
 }
 
@@ -188,7 +189,7 @@ TEST(MapPipelineParity, CombinerSegmentsBitIdentical) {
     FoldingMapper oracleMapper(keySpace, /*partialOnly=*/true);
     auto oracle = testsupport::runFrozenFallbackPipeline(
         split, factory, oracleMapper, part, 4, &combiner);
-    expectSegmentsBitIdentical(fast, oracle);
+    expectSegmentsBitIdentical(fast, oracle, keySpace);
   }
 }
 
@@ -221,7 +222,7 @@ TEST(MapPipelineParity, DuplicateKeysKeepEmissionOrder) {
   TwoKeyMapper oracleMapper;
   auto oracle = testsupport::runFrozenFallbackPipeline(
       split, factory, oracleMapper, part, 2, nullptr);
-  expectSegmentsBitIdentical(fast, oracle);
+  expectSegmentsBitIdentical(fast, oracle, keySpace);
 }
 
 TEST(MapPipelineParity, BatchedReadersMatchPerRecord) {
@@ -444,7 +445,7 @@ TEST(PackedSegment, SortedEncodingMatchesEagerConstruction) {
                      return a.key < b.key;
                    });
   const std::vector<std::byte> reference =
-      testsupport::frozenSerialize(1, 2, eager);
+      testsupport::frozenSerializeCompressed(1, 2, eager, keySpace);
   EXPECT_FALSE(seg.empty());
   EXPECT_EQ(seg.header(), mr::Segment::peekHeader(reference));
   EXPECT_EQ(seg.header().numRecords, 5u);
@@ -478,21 +479,17 @@ TEST(PackedSegment, SpillRoundTripPreservesRecords) {
   }
   mr::Segment seg(0, 0, std::move(packed), std::move(lists), keySpace);
   seg.sortByKey();
-  for (bool compressed : {false, true}) {
-    const auto bytes =
-        compressed ? seg.serializeCompressed() : seg.serialize();
-    mr::Segment back = mr::Segment::decode(bytes, compressed, keySpace);
-    EXPECT_EQ(back.header(), seg.header());
-    EXPECT_EQ(back.keySpaceShape(), keySpace);
-    ASSERT_EQ(back.packedRecords().size(), 9u);
-    for (std::size_t i = 0; i < back.packedRecords().size(); ++i) {
-      EXPECT_EQ(back.packedRecords()[i].lin, i);
-      EXPECT_EQ(back.packedRecords()[i].payload.scalar,
-                static_cast<double>(i) * 0.5);
-    }
-    EXPECT_EQ(compressed ? back.serializeCompressed() : back.serialize(),
-              bytes);
+  const auto bytes = seg.serialize();
+  mr::Segment back = mr::Segment::deserialize(bytes);
+  EXPECT_EQ(back.header(), seg.header());
+  EXPECT_EQ(back.keySpaceShape(), keySpace);
+  ASSERT_EQ(back.packedRecords().size(), 9u);
+  for (std::size_t i = 0; i < back.packedRecords().size(); ++i) {
+    EXPECT_EQ(back.packedRecords()[i].lin, i);
+    EXPECT_EQ(back.packedRecords()[i].payload.scalar,
+              static_cast<double>(i) * 0.5);
   }
+  EXPECT_EQ(back.serialize(), bytes);
 }
 
 TEST(PackedSegment, InvalidKeySpaceRejected) {
@@ -517,10 +514,9 @@ sh::StructuralQuery makeQuery(OperatorKind op, nd::Coord eshape,
 
 TEST(EngineParity, SpilledMatchesSerialOracle) {
   // Evicted segments reach the reduce merge through decoding streams,
-  // so their keys are linearized there rather than read from the packed
-  // form: unbudgeted runs and one-page-budget runs (plain and
-  // compressed files) must all be bit-identical and match the serial
-  // oracle.
+  // so their keys are decoded there rather than read from the packed
+  // form: unbudgeted and one-page-budget runs must be bit-identical and
+  // match the serial oracle.
   const nd::Coord input{30, 12, 6};
   sh::StructuralQuery q = makeQuery(OperatorKind::kMedian, nd::Coord{5, 4, 3});
   sh::ValueFn fn = sh::windspeedField(9);
@@ -538,18 +534,14 @@ TEST(EngineParity, SpilledMatchesSerialOracle) {
   testsupport::expectMatchesOracle(inMemory.collectAll(),
                                    sh::runSerialOracle(q, ex, fn));
 
-  for (bool compress : {false, true}) {
-    SCOPED_TRACE(compress ? "compressed spill" : "spill");
-    QueryPlan plan = planner.plan(fn, opts);
-    plan.spec.spillDirectory = scratch.file(compress ? "compressed" : "plain");
-    plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
-    plan.spec.compressSpill = compress;
-    mr::JobResult spilled = mr::Engine(std::move(plan.spec)).run();
-    EXPECT_EQ(spilled.annotationViolations, 0u);
-    EXPECT_GT(spilled.shuffleBytes, 0u)
-        << "evicted inputs must come back through the wire format";
-    expectSameCollected(spilled, inMemory);
-  }
+  QueryPlan plan = planner.plan(fn, opts);
+  plan.spec.spillDirectory = scratch.file("spill");
+  plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+  mr::JobResult spilled = mr::Engine(std::move(plan.spec)).run();
+  EXPECT_EQ(spilled.annotationViolations, 0u);
+  EXPECT_GT(spilled.shuffleBytes, 0u)
+      << "evicted inputs must come back through the wire format";
+  expectSameCollected(spilled, inMemory);
 }
 
 TEST(EngineParity, FaultRecoveryOnFastPath) {

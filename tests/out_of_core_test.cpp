@@ -11,7 +11,7 @@
 //    evictions and the output still matches the unlimited run, and a
 //    budget that is never reached peaking exactly like no budget;
 //  * a 16-seed differential: budget ∈ {unlimited, one page, tight} ×
-//    compression × faults produce bit-identical collectAll output,
+//    faults produce bit-identical collectAll output,
 //    satisfy the commit-before-reduce trace invariants, and mirror the
 //    mem.* counters into the trace registry;
 //  * an eviction/recovery race hammer (run under TSan by tier1.sh).
@@ -154,22 +154,6 @@ TEST(OutOfCoreValidation, ZeroMergeWindowWithBudgetRejected) {
   EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
 }
 
-TEST(OutOfCoreValidation, CompressWithoutSpillDirectoryRejected) {
-  QueryPlan plan = smallPlan();
-  plan.spec.compressSpill = true;
-  EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
-}
-
-TEST(OutOfCoreValidation, CompressWithoutKeySpaceRejected) {
-  QueryPlan plan = smallPlan();
-  plan.spec.spillDirectory =
-      (testsupport::scratchRoot() / "sidr_ooc_reject").string();
-  plan.spec.memoryBudgetBytes = 1 << 20;
-  plan.spec.compressSpill = true;
-  plan.spec.keySpace = nd::Coord{};  // the codec delta-encodes linear keys
-  EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
-}
-
 // ---- deterministic pressure: a tight budget must actually evict ----
 
 TEST(OutOfCore, TightBudgetEvictsAndMatchesUnlimitedRun) {
@@ -253,7 +237,6 @@ TEST(OutOfCore, UnreachedBudgetPeaksLikeNoBudget) {
 struct Arm {
   const char* name;
   std::uint64_t budget;  ///< memoryBudgetBytes; 0 = unbudgeted
-  bool compress;
 };
 
 class OutOfCoreParity : public ::testing::TestWithParam<int> {};
@@ -305,11 +288,9 @@ TEST_P(OutOfCoreParity, ModeMatrixProducesIdenticalOutput) {
       (1 + rng() % 8) * mr::SegmentPagePool::kPageBytes;
   constexpr std::uint64_t kPage = mr::SegmentPagePool::kPageBytes;
   const Arm arms[] = {
-      {"in-memory", 0, false},
-      {"one-page", kPage, false},
-      {"hybrid-tight", tight, false},
-      {"hybrid-tight-compress", tight, true},
-      {"one-page-compress", kPage, true},
+      {"in-memory", 0},
+      {"one-page", kPage},
+      {"hybrid-tight", tight},
   };
   SCOPED_TRACE("input " + input.toString() + " r=" +
                std::to_string(opts.numReducers) +
@@ -327,7 +308,6 @@ TEST_P(OutOfCoreParity, ModeMatrixProducesIdenticalOutput) {
     if (arm.budget > 0) plan.spec.spillDirectory = dir;
     plan.spec.memoryBudgetBytes = arm.budget;
     plan.spec.mergeWindowBytes = 4096;
-    plan.spec.compressSpill = arm.compress;
     plan.spec.faultPlan = faults;
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     EXPECT_EQ(result.annotationViolations, 0u);
@@ -345,22 +325,20 @@ TEST_P(OutOfCoreParity, ModeMatrixProducesIdenticalOutput) {
               result.peakResidentSegmentBytes);
     EXPECT_EQ(result.trace.counterValue("mem.pressureSpillEvents"),
               result.pressureSpillEvents);
-    EXPECT_EQ(result.trace.counterValue("mem.spillCompressedBytes"),
-              result.spillCompressedBytes);
+    EXPECT_EQ(result.trace.counterValue("mem.spillBytes"),
+              result.spillBytes);
     // Every job publishes resident handles before any eviction, so
     // the pool must have metered them.
     EXPECT_GT(result.peakResidentSegmentBytes, 0u);
-    // Compressed bytes are written only when pressure actually evicted
-    // something (an eviction that loses the republish race still counts
-    // encoded bytes, so no upper assertion there).
-    if (arm.compress && result.pressureSpillEvents > 0) {
-      EXPECT_GT(result.spillCompressedBytes, 0u);
-    }
-    if (!arm.compress) {
-      EXPECT_EQ(result.spillCompressedBytes, 0u);
+    // Bytes are written only when pressure actually evicted something
+    // (an eviction that loses the republish race still counts its
+    // bytes, so no upper assertion there).
+    if (result.pressureSpillEvents > 0) {
+      EXPECT_GT(result.spillBytes, 0u);
     }
     if (arm.budget == 0) {
       EXPECT_EQ(result.pressureSpillEvents, 0u);
+      EXPECT_EQ(result.spillBytes, 0u);
     }
 
     auto collected = result.collectAll();
@@ -379,8 +357,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OutOfCoreParity, ::testing::Range(0, 16));
 
 TEST(OutOfCoreHammer, EvictionRacesRecoveryAndStreamingFetch) {
   // Tight budget + kRecomputeDeps + injected map/reduce failures: the
-  // pressure evictor hands cold keyblocks to pool workers while failed
-  // reduces force their I_l maps to republish the very segments being
+  // pressure evictor writes cold keyblocks out while failed reduces
+  // force their I_l maps to republish the very segments being
   // evicted, and other reduces stream evicted inputs through bounded
   // windows. The pointer-equality finalize guard and the
   // evictingCount runnable gate must keep every interleaving
@@ -410,10 +388,8 @@ TEST(OutOfCoreHammer, EvictionRacesRecoveryAndStreamingFetch) {
     opts.faultPlan.failMap(1).failMap(7);
     QueryPlan plan = planner.plan(fn, opts);
     plan.spec.spillDirectory = dir;
-    plan.spec.spillWriters = 8;
     plan.spec.memoryBudgetBytes = 2 * mr::SegmentPagePool::kPageBytes;
     plan.spec.mergeWindowBytes = 1024;
-    plan.spec.compressSpill = (iter % 2 == 1);
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     EXPECT_EQ(result.reduceFailures, 4u);
     EXPECT_EQ(result.mapFailures, 2u);

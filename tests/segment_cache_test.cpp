@@ -10,7 +10,7 @@
 //    LRU eviction under a cap (an entry is resident or gone);
 //  * through EngineService: a warm resubmission is bit-identical to its
 //    cold run with ZERO map tasks (pinned by attempt-span counts),
-//    unbudgeted and under one-page (also compressed) and two-page
+//    unbudgeted and under one-page and two-page
 //    memory budgets;
 //    negative keying, faulted and cancelled jobs never donate, eviction
 //    under admission pressure, and cache-off behaves exactly like PR 7;
@@ -87,11 +87,10 @@ std::size_t countSpans(const obs::Trace& trace, obs::Phase phase,
 }
 
 /// The memory budgets a cached query can run under: none, one page
-/// (nearly every segment evicted; also with compressed files) and two
-/// pages. kFaulted is the control arm: fault-injected jobs are excluded
+/// (nearly every segment evicted) and two pages. kFaulted is the control arm: fault-injected jobs are excluded
 /// from the cache by construction and must behave exactly as without
 /// it.
-enum class Regime { kInMemory, kOnePage, kCompressed, kHybrid, kFaulted };
+enum class Regime { kInMemory, kOnePage, kHybrid, kFaulted };
 
 /// One fingerprinted query plan per (regime, seed). recordTrace is on
 /// so tests can pin span-level facts (zero map attempts on a warm run).
@@ -114,11 +113,6 @@ QueryPlan cachePlan(Regime regime, const std::string& spillDir,
     case Regime::kOnePage:
       opts.spillDirectory = spillDir;
       opts.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
-      break;
-    case Regime::kCompressed:
-      opts.spillDirectory = spillDir;
-      opts.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
-      opts.compressSpill = true;
       break;
     case Regime::kHybrid:
       opts.spillDirectory = spillDir;
@@ -365,8 +359,7 @@ TEST(FingerprintPlanner, ExecutionKnobsDoNotLeakIntoTheKey) {
   // cache at the SERVICE level, not by keying them differently.)
   const std::string dir = tempDir("sidr_fp_nonkey");
   for (const Regime regime :
-       {Regime::kOnePage, Regime::kCompressed, Regime::kHybrid,
-        Regime::kFaulted}) {
+       {Regime::kOnePage, Regime::kHybrid, Regime::kFaulted}) {
     const QueryPlan other = cachePlan(regime, dir, "ds");
     ASSERT_TRUE(other.spec.mapFingerprint.has_value());
     EXPECT_EQ(*other.spec.mapFingerprint, *base.spec.mapFingerprint)
@@ -569,16 +562,13 @@ TEST(SegmentCacheService, WarmResubmissionBitIdenticalWithZeroMapTasks) {
 }
 
 TEST(SegmentCacheService, SpillDonorsServeWarmHitsFromCommittedFiles) {
-  // One-page donors (plain and compressed framing) commit eviction
-  // files for nearly every slot during the cold run, yet donate the
-  // full resident matrix: staging pins every handle until the donation
-  // lands, so the warm claim never reads those files back.
-  for (const Regime regime : {Regime::kOnePage, Regime::kCompressed}) {
-    SCOPED_TRACE(static_cast<int>(regime));
-    const std::string dir =
-        tempDir(std::string("sidr_cache_spill_") +
-                (regime == Regime::kCompressed ? "z" : "raw"));
-    const QueryPlan plan = cachePlan(regime, dir, "ds/spill");
+  // One-page donors commit eviction files for nearly every slot during
+  // the cold run, yet donate the full resident matrix: staging pins
+  // every handle until the donation lands, so the warm claim never
+  // reads those files back.
+  {
+    const std::string dir = tempDir("sidr_cache_spill_raw");
+    const QueryPlan plan = cachePlan(Regime::kOnePage, dir, "ds/spill");
     const mr::JobResult solo = runSolo(plan, 500);
     const auto numMaps = static_cast<std::uint32_t>(plan.spec.splits.size());
 
@@ -590,9 +580,7 @@ TEST(SegmentCacheService, SpillDonorsServeWarmHitsFromCommittedFiles) {
     const mr::JobResult cold = runService(service, mr::JobSpec(plan.spec));
     expectSameCollected(cold.collectAll(), solo.collectAll());
     EXPECT_GT(cold.pressureSpillEvents, 0u);
-    if (regime == Regime::kCompressed) {
-      EXPECT_GT(cold.spillCompressedBytes, 0u);
-    }
+    EXPECT_GT(cold.spillBytes, 0u);
     EXPECT_GT(service.stats().cacheResidentBytes, 0u)
         << "spill donations are resident entries, charged at insert";
 

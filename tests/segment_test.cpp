@@ -105,19 +105,37 @@ TEST(Segment, SerializeRoundTrip) {
   Segment seg = testsupport::pack(9, 2, sampleRecords(), kSampleSpace);
   seg.sortByKey();
   auto bytes = seg.serialize();
-  EXPECT_EQ(bytes, testsupport::frozenSerialize(9, 2, sortedByKey(sampleRecords())));
+  EXPECT_EQ(bytes, testsupport::frozenSerializeCompressed(
+                       9, 2, sortedByKey(sampleRecords()), kSampleSpace));
   Segment back = Segment::deserialize(bytes);
   EXPECT_EQ(back.header(), seg.header());
   EXPECT_EQ(back.keySpaceShape(), kSampleSpace)
-      << "the smallest key space holding the keys";
+      << "the key space the encoding carries";
   expectSameRecords(testsupport::unpack(back), testsupport::unpack(seg));
   EXPECT_EQ(back.serialize(), bytes);
+}
+
+TEST(Segment, DeserializeKeepsTheEncodedKeySpace) {
+  // The framing carries its key space, so decoding never narrows it to
+  // what the keys happen to use, and a record-less segment keeps it.
+  const nd::Coord wide{8, 8};
+  Segment inner = testsupport::pack(0, 0,
+                                    {{nd::Coord{0, 1}, Value::scalar(1.0), 1},
+                                     {nd::Coord{1, 1}, Value::scalar(2.0), 1}},
+                                    wide);
+  EXPECT_EQ(Segment::deserialize(inner.serialize()).keySpaceShape(), wide)
+      << "keys inside {2, 2} of an {8, 8} segment";
+  Segment empty = testsupport::pack(3, 1, {}, wide);
+  const Segment back = Segment::deserialize(empty.serialize());
+  EXPECT_TRUE(back.empty());
+  EXPECT_EQ(back.keySpaceShape(), wide) << "a record-less segment";
 }
 
 TEST(Segment, PeekHeaderWithoutParsingRecords) {
   // Section 3.2.1: reduces tally annotations "without having to read
   // and parse those files" — the header must be readable standalone.
   Segment seg = testsupport::pack(4, 1, sampleRecords(), kSampleSpace);
+  seg.sortByKey();
   auto bytes = seg.serialize();
   SegmentHeader h = Segment::peekHeader(bytes);
   EXPECT_EQ(h, seg.header());
@@ -126,30 +144,65 @@ TEST(Segment, PeekHeaderWithoutParsingRecords) {
   EXPECT_EQ(Segment::peekHeader(headOnly), seg.header());
 }
 
+/// sampleRecords() sorted, as a segment over kSampleSpace.
+Segment sortedSample() {
+  return testsupport::pack(0, 0, sortedByKey(sampleRecords()), kSampleSpace);
+}
+
+/// `bytes`, an encoding over `encodedIn`, with its embedded key space
+/// (the varints right after the 32-byte header) replaced by `rank` and
+/// `extents` as given: how a test forges a corrupt key space, or one
+/// that some encoded key lies past.
+std::vector<std::byte> withKeySpace(std::span<const std::byte> bytes,
+                                    const nd::Coord& encodedIn,
+                                    std::uint64_t rank,
+                                    const std::vector<std::uint64_t>& extents) {
+  std::vector<std::byte> old;
+  testsupport::frozenPutVarint(old, encodedIn.rank());
+  for (nd::Index e : encodedIn) {
+    testsupport::frozenPutVarint(old, static_cast<std::uint64_t>(e));
+  }
+  std::vector<std::byte> out(bytes.begin(),
+                             bytes.begin() + Segment::kHeaderBytes);
+  testsupport::frozenPutVarint(out, rank);
+  for (std::uint64_t e : extents) testsupport::frozenPutVarint(out, e);
+  out.insert(out.end(),
+             bytes.begin() + static_cast<long>(Segment::kHeaderBytes +
+                                               old.size()),
+             bytes.end());
+  return out;
+}
+
 TEST(Segment, DeserializeRejectsTruncation) {
-  Segment seg = testsupport::pack(0, 0, sampleRecords(), kSampleSpace);
-  auto bytes = seg.serialize();
+  auto bytes = sortedSample().serialize();
   bytes.resize(bytes.size() - 1);
   EXPECT_THROW(Segment::deserialize(bytes), std::out_of_range);
 }
 
 TEST(Segment, SerializedSizeIsExact) {
   const std::vector<std::pair<std::vector<KeyValue>, nd::Coord>> cases{
-      {sampleRecords(), kSampleSpace},
+      {sortedByKey(sampleRecords()), kSampleSpace},
       {{}, nd::Coord{1}},
       {{{nd::Coord{0}, Value::scalar(1.0), 1}}, nd::Coord{1}},
   };
   for (const auto& [records, space] : cases) {
     Segment seg = testsupport::pack(1, 2, records, space);
     EXPECT_EQ(seg.serializedSize(), seg.serialize().size());
-    EXPECT_EQ(seg.serialize(), testsupport::frozenSerialize(1, 2, records));
+    EXPECT_EQ(seg.serialize(),
+              testsupport::frozenSerializeCompressed(1, 2, records, space));
   }
+  // Deltas must be non-negative, and an encoding needs a key space.
+  EXPECT_THROW(testsupport::pack(0, 0, sampleRecords(), kSampleSpace)
+                   .serializedSize(),
+               std::logic_error);
+  EXPECT_THROW(Segment().serialize(), std::invalid_argument);
 }
 
 TEST(Segment, DeserializeRejectsEveryTruncationPoint) {
   // Cutting the encoding anywhere must throw — never crash, never
   // succeed with partial data.
-  Segment seg = testsupport::pack(3, 1, sampleRecords(), kSampleSpace);
+  Segment seg = testsupport::pack(3, 1, sortedByKey(sampleRecords()),
+                                  kSampleSpace);
   auto bytes = seg.serialize();
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<std::byte> prefix(bytes.begin(),
@@ -162,8 +215,7 @@ TEST(Segment, DeserializeRejectsEveryTruncationPoint) {
 TEST(Segment, DeserializeRejectsCorruptRecordCount) {
   // A corrupt header claiming a huge record count must be rejected by
   // comparing against the remaining byte count, BEFORE any reserve.
-  Segment seg = testsupport::pack(0, 0, sampleRecords(), kSampleSpace);
-  auto bytes = seg.serialize();
+  auto bytes = sortedSample().serialize();
   auto writeU64At = [&](std::size_t off, std::uint64_t x) {
     for (int b = 0; b < 8; ++b) {
       bytes[off + static_cast<std::size_t>(b)] =
@@ -178,93 +230,112 @@ TEST(Segment, DeserializeRejectsCorruptListLength) {
   Segment seg = testsupport::pack(
       0, 0, {{nd::Coord{1}, Value::list({1.0, 2.0}), 1}}, nd::Coord{2});
   auto bytes = seg.serialize();
-  // Layout: header (32) + rank (8) + 1 coord (8) + represents (8) +
-  // kind (8) = 64 bytes before the list length word.
-  std::uint64_t huge = std::uint64_t{1} << 60;
-  for (int b = 0; b < 8; ++b) {
-    bytes[64 + static_cast<std::size_t>(b)] =
-        static_cast<std::byte>((huge >> (b * 8)) & 0xff);
-  }
+  // Layout: header (32) + rank (1) + extent (1) + delta (1) +
+  // represents (1) + kind (1) = 37 bytes before the list length varint.
+  ASSERT_EQ(bytes[37], std::byte{2});
+  std::vector<std::byte> huge;
+  testsupport::frozenPutVarint(huge, std::uint64_t{1} << 60);
+  bytes.erase(bytes.begin() + 37);
+  bytes.insert(bytes.begin() + 37, huge.begin(), huge.end());
   EXPECT_THROW(Segment::deserialize(bytes), std::out_of_range);
 }
 
 TEST(Segment, DeserializeRejectsCorruptRank) {
+  const nd::Coord space{2};
   Segment seg = testsupport::pack(
-      0, 0, {{nd::Coord{1}, Value::scalar(2.0), 1}}, nd::Coord{2});
-  auto bytes = seg.serialize();
-  bytes[32] = static_cast<std::byte>(200);  // rank word: > kMaxRank
-  EXPECT_THROW(Segment::deserialize(bytes), std::runtime_error);
+      0, 0, {{nd::Coord{1}, Value::scalar(2.0), 1}}, space);
+  const auto bytes = seg.serialize();
+  // The embedded key space's rank: beyond kMaxRank, or none at all.
+  EXPECT_THROW(Segment::deserialize(withKeySpace(bytes, space, 9, {})),
+               std::runtime_error);
+  EXPECT_THROW(Segment::deserialize(withKeySpace(bytes, space, 0, {})),
+               std::runtime_error);
 }
 
 TEST(Segment, DeserializeRejectsTrailingBytes) {
-  Segment seg = testsupport::pack(0, 0, sampleRecords(), kSampleSpace);
-  auto bytes = seg.serialize();
+  auto bytes = sortedSample().serialize();
   bytes.push_back(std::byte{0});
   EXPECT_THROW(Segment::deserialize(bytes), std::runtime_error);
 }
 
 TEST(Segment, DeserializeRejectsKeysNoKeySpaceHolds) {
-  // deserialize() places keys in the smallest key space that holds
-  // them; a key no valid key space holds cannot be decoded.
-  const auto rejects = [](const std::vector<KeyValue>& records) {
-    EXPECT_THROW(Segment::deserialize(testsupport::frozenSerialize(0, 0, records)),
-                 std::out_of_range);
-  };
-  rejects({{nd::Coord{}, Value::scalar(1.0), 1}});  // rank 0
-  rejects({{nd::Coord{2, -1}, Value::scalar(1.0), 1}});
-  rejects({{nd::Coord{1}, Value::scalar(1.0), 1},
-           {nd::Coord{1, 1}, Value::scalar(1.0), 1}});  // mixed ranks
-  rejects({{nd::Coord{std::numeric_limits<nd::Index>::max()},
-            Value::scalar(1.0), 1}});
-  const nd::Index big = nd::Index{1} << 32;
-  rejects({{nd::Coord{big, big}, Value::scalar(1.0), 1}});  // volume > int64
+  // An embedded key space no key can be linearized in — an empty
+  // extent, or a volume past int64 — is corrupt, whatever the records.
+  const nd::Coord space{2, 2};
+  const auto bytes = testsupport::pack(
+      0, 0, {{nd::Coord{1, 1}, Value::scalar(1.0), 1}}, space).serialize();
+  const std::uint64_t big = std::uint64_t{1} << 32;
+  const std::uint64_t beyondInt64 = std::uint64_t{1} << 63;
+  EXPECT_THROW(Segment::deserialize(withKeySpace(bytes, space, 2, {2, 0})),
+               std::runtime_error);
+  EXPECT_THROW(Segment::deserialize(withKeySpace(bytes, space, 2, {big, big})),
+               std::runtime_error);
+  EXPECT_THROW(
+      Segment::deserialize(withKeySpace(bytes, space, 1, {beyondInt64})),
+      std::runtime_error);
+  // The same holds for a segment without records.
+  const auto empty = testsupport::pack(0, 0, {}, space).serialize();
+  EXPECT_THROW(Segment::deserialize(withKeySpace(empty, space, 2, {0, 2})),
+               std::runtime_error);
 }
 
 TEST(Segment, DecodeRejectsKeysOutsideTheKeySpace) {
-  // Segment::decode linearizes every key once, against the job key
-  // space, so a corrupt key fails the decode — never a later merge.
-  const nd::Coord keySpace{4, 4};
-  const auto decodes = [&](const std::vector<KeyValue>& records) {
-    return Segment::decode(testsupport::frozenSerialize(0, 0, records),
-                           /*compressed=*/false, keySpace);
+  // deserialize linearizes nothing: a delta that runs past the volume
+  // of the embedded key space fails the decode — never a later merge.
+  const nd::Coord wide{8, 8};
+  const auto forged = [&](const std::vector<KeyValue>& records) {
+    return withKeySpace(
+        testsupport::pack(0, 0, records, wide).serialize(), wide, 2, {4, 4});
   };
-  EXPECT_THROW(decodes({{nd::Coord{4, 0}, Value::scalar(1.0), 1}}),
-               std::out_of_range);
-  EXPECT_THROW(decodes({{nd::Coord{1, 1}, Value::scalar(1.0), 1},
-                        {nd::Coord{1, -1}, Value::scalar(1.0), 1}}),
-               std::out_of_range)
-      << "a later record";
-  EXPECT_THROW(decodes({{nd::Coord{1}, Value::scalar(1.0), 1}}),
-               std::out_of_range)
-      << "key rank differs from the key space's";
-  EXPECT_THROW(decodes({{nd::Coord{1, 1, 0}, Value::scalar(1.0), 1}}),
-               std::out_of_range)
-      << "key rank differs from the key space's";
-  const Segment ok = decodes({{nd::Coord{3, 3}, Value::scalar(1.0), 1}});
-  EXPECT_EQ(ok.keySpaceShape(), keySpace);
+  EXPECT_THROW(
+      Segment::deserialize(forged({{nd::Coord{2, 0}, Value::scalar(1.0), 1}})),
+      std::out_of_range)
+      << "the first key";
+  EXPECT_THROW(
+      Segment::deserialize(forged({{nd::Coord{1, 1}, Value::scalar(1.0), 1},
+                                   {nd::Coord{2, 1}, Value::scalar(1.0), 1}})),
+      std::out_of_range)
+      << "a later key";
+  // A delta that would wrap the u64 key around.
+  auto wrap = testsupport::pack(0, 0,
+                                {{nd::Coord{0, 1}, Value::scalar(1.0), 1},
+                                 {nd::Coord{0, 2}, Value::scalar(1.0), 1}},
+                                wide)
+                  .serialize();
+  std::vector<std::byte> maxDelta;
+  testsupport::frozenPutVarint(maxDelta, ~std::uint64_t{0});
+  // header (32) + key space (3) + first record (1 + 1 + 1 + 8) = 46.
+  ASSERT_EQ(wrap[46], std::byte{1});
+  wrap.erase(wrap.begin() + 46);
+  wrap.insert(wrap.begin() + 46, maxDelta.begin(), maxDelta.end());
+  EXPECT_THROW(Segment::deserialize(wrap), std::out_of_range);
+
+  const Segment ok = Segment::deserialize(
+      forged({{nd::Coord{1, 7}, Value::scalar(1.0), 1}}));  // lin 15
+  EXPECT_EQ(ok.keySpaceShape(), (nd::Coord{4, 4}));
   EXPECT_EQ(ok.packedRecords()[0].lin, 15u);
-  EXPECT_THROW(Segment::decode(ok.serialize(), false, nd::Coord()),
-               std::invalid_argument);
 }
 
 TEST(Segment, RoundTripPropertyAllValueKinds) {
-  // Randomized sweep over every ValueKind, ranks 0..4 and empty
-  // segments, encoded by the frozen KeyValue encoder: whatever a key
-  // space holds decodes and re-encodes to the same bytes; rank-0 and
-  // negative keys fit no key space and are rejected.
+  // Randomized sweep over every ValueKind, ranks 1..4, random key
+  // spaces and empty segments, encoded by the frozen KeyValue encoder:
+  // every encoding decodes to its records and key space and re-encodes
+  // to the same bytes.
   std::mt19937_64 rng(1234);
   for (int trial = 0; trial < 60; ++trial) {
-    std::size_t rank = rng() % 5;
-    std::size_t count = trial == 0 ? 0 : rng() % 40;
-    const bool signedKeys = trial % 4 == 3;
-    bool negative = false;
+    const std::size_t rank = 1 + rng() % 4;
+    nd::Coord space = nd::Coord::zeros(rank);
+    for (std::size_t d = 0; d < rank; ++d) {
+      space[d] = static_cast<nd::Index>(1 + rng() % 1000);
+    }
+    const std::size_t count = trial == 0 ? 0 : rng() % 40;
     std::vector<KeyValue> records;
     for (std::size_t i = 0; i < count; ++i) {
       KeyValue kv;
       nd::Coord key = nd::Coord::zeros(rank);
       for (std::size_t d = 0; d < rank; ++d) {
-        key[d] = static_cast<nd::Index>(rng() % 1000) - (signedKeys ? 500 : 0);
-        negative = negative || key[d] < 0;
+        key[d] = static_cast<nd::Index>(rng() %
+                                        static_cast<std::uint64_t>(space[d]));
       }
       kv.key = key;
       kv.represents = rng() % 1000;
@@ -290,20 +361,18 @@ TEST(Segment, RoundTripPropertyAllValueKinds) {
       }
       records.push_back(std::move(kv));
     }
+    records = sortedByKey(std::move(records));
     const auto mapTask = static_cast<std::uint32_t>(rng() % 64);
     const auto keyblock = static_cast<std::uint32_t>(rng() % 16);
-    const std::vector<std::byte> bytes =
-        testsupport::frozenSerialize(mapTask, keyblock, records);
+    const std::vector<std::byte> bytes = testsupport::frozenSerializeCompressed(
+        mapTask, keyblock, records, space);
     SCOPED_TRACE("trial " + std::to_string(trial));
-    if (count > 0 && (rank == 0 || negative)) {
-      EXPECT_THROW(Segment::deserialize(bytes), std::out_of_range);
-      continue;
-    }
     Segment back = Segment::deserialize(bytes);
     EXPECT_EQ(back.header(), Segment::peekHeader(bytes));
+    EXPECT_EQ(back.keySpaceShape(), space);
     ASSERT_EQ(back.serializedSize(), bytes.size());
     EXPECT_EQ(back.serialize(), bytes);
-    if (count > 0) expectSameRecords(testsupport::unpack(back), records);
+    expectSameRecords(testsupport::unpack(back), records);
   }
 }
 
@@ -314,7 +383,7 @@ TEST(Segment, EmptySegment) {
   Segment back = Segment::deserialize(seg.serialize());
   EXPECT_TRUE(back.empty());
   EXPECT_EQ(back.header(), seg.header());
-  EXPECT_EQ(back.keySpaceShape().rank(), 0u) << "no key to place";
+  EXPECT_EQ(back.keySpaceShape(), (nd::Coord{1}));
   EXPECT_EQ(back.serialize(), seg.serialize());
 }
 
@@ -374,12 +443,12 @@ TEST(SegmentMerger, GroupsAcrossSegments) {
                                 {{nd::Coord{1}, Value::scalar(1.0), 1},
                                  {nd::Coord{3}, Value::scalar(3.0), 1}},
                                 keySpace);
-  const std::vector<std::byte> b = testsupport::frozenSerialize(
+  const std::vector<std::byte> b = testsupport::frozenSerializeCompressed(
       1, 0,
       {{nd::Coord{1}, Value::scalar(10.0), 2},
-       {nd::Coord{2}, Value::scalar(2.0), 1}});
-  SegmentStream streamB(memoryStorageOf(b), 64, /*compressed=*/false,
-                        keySpace);
+       {nd::Coord{2}, Value::scalar(2.0), 1}},
+      keySpace);
+  SegmentStream streamB(memoryStorageOf(b), 64);
   const SegmentMerger::Input inputs[] = {{&a, nullptr}, {nullptr, &streamB}};
   SegmentMerger merger(inputs, keySpace);
   std::vector<std::pair<nd::Coord, std::size_t>> groups;
@@ -454,9 +523,8 @@ TEST(SegmentMerger, ManySegmentsStaySorted) {
       s.sortByKey();
       segs.push_back(std::move(s));
     } else {
-      segs.push_back(Segment::decode(
-          testsupport::frozenSerialize(m, 0, sortedByKey(std::move(recs))),
-          /*compressed=*/false, nd::Coord{40}));
+      segs.push_back(Segment::deserialize(testsupport::frozenSerializeCompressed(
+          m, 0, sortedByKey(std::move(recs)), nd::Coord{40})));
     }
   }
   std::vector<const Segment*> ptrs;
@@ -486,14 +554,18 @@ TEST(SegmentMerger, EmptyInput) {
 }
 
 TEST(SegmentMerger, RejectsDecodedKeyOutsideKeySpace) {
-  // A streamed record outside the key space must fail the merge,
-  // whether it is a cursor's first record (construction) or a later
-  // one (iteration).
+  // A streamed record past its key space must fail the merge, whether
+  // it is a cursor's first record (construction) or a later one
+  // (iteration); a stream in another key space never joins it.
   const nd::Coord keySpace{4};
   const auto streamOf = [&](const std::vector<KeyValue>& records) {
+    // Encoded over {8}, then claiming {4}: keys from 4 on lie past it.
+    const nd::Coord wide{8};
     return std::make_unique<SegmentStream>(
-        memoryStorageOf(testsupport::frozenSerialize(0, 0, records)), 64,
-        /*compressed=*/false, keySpace);
+        memoryStorageOf(withKeySpace(
+            testsupport::frozenSerializeCompressed(0, 0, records, wide), wide,
+            1, {4})),
+        64);
   };
   const auto mergeOf = [&](SegmentStream& stream) {
     const SegmentMerger::Input in[] = {{nullptr, &stream}};
@@ -503,13 +575,15 @@ TEST(SegmentMerger, RejectsDecodedKeyOutsideKeySpace) {
                std::out_of_range);
 
   auto later = streamOf({{nd::Coord{1}, Value::scalar(1.0), 1},
-                         {nd::Coord{-1}, Value::scalar(2.0), 1}});
+                         {nd::Coord{7}, Value::scalar(2.0), 1}});
   SegmentMerger merger = mergeOf(*later);
   EXPECT_THROW(merger.forEachGroup([](auto&&...) {}), std::out_of_range);
 
-  EXPECT_THROW(
-      mergeOf(*streamOf({{nd::Coord{1, 1}, Value::scalar(1.0), 1}})),
-      std::out_of_range);
+  SegmentStream otherRank(
+      memoryStorageOf(testsupport::frozenSerializeCompressed(
+          0, 0, {{nd::Coord{1, 1}, Value::scalar(1.0), 1}}, nd::Coord{4, 4})),
+      64);
+  EXPECT_THROW(mergeOf(otherRank), std::invalid_argument);
 }
 
 TEST(SegmentMerger, RejectsPackedInputFromAnotherKeySpace) {
@@ -522,8 +596,7 @@ TEST(SegmentMerger, RejectsPackedInputFromAnotherKeySpace) {
   EXPECT_THROW(SegmentMerger(inputs, nd::Coord()), std::invalid_argument);
   EXPECT_NO_THROW(SegmentMerger(inputs, nd::Coord{4, 4}));
 
-  SegmentStream stream(memoryStorageOf(packed.serialize()), 64, false,
-                       nd::Coord{4, 4});
+  SegmentStream stream(memoryStorageOf(packed.serialize()), 64);
   const SegmentMerger::Input streamed[] = {{nullptr, &stream}};
   EXPECT_THROW(SegmentMerger(streamed, nd::Coord{4, 5}),
                std::invalid_argument);
@@ -563,7 +636,7 @@ TEST(HashPartitioner, BreaksKeyPatterns) {
   for (int c : counts) EXPECT_GT(c, 0) << "hash must spread patterned keys";
 }
 
-// ---- streaming decoder + compressed spill framing ----
+// ---- streaming decoder ----
 
 /// Random records, sorted by key, whose keys all lie inside `keySpace`,
 /// covering every value kind (lists include empty and window-busting
@@ -636,14 +709,17 @@ TEST(SegmentStream, WindowedDecodeMatchesDeserialize) {
         randomSortedRecords(rng, keySpace, count);
     Segment seg = testsupport::pack(1, 0, records, keySpace);
     auto bytes = seg.serialize();
-    EXPECT_EQ(bytes, testsupport::frozenSerialize(1, 0, records));
+    EXPECT_EQ(bytes,
+              testsupport::frozenSerializeCompressed(1, 0, records, keySpace));
+    expectSameRecords(testsupport::unpack(Segment::deserialize(bytes)),
+                      records);
     // Windows below one record, around a few records, and way past the
     // whole encoding must all decode identically.
     for (std::size_t window : {std::size_t{64}, std::size_t{4096},
                                std::size_t{1} << 20}) {
-      SegmentStream stream(memoryStorageOf(bytes), window,
-                           /*compressed=*/false, keySpace);
+      SegmentStream stream(memoryStorageOf(bytes), window);
       EXPECT_EQ(stream.header(), seg.header());
+      EXPECT_EQ(stream.keySpace(), keySpace);
       expectStreamMatches(stream, records);
       EXPECT_EQ(stream.bytesRead(), bytes.size());
       if (window == 64 && count == 80) {
@@ -651,45 +727,39 @@ TEST(SegmentStream, WindowedDecodeMatchesDeserialize) {
             << "a small window must never buffer the whole file";
       }
     }
-    // The stream hands out linear keys, so it needs the key space.
-    EXPECT_THROW(SegmentStream(memoryStorageOf(bytes), 512, false, nd::Coord()),
+    EXPECT_THROW(SegmentStream(memoryStorageOf(bytes), 0),
                  std::invalid_argument);
   }
 }
 
 TEST(SegmentStream, CompressedRoundTripMatches) {
+  // Stream and whole-payload decode agree on the one framing, and both
+  // report the key space it carries.
   const nd::Coord keySpace{6, 7, 8};
   std::mt19937_64 rng(7);
   for (std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{80}}) {
     const std::vector<KeyValue> records =
         randomSortedRecords(rng, keySpace, count);
     Segment seg = testsupport::pack(1, 0, records, keySpace);
-    auto bytes = seg.serializeCompressed();
-    ASSERT_EQ(bytes.size(), seg.serializedCompressedSize());
-    EXPECT_EQ(bytes,
-              testsupport::frozenSerializeCompressed(1, 0, records, keySpace));
+    auto bytes = seg.serialize();
+    ASSERT_EQ(bytes.size(), seg.serializedSize());
     EXPECT_EQ(Segment::peekHeader(bytes), seg.header())
-        << "compressed framing keeps the raw header (annotation peek)";
+        << "the framing starts with the raw header (annotation peek)";
     for (std::size_t window : {std::size_t{64}, std::size_t{1} << 20}) {
-      SegmentStream stream(memoryStorageOf(bytes), window,
-                           /*compressed=*/true, keySpace);
+      SegmentStream stream(memoryStorageOf(bytes), window);
       expectStreamMatches(stream, records);
     }
-    // Segment::decode yields the same segment (the whole-segment decode
-    // of fetched payloads).
-    Segment back = Segment::decode(bytes, /*compressed=*/true, keySpace);
+    Segment back = Segment::deserialize(bytes);
     EXPECT_EQ(back.header(), seg.header());
+    EXPECT_EQ(back.keySpaceShape(), keySpace);
     expectSameRecords(testsupport::unpack(back), records);
-    EXPECT_EQ(back.serializeCompressed(), bytes);
-    EXPECT_THROW(Segment::decode(bytes, true, nd::Coord{6, 7, 9}),
-                 std::runtime_error)
-        << "the embedded key space must match the job's";
+    EXPECT_EQ(back.serialize(), bytes);
   }
 }
 
 TEST(SegmentStream, CompressedPackedEncodeMatchesMaterialized) {
-  // The packed-direct encoders must emit byte-identical output to the
-  // frozen encoders over the materialized view of the same records.
+  // The packed-direct encoder must emit byte-identical output to the
+  // frozen encoder over the materialized view of the same records.
   const nd::Coord keySpace{4, 5};
   std::vector<PackedRecord> packed;
   std::vector<std::vector<double>> lists;
@@ -719,10 +789,9 @@ TEST(SegmentStream, CompressedPackedEncodeMatchesMaterialized) {
   addPacked(19, Value::scalar(-2.5), 1);
   Segment seg(0, 0, std::move(packed), std::move(lists), keySpace);
   const std::vector<KeyValue> materialized = testsupport::unpack(seg);
-  EXPECT_EQ(seg.serializeCompressed(),
+  EXPECT_EQ(seg.serialize(),
             testsupport::frozenSerializeCompressed(0, 0, materialized,
                                                    keySpace));
-  EXPECT_EQ(seg.serialize(), testsupport::frozenSerialize(0, 0, materialized));
 }
 
 TEST(SegmentStream, RejectsEveryTruncationPoint) {
@@ -730,20 +799,16 @@ TEST(SegmentStream, RejectsEveryTruncationPoint) {
   std::mt19937_64 rng(31);
   Segment seg = testsupport::pack(1, 0, randomSortedRecords(rng, keySpace, 12),
                                   keySpace);
-  for (bool compressed : {false, true}) {
-    auto bytes = compressed ? seg.serializeCompressed() : seg.serialize();
-    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-      std::span<const std::byte> prefix(bytes.data(), cut);
-      EXPECT_THROW(
-          {
-            SegmentStream stream(memoryStorageOf(prefix), 64, compressed,
-                                 keySpace);
-            while (!stream.exhausted()) stream.advance();
-          },
-          std::exception)
-          << (compressed ? "compressed" : "uncompressed") << " prefix length "
-          << cut;
-    }
+  auto bytes = seg.serialize();
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::span<const std::byte> prefix(bytes.data(), cut);
+    EXPECT_THROW(
+        {
+          SegmentStream stream(memoryStorageOf(prefix), 64);
+          while (!stream.exhausted()) stream.advance();
+        },
+        std::exception)
+        << "prefix length " << cut;
   }
 }
 
@@ -753,57 +818,56 @@ TEST(SegmentStream, RejectsStructuralCorruption) {
                                   {{nd::Coord{1, 2}, Value::scalar(2.0), 1},
                                    {nd::Coord{3, 0}, Value::list({1.0}), 2}},
                                   keySpace);
-  auto drain = [&](std::span<const std::byte> bytes, bool compressed) {
-    SegmentStream stream(memoryStorageOf(bytes), 64, compressed, keySpace);
+  auto drain = [&](std::span<const std::byte> bytes) {
+    SegmentStream stream(memoryStorageOf(bytes), 64);
     while (!stream.exhausted()) stream.advance();
   };
   {
-    // Uncompressed: bad value-kind word.
+    // Bad kind byte in the first record: header(32) + rank varint(1) +
+    // two extent varints(2) + lin varint(1) + represents varint(1) =
+    // kind byte at offset 37.
     auto bytes = seg.serialize();
-    // header(32) + rank(8) + 2 coords(16) + represents(8) = kind at 64.
-    bytes[64] = std::byte{7};
-    EXPECT_THROW(drain(bytes, false), std::runtime_error);
+    bytes[37] = std::byte{9};
+    EXPECT_THROW(drain(bytes), std::runtime_error);
   }
   {
-    // Uncompressed: trailing bytes after the last record.
+    // Trailing bytes after the last record.
     auto bytes = seg.serialize();
     bytes.push_back(std::byte{0});
-    EXPECT_THROW(drain(bytes, false), std::runtime_error);
+    EXPECT_THROW(drain(bytes), std::runtime_error);
   }
   {
-    // Uncompressed: header represents disagrees with the record sum.
+    // Header represents disagrees with the record sum.
     auto bytes = seg.serialize();
     bytes[24] = std::byte{0xff};  // represents word (little-endian)
-    EXPECT_THROW(drain(bytes, false), std::runtime_error);
+    EXPECT_THROW(drain(bytes), std::runtime_error);
   }
   {
-    // Compressed: bad kind byte in the first record.
-    auto bytes = seg.serializeCompressed();
-    // header(32) + rank varint(1) + two extent varints(2) +
-    // lin varint(1) + represents varint(1) = kind byte at offset 37.
-    bytes[37] = std::byte{9};
-    EXPECT_THROW(drain(bytes, true), std::runtime_error);
+    // A corrupt embedded key space: no rank, or an empty extent.
+    const auto bytes = seg.serialize();
+    EXPECT_THROW(drain(withKeySpace(bytes, keySpace, 0, {})),
+                 std::runtime_error);
+    EXPECT_THROW(drain(withKeySpace(bytes, keySpace, 2, {4, 0})),
+                 std::runtime_error);
   }
 }
 
 TEST(SegmentStream, CompressedRejectsKeySpaceMismatch) {
+  // The stream decodes in the key space its encoding carries; a merge
+  // in any other rejects it, and a key past it fails the stream.
   const nd::Coord keySpace{4, 4};
   Segment seg = testsupport::pack(
       0, 0, {{nd::Coord{1, 2}, Value::scalar(2.0), 1}}, keySpace);
-  auto bytes = seg.serializeCompressed();
-  EXPECT_THROW(
-      {
-        SegmentStream stream(memoryStorageOf(bytes), 64, true,
-                             nd::Coord{5, 4});
-        while (!stream.exhausted()) stream.advance();
-      },
-      std::runtime_error);
-  // The stream hands out linear keys in the caller's key space, so it
-  // cannot defer to the embedded one.
-  EXPECT_THROW(SegmentStream(memoryStorageOf(bytes), 64, true, nd::Coord()),
-               std::invalid_argument);
-  SegmentStream ok(memoryStorageOf(bytes), 64, true, keySpace);
+  auto bytes = seg.serialize();
+  SegmentStream ok(memoryStorageOf(bytes), 64);
+  EXPECT_EQ(ok.keySpace(), keySpace);
   EXPECT_EQ(ok.lin(), 6u);
+  const SegmentMerger::Input in[] = {{nullptr, &ok}};
+  EXPECT_THROW(SegmentMerger(in, nd::Coord{5, 4}), std::invalid_argument);
+  EXPECT_THROW(
+      SegmentStream(memoryStorageOf(withKeySpace(bytes, keySpace, 2, {1, 4})),
+                    64),
+      std::out_of_range);
 }
 
 TEST(SegmentStream, MergerOverStreamsMatchesInMemory) {
@@ -840,7 +904,7 @@ TEST(SegmentStream, MergerOverStreamsMatchesInMemory) {
   SegmentMerger reference{std::span<const Segment* const>(both), keySpace};
   auto want = collect(reference);
 
-  SegmentStream streamB(memoryStorageOf(bytesB), 128, false, keySpace);
+  SegmentStream streamB(memoryStorageOf(bytesB), 128);
   std::vector<SegmentMerger::Input> inputs(2);
   inputs[0].segment = &a;
   inputs[1].stream = &streamB;

@@ -9,7 +9,7 @@
 //    (never a hang, never a crash, never an unbounded allocation);
 //  * JobSpec validation for the transport knobs and FetchFaultSpec;
 //  * a 16-seed differential: {in-process, socket} x
-//    {no budget, one page, one page compressed, tight budget} x
+//    {no budget, one page, tight budget} x
 //    {fault-free, injected task faults} produce bit-identical
 //    collectAll output, identical committed segment bytes (single-
 //    worker one-page runs), satisfy the §13 trace invariants, and
@@ -96,7 +96,6 @@ std::vector<std::byte> buildResponseBytes(const mr::Segment& seg,
   mr::wire::SegmentResponseHeader h;
   h.mapTask = seg.header().mapTask;
   h.keyblock = seg.header().keyblock;
-  h.flags = 0;
   h.totalBytes = payload.size();
   std::vector<std::byte> out;
   mr::wire::appendFrame(out, mr::wire::encodeSegmentResponseHeader(h));
@@ -495,7 +494,6 @@ TEST(TransportValidation, ZeroMaxFetchAttemptsRejected) {
 struct Regime {
   const char* name;
   std::uint64_t budget;  ///< memoryBudgetBytes; 0 = unbudgeted
-  bool compress;
   /// One worker claims every task, so which segments get evicted (and
   /// so the committed file set) is deterministic and compared across
   /// transports; eviction under several workers is timing-driven.
@@ -566,10 +564,9 @@ TEST_P(TransportParity, BackendsProduceIdenticalOutputAndCommits) {
       (1 + rng() % 4) * mr::SegmentPagePool::kPageBytes;
   constexpr std::uint64_t kPage = mr::SegmentPagePool::kPageBytes;
   const Regime regimes[] = {
-      {"in-memory", 0, false, false},
-      {"one-page", kPage, false, true},
-      {"one-page-compress", kPage, true, true},
-      {"hybrid-tight", tight, false, false},
+      {"in-memory", 0, false},
+      {"one-page", kPage, true},
+      {"hybrid-tight", tight, false},
   };
   SCOPED_TRACE("input " + input.toString() + " r=" +
                std::to_string(opts.numReducers) +
@@ -596,7 +593,6 @@ TEST_P(TransportParity, BackendsProduceIdenticalOutputAndCommits) {
       plan.spec.memoryBudgetBytes = regime.budget;
       if (regime.singleWorker) plan.spec.numThreads = 1;
       plan.spec.mergeWindowBytes = 4096;
-      plan.spec.compressSpill = regime.compress;
       plan.spec.faultPlan = faults;
       plan.spec.transport = kind;
       plan.spec.transportConnections = 1 + static_cast<std::uint32_t>(
@@ -887,7 +883,6 @@ class StubSource final : public mr::TransportSource {
     return {};
   }
   bool streamsEvicted() const noexcept override { return false; }
-  bool compressedFiles() const noexcept override { return false; }
   const nd::Coord& keySpace() const override { return keySpace_; }
   std::size_t mergeWindowBytes() const override { return 4096; }
 
@@ -965,12 +960,11 @@ TEST(ShuffleTransportHammer, ConcurrentSocketFetchRacesRepublication) {
     opts.faultPlan.failMap(1).failMap(7);
     opts.faultPlan.dropFetch(2, 1).dropFetch(5, 1).dropFetch(5, 2);
     QueryPlan plan = planner.plan(fn, opts);
-    // iter 0: one-page budget, iter 1: unbudgeted sockets, iter 2:
-    // one-page budget with compressed files — the server streams them.
+    // iter 1: unbudgeted sockets; iters 0 and 2: one-page budget, so
+    // the server streams committed eviction files.
     if (iter != 1) {
       plan.spec.spillDirectory = dir;
       plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
-      plan.spec.compressSpill = (iter == 2);
     }
     plan.spec.transport = mr::ShuffleTransportKind::kSocket;
     plan.spec.transportConnections = 3;

@@ -3,8 +3,8 @@
 //
 // The headline property is a 16-seed differential: a skew-adapted plan
 // must produce BIT-IDENTICAL collectAll() output to the unrefined plan
-// for the same query, across memory budgets (none / one page / 1 MiB /
-// one page with compressed files) and transports (in-process / socket) —
+// for the same query, across memory budgets (none / one page / 1 MiB)
+// and transports (in-process / socket) —
 // refinement may only move keys between keyblocks, never change a
 // single output byte. The join operator is pinned by a frozen
 // test-local nested-loop oracle written against floor-division geometry
@@ -67,7 +67,6 @@ void ExpectBitIdentical(const std::vector<mr::KeyValue>& a,
 /// Shuffle regime rotation shared by the differential suites.
 struct Regime {
   bool spill = false;
-  bool compress = false;
   std::uint64_t budget = 0;
   mr::ShuffleTransportKind transport = mr::ShuffleTransportKind::kInProcess;
 };
@@ -91,10 +90,9 @@ Regime regimeFor(int seed, const std::string& dirTag) {
       r.transport = (seed / 4) % 2 == 0 ? mr::ShuffleTransportKind::kInProcess
                                         : mr::ShuffleTransportKind::kSocket;
       break;
-    default:  // one page, compressed framing, served over sockets
+    default:  // one page, served over sockets
       r.spill = true;
       r.budget = mr::SegmentPagePool::kPageBytes;
-      r.compress = true;
       r.transport = mr::ShuffleTransportKind::kSocket;
       break;
   }
@@ -104,14 +102,12 @@ Regime regimeFor(int seed, const std::string& dirTag) {
 
 void applyRegime(PlanOptions& opts, const Regime& r, const std::string& dir) {
   if (r.spill) opts.spillDirectory = dir;
-  opts.compressSpill = r.compress;
   opts.memoryBudgetBytes = r.budget;
   opts.transport = r.transport;
 }
 
 std::string regimeName(const Regime& r) {
   std::string s = r.spill ? "budget" + std::to_string(r.budget) : "mem";
-  if (r.compress) s += "+z";
   s += std::string("/") + mr::shuffleTransportName(r.transport);
   return s;
 }

@@ -7,11 +7,10 @@
 //    stable duplicate-key emission order, across dense, shuffled,
 //    duplicate-heavy, single-key, empty, sub-threshold and >2^32-span
 //    key populations;
-//  * the spill-writer pool vs the sequential encode+write path —
-//    byte-identical committed segment files and identical collectAll
-//    output for pool sizes {1, 2, 8}, in both spill framings, for
-//    pressure eviction under a one-page budget, including under
-//    FaultPlan map/reduce re-attempts, with no torn or double-committed
+//  * pressure eviction under a one-page budget, including under
+//    FaultPlan map/reduce re-attempts: identical collectAll output,
+//    committed segment files byte-identical to the frozen encoder's
+//    bytes for the records they hold, and no torn or double-committed
 //    tmp files left behind.
 //
 // SIDR's early-start correctness depends on every segment arriving
@@ -22,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -231,7 +231,8 @@ void expectSegmentBytesMatchFrozenOracle(
                    [](const mr::KeyValue& a, const mr::KeyValue& b) {
                      return a.key < b.key;
                    });
-  const std::vector<std::byte> oracle = testsupport::frozenSerialize(3, 1, eager);
+  const std::vector<std::byte> oracle =
+      testsupport::frozenSerializeCompressed(3, 1, eager, keySpace);
 
   mr::Segment fast(3, 1, std::move(packed), std::move(lists), keySpace);
   fast.sortByKey();
@@ -390,6 +391,10 @@ std::map<std::string, std::vector<char>> readSpillDir(
 class SpillWriterParity : public ::testing::TestWithParam<int> {};
 
 TEST_P(SpillWriterParity, PoolSizesProduceByteIdenticalSpills) {
+  // Every eviction is encoded and written inline by the evicting worker.
+  // Under a one-page budget every seed evicts; the output must match the
+  // unbudgeted run, and every committed file must hold exactly the
+  // frozen encoder's bytes for its records, in the job key space.
   std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 3);
   nd::Coord input{static_cast<nd::Index>(14 + rng() % 12),
                   static_cast<nd::Index>(8 + rng() % 6)};
@@ -410,7 +415,7 @@ TEST_P(SpillWriterParity, PoolSizesProduceByteIdenticalSpills) {
   QueryPlanner planner(q, input);
 
   // Draw the fault schedule once, against the actual split count, so
-  // every pool size replays the identical re-attempt pattern.
+  // both runs replay the identical re-attempt pattern.
   mr::FaultPlan faults;
   {
     QueryPlan probe = planner.plan(fn, opts);
@@ -429,7 +434,6 @@ TEST_P(SpillWriterParity, PoolSizesProduceByteIdenticalSpills) {
                std::to_string(opts.numReducers) +
                " faults=" + std::to_string(faults.faults.size()));
 
-  // Every arm must also reproduce the unbudgeted run.
   std::vector<mr::KeyValue> unbudgeted;
   {
     QueryPlan plan = planner.plan(fn, opts);
@@ -437,70 +441,58 @@ TEST_P(SpillWriterParity, PoolSizesProduceByteIdenticalSpills) {
     unbudgeted = mr::Engine(std::move(plan.spec)).run().collectAll();
   }
 
-  for (const bool compress : {false, true}) {
-    const std::string framing = compress ? "compress" : "plain";
-    SCOPED_TRACE(framing);
-    std::map<std::string, std::vector<char>> referenceFiles;
-    std::vector<mr::KeyValue> referenceCollected;
-    for (std::uint32_t writers : {1u, 2u, 8u}) {
-      SCOPED_TRACE("writers=" + std::to_string(writers));
-      const std::string dir =
-          (testsupport::scratchRoot() /
-           ("sidr_spill_parity_" + std::to_string(GetParam()) + "_" +
-            framing + "_w" + std::to_string(writers)))
-              .string();
-      std::filesystem::remove_all(dir);
-      QueryPlan plan = planner.plan(fn, opts);
-      plan.spec.spillDirectory = dir;
-      plan.spec.spillWriters = writers;
-      plan.spec.faultPlan = faults;
-      plan.spec.compressSpill = compress;
-      // The smallest legal budget: every seed evicts (under a two-page
-      // budget seeds 7 and 11 never do).
-      plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
-      // One worker claims every task, so which segments get evicted
-      // (and so which files exist) is deterministic; only the pool size
-      // varies between runs.
-      plan.spec.numThreads = 1;
-      mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
-      EXPECT_EQ(result.annotationViolations, 0u);
-      EXPECT_GT(result.pressureSpillEvents, 0u);
-      auto files = readSpillDir(dir);
-      auto collected = result.collectAll();
-      std::filesystem::remove_all(dir);
-      if (writers == 1) {
-        expectSameCollected(collected, unbudgeted);
-        referenceFiles = std::move(files);
-        referenceCollected = std::move(collected);
-        continue;
-      }
-      // Committed files must be byte-identical to the sequential
-      // path's, name for name — the pool may only change WHEN tmp files
-      // get written, never what gets committed.
-      ASSERT_EQ(files.size(), referenceFiles.size());
-      for (const auto& [name, bytes] : referenceFiles) {
-        auto it = files.find(name);
-        ASSERT_NE(it, files.end()) << "missing committed file " << name;
-        EXPECT_EQ(it->second, bytes) << "bytes differ in " << name;
-      }
-      expectSameCollected(collected, referenceCollected);
-    }
+  const std::string dir =
+      (testsupport::scratchRoot() /
+       ("sidr_spill_parity_" + std::to_string(GetParam())))
+          .string();
+  std::filesystem::remove_all(dir);
+  QueryPlan plan = planner.plan(fn, opts);
+  const nd::Coord keySpace = plan.spec.keySpace;
+  plan.spec.spillDirectory = dir;
+  plan.spec.faultPlan = faults;
+  // The smallest legal budget: every seed evicts (under a two-page
+  // budget seeds 7 and 11 never do).
+  plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+  // One worker claims every task, so which segments get evicted is
+  // deterministic.
+  plan.spec.numThreads = 1;
+  mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
+  EXPECT_EQ(result.annotationViolations, 0u);
+  EXPECT_GT(result.pressureSpillEvents, 0u);
+  const auto files = readSpillDir(dir);
+  std::filesystem::remove_all(dir);
+  expectSameCollected(result.collectAll(), unbudgeted);
+
+  ASSERT_FALSE(files.empty());
+  std::uint64_t committedBytes = 0;
+  for (const auto& [name, chars] : files) {
+    SCOPED_TRACE(name);
+    std::vector<std::byte> bytes(chars.size());
+    std::memcpy(bytes.data(), chars.data(), chars.size());
+    committedBytes += bytes.size();
+    const mr::Segment back = mr::Segment::deserialize(bytes);
+    EXPECT_EQ(back.keySpaceShape(), keySpace);
+    EXPECT_EQ(bytes, testsupport::frozenSerializeCompressed(
+                         back.header().mapTask, back.header().keyblock,
+                         testsupport::unpack(back), keySpace));
   }
+  // Re-evictions after a recovery overwrite their committed file, so
+  // eviction may have written more than the directory holds.
+  EXPECT_GE(result.spillBytes, committedBytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpillWriterParity, ::testing::Range(0, 16));
 
-// ---- parallel-spill hammer (run under TSan via scripts/tier1.sh) ----
+// ---- inline-eviction hammer (run under TSan via scripts/tier1.sh) ----
 
 TEST(SpillPoolHammer, ReattemptDuringConcurrentReduceFetch) {
-  // Parallel-spill twin of Engine.SpillRecoveryRaceHammer: with
+  // Twin of Engine.SpillRecoveryRaceHammer with map failures too: with
   // kRecomputeDeps, failed reduces force their I_l maps to re-run, and
-  // under a one-page budget pool workers evict the republished
-  // segments again — re-encoding and re-writing attempt files while
-  // OTHER reduces stream committed files of the same (map, keyblock)
-  // grid. The attempt-suffixed tmp + atomic-rename protocol must keep
-  // every committed inode immutable regardless of which pool worker
-  // wrote it.
+  // under a one-page budget the workers evict the republished segments
+  // again — re-encoding and re-writing attempt files while OTHER
+  // reduces stream committed files of the same (map, keyblock) grid.
+  // The attempt-suffixed tmp + atomic-rename protocol must keep every
+  // committed inode immutable regardless of which worker wrote it.
   const nd::Coord input{36, 10};
   sh::StructuralQuery q;
   q.variable = "v";
@@ -525,7 +517,6 @@ TEST(SpillPoolHammer, ReattemptDuringConcurrentReduceFetch) {
     opts.faultPlan.failMap(1).failMap(7);
     QueryPlan plan = planner.plan(fn, opts);
     plan.spec.spillDirectory = dir;
-    plan.spec.spillWriters = 8;
     plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     EXPECT_EQ(result.reduceFailures, 4u);
@@ -540,20 +531,6 @@ TEST(SpillPoolHammer, ReattemptDuringConcurrentReduceFetch) {
     }
   }
   std::filesystem::remove_all(dir);
-}
-
-TEST(SpillWriters, ZeroWritersRejected) {
-  const nd::Coord input{8, 8};
-  sh::StructuralQuery q;
-  q.variable = "v";
-  q.op = OperatorKind::kMean;
-  q.extractionShape = nd::Coord{4, 4};
-  QueryPlanner planner(q, input);
-  PlanOptions opts;
-  opts.numReducers = 2;
-  QueryPlan plan = planner.plan(sh::temperatureField(1), opts);
-  plan.spec.spillWriters = 0;
-  EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// Frozen copies of the segment encoders for KeyValue records: the
-// fixed-width wire format and the compressed spill framing, as Segment
-// wrote them from its decoded (KeyValue-backed) form before every
+// A frozen copy of the segment encoder for KeyValue records, as Segment
+// wrote the framing from its decoded (KeyValue-backed) form before every
 // in-memory segment became packed (DESIGN.md section 11). Production
 // segments encode straight from u64 linear keys; the tests compare
-// those bytes with what these copies produce from the same records, so
-// the packed encoders stay checked against a second implementation. Do
-// not optimize them, and do not route them through Segment.
+// those bytes with what this copy produces from the same records, so
+// the packed encoder stays checked against a second implementation. Do
+// not optimize it, and do not route it through Segment.
 //
 // pack/unpack move records between KeyValues and a packed Segment in a
 // key space; they are how tests build segments.
@@ -57,41 +56,6 @@ inline void frozenPutHeader(std::vector<std::byte>& out, std::uint32_t mapTask,
   frozenPutU64(out, represents);
 }
 
-/// Fixed-width wire format: per record the key's rank and coordinates,
-/// represents, the value kind and its payload, all u64 words.
-inline std::vector<std::byte> frozenSerialize(
-    std::uint32_t mapTask, std::uint32_t keyblock,
-    const std::vector<mr::KeyValue>& records) {
-  std::vector<std::byte> out;
-  frozenPutHeader(out, mapTask, keyblock, records);
-  for (const mr::KeyValue& kv : records) {
-    frozenPutU64(out, kv.key.rank());
-    for (nd::Index c : kv.key) frozenPutU64(out, static_cast<std::uint64_t>(c));
-    frozenPutU64(out, kv.represents);
-    frozenPutU64(out, static_cast<std::uint64_t>(kv.value.kind()));
-    switch (kv.value.kind()) {
-      case mr::ValueKind::kScalar:
-        frozenPutF64(out, kv.value.asScalar());
-        break;
-      case mr::ValueKind::kPartial: {
-        const mr::Partial& p = kv.value.asPartial();
-        frozenPutF64(out, p.sum);
-        frozenPutF64(out, p.min);
-        frozenPutF64(out, p.max);
-        frozenPutU64(out, static_cast<std::uint64_t>(p.count));
-        break;
-      }
-      case mr::ValueKind::kList: {
-        const std::vector<double>& xs = kv.value.asList();
-        frozenPutU64(out, xs.size());
-        for (double x : xs) frozenPutF64(out, x);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 /// Range-checked row-major linearization of `key` in `keySpace`.
 inline std::uint64_t frozenLinearize(const nd::Coord& key,
                                      const nd::Coord& keySpace) {
@@ -109,7 +73,7 @@ inline std::uint64_t frozenLinearize(const nd::Coord& key,
   return lin;
 }
 
-/// Compressed framing: the header, the key space (varint rank and
+/// The segment framing: the header, the key space (varint rank and
 /// extents), then per record varint(lin delta), varint(represents), a
 /// kind byte and the payload (raw f64 words; varint partial count and
 /// list length). Records must be sorted by key.
