@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     opts.skewSampleFraction = 0.25;
     opts.skewSampleMaxRecords = 1ull << 17;
     core::QueryPlan plan = planner.planJoin(leftFn, rightFn, opts);
-    if (adapt) refined = plan.spec.skewStats.refined;
+    if (adapt) refined = plan.skewStats.refined;
     return mr::Engine(std::move(plan.spec)).run();
   };
 

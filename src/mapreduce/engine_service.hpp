@@ -161,10 +161,10 @@ class JobHandle {
 
   /// Best-effort cancellation. A queued job is cancelled immediately; a
   /// running job stops claiming new tasks, drains its in-flight ones
-  /// and finalizes as kCancelled (its spill namespace is removed unless
-  /// keepSpillOnFailure). Returns false when the job is already
-  /// terminal — including a job whose last reduce commits before the
-  /// cancel lands, which stays kSucceeded.
+  /// and finalizes as kCancelled (its spill namespace is removed).
+  /// Returns false when the job is already terminal — including a job
+  /// whose last reduce commits before the cancel lands, which stays
+  /// kSucceeded.
   bool cancel();
 
   /// Every reduce output committed so far — SIDR's early exact partial

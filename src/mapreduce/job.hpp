@@ -209,17 +209,6 @@ struct InputSplit {
   }
 };
 
-/// What the skew-adaptive planning stage did (DESIGN.md §18): filled by
-/// QueryPlanner when PlanOptions::skewAdapt is on, mirrored into the
-/// trace counter registry under `skew.*` at job end. All-zero when the
-/// stage did not run or refinement was a no-op.
-struct SkewAdaptStats {
-  std::uint64_t sampledRecords = 0;  ///< input records the sampler read
-  std::uint32_t splitKeyblocks = 0;  ///< hot uniform blocks split apart
-  std::uint32_t coalescedKeyblocks = 0;  ///< cold blocks merged away
-  bool refined = false;  ///< a non-trivial refined partition is active
-};
-
 struct JobSpec {
   /// Identity of this job inside a shared spill directory: every spill
   /// artifact lands under `spillDirectory/job<jobId>/`, so two jobs
@@ -333,16 +322,6 @@ struct JobSpec {
   /// used here; the builder stays in the planner library.
   std::optional<core::Fingerprint128> mapFingerprint;
 
-  /// Keep the job's spill namespace (committed .seg files and any
-  /// orphaned attempt temporaries) on disk when the job fails or is
-  /// cancelled, for post-mortem debugging. By default the whole
-  /// `spillDirectory/job<jobId>/` subtree is removed on any non-success
-  /// outcome — a failed job no longer strands every segment it already
-  /// committed. Successful jobs always leave their committed files (the
-  /// caller may want to read them; remove the namespace yourself when
-  /// done).
-  bool keepSpillOnFailure = false;
-
   /// Shuffle data plane (DESIGN.md §17); the only transport setting,
   /// filled from PlanOptions::transport by the planner. Unset =
   /// kInProcess, which is byte-identical to the historical fetch path.
@@ -350,10 +329,6 @@ struct JobSpec {
   /// their warm handles are already resident, so the in-process handoff
   /// copies nothing.
   std::optional<ShuffleTransportKind> transport;
-
-  /// What skew-adaptive planning did for this job (informational; the
-  /// engine only mirrors it into trace counters). Filled by the planner.
-  SkewAdaptStats skewStats;
 
   /// Connection-pool size per reduce fetch for the socket transport: a
   /// fetch splits its dependency set across up to this many pooled
@@ -394,8 +369,7 @@ struct ReduceOutput {
 
 /// Shuffle-transport data-plane counters (DESIGN.md §17). All zero for
 /// kInProcess runs except fetchRetries/wastedWireBytes, which count
-/// injected in-process drops too. Mirrored into the trace counter
-/// registry under `net.*` names at job end.
+/// injected in-process drops too.
 struct TransportStats {
   /// Framed bytes that crossed the wire (payload + frame headers),
   /// successful fetch attempts only.
@@ -430,8 +404,6 @@ struct JobResult {
   /// Total seconds reduce tasks spent in their fetch phase (header
   /// tallies + segment acquisition), summed across reduces.
   double shuffleFetchSeconds = 0.0;
-  /// Fetches that carried at least one record.
-  std::uint64_t nonEmptyConnections = 0;
   /// Intermediate records per keyblock (skew measurement, section 4.3).
   std::vector<std::uint64_t> recordsPerReducer;
   /// Annotation tallies that disagreed with expectedRepresents (must be
@@ -466,15 +438,12 @@ struct JobResult {
   /// Job-wide sort counters: each map attempt's sorts are captured into
   /// a per-attempt ScopedSortStatsSink and folded in under the job lock,
   /// so concurrent jobs sharing worker threads never bleed counts into
-  /// each other. Always populated (trace recording on or off) — the
-  /// uniform surface for what used to be visible only to unit tests
-  /// running on the sorting thread.
+  /// each other.
   SortStats sortTotals;
 
-  /// Per-attempt / per-phase spans plus the counter registry, populated
-  /// when JobSpec::recordTrace was set; empty otherwise. The registry
-  /// absorbs the scalar metrics above and sortTotals under stable names
-  /// ("shuffle.bytes", "sort.radixSorts", ...) at job end.
+  /// Per-attempt / per-phase spans, populated when JobSpec::recordTrace
+  /// was set; empty otherwise. Every metric above is filled the same
+  /// way with or without it.
   obs::Trace trace;
 
   /// Flattens all reduce outputs into one key-sorted list (for oracles):

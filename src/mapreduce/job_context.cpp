@@ -179,6 +179,15 @@ class VectorReduceContext final : public ReduceContext {
   std::vector<KeyValue> records_;
 };
 
+/// Folds one transport fetch attempt's frame and connection counts into
+/// the job totals, whether the attempt succeeded or failed.
+void addFrameTotals(TransportStats& totals, const FetchStats& stats) {
+  totals.framesSent += stats.framesSent;
+  totals.framesReceived += stats.framesReceived;
+  totals.connectionsOpened += stats.connectionsOpened;
+  totals.connectionsReused += stats.connectionsReused;
+}
+
 /// Records a reduce-side phase span with explicit bounds on the calling
 /// thread's lane.
 void recordReduceSpan(obs::TraceRecorder& rec, obs::Phase phase,
@@ -236,6 +245,19 @@ void JobContext::markMapEligible(std::uint32_t m) {
   mapEverEligible[m] = true;
 }
 
+// Queues keyblock kb's reduce when it can run: scheduled, every
+// dependency committed, not already queued or done, and no eviction of
+// its segments in flight. Every runnable push goes through here. Caller
+// holds mtx.
+void JobContext::pushIfRunnableLocked(std::uint32_t kb) {
+  if (!reduceScheduled[kb] || remainingDeps[kb] != 0 ||
+      reduceRunnableFlag[kb] || reduceDone[kb] || evictingCount[kb] != 0) {
+    return;
+  }
+  reduceRunnableFlag[kb] = true;
+  runnableReduces.push_back(kb);
+}
+
 // Schedules reduce tasks into free slots, in priority order; SIDR only.
 // Caller holds mtx.
 void JobContext::scheduleReducesLocked() {
@@ -246,11 +268,7 @@ void JobContext::scheduleReducesLocked() {
     // Scheduling a reduce walks the task tree and marks its dependent
     // maps schedulable (paper section 3.3).
     for (std::uint32_t m : deps[kb]) markMapEligible(m);
-    if (remainingDeps[kb] == 0 && !reduceRunnableFlag[kb] &&
-        evictingCount[kb] == 0) {
-      reduceRunnableFlag[kb] = true;
-      runnableReduces.push_back(kb);
-    }
+    pushIfRunnableLocked(kb);
   }
 }
 
@@ -337,10 +355,7 @@ void JobContext::start() {
       for (std::uint32_t m = 0; m < numMaps; ++m) markMapEligible(m);
       for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
         reduceScheduled[kb] = true;
-        if (remainingDeps[kb] == 0) {  // degenerate zero-split job
-          reduceRunnableFlag[kb] = true;
-          runnableReduces.push_back(kb);
-        }
+        pushIfRunnableLocked(kb);  // runnable now only in a zero-split job
       }
     }
   }
@@ -392,14 +407,13 @@ void JobContext::publishCachedSegmentsLocked() {
     fetchSpan.setBytes(mapBytes);
     fetchSpan.setRecords(mapRecords);
     fetchSpan.setRepresents(mapRepresents);
-    cacheBytesServed += mapBytes;
+    result.cacheBytesServed += mapBytes;
     publishedAttempt[m] = 1;
     mapDone[m] = true;
   }
   cachedWarm.clear();
   for (std::uint32_t kb = 0; kb < numReduces; ++kb) remainingDeps[kb] = 0;
   result.cacheServedMaps = numMaps;
-  result.cacheBytesServed = cacheBytesServed;
 }
 
 std::optional<ClaimedTask> JobContext::tryClaimLocked(bool reduceOnly) {
@@ -560,8 +574,6 @@ JobOutcome JobContext::finalize() {
   outcome.completedKeyblocks.assign(reduceDone.begin(), reduceDone.end());
 
   result.peakResidentSegmentBytes = pagePool->peakResidentBytes();
-  result.pressureSpillEvents = pressureSpills.load(std::memory_order_relaxed);
-  result.spillBytes = spillBytes.load(std::memory_order_relaxed);
   result.totalSeconds = now();
   result.firstResultSeconds = result.totalSeconds;
   for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
@@ -569,48 +581,7 @@ JobOutcome JobContext::finalize() {
     result.firstResultSeconds =
         std::min(result.firstResultSeconds, result.outputs[kb].availableAt);
   }
-  if (recorder != nullptr) {
-    result.trace = recorder->collect();
-    // Absorb the scattered JobResult scalars and the sort totals into
-    // the counter registry so consumers read one uniform surface.
-    obs::Trace& t = result.trace;
-    t.addCounter("shuffle.connections", result.shuffleConnections);
-    t.addCounter("shuffle.nonEmptyConnections", result.nonEmptyConnections);
-    t.addCounter("shuffle.bytes", result.shuffleBytes);
-    t.addCounter("shuffle.fetchMicros",
-                 static_cast<std::uint64_t>(result.shuffleFetchSeconds * 1e6));
-    t.addCounter("job.annotationViolations", result.annotationViolations);
-    t.addCounter("job.mapsReExecuted", result.mapsReExecuted);
-    t.addCounter("job.mapFailures", result.mapFailures);
-    t.addCounter("job.reduceFailures", result.reduceFailures);
-    t.addCounter("sort.sortedSkips", result.sortTotals.sortedSkips);
-    t.addCounter("sort.comparisonSorts", result.sortTotals.comparisonSorts);
-    t.addCounter("sort.radixSorts", result.sortTotals.radixSorts);
-    t.addCounter("sort.radixPasses", result.sortTotals.radixPasses);
-    t.addCounter("sort.radixPassesSkipped",
-                 result.sortTotals.radixPassesSkipped);
-    t.addCounter("mem.peakResidentSegmentBytes",
-                 result.peakResidentSegmentBytes);
-    t.addCounter("mem.pressureSpillEvents", result.pressureSpillEvents);
-    t.addCounter("mem.spillBytes", result.spillBytes);
-    t.addCounter("cache.servedMaps", result.cacheServedMaps);
-    t.addCounter("cache.bytesServed", result.cacheBytesServed);
-    t.addCounter("net.wireBytes", result.transportTotals.wireBytes);
-    t.addCounter("net.framesSent", result.transportTotals.framesSent);
-    t.addCounter("net.framesReceived", result.transportTotals.framesReceived);
-    t.addCounter("net.connectionsOpened",
-                 result.transportTotals.connectionsOpened);
-    t.addCounter("net.connectionsReused",
-                 result.transportTotals.connectionsReused);
-    t.addCounter("net.fetchRetries", result.transportTotals.fetchRetries);
-    t.addCounter("net.wastedWireBytes",
-                 result.transportTotals.wastedWireBytes);
-    t.addCounter("skew.sampledRecords", spec.skewStats.sampledRecords);
-    t.addCounter("skew.splitKeyblocks", spec.skewStats.splitKeyblocks);
-    t.addCounter("skew.coalescedKeyblocks",
-                 spec.skewStats.coalescedKeyblocks);
-    t.addCounter("skew.refined", spec.skewStats.refined ? 1 : 0);
-  }
+  if (recorder != nullptr) result.trace = recorder->collect();
   result.trace.jobId = spec.jobId;
 
   // Cache donation: decided HERE, after the outcome is known, so a
@@ -638,10 +609,9 @@ JobOutcome JobContext::finalize() {
 
   // Non-success cleanup: remove the whole spill namespace — committed
   // segments AND any orphaned attempt temporaries — so a failed or
-  // cancelled job strands nothing. keepSpillOnFailure opts out for
-  // post-mortem debugging; successful jobs always keep their committed
-  // files (callers may read them).
-  if (!succeeded && budgetEnabled() && !spec.keepSpillOnFailure) {
+  // cancelled job strands nothing. Successful jobs always keep their
+  // committed files (callers may read them).
+  if (!succeeded && budgetEnabled()) {
     std::error_code ec;  // swallowed: cleanup is advisory
     std::filesystem::remove_all(jobDir, ec);
   }
@@ -821,12 +791,7 @@ void JobContext::runMap(std::uint32_t m) {
       segAvail[m][kb] = true;
       if (remainingDeps[kb] > 0) {
         --remainingDeps[kb];
-        if (remainingDeps[kb] == 0 && reduceScheduled[kb] &&
-            !reduceRunnableFlag[kb] && !reduceDone[kb] &&
-            evictingCount[kb] == 0) {
-          reduceRunnableFlag[kb] = true;
-          runnableReduces.push_back(kb);
-        }
+        pushIfRunnableLocked(kb);
       }
     }
     // Segments for keyblocks outside this map's dependency sets exist too
@@ -848,10 +813,10 @@ void JobContext::maybePressureSpill() {
   // toward the larger charge.
   //
   // Safety: a keyblock with an eviction in flight is never pushed
-  // runnable (every push site gates on evictingCount), and a keyblock
-  // that is already runnable/running/done is never selected — so no
-  // lock-free reduce fetch can race the handle reset. The finalize step
-  // re-checks the gated push under mtx.
+  // runnable (pushIfRunnableLocked gates on evictingCount), and a
+  // keyblock that is already runnable/running/done is never selected —
+  // so no lock-free reduce fetch can race the handle reset. The finalize
+  // step retries the gated push under mtx.
   std::vector<std::byte> buf;  // one encode buffer for every victim
   while (pagePool->overHighWater()) {
     struct Victim {
@@ -899,6 +864,7 @@ void JobContext::maybePressureSpill() {
     // rename them all — no file is committed before every write
     // succeeded.
     std::exception_ptr error;
+    std::uint64_t bytesWritten = 0;
     try {
       for (const Victim& v : victims) {
         obs::SpanScope span(obs::Phase::kPressureSpill, obs::TaskSide::kMap,
@@ -908,7 +874,7 @@ void JobContext::maybePressureSpill() {
         v.seg->serializeInto(buf);
         span.setBytes(buf.size());
         spillSegmentAttempt(v.m, v.kb, v.attempt, buf);
-        spillBytes.fetch_add(buf.size(), std::memory_order_relaxed);
+        bytesWritten += buf.size();
       }
       for (const Victim& v : victims) {
         // The eviction commit reuses the publication span schema; the
@@ -927,6 +893,7 @@ void JobContext::maybePressureSpill() {
 
     {
       std::scoped_lock lock(mtx);
+      result.spillBytes += bytesWritten;
       for (const Victim& v : victims) {
         segEvicting[v.m][v.kb] = false;
         --evictingCount[v.kb];
@@ -941,14 +908,9 @@ void JobContext::maybePressureSpill() {
             pagePool->release(segCharge[v.m][v.kb]);
             segCharge[v.m][v.kb] = 0;
           }
-          pressureSpills.fetch_add(1, std::memory_order_relaxed);
+          ++result.pressureSpillEvents;
         }
-        if (evictingCount[v.kb] == 0 && remainingDeps[v.kb] == 0 &&
-            reduceScheduled[v.kb] && !reduceRunnableFlag[v.kb] &&
-            !reduceDone[v.kb]) {
-          reduceRunnableFlag[v.kb] = true;
-          runnableReduces.push_back(v.kb);
-        }
+        pushIfRunnableLocked(v.kb);
       }
       if (error && !firstError) firstError = error;
       cv.notify_all();
@@ -1000,20 +962,11 @@ void JobContext::runReduce(std::uint32_t kb) {
         mapDone[m] = false;
         markMapEligible(m);
       }
-      if (remainingDeps[kb] == 0 && evictingCount[kb] == 0) {
-        // nothing was available yet
-        reduceRunnableFlag[kb] = true;
-        runnableReduces.push_back(kb);
-      }
-    } else if (evictingCount[kb] == 0) {
-      // Persisted intermediate data: retry immediately, re-fetch all.
-      // (An in-flight eviction re-queues the keyblock when it
-      // finalizes; it cannot actually occur here — evictions never
-      // start on a runnable keyblock — but the gate keeps every push
-      // site uniform.)
-      reduceRunnableFlag[kb] = true;
-      runnableReduces.push_back(kb);
     }
+    // Persisted intermediate data: retry immediately, re-fetch all.
+    // Recomputed: runnable again once the re-run maps commit (at once
+    // when the keyblock has no dependencies).
+    pushIfRunnableLocked(kb);
     cv.notify_all();
     return;
   }
@@ -1039,7 +992,6 @@ void JobContext::runReduce(std::uint32_t kb) {
   std::vector<FetchedSegment> fetchedInputs;
   std::uint64_t tally = 0;
   std::uint64_t connections = 0;
-  std::uint64_t nonEmpty = 0;
   std::uint64_t bytesFetched = 0;
   {
     std::scoped_lock lock(mtx);
@@ -1072,7 +1024,6 @@ void JobContext::runReduce(std::uint32_t kb) {
           ++connections;
           tally += fs.header.represents;
           recordsFetched += fs.header.numRecords;
-          if (fs.header.numRecords > 0) ++nonEmpty;
         }
         bytesFetched = stats.bytesFetched;
         transportSpan.setBytes(stats.bytesFetched);
@@ -1080,10 +1031,7 @@ void JobContext::runReduce(std::uint32_t kb) {
         transportSpan.setRepresents(tally);
         std::scoped_lock lock(mtx);
         result.transportTotals.wireBytes += stats.wireBytes;
-        result.transportTotals.framesSent += stats.framesSent;
-        result.transportTotals.framesReceived += stats.framesReceived;
-        result.transportTotals.connectionsOpened += stats.connectionsOpened;
-        result.transportTotals.connectionsReused += stats.connectionsReused;
+        addFrameTotals(result.transportTotals, stats);
         break;
       } catch (const TransportError& e) {
         transportSpan.fail();
@@ -1094,10 +1042,7 @@ void JobContext::runReduce(std::uint32_t kb) {
           std::scoped_lock lock(mtx);
           ++result.transportTotals.fetchRetries;
           result.transportTotals.wastedWireBytes += stats.wireBytes;
-          result.transportTotals.framesSent += stats.framesSent;
-          result.transportTotals.framesReceived += stats.framesReceived;
-          result.transportTotals.connectionsOpened += stats.connectionsOpened;
-          result.transportTotals.connectionsReused += stats.connectionsReused;
+          addFrameTotals(result.transportTotals, stats);
         }
         if (fetchAttempt >= spec.faultPlan.maxFetchAttempts) {
           // Exhaustion is a job failure naming the reduce task and
@@ -1192,7 +1137,6 @@ void JobContext::runReduce(std::uint32_t kb) {
                             kb, attempt, kb);
   std::scoped_lock lock(mtx);
   result.shuffleConnections += connections;
-  result.nonEmptyConnections += nonEmpty;
   result.shuffleBytes += bytesFetched;
   result.shuffleFetchSeconds += tFetchEnd - tFetchStart;
   ReduceOutput& ro = result.outputs[kb];

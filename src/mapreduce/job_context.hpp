@@ -17,8 +17,7 @@
 //    per-thread baseline/delta fold that miscounted the moment pool
 //    threads interleaved work from two jobs;
 //  - end-of-job cleanup: finalize() removes the job's spill namespace
-//    on any non-success outcome (opt out with
-//    JobSpec::keepSpillOnFailure), so a failed or cancelled job leaves
+//    on any non-success outcome, so a failed or cancelled job leaves
 //    zero files behind.
 //
 // Two driving modes share one claim path:
@@ -33,7 +32,6 @@
 // holding its service mutex (service -> job order) without deadlock.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -159,9 +157,9 @@ class JobContext : private TransportSource {
   std::vector<ReduceOutput> partialOutputs();
 
   /// Stops the shuffle transport, computes final metrics and the trace,
-  /// removes the spill namespace on non-success (unless
-  /// keepSpillOnFailure) and returns the outcome. Call exactly once,
-  /// after quiescentTerminal() (or after joining solo workers).
+  /// removes the spill namespace on non-success and returns the
+  /// outcome. Call exactly once, after quiescentTerminal() (or after
+  /// joining solo workers).
   JobOutcome finalize();
 
   /// Solo driving mode: claim-and-run until the job is terminal,
@@ -238,8 +236,6 @@ class JobContext : private TransportSource {
   /// pressure eviction or consumed-slot release until the donation
   /// lands in the cache (the cache then owns the residency).
   std::vector<std::vector<std::shared_ptr<const Segment>>> stagedDonation;
-  /// Resident bytes published from the cache (result.cacheBytesServed).
-  std::uint64_t cacheBytesServed = 0;
 
   // --- memory budget / out-of-core state (DESIGN.md §14) ---
   // Every published segment's resident footprint is charged against
@@ -261,8 +257,8 @@ class JobContext : private TransportSource {
   /// Per keyblock: number of in-flight evictions of its segments. A
   /// reduce is never pushed runnable while this is non-zero — the
   /// lock-free fetch must observe either the handle or the committed
-  /// file, never a half-evicted slot — so every runnable push site gates
-  /// on it and eviction finalize re-checks the push.
+  /// file, never a half-evicted slot — so pushIfRunnableLocked gates on
+  /// it and eviction finalize retries the push.
   std::vector<std::uint32_t> evictingCount;
   /// Attempt whose segments are currently published, per map: names the
   /// attempt-suffixed temporary file an eviction writes.
@@ -270,8 +266,6 @@ class JobContext : private TransportSource {
   /// Keyblock -> position in priorityOrder (larger = colder, evicted
   /// first: it runs latest, so its pages are reclaimed longest).
   std::vector<std::uint32_t> posOf;
-  std::atomic<std::uint64_t> pressureSpills{0};
-  std::atomic<std::uint64_t> spillBytes{0};
 
   // --- consumed-segment release ---
   // glibc frees a block into the arena it came from, under that arena's
@@ -329,7 +323,7 @@ class JobContext : private TransportSource {
   /// subtree.
   std::string jobDir;
 
-  /// Span/counter recorder; null unless spec.recordTrace. Shares the
+  /// Span recorder; null unless spec.recordTrace. Shares the
   /// event log's epoch (`startTime`), so span times and event times are
   /// on one timebase.
   std::unique_ptr<obs::TraceRecorder> recorder;
@@ -385,6 +379,7 @@ class JobContext : private TransportSource {
   }
 
   void markMapEligible(std::uint32_t m);
+  void pushIfRunnableLocked(std::uint32_t kb);
   void scheduleReducesLocked();
   std::optional<ClaimedTask> tryClaimLocked(bool reduceOnly);
   bool terminalLocked() const {

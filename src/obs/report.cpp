@@ -49,14 +49,7 @@ void writeChromeTrace(std::ostream& os, const Trace& trace) {
     first = false;
     writeSpanEvent(os, span, pid);
   }
-  os << "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"counters\":{";
-  first = true;
-  for (const Counter& c : trace.counters) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << c.name << "\":" << c.value;
-  }
-  os << "}}}\n";
+  os << "],\"displayTimeUnit\":\"ms\"}\n";
 }
 
 bool writeChromeTraceFile(const std::string& path, const Trace& trace) {

@@ -11,11 +11,10 @@
 namespace sidr::obs {
 
 /// Writes the trace in Chrome trace_event JSON object format:
-/// {"traceEvents": [<complete "X" events>], "displayTimeUnit": "ms",
-///  "otherData": {"counters": {...}}}. ts/dur are microseconds from
-/// the trace epoch; pid is the trace's jobId (1 when unset), so traces
-/// from concurrent jobs render as separate process groups; tid is the
-/// span's recorder lane.
+/// {"traceEvents": [<complete "X" events>], "displayTimeUnit": "ms"}.
+/// ts/dur are microseconds from the trace epoch; pid is the trace's
+/// jobId (1 when unset), so traces from concurrent jobs render as
+/// separate process groups; tid is the span's recorder lane.
 /// Span fields travel in "args" (task, attempt, keyblock, bytes,
 /// records, represents, outcome). Load the file in chrome://tracing or
 /// Perfetto (ui.perfetto.dev, "Open trace file") — see DESIGN.md

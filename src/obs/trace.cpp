@@ -19,8 +19,6 @@ const char* phaseName(Phase phase) noexcept {
       return "map";
     case Phase::kSortPacked:
       return "sortPacked";
-    case Phase::kSpillEncode:
-      return "spill-encode";
     case Phase::kSpillWrite:
       return "spill-write";
     case Phase::kRenameCommit:
@@ -59,30 +57,6 @@ const char* taskSideName(TaskSide side) noexcept {
 
 const char* outcomeName(Outcome outcome) noexcept {
   return outcome == Outcome::kOk ? "ok" : "fail";
-}
-
-void Trace::addCounter(std::string_view name, std::uint64_t value) {
-  for (Counter& c : counters) {
-    if (c.name == name) {
-      c.value += value;
-      return;
-    }
-  }
-  counters.push_back(Counter{std::string(name), value});
-}
-
-std::uint64_t Trace::counterValue(std::string_view name) const noexcept {
-  for (const Counter& c : counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
-
-bool Trace::hasCounter(std::string_view name) const noexcept {
-  for (const Counter& c : counters) {
-    if (c.name == name) return true;
-  }
-  return false;
 }
 
 void Trace::sortSpans() {

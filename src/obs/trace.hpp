@@ -4,8 +4,8 @@
 // A Span covers either a whole task attempt (Phase::kTaskAttempt, one
 // per map/reduce execution, matching the attempt ids in the event log
 // and spill file names) or one phase inside an attempt (read, map,
-// sortPacked, spill-encode, spill-write, rename-commit, fetch, merge,
-// reduce, output-commit). Each span carries the task id, attempt,
+// sortPacked, spill-write, rename-commit, fetch, merge, reduce,
+// output-commit). Each span carries the task id, attempt,
 // keyblock, byte/record counts and the count-annotation tally
 // (`represents`), so the paper's scheduling claims — no reduce starts
 // before the rename-commit of every map in its I_l, annotation tallies
@@ -33,8 +33,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace sidr::obs {
@@ -49,7 +47,6 @@ enum class Phase : std::uint8_t {
   kRead,          ///< map: one reader batch
   kMap,           ///< map: mapper.map over one batch
   kSortPacked,    ///< map: Segment::sortByKey of one keyblock
-  kSpillEncode,   ///< map: segment serialization (not emitted by the engine)
   kSpillWrite,    ///< map: map-output file write (emitted by the simulator)
   kRenameCommit,  ///< map: per-keyblock publication (rename / pointer flip)
   kFetch,         ///< reduce: acquiring all dependency segments
@@ -96,15 +93,8 @@ struct Span {
   Outcome outcome = Outcome::kOk;
 };
 
-/// One named job-level counter (the registry rows).
-struct Counter {
-  std::string name;
-  std::uint64_t value = 0;
-};
-
-/// A collected trace: spans sorted by start time plus the counter
-/// registry — the uniform home for metrics that used to live scattered
-/// across JobResult fields and thread-local SortStats.
+/// A collected trace: spans sorted by start time. Job metrics are not
+/// part of it; they live on JobResult's typed fields.
 struct Trace {
   /// Identity of the job that produced this trace (JobSpec::jobId,
   /// stamped at finalize); 0 when the trace did not come from a job
@@ -112,13 +102,6 @@ struct Trace {
   /// concurrent jobs render as separate process groups.
   std::uint64_t jobId = 0;
   std::vector<Span> spans;
-  std::vector<Counter> counters;
-
-  /// Adds `value` to counter `name`, creating it at 0 if absent.
-  void addCounter(std::string_view name, std::uint64_t value);
-  /// Value of counter `name`, or 0 when absent.
-  std::uint64_t counterValue(std::string_view name) const noexcept;
-  bool hasCounter(std::string_view name) const noexcept;
 
   /// Stable-sorts spans by (start asc, end desc): an enclosing span
   /// sorts before the spans it contains.

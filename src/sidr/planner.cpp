@@ -122,7 +122,6 @@ void fillExecutionOptions(mr::JobSpec& spec, const PlanOptions& options) {
   spec.transportConnections = options.transportConnections;
   spec.transportTimeoutMillis = options.transportTimeoutMillis;
   spec.weight = options.jobWeight;
-  spec.keepSpillOnFailure = options.keepSpillOnFailure;
 }
 
 /// Runs the skew sampler over one side's splits and returns smoothed
@@ -151,11 +150,11 @@ SkewSampleOptions sampleOptionsFrom(const PlanOptions& options,
   return so;
 }
 
-void recordRefinement(mr::JobSpec& spec, const PartitionPlus& pp) {
+void recordRefinement(SkewAdaptStats& stats, const PartitionPlus& pp) {
   if (const RefinedPartition* rp = pp.refinement()) {
-    spec.skewStats.refined = true;
-    spec.skewStats.splitKeyblocks = rp->splitKeyblocks;
-    spec.skewStats.coalescedKeyblocks = rp->coalescedKeyblocks;
+    stats.refined = true;
+    stats.splitKeyblocks = rp->splitKeyblocks;
+    stats.coalescedKeyblocks = rp->coalescedKeyblocks;
   }
 }
 
@@ -225,9 +224,9 @@ QueryPlan QueryPlanner::assemble(mr::RecordReaderFactory readerFactory,
       SkewEstimate est = sampleKeyDistribution(
           *extraction, *pp, spec.splits, spec.readerFactory,
           sampleOptionsFrom(options, keepAbove));
-      spec.skewStats.sampledRecords = est.sampledRecords;
+      plan.skewStats.sampledRecords = est.sampledRecords;
       pp->refine(smoothedWeights(est));
-      recordRefinement(spec, *pp);
+      recordRefinement(plan.skewStats, *pp);
     }
     std::shared_ptr<const PartitionPlus> frozen = std::move(pp);
     plan.partitionPlus = frozen;
@@ -342,13 +341,13 @@ QueryPlan QueryPlanner::planJoin(const sh::ValueFn& leftFn,
       SkewEstimate rightEst = sampleKeyDistribution(
           *rightEx, *pp, all.subspan(numLeft), spec.secondaryReaderFactory,
           sampleOptionsFrom(options, query_.join->rightThreshold));
-      spec.skewStats.sampledRecords =
+      plan.skewStats.sampledRecords =
           leftEst.sampledRecords + rightEst.sampledRecords;
       std::vector<double> lw = smoothedWeights(leftEst);
       std::vector<double> rw = smoothedWeights(rightEst);
       for (std::size_t g = 0; g < lw.size(); ++g) lw[g] *= rw[g];
       pp->refine(lw);
-      recordRefinement(spec, *pp);
+      recordRefinement(plan.skewStats, *pp);
     }
     std::shared_ptr<const PartitionPlus> frozen = std::move(pp);
     plan.partitionPlus = frozen;

@@ -101,17 +101,10 @@ struct PlanOptions {
   std::uint32_t transportConnections = 2;
   std::uint32_t transportTimeoutMillis = 10000;
 
-  /// Multi-job service knobs (DESIGN.md section 15), forwarded to the
-  /// matching mr::JobSpec fields / QueryPlan::servicePolicy. jobWeight
-  /// is the job's share under mr::SchedulingPolicy::kWeightedFair;
-  /// keepSpillOnFailure preserves the job's spill namespace on a
-  /// non-success outcome for post-mortem debugging; servicePolicy is
-  /// the planner's recommendation for how an EngineService should
-  /// schedule this query's tasks against its peers — kSidr plans
-  /// recommend the dependency-aware reduce-first policy, the barrier
-  /// systems plain FIFO.
+  /// The job's share under mr::SchedulingPolicy::kWeightedFair in a
+  /// multi-job service (DESIGN.md section 15), forwarded to
+  /// mr::JobSpec::weight.
   double jobWeight = 1.0;
-  bool keepSpillOnFailure = false;
 
   /// Stable identity of the input data, e.g. a dataset path + version
   /// or a content digest. When non-empty the planner computes the
@@ -123,6 +116,16 @@ struct PlanOptions {
   /// factories produce the same bytes, so the CALLER asserts input
   /// identity by naming it.
   std::string datasetId;
+};
+
+/// What the skew-adaptive planning stage did (DESIGN.md §18). All-zero
+/// when the stage did not run; only sampledRecords is set when the
+/// refinement was a no-op.
+struct SkewAdaptStats {
+  std::uint64_t sampledRecords = 0;  ///< input records the sampler read
+  std::uint32_t splitKeyblocks = 0;  ///< hot uniform blocks split apart
+  std::uint32_t coalescedKeyblocks = 0;  ///< cold blocks merged away
+  bool refined = false;  ///< a non-trivial refined partition is active
 };
 
 /// A fully-assembled plan: the JobSpec plus the structural artifacts the
@@ -137,6 +140,8 @@ struct QueryPlan {
   /// lifted to the service level), barrier plans kFifo. Callers
   /// submitting to a service can seed ServiceConfig::policy from it.
   mr::SchedulingPolicy servicePolicy = mr::SchedulingPolicy::kFifo;
+  /// Filled when PlanOptions::skewAdapt is on (kSidr only).
+  SkewAdaptStats skewStats;
 };
 
 /// Canonical MapFingerprint: digests exactly the fields that determine

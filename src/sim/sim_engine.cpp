@@ -671,10 +671,6 @@ struct ClusterSim::Impl {
       result.totalTime = std::max(result.totalTime, r.end);
     }
     result.trace.sortSpans();
-    result.trace.addCounter("shuffle.connections", result.shuffleConnections);
-    result.trace.addCounter("job.mapsReExecuted", result.mapsReExecuted);
-    result.trace.addCounter("job.mapFailures", result.mapFailures);
-    result.trace.addCounter("job.reduceFailures", result.reduceFailures);
     return result;
   }
 };

@@ -8,8 +8,8 @@
 //    output and each job's sort counters identical to its solo
 //    baseline;
 //  * failed jobs: wait() rethrows JobError, the job's spill namespace
-//    is removed (kept with keepSpillOnFailure), committed keyblocks
-//    stay readable and exact through partialResults();
+//    is removed, committed keyblocks stay readable and exact through
+//    partialResults();
 //  * cancellation: queued jobs die without touching disk; a running job
 //    drains, finalizes kCancelled and removes its namespace, with
 //    partial results observable mid-run via a gated reducer;
@@ -389,24 +389,6 @@ TEST(EngineService, FailedJobRemovesSpillNamespace) {
     ASSERT_LT(out.keyblock, healthy.outputs.size());
     expectSameOutput(out, healthy.outputs[out.keyblock]);
   }
-}
-
-TEST(EngineService, KeepSpillOnFailurePreservesNamespace) {
-  const std::string dir = tempDir("sidr_svc_keep");
-  QueryPlan plan = fatalPlan(dir);
-  plan.spec.keepSpillOnFailure = true;
-
-  mr::EngineService service;
-  mr::JobHandle handle = service.submit(std::move(plan.spec));
-  EXPECT_THROW(handle.wait(), mr::JobError);
-  const std::string ns = jobNamespace(dir, handle.id());
-  EXPECT_TRUE(fs::exists(ns)) << "keepSpillOnFailure must preserve " << ns;
-  std::size_t files = 0;
-  for (const auto& entry : fs::recursive_directory_iterator(ns)) {
-    if (entry.is_regular_file()) ++files;
-  }
-  EXPECT_GT(files, 0u) << "the preserved namespace holds the evicted "
-                          "map output the post-mortem needs";
 }
 
 // ---- cancellation ----

@@ -380,7 +380,6 @@ TEST(FingerprintPlanner, ExecutionKnobsDoNotLeakIntoTheKey) {
   opts.mapSlots = 1;
   opts.reduceSlots = 1;
   opts.jobWeight = 4.0;
-  opts.keepSpillOnFailure = true;
   opts.reducePriority = {2, 1, 0};
   const QueryPlan tuned =
       QueryPlanner(q, nd::Coord{16, 12}).plan(sh::temperatureField(31), opts);
@@ -549,7 +548,6 @@ TEST(SegmentCacheService, WarmResubmissionBitIdenticalWithZeroMapTasks) {
             static_cast<std::size_t>(numMaps) * plan.spec.numReducers);
   EXPECT_EQ(warm.cacheServedMaps, numMaps);
   EXPECT_GT(warm.cacheBytesServed, 0u);
-  EXPECT_EQ(warm.trace.counterValue("cache.servedMaps"), numMaps);
   ts::CheckJobTrace(warm);
   ts::ExpectCommitGating(warm.trace, plan.dependencies.keyblockToSplits);
 

@@ -12,8 +12,7 @@
 //    {no budget, one page, tight budget} x
 //    {fault-free, injected task faults} produce bit-identical
 //    collectAll output, identical committed segment bytes (single-
-//    worker one-page runs), satisfy the §13 trace invariants, and
-//    mirror the net.* counters;
+//    worker one-page runs), and satisfy the §13 trace invariants;
 //  * injected connection drops: bounded retry succeeds without double
 //    counting shuffleBytes or emitting unpaired spans; exhaustion
 //    surfaces as a JobError naming the reduce task;
@@ -138,7 +137,7 @@ TEST(WireFraming, SegmentResponseRoundTripAcrossChunkSizes) {
     EXPECT_EQ(std::memcmp(payload.data(), whole.data(), whole.size()), 0)
         << "chunk " << chunk;
     // The header frame plus every data frame, prefixes included: the
-    // receive loop books the whole response into the net.* counters.
+    // receive loop books the whole response into the FetchStats.
     EXPECT_EQ(stats.framesReceived, 1 + (whole.size() + chunk - 1) / chunk)
         << "chunk " << chunk;
     EXPECT_EQ(stats.wireBytes, bytes.size()) << "chunk " << chunk;
@@ -621,16 +620,7 @@ TEST_P(TransportParity, BackendsProduceIdenticalOutputAndCommits) {
       EXPECT_GT(fetchSpans, 0u);
       EXPECT_EQ(transportSpans, fetchSpans);
 
-      // net.* counters mirror the result's transport totals.
       const mr::TransportStats& t = result.transportTotals;
-      EXPECT_EQ(result.trace.counterValue("net.wireBytes"), t.wireBytes);
-      EXPECT_EQ(result.trace.counterValue("net.framesSent"), t.framesSent);
-      EXPECT_EQ(result.trace.counterValue("net.framesReceived"),
-                t.framesReceived);
-      EXPECT_EQ(result.trace.counterValue("net.connectionsOpened"),
-                t.connectionsOpened);
-      EXPECT_EQ(result.trace.counterValue("net.fetchRetries"),
-                t.fetchRetries);
       EXPECT_EQ(t.fetchRetries, 0u);
       EXPECT_EQ(t.wastedWireBytes, 0u);
       if (kind == mr::ShuffleTransportKind::kInProcess) {
@@ -837,12 +827,10 @@ TEST(TransportFaults, DroppedFetchRetriesWithoutDoubleCounting) {
     EXPECT_EQ(kb1Failed, 1u);
     EXPECT_EQ(otherTransport, otherFetch);
     // Socket arms discard the partially-exchanged attempt's bytes into
-    // wastedWireBytes; they never count toward net.wireBytes twice.
+    // wastedWireBytes; they never count toward wireBytes twice.
     if (arm.kind != mr::ShuffleTransportKind::kInProcess) {
       EXPECT_GT(dropped.transportTotals.wastedWireBytes, 0u);
     }
-    EXPECT_EQ(dropped.trace.counterValue("net.wastedWireBytes"),
-              dropped.transportTotals.wastedWireBytes);
   }
 }
 

@@ -257,7 +257,7 @@ TEST_P(SkewAdaptDifferential, RefinedPlanIsBitIdenticalToUnrefined) {
 
   QueryPlanner planner(cfg.query, cfg.input);
   auto runArm = [&](bool adapt, const std::string& dir,
-                    mr::SkewAdaptStats* statsOut,
+                    SkewAdaptStats* statsOut,
                     std::vector<std::vector<std::uint32_t>>* depsOut) {
     PlanOptions opts;
     opts.system = SystemMode::kSidr;
@@ -271,14 +271,14 @@ TEST_P(SkewAdaptDifferential, RefinedPlanIsBitIdenticalToUnrefined) {
     applyRegime(opts, regime, dir);
     QueryPlan plan = cfg.join ? planner.planJoin(leftFn, rightFn, opts)
                               : planner.plan(leftFn, opts);
-    if (statsOut != nullptr) *statsOut = plan.spec.skewStats;
+    if (statsOut != nullptr) *statsOut = plan.skewStats;
     if (depsOut != nullptr) *depsOut = plan.spec.reduceDeps;
     mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
     std::filesystem::remove_all(dir);
     return result;
   };
 
-  mr::SkewAdaptStats stats;
+  SkewAdaptStats stats;
   std::vector<std::vector<std::uint32_t>> plainDeps;
   std::vector<std::vector<std::uint32_t>> refinedDeps;
   mr::JobResult plain = runArm(false, dirBase + "_a", nullptr, &plainDeps);
@@ -296,11 +296,7 @@ TEST_P(SkewAdaptDifferential, RefinedPlanIsBitIdenticalToUnrefined) {
   // but can never change one output byte.
   ExpectBitIdentical(adapted.collectAll(), plain.collectAll());
 
-  // The trace mirrors the planner's stats.
-  EXPECT_EQ(adapted.trace.counterValue("skew.refined"),
-            stats.refined ? 1u : 0u);
-  EXPECT_EQ(adapted.trace.counterValue("skew.sampledRecords"),
-            stats.sampledRecords);
+  // The plan reports what the sampling pass did.
   EXPECT_GT(stats.sampledRecords, 0u);
 }
 
@@ -479,7 +475,7 @@ TEST_P(RefinedDependenciesExact, DeclaredSetsEqualBruteForceRealizedSets) {
                         : planner.plan(leftFn, opts);
   SCOPED_TRACE((join ? "join " : "filter ") + input.toString() + " r=" +
                std::to_string(opts.numReducers) +
-               (plan.spec.skewStats.refined ? " refined" : " uniform"));
+               (plan.skewStats.refined ? " refined" : " uniform"));
 
   auto rightEx = join ? std::make_shared<const sh::ExtractionMap>(
                             sh::joinRightQuery(q), rightInput)

@@ -110,10 +110,8 @@ TEST(TraceDifferential, SidrFaultFreeAgrees) {
   ts::CheckJobTrace(er);
   expectSameOrderingInvariants(er.trace, engineDeps, sr.trace, simDeps);
 
-  // Both count the SIDR shuffle identically (Table 3's property),
-  // through the same counter registry name.
-  EXPECT_EQ(er.trace.counterValue("shuffle.connections"),
-            sr.trace.counterValue("shuffle.connections"));
+  // Both count the SIDR shuffle identically (Table 3's property).
+  EXPECT_EQ(er.shuffleConnections, sr.shuffleConnections);
 }
 
 TEST(TraceDifferential, GlobalBarrierAgrees) {
@@ -167,10 +165,10 @@ TEST(TraceDifferential, InjectedFaultsProduceSameAttemptSkeleton) {
   EXPECT_EQ(attempts.at({obs::TaskSide::kReduce, 2}),
             (std::vector<obs::Outcome>{obs::Outcome::kFail,
                                        obs::Outcome::kOk}));
-  EXPECT_EQ(er.trace.counterValue("job.mapFailures"), 1u);
-  EXPECT_EQ(sr.trace.counterValue("job.mapFailures"), 1u);
-  EXPECT_EQ(er.trace.counterValue("job.reduceFailures"), 1u);
-  EXPECT_EQ(sr.trace.counterValue("job.reduceFailures"), 1u);
+  EXPECT_EQ(er.mapFailures, 1u);
+  EXPECT_EQ(sr.mapFailures, 1u);
+  EXPECT_EQ(er.reduceFailures, 1u);
+  EXPECT_EQ(sr.reduceFailures, 1u);
 }
 
 TEST(TraceDifferential, TraceAloneReproducesCompletionSeries) {

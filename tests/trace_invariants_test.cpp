@@ -8,13 +8,16 @@
 //     commit;
 //   - reduce-side fetch tallies equal the sum of the committed
 //     annotations they depend on;
-// plus targeted tests for the counter registry (SortStats surfaced in
-// JobResult), the Chrome trace exporter, and the disabled recorder.
+// plus targeted tests for SortStats surfaced in JobResult, the Chrome
+// trace exporter, and the disabled recorder (same metrics, no spans).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <random>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "mapreduce/engine.hpp"
 #include "obs/report.hpp"
@@ -96,15 +99,6 @@ TEST_P(TraceInvariants, RandomizedSchedulingContract) {
   ts::CheckJobTrace(result);
   ts::ExpectCommitGating(result.trace, deps);
   ts::ExpectFetchTalliesMatchCommits(result.trace, deps);
-
-  // The registry mirrors the scalar JobResult surface exactly.
-  EXPECT_EQ(result.trace.counterValue("shuffle.connections"),
-            result.shuffleConnections);
-  EXPECT_EQ(result.trace.counterValue("job.mapFailures"),
-            result.mapFailures);
-  EXPECT_EQ(result.trace.counterValue("job.reduceFailures"),
-            result.reduceFailures);
-  EXPECT_EQ(result.trace.counterValue("job.annotationViolations"), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceInvariants, ::testing::Range(0, 16));
@@ -161,14 +155,13 @@ TEST(TraceInvariants, BothShuffleModesWithFaultsDeterministic) {
                                          obs::Outcome::kOk}));
 
     // Only the budgeted run evicts, and eviction is the engine's one
-    // spill path: it never emits the map-side encode/write phases
-    // (kSpillWrite stays in the schema for the simulator).
+    // spill path: it never emits the map-side write phase (kSpillWrite
+    // stays in the schema for the simulator).
     bool sawPressureSpill = false;
     bool sawMapSideSpill = false;
     for (const obs::Span& s : result.trace.spans) {
       sawPressureSpill |= s.phase == obs::Phase::kPressureSpill;
-      sawMapSideSpill |= s.phase == obs::Phase::kSpillWrite ||
-                         s.phase == obs::Phase::kSpillEncode;
+      sawMapSideSpill |= s.phase == obs::Phase::kSpillWrite;
     }
     EXPECT_EQ(sawPressureSpill, spill);
     EXPECT_FALSE(sawMapSideSpill);
@@ -216,7 +209,7 @@ mr::JobSpec transposeJob(nd::Index side, std::uint32_t numReducers) {
 TEST(TraceInvariants, SortTotalsSurfacedInJobResult) {
   // The transposing mapper forces out-of-order emission, so packed
   // sorts must run — and their formerly thread-local counters must
-  // surface in JobResult::sortTotals AND the counter registry.
+  // surface in JobResult::sortTotals.
   mr::JobSpec spec = transposeJob(32, 2);
   spec.recordTrace = true;
   mr::JobResult result = mr::Engine(std::move(spec)).run();
@@ -224,11 +217,6 @@ TEST(TraceInvariants, SortTotalsSurfacedInJobResult) {
   const mr::SortStats& st = result.sortTotals;
   EXPECT_GT(st.comparisonSorts + st.radixSorts, 0u)
       << "no sort activity surfaced at all";
-  EXPECT_EQ(result.trace.counterValue("sort.sortedSkips"), st.sortedSkips);
-  EXPECT_EQ(result.trace.counterValue("sort.comparisonSorts"),
-            st.comparisonSorts);
-  EXPECT_EQ(result.trace.counterValue("sort.radixSorts"), st.radixSorts);
-  EXPECT_EQ(result.trace.counterValue("sort.radixPasses"), st.radixPasses);
 
   // Sort spans accompany the counters.
   bool sawSort = false;
@@ -264,16 +252,77 @@ TEST(TraceInvariants, PlannerJobsEmitInOrderAndSkipSorts) {
   }
 }
 
-TEST(TraceInvariants, DisabledRecorderStillFillsSortTotals) {
-  mr::JobSpec spec = transposeJob(24, 3);
-  ASSERT_FALSE(spec.recordTrace);  // the default: recording off
-  mr::JobResult result = mr::Engine(std::move(spec)).run();
+// Every JobResult metric that does not read the clock, by name.
+std::vector<std::pair<std::string, std::uint64_t>> countedMetrics(
+    const mr::JobResult& r) {
+  const mr::TransportStats& t = r.transportTotals;
+  const mr::SortStats& st = r.sortTotals;
+  std::vector<std::pair<std::string, std::uint64_t>> m = {
+      {"shuffleConnections", r.shuffleConnections},
+      {"shuffleBytes", r.shuffleBytes},
+      {"annotationViolations", r.annotationViolations},
+      {"mapsReExecuted", r.mapsReExecuted},
+      {"mapFailures", r.mapFailures},
+      {"reduceFailures", r.reduceFailures},
+      {"peakResidentSegmentBytes", r.peakResidentSegmentBytes},
+      {"pressureSpillEvents", r.pressureSpillEvents},
+      {"spillBytes", r.spillBytes},
+      {"cacheServedMaps", r.cacheServedMaps},
+      {"cacheBytesServed", r.cacheBytesServed},
+      {"wireBytes", t.wireBytes},
+      {"framesSent", t.framesSent},
+      {"framesReceived", t.framesReceived},
+      {"connectionsOpened", t.connectionsOpened},
+      {"connectionsReused", t.connectionsReused},
+      {"fetchRetries", t.fetchRetries},
+      {"wastedWireBytes", t.wastedWireBytes},
+      {"sortedSkips", st.sortedSkips},
+      {"comparisonSorts", st.comparisonSorts},
+      {"radixSorts", st.radixSorts},
+      {"radixPasses", st.radixPasses},
+      {"radixPassesSkipped", st.radixPassesSkipped},
+  };
+  for (std::size_t kb = 0; kb < r.outputs.size(); ++kb) {
+    const std::string suffix = "[" + std::to_string(kb) + "]";
+    m.emplace_back("recordsPerReducer" + suffix, r.recordsPerReducer[kb]);
+    m.emplace_back("annotationTally" + suffix, r.outputs[kb].annotationTally);
+    m.emplace_back("outputRecords" + suffix, r.outputs[kb].records.size());
+  }
+  return m;
+}
 
-  EXPECT_TRUE(result.trace.spans.empty());
-  EXPECT_TRUE(result.trace.counters.empty());
-  // sortTotals is part of the always-on surface, not the trace.
-  const mr::SortStats& st = result.sortTotals;
+TEST(TraceInvariants, DisabledRecorderFillsTheSameMetrics) {
+  // Tracing adds spans and nothing else: a traced and an untraced run
+  // of one job report the same metrics. The job feeds every metric at
+  // once — out-of-order emission (packed sorts), a one-page budget
+  // (eviction), the socket transport (wire totals), a failed map
+  // attempt (re-execution) and a dropped fetch (retry, wasted bytes) —
+  // on one worker thread, so both runs schedule alike.
+  auto run = [](bool traced) {
+    const testsupport::TempDir dir;
+    mr::JobSpec spec = transposeJob(24, 3);
+    spec.numThreads = 1;
+    spec.recordTrace = traced;
+    spec.spillDirectory = dir.path().string();
+    spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+    spec.transport = mr::ShuffleTransportKind::kSocket;
+    spec.faultPlan.failMap(0).dropFetch(1);
+    return mr::Engine(std::move(spec)).run();
+  };
+  const mr::JobResult traced = run(true);
+  const mr::JobResult untraced = run(false);
+
+  EXPECT_FALSE(traced.trace.spans.empty());
+  EXPECT_TRUE(untraced.trace.spans.empty());
+  EXPECT_EQ(countedMetrics(untraced), countedMetrics(traced));
+  // The job did exercise what the comparison covers.
+  const mr::SortStats& st = untraced.sortTotals;
   EXPECT_GT(st.comparisonSorts + st.radixSorts, 0u);
+  EXPECT_GT(untraced.pressureSpillEvents, 0u);
+  EXPECT_GT(untraced.transportTotals.wireBytes, 0u);
+  EXPECT_GT(untraced.transportTotals.wastedWireBytes, 0u);
+  EXPECT_EQ(untraced.mapFailures, 1u);
+  EXPECT_EQ(untraced.transportTotals.fetchRetries, 1u);
 }
 
 TEST(TraceInvariants, ChromeExportMatchesDocumentedSchema) {
@@ -296,9 +345,9 @@ TEST(TraceInvariants, ChromeExportMatchesDocumentedSchema) {
   obs::writeChromeTrace(os, result.trace);
   const std::string json = os.str();
 
-  // One complete ("ph":"X") event per span, the displayTimeUnit, and
-  // the counter registry under otherData — the schema DESIGN.md
-  // section 13 documents for chrome://tracing / Perfetto.
+  // One complete ("ph":"X") event per span and the displayTimeUnit —
+  // the schema DESIGN.md section 13 documents for chrome://tracing /
+  // Perfetto.
   std::size_t events = 0;
   for (std::size_t pos = 0;
        (pos = json.find("\"ph\":\"X\"", pos)) != std::string::npos;
@@ -308,8 +357,6 @@ TEST(TraceInvariants, ChromeExportMatchesDocumentedSchema) {
   EXPECT_EQ(events, result.trace.spans.size());
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"counters\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"shuffle.connections\":"), std::string::npos);
   EXPECT_NE(json.find("\"map:attempt\""), std::string::npos);
   EXPECT_NE(json.find("\"reduce:fetch\""), std::string::npos);
   // Timestamps are microseconds with fixed-point formatting — no
