@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <deque>
+#include <filesystem>
 #include <mutex>
 
 #include "mapreduce/heap_policy.hpp"
@@ -45,6 +46,19 @@ namespace detail {
 /// (queues, workers) and every JobHandle; holds the ServiceState alive
 /// so handles outlive the service safely.
 struct ServiceJob {
+  ServiceJob() = default;
+  ServiceJob(const ServiceJob&) = delete;
+  ServiceJob& operator=(const ServiceJob&) = delete;
+  /// The last reference goes with the last JobHandle (or with the
+  /// service, when no handle was kept): a long-lived service then holds
+  /// no succeeded job's eviction files. Errors are swallowed, as in the
+  /// failure cleanup: removal is advisory.
+  ~ServiceJob() {
+    if (retainedSpillDir.empty()) return;
+    std::error_code ec;
+    std::filesystem::remove_all(retainedSpillDir, ec);
+  }
+
   std::uint64_t id = 0;
   std::uint64_t seq = 0;  ///< submission order (FIFO / tie-break key)
   double weight = 1.0;
@@ -57,6 +71,9 @@ struct ServiceJob {
   std::uint64_t admissionCharge = 0;  ///< bytes reserved on the ledger
   std::uint64_t tasksServiced = 0;    ///< weighted-fair accounting
   bool finalizing = false;  ///< one worker owns the finalize transition
+  /// A succeeded budgeted job's spill namespace, set at finalize: its
+  /// committed files stay readable while the job is referenced.
+  std::string retainedSpillDir;
   std::shared_ptr<ServiceState> svc;
 };
 
@@ -204,6 +221,11 @@ void finalizeReadyLocked(ServiceState& s, std::unique_lock<std::mutex>& lock) {
     } else {
       job->state = JobState::kSucceeded;
       ++s.stats.succeeded;
+      const JobSpec& spec = job->ctx->jobSpec();
+      if (spec.memoryBudgetBytes > 0) {
+        job->retainedSpillDir =
+            spec.spillDirectory + "/" + jobSpillDirName(job->id);
+      }
     }
     s.admittedBytes -= job->admissionCharge;
     if (s.cache != nullptr && outcome.donation.present &&
@@ -224,8 +246,11 @@ void finalizeReadyLocked(ServiceState& s, std::unique_lock<std::mutex>& lock) {
   }
 }
 
+/// Owns no reference: the claim keeps the job admitted, and so alive,
+/// until runClaimedTask releases it, and afterwards its last JobHandle
+/// may be its last owner.
 struct Pick {
-  std::shared_ptr<ServiceJob> job;
+  ServiceJob* job = nullptr;
   ClaimedTask task;
 };
 
@@ -242,7 +267,7 @@ std::optional<Pick> pickTaskLocked(ServiceState& s) {
       for (const std::shared_ptr<ServiceJob>& j : s.admitted) {
         if (j->finalizing) continue;
         if (std::optional<ClaimedTask> t = j->ctx->tryClaimReduce()) {
-          return Pick{j, *t};
+          return Pick{j.get(), *t};
         }
       }
       break;  // pass 2 below: any claimable task, FIFO order
@@ -263,7 +288,7 @@ std::optional<Pick> pickTaskLocked(ServiceState& s) {
       for (const std::shared_ptr<ServiceJob>& j : order) {
         if (j->finalizing) continue;
         if (std::optional<ClaimedTask> t = j->ctx->tryClaimTask()) {
-          return Pick{j, *t};
+          return Pick{j.get(), *t};
         }
       }
       return std::nullopt;
@@ -272,7 +297,7 @@ std::optional<Pick> pickTaskLocked(ServiceState& s) {
   for (const std::shared_ptr<ServiceJob>& j : s.admitted) {
     if (j->finalizing) continue;
     if (std::optional<ClaimedTask> t = j->ctx->tryClaimTask()) {
-      return Pick{j, *t};
+      return Pick{j.get(), *t};
     }
   }
   return std::nullopt;

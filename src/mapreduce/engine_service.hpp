@@ -23,7 +23,9 @@
 //  - completion: when a job quiesces (done, failed, or cancelled with
 //    no task in flight) a worker finalizes it — computing metrics and
 //    trace, removing the spill namespace on non-success — and wakes
-//    every JobHandle::wait.
+//    every JobHandle::wait. A succeeded job's namespace goes with its
+//    last JobHandle, so a long-lived service does not accumulate
+//    eviction files.
 //
 // Lock order: service mutex -> job mutex, never the reverse (JobContext
 // never calls back into the service).

@@ -209,68 +209,24 @@ struct InputSplit {
   }
 };
 
-struct JobSpec {
-  /// Identity of this job inside a shared spill directory: every spill
-  /// artifact lands under `spillDirectory/job<jobId>/`, so two jobs
-  /// sharing a spillDirectory can never clobber each other's committed
-  /// segments. EngineService assigns a service-unique id at submission
-  /// (overwriting this field); solo Engine::run uses the value as given
-  /// (default 0). Within the namespace the attempt-suffix/atomic-rename
-  /// protocol is byte-identical to the historical flat layout.
-  std::uint64_t jobId = 0;
-
+/// How a job runs, as opposed to what it computes: slots, threads,
+/// recovery, injected faults, residency, tracing and the shuffle data
+/// plane. No field changes a byte of a successful job's output or of
+/// its committed map output, so the planner's MapFingerprint reads none
+/// of them (DESIGN.md §16). JobSpec and sidr::core::PlanOptions both
+/// inherit it: a plan's options reach its spec in one assignment.
+struct ExecutionOptions {
   /// Share weight for EngineService's weighted-fair scheduling policy:
   /// a job receives task slots in proportion to its weight. Must be
   /// finite and > 0. Ignored by solo Engine::run and by the FIFO /
   /// reduce-first policies.
   double weight = 1.0;
 
-  std::vector<InputSplit> splits;
-  RecordReaderFactory readerFactory;
-  MapperFactory mapperFactory;
-  ReducerFactory reducerFactory;
-  /// Second input of a two-input job (structural join, DESIGN.md §18):
-  /// splits with InputSplit::input == 1 read through this reader and run
-  /// this mapper. Both must be set together (and only when some split
-  /// references input 1); single-input jobs leave both empty.
-  RecordReaderFactory secondaryReaderFactory;
-  MapperFactory secondaryMapperFactory;
-  /// Optional map-side combiner applied per (map, keyblock) segment
-  /// after the sort; merges equal-key records, preserving the count
-  /// annotation totals.
-  CombinerFactory combinerFactory;
-  std::shared_ptr<const Partitioner> partitioner;
-  std::uint32_t numReducers = 1;
-  ExecutionMode mode = ExecutionMode::kGlobalBarrier;
-
-  /// Per-keyblock dependency sets I_l (split ids). Required in kSidr
-  /// mode; computed by sidr::DependencyCalculator.
-  std::vector<std::vector<std::uint32_t>> reduceDeps;
-
-  /// Optional per-keyblock expected count-annotation totals |K_l|; when
-  /// present the engine validates each reduce's tally against it
-  /// (paper section 3.2.1, method 2 as correctness validation).
-  std::vector<std::uint64_t> expectedRepresents;
-
-  /// Optional scheduling priority: keyblock ids, highest priority first
-  /// (computational-steering / burst-buffer use cases, section 3.4).
-  std::vector<std::uint32_t> reducePriority;
-
   /// Task slots, as in the paper's per-TaskTracker configuration.
   std::uint32_t mapSlots = 4;
   std::uint32_t reduceSlots = 3;
   /// Worker threads executing tasks (a slot is only a capacity token).
   std::uint32_t numThreads = 4;
-
-  /// Bounding shape of the intermediate key space K' (the output grid).
-  /// Required: a valid non-empty shape whose volume fits int64 and whose
-  /// rank matches every intermediate key. Every stage from map emit to
-  /// the reduce merge works on row-major u64 linear keys in this space
-  /// (DESIGN.md section 11) — an order-preserving injection, so key
-  /// order is exactly lexicographic Coord order. The planner populates
-  /// it from ExtractionMap::intermediateSpaceShape(); hand-built jobs
-  /// must declare it too.
-  nd::Coord keySpace;
 
   RecoveryModel recovery = RecoveryModel::kPersistAll;
   /// Failure injection for the recovery experiments: which task
@@ -311,23 +267,11 @@ struct JobSpec {
   /// is set.
   std::size_t mergeWindowBytes = 1 << 20;
 
-  /// Canonical MapFingerprint of everything that determines this job's
-  /// committed map-output bytes — (dataset identity, split geometry,
-  /// extraction/filter spec, keySpace, partition plan). Set by the
-  /// planner when PlanOptions::datasetId names the input; unset jobs
-  /// never interact with the service segment cache. Two specs with
-  /// equal fingerprints MUST produce byte-identical map output: the
-  /// cache serves one job's committed segments to the other
-  /// (DESIGN.md §16). Only the inline Fingerprint128 value type is
-  /// used here; the builder stays in the planner library.
-  std::optional<core::Fingerprint128> mapFingerprint;
-
-  /// Shuffle data plane (DESIGN.md §17); the only transport setting,
-  /// filled from PlanOptions::transport by the planner. Unset =
-  /// kInProcess, which is byte-identical to the historical fetch path.
-  /// Cache-served runs always use kInProcess regardless of this field:
-  /// their warm handles are already resident, so the in-process handoff
-  /// copies nothing.
+  /// Shuffle data plane (DESIGN.md §17); the only transport setting.
+  /// Unset = kInProcess, which is byte-identical to the historical fetch
+  /// path. Cache-served runs always use kInProcess regardless of this
+  /// field: their warm handles are already resident, so the in-process
+  /// handoff copies nothing.
   std::optional<ShuffleTransportKind> transport;
 
   /// Connection-pool size per reduce fetch for the socket transport: a
@@ -339,6 +283,69 @@ struct JobSpec {
   /// than this fails the fetch attempt (typed timeout error, retried
   /// under FaultPlan::maxFetchAttempts). Must be > 0.
   std::uint32_t transportTimeoutMillis = 10000;
+};
+
+struct JobSpec : ExecutionOptions {
+  /// Identity of this job inside a shared spill directory: every spill
+  /// artifact lands under `spillDirectory/job<jobId>/`, so two jobs
+  /// sharing a spillDirectory can never clobber each other's committed
+  /// segments. EngineService assigns a service-unique id at submission
+  /// (overwriting this field); solo Engine::run uses the value as given
+  /// (default 0). Within the namespace the attempt-suffix/atomic-rename
+  /// protocol is byte-identical to the historical flat layout.
+  std::uint64_t jobId = 0;
+
+  std::vector<InputSplit> splits;
+  RecordReaderFactory readerFactory;
+  MapperFactory mapperFactory;
+  ReducerFactory reducerFactory;
+  /// Second input of a two-input job (structural join, DESIGN.md §18):
+  /// splits with InputSplit::input == 1 read through this reader and run
+  /// this mapper. Both must be set together (and only when some split
+  /// references input 1); single-input jobs leave both empty.
+  RecordReaderFactory secondaryReaderFactory;
+  MapperFactory secondaryMapperFactory;
+  /// Optional map-side combiner applied per (map, keyblock) segment
+  /// after the sort; merges equal-key records, preserving the count
+  /// annotation totals.
+  CombinerFactory combinerFactory;
+  std::shared_ptr<const Partitioner> partitioner;
+  std::uint32_t numReducers = 1;
+  ExecutionMode mode = ExecutionMode::kGlobalBarrier;
+
+  /// Per-keyblock dependency sets I_l (split ids). Required in kSidr
+  /// mode; computed by sidr::DependencyCalculator.
+  std::vector<std::vector<std::uint32_t>> reduceDeps;
+
+  /// Optional per-keyblock expected count-annotation totals |K_l|; when
+  /// present the engine validates each reduce's tally against it
+  /// (paper section 3.2.1, method 2 as correctness validation).
+  std::vector<std::uint64_t> expectedRepresents;
+
+  /// Optional scheduling priority: keyblock ids, highest priority first
+  /// (computational-steering / burst-buffer use cases, section 3.4).
+  std::vector<std::uint32_t> reducePriority;
+
+  /// Bounding shape of the intermediate key space K' (the output grid).
+  /// Required: a valid non-empty shape whose volume fits int64 and whose
+  /// rank matches every intermediate key. Every stage from map emit to
+  /// the reduce merge works on row-major u64 linear keys in this space
+  /// (DESIGN.md section 11) — an order-preserving injection, so key
+  /// order is exactly lexicographic Coord order. The planner populates
+  /// it from ExtractionMap::intermediateSpaceShape(); hand-built jobs
+  /// must declare it too.
+  nd::Coord keySpace;
+
+  /// Canonical MapFingerprint of everything that determines this job's
+  /// committed map-output bytes — (dataset identity, split geometry,
+  /// extraction/filter spec, keySpace, partition plan). Set by the
+  /// planner when PlanOptions::datasetId names the input; unset jobs
+  /// never interact with the service segment cache. Two specs with
+  /// equal fingerprints MUST produce byte-identical map output: the
+  /// cache serves one job's committed segments to the other
+  /// (DESIGN.md §16). Only the inline Fingerprint128 value type is
+  /// used here; the builder stays in the planner library.
+  std::optional<core::Fingerprint128> mapFingerprint;
 };
 
 struct TaskEvent {
@@ -417,7 +424,8 @@ struct JobResult {
   /// Reduce attempts that were injected failures.
   std::uint32_t reduceFailures = 0;
   /// High-water mark of page-pool resident intermediate bytes
-  /// (page-rounded; tracked whether or not a budget was set).
+  /// (page-rounded; tracked whether or not a budget was set). Segments
+  /// served from the service cache are the cache's, not charged here.
   std::uint64_t peakResidentSegmentBytes = 0;
   /// Segments evicted to disk by memory pressure (tentpole (b)).
   std::uint64_t pressureSpillEvents = 0;

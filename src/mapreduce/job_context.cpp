@@ -242,7 +242,6 @@ void JobContext::markMapEligible(std::uint32_t m) {
   if (mapDone[m] || mapQueued[m] || runningMapSet[m]) return;
   eligibleMaps.push_back(m);
   mapQueued[m] = true;
-  mapEverEligible[m] = true;
 }
 
 // Queues keyblock kb's reduce when it can run: scheduled, every
@@ -280,7 +279,6 @@ void JobContext::start() {
     std::filesystem::create_directories(jobDir);
   }
   mapQueued.assign(numMaps, false);
-  mapEverEligible.assign(numMaps, false);
   mapDone.assign(numMaps, false);
   runningMapSet.assign(numMaps, false);
   mapAttempts.assign(numMaps, 0);
@@ -366,11 +364,7 @@ void JobContext::start() {
   transportKind = cacheServed
                       ? ShuffleTransportKind::kInProcess
                       : spec.transport.value_or(ShuffleTransportKind::kInProcess);
-  TransportOptions topts;
-  topts.connections = spec.transportConnections;
-  topts.timeoutMillis = spec.transportTimeoutMillis;
-  topts.faultPlan = &spec.faultPlan;
-  transport = makeShuffleTransport(transportKind, *this, topts);
+  transport = makeShuffleTransport(transportKind, *this, spec);
 }
 
 /// Publishes the full warm segment matrix as this job's committed map
@@ -378,7 +372,10 @@ void JobContext::start() {
 /// kRenameCommit spans (with count annotations) a real map attempt
 /// emits, so the trace invariants — commit-before-reduce gating, fetch
 /// tallies vs commits — hold verbatim while the attempt-span count pins
-/// "zero map tasks ran". Caller holds mtx.
+/// "zero map tasks ran". The service's SegmentCache owns these bytes and
+/// counts them, so they are not charged to this job's page pool again:
+/// a warm slot has no charge, no producer lane and is never evicted.
+/// Caller holds mtx.
 void JobContext::publishCachedSegmentsLocked() {
   obs::ScopedRecorder scoped(recorder.get());
   for (std::uint32_t m = 0; m < numMaps; ++m) {
@@ -399,7 +396,6 @@ void JobContext::publishCachedSegmentsLocked() {
                               m, 1, kb);
         commit.setRecords(h.numRecords);
         commit.setRepresents(h.represents);
-        if (bytes > 0) segCharge[m][kb] = pagePool->charge(bytes);
         segments[m][kb] = std::move(seg);
         segAvail[m][kb] = true;
       }
@@ -448,13 +444,6 @@ std::optional<ClaimedTask> JobContext::tryClaimTask() {
 std::optional<ClaimedTask> JobContext::tryClaimReduce() {
   std::scoped_lock lock(mtx);
   return tryClaimLocked(/*reduceOnly=*/true);
-}
-
-bool JobContext::hasClaimableTask() {
-  std::scoped_lock lock(mtx);
-  if (terminalLocked()) return false;
-  return (!runnableReduces.empty() && runningReduces < spec.reduceSlots) ||
-         (!eligibleMaps.empty() && runningMaps < spec.mapSlots);
 }
 
 void JobContext::runClaimedTask(const ClaimedTask& task) {
@@ -609,8 +598,9 @@ JobOutcome JobContext::finalize() {
 
   // Non-success cleanup: remove the whole spill namespace — committed
   // segments AND any orphaned attempt temporaries — so a failed or
-  // cancelled job strands nothing. Successful jobs always keep their
-  // committed files (callers may read them).
+  // cancelled job strands nothing. A successful job keeps its committed
+  // files: a solo run's caller may read them, and EngineService removes
+  // them when the job's last handle goes.
   if (!succeeded && budgetEnabled()) {
     std::error_code ec;  // swallowed: cleanup is advisory
     std::filesystem::remove_all(jobDir, ec);

@@ -133,10 +133,6 @@ class JobContext : private TransportSource {
   /// service's SIDR-style reduce-first policy uses across jobs.
   std::optional<ClaimedTask> tryClaimReduce();
 
-  /// True when tryClaimTask would succeed (advisory: another claimer
-  /// may win the race).
-  bool hasClaimableTask();
-
   /// Executes one claimed task, installing the job's trace recorder for
   /// the duration and absorbing any task failure into the job's retry /
   /// error bookkeeping. Never throws.
@@ -197,7 +193,6 @@ class JobContext : private TransportSource {
   // --- map state ---
   std::deque<std::uint32_t> eligibleMaps;  // schedulable, not yet running
   std::vector<bool> mapQueued;             // present in eligibleMaps
-  std::vector<bool> mapEverEligible;
   std::vector<bool> mapDone;
   std::uint32_t runningMaps = 0;
 
@@ -372,11 +367,7 @@ class JobContext : private TransportSource {
                                    std::uint32_t kb) const override {
     return segmentPath(m, kb);
   }
-  bool streamsEvicted() const noexcept override { return budgetEnabled(); }
   const nd::Coord& keySpace() const override { return spec.keySpace; }
-  std::size_t mergeWindowBytes() const override {
-    return spec.mergeWindowBytes;
-  }
 
   void markMapEligible(std::uint32_t m);
   void pushIfRunnableLocked(std::uint32_t kb);

@@ -401,17 +401,12 @@ namespace {
 class InProcessTransport final : public ShuffleTransport {
  public:
   InProcessTransport(const TransportSource& source,
-                     const TransportOptions& options)
+                     const ExecutionOptions& options)
       : source_(source), options_(options) {}
-
-  ShuffleTransportKind kind() const noexcept override {
-    return ShuffleTransportKind::kInProcess;
-  }
 
   std::vector<FetchedSegment> fetch(const TransportFetchRequest& req,
                                     FetchStats& stats) override {
-    if (options_.faultPlan != nullptr &&
-        options_.faultPlan->shouldDropFetch(req.keyblock, req.fetchAttempt)) {
+    if (options_.faultPlan.shouldDropFetch(req.keyblock, req.fetchAttempt)) {
       throw TransportError(TransportFaultKind::kConnectionDrop,
                            "injected connection drop (fetch attempt " +
                                std::to_string(req.fetchAttempt) + ")");
@@ -425,10 +420,10 @@ class InProcessTransport final : public ShuffleTransport {
       if (seg != nullptr) {
         fs.header = seg->header();
         if (fs.header.numRecords > 0) fs.handle = std::move(seg);
-      } else if (source_.streamsEvicted()) {
+      } else if (options_.memoryBudgetBytes > 0) {
         auto stream = std::make_unique<SegmentStream>(
             source_.committedSegmentPath(m, req.keyblock),
-            source_.mergeWindowBytes());
+            options_.mergeWindowBytes);
         fs.header = stream->header();
         if (fs.header.numRecords > 0) {
           // Reads its windows lazily during the merge; the reduce folds
@@ -447,7 +442,7 @@ class InProcessTransport final : public ShuffleTransport {
 
  private:
   const TransportSource& source_;
-  TransportOptions options_;
+  const ExecutionOptions& options_;
 };
 
 // ---- the localhost segment server ----
@@ -642,19 +637,14 @@ class SegmentServer {
 class SocketTransport final : public ShuffleTransport {
  public:
   SocketTransport(const TransportSource& source,
-                  const TransportOptions& options)
+                  const ExecutionOptions& options)
       : source_(source), options_(options), server_(source) {}
 
   ~SocketTransport() override { stop(); }
 
-  ShuffleTransportKind kind() const noexcept override {
-    return ShuffleTransportKind::kSocket;
-  }
-
   std::vector<FetchedSegment> fetch(const TransportFetchRequest& req,
                                     FetchStats& stats) override {
-    if (options_.faultPlan != nullptr &&
-        options_.faultPlan->shouldDropFetch(req.keyblock, req.fetchAttempt)) {
+    if (options_.faultPlan.shouldDropFetch(req.keyblock, req.fetchAttempt)) {
       injectDrop(req, stats);
     }
     std::vector<FetchedSegment> out(req.maps.size());
@@ -664,7 +654,8 @@ class SocketTransport final : public ShuffleTransport {
     // answers each connection independently, so batches overlap
     // without any client-side threading.
     const std::size_t wanted = std::min<std::size_t>(
-        std::max<std::uint32_t>(options_.connections, 1), req.maps.size());
+        std::max<std::uint32_t>(options_.transportConnections, 1),
+        req.maps.size());
     const std::size_t per = (req.maps.size() + wanted - 1) / wanted;
     // Re-derive the batch count from the rounded-up size so the last
     // batch is never empty (e.g. 5 maps over 4 connections -> 3
@@ -718,8 +709,8 @@ class SocketTransport final : public ShuffleTransport {
         return c;
       }
     }
-    auto c = std::make_unique<wire::SocketConnection>(server_.port(),
-                                                      options_.timeoutMillis);
+    auto c = std::make_unique<wire::SocketConnection>(
+        server_.port(), options_.transportTimeoutMillis);
     ++stats.connectionsOpened;
     return c;
   }
@@ -788,7 +779,7 @@ class SocketTransport final : public ShuffleTransport {
   }
 
   const TransportSource& source_;
-  TransportOptions options_;
+  const ExecutionOptions& options_;
   SegmentServer server_;
   std::mutex poolMtx_;
   bool stopped_ = false;
@@ -799,7 +790,7 @@ class SocketTransport final : public ShuffleTransport {
 
 std::unique_ptr<ShuffleTransport> makeShuffleTransport(
     ShuffleTransportKind kind, const TransportSource& source,
-    const TransportOptions& options) {
+    const ExecutionOptions& options) {
   if (kind == ShuffleTransportKind::kInProcess) {
     return std::make_unique<InProcessTransport>(source, options);
   }

@@ -109,16 +109,9 @@ class TransportSource {
   virtual std::string committedSegmentPath(std::uint32_t map,
                                            std::uint32_t keyblock) const = 0;
 
-  /// True when a null resident slot means "evicted, stream its file"
-  /// (memory budget set) rather than a publication-protocol violation.
-  virtual bool streamsEvicted() const noexcept = 0;
-
   /// Job key space (JobSpec::keySpace): a fetched payload must carry
   /// it, or the socket client rejects the frame as corrupt.
   virtual const nd::Coord& keySpace() const = 0;
-
-  /// Per-input decode window for streamed merge inputs.
-  virtual std::size_t mergeWindowBytes() const = 0;
 };
 
 // ---- fetch results and accounting ----
@@ -158,20 +151,11 @@ struct TransportFetchRequest {
   std::uint32_t fetchAttempt = 1;
 };
 
-struct TransportOptions {
-  std::uint32_t connections = 2;       ///< JobSpec::transportConnections
-  std::uint32_t timeoutMillis = 10000; ///< JobSpec::transportTimeoutMillis
-  /// Fetch-drop injection plan (null = no injection). Not owned.
-  const FaultPlan* faultPlan = nullptr;
-};
-
 // ---- the transport itself ----
 
 class ShuffleTransport {
  public:
   virtual ~ShuffleTransport() = default;
-
-  virtual ShuffleTransportKind kind() const noexcept = 0;
 
   /// Acquires every map in `req.maps`, returning one FetchedSegment per
   /// map in request order and accumulating counters into `stats`.
@@ -186,12 +170,16 @@ class ShuffleTransport {
   virtual void stop() {}
 };
 
-/// Builds the backend for `kind` over `source` (not owned; must outlive
-/// the transport). kSocket binds a listener on 127.0.0.1 and starts its
-/// server threads here; kInProcess allocates nothing.
+/// Builds the backend for `kind` over `source`, run with the job's
+/// `options`: its fetch drops (faultPlan), socket pool size and stall
+/// timeout, and whether a null resident slot is an evicted one to
+/// stream (memoryBudgetBytes > 0, through mergeWindowBytes windows)
+/// rather than a publication-protocol violation. Neither is owned; both
+/// must outlive the transport. kSocket binds a listener on 127.0.0.1
+/// and starts its server threads here; kInProcess allocates nothing.
 std::unique_ptr<ShuffleTransport> makeShuffleTransport(
     ShuffleTransportKind kind, const TransportSource& source,
-    const TransportOptions& options);
+    const ExecutionOptions& options);
 
 // ---- wire protocol (exposed for the fuzz/property suite) ----
 

@@ -105,25 +105,6 @@ std::optional<Fingerprint128> computeMapFingerprint(
 
 namespace {
 
-/// Execution-option plumbing shared by single-input and join assembly:
-/// everything in PlanOptions that forwards verbatim to the JobSpec.
-void fillExecutionOptions(mr::JobSpec& spec, const PlanOptions& options) {
-  spec.numReducers = options.numReducers;
-  spec.mapSlots = options.mapSlots;
-  spec.reduceSlots = options.reduceSlots;
-  spec.numThreads = options.numThreads;
-  spec.recovery = options.recovery;
-  spec.faultPlan = options.faultPlan;
-  spec.recordTrace = options.recordTrace;
-  spec.spillDirectory = options.spillDirectory;
-  spec.memoryBudgetBytes = options.memoryBudgetBytes;
-  spec.mergeWindowBytes = options.mergeWindowBytes;
-  spec.transport = options.transport;
-  spec.transportConnections = options.transportConnections;
-  spec.transportTimeoutMillis = options.transportTimeoutMillis;
-  spec.weight = options.jobWeight;
-}
-
 /// Runs the skew sampler over one side's splits and returns smoothed
 /// per-granule weights: estimate + 1% of the mean granule weight, so a
 /// granule the sample happened to miss still counts a sliver (a zero
@@ -140,116 +121,136 @@ std::vector<double> smoothedWeights(const SkewEstimate& est) {
   return weights;
 }
 
-SkewSampleOptions sampleOptionsFrom(const PlanOptions& options,
-                                    double keepAbove) {
-  SkewSampleOptions so;
-  so.maxSampleRecords = options.skewSampleMaxRecords;
-  so.sampleFraction = options.skewSampleFraction;
-  so.seed = options.skewSampleSeed;
-  so.keepAbove = keepAbove;
-  return so;
-}
-
-void recordRefinement(SkewAdaptStats& stats, const PartitionPlus& pp) {
-  if (const RefinedPartition* rp = pp.refinement()) {
-    stats.refined = true;
-    stats.splitKeyblocks = rp->splitKeyblocks;
-    stats.coalescedKeyblocks = rp->coalescedKeyblocks;
-  }
-}
-
 }  // namespace
 
-QueryPlan QueryPlanner::assemble(mr::RecordReaderFactory readerFactory,
+QueryPlanner::Input QueryPlanner::ownInput(mr::RecordReaderFactory reader) const {
+  if (query_.op == sh::OperatorKind::kJoin) {
+    throw std::invalid_argument(
+        "QueryPlanner: kJoin reads two inputs — use planJoin");
+  }
+  auto extraction =
+      std::make_shared<const sh::ExtractionMap>(query_, inputShape_);
+  // Only kFilter drops records; every other operator's load is its key
+  // count, which the sampler still measures (non-uniform only under
+  // pad-mode clipped cells).
+  const double keepAbove = query_.op == sh::OperatorKind::kFilter
+                               ? query_.filterThreshold
+                               : -std::numeric_limits<double>::infinity();
+  auto mapper = sh::makeStructuralMapperFactory(query_, extraction);
+  return Input{std::move(extraction), std::move(reader), std::move(mapper),
+               keepAbove};
+}
+
+QueryPlan QueryPlanner::assemble(std::vector<Input> inputs,
+                                 mr::ReducerFactory reducer,
                                  const PlanOptions& options) const {
   if (options.system == SystemMode::kSailfish) {
     throw std::invalid_argument(
         "QueryPlanner: Sailfish is a simulator-only baseline (see "
         "sim::buildWorkload)");
   }
-  if (query_.op == sh::OperatorKind::kJoin) {
-    throw std::invalid_argument(
-        "QueryPlanner: kJoin reads two inputs — use planJoin");
-  }
   QueryPlan plan;
-  auto extraction =
-      std::make_shared<const sh::ExtractionMap>(query_, inputShape_);
-  plan.extraction = extraction;
-
-  sh::SplitOptions splitOpts;
-  splitOpts.targetElements =
-      options.splitTargetElements > 0
-          ? options.splitTargetElements
-          : sh::targetElementsForCount(
-                query_.subset ? query_.subset->shape() : inputShape_,
-                options.desiredSplitCount);
-  splitOpts.alignToExtraction = options.alignSplitsToExtraction;
-
   mr::JobSpec spec;
-  // Splits cover only the query's domain (SciHadoop reads just the
-  // requested coordinate range); subset queries offset the slabs.
-  const nd::Region& domain = extraction->domain();
-  spec.splits = sh::generateSplits(domain.shape(), *extraction, splitOpts);
-  if (domain.corner() != nd::Coord::zeros(domain.rank())) {
-    for (mr::InputSplit& split : spec.splits) {
+  static_cast<mr::ExecutionOptions&>(spec) = options;
+  spec.numReducers = options.numReducers;
+
+  // Each input is split over its own domain (SciHadoop reads just the
+  // requested coordinate range; subset queries offset the slabs). Split
+  // ids stay unique across inputs, a later input's following the earlier
+  // ones', and InputSplit::input routes each split to its input's reader
+  // and mapper. firstSplit[i] is input i's first split id.
+  std::vector<std::size_t> firstSplit;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const sh::ExtractionMap& ex = *inputs[i].extraction;
+    const nd::Region& domain = ex.domain();
+    sh::SplitOptions splitOpts;
+    splitOpts.targetElements = sh::targetElementsForCount(
+        domain.shape(), options.desiredSplitCount);
+    firstSplit.push_back(spec.splits.size());
+    for (mr::InputSplit& split :
+         sh::generateSplits(domain.shape(), ex, splitOpts)) {
+      split.id += static_cast<std::uint32_t>(firstSplit[i]);
+      split.input = static_cast<std::uint8_t>(i);
       for (nd::Region& region : split.regions) {
         region = nd::Region(region.corner().plus(domain.corner()),
                             region.shape());
       }
+      spec.splits.push_back(std::move(split));
     }
   }
-  spec.readerFactory = std::move(readerFactory);
-  spec.mapperFactory = sh::makeStructuralMapperFactory(query_, extraction);
-  spec.reducerFactory = sh::makeStructuralReducerFactory(query_);
-  fillExecutionOptions(spec, options);
+  firstSplit.push_back(spec.splits.size());
+
+  spec.readerFactory = inputs[0].reader;
+  spec.mapperFactory = inputs[0].mapper;
+  if (inputs.size() > 1) {
+    spec.secondaryReaderFactory = inputs[1].reader;
+    spec.secondaryMapperFactory = inputs[1].mapper;
+  }
+  spec.reducerFactory = std::move(reducer);
   // The extraction map bounds every intermediate key, so every planner
   // job runs the linearized-key fast path (DESIGN.md section 11). This
   // is the same space both partitioners linearize over: ModuloPartitioner
-  // is constructed with it and partition+ expresses its runs in it.
-  spec.keySpace = extraction->intermediateSpaceShape();
+  // is constructed with it and partition+ expresses its runs in it. A
+  // join's sides renumber into one shared instance grid, so the first
+  // input's space is every input's.
+  spec.keySpace = inputs[0].extraction->intermediateSpaceShape();
 
   if (options.system == SystemMode::kSidr) {
-    auto pp = std::make_shared<PartitionPlus>(extraction, options.numReducers,
-                                              query_.skewBound);
+    auto pp = std::make_shared<PartitionPlus>(
+        inputs[0].extraction, options.numReducers, query_.skewBound);
     if (options.skewAdapt) {
-      // Sampling pass (DESIGN.md §18): estimate the post-filter key
-      // distribution per granule and re-deal granule boundaries to
-      // balance estimated load. Only kFilter drops records; every other
-      // operator's load is its key count, which the sampler still
-      // measures (non-uniform only under pad-mode clipped cells).
-      const double keepAbove =
-          query_.op == sh::OperatorKind::kFilter
-              ? query_.filterThreshold
-              : -std::numeric_limits<double>::infinity();
-      SkewEstimate est = sampleKeyDistribution(
-          *extraction, *pp, spec.splits, spec.readerFactory,
-          sampleOptionsFrom(options, keepAbove));
-      plan.skewStats.sampledRecords = est.sampledRecords;
-      pp->refine(smoothedWeights(est));
-      recordRefinement(plan.skewStats, *pp);
+      // Sampling pass (DESIGN.md §18): estimate each input's post-filter
+      // key distribution per granule and re-deal granule boundaries to
+      // balance the estimated load. A join instance's reduce cost is
+      // |surviving left| * |surviving right|, so the inputs' smoothed
+      // estimates multiply (smoothing keeps an unsampled granule from
+      // zeroing a whole product).
+      const std::span<const mr::InputSplit> all = spec.splits;
+      std::vector<double> load;
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        SkewSampleOptions so;
+        so.maxSampleRecords = options.skewSampleMaxRecords;
+        so.sampleFraction = options.skewSampleFraction;
+        so.keepAbove = inputs[i].keepAbove;
+        const SkewEstimate est = sampleKeyDistribution(
+            *inputs[i].extraction, *pp,
+            all.subspan(firstSplit[i], firstSplit[i + 1] - firstSplit[i]),
+            inputs[i].reader, so);
+        plan.skewStats.sampledRecords += est.sampledRecords;
+        std::vector<double> weights = smoothedWeights(est);
+        if (i == 0) {
+          load = std::move(weights);
+        } else {
+          for (std::size_t g = 0; g < load.size(); ++g) load[g] *= weights[g];
+        }
+      }
+      pp->refine(load);
+      if (const RefinedPartition* rp = pp->refinement()) {
+        plan.skewStats.refined = true;
+        plan.skewStats.splitKeyblocks = rp->splitKeyblocks;
+        plan.skewStats.coalescedKeyblocks = rp->coalescedKeyblocks;
+      }
     }
     std::shared_ptr<const PartitionPlus> frozen = std::move(pp);
     plan.partitionPlus = frozen;
     spec.partitioner = frozen;
     spec.mode = mr::ExecutionMode::kSidr;
-    DependencyCalculator calc(frozen);
+    const DependencyCalculator calc =
+        inputs.size() > 1 ? DependencyCalculator(frozen, inputs[1].extraction)
+                          : DependencyCalculator(frozen);
     plan.dependencies = calc.computeAll(spec.splits);
     spec.reduceDeps = plan.dependencies.keyblockToSplits;
-    if (options.validateAnnotations) {
-      spec.expectedRepresents = plan.dependencies.expectedRepresents;
-    }
+    spec.expectedRepresents = plan.dependencies.expectedRepresents;
     spec.reducePriority = options.reducePriority;
-    plan.servicePolicy = mr::SchedulingPolicy::kReduceFirst;
   } else {
-    spec.partitioner = std::make_shared<const mr::ModuloPartitioner>(
-        extraction->intermediateSpaceShape());
+    spec.partitioner =
+        std::make_shared<const mr::ModuloPartitioner>(spec.keySpace);
     spec.mode = mr::ExecutionMode::kGlobalBarrier;
-    plan.servicePolicy = mr::SchedulingPolicy::kFifo;
   }
 
   spec.mapFingerprint =
       computeMapFingerprint(query_, inputShape_, options.datasetId, spec);
-
+  plan.extraction = std::move(inputs[0].extraction);
   plan.spec = std::move(spec);
   return plan;
 }
@@ -257,11 +258,6 @@ QueryPlan QueryPlanner::assemble(mr::RecordReaderFactory readerFactory,
 QueryPlan QueryPlanner::planJoin(const sh::ValueFn& leftFn,
                                  const sh::ValueFn& rightFn,
                                  const PlanOptions& options) const {
-  if (options.system == SystemMode::kSailfish) {
-    throw std::invalid_argument(
-        "QueryPlanner: Sailfish is a simulator-only baseline (see "
-        "sim::buildWorkload)");
-  }
   if (query_.op != sh::OperatorKind::kJoin || !query_.join) {
     throw std::invalid_argument(
         "QueryPlanner::planJoin: query must be kJoin with a JoinSpec");
@@ -271,11 +267,9 @@ QueryPlan QueryPlanner::planJoin(const sh::ValueFn& leftFn,
         "QueryPlanner::planJoin: joins key on the shared instance grid "
         "(KeyMode::kRenumber)");
   }
-  QueryPlan plan;
   auto leftEx = std::make_shared<const sh::ExtractionMap>(query_, inputShape_);
-  const sh::StructuralQuery rightQuery = sh::joinRightQuery(query_);
   auto rightEx = std::make_shared<const sh::ExtractionMap>(
-      rightQuery, query_.join->inputShape);
+      sh::joinRightQuery(query_), query_.join->inputShape);
   if (leftEx->instanceGridShape() != rightEx->instanceGridShape()) {
     throw std::invalid_argument(
         "QueryPlanner::planJoin: the two sides' instance grids differ (" +
@@ -283,107 +277,28 @@ QueryPlan QueryPlanner::planJoin(const sh::ValueFn& leftFn,
         rightEx->instanceGridShape().toString() +
         ") — instance g joins instance g, so the grids must match");
   }
-  plan.extraction = leftEx;
-
-  mr::JobSpec spec;
-  // Each side is split independently over its own domain; ids stay
-  // globally unique (right ids follow the left block), and
-  // InputSplit::input routes each split to its side's reader/mapper.
-  auto splitsFor = [&](const sh::ExtractionMap& ex) {
-    sh::SplitOptions so;
-    so.targetElements = options.splitTargetElements > 0
-                            ? options.splitTargetElements
-                            : sh::targetElementsForCount(
-                                  ex.domain().shape(), options.desiredSplitCount);
-    so.alignToExtraction = options.alignSplitsToExtraction;
-    auto splits = sh::generateSplits(ex.domain().shape(), ex, so);
-    if (ex.domain().corner() != nd::Coord::zeros(ex.domain().rank())) {
-      for (mr::InputSplit& split : splits) {
-        for (nd::Region& region : split.regions) {
-          region = nd::Region(region.corner().plus(ex.domain().corner()),
-                              region.shape());
-        }
-      }
-    }
-    return splits;
-  };
-  spec.splits = splitsFor(*leftEx);
-  const std::uint32_t numLeft = static_cast<std::uint32_t>(spec.splits.size());
-  std::vector<mr::InputSplit> rightSplits = splitsFor(*rightEx);
-  for (mr::InputSplit& split : rightSplits) {
-    split.id += numLeft;
-    split.input = 1;
-    spec.splits.push_back(std::move(split));
-  }
-
-  spec.readerFactory = sh::makeSyntheticReaderFactory(leftFn);
-  spec.secondaryReaderFactory = sh::makeSyntheticReaderFactory(rightFn);
-  spec.mapperFactory = sh::makeJoinMapperFactory(query_, leftEx, 0);
-  spec.secondaryMapperFactory = sh::makeJoinMapperFactory(query_, rightEx, 1);
-  spec.reducerFactory = sh::makeJoinReducerFactory();
-  fillExecutionOptions(spec, options);
-  // Both sides renumber into the shared instance grid, so the grid IS
-  // the intermediate key space (checked equal above).
-  spec.keySpace = leftEx->intermediateSpaceShape();
-
-  if (options.system == SystemMode::kSidr) {
-    auto pp = std::make_shared<PartitionPlus>(leftEx, options.numReducers,
-                                              query_.skewBound);
-    if (options.skewAdapt) {
-      // A join instance's reduce cost is |surviving left| * |surviving
-      // right|, so the load estimate is the PRODUCT of the two sides'
-      // smoothed per-granule estimates (smoothing keeps unsampled
-      // granules from zeroing whole products).
-      std::span<const mr::InputSplit> all = spec.splits;
-      SkewEstimate leftEst = sampleKeyDistribution(
-          *leftEx, *pp, all.subspan(0, numLeft), spec.readerFactory,
-          sampleOptionsFrom(options, query_.join->leftThreshold));
-      SkewEstimate rightEst = sampleKeyDistribution(
-          *rightEx, *pp, all.subspan(numLeft), spec.secondaryReaderFactory,
-          sampleOptionsFrom(options, query_.join->rightThreshold));
-      plan.skewStats.sampledRecords =
-          leftEst.sampledRecords + rightEst.sampledRecords;
-      std::vector<double> lw = smoothedWeights(leftEst);
-      std::vector<double> rw = smoothedWeights(rightEst);
-      for (std::size_t g = 0; g < lw.size(); ++g) lw[g] *= rw[g];
-      pp->refine(lw);
-      recordRefinement(plan.skewStats, *pp);
-    }
-    std::shared_ptr<const PartitionPlus> frozen = std::move(pp);
-    plan.partitionPlus = frozen;
-    spec.partitioner = frozen;
-    spec.mode = mr::ExecutionMode::kSidr;
-    DependencyCalculator calc(frozen, rightEx);
-    plan.dependencies = calc.computeAll(spec.splits);
-    spec.reduceDeps = plan.dependencies.keyblockToSplits;
-    if (options.validateAnnotations) {
-      spec.expectedRepresents = plan.dependencies.expectedRepresents;
-    }
-    spec.reducePriority = options.reducePriority;
-    plan.servicePolicy = mr::SchedulingPolicy::kReduceFirst;
-  } else {
-    spec.partitioner = std::make_shared<const mr::ModuloPartitioner>(
-        leftEx->intermediateSpaceShape());
-    spec.mode = mr::ExecutionMode::kGlobalBarrier;
-    plan.servicePolicy = mr::SchedulingPolicy::kFifo;
-  }
-
-  spec.mapFingerprint =
-      computeMapFingerprint(query_, inputShape_, options.datasetId, spec);
-  plan.spec = std::move(spec);
-  return plan;
+  std::vector<Input> inputs;
+  inputs.push_back({leftEx, sh::makeSyntheticReaderFactory(leftFn),
+                    sh::makeJoinMapperFactory(query_, leftEx, 0),
+                    query_.join->leftThreshold});
+  inputs.push_back({rightEx, sh::makeSyntheticReaderFactory(rightFn),
+                    sh::makeJoinMapperFactory(query_, rightEx, 1),
+                    query_.join->rightThreshold});
+  return assemble(std::move(inputs), sh::makeJoinReducerFactory(), options);
 }
 
 QueryPlan QueryPlanner::plan(const sh::ValueFn& fn,
                              const PlanOptions& options) const {
-  return assemble(sh::makeSyntheticReaderFactory(fn), options);
+  return assemble({ownInput(sh::makeSyntheticReaderFactory(fn))},
+                  sh::makeStructuralReducerFactory(query_), options);
 }
 
 QueryPlan QueryPlanner::plan(std::shared_ptr<sci::Dataset> dataset,
                              std::size_t varIdx,
                              const PlanOptions& options) const {
-  return assemble(sh::makeDatasetReaderFactory(std::move(dataset), varIdx),
-                  options);
+  return assemble(
+      {ownInput(sh::makeDatasetReaderFactory(std::move(dataset), varIdx))},
+      sh::makeStructuralReducerFactory(query_), options);
 }
 
 }  // namespace sidr::core

@@ -13,8 +13,9 @@
 //                annotation validation.
 #pragma once
 
+#include <limits>
+
 #include "mapreduce/engine.hpp"
-#include "mapreduce/engine_service.hpp"
 #include "mapreduce/partitioners.hpp"
 #include "sidr/fingerprint.hpp"
 #include "scihadoop/datagen.hpp"
@@ -38,14 +39,15 @@ enum class SystemMode : std::uint8_t {
 
 std::string systemModeName(SystemMode mode);
 
-struct PlanOptions {
+/// What to plan, plus how the planned job runs: the inherited
+/// mr::ExecutionOptions reach the plan's JobSpec unchanged and never
+/// enter its MapFingerprint.
+struct PlanOptions : mr::ExecutionOptions {
   SystemMode system = SystemMode::kSidr;
   std::uint32_t numReducers = 4;
 
-  /// Split sizing: explicit element target, or derive from a count.
-  nd::Index splitTargetElements = 0;   ///< 0: use desiredSplitCount
+  /// Each input is split into about this many slabs.
   std::size_t desiredSplitCount = 16;
-  bool alignSplitsToExtraction = false;
 
   /// Keyblock priority order (SIDR only; empty = keyblock id order).
   std::vector<std::uint32_t> reducePriority;
@@ -64,47 +66,6 @@ struct PlanOptions {
   /// skewSampleFraction of each split's volume (see SkewSampleOptions).
   std::uint64_t skewSampleMaxRecords = 1ull << 16;
   double skewSampleFraction = 0.05;
-  std::uint64_t skewSampleSeed = 0x51d25eedULL;
-
-  /// Validate reduce-start correctness with count annotations.
-  bool validateAnnotations = true;
-
-  std::uint32_t mapSlots = 4;
-  std::uint32_t reduceSlots = 3;
-  std::uint32_t numThreads = 4;
-
-  mr::RecoveryModel recovery = mr::RecoveryModel::kPersistAll;
-  /// Failure injection (map and reduce attempts) + retry bound,
-  /// forwarded to mr::JobSpec::faultPlan.
-  mr::FaultPlan faultPlan;
-
-  /// Record a per-attempt / per-phase obs::Trace into JobResult::trace
-  /// (forwarded to mr::JobSpec::recordTrace; DESIGN.md section 13).
-  bool recordTrace = false;
-
-  /// Out-of-core knobs, forwarded verbatim to the matching
-  /// mr::JobSpec fields (DESIGN.md section 14). memoryBudgetBytes is the
-  /// one residency setting: 0 keeps every segment resident until its
-  /// reduce commits; > 0 evicts cold keyblocks into spillDirectory,
-  /// which must then be set (and may only be set with a budget).
-  std::string spillDirectory;
-  std::uint64_t memoryBudgetBytes = 0;
-  std::size_t mergeWindowBytes = 1 << 20;
-
-  /// Shuffle data plane (DESIGN.md section 17), forwarded verbatim to
-  /// mr::JobSpec::transport — the one place a plan picks its transport.
-  /// Unset (the default) keeps the engine's zero-copy in-process
-  /// handoff; kSocket works under any memory budget.
-  std::optional<mr::ShuffleTransportKind> transport;
-  /// Socket connection-pool size and per-fetch stall timeout,
-  /// forwarded to the matching mr::JobSpec fields.
-  std::uint32_t transportConnections = 2;
-  std::uint32_t transportTimeoutMillis = 10000;
-
-  /// The job's share under mr::SchedulingPolicy::kWeightedFair in a
-  /// multi-job service (DESIGN.md section 15), forwarded to
-  /// mr::JobSpec::weight.
-  double jobWeight = 1.0;
 
   /// Stable identity of the input data, e.g. a dataset path + version
   /// or a content digest. When non-empty the planner computes the
@@ -135,11 +96,6 @@ struct QueryPlan {
   std::shared_ptr<const sh::ExtractionMap> extraction;
   std::shared_ptr<const PartitionPlus> partitionPlus;  ///< kSidr only
   DependencyInfo dependencies;                         ///< kSidr only
-  /// Recommended EngineService scheduling policy for this plan: kSidr
-  /// plans carry kReduceFirst (the paper's dependency-aware ordering
-  /// lifted to the service level), barrier plans kFifo. Callers
-  /// submitting to a service can seed ServiceConfig::policy from it.
-  mr::SchedulingPolicy servicePolicy = mr::SchedulingPolicy::kFifo;
   /// Filled when PlanOptions::skewAdapt is on (kSidr only).
   SkewAdaptStats skewStats;
 };
@@ -149,10 +105,9 @@ struct QueryPlan {
 /// structural query (extraction/filter spec), split geometry, the
 /// intermediate keySpace and the partition plan (mode + reducer count;
 /// skew bound and extraction are already absorbed via the query).
-/// Execution knobs that cannot change map-output bytes (threads, slots,
-/// spill/budget settings, tracing, fault plans, weights,
-/// priorities) MUST NOT leak into the key: a spilling resubmission of
-/// an in-memory query is a cache HIT. Returns nullopt when datasetId is
+/// It reads no mr::ExecutionOptions field and no reduce priority, which
+/// cannot change map-output bytes: a spilling resubmission of an
+/// in-memory query is a cache HIT. Returns nullopt when datasetId is
 /// empty. The digest is part of the cache key format — pinned by unit
 /// tests, frozen like the builder itself.
 std::optional<Fingerprint128> computeMapFingerprint(
@@ -187,7 +142,24 @@ class QueryPlanner {
   const nd::Coord& inputShape() const noexcept { return inputShape_; }
 
  private:
-  QueryPlan assemble(mr::RecordReaderFactory readerFactory,
+  /// One input array of a plan: its extraction, the reader and mapper
+  /// its splits run, and the value a sampled record must exceed to count
+  /// toward the skew estimate.
+  struct Input {
+    std::shared_ptr<const sh::ExtractionMap> extraction;
+    mr::RecordReaderFactory reader;
+    mr::MapperFactory mapper;
+    double keepAbove = -std::numeric_limits<double>::infinity();
+  };
+
+  /// The query's own array as a single-input plan's one input. Rejects
+  /// kJoin queries.
+  Input ownInput(mr::RecordReaderFactory reader) const;
+
+  /// The one plan assembly, for one input or two (a join's right side
+  /// second): splits every input over its own domain, then partitions,
+  /// samples skew and derives dependencies over all of them.
+  QueryPlan assemble(std::vector<Input> inputs, mr::ReducerFactory reducer,
                      const PlanOptions& options) const;
 
   sh::StructuralQuery query_;

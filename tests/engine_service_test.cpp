@@ -391,6 +391,33 @@ TEST(EngineService, FailedJobRemovesSpillNamespace) {
   }
 }
 
+TEST(EngineService, ReleasedSucceededJobsLeaveNoSpillFiles) {
+  // A succeeded budgeted job's eviction files stay readable while a
+  // handle to it lives and go with the last one, so a long-lived
+  // service does not fill its spill directory.
+  const std::string dir = tempDir("sidr_svc_retention");
+  mr::EngineService service;
+  std::vector<mr::JobHandle> handles;
+  for (int i = 0; i < 4; ++i) {
+    handles.push_back(service.submit(mr::JobSpec(makePlan(1, dir).spec)));
+  }
+  std::vector<std::string> namespaces;
+  for (mr::JobHandle& handle : handles) {
+    EXPECT_GT(handle.wait().pressureSpillEvents, 0u);
+    namespaces.push_back(jobNamespace(dir, handle.id()));
+    EXPECT_FALSE(fs::is_empty(namespaces.back()));
+  }
+  handles.clear();
+  for (const std::string& ns : namespaces) {
+    EXPECT_FALSE(fs::exists(ns)) << ns;
+  }
+  // With no handle kept, the files go when the job is finalized.
+  const std::uint64_t dropped =
+      service.submit(mr::JobSpec(makePlan(1, dir).spec)).id();
+  service.drain();
+  EXPECT_FALSE(fs::exists(jobNamespace(dir, dropped)));
+}
+
 // ---- cancellation ----
 
 TEST(EngineService, CancelQueuedJobNeverTouchesDisk) {

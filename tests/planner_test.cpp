@@ -69,40 +69,72 @@ TEST(QueryPlanner, SailfishRejectedByRealEngine) {
 }
 
 TEST(QueryPlanner, OptionPassThrough) {
-  QueryPlanner planner(weeklyQuery(), nd::Coord{70, 25, 10});
+  // Every execution option and the reduce priority reach the spec of a
+  // single-input plan and of a join, which share one assembly.
   PlanOptions opts;
   opts.system = SystemMode::kSidr;
   opts.numReducers = 3;
   opts.desiredSplitCount = 4;
+  opts.weight = 2.5;
   opts.mapSlots = 7;
   opts.reduceSlots = 5;
   opts.numThreads = 9;
   opts.recovery = mr::RecoveryModel::kRecomputeDeps;
-  opts.faultPlan.failReduce(2).failMap(1, 2);
+  opts.faultPlan.failReduce(2).failMap(1, 2).dropFetch(1);
   opts.faultPlan.maxAttempts = 3;
+  opts.spillDirectory = "spill-dir";
+  opts.recordTrace = true;
+  opts.memoryBudgetBytes = 3 << 20;
+  opts.mergeWindowBytes = 4096;
+  opts.transport = mr::ShuffleTransportKind::kSocket;
+  opts.transportConnections = 6;
+  opts.transportTimeoutMillis = 321;
   opts.reducePriority = {2, 0, 1};
-  QueryPlan plan = planner.plan(sh::temperatureField(), opts);
-  EXPECT_EQ(plan.spec.mapSlots, 7u);
-  EXPECT_EQ(plan.spec.reduceSlots, 5u);
-  EXPECT_EQ(plan.spec.numThreads, 9u);
-  EXPECT_EQ(plan.spec.recovery, mr::RecoveryModel::kRecomputeDeps);
-  ASSERT_EQ(plan.spec.faultPlan.faults.size(), 2u);
-  EXPECT_EQ(plan.spec.faultPlan.faults[0],
-            (mr::FaultSpec{mr::TaskKind::kReduce, 2, 1}));
-  EXPECT_EQ(plan.spec.faultPlan.faults[1],
-            (mr::FaultSpec{mr::TaskKind::kMap, 1, 2}));
-  EXPECT_EQ(plan.spec.faultPlan.maxAttempts, 3u);
-  EXPECT_EQ(plan.spec.reducePriority, (std::vector<std::uint32_t>{2, 0, 1}));
-}
-
-TEST(QueryPlanner, ExplicitSplitTargetOverridesCount) {
-  QueryPlanner planner(weeklyQuery(), nd::Coord{70, 25, 10});
-  PlanOptions opts;
-  opts.system = SystemMode::kSciHadoop;
-  opts.splitTargetElements = 7 * 25 * 10;  // one week of rows per split
-  opts.desiredSplitCount = 2;              // would give huge splits; ignored
-  QueryPlan plan = planner.plan(sh::temperatureField(), opts);
-  EXPECT_EQ(plan.spec.splits.size(), 10u);
+  auto expectForwarded = [](const mr::JobSpec& spec) {
+    EXPECT_EQ(spec.weight, 2.5);
+    EXPECT_EQ(spec.mapSlots, 7u);
+    EXPECT_EQ(spec.reduceSlots, 5u);
+    EXPECT_EQ(spec.numThreads, 9u);
+    EXPECT_EQ(spec.recovery, mr::RecoveryModel::kRecomputeDeps);
+    ASSERT_EQ(spec.faultPlan.faults.size(), 2u);
+    EXPECT_EQ(spec.faultPlan.faults[0],
+              (mr::FaultSpec{mr::TaskKind::kReduce, 2, 1}));
+    EXPECT_EQ(spec.faultPlan.faults[1],
+              (mr::FaultSpec{mr::TaskKind::kMap, 1, 2}));
+    EXPECT_EQ(spec.faultPlan.fetchFaults,
+              (std::vector<mr::FetchFaultSpec>{{1, 1}}));
+    EXPECT_EQ(spec.faultPlan.maxAttempts, 3u);
+    EXPECT_EQ(spec.spillDirectory, "spill-dir");
+    EXPECT_TRUE(spec.recordTrace);
+    EXPECT_EQ(spec.memoryBudgetBytes, 3u << 20);
+    EXPECT_EQ(spec.mergeWindowBytes, 4096u);
+    EXPECT_EQ(spec.transport, mr::ShuffleTransportKind::kSocket);
+    EXPECT_EQ(spec.transportConnections, 6u);
+    EXPECT_EQ(spec.transportTimeoutMillis, 321u);
+    EXPECT_EQ(spec.reducePriority, (std::vector<std::uint32_t>{2, 0, 1}));
+  };
+  {
+    SCOPED_TRACE("plan");
+    QueryPlanner planner(weeklyQuery(), nd::Coord{70, 25, 10});
+    expectForwarded(planner.plan(sh::temperatureField(), opts).spec);
+  }
+  {
+    SCOPED_TRACE("planJoin");
+    sh::StructuralQuery q;
+    q.variable = "left";
+    q.op = sh::OperatorKind::kJoin;
+    q.extractionShape = nd::Coord{2, 2};
+    sh::JoinSpec js;
+    js.variable = "right";
+    js.inputShape = nd::Coord{4, 9};
+    js.extractionShape = nd::Coord{1, 3};  // the same {4, 3} grid
+    q.join = js;
+    const QueryPlan plan = QueryPlanner(q, nd::Coord{8, 6})
+                               .planJoin(sh::temperatureField(1),
+                                         sh::temperatureField(2), opts);
+    EXPECT_TRUE(plan.spec.secondaryMapperFactory);
+    expectForwarded(plan.spec);
+  }
 }
 
 TEST(QueryPlanner, SkewBoundFlowsFromQuery) {
@@ -114,15 +146,6 @@ TEST(QueryPlanner, SkewBoundFlowsFromQuery) {
   opts.numReducers = 2;
   QueryPlan plan = planner.plan(sh::temperatureField(), opts);
   EXPECT_LE(plan.partitionPlus->granuleSize(), 25);
-}
-
-TEST(QueryPlanner, ValidateAnnotationsOptional) {
-  QueryPlanner planner(weeklyQuery(), nd::Coord{70, 25, 10});
-  PlanOptions opts;
-  opts.system = SystemMode::kSidr;
-  opts.validateAnnotations = false;
-  QueryPlan plan = planner.plan(sh::temperatureField(), opts);
-  EXPECT_TRUE(plan.spec.expectedRepresents.empty());
 }
 
 TEST(QueryPlanner, TransportKnobsForwardToSpec) {

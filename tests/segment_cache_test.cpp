@@ -379,7 +379,7 @@ TEST(FingerprintPlanner, ExecutionKnobsDoNotLeakIntoTheKey) {
   opts.numThreads = 7;
   opts.mapSlots = 1;
   opts.reduceSlots = 1;
-  opts.jobWeight = 4.0;
+  opts.weight = 4.0;
   opts.reducePriority = {2, 1, 0};
   const QueryPlan tuned =
       QueryPlanner(q, nd::Coord{16, 12}).plan(sh::temperatureField(31), opts);
@@ -557,6 +557,24 @@ TEST(SegmentCacheService, WarmResubmissionBitIdenticalWithZeroMapTasks) {
   EXPECT_EQ(stats.cacheInsertions, 1u);
   EXPECT_EQ(stats.cacheBytesServed, warm.cacheBytesServed);
   EXPECT_GT(stats.cacheResidentBytes, 0u);
+}
+
+TEST(SegmentCacheService, WarmRunChargesNoCachedBytes) {
+  // The service's cache owns and counts the segments a warm job
+  // publishes; the warm job charges none of them to its own pool.
+  const QueryPlan plan = cachePlan(Regime::kInMemory, "", "ds/warm-charge");
+  mr::ServiceConfig config;
+  config.numThreads = 3;
+  config.segmentCacheEnabled = true;
+  mr::EngineService service(config);
+
+  const mr::JobResult cold = runService(service, mr::JobSpec(plan.spec));
+  EXPECT_GT(cold.peakResidentSegmentBytes, 0u);
+  const mr::JobResult warm = runService(service, mr::JobSpec(plan.spec));
+  ASSERT_EQ(warm.cacheServedMaps,
+            static_cast<std::uint32_t>(plan.spec.splits.size()));
+  EXPECT_EQ(warm.peakResidentSegmentBytes, 0u);
+  EXPECT_GT(service.stats().cacheResidentBytes, 0u);
 }
 
 TEST(SegmentCacheService, SpillDonorsServeWarmHitsFromCommittedFiles) {

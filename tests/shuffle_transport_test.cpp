@@ -870,9 +870,7 @@ class StubSource final : public mr::TransportSource {
   std::string committedSegmentPath(std::uint32_t, std::uint32_t) const override {
     return {};
   }
-  bool streamsEvicted() const noexcept override { return false; }
   const nd::Coord& keySpace() const override { return keySpace_; }
-  std::size_t mergeWindowBytes() const override { return 4096; }
 
  private:
   nd::Coord keySpace_;
@@ -893,8 +891,8 @@ TEST(TransportFaults, KeyOutsideKeySpaceIsACorruptFrame) {
   StubSource source(keySpace, {segmentOf(0, nd::Coord{1, 2}, keySpace),
                                segmentOf(1, nd::Coord{5, 2}, {8, 4}),
                                segmentOf(2, nd::Coord{3}, {4})});
-  mr::TransportOptions options;
-  options.timeoutMillis = 2000;
+  mr::ExecutionOptions options;
+  options.transportTimeoutMillis = 2000;
   auto transport = mr::makeShuffleTransport(mr::ShuffleTransportKind::kSocket,
                                             source, options);
   const std::uint32_t good[] = {0};

@@ -229,6 +229,13 @@ DiffConfig makeDiffConfig(std::mt19937_64& rng) {
   // Exact-multiple inputs: both sides share the {g0, g1} instance grid.
   cfg.input = nd::Coord{g0 * cfg.query.extractionShape[0],
                         g1 * cfg.query.extractionShape[1]};
+  if (cfg.query.op == sh::OperatorKind::kMedian) {
+    // A median's load is its key count, uniform over whole cells. One
+    // row past the exact multiple, kept under kPad, clips the last row
+    // of cells to fewer records: the real load skew refinement acts on.
+    cfg.query.edgeMode = sh::EdgeMode::kPad;
+    cfg.input[0] += 1;
+  }
   cfg.reducers = static_cast<std::uint32_t>(3 + rng() % 6);
   cfg.splitCount = 4 + rng() % 7;
   return cfg;
@@ -266,7 +273,9 @@ TEST_P(SkewAdaptDifferential, RefinedPlanIsBitIdenticalToUnrefined) {
     opts.numThreads = 3;
     opts.recordTrace = true;
     opts.skewAdapt = adapt;
-    opts.skewSampleFraction = 1.0;  // exhaustive estimate: always refines
+    // Samples as many records as each split holds, drawn with
+    // replacement: dense, though not exhaustive.
+    opts.skewSampleFraction = 1.0;
     opts.skewSampleMaxRecords = 1 << 17;
     applyRegime(opts, regime, dir);
     QueryPlan plan = cfg.join ? planner.planJoin(leftFn, rightFn, opts)
@@ -296,8 +305,10 @@ TEST_P(SkewAdaptDifferential, RefinedPlanIsBitIdenticalToUnrefined) {
   // but can never change one output byte.
   ExpectBitIdentical(adapted.collectAll(), plain.collectAll());
 
-  // The plan reports what the sampling pass did.
+  // The plan reports what the sampling pass did, and every arm's load
+  // is skewed enough that the refined arm runs another deal.
   EXPECT_GT(stats.sampledRecords, 0u);
+  EXPECT_TRUE(stats.refined);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SkewAdaptDifferential, ::testing::Range(0, 16));
