@@ -1,6 +1,6 @@
 // Multi-job service driver (DESIGN.md section 15): submits a fleet of
 // 72 queued jobs to one EngineService — cycling no budget, one-page and
-// two-page budgets, injected faults with recovery and barrier mode,
+// two-page budgets, injected faults with recovery and barrier plans,
 // plus terminally-failing and
 // cancelled jobs — over ONE shared spill directory, and verifies the
 // service is a correctness-preserving substrate:

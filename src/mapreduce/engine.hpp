@@ -1,14 +1,15 @@
 // The MapReduce execution engine: a multi-threaded, in-process runtime
-// implementing both the stock global-barrier dataflow and SIDR's
-// dependency-gated dataflow over the same task code.
+// running SIDR's dependency-gated dataflow, of which the stock global
+// barrier is the case where every reduce depends on every map.
 //
 // The engine is the "Hadoop" of this reproduction: it owns split
 // assignment, map execution, the map-output segment store (one
 // immutable segment handle per (map, keyblock), each with a
 // count-annotation header, evicted to a bulk-encoded file under a
 // memory budget), lock-free shuffle fetches, merge/group,
-// reduce execution and atomic output commit. Scheduling policy and reduce gating vary with
-// JobSpec::mode; everything else is shared, so mode comparisons isolate
+// reduce execution and atomic output commit. Reduce gating and the
+// maps each reduce fetches come from JobSpec::reduceDeps alone;
+// everything else is shared, so barrier-vs-SIDR comparisons isolate
 // exactly the mechanisms the paper changes.
 //
 // Every task execution is a numbered ATTEMPT (Hadoop's task-attempt

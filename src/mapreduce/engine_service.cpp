@@ -16,8 +16,6 @@ const char* schedulingPolicyName(SchedulingPolicy policy) noexcept {
   switch (policy) {
     case SchedulingPolicy::kFifo:
       return "fifo";
-    case SchedulingPolicy::kWeightedFair:
-      return "weighted-fair";
     case SchedulingPolicy::kReduceFirst:
       return "reduce-first";
   }
@@ -60,8 +58,6 @@ struct ServiceJob {
   }
 
   std::uint64_t id = 0;
-  std::uint64_t seq = 0;  ///< submission order (FIFO / tie-break key)
-  double weight = 1.0;
   JobState state = JobState::kQueued;
   JobSpec spec;  ///< held until admission, then moved into ctx
   std::unique_ptr<JobContext> ctx;  ///< non-null from admission to finalize
@@ -69,7 +65,6 @@ struct ServiceJob {
   std::exception_ptr error;         ///< non-null iff kFailed
   std::vector<bool> completedKeyblocks;  ///< stored at finalize
   std::uint64_t admissionCharge = 0;  ///< bytes reserved on the ledger
-  std::uint64_t tasksServiced = 0;    ///< weighted-fair accounting
   bool finalizing = false;  ///< one worker owns the finalize transition
   /// A succeeded budgeted job's spill namespace, set at finalize: its
   /// committed files stay readable while the job is referenced.
@@ -92,7 +87,6 @@ struct ServiceState {
   /// the cache itself is externally synchronized.
   std::unique_ptr<SegmentCache> cache;
   std::uint64_t nextJobId = 1;
-  std::uint64_t nextSeq = 0;
   bool stopping = false;
   ServiceStats stats;
 };
@@ -258,42 +252,17 @@ struct Pick {
 /// Caller holds s.mtx (claims take each job's mutex underneath — the
 /// service -> job lock order).
 std::optional<Pick> pickTaskLocked(ServiceState& s) {
-  switch (s.config.policy) {
-    case SchedulingPolicy::kFifo:
-      break;  // admitted order IS the policy order
-    case SchedulingPolicy::kReduceFirst: {
-      // Pass 1: any job offering a runnable reduce wins (SIDR's
-      // reduce-first ordering across the whole job mix).
-      for (const std::shared_ptr<ServiceJob>& j : s.admitted) {
-        if (j->finalizing) continue;
-        if (std::optional<ClaimedTask> t = j->ctx->tryClaimReduce()) {
-          return Pick{j.get(), *t};
-        }
+  if (s.config.policy == SchedulingPolicy::kReduceFirst) {
+    // Pass 1: any job offering a runnable reduce wins (SIDR's
+    // reduce-first ordering across the whole job mix).
+    for (const std::shared_ptr<ServiceJob>& j : s.admitted) {
+      if (j->finalizing) continue;
+      if (std::optional<ClaimedTask> t = j->ctx->tryClaimReduce()) {
+        return Pick{j.get(), *t};
       }
-      break;  // pass 2 below: any claimable task, FIFO order
-    }
-    case SchedulingPolicy::kWeightedFair: {
-      std::vector<std::shared_ptr<ServiceJob>> order(s.admitted.begin(),
-                                                     s.admitted.end());
-      std::stable_sort(order.begin(), order.end(),
-                       [](const std::shared_ptr<ServiceJob>& a,
-                          const std::shared_ptr<ServiceJob>& b) {
-                         const double fa =
-                             static_cast<double>(a->tasksServiced) / a->weight;
-                         const double fb =
-                             static_cast<double>(b->tasksServiced) / b->weight;
-                         if (fa != fb) return fa < fb;
-                         return a->seq < b->seq;
-                       });
-      for (const std::shared_ptr<ServiceJob>& j : order) {
-        if (j->finalizing) continue;
-        if (std::optional<ClaimedTask> t = j->ctx->tryClaimTask()) {
-          return Pick{j.get(), *t};
-        }
-      }
-      return std::nullopt;
     }
   }
+  // kFifo, and reduce-first's second pass: admitted order.
   for (const std::shared_ptr<ServiceJob>& j : s.admitted) {
     if (j->finalizing) continue;
     if (std::optional<ClaimedTask> t = j->ctx->tryClaimTask()) {
@@ -309,7 +278,6 @@ void serviceWorkerLoop(const std::shared_ptr<ServiceState>& s) {
     admitLocked(*s);
     finalizeReadyLocked(*s, lock);
     if (std::optional<Pick> pick = pickTaskLocked(*s)) {
-      ++pick->job->tasksServiced;
       JobContext* ctx = pick->job->ctx.get();
       lock.unlock();
       ctx->runClaimedTask(pick->task);
@@ -421,8 +389,6 @@ JobHandle EngineService::submit(JobSpec spec) {
       throw std::runtime_error("EngineService: submit after shutdown");
     }
     job->id = state_->nextJobId++;
-    job->seq = state_->nextSeq++;
-    job->weight = spec.weight;
     spec.jobId = job->id;  // names the spill namespace job<id>/
     job->spec = std::move(spec);
     job->svc = state_;

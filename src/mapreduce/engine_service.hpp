@@ -50,11 +50,6 @@ enum class SchedulingPolicy : std::uint8_t {
   /// wins. Lowest latency for the head job; later jobs run on its
   /// leftover slots.
   kFifo,
-  /// Proportional sharing: the job with the lowest
-  /// tasksServiced / JobSpec::weight ratio wins (ties by admission
-  /// order), so a weight-2 job receives twice the task throughput of a
-  /// weight-1 peer while both have claimable work.
-  kWeightedFair,
   /// SIDR's dependency-aware ordering lifted to the service level: any
   /// job with a RUNNABLE REDUCE beats every job that can only offer a
   /// map, minimizing time-to-first-result across the whole job mix;

@@ -14,19 +14,6 @@
 
 namespace sidr::mr {
 
-/// How Reduce tasks are gated and scheduled.
-enum class ExecutionMode {
-  /// Stock Hadoop/SciHadoop: every Reduce task waits for ALL Map tasks
-  /// (the global MapReduce barrier, paper section 2.3.1), reduces are
-  /// taken in id order, maps are all schedulable from the start.
-  kGlobalBarrier,
-  /// SIDR: Reduce tasks are scheduled first (optionally in a priority
-  /// order); scheduling a Reduce marks the Map tasks in its dependency
-  /// set I_l schedulable; a Reduce starts processing as soon as its I_l
-  /// is complete (paper sections 3.2, 3.3).
-  kSidr,
-};
-
 /// How intermediate data is protected against Reduce-task failure.
 enum class RecoveryModel {
   /// Hadoop: all map output is persisted; a failed reduce re-fetches.
@@ -216,12 +203,6 @@ struct InputSplit {
 /// of them (DESIGN.md §16). JobSpec and sidr::core::PlanOptions both
 /// inherit it: a plan's options reach its spec in one assignment.
 struct ExecutionOptions {
-  /// Share weight for EngineService's weighted-fair scheduling policy:
-  /// a job receives task slots in proportion to its weight. Must be
-  /// finite and > 0. Ignored by solo Engine::run and by the FIFO /
-  /// reduce-first policies.
-  double weight = 1.0;
-
   /// Task slots, as in the paper's per-TaskTracker configuration.
   std::uint32_t mapSlots = 4;
   std::uint32_t reduceSlots = 3;
@@ -268,11 +249,10 @@ struct ExecutionOptions {
   std::size_t mergeWindowBytes = 1 << 20;
 
   /// Shuffle data plane (DESIGN.md §17); the only transport setting.
-  /// Unset = kInProcess, which is byte-identical to the historical fetch
-  /// path. Cache-served runs always use kInProcess regardless of this
-  /// field: their warm handles are already resident, so the in-process
-  /// handoff copies nothing.
-  std::optional<ShuffleTransportKind> transport;
+  /// Cache-served runs always use kInProcess regardless of this field:
+  /// their warm handles are already resident, so the in-process handoff
+  /// copies nothing.
+  ShuffleTransportKind transport = ShuffleTransportKind::kInProcess;
 
   /// Connection-pool size per reduce fetch for the socket transport: a
   /// fetch splits its dependency set across up to this many pooled
@@ -311,10 +291,14 @@ struct JobSpec : ExecutionOptions {
   CombinerFactory combinerFactory;
   std::shared_ptr<const Partitioner> partitioner;
   std::uint32_t numReducers = 1;
-  ExecutionMode mode = ExecutionMode::kGlobalBarrier;
 
-  /// Per-keyblock dependency sets I_l (split ids). Required in kSidr
-  /// mode; computed by sidr::DependencyCalculator.
+  /// Per-keyblock dependency sets I_l (split ids): the only reduce gate.
+  /// Required, one set per keyblock, no split listed twice. Scheduling a
+  /// reduce makes the maps in its set schedulable, and the reduce starts
+  /// once they have all committed (paper sections 3.2, 3.3). The global
+  /// barrier of stock Hadoop (section 2.3.1) is the set that lists every
+  /// split, for every keyblock. The planner writes them:
+  /// sidr::DependencyCalculator's I_l under SIDR, the barrier otherwise.
   std::vector<std::vector<std::uint32_t>> reduceDeps;
 
   /// Optional per-keyblock expected count-annotation totals |K_l|; when

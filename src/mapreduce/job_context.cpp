@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <filesystem>
 #include <limits>
 #include <stdexcept>
@@ -25,9 +24,6 @@ void validateJobSpec(const JobSpec& spec) {
   if (spec.numReducers == 0) {
     throw std::invalid_argument("Engine: numReducers must be > 0");
   }
-  if (!std::isfinite(spec.weight) || spec.weight <= 0.0) {
-    throw std::invalid_argument("Engine: weight must be finite and > 0");
-  }
   if (spec.keySpace.rank() == 0 || !spec.keySpace.isValidShape()) {
     throw std::invalid_argument(
         "Engine: keySpace must be a valid non-empty shape (all extents > 0)");
@@ -41,16 +37,26 @@ void validateJobSpec(const JobSpec& spec) {
     }
     volume *= extent;
   }
-  if (spec.mode == ExecutionMode::kSidr &&
-      spec.reduceDeps.size() != spec.numReducers) {
+  if (spec.reduceDeps.size() != spec.numReducers) {
     throw std::invalid_argument(
-        "Engine: SIDR mode requires one dependency set per keyblock");
+        "Engine: reduceDeps must hold one dependency set per keyblock");
   }
-  for (const auto& ds : spec.reduceDeps) {
-    for (std::uint32_t s : ds) {
+  // A split listed twice would count twice toward its keyblock's
+  // remaining dependencies but be satisfied once: the reduce would never
+  // become runnable.
+  std::vector<bool> listed;
+  for (std::uint32_t kb = 0; kb < spec.numReducers; ++kb) {
+    listed.assign(spec.splits.size(), false);
+    for (std::uint32_t s : spec.reduceDeps[kb]) {
       if (s >= spec.splits.size()) {
         throw std::invalid_argument("Engine: dependency references bad split");
       }
+      if (listed[s]) {
+        throw std::invalid_argument(
+            "Engine: dependency set of keyblock " + std::to_string(kb) +
+            " lists split " + std::to_string(s) + " twice");
+      }
+      listed[s] = true;
     }
   }
   if (!spec.reducePriority.empty()) {
@@ -236,8 +242,8 @@ void JobContext::spillSegmentAttempt(std::uint32_t m, std::uint32_t kb,
   file.writeAt(0, bytes);
 }
 
-// Marks a map schedulable (SIDR: because a scheduled reduce depends on
-// it; stock: at job start). Caller holds mtx.
+// Marks a map schedulable because a scheduled reduce depends on it, or
+// to retry it. Caller holds mtx.
 void JobContext::markMapEligible(std::uint32_t m) {
   if (mapDone[m] || mapQueued[m] || runningMapSet[m]) return;
   eligibleMaps.push_back(m);
@@ -257,16 +263,17 @@ void JobContext::pushIfRunnableLocked(std::uint32_t kb) {
   runnableReduces.push_back(kb);
 }
 
-// Schedules reduce tasks into free slots, in priority order; SIDR only.
-// Caller holds mtx.
+// Schedules reduce tasks into free slots, in priority order. Caller
+// holds mtx.
 void JobContext::scheduleReducesLocked() {
   while (scheduledActive < spec.reduceSlots && nextPriorityPos < numReduces) {
     std::uint32_t kb = priorityOrder[nextPriorityPos++];
     reduceScheduled[kb] = true;
     ++scheduledActive;
     // Scheduling a reduce walks the task tree and marks its dependent
-    // maps schedulable (paper section 3.3).
-    for (std::uint32_t m : deps[kb]) markMapEligible(m);
+    // maps schedulable (paper section 3.3). Under the global barrier the
+    // first scheduled reduce makes every map eligible.
+    for (std::uint32_t m : spec.reduceDeps[kb]) markMapEligible(m);
     pushIfRunnableLocked(kb);
   }
 }
@@ -300,22 +307,12 @@ void JobContext::start() {
   result.outputs.resize(numReduces);
   result.recordsPerReducer.assign(numReduces, 0);
 
-  // Resolve dependency sets: stock mode depends on every split (the
-  // global barrier); SIDR uses the provided I_l sets.
-  deps.resize(numReduces);
-  for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
-    if (isSidr()) {
-      deps[kb] = spec.reduceDeps[kb];
-    } else {
-      deps[kb].resize(numMaps);
-      for (std::uint32_t m = 0; m < numMaps; ++m) deps[kb][m] = m;
-    }
-  }
+  // Invert the dependency sets; each map's list comes out ascending.
   mapToReduces.assign(numMaps, {});
   remainingDeps.assign(numReduces, 0);
   for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
-    remainingDeps[kb] = static_cast<std::uint32_t>(deps[kb].size());
-    for (std::uint32_t m : deps[kb]) mapToReduces[m].push_back(kb);
+    remainingDeps[kb] = static_cast<std::uint32_t>(spec.reduceDeps[kb].size());
+    for (std::uint32_t m : spec.reduceDeps[kb]) mapToReduces[m].push_back(kb);
   }
 
   priorityOrder.resize(numReduces);
@@ -340,30 +337,18 @@ void JobContext::start() {
   {
     std::scoped_lock lock(mtx);
     // Warm start: publish the attached cache handles BEFORE scheduling,
-    // so both modes' scheduling code below observes every dependency
-    // already satisfied and pushes reduces runnable immediately.
+    // so the scheduling below observes every dependency already
+    // satisfied and pushes reduces runnable immediately.
     if (cacheServed) publishCachedSegmentsLocked();
-    if (isSidr()) {
-      // SIDR inverts scheduling: reduces first, maps become eligible as
-      // a side effect.
-      scheduleReducesLocked();
-    } else {
-      // Stock: all maps schedulable at once; reduces are all "scheduled"
-      // (they hold slots and wait at the barrier).
-      for (std::uint32_t m = 0; m < numMaps; ++m) markMapEligible(m);
-      for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
-        reduceScheduled[kb] = true;
-        pushIfRunnableLocked(kb);  // runnable now only in a zero-split job
-      }
-    }
+    // Reduces first; maps become eligible as a side effect.
+    scheduleReducesLocked();
   }
   // Shuffle data plane, last: start() completes before any claim, so
   // the (possible) server threads never observe half-sized state. A
   // cache-served run always shuffles in-process: its warm handles are
   // already resident, so the in-process handoff copies nothing.
-  transportKind = cacheServed
-                      ? ShuffleTransportKind::kInProcess
-                      : spec.transport.value_or(ShuffleTransportKind::kInProcess);
+  transportKind =
+      cacheServed ? ShuffleTransportKind::kInProcess : spec.transport;
   transport = makeShuffleTransport(transportKind, *this, spec);
 }
 
@@ -464,10 +449,10 @@ void JobContext::runClaimedTask(const ClaimedTask& task) {
         std::scoped_lock elock(mtx);
         if (!firstError) firstError = std::current_exception();
         --runningReduces;
-        // Release the SIDR slot this reduce held; without this a failed
+        // Release the slot this reduce held; without this a failed
         // reduce counts against scheduledActive forever and wedges slot
         // accounting.
-        if (isSidr() && reduceScheduled[kb] && !reduceDone[kb]) {
+        if (reduceScheduled[kb] && !reduceDone[kb]) {
           reduceScheduled[kb] = false;
           --scheduledActive;
           scheduleReducesLocked();
@@ -671,12 +656,12 @@ void JobContext::runMap(std::uint32_t m) {
   // landing in a keyblock that does not list this split is a
   // partitioner/dependency bug), for ALL keyblocks before anything is
   // published.
-  for (std::uint32_t kb = 0; isSidr() && kb < numReduces; ++kb) {
+  const std::vector<std::uint32_t>& declared = mapToReduces[m];
+  for (std::uint32_t kb = 0; kb < numReduces; ++kb) {
     if (produced[kb].empty()) continue;
-    const auto& dl = deps[kb];
-    if (std::find(dl.begin(), dl.end(), m) == dl.end()) {
+    if (!std::binary_search(declared.begin(), declared.end(), kb)) {
       throw std::logic_error(
-          "SIDR routing violation: map " + std::to_string(m) +
+          "Engine: routing violation: map " + std::to_string(m) +
           " produced data for undeclared keyblock " + std::to_string(kb));
     }
   }
@@ -784,9 +769,6 @@ void JobContext::runMap(std::uint32_t m) {
         pushIfRunnableLocked(kb);
       }
     }
-    // Segments for keyblocks outside this map's dependency sets exist too
-    // (they are empty in SIDR mode); mark them present for stock fetches.
-    for (std::uint32_t kb = 0; kb < numReduces; ++kb) segAvail[m][kb] = true;
     runningMapSet[m] = false;
     --runningMaps;
     cv.notify_all();
@@ -944,7 +926,7 @@ void JobContext::runReduce(std::uint32_t kb) {
     if (spec.recovery == RecoveryModel::kRecomputeDeps) {
       // Intermediate data was volatile: drop this keyblock's segments
       // and re-execute exactly the I_l map subset (paper section 6).
-      for (std::uint32_t m : deps[kb]) {
+      for (std::uint32_t m : spec.reduceDeps[kb]) {
         if (segAvail[m][kb]) {
           segAvail[m][kb] = false;
           ++remainingDeps[kb];
@@ -961,15 +943,9 @@ void JobContext::runReduce(std::uint32_t kb) {
     return;
   }
 
-  // Fetch phase. Stock Hadoop contacts every map task; SIDR contacts
-  // only the maps in I_l (Table 3's connection asymmetry).
-  std::vector<std::uint32_t> fetchSet;
-  if (isSidr()) {
-    fetchSet = deps[kb];
-  } else {
-    fetchSet.resize(numMaps);
-    for (std::uint32_t m = 0; m < numMaps; ++m) fetchSet[m] = m;
-  }
+  // Fetch phase: contact exactly the maps in I_l, every map under the
+  // global barrier (Table 3's connection asymmetry).
+  const std::vector<std::uint32_t>& fetchSet = spec.reduceDeps[kb];
 
   // The entire fetch runs WITHOUT the engine mutex: segments are
   // immutable once published, and this reduce only became runnable
@@ -1160,10 +1136,8 @@ void JobContext::runReduce(std::uint32_t kb) {
   reduceDone[kb] = true;
   ++completedReduces;
   --runningReduces;
-  if (isSidr()) {
-    --scheduledActive;
-    scheduleReducesLocked();
-  }
+  --scheduledActive;
+  scheduleReducesLocked();
   cv.notify_all();
 }
 

@@ -49,11 +49,11 @@
 
 namespace sidr::mr {
 
-/// Validates a JobSpec's structural invariants (missing factories, bad
-/// dependency ids, inconsistent out-of-core knobs, non-positive share
-/// weight, ...), throwing std::invalid_argument. Called by the Engine
-/// constructor and by EngineService::submit, so both fronts reject the
-/// same specs with the same messages.
+/// Validates a JobSpec's structural invariants (missing factories,
+/// missing dependency sets, out-of-range or repeated dependency ids,
+/// inconsistent out-of-core knobs, ...), throwing std::invalid_argument.
+/// Called by the Engine constructor and by EngineService::submit, so
+/// both fronts reject the same specs with the same messages.
 void validateJobSpec(const JobSpec& spec);
 
 /// One claimed unit of work: the claim already did the scheduling
@@ -286,7 +286,7 @@ class JobContext : private TransportSource {
   std::vector<std::shared_ptr<const Segment>> takeParkedLocked();
 
   // --- reduce state ---
-  std::vector<std::vector<std::uint32_t>> deps;  // resolved I_l per keyblock
+  // Inverse of spec.reduceDeps: the keyblocks listing each map, ascending.
   std::vector<std::vector<std::uint32_t>> mapToReduces;
   std::vector<std::uint32_t> remainingDeps;
   std::vector<bool> reduceScheduled;
@@ -331,8 +331,6 @@ class JobContext : private TransportSource {
                    std::uint32_t attempt) {
     result.events.push_back(TaskEvent{kind, id, t, attempt});
   }
-
-  bool isSidr() const { return spec.mode == ExecutionMode::kSidr; }
 
   // ---- map-output segment store (resident handles, evicted files) ----
 

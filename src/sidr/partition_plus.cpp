@@ -29,6 +29,24 @@ nd::Coord chooseGranuleShape(const nd::Coord& grid, nd::Index bound) {
   return unit;
 }
 
+/// The uniform deal of `granules` over `blocks` keyblocks, as starts:
+/// every block gets q = floor(M / r) granules, and the last (M mod r)
+/// get q+1. Blocks holding q+1 granules come LAST: the final granule
+/// (possibly ragged, shorter than a full granule) then always lands in
+/// a q+1 block, keeping the max-min keyblock size within one granule.
+std::vector<nd::Index> uniformStarts(nd::Index granules,
+                                     std::uint32_t blocks) {
+  const auto r = static_cast<nd::Index>(blocks);
+  const nd::Index q = granules / r;
+  const nd::Index plainBlocks = r - granules % r;
+  std::vector<nd::Index> starts(static_cast<std::size_t>(r) + 1);
+  for (nd::Index k = 0; k <= r; ++k) {
+    starts[static_cast<std::size_t>(k)] =
+        k * q + std::max<nd::Index>(0, k - plainBlocks);
+  }
+  return starts;
+}
+
 }  // namespace
 
 PartitionPlus::PartitionPlus(
@@ -53,34 +71,19 @@ PartitionPlus::PartitionPlus(
   granuleShape_ = chooseGranuleShape(grid, skewBound_);
   granuleSize_ = granuleShape_.volume();
   granuleCount_ = (n + granuleSize_ - 1) / granuleSize_;
-  granulesPerBlockFloor_ = granuleCount_ / numReducers_;
-  blocksWithExtra_ = granuleCount_ % numReducers_;
+  granuleStart_ = uniformStarts(granuleCount_, numReducers_);
 }
 
 std::uint32_t PartitionPlus::keyblockOfGranule(nd::Index granule) const {
   if (granule < 0 || granule >= granuleCount_) {
     throw std::out_of_range("PartitionPlus: granule index out of range");
   }
-  if (refined_) {
-    // Owning keyblock k satisfies granuleStart[k] <= granule <
-    // granuleStart[k+1]; with equal adjacent starts (empty keyblocks)
-    // the LAST k whose start is <= granule is the non-empty owner.
-    const auto& starts = refined_->granuleStart;
-    auto it = std::upper_bound(starts.begin(), starts.end(), granule);
-    return static_cast<std::uint32_t>((it - starts.begin()) - 1);
-  }
-  // Blocks holding q+1 granules come LAST: the final granule (possibly
-  // ragged, shorter than granuleSize_) then always lands in a q+1 block,
-  // keeping the max-min keyblock size within one granule.
-  const nd::Index q = granulesPerBlockFloor_;
-  const nd::Index plainBlocks =
-      static_cast<nd::Index>(numReducers_) - blocksWithExtra_;
-  const nd::Index boundary = plainBlocks * q;
-  if (granule < boundary) {
-    return static_cast<std::uint32_t>(granule / q);
-  }
-  return static_cast<std::uint32_t>(plainBlocks +
-                                    (granule - boundary) / (q + 1));
+  // Owning keyblock k satisfies granuleStart_[k] <= granule <
+  // granuleStart_[k+1]; with equal adjacent starts (empty keyblocks) the
+  // LAST k whose start is <= granule is the non-empty owner.
+  auto it = std::upper_bound(granuleStart_.begin(), granuleStart_.end(),
+                             granule);
+  return static_cast<std::uint32_t>((it - granuleStart_.begin()) - 1);
 }
 
 std::uint32_t PartitionPlus::keyblockOfInstance(const nd::Coord& g) const {
@@ -134,35 +137,14 @@ std::uint32_t PartitionPlus::partitionRun(const nd::Coord& key,
   return kb;
 }
 
-std::pair<nd::Index, nd::Index> PartitionPlus::uniformGranuleRange(
-    std::uint32_t keyblock) const {
-  const nd::Index q = granulesPerBlockFloor_;
-  const auto kb = static_cast<nd::Index>(keyblock);
-  const nd::Index plainBlocks =
-      static_cast<nd::Index>(numReducers_) - blocksWithExtra_;
-  if (kb < plainBlocks) {
-    return {kb * q, kb * q + q};
-  }
-  const nd::Index gFirst = plainBlocks * q + (kb - plainBlocks) * (q + 1);
-  return {gFirst, gFirst + (q + 1)};
-}
-
 std::pair<nd::Index, nd::Index> PartitionPlus::instanceRange(
     std::uint32_t keyblock) const {
   if (keyblock >= numReducers_) {
     throw std::out_of_range("PartitionPlus: keyblock out of range");
   }
-  nd::Index gFirst;
-  nd::Index gLast;
-  if (refined_) {
-    gFirst = refined_->granuleStart[keyblock];
-    gLast = refined_->granuleStart[keyblock + 1];
-  } else {
-    std::tie(gFirst, gLast) = uniformGranuleRange(keyblock);
-  }
   const nd::Index n = extraction_->instanceCount();
-  nd::Index first = std::min(gFirst * granuleSize_, n);
-  nd::Index last = std::min(gLast * granuleSize_, n);
+  nd::Index first = std::min(granuleStart_[keyblock] * granuleSize_, n);
+  nd::Index last = std::min(granuleStart_[keyblock + 1] * granuleSize_, n);
   return {first, last};
 }
 
@@ -181,6 +163,9 @@ bool PartitionPlus::refine(std::span<const double> granuleWeights) {
     total += w;
     wmax = std::max(wmax, w);
   }
+  // The uniform deal stays active unless this refinement is accepted,
+  // and is what the refinement is measured against.
+  granuleStart_ = uniformStarts(granuleCount_, numReducers_);
   refined_.reset();
   if (total <= 0.0) return false;  // no signal: keep the uniform deal
 
@@ -207,35 +192,28 @@ bool PartitionPlus::refine(std::span<const double> granuleWeights) {
   r.totalWeight = total;
   r.maxGranuleWeight = wmax;
 
-  bool matchesUniform = true;
-  for (std::uint32_t kb = 0; kb < numReducers_; ++kb) {
-    auto [uFirst, uLast] = uniformGranuleRange(kb);
-    const nd::Index rFirst = r.granuleStart[kb];
-    const nd::Index rLast = r.granuleStart[kb + 1];
-    if (rFirst != uFirst || rLast != uLast) matchesUniform = false;
-    r.maxLoadBefore =
-        std::max(r.maxLoadBefore,
-                 prefix[static_cast<std::size_t>(
-                     std::min(uLast, granuleCount_))] -
-                     prefix[static_cast<std::size_t>(
-                         std::min(uFirst, granuleCount_))]);
-    r.maxLoadAfter = std::max(
-        r.maxLoadAfter, prefix[static_cast<std::size_t>(rLast)] -
-                            prefix[static_cast<std::size_t>(rFirst)]);
-    const nd::Index uCount = std::min(uLast, granuleCount_) -
-                             std::min(uFirst, granuleCount_);
-    if (rLast - rFirst < uCount) ++r.splitKeyblocks;
-    if (rLast - rFirst > uCount) ++r.coalescedKeyblocks;
-  }
   // A deal identical to the uniform one routes identically; keeping the
   // plan officially UNREFINED keeps its map fingerprint equal to the
   // unrefined plan's, so the two stay segment-cache-compatible.
-  if (matchesUniform) return false;
+  if (r.granuleStart == granuleStart_) return false;
+  for (std::size_t kb = 0; kb < numReducers_; ++kb) {
+    const auto load = [&](const std::vector<nd::Index>& starts) {
+      return prefix[static_cast<std::size_t>(starts[kb + 1])] -
+             prefix[static_cast<std::size_t>(starts[kb])];
+    };
+    r.maxLoadBefore = std::max(r.maxLoadBefore, load(granuleStart_));
+    r.maxLoadAfter = std::max(r.maxLoadAfter, load(r.granuleStart));
+    const nd::Index uCount = granuleStart_[kb + 1] - granuleStart_[kb];
+    const nd::Index rCount = r.granuleStart[kb + 1] - r.granuleStart[kb];
+    if (rCount < uCount) ++r.splitKeyblocks;
+    if (rCount > uCount) ++r.coalescedKeyblocks;
+  }
   // Near-uniform noisy loads can land boundaries that make the WORST
   // keyblock up to one granule heavier than the uniform deal's. A
   // refinement that does not strictly improve the worst load would
   // perturb routing and the fingerprint for nothing — decline it.
   if (r.maxLoadAfter >= r.maxLoadBefore) return false;
+  granuleStart_ = r.granuleStart;
   refined_ = std::move(r);
   return true;
 }

@@ -151,13 +151,11 @@ class PartitionPlus final : public mr::Partitioner {
   nd::Coord granuleShape_;
   nd::Index granuleSize_ = 1;
   nd::Index granuleCount_ = 0;
-  nd::Index granulesPerBlockFloor_ = 0;  ///< q = floor(M / r)
-  nd::Index blocksWithExtra_ = 0;        ///< first (M mod r) blocks get q+1
+  /// The active deal: granuleStart_[k] = first granule of keyblock k
+  /// (size numReducers+1, the RefinedPartition::granuleStart layout).
+  /// The uniform deal at construction, a refinement's after refine().
+  std::vector<nd::Index> granuleStart_;
   std::optional<RefinedPartition> refined_;
-
-  /// Uniform-deal granule range [first, last) of a keyblock.
-  std::pair<nd::Index, nd::Index> uniformGranuleRange(
-      std::uint32_t keyblock) const;
 };
 
 /// Geometry helper re-exported from ndarray for backwards-compatible

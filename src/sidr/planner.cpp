@@ -1,5 +1,7 @@
 #include "sidr/planner.hpp"
 
+#include <numeric>
+
 #include "sidr/skew_sampler.hpp"
 
 namespace sidr::core {
@@ -58,11 +60,12 @@ std::optional<Fingerprint128> computeMapFingerprint(
   }
 
   // Key space + partition plan: where each intermediate key routes.
-  // Mode distinguishes partition+ from the modulo partitioner; both are
-  // fully determined by (extraction, numReducers, skewBound), all
+  // One word tells partition+ (1) from the modulo partitioner (0); both
+  // are fully determined by (extraction, numReducers, skewBound), all
   // absorbed above, and numReducers here.
+  const auto* pp = dynamic_cast<const PartitionPlus*>(spec.partitioner.get());
   fb.addCoord(spec.keySpace);
-  fb.addU32(static_cast<std::uint32_t>(spec.mode));
+  fb.addU32(pp != nullptr ? 1 : 0);
   fb.addU32(spec.numReducers);
 
   // Gated appends below extend the digest WITHOUT disturbing existing
@@ -90,9 +93,7 @@ std::optional<Fingerprint128> computeMapFingerprint(
   // never reaches here (PartitionPlus::refine refuses it), so a
   // refined-but-identical plan keeps the unrefined digest and stays
   // cache-compatible.
-  if (const auto* pp =
-          dynamic_cast<const PartitionPlus*>(spec.partitioner.get());
-      pp != nullptr && pp->refined()) {
+  if (pp != nullptr && pp->refined()) {
     fb.addString("sidr.mapfp.refined.v1");
     const RefinedPartition& rp = *pp->refinement();
     fb.addU64(rp.granuleStart.size());
@@ -234,7 +235,6 @@ QueryPlan QueryPlanner::assemble(std::vector<Input> inputs,
     std::shared_ptr<const PartitionPlus> frozen = std::move(pp);
     plan.partitionPlus = frozen;
     spec.partitioner = frozen;
-    spec.mode = mr::ExecutionMode::kSidr;
     const DependencyCalculator calc =
         inputs.size() > 1 ? DependencyCalculator(frozen, inputs[1].extraction)
                           : DependencyCalculator(frozen);
@@ -245,7 +245,10 @@ QueryPlan QueryPlanner::assemble(std::vector<Input> inputs,
   } else {
     spec.partitioner =
         std::make_shared<const mr::ModuloPartitioner>(spec.keySpace);
-    spec.mode = mr::ExecutionMode::kGlobalBarrier;
+    // The global barrier: every keyblock depends on every split.
+    std::vector<std::uint32_t> everySplit(spec.splits.size());
+    std::iota(everySplit.begin(), everySplit.end(), 0u);
+    spec.reduceDeps.assign(spec.numReducers, everySplit);
   }
 
   spec.mapFingerprint =

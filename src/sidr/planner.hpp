@@ -11,6 +11,9 @@
 //   kSidr      — partition+ keyblocks, derived dependencies I_l,
 //                reduce-first scheduling, early-start reduces, count-
 //                annotation validation.
+//
+// The global barrier is written as dependency sets too: every keyblock
+// depends on every split. The engine schedules both the same way.
 #pragma once
 
 #include <limits>
@@ -103,8 +106,9 @@ struct QueryPlan {
 /// Canonical MapFingerprint: digests exactly the fields that determine
 /// the BYTES of a job's committed map output — dataset identity, the
 /// structural query (extraction/filter spec), split geometry, the
-/// intermediate keySpace and the partition plan (mode + reducer count;
-/// skew bound and extraction are already absorbed via the query).
+/// intermediate keySpace and the partition plan (partitioner kind +
+/// reducer count; skew bound and extraction are already absorbed via
+/// the query).
 /// It reads no mr::ExecutionOptions field and no reduce priority, which
 /// cannot change map-output bytes: a spilling resubmission of an
 /// in-memory query is a cache HIT. Returns nullopt when datasetId is

@@ -177,7 +177,7 @@ struct ClusterSim::Impl {
 
   SimResult result;
 
-  bool isSidr() const { return job.mode == mr::ExecutionMode::kSidr; }
+  bool isSidr() const { return job.mode == ExecutionMode::kSidr; }
 
   void markMapEligible(std::uint32_t m) {
     if (mapDone[m] || mapQueued[m]) return;

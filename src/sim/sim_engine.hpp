@@ -14,9 +14,9 @@
 
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
-#include "mapreduce/job.hpp"
 #include "obs/trace.hpp"
 
 namespace sidr::sim {
@@ -39,10 +39,27 @@ struct ClusterConfig {
   std::uint64_t seed = 42;
 };
 
+/// How the simulator gates and schedules Reduce tasks. The engine gates
+/// every job by its dependency sets alone (the barrier is the set of
+/// every map); the simulator needs a switch because it also models what
+/// the engine does not: barrier reduces copying during the map phase,
+/// HOP estimates and Sailfish's deferred fetch.
+enum class ExecutionMode {
+  /// Stock Hadoop/SciHadoop: every Reduce task waits for ALL Map tasks
+  /// (the global MapReduce barrier, paper section 2.3.1), reduces are
+  /// taken in id order, maps are all schedulable from the start.
+  kGlobalBarrier,
+  /// SIDR: Reduce tasks are scheduled first (optionally in a priority
+  /// order); scheduling a Reduce marks the Map tasks in its dependency
+  /// set I_l schedulable; a Reduce starts processing as soon as its I_l
+  /// is complete (paper sections 3.2, 3.3).
+  kSidr,
+};
+
 /// One simulated job. Byte/element volumes are supplied by the workload
 /// builder (sim/workload.hpp) which derives them from real geometry.
 struct SimJob {
-  mr::ExecutionMode mode = mr::ExecutionMode::kGlobalBarrier;
+  ExecutionMode mode = ExecutionMode::kGlobalBarrier;
   std::uint32_t numMaps = 0;
   std::uint32_t numReduces = 0;
 

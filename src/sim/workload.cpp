@@ -64,8 +64,8 @@ BuiltWorkload buildWorkload(const WorkloadSpec& spec, core::SystemMode system,
   job.numMaps = static_cast<std::uint32_t>(splits.size());
   job.numReduces = numReduces;
   job.mode = (system == core::SystemMode::kSidr)
-                 ? mr::ExecutionMode::kSidr
-                 : mr::ExecutionMode::kGlobalBarrier;
+                 ? ExecutionMode::kSidr
+                 : ExecutionMode::kGlobalBarrier;
   job.deferFetchUntilAllMaps = (system == core::SystemMode::kSailfish);
   job.reducePriority = std::move(reducePriority);
 

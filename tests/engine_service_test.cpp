@@ -100,7 +100,7 @@ void expectNoDanglingAttempts(const std::string& dir) {
 /// One of six job shapes cycled by the fleet tests. All six succeed;
 /// they cover no budget, a one-page budget (nearly every segment
 /// evicted) and a two-page one, injected-fault recovery and the
-/// barrier mode.
+/// a barrier plan.
 QueryPlan makePlan(int variant, const std::string& spillDir) {
   const int v = variant % 6;
   sh::StructuralQuery q;
@@ -227,7 +227,10 @@ TEST(EngineServiceValidation, SubmitRejectsBadSpecsLikeEngine) {
   const std::string dir = tempDir("sidr_svc_validate");
   QueryPlan plan = makePlan(1, dir);
   mr::JobSpec bad = plan.spec;
-  bad.weight = 0.0;
+  // A split listed twice in one dependency set: without the check the
+  // keyblock would wait forever for its second commit.
+  ASSERT_FALSE(bad.reduceDeps[0].empty());
+  bad.reduceDeps[0].push_back(bad.reduceDeps[0].front());
   EXPECT_THROW(mr::Engine{mr::JobSpec(bad)}, std::invalid_argument);
   mr::EngineService service;
   EXPECT_THROW(service.submit(std::move(bad)), std::invalid_argument);
@@ -558,8 +561,7 @@ TEST(EngineService, AllPoliciesProduceIdenticalResults) {
   }
 
   for (const mr::SchedulingPolicy policy :
-       {mr::SchedulingPolicy::kFifo, mr::SchedulingPolicy::kWeightedFair,
-        mr::SchedulingPolicy::kReduceFirst}) {
+       {mr::SchedulingPolicy::kFifo, mr::SchedulingPolicy::kReduceFirst}) {
     const std::string dir =
         tempDir(std::string("sidr_svc_policy_") + schedulingPolicyName(policy));
     mr::ServiceConfig config;
@@ -570,7 +572,6 @@ TEST(EngineService, AllPoliciesProduceIdenticalResults) {
     for (int i = 0; i < kJobs; ++i) {
       mr::JobSpec spec = plans[static_cast<std::size_t>(i)].spec;
       if (!spec.spillDirectory.empty()) spec.spillDirectory = dir;
-      spec.weight = (i % 2 == 0) ? 1.0 : 4.0;  // exercised by kWeightedFair
       handles.push_back(service.submit(std::move(spec)));
     }
     for (int i = 0; i < kJobs; ++i) {
@@ -645,8 +646,7 @@ TEST(EngineService, DrainAllowsReuse) {
 
 TEST(MultiJobServiceHammer, FleetWithFailuresAndCancels) {
   for (const mr::SchedulingPolicy policy :
-       {mr::SchedulingPolicy::kFifo, mr::SchedulingPolicy::kWeightedFair,
-        mr::SchedulingPolicy::kReduceFirst}) {
+       {mr::SchedulingPolicy::kFifo, mr::SchedulingPolicy::kReduceFirst}) {
     const std::string dir = tempDir(
         std::string("sidr_svc_hammer_") + schedulingPolicyName(policy));
     constexpr std::size_t kJobs = 18;
@@ -668,9 +668,7 @@ TEST(MultiJobServiceHammer, FleetWithFailuresAndCancels) {
     std::vector<mr::JobHandle> handles;
     std::vector<mr::JobHandle> failing;
     for (std::size_t i = 0; i < kJobs; ++i) {
-      mr::JobSpec spec = plans[i].spec;
-      spec.weight = 1.0 + static_cast<double>(i % 3);
-      handles.push_back(service.submit(std::move(spec)));
+      handles.push_back(service.submit(mr::JobSpec(plans[i].spec)));
       if (i % 6 == 5) {
         failing.push_back(service.submit(mr::JobSpec(fatal.spec)));
       }

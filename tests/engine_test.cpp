@@ -162,32 +162,39 @@ TEST(Engine, StockReducesWaitForGlobalBarrier) {
 }
 
 TEST(Engine, KeyblockPrioritySchedulesFirst) {
+  // The global barrier is a dependency set like SIDR's, so a barrier
+  // job schedules its reduces in priority order too.
   nd::Coord input{64, 12};
   sh::StructuralQuery q = makeQuery(OperatorKind::kMean, nd::Coord{4, 4});
   QueryPlanner planner(q, input);
-  PlanOptions opts;
-  opts.system = SystemMode::kSidr;
-  opts.numReducers = 8;
-  opts.desiredSplitCount = 16;
-  opts.reduceSlots = 1;  // strictly serial reduces: order is observable
-  opts.mapSlots = 1;
-  opts.numThreads = 1;
-  opts.reducePriority = {5, 6, 7, 0, 1, 2, 3, 4};
-  QueryPlan plan = planner.plan(sh::temperatureField(), opts);
-  mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
+  for (SystemMode system : {SystemMode::kSidr, SystemMode::kSciHadoop}) {
+    SCOPED_TRACE(systemModeName(system));
+    PlanOptions opts;
+    opts.system = system;
+    opts.numReducers = 8;
+    opts.desiredSplitCount = 16;
+    opts.reduceSlots = 1;  // strictly serial reduces: order is observable
+    opts.mapSlots = 1;
+    opts.numThreads = 1;
+    opts.reducePriority = {5, 6, 7, 0, 1, 2, 3, 4};
+    QueryPlan plan = planner.plan(sh::temperatureField(), opts);
+    // The planner forwards a priority to SIDR plans only.
+    plan.spec.reducePriority = opts.reducePriority;
+    mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
 
-  std::vector<std::uint32_t> commitOrder;
-  for (const auto& ev : result.events) {
-    if (ev.kind == mr::TaskEvent::Kind::kReduceEnd) {
-      commitOrder.push_back(ev.taskId);
+    std::vector<std::uint32_t> commitOrder;
+    for (const auto& ev : result.events) {
+      if (ev.kind == mr::TaskEvent::Kind::kReduceEnd) {
+        commitOrder.push_back(ev.taskId);
+      }
     }
+    ASSERT_EQ(commitOrder.size(), 8u);
+    // The prioritized keyblocks commit first (computational steering).
+    EXPECT_EQ(commitOrder[0], 5u);
+    EXPECT_EQ(commitOrder[1], 6u);
+    EXPECT_EQ(commitOrder[2], 7u);
+    CheckJobTrace(result);
   }
-  ASSERT_EQ(commitOrder.size(), 8u);
-  // The prioritized keyblocks commit first (computational steering).
-  EXPECT_EQ(commitOrder[0], 5u);
-  EXPECT_EQ(commitOrder[1], 6u);
-  EXPECT_EQ(commitOrder[2], 7u);
-  CheckJobTrace(result);
 }
 
 TEST(Engine, RecoveryRecomputeOnlyDeps) {
@@ -503,8 +510,21 @@ TEST(Engine, InvalidSpecsRejected) {
   opts.numReducers = 2;
   opts.desiredSplitCount = 2;
   QueryPlan plan = planner.plan(sh::temperatureField(), opts);
+  QueryPlan repeated = plan;
   plan.spec.reduceDeps.pop_back();  // break the dependency sets
   EXPECT_THROW(mr::Engine{std::move(plan.spec)}, std::invalid_argument);
+
+  // A split listed twice would be counted twice and satisfied once,
+  // leaving its keyblock waiting forever.
+  ASSERT_FALSE(repeated.spec.reduceDeps[0].empty());
+  repeated.spec.reduceDeps[0].push_back(repeated.spec.reduceDeps[0].front());
+  EXPECT_THROW(mr::Engine{std::move(repeated.spec)}, std::invalid_argument);
+
+  // A barrier job is gated by dependency sets too: it must carry them.
+  opts.system = SystemMode::kSciHadoop;
+  QueryPlan stock = planner.plan(sh::temperatureField(), opts);
+  stock.spec.reduceDeps.clear();
+  EXPECT_THROW(mr::Engine{std::move(stock.spec)}, std::invalid_argument);
 }
 
 TEST(Engine, ConstructionPinsHeapThresholds) {
@@ -565,7 +585,6 @@ TEST(Engine, ByteRangeSplitsMatchOracle) {
   auto pp = std::make_shared<const PartitionPlus>(extraction, 3, 0);
   spec.partitioner = pp;
   spec.keySpace = extraction->intermediateSpaceShape();
-  spec.mode = mr::ExecutionMode::kSidr;
   DependencyCalculator calc(pp);
   DependencyInfo deps = calc.computeAll(spec.splits);
   spec.reduceDeps = deps.keyblockToSplits;

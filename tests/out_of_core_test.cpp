@@ -231,6 +231,46 @@ TEST(OutOfCore, UnreachedBudgetPeaksLikeNoBudget) {
   expectSameCollected(budgeted.collectAll(), unbudgeted.collectAll());
 }
 
+TEST(OutOfCore, BarrierJobEvictsColdKeyblocksAfterItsLastMap) {
+  // The global barrier is a dependency set like SIDR's: the last map's
+  // commit makes only the keyblock holding the one reduce slot
+  // runnable, so the other keyblocks' segments stay eviction candidates.
+  // On one worker under a one-page budget every map's three one-page
+  // segments are evicted as they land, except the scheduled keyblock's
+  // segment from the last map: 4 maps x 3 keyblocks - 1 = 11 evictions.
+  const nd::Coord input{64, 64};
+  sh::StructuralQuery q;
+  q.variable = "v";
+  q.op = OperatorKind::kMedian;
+  q.extractionShape = nd::Coord{2, 2};
+  sh::ValueFn fn = sh::temperatureField(29);
+  QueryPlanner planner(q, input);
+  PlanOptions opts;
+  opts.system = SystemMode::kSciHadoop;
+  opts.numReducers = 3;
+  opts.desiredSplitCount = 4;
+  opts.numThreads = 1;
+  opts.mapSlots = 1;
+  opts.reduceSlots = 1;
+
+  QueryPlan reference = planner.plan(fn, opts);
+  ASSERT_EQ(reference.spec.splits.size(), 4u);
+  mr::JobResult unbudgeted = mr::Engine(std::move(reference.spec)).run();
+
+  const std::string dir =
+      (testsupport::scratchRoot() / "sidr_ooc_barrier").string();
+  QueryPlan plan = planner.plan(fn, opts);
+  plan.spec.spillDirectory = dir;
+  plan.spec.memoryBudgetBytes = mr::SegmentPagePool::kPageBytes;
+  mr::JobResult budgeted = mr::Engine(std::move(plan.spec)).run();
+  expectNoDanglingAttempts(dir);
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(budgeted.pressureSpillEvents, 11u);
+  EXPECT_EQ(budgeted.annotationViolations, 0u);
+  expectSameCollected(budgeted.collectAll(), unbudgeted.collectAll());
+}
+
 // ---- 16-seed differential across the mode matrix ----
 
 struct Arm {
@@ -276,9 +316,7 @@ TEST_P(OutOfCoreParity, ModeMatrixProducesIdenticalOutput) {
     if (rng() % 2 == 0) {
       faults.failMap(static_cast<std::uint32_t>(rng()) % numMaps, 1);
     }
-    deps = opts.system == SystemMode::kSidr
-               ? probe.spec.reduceDeps
-               : ts::barrierDeps(numMaps, opts.numReducers);
+    deps = probe.spec.reduceDeps;
   }
 
   // Seed-derived tight budget in [1, 8] pages; window small enough that

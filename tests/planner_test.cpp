@@ -22,7 +22,6 @@ TEST(QueryPlanner, SidrPlanIsFullyWired) {
   opts.desiredSplitCount = 5;
   QueryPlan plan = planner.plan(sh::temperatureField(), opts);
 
-  EXPECT_EQ(plan.spec.mode, mr::ExecutionMode::kSidr);
   EXPECT_NE(plan.partitionPlus, nullptr);
   EXPECT_EQ(plan.spec.partitioner.get(), plan.partitionPlus.get());
   EXPECT_EQ(plan.spec.reduceDeps.size(), 4u);
@@ -51,12 +50,20 @@ TEST(QueryPlanner, StockPlanUsesModuloAndBarrier) {
     opts.system = system;
     opts.numReducers = 4;
     QueryPlan plan = planner.plan(sh::temperatureField(), opts);
-    EXPECT_EQ(plan.spec.mode, mr::ExecutionMode::kGlobalBarrier);
     EXPECT_EQ(plan.partitionPlus, nullptr);
     EXPECT_NE(dynamic_cast<const mr::ModuloPartitioner*>(
                   plan.spec.partitioner.get()),
               nullptr);
-    EXPECT_TRUE(plan.spec.reduceDeps.empty());
+    // The global barrier as dependency sets: every keyblock lists every
+    // split.
+    std::vector<std::uint32_t> everySplit;
+    for (const mr::InputSplit& split : plan.spec.splits) {
+      everySplit.push_back(split.id);
+    }
+    ASSERT_EQ(plan.spec.reduceDeps.size(), 4u);
+    for (const auto& deps : plan.spec.reduceDeps) {
+      EXPECT_EQ(deps, everySplit);
+    }
   }
 }
 
@@ -75,7 +82,6 @@ TEST(QueryPlanner, OptionPassThrough) {
   opts.system = SystemMode::kSidr;
   opts.numReducers = 3;
   opts.desiredSplitCount = 4;
-  opts.weight = 2.5;
   opts.mapSlots = 7;
   opts.reduceSlots = 5;
   opts.numThreads = 9;
@@ -91,7 +97,6 @@ TEST(QueryPlanner, OptionPassThrough) {
   opts.transportTimeoutMillis = 321;
   opts.reducePriority = {2, 0, 1};
   auto expectForwarded = [](const mr::JobSpec& spec) {
-    EXPECT_EQ(spec.weight, 2.5);
     EXPECT_EQ(spec.mapSlots, 7u);
     EXPECT_EQ(spec.reduceSlots, 5u);
     EXPECT_EQ(spec.numThreads, 9u);
@@ -152,16 +157,15 @@ TEST(QueryPlanner, TransportKnobsForwardToSpec) {
   QueryPlanner planner(weeklyQuery(), nd::Coord{70, 25, 10});
   PlanOptions opts;
   opts.system = SystemMode::kSidr;
-  // Unset by default: the engine then uses the in-process handoff.
-  EXPECT_FALSE(
-      planner.plan(sh::temperatureField(), opts).spec.transport.has_value());
+  // By default the engine shuffles through the in-process handoff.
+  EXPECT_EQ(planner.plan(sh::temperatureField(), opts).spec.transport,
+            mr::ShuffleTransportKind::kInProcess);
 
   opts.transport = mr::ShuffleTransportKind::kSocket;
   opts.transportConnections = 5;
   opts.transportTimeoutMillis = 250;
   QueryPlan plan = planner.plan(sh::temperatureField(), opts);
-  ASSERT_TRUE(plan.spec.transport.has_value());
-  EXPECT_EQ(*plan.spec.transport, mr::ShuffleTransportKind::kSocket);
+  EXPECT_EQ(plan.spec.transport, mr::ShuffleTransportKind::kSocket);
   EXPECT_EQ(plan.spec.transportConnections, 5u);
   EXPECT_EQ(plan.spec.transportTimeoutMillis, 250u);
 }

@@ -127,7 +127,6 @@ TEST_P(RandomizedOracle, EngineMatchesOracle) {
       auto pp = std::make_shared<const PartitionPlus>(extraction,
                                                       cfg.reducers, 0);
       spec.partitioner = pp;
-      spec.mode = mr::ExecutionMode::kSidr;
       DependencyCalculator calc(pp);
       DependencyInfo deps = calc.computeAll(spec.splits);
       spec.reduceDeps = deps.keyblockToSplits;
@@ -135,7 +134,8 @@ TEST_P(RandomizedOracle, EngineMatchesOracle) {
     } else {
       spec.partitioner = std::make_shared<const mr::ModuloPartitioner>(
           extraction->intermediateSpaceShape());
-      spec.mode = mr::ExecutionMode::kGlobalBarrier;
+      spec.reduceDeps = testsupport::barrierDeps(
+          static_cast<std::uint32_t>(spec.splits.size()), cfg.reducers);
     }
     spec.recordTrace = true;
     return mr::Engine(std::move(spec)).run();
@@ -231,10 +231,8 @@ TEST_P(RandomizedFaultPlan, EngineMatchesOracleUnderInjectedFaults) {
                " faults=" + std::to_string(fp.faults.size()));
 
   // Dependency sets survive the spec move so the gating checks can use
-  // them: SIDR uses the plan's I_l, stock the full barrier set.
-  std::vector<std::vector<std::uint32_t>> deps =
-      stock ? testsupport::barrierDeps(numMaps, opts.numReducers)
-            : plan.spec.reduceDeps;
+  // them: SIDR's I_l, or the barrier's every-split sets.
+  std::vector<std::vector<std::uint32_t>> deps = plan.spec.reduceDeps;
 
   mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
   if (spill) std::filesystem::remove_all(dir);
@@ -345,9 +343,7 @@ TEST_P(RandomizedJoinFaultPlan, JoinMatchesOracleUnderInjectedFaults) {
                (opts.skewAdapt ? " adapt" : "") +
                " faults=" + std::to_string(fp.faults.size()));
 
-  std::vector<std::vector<std::uint32_t>> deps =
-      stock ? testsupport::barrierDeps(numMaps, opts.numReducers)
-            : plan.spec.reduceDeps;
+  std::vector<std::vector<std::uint32_t>> deps = plan.spec.reduceDeps;
 
   mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
   if (spill) std::filesystem::remove_all(dir);

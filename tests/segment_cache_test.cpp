@@ -379,7 +379,6 @@ TEST(FingerprintPlanner, ExecutionKnobsDoNotLeakIntoTheKey) {
   opts.numThreads = 7;
   opts.mapSlots = 1;
   opts.reduceSlots = 1;
-  opts.weight = 4.0;
   opts.reducePriority = {2, 1, 0};
   const QueryPlan tuned =
       QueryPlanner(q, nd::Coord{16, 12}).plan(sh::temperatureField(31), opts);

@@ -554,9 +554,7 @@ TEST_P(TransportParity, BackendsProduceIdenticalOutputAndCommits) {
     if (rng() % 2 == 0) {
       faults.failMap(static_cast<std::uint32_t>(rng()) % numMaps, 1);
     }
-    deps = opts.system == SystemMode::kSidr
-               ? probe.spec.reduceDeps
-               : ts::barrierDeps(numMaps, opts.numReducers);
+    deps = probe.spec.reduceDeps;
   }
 
   const std::uint64_t tight =

@@ -53,11 +53,7 @@ mr::JobResult runEngine(const Geometry& g, SystemMode system,
   opts.faultPlan = faults;
   opts.recordTrace = true;
   QueryPlan plan = planner.plan(sh::temperatureField(3), opts);
-  *depsOut =
-      system == SystemMode::kSidr
-          ? plan.spec.reduceDeps
-          : ts::barrierDeps(static_cast<std::uint32_t>(plan.spec.splits.size()),
-                            g.reducers);
+  *depsOut = plan.spec.reduceDeps;
   return mr::Engine(std::move(plan.spec)).run();
 }
 

@@ -87,9 +87,7 @@ TEST_P(TraceInvariants, RandomizedSchedulingContract) {
                (spill ? " spill" : " mem") +
                " faults=" + std::to_string(fp.faults.size()));
 
-  std::vector<std::vector<std::uint32_t>> deps =
-      stock ? ts::barrierDeps(numMaps, opts.numReducers)
-            : plan.spec.reduceDeps;
+  std::vector<std::vector<std::uint32_t>> deps = plan.spec.reduceDeps;
 
   mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
   if (spill) std::filesystem::remove_all(dir);
@@ -104,7 +102,7 @@ TEST_P(TraceInvariants, RandomizedSchedulingContract) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceInvariants, ::testing::Range(0, 16));
 
 TEST(TraceInvariants, BothShuffleModesWithFaultsDeterministic) {
-  // The acceptance scenario pinned deterministically: SIDR mode, no
+  // The acceptance scenario pinned deterministically: a SIDR plan, no
   // budget and a one-page budget (nearly every segment evicted), with
   // map AND reduce fault injection (including a fail-on-attempt-2),
   // every trace invariant holding.
@@ -200,7 +198,7 @@ mr::JobSpec transposeJob(nd::Index side, std::uint32_t numReducers) {
   spec.reducerFactory = [] { return std::make_unique<FirstValueReducer>(); };
   spec.partitioner = std::make_shared<const mr::ModuloPartitioner>(shape);
   spec.numReducers = numReducers;
-  spec.mode = mr::ExecutionMode::kGlobalBarrier;
+  spec.reduceDeps = ts::barrierDeps(2, numReducers);
   spec.keySpace = shape;  // linearized fast path: packed radix sorts
   spec.numThreads = 2;
   return spec;
