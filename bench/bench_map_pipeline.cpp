@@ -4,30 +4,28 @@
 // Three workloads cover the fast path's three wins:
 //   * identity_pp   — identity mapper over partition+; row-major (already
 //     sorted) emission, so the gain is batched reading + run-cached
-//     granule routing + the O(n) sorted check replacing a full sort;
+//     granule routing + per-keyblock emit-order tracking, which skips
+//     the sort outright;
 //   * transpose_mod — mapper transposes the key, so emission order is
-//     NOT sorted and the (u64, index) permutation sort carries the win;
+//     NOT sorted and every keyblock goes through the stable sort by
+//     linear key — the one arm that sorts;
 //   * struct_mean_pp — the real structural-mean operator (pre-aggregating
-//     mapper + combiner), the fig10-style end-to-end map task.
+//     mapper), the fig10-style end-to-end map task.
 //
 // Arms per workload:
 //   * legacy     — frozen copy of the seed map loop: per-record next(),
 //     per-emit virtual partition(), full std::sort under lexicographic
-//     Coord compares, the frozen equal-key combine
-//     (tests/support/fallback_pipeline.hpp) and the seed's std::map
-//     structural mapper (tests/support/frozen_mappers.hpp) — kept as an
-//     honest baseline;
+//     Coord compares and the seed's std::map structural mapper
+//     (tests/support/frozen_mappers.hpp) — kept as an honest baseline;
 //   * linearized — the production pipeline;
 //   * traced     — the production pipeline with span recording on.
 //
-// A fourth group, BM_SortMicro, isolates the sort stage: the LSD radix
-// sort vs a frozen copy of the seed's (u64, index) comparison sort on
-// identical packed buffers. A fifth, BM_MedianSelect, isolates the
-// holistic reduce of Query 1: the radix-select median kernel vs the
-// seed's copy + std::nth_element on float32-rounded cells of 60, 720
-// and 1440 values. Both are written to a separate BENCH_sort_micro.json
-// (see main) so their trajectory is trackable independently of the
-// whole-pipeline numbers.
+// A fourth group, BM_MedianSelect, isolates the holistic reduce of
+// Query 1: the radix-select median kernel vs the seed's copy +
+// std::nth_element on float32-rounded cells of 60, 720 and 1440
+// values. It is written to a separate BENCH_sort_micro.json (see main)
+// so its trajectory is trackable independently of the whole-pipeline
+// numbers.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -48,7 +46,6 @@
 #include "scihadoop/operators.hpp"
 #include "scihadoop/record_reader.hpp"
 #include "sidr/partition_plus.hpp"
-#include "support/fallback_pipeline.hpp"
 #include "support/frozen_mappers.hpp"
 
 namespace {
@@ -95,7 +92,6 @@ struct Workload {
   /// The legacy arm's mapper: the seed's own where production has since
   /// changed (the structural mapper), else the same as mapperFactory.
   mr::MapperFactory legacyMapperFactory;
-  mr::CombinerFactory combinerFactory;  // may be null
   std::shared_ptr<const mr::Partitioner> partitioner;
   nd::Coord keySpace;
   std::int64_t records = 0;
@@ -175,11 +171,10 @@ class BufferingMapContext final : public mr::MapContext {
   std::vector<std::vector<mr::KeyValue>> buffers_;
 };
 
-/// Each keyblock's sorted (and combined) records: the seed's segments,
-/// which held KeyValues.
+/// Each keyblock's sorted records: the seed's segments, which held
+/// KeyValues.
 std::vector<std::vector<mr::KeyValue>> runMap(const Workload& w,
-                                              mr::Mapper& mapper,
-                                              const mr::Combiner* combiner) {
+                                              mr::Mapper& mapper) {
   BufferingMapContext ctx(*w.partitioner, kReducers);
   nd::Coord key;
   double value = 0;
@@ -198,9 +193,7 @@ std::vector<std::vector<mr::KeyValue>> runMap(const Workload& w,
               [](const mr::KeyValue& a, const mr::KeyValue& b) {
                 return a.key < b.key;
               });
-    segs.push_back(combiner != nullptr
-                       ? testsupport::frozenCombine(std::move(buf), *combiner)
-                       : std::move(buf));
+    segs.push_back(std::move(buf));
   }
   return segs;
 }
@@ -214,17 +207,15 @@ void BM_MapPipeline(benchmark::State& state, Workload (*make)(), Arm arm) {
   for (auto _ : state) {
     auto mapper =
         arm == Arm::kLegacy ? w.legacyMapperFactory() : w.mapperFactory();
-    std::unique_ptr<mr::Combiner> combiner =
-        w.combinerFactory ? w.combinerFactory() : nullptr;
     std::vector<mr::Segment> segs;
     std::vector<std::vector<mr::KeyValue>> legacySegs;
     switch (arm) {
       case Arm::kLegacy:
-        legacySegs = legacy::runMap(w, *mapper, combiner.get());
+        legacySegs = legacy::runMap(w, *mapper);
         break;
       case Arm::kLinearized:
         segs = mr::runMapPipeline(w.split, 0, w.readerFactory, *mapper,
-                                  *w.partitioner, kReducers, combiner.get(),
+                                  *w.partitioner, kReducers, nullptr,
                                   w.keySpace);
         break;
       case Arm::kTraced: {
@@ -235,7 +226,7 @@ void BM_MapPipeline(benchmark::State& state, Workload (*make)(), Arm arm) {
         obs::TraceRecorder recorder;
         obs::ScopedRecorder scoped(&recorder);
         segs = mr::runMapPipeline(w.split, 0, w.readerFactory, *mapper,
-                                  *w.partitioner, kReducers, combiner.get(),
+                                  *w.partitioner, kReducers, nullptr,
                                   w.keySpace);
         break;
       }
@@ -269,69 +260,6 @@ BENCHMARK_CAPTURE(BM_MapPipeline, transpose_mod_traced, &transposeModulo,
 BENCHMARK_CAPTURE(BM_MapPipeline, struct_mean_pp_traced,
                   &structuralMeanPartitionPlus, Arm::kTraced)
     ->Unit(benchmark::kMillisecond);
-
-// ---- sort-only micro arm: radix vs frozen comparison sort ----
-
-/// The seed's Segment::sortPacked body, frozen verbatim as the
-/// comparison baseline (same oracle tests/sort_spill_parity_test.cpp
-/// pins the radix sort against for correctness).
-void frozenComparisonSortPacked(std::vector<mr::PackedRecord>& packed) {
-  struct LinIdx {
-    std::uint64_t lin;
-    std::uint32_t idx;
-  };
-  std::vector<LinIdx> order(packed.size());
-  for (std::size_t i = 0; i < packed.size(); ++i) {
-    order[i] = {packed[i].lin, static_cast<std::uint32_t>(i)};
-  }
-  std::sort(order.begin(), order.end(), [](const LinIdx& a, const LinIdx& b) {
-    return a.lin < b.lin || (a.lin == b.lin && a.idx < b.idx);
-  });
-  std::vector<mr::PackedRecord> sorted;
-  sorted.reserve(packed.size());
-  for (const LinIdx& li : order) sorted.push_back(packed[li.idx]);
-  packed = std::move(sorted);
-}
-
-/// Shuffled keys over a 4n span — the transpose-workload shape: a few
-/// low lin bytes vary, the high ones are constant, so the radix sort's
-/// pass skipping engages exactly as it does on real map output.
-std::vector<mr::PackedRecord> makeSortInput(std::size_t n) {
-  std::mt19937_64 rng(42);
-  const std::uint64_t span = 4 * static_cast<std::uint64_t>(n);
-  std::vector<mr::PackedRecord> v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    v[i].lin = rng() % span;
-    v[i].represents = 1;
-    v[i].kind = mr::ValueKind::kScalar;
-    v[i].payload.scalar = static_cast<double>(i);
-  }
-  return v;
-}
-
-void BM_SortMicro(benchmark::State& state, bool radix) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<mr::PackedRecord> base = makeSortInput(n);
-  std::vector<mr::PackedRecord> buf;
-  for (auto _ : state) {
-    state.PauseTiming();
-    buf = base;
-    state.ResumeTiming();
-    if (radix) {
-      mr::radixSortPacked(buf);
-    } else {
-      frozenComparisonSortPacked(buf);
-    }
-    benchmark::DoNotOptimize(buf.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-
-BENCHMARK_CAPTURE(BM_SortMicro, radix, true)
-    ->Arg(1 << 16)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SortMicro, comparison, false)
-    ->Arg(1 << 16)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
 
 // ---- median-select micro arm: radix select vs std::nth_element ----
 
@@ -387,7 +315,7 @@ BENCHMARK_CAPTURE(BM_MedianSelect, nth_element, false)
 int main(int argc, char** argv) {
   // Same contract as bench::runBenchmarksWithJson, but split across two
   // JSON files: the pipeline arms keep BENCH_map_pipeline.json and the
-  // sort and median-select micro-arms get BENCH_sort_micro.json.
+  // median-select micro-arms get BENCH_sort_micro.json.
   static std::string quickFlag = "--benchmark_min_time=0.01";
   std::vector<char*> args(argv, argv + argc);
   for (char*& a : args) {
@@ -404,8 +332,7 @@ int main(int argc, char** argv) {
   {
     sidr::bench::BenchJson json("sort_micro");
     sidr::bench::JsonCapturingReporter reporter(json);
-    ::benchmark::RunSpecifiedBenchmarks(&reporter,
-                                        "BM_(SortMicro|MedianSelect).*");
+    ::benchmark::RunSpecifiedBenchmarks(&reporter, "BM_MedianSelect.*");
     json.write();
   }
   // Per-phase breakdown of ONE traced execution of each workload,
@@ -421,14 +348,12 @@ int main(int argc, char** argv) {
     for (const auto& [label, make] : workloads) {
       const Workload w = make();
       auto mapper = w.mapperFactory();
-      std::unique_ptr<mr::Combiner> combiner =
-          w.combinerFactory ? w.combinerFactory() : nullptr;
       obs::TraceRecorder recorder;
       {
         obs::ScopedRecorder scoped(&recorder);
         auto segs = mr::runMapPipeline(w.split, 0, w.readerFactory, *mapper,
-                                       *w.partitioner, kReducers,
-                                       combiner.get(), w.keySpace);
+                                       *w.partitioner, kReducers, nullptr,
+                                       w.keySpace);
         benchmark::DoNotOptimize(segs.data());
       }
       const obs::Trace trace = recorder.collect();

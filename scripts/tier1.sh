@@ -86,7 +86,7 @@ done
 # skew_join_test joins two value streams inside one reduce (side-tagged
 # list payloads, sorted in place) across every memory budget — buffer
 # reuse across sides is where a stale-pointer bug would live. The
-# packed-segment code rides along: segment_test (codec, sort/combine,
+# packed-segment code rides along: segment_test (codec, sort,
 # the merger's cursors over segments and streamed inputs),
 # linear_fastpath_test (packed map output against the frozen
 # lexicographic pipeline) and structural_mapper_parity_test (dense cell

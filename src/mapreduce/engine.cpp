@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <compare>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -57,6 +58,10 @@ Engine::Engine(JobSpec spec) : spec_(std::move(spec)) {
 }
 
 JobResult Engine::run() {
+  // The spec moves into the job below; a second run would start a job
+  // from its moved-from remains.
+  if (ran_) throw std::logic_error("Engine: run() called twice");
+  ran_ = true;
   // The solo driver is now a thin shell over JobContext: one context,
   // numThreads workers spinning its claim loop, one finalize. The
   // multi-job EngineService drives the same context through the

@@ -32,13 +32,15 @@ class Engine {
 
   /// Runs the job to completion and returns outputs, events and metrics.
   /// Thread-safe against concurrent runs of other engines; a single
-  /// Engine instance is single-use. Implemented as one JobContext
-  /// driven by numThreads workers (job_context.hpp); submit to an
-  /// EngineService instead to multiplex many jobs over shared pools.
+  /// Engine instance is single-use: a second call throws
+  /// std::logic_error. Implemented as one JobContext driven by
+  /// numThreads workers (job_context.hpp); submit to an EngineService
+  /// instead to multiplex many jobs over shared pools.
   JobResult run();
 
  private:
   JobSpec spec_;
+  bool ran_ = false;
 };
 
 }  // namespace sidr::mr

@@ -1,5 +1,5 @@
 // User-facing interfaces of the MapReduce runtime: RecordReader, Mapper,
-// Combiner, Reducer, Partitioner and their contexts. These mirror the
+// Reducer, Partitioner and their contexts. These mirror the
 // Hadoop 1.0 APIs the paper extends, restricted to coordinate keys.
 #pragma once
 
@@ -96,14 +96,6 @@ class Reducer {
                       ReduceContext& ctx) = 0;
 };
 
-/// Optional map-side combiner: merges two values for the same key.
-class Combiner {
- public:
-  virtual ~Combiner() = default;
-
-  virtual Value combine(const Value& a, const Value& b) const = 0;
-};
-
 /// Assigns intermediate keys to keyblocks (one keyblock per Reduce
 /// task). Implementations: HashPartitioner / ModuloPartitioner (Hadoop
 /// defaults) and sidr::PartitionPlus.
@@ -137,7 +129,6 @@ class Partitioner {
 };
 
 /// Factory signatures used by JobSpec.
-using CombinerFactory = std::function<std::unique_ptr<Combiner>()>;
 using MapperFactory = std::function<std::unique_ptr<Mapper>()>;
 using ReducerFactory = std::function<std::unique_ptr<Reducer>()>;
 using RecordReaderFactory =

@@ -285,10 +285,6 @@ struct JobSpec : ExecutionOptions {
   /// references input 1); single-input jobs leave both empty.
   RecordReaderFactory secondaryReaderFactory;
   MapperFactory secondaryMapperFactory;
-  /// Optional map-side combiner applied per (map, keyblock) segment
-  /// after the sort; merges equal-key records, preserving the count
-  /// annotation totals.
-  CombinerFactory combinerFactory;
   std::shared_ptr<const Partitioner> partitioner;
   std::uint32_t numReducers = 1;
 
@@ -426,12 +422,6 @@ struct JobResult {
   /// Shuffle data-plane counters for the transport that ran the job
   /// (all-zero wire fields under kInProcess).
   TransportStats transportTotals;
-
-  /// Job-wide sort counters: each map attempt's sorts are captured into
-  /// a per-attempt ScopedSortStatsSink and folded in under the job lock,
-  /// so concurrent jobs sharing worker threads never bleed counts into
-  /// each other.
-  SortStats sortTotals;
 
   /// Per-attempt / per-phase spans, populated when JobSpec::recordTrace
   /// was set; empty otherwise. Every metric above is filled the same

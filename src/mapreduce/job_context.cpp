@@ -24,6 +24,10 @@ void validateJobSpec(const JobSpec& spec) {
   if (spec.numReducers == 0) {
     throw std::invalid_argument("Engine: numReducers must be > 0");
   }
+  // No task could ever be claimed without a slot: the job would hang.
+  if (spec.mapSlots == 0 || spec.reduceSlots == 0) {
+    throw std::invalid_argument("Engine: mapSlots and reduceSlots must be > 0");
+  }
   if (spec.keySpace.rank() == 0 || !spec.keySpace.isValidShape()) {
     throw std::invalid_argument(
         "Engine: keySpace must be a valid non-empty shape (all extents > 0)");
@@ -637,20 +641,12 @@ void JobContext::runMap(std::uint32_t m) {
       secondary ? spec.secondaryMapperFactory() : spec.mapperFactory();
   const RecordReaderFactory& readerFactory =
       secondary ? spec.secondaryReaderFactory : spec.readerFactory;
-  std::unique_ptr<Combiner> combiner =
-      spec.combinerFactory ? spec.combinerFactory() : nullptr;
-  // Batched read → map → route → sort/combine lives in the shared map
-  // pipeline (map_pipeline.cpp). The sink scopes every sort counter the
-  // pipeline touches to THIS attempt, so the counts fold into the owning
-  // job's totals below no matter which jobs share the worker thread.
-  SortStats taskSort;
-  std::vector<Segment> produced;
-  {
-    ScopedSortStatsSink statsSink(&taskSort);
-    produced = runMapPipeline(spec.splits[m], m, readerFactory, *mapper,
-                              *spec.partitioner, numReduces, combiner.get(),
-                              spec.keySpace, pagePool.get());
-  }
+  // Batched read → map → route → sort lives in the shared map pipeline
+  // (map_pipeline.cpp).
+  std::vector<Segment> produced =
+      runMapPipeline(spec.splits[m], m, readerFactory, *mapper,
+                     *spec.partitioner, numReduces, pagePool.get(),
+                     spec.keySpace);
 
   // Verify routing against the declared dependency sets (a record
   // landing in a keyblock that does not list this split is a
@@ -692,7 +688,6 @@ void JobContext::runMap(std::uint32_t m) {
     attemptSpan.fail();
     double tFail = now();
     std::scoped_lock lock(mtx);
-    result.sortTotals.add(taskSort);
     ++result.mapFailures;
     recordEvent(TaskEvent::Kind::kMapStart, m, tStart, attempt);
     recordEvent(TaskEvent::Kind::kMapFail, m, tFail, attempt);
@@ -714,7 +709,6 @@ void JobContext::runMap(std::uint32_t m) {
 
   {
     std::scoped_lock lock(mtx);
-    result.sortTotals.add(taskSort);
     recordEvent(TaskEvent::Kind::kMapStart, m, tStart, attempt);
     recordEvent(TaskEvent::Kind::kMapEnd, m, tEnd, attempt);
     // Publication is a pointer flip per keyblock — no data copy runs

@@ -11,11 +11,6 @@
 //    is byte-identical to the historical flat layout;
 //  - the trace recorder: installed per claimed task, so spans land on
 //    the owning job's trace no matter which jobs share the thread;
-//  - sort counters: each map attempt redirects the thread's SortStats
-//    into a task-local sink (ScopedSortStatsSink) and folds it into
-//    JobResult::sortTotals under the job mutex — replacing the old
-//    per-thread baseline/delta fold that miscounted the moment pool
-//    threads interleaved work from two jobs;
 //  - end-of-job cleanup: finalize() removes the job's spill namespace
 //    on any non-success outcome, so a failed or cancelled job leaves
 //    zero files behind.

@@ -5,7 +5,7 @@
 // shapes structural operators need:
 //   * kScalar  — a single data point (map input, simple outputs);
 //   * kPartial — distributive running aggregate (sum/count/min/max),
-//                what combiners ship for mean/sum/min/max queries;
+//                what mappers ship per cell for mean/sum/min/max queries;
 //   * kList    — a list of data points, required by holistic operators
 //                (median) and by filter queries whose result per key is
 //                "zero or more values" (paper section 2.4.2).
@@ -110,7 +110,8 @@ class Value {
 
 /// One intermediate record. `represents` is the count annotation from
 /// paper section 3.2.1 method 2: how many original map-input pairs this
-/// record stands for after combining (1 when no combiner ran).
+/// record stands for (1 for a raw pair, the cell's pair count for a
+/// record the mapper pre-aggregated).
 struct KeyValue {
   nd::Coord key;
   Value value;

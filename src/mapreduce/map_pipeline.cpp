@@ -111,8 +111,7 @@ void BufferingMapContext::emit(const nd::Coord& key, Value value,
 }
 
 Segment BufferingMapContext::takeSegment(std::uint32_t mapTask,
-                                         std::uint32_t kb,
-                                         const Combiner* combiner) {
+                                         std::uint32_t kb) {
   // The reserve hint assumes one emission per input record; aggregating
   // mappers emit one per output cell and leave most of it unused. Give
   // that back now rather than hold it until the keyblock's reduce runs:
@@ -122,11 +121,8 @@ Segment BufferingMapContext::takeSegment(std::uint32_t mapTask,
   if (buf.capacity() > 2 * buf.size()) buf.shrink_to_fit();
   Segment seg(mapTask, kb, std::move(buf), std::move(lists_[kb]), keySpace_);
   // A keyblock whose emissions were tracked as already nondecreasing
-  // needs no sort at all — skipping the call also skips the O(n)
-  // sorted rescan, and guarantees sorted combiner output is never
-  // re-examined after the combine merge.
+  // needs no sort at all.
   if (!emitSorted_[kb]) seg.sortByKey();
-  if (combiner != nullptr) seg.combineWith(*combiner);
   return seg;
 }
 
@@ -136,9 +132,8 @@ std::vector<Segment> runMapPipeline(const InputSplit& split,
                                     Mapper& mapper,
                                     const Partitioner& partitioner,
                                     std::uint32_t numReducers,
-                                    const Combiner* combiner,
-                                    const nd::Coord& keySpace,
-                                    SegmentPagePool* pagePool) {
+                                    SegmentPagePool* pagePool,
+                                    const nd::Coord& keySpace) {
   BufferingMapContext ctx(partitioner, numReducers, keySpace, pagePool);
   if (numReducers > 0) {
     ctx.reserveHint(static_cast<std::size_t>(split.volume()) / numReducers);
@@ -190,7 +185,7 @@ std::vector<Segment> runMapPipeline(const InputSplit& split,
   std::vector<Segment> segs;
   segs.reserve(numReducers);
   for (std::uint32_t kb = 0; kb < numReducers; ++kb) {
-    segs.push_back(ctx.takeSegment(mapTask, kb, combiner));
+    segs.push_back(ctx.takeSegment(mapTask, kb));
   }
   return segs;
 }

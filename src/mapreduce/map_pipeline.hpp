@@ -48,13 +48,11 @@ class BufferingMapContext final : public MapContext {
   }
 
   /// Moves keyblock `kb`'s buffered records into a packed Segment,
-  /// sorts it, and applies the optional combiner. A keyblock whose
-  /// emissions arrived in nondecreasing linear-key order (tracked per
-  /// emit, the common row-major case) skips the sort call outright —
-  /// not even the O(n) sorted scan runs, and already-sorted combiner
-  /// output is never re-sorted. Each keyblock can be taken once.
-  Segment takeSegment(std::uint32_t mapTask, std::uint32_t kb,
-                      const Combiner* combiner);
+  /// sorted by key. A keyblock whose emissions arrived in nondecreasing
+  /// linear-key order (tracked per emit; every mapper the planner builds
+  /// emits that way) skips the sort call outright, with no O(n) scan
+  /// either. Each keyblock can be taken once.
+  Segment takeSegment(std::uint32_t mapTask, std::uint32_t kb);
 
  private:
   std::uint64_t linearizeChecked(const nd::Coord& key) const;
@@ -85,18 +83,16 @@ class BufferingMapContext final : public MapContext {
 /// Executes one map task: announces the split to the mapper
 /// (Mapper::beginSplit), reads every region of `split` as row runs in
 /// batches of at most 512 records, feeds each run to Mapper::mapRun,
-/// and returns one sorted (and, when `combiner` is
-/// non-null, combined) packed segment per keyblock — exactly the
-/// segments the engine publishes or spills. `keySpace` is the job's
-/// key space, as in BufferingMapContext.
+/// and returns one sorted packed segment per keyblock — exactly the
+/// segments the engine publishes or spills. `pagePool` (may be null)
+/// and `keySpace` are as in BufferingMapContext.
 std::vector<Segment> runMapPipeline(const InputSplit& split,
                                     std::uint32_t mapTask,
                                     const RecordReaderFactory& readerFactory,
                                     Mapper& mapper,
                                     const Partitioner& partitioner,
                                     std::uint32_t numReducers,
-                                    const Combiner* combiner,
-                                    const nd::Coord& keySpace,
-                                    SegmentPagePool* pagePool = nullptr);
+                                    SegmentPagePool* pagePool,
+                                    const nd::Coord& keySpace);
 
 }  // namespace sidr::mr

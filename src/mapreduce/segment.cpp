@@ -1,6 +1,5 @@
 #include "mapreduce/segment.hpp"
 
-#include "mapreduce/interfaces.hpp"
 #include "obs/trace.hpp"
 #include "scifile/storage.hpp"
 
@@ -13,88 +12,6 @@
 #include <stdexcept>
 
 namespace sidr::mr {
-
-SortStats& sortStats() noexcept {
-  thread_local SortStats stats;
-  return stats;
-}
-
-namespace {
-/// Innermost ScopedSortStatsSink on this thread; null = fall back to
-/// the thread-local sortStats().
-thread_local SortStats* tSortSink = nullptr;
-}  // namespace
-
-SortStats& activeSortStats() noexcept {
-  return tSortSink != nullptr ? *tSortSink : sortStats();
-}
-
-ScopedSortStatsSink::ScopedSortStatsSink(SortStats* sink) noexcept
-    : prev_(tSortSink) {
-  tSortSink = sink;
-}
-
-ScopedSortStatsSink::~ScopedSortStatsSink() { tSortSink = prev_; }
-
-void radixSortPacked(std::vector<PackedRecord>& records) {
-  SortStats& stats = activeSortStats();
-  const std::size_t n = records.size();
-  if (n > std::numeric_limits<std::uint32_t>::max()) {
-    // The pair buffer indexes with u32 (as the comparison path does);
-    // beyond that a stable comparison sort preserves the contract.
-    ++stats.comparisonSorts;
-    std::stable_sort(records.begin(), records.end(),
-                     [](const PackedRecord& a, const PackedRecord& b) {
-                       return a.lin < b.lin;
-                     });
-    return;
-  }
-  ++stats.radixSorts;
-  if (n <= 1) return;
-  struct LinIdx {
-    std::uint64_t lin;
-    std::uint32_t idx;
-  };
-  std::vector<LinIdx> front(n), back(n);
-  // One scan builds all eight byte histograms while filling the pair
-  // buffer, so skippable passes are known before any scatter runs.
-  std::array<std::array<std::uint32_t, 256>, 8> counts{};
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t k = records[i].lin;
-    front[i] = LinIdx{k, static_cast<std::uint32_t>(i)};
-    for (std::size_t b = 0; b < 8; ++b) ++counts[b][(k >> (8 * b)) & 0xff];
-  }
-  LinIdx* src = front.data();
-  LinIdx* dst = back.data();
-  for (std::size_t pass = 0; pass < 8; ++pass) {
-    std::array<std::uint32_t, 256>& c = counts[pass];
-    const std::size_t shift = 8 * pass;
-    // A byte that is constant across the segment contributes nothing to
-    // the order: a stable counting scatter on it is the identity.
-    if (c[(src[0].lin >> shift) & 0xff] == n) {
-      ++stats.radixPassesSkipped;
-      continue;
-    }
-    std::uint32_t sum = 0;
-    for (std::uint32_t& bucket : c) {
-      const std::uint32_t count = bucket;
-      bucket = sum;
-      sum += count;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[c[(src[i].lin >> shift) & 0xff]++] = src[i];
-    }
-    std::swap(src, dst);
-    ++stats.radixPasses;
-  }
-  // LSD counting passes are stable, so equal keys still carry ascending
-  // idx here — the same permutation the (lin, idx) comparison sort
-  // yields. Apply it to the 40-byte records once.
-  std::vector<PackedRecord> sorted;
-  sorted.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) sorted.push_back(records[src[i].idx]);
-  records = std::move(sorted);
-}
 
 std::string segmentFileName(std::uint32_t mapTask, std::uint32_t keyblock) {
   return "map" + std::to_string(mapTask) + "_kb" + std::to_string(keyblock) +
@@ -148,89 +65,10 @@ void Segment::sortByKey() {
   obs::SpanScope span(obs::Phase::kSortPacked, obs::TaskSide::kMap,
                       header_.mapTask, 0, header_.keyblock);
   span.setRecords(header_.numRecords);
-  sortPacked();
-}
-
-void Segment::sortPacked() {
-  // Mappers over row-major input usually emit each keyblock's records
-  // already key-ordered; detect that in O(n) and skip the sort.
-  if (isSorted()) {
-    ++activeSortStats().sortedSkips;
-    return;
-  }
-  if (packed_.size() >= kRadixSortMinRecords) {
-    // List indices stay valid on every path: the side table is never
-    // permuted.
-    radixSortPacked(packed_);
-    return;
-  }
-  // Small segment: the comparison sort on (lin, idx) pairs wins below
-  // the radix threshold. Buffer order is emission order, so the index
-  // tie-break keeps the sort stable.
-  ++activeSortStats().comparisonSorts;
-  struct LinIdx {
-    std::uint64_t lin;
-    std::uint32_t idx;
-  };
-  std::vector<LinIdx> order(packed_.size());
-  for (std::size_t i = 0; i < packed_.size(); ++i) {
-    order[i] = {packed_[i].lin, static_cast<std::uint32_t>(i)};
-  }
-  std::sort(order.begin(), order.end(), [](const LinIdx& a, const LinIdx& b) {
-    return a.lin < b.lin || (a.lin == b.lin && a.idx < b.idx);
-  });
-  std::vector<PackedRecord> sorted;
-  sorted.reserve(packed_.size());
-  for (const LinIdx& li : order) sorted.push_back(packed_[li.idx]);
-  packed_ = std::move(sorted);
-}
-
-void Segment::combineWith(const Combiner& combiner) {
-  // Combiners consume and produce full Values: unpack each equal-key
-  // run, fold it, and pack the result back (lists into a fresh side
-  // table, so indices stay dense).
-  const auto unpack = [this](const PackedRecord& r) {
-    switch (r.kind) {
-      case ValueKind::kScalar:
-        return Value::scalar(r.payload.scalar);
-      case ValueKind::kPartial:
-        return Value::partial(r.payload.partial);
-      case ValueKind::kList:
-        break;
-    }
-    return std::move(lists_[r.payload.listIndex]);
-  };
-  std::vector<PackedRecord> combined;
-  std::vector<Value> lists;
-  for (std::size_t i = 0; i < packed_.size();) {
-    PackedRecord out = packed_[i];
-    Value value = unpack(packed_[i]);
-    std::size_t j = i + 1;
-    for (; j < packed_.size() && packed_[j].lin == out.lin; ++j) {
-      value = combiner.combine(value, unpack(packed_[j]));
-      out.represents += packed_[j].represents;
-    }
-    out.kind = value.kind();
-    switch (out.kind) {
-      case ValueKind::kScalar:
-        out.payload.scalar = value.asScalar();
-        break;
-      case ValueKind::kPartial:
-        out.payload.partial = value.asPartial();
-        break;
-      case ValueKind::kList:
-        out.payload.listIndex = static_cast<std::uint32_t>(lists.size());
-        lists.push_back(std::move(value));
-        break;
-    }
-    combined.push_back(out);
-    i = j;
-  }
-  packed_ = std::move(combined);
-  lists_ = std::move(lists);
-  header_.numRecords = packed_.size();
-  // header_.represents is preserved: combining merges values but still
-  // stands for the same original input pairs.
+  std::stable_sort(packed_.begin(), packed_.end(),
+                   [](const PackedRecord& a, const PackedRecord& b) {
+                     return a.lin < b.lin;
+                   });
 }
 
 bool Segment::isSorted() const {

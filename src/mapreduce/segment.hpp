@@ -137,77 +137,6 @@ std::string segmentAttemptFileName(std::uint32_t mapTask,
 void commitSegmentFile(const std::string& dir, std::uint32_t mapTask,
                        std::uint32_t keyblock, std::uint32_t attempt);
 
-// ---- packed-sort instrumentation and the radix sort itself ----
-
-/// Counters describing what Segment's key sort actually did. The sort
-/// code increments whatever sink is installed on the calling thread
-/// (ScopedSortStatsSink); with none installed the counts land in the
-/// thread-local sortStats(), so tests that drive sorts directly read
-/// them on the sorting thread. The engine installs a per-task sink for
-/// the duration of each map attempt and folds it into the owning job's
-/// JobResult::sortTotals — counters can never bleed between jobs that
-/// share worker threads (the old thread_local baseline/delta fold
-/// miscounted exactly there).
-struct SortStats {
-  std::uint64_t sortedSkips = 0;      ///< sorts skipped by the O(n) sorted check
-  std::uint64_t comparisonSorts = 0;  ///< comparison-sorted segments (fallbacks)
-  std::uint64_t radixSorts = 0;       ///< radix-sorted segments
-  std::uint64_t radixPasses = 0;      ///< byte passes actually scattered
-  std::uint64_t radixPassesSkipped = 0;  ///< passes skipped (constant key byte)
-
-  void reset() { *this = SortStats{}; }
-
-  /// Field-wise accumulation (JobResult::sortTotals aggregation).
-  void add(const SortStats& other) noexcept {
-    sortedSkips += other.sortedSkips;
-    comparisonSorts += other.comparisonSorts;
-    radixSorts += other.radixSorts;
-    radixPasses += other.radixPasses;
-    radixPassesSkipped += other.radixPassesSkipped;
-  }
-};
-
-/// This thread's fallback sort counters (used when no sink is
-/// installed).
-SortStats& sortStats() noexcept;
-
-/// The counters the sort code on this thread currently increments: the
-/// innermost installed ScopedSortStatsSink, or sortStats() when none.
-SortStats& activeSortStats() noexcept;
-
-/// Redirects this thread's sort counters into `sink` for the enclosing
-/// scope (restoring the previous sink on exit). The engine wraps each
-/// map attempt in one of these pointing at a task-local SortStats, so
-/// the attempt's counts are attributed to the job that ran it, no
-/// matter which jobs share the worker thread.
-class ScopedSortStatsSink {
- public:
-  explicit ScopedSortStatsSink(SortStats* sink) noexcept;
-  ~ScopedSortStatsSink();
-  ScopedSortStatsSink(const ScopedSortStatsSink&) = delete;
-  ScopedSortStatsSink& operator=(const ScopedSortStatsSink&) = delete;
-
- private:
-  SortStats* prev_;
-};
-
-/// Below this record count Segment::sortPacked keeps the comparison
-/// sort: the radix pass's 256-bucket histograms and scratch buffers do
-/// not amortize on tiny segments.
-inline constexpr std::size_t kRadixSortMinRecords = 64;
-
-/// Stable LSD radix sort of packed records by `lin`, ties keeping
-/// buffer (emission) order — the exact permutation the stable
-/// comparison sort produces. Byte-wise passes over a (u64 lin, u32
-/// index) double buffer; all eight histograms are built in one scan and
-/// passes whose key byte is constant across the whole segment are
-/// skipped (common when a keyblock spans a narrow linear range). The
-/// records themselves are permuted once at the end. Exposed as a free
-/// function so the differential suite can drive it against a frozen
-/// comparison oracle at ANY size; Segment::sortPacked routes through it
-/// at or above kRadixSortMinRecords.
-void radixSortPacked(std::vector<PackedRecord>& records);
-
 struct SegmentHeader {
   std::uint32_t mapTask = 0;      ///< producing map task id
   std::uint32_t keyblock = 0;     ///< destination keyblock / reduce task
@@ -223,10 +152,10 @@ class Segment {
 
   /// Constructs a segment from packed records (DESIGN.md section 11),
   /// the one in-memory form every segment takes: keys linearized in
-  /// `keySpace`, list payloads out-of-line in `lists`. Sorting,
-  /// combining, the annotation header, the merge and both encoders work
-  /// on it directly. Throws std::invalid_argument when keySpace is not a
-  /// valid non-empty shape.
+  /// `keySpace`, list payloads out-of-line in `lists`. Sorting, the
+  /// annotation header, the merge and the encoder work on it directly.
+  /// Throws std::invalid_argument when keySpace is not a valid non-empty
+  /// shape.
   Segment(std::uint32_t mapTask, std::uint32_t keyblock,
           std::vector<PackedRecord> packed,
           std::vector<std::vector<double>> lists, nd::Coord keySpace);
@@ -260,19 +189,12 @@ class Segment {
   /// plus list payloads.
   std::uint64_t residentBytes() const noexcept;
 
-  /// Sorts records by linear key — row-major key order — ties broken by
-  /// emission order. Map tasks sort their output before serving it to
-  /// reducers, as Hadoop does. Radix-sorts (see radixSortPacked) at or
-  /// above kRadixSortMinRecords and comparison-sorts (u64, u32 index)
-  /// pairs below it. Already-sorted output (the common case: mappers
-  /// emit in row-major order) is detected in O(n).
+  /// Stable-sorts records by linear key — row-major key order — so
+  /// equal keys keep emission order and list indices stay valid (the
+  /// side table is never permuted). Map output reaches reducers sorted,
+  /// as in Hadoop; the map pipeline calls this only for a keyblock
+  /// whose emissions arrived out of key order.
   void sortByKey();
-
-  /// Applies a combiner to a sorted segment: merges runs of equal-key
-  /// records into one (folding values left to right in emission order),
-  /// summing their count annotations so the paper's section 3.2.1 tally
-  /// stays exact across combining.
-  void combineWith(const class Combiner& combiner);
 
   /// True when records are sorted by key.
   bool isSorted() const;
@@ -328,8 +250,6 @@ class Segment {
   static SegmentHeader peekHeader(std::span<const std::byte> bytes);
 
  private:
-  void sortPacked();
-
   SegmentHeader header_;
   std::vector<PackedRecord> packed_;
   /// List side table. It holds kList Values so the merge can pass them

@@ -2,8 +2,8 @@
 // StructuralQuery, plus a serial oracle for correctness testing.
 //
 // The mapper translates input keys to intermediate keys through the
-// ExtractionMap and pre-aggregates per intermediate key (Hadoop's
-// combiner, run map-side):
+// ExtractionMap and pre-aggregates per intermediate key inside the map
+// task (the work a Hadoop combiner does, with no separate combine pass):
 //   * distributive operators ship a constant-size Partial per key;
 //   * median ships the full value list (holistic: no reduction legal);
 //   * filter ships the surviving values (possibly an empty list — the

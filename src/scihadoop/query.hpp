@@ -34,8 +34,9 @@ enum class OperatorKind : std::uint8_t {
 };
 
 /// True for operators whose per-cell partials are constant-size
-/// aggregates (combiners shrink data); false for operators that must
-/// ship the full value list (median) or a data-dependent list (filter).
+/// aggregates (map-side pre-aggregation shrinks data); false for
+/// operators that must ship the full value list (median) or a
+/// data-dependent list (filter).
 bool isDistributive(OperatorKind op);
 
 /// How ragged edges (input extents not divisible by the extraction

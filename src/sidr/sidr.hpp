@@ -16,7 +16,6 @@
 #pragma once
 
 #include "dfs/namenode.hpp"
-#include "mapreduce/combiners.hpp"
 #include "mapreduce/engine.hpp"
 #include "mapreduce/partitioners.hpp"
 #include "ndarray/coord.hpp"

@@ -81,14 +81,6 @@ void expectSameOutput(const mr::ReduceOutput& got, const mr::ReduceOutput& want)
   }
 }
 
-void expectSameSortTotals(const mr::SortStats& got, const mr::SortStats& want) {
-  EXPECT_EQ(got.sortedSkips, want.sortedSkips);
-  EXPECT_EQ(got.comparisonSorts, want.comparisonSorts);
-  EXPECT_EQ(got.radixSorts, want.radixSorts);
-  EXPECT_EQ(got.radixPasses, want.radixPasses);
-  EXPECT_EQ(got.radixPassesSkipped, want.radixPassesSkipped);
-}
-
 void expectNoDanglingAttempts(const std::string& dir) {
   for (const auto& entry : fs::recursive_directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
@@ -226,14 +218,20 @@ mr::ReducerFactory gateNthReducer(mr::ReducerFactory inner,
 TEST(EngineServiceValidation, SubmitRejectsBadSpecsLikeEngine) {
   const std::string dir = tempDir("sidr_svc_validate");
   QueryPlan plan = makePlan(1, dir);
-  mr::JobSpec bad = plan.spec;
+  std::vector<mr::JobSpec> bad(3, plan.spec);
   // A split listed twice in one dependency set: without the check the
   // keyblock would wait forever for its second commit.
-  ASSERT_FALSE(bad.reduceDeps[0].empty());
-  bad.reduceDeps[0].push_back(bad.reduceDeps[0].front());
-  EXPECT_THROW(mr::Engine{mr::JobSpec(bad)}, std::invalid_argument);
+  ASSERT_FALSE(bad[0].reduceDeps[0].empty());
+  bad[0].reduceDeps[0].push_back(bad[0].reduceDeps[0].front());
+  // Without a map or a reduce slot, no task of that kind is ever
+  // claimed: the job would stay admitted forever.
+  bad[1].mapSlots = 0;
+  bad[2].reduceSlots = 0;
   mr::EngineService service;
-  EXPECT_THROW(service.submit(std::move(bad)), std::invalid_argument);
+  for (mr::JobSpec& spec : bad) {
+    EXPECT_THROW(mr::Engine{mr::JobSpec(spec)}, std::invalid_argument);
+    EXPECT_THROW(service.submit(std::move(spec)), std::invalid_argument);
+  }
   // A rejected submission never reached the queue.
   EXPECT_EQ(service.stats().submitted, 0u);
 }
@@ -300,7 +298,6 @@ TEST(EngineService, SingleJobMatchesSoloEngine) {
   EXPECT_EQ(result.shuffleConnections, solo.shuffleConnections);
   EXPECT_EQ(result.recordsPerReducer, solo.recordsPerReducer);
   EXPECT_EQ(result.annotationViolations, 0u);
-  expectSameSortTotals(result.sortTotals, solo.sortTotals);
 
   // Terminal partials are the full output set; cancel is a no-op now.
   EXPECT_EQ(handle.partialResults().size(), result.outputs.size());
@@ -342,10 +339,6 @@ TEST(EngineService, ConcurrentMixedJobsBitIdenticalToSolo) {
         << "job " << i;
     EXPECT_EQ(result.recordsPerReducer, solos[i].recordsPerReducer);
     EXPECT_EQ(result.annotationViolations, 0u);
-    // The old thread_local baseline/delta fold bled counts across jobs
-    // sharing a thread; per-attempt sinks must reproduce the solo
-    // counters exactly even with 4 jobs interleaving on 4 workers.
-    expectSameSortTotals(result.sortTotals, solos[i].sortTotals);
     EXPECT_EQ(result.mapFailures, solos[i].mapFailures);
     EXPECT_EQ(result.reduceFailures, solos[i].reduceFailures);
   }
@@ -681,7 +674,6 @@ TEST(MultiJobServiceHammer, FleetWithFailuresAndCancels) {
     for (std::size_t i = 0; i < kJobs; ++i) {
       const mr::JobResult& result = handles[i].wait();
       expectSameCollected(result.collectAll(), solos[i].collectAll());
-      expectSameSortTotals(result.sortTotals, solos[i].sortTotals);
     }
     for (mr::JobHandle& handle : failing) {
       EXPECT_THROW(handle.wait(), mr::JobError);

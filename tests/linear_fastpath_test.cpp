@@ -1,11 +1,11 @@
 // Parity suite for the linearized-key map path (DESIGN.md section 11).
 //
 // Linearization must be a pure optimization: the pipeline batches
-// reads, routes through partitionRun, buffers packed records, and sorts
-// (u64, index) pairs — yet every observable artifact must match the
-// per-record lexicographic computation. These tests pin that at three
-// levels: the map pipeline's segment bytes against the frozen fallback
-// pipeline's records encoded by the frozen KeyValue encoders
+// reads, routes through partitionRun, buffers packed records, and
+// stable-sorts them by linear key — yet every observable artifact must
+// match the per-record lexicographic computation. These tests pin that
+// at three levels: the map pipeline's segment bytes against the frozen
+// fallback pipeline's records encoded by the frozen KeyValue encoders
 // (tests/support/fallback_pipeline.hpp, frozen_codec.hpp), the packed
 // Segment representation itself, and whole engine runs (in-memory,
 // spilled, and under fault recovery) against the serial oracle, values
@@ -24,7 +24,6 @@
 #include <tuple>
 #include <vector>
 
-#include "mapreduce/combiners.hpp"
 #include "mapreduce/engine.hpp"
 #include "mapreduce/map_pipeline.hpp"
 #include "mapreduce/partitioners.hpp"
@@ -55,8 +54,7 @@ double cellValue(const nd::Coord& c) {
 /// unique: any reordering relative to the oracle flips bytes.
 class FoldingMapper final : public mr::Mapper {
  public:
-  FoldingMapper(nd::Coord keySpace, bool partialOnly)
-      : keySpace_(keySpace), partialOnly_(partialOnly) {}
+  explicit FoldingMapper(nd::Coord keySpace) : keySpace_(keySpace) {}
 
   void map(const nd::Coord& c, double v, mr::MapContext& ctx) override {
     nd::Coord key = c;
@@ -64,7 +62,7 @@ class FoldingMapper final : public mr::Mapper {
     const double tagged = v + 0.001 * static_cast<double>(counter_);
     const std::uint64_t represents = counter_ % 4 + 1;
     mr::Value value;
-    switch (partialOnly_ ? counter_ % 2 : counter_ % 3) {
+    switch (counter_ % 3) {
       case 0:
         value = mr::Value::scalar(tagged);
         break;
@@ -81,7 +79,6 @@ class FoldingMapper final : public mr::Mapper {
 
  private:
   nd::Coord keySpace_;
-  bool partialOnly_;
   std::uint64_t counter_ = 0;
 };
 
@@ -160,35 +157,12 @@ TEST(MapPipelineParity, RandomizedSegmentsBitIdentical) {
     auto factory = sh::makeSyntheticReaderFactory(cellValue);
     auto split = mr::InputSplit::single(0, nd::Region::wholeSpace(inputShape));
 
-    FoldingMapper fastMapper(keySpace, /*partialOnly=*/false);
+    FoldingMapper fastMapper(keySpace);
     auto fast = mr::runMapPipeline(split, 0, factory, fastMapper, part,
                                    reducers, nullptr, keySpace);
-    FoldingMapper oracleMapper(keySpace, /*partialOnly=*/false);
+    FoldingMapper oracleMapper(keySpace);
     auto oracle = testsupport::runFrozenFallbackPipeline(
-        split, factory, oracleMapper, part, reducers, nullptr);
-    expectSegmentsBitIdentical(fast, oracle, keySpace);
-  }
-}
-
-TEST(MapPipelineParity, CombinerSegmentsBitIdentical) {
-  std::mt19937_64 rng(7);
-  mr::PartialMergeCombiner combiner;
-  for (int trial = 0; trial < 6; ++trial) {
-    const auto rank = static_cast<std::size_t>(trial % 3 + 1);
-    const nd::Coord keySpace = randomShape(rng, rank, 2, 5);
-    const nd::Coord inputShape = randomShape(rng, rank, 4, 9);
-    SCOPED_TRACE("trial " + std::to_string(trial));
-
-    mr::ModuloPartitioner part(keySpace);
-    auto factory = sh::makeSyntheticReaderFactory(cellValue);
-    auto split = mr::InputSplit::single(0, nd::Region::wholeSpace(inputShape));
-
-    FoldingMapper fastMapper(keySpace, /*partialOnly=*/true);
-    auto fast = mr::runMapPipeline(split, 0, factory, fastMapper, part, 4,
-                                   &combiner, keySpace);
-    FoldingMapper oracleMapper(keySpace, /*partialOnly=*/true);
-    auto oracle = testsupport::runFrozenFallbackPipeline(
-        split, factory, oracleMapper, part, 4, &combiner);
+        split, factory, oracleMapper, part, reducers);
     expectSegmentsBitIdentical(fast, oracle, keySpace);
   }
 }
@@ -221,7 +195,7 @@ TEST(MapPipelineParity, DuplicateKeysKeepEmissionOrder) {
                          keySpace);
   TwoKeyMapper oracleMapper;
   auto oracle = testsupport::runFrozenFallbackPipeline(
-      split, factory, oracleMapper, part, 2, nullptr);
+      split, factory, oracleMapper, part, 2);
   expectSegmentsBitIdentical(fast, oracle, keySpace);
 }
 

@@ -5,7 +5,6 @@
 #include <random>
 #include <set>
 
-#include "mapreduce/combiners.hpp"
 #include "mapreduce/partitioners.hpp"
 #include "mapreduce/segment.hpp"
 #include "scifile/storage.hpp"
@@ -385,48 +384,6 @@ TEST(Segment, EmptySegment) {
   EXPECT_EQ(back.header(), seg.header());
   EXPECT_EQ(back.keySpaceShape(), (nd::Coord{1}));
   EXPECT_EQ(back.serialize(), seg.serialize());
-}
-
-TEST(Segment, CombineWithMergesEqualKeys) {
-  Segment seg = testsupport::pack(
-      0, 0,
-      {{nd::Coord{1}, Value::partial(Partial::ofValue(2.0)), 1},
-       {nd::Coord{1}, Value::partial(Partial::ofValue(4.0)), 2},
-       {nd::Coord{2}, Value::partial(Partial::ofValue(9.0)), 1},
-       {nd::Coord{1}, Value::partial(Partial::ofValue(6.0)), 1}},
-      nd::Coord{3});
-  seg.sortByKey();
-  std::uint64_t representsBefore = seg.header().represents;
-  PartialMergeCombiner combiner;
-  seg.combineWith(combiner);
-  const std::vector<KeyValue> records = testsupport::unpack(seg);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].key, (nd::Coord{1}));
-  EXPECT_EQ(records[0].value.asPartial().sum, 12.0);
-  EXPECT_EQ(records[0].value.asPartial().count, 3);
-  EXPECT_EQ(records[0].represents, 4u);
-  EXPECT_EQ(records[1].value.asPartial().sum, 9.0);
-  // The count annotation total is invariant under combining
-  // (section 3.2.1: combined pairs still represent their inputs).
-  EXPECT_EQ(seg.header().represents, representsBefore);
-  EXPECT_EQ(seg.header().numRecords, 2u);
-  // Serialization stays self-consistent after combining.
-  Segment back = Segment::deserialize(seg.serialize());
-  EXPECT_EQ(back.header(), seg.header());
-}
-
-TEST(Segment, ListConcatCombiner) {
-  Segment seg = testsupport::pack(0, 0,
-                                  {{nd::Coord{5}, Value::list({1.0, 2.0}), 2},
-                                   {nd::Coord{5}, Value::list({3.0}), 1}},
-                                  nd::Coord{6});
-  seg.sortByKey();
-  ListConcatCombiner combiner;
-  seg.combineWith(combiner);
-  const std::vector<KeyValue> records = testsupport::unpack(seg);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].value.asList(), (std::vector<double>{1.0, 2.0, 3.0}));
-  EXPECT_EQ(records[0].represents, 3u);
 }
 
 std::unique_ptr<sci::Storage> memoryStorageOf(

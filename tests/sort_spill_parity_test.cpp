@@ -1,12 +1,12 @@
-// Differential sort/spill suite pinning PR 4's two rewrites
-// (DESIGN.md section 12) bit-for-bit against the behavior they replace:
+// Differential sort/spill suite (DESIGN.md section 12), pinned
+// bit-for-bit against frozen oracles:
 //
-//  * the LSD radix sort in Segment::sortPacked vs a FROZEN copy of the
-//    seed's stable comparison sort on (u64 lin, u32 index) pairs —
-//    identical packed order, identical encoded segment bytes, and
-//    stable duplicate-key emission order, across dense, shuffled,
-//    duplicate-heavy, single-key, empty, sub-threshold and >2^32-span
-//    key populations;
+//  * Segment::sortByKey vs a FROZEN copy of the seed's stable
+//    comparison sort on (u64 lin, u32 index) pairs — identical packed
+//    order, identical encoded segment bytes, and stable duplicate-key
+//    emission order, across dense, shuffled, duplicate-heavy,
+//    single-key, empty, tiny and >2^32-span key populations; and a
+//    row-major map task that never calls the sort;
 //  * pressure eviction under a one-page budget, including under
 //    FaultPlan map/reduce re-attempts: identical collectAll output,
 //    committed segment files byte-identical to the frozen encoder's
@@ -14,9 +14,9 @@
 //    tmp files left behind.
 //
 // SIDR's early-start correctness depends on every segment arriving
-// sorted and count-annotated, so the sort/spill rewrite ships pinned by
-// this equivalence suite — the same store-vs-recompute discipline the
-// metadata plumbing uses.
+// sorted and count-annotated, so the sort and spill paths stay pinned
+// by this equivalence suite — the same store-vs-recompute discipline
+// the metadata plumbing uses.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,13 +26,14 @@
 #include <fstream>
 #include <map>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "mapreduce/combiners.hpp"
 #include "mapreduce/engine.hpp"
 #include "mapreduce/map_pipeline.hpp"
 #include "mapreduce/partitioners.hpp"
+#include "obs/trace.hpp"
 #include "scihadoop/datagen.hpp"
 #include "sidr/planner.hpp"
 #include "support/frozen_codec.hpp"
@@ -43,10 +44,10 @@ namespace {
 
 using sh::OperatorKind;
 
-// ---- frozen comparison sort: the seed's Segment::sortPacked ----
+// ---- frozen comparison sort: the seed's packed-segment sort ----
 //
-// Kept verbatim as the differential oracle; the production path must
-// reproduce this permutation exactly (radix included).
+// Kept verbatim as the differential oracle; the production sort must
+// reproduce this permutation exactly.
 void frozenComparisonSortPacked(std::vector<mr::PackedRecord>& packed) {
   struct LinIdx {
     std::uint64_t lin;
@@ -121,7 +122,7 @@ std::vector<mr::PackedRecord> makeRecords(KeyShape shape, std::size_t n,
   return v;
 }
 
-void expectSamePackedOrder(const std::vector<mr::PackedRecord>& got,
+void expectSamePackedOrder(std::span<const mr::PackedRecord> got,
                            const std::vector<mr::PackedRecord>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
@@ -145,39 +146,42 @@ void expectSamePackedOrder(const std::vector<mr::PackedRecord>& got,
   }
 }
 
-// ---- radix vs frozen comparison, packed order ----
+// ---- sortByKey vs frozen comparison, packed order ----
+
+/// Sorts `base` through a Segment over `keySpace` and checks the result
+/// against the frozen comparison sort of the same records.
+void expectSortMatchesFrozenOracle(const std::vector<mr::PackedRecord>& base,
+                                   const nd::Coord& keySpace) {
+  mr::Segment seg(0, 0, base, {}, keySpace);
+  seg.sortByKey();
+  auto viaComparison = base;
+  frozenComparisonSortPacked(viaComparison);
+  expectSamePackedOrder(seg.packedRecords(), viaComparison);
+  EXPECT_TRUE(seg.isSorted());
+}
 
 TEST(SortParity, RadixMatchesFrozenComparisonAcrossShapes) {
   std::mt19937_64 rng(20260806);
-  const std::uint64_t span = 5 * 7 * 11;
+  const nd::Coord keySpace{5, 7, 11};
+  const auto span = static_cast<std::uint64_t>(keySpace.volume());
   for (KeyShape shape :
        {KeyShape::kDense, KeyShape::kShuffled, KeyShape::kDuplicateHeavy,
         KeyShape::kSingleKey}) {
-    // Sizes bracket the sub-threshold boundary (empty, tiny, one under
-    // and exactly at kRadixSortMinRecords) and go well past it.
+    // Sizes from empty and tiny up to thousands of records.
     for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{5},
-                          mr::kRadixSortMinRecords - 1,
-                          mr::kRadixSortMinRecords, std::size_t{257},
+                          std::size_t{63}, std::size_t{64}, std::size_t{257},
                           std::size_t{4096}}) {
       SCOPED_TRACE(std::string(keyShapeName(shape)) + " n=" +
                    std::to_string(n));
-      auto base = makeRecords(shape, n, span, rng);
-      auto viaRadix = base;
-      mr::radixSortPacked(viaRadix);
-      auto viaComparison = base;
-      frozenComparisonSortPacked(viaComparison);
-      expectSamePackedOrder(viaRadix, viaComparison);
-      EXPECT_TRUE(std::is_sorted(
-          viaRadix.begin(), viaRadix.end(),
-          [](const mr::PackedRecord& a, const mr::PackedRecord& b) {
-            return a.lin < b.lin;
-          }));
+      expectSortMatchesFrozenOracle(makeRecords(shape, n, span, rng),
+                                    keySpace);
     }
   }
 }
 
 TEST(SortParity, KeysBeyondU32SpanExerciseHighBytePasses) {
   std::mt19937_64 rng(97);
+  const nd::Coord keySpace{nd::Index{1} << 20, nd::Index{1} << 20};
   const std::uint64_t span = std::uint64_t{1} << 40;  // bytes 0..4 vary
   auto base = makeRecords(KeyShape::kShuffled, 2048, span, rng);
   // Salt in collisions that differ only in high bytes, and exact
@@ -186,25 +190,15 @@ TEST(SortParity, KeysBeyondU32SpanExerciseHighBytePasses) {
     base[i + 1].lin = base[i].lin;                            // duplicate
     base[i + 2].lin = base[i].lin ^ (std::uint64_t{1} << 36); // high-byte twin
   }
-  auto viaRadix = base;
-  mr::SortStats& stats = mr::sortStats();
-  stats.reset();
-  mr::radixSortPacked(viaRadix);
-  EXPECT_EQ(stats.radixSorts, 1u);
-  EXPECT_EQ(stats.radixPasses, 5u) << "bytes 0-4 vary under a 2^40 span";
-  EXPECT_EQ(stats.radixPassesSkipped, 3u) << "bytes 5-7 are constant zero";
-  auto viaComparison = base;
-  frozenComparisonSortPacked(viaComparison);
-  expectSamePackedOrder(viaRadix, viaComparison);
+  expectSortMatchesFrozenOracle(base, keySpace);
 }
 
-// ---- radix vs frozen comparison, encoded segment bytes ----
+// ---- sortByKey vs frozen comparison, encoded segment bytes ----
 
 /// Materializes the eager KeyValue view of a packed buffer (the frozen
 /// path's input), sorts it with a stable lexicographic sort, and
-/// asserts the production packed Segment — sorted through sortByKey,
-/// radix included — serializes to the bytes the frozen encoder writes
-/// from it.
+/// asserts the production packed Segment — sorted through sortByKey —
+/// serializes to the bytes the frozen encoder writes from it.
 void expectSegmentBytesMatchFrozenOracle(
     std::vector<mr::PackedRecord> packed,
     std::vector<std::vector<double>> lists, const nd::Coord& keySpace) {
@@ -274,55 +268,7 @@ TEST(SortParity, EncodedSegmentBytesIdenticalBeyondU32Span) {
   expectSegmentBytesMatchFrozenOracle(std::move(packed), {}, keySpace);
 }
 
-// ---- sorted-run detection: no re-sort of sorted input ----
-
-std::vector<mr::PackedRecord> sortedPartials(std::size_t n) {
-  std::vector<mr::PackedRecord> v(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    v[i].lin = i / 2;  // nondecreasing with duplicates
-    v[i].represents = 1;
-    v[i].kind = mr::ValueKind::kPartial;
-    v[i].payload.partial = mr::Partial::ofValue(static_cast<double>(i));
-  }
-  return v;
-}
-
-TEST(SortedSkip, SortedPackedInputDoesNoSortWork) {
-  const nd::Coord keySpace{16, 16};
-  mr::Segment seg(0, 0, sortedPartials(128), {}, keySpace);
-  mr::SortStats& stats = mr::sortStats();
-  stats.reset();
-  seg.sortByKey();
-  EXPECT_EQ(stats.sortedSkips, 1u);
-  EXPECT_EQ(stats.radixSorts, 0u);
-  EXPECT_EQ(stats.radixPasses, 0u);
-  EXPECT_EQ(stats.comparisonSorts, 0u);
-}
-
-TEST(SortedSkip, CombinerOutputNotReSorted) {
-  // Regression for the re-sort of already-sorted combiner output: after
-  // sort + combine, a consumer calling sortByKey again (as the merge
-  // path may) must detect the sorted run in one pass and do zero sort
-  // work — no radix passes, no comparison sort.
-  const nd::Coord keySpace{16, 16};
-  auto packed = sortedPartials(200);
-  std::mt19937_64 rng(5);
-  std::shuffle(packed.begin(), packed.end(), rng);
-  mr::Segment seg(0, 0, std::move(packed), {}, keySpace);
-  mr::SortStats& stats = mr::sortStats();
-  stats.reset();
-  seg.sortByKey();
-  EXPECT_EQ(stats.radixSorts, 1u);  // shuffled input radix-sorts once
-  mr::PartialMergeCombiner combiner;
-  seg.combineWith(combiner);
-  ASSERT_TRUE(seg.isSorted());
-  stats.reset();
-  seg.sortByKey();
-  EXPECT_EQ(stats.sortedSkips, 1u) << "single-pass sorted check";
-  EXPECT_EQ(stats.radixSorts, 0u);
-  EXPECT_EQ(stats.radixPasses, 0u);
-  EXPECT_EQ(stats.comparisonSorts, 0u);
-}
+// ---- in-order emission: no sort call ----
 
 double cellValue(const nd::Coord& c) {
   double v = 1.0;
@@ -334,7 +280,7 @@ double cellValue(const nd::Coord& c) {
 
 TEST(SortedSkip, RowMajorEmissionSkipsSortCallEntirely) {
   // The pipeline tracks nondecreasing emission per keyblock, so the
-  // common row-major case invokes NO sort — not even the O(n) scan.
+  // common row-major case invokes NO sort: no sort span is recorded.
   class IdentityMapper final : public mr::Mapper {
    public:
     void map(const nd::Coord& key, double value,
@@ -347,13 +293,18 @@ TEST(SortedSkip, RowMajorEmissionSkipsSortCallEntirely) {
   auto factory = sh::makeSyntheticReaderFactory(cellValue);
   auto split = mr::InputSplit::single(0, nd::Region::wholeSpace(shape));
   IdentityMapper mapper;
-  mr::SortStats& stats = mr::sortStats();
-  stats.reset();
-  auto segs = mr::runMapPipeline(split, 0, factory, mapper, part, 3, nullptr,
-                                 shape);
-  EXPECT_EQ(stats.sortedSkips, 0u) << "sort call skipped outright";
-  EXPECT_EQ(stats.radixSorts, 0u);
-  EXPECT_EQ(stats.comparisonSorts, 0u);
+  obs::TraceRecorder recorder;
+  std::vector<mr::Segment> segs;
+  {
+    obs::ScopedRecorder scoped(&recorder);
+    segs = mr::runMapPipeline(split, 0, factory, mapper, part, 3, nullptr,
+                              shape);
+  }
+  const obs::Trace trace = recorder.collect();
+  EXPECT_FALSE(trace.spans.empty()) << "the read and map spans";
+  for (const obs::Span& s : trace.spans) {
+    EXPECT_NE(s.phase, obs::Phase::kSortPacked) << "sort call not skipped";
+  }
   for (const auto& seg : segs) EXPECT_TRUE(seg.isSorted());
 }
 

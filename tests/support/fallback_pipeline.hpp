@@ -1,11 +1,10 @@
 // Frozen copy of the map pipeline's lexicographic path: per-record
 // reads, a per-emit virtual Partitioner::partition into KeyValue buffers
-// per keyblock, a stable Coord sort and an equal-key combine. Production
-// map tasks work on packed linear keys (DESIGN.md section 11); this is
-// the oracle they are differentially tested against — their segments
-// must serialize to exactly the bytes frozen_codec.hpp encodes from
-// these records — and bench_map_pipeline's legacy arm reuses its
-// combine step. Do not optimize it.
+// per keyblock and a stable Coord sort. Production map tasks work on
+// packed linear keys (DESIGN.md section 11); this is the oracle they are
+// differentially tested against — their segments must serialize to
+// exactly the bytes frozen_codec.hpp encodes from these records. Do not
+// optimize it.
 #pragma once
 
 #include <algorithm>
@@ -19,24 +18,6 @@
 #include "mapreduce/segment.hpp"
 
 namespace sidr::testsupport {
-
-/// Folds each run of equal keys in a key-sorted record vector into one
-/// record: values combined left to right in emission order, count
-/// annotations summed.
-inline std::vector<mr::KeyValue> frozenCombine(
-    std::vector<mr::KeyValue> records, const mr::Combiner& combiner) {
-  std::vector<mr::KeyValue> combined;
-  for (mr::KeyValue& kv : records) {
-    if (!combined.empty() && combined.back().key == kv.key) {
-      mr::KeyValue& last = combined.back();
-      last.value = combiner.combine(last.value, kv.value);
-      last.represents += kv.represents;
-    } else {
-      combined.push_back(std::move(kv));
-    }
-  }
-  return combined;
-}
 
 /// Routes every emission through Partitioner::partition into one
 /// KeyValue buffer per keyblock.
@@ -64,13 +45,11 @@ class FrozenFallbackContext final : public mr::MapContext {
 };
 
 /// One map task through the frozen path: each keyblock's records,
-/// sorted (stable, so equal keys keep emission order) and, with a
-/// combiner, combined.
+/// sorted (stable, so equal keys keep emission order).
 inline std::vector<std::vector<mr::KeyValue>> runFrozenFallbackPipeline(
     const mr::InputSplit& split, const mr::RecordReaderFactory& readerFactory,
     mr::Mapper& mapper, const mr::Partitioner& partitioner,
-    std::uint32_t numReducers,
-    const mr::Combiner* combiner) {
+    std::uint32_t numReducers) {
   FrozenFallbackContext ctx(partitioner, numReducers);
   mapper.beginSplit(split.regions);
   nd::Coord key;
@@ -88,9 +67,7 @@ inline std::vector<std::vector<mr::KeyValue>> runFrozenFallbackPipeline(
                      [](const mr::KeyValue& a, const mr::KeyValue& b) {
                        return a.key < b.key;
                      });
-    keyblocks.push_back(combiner != nullptr
-                            ? frozenCombine(std::move(buf), *combiner)
-                            : std::move(buf));
+    keyblocks.push_back(std::move(buf));
   }
   return keyblocks;
 }

@@ -8,8 +8,9 @@
 //     commit;
 //   - reduce-side fetch tallies equal the sum of the committed
 //     annotations they depend on;
-// plus targeted tests for SortStats surfaced in JobResult, the Chrome
-// trace exporter, and the disabled recorder (same metrics, no spans).
+// plus targeted tests for sort spans (present exactly when a mapper
+// emits out of key order), the Chrome trace exporter, and the disabled
+// recorder (same metrics, no spans).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -199,24 +200,18 @@ mr::JobSpec transposeJob(nd::Index side, std::uint32_t numReducers) {
   spec.partitioner = std::make_shared<const mr::ModuloPartitioner>(shape);
   spec.numReducers = numReducers;
   spec.reduceDeps = ts::barrierDeps(2, numReducers);
-  spec.keySpace = shape;  // linearized fast path: packed radix sorts
+  spec.keySpace = shape;  // linearized fast path: packed stable sorts
   spec.numThreads = 2;
   return spec;
 }
 
 TEST(TraceInvariants, SortTotalsSurfacedInJobResult) {
-  // The transposing mapper forces out-of-order emission, so packed
-  // sorts must run — and their formerly thread-local counters must
-  // surface in JobResult::sortTotals.
+  // The transposing mapper forces out-of-order emission, so the map
+  // tasks must sort, and the trace must show it.
   mr::JobSpec spec = transposeJob(32, 2);
   spec.recordTrace = true;
   mr::JobResult result = mr::Engine(std::move(spec)).run();
 
-  const mr::SortStats& st = result.sortTotals;
-  EXPECT_GT(st.comparisonSorts + st.radixSorts, 0u)
-      << "no sort activity surfaced at all";
-
-  // Sort spans accompany the counters.
   bool sawSort = false;
   for (const obs::Span& s : result.trace.spans) {
     sawSort |= s.phase == obs::Phase::kSortPacked;
@@ -224,29 +219,123 @@ TEST(TraceInvariants, SortTotalsSurfacedInJobResult) {
   EXPECT_TRUE(sawSort);
 }
 
+/// A traced job's map tasks ran, and none of them called the sort.
+void expectMapsWithoutSorts(const mr::JobResult& result) {
+  std::size_t mapAttempts = 0;
+  for (const obs::Span& s : result.trace.spans) {
+    if (s.phase == obs::Phase::kTaskAttempt && s.side == obs::TaskSide::kMap) {
+      ++mapAttempts;
+    }
+    EXPECT_NE(s.phase, obs::Phase::kSortPacked)
+        << "map " << s.taskId << " keyblock " << s.keyblock;
+  }
+  EXPECT_GT(mapAttempts, 0u);
+}
+
 TEST(TraceInvariants, PlannerJobsEmitInOrderAndSkipSorts) {
   // The flip side of the test above, pinned so a pipeline regression
-  // cannot silently reintroduce sorting: planner-built jobs emit in
-  // key order, so NO sort of any kind runs and no sort span appears.
-  nd::Coord input{32, 32};
-  sh::StructuralQuery q;
-  q.variable = "v";
-  q.op = sh::OperatorKind::kMedian;
-  q.extractionShape = nd::Coord{32, 1};
-  QueryPlanner planner(q, input);
-  PlanOptions opts;
-  opts.system = SystemMode::kSidr;
-  opts.numReducers = 2;
-  opts.desiredSplitCount = 4;
-  opts.recordTrace = true;
-  QueryPlan plan = planner.plan(sh::temperatureField(19), opts);
-  mr::JobResult result = mr::Engine(std::move(plan.spec)).run();
+  // cannot silently reintroduce sorting: every mapper the planner builds
+  // emits each keyblock in key order, so no planner-built map task
+  // calls the sort. The matrix crosses all three systems, both key
+  // modes, both edge modes, strides and subsets (48 = 3*2*2*2*2 plans),
+  // cycles every single-input operator through them, turns skew
+  // adaptation on for half the SIDR plans, and adds join plans.
+  constexpr sh::OperatorKind kOps[] = {
+      sh::OperatorKind::kMean,   sh::OperatorKind::kSum,
+      sh::OperatorKind::kMin,    sh::OperatorKind::kMax,
+      sh::OperatorKind::kCount,  sh::OperatorKind::kRange,
+      sh::OperatorKind::kMedian, sh::OperatorKind::kFilter,
+      sh::OperatorKind::kSort,
+  };
+  constexpr SystemMode kSystems[] = {SystemMode::kHadoop,
+                                     SystemMode::kSciHadoop, SystemMode::kSidr};
+  std::mt19937_64 rng(4057);
+  auto pick = [&rng](nd::Index lo, nd::Index hi) {
+    return lo + static_cast<nd::Index>(
+                    rng() % static_cast<std::uint64_t>(hi - lo + 1));
+  };
+  auto options = [&pick](SystemMode system, bool skewAdapt) {
+    PlanOptions opts;
+    opts.system = system;
+    opts.skewAdapt = skewAdapt;
+    opts.skewSampleFraction = 1.0;
+    opts.numReducers = static_cast<std::uint32_t>(pick(1, 5));
+    opts.desiredSplitCount = static_cast<std::size_t>(pick(1, 6));
+    opts.numThreads = 2;
+    opts.recordTrace = true;
+    return opts;
+  };
 
-  const mr::SortStats& st = result.sortTotals;
-  EXPECT_EQ(st.sortedSkips + st.comparisonSorts + st.radixSorts, 0u)
-      << "sorted-skip fast path stopped covering planner jobs";
-  for (const obs::Span& s : result.trace.spans) {
-    EXPECT_NE(s.phase, obs::Phase::kSortPacked);
+  for (int i = 0; i < 48; ++i) {
+    const SystemMode system = kSystems[i % 3];
+    const auto rank = static_cast<std::size_t>(pick(2, 3));
+    nd::Coord input = nd::Coord::zeros(rank);
+    for (std::size_t d = 0; d < rank; ++d) {
+      input[d] = pick(3, rank == 2 ? 16 : 7);
+    }
+    sh::StructuralQuery q;
+    q.variable = "v";
+    q.op = kOps[i % 9];
+    q.keyMode = (i / 3) % 2 ? sh::KeyMode::kPreserveCoords
+                            : sh::KeyMode::kRenumber;
+    q.edgeMode = (i / 6) % 2 ? sh::EdgeMode::kPad : sh::EdgeMode::kTruncate;
+    q.filterThreshold = 16.0;
+    nd::Region domain = nd::Region::wholeSpace(input);
+    if ((i / 24) % 2) {
+      nd::Coord corner = nd::Coord::zeros(rank);
+      nd::Coord extent = nd::Coord::zeros(rank);
+      for (std::size_t d = 0; d < rank; ++d) {
+        corner[d] = pick(0, input[d] - 2);
+        extent[d] = pick(2, input[d] - corner[d]);
+      }
+      domain = nd::Region(corner, extent);
+      q.subset = domain;
+    }
+    q.extractionShape = nd::Coord::zeros(rank);
+    for (std::size_t d = 0; d < rank; ++d) {
+      q.extractionShape[d] =
+          pick(1, std::min<nd::Index>(domain.shape()[d], 3));
+    }
+    if ((i / 12) % 2) {
+      nd::Coord stride = q.extractionShape;
+      for (std::size_t d = 0; d < rank; ++d) stride[d] += pick(0, 2);
+      q.stride = stride;
+    }
+    const bool skewAdapt = system == SystemMode::kSidr && (i / 9) % 2 == 0;
+    SCOPED_TRACE("plan " + std::to_string(i) + ": " + sh::describe(q) +
+                 " over " + input.toString() + " under " +
+                 systemModeName(system) + (skewAdapt ? " +skewAdapt" : ""));
+    QueryPlan plan = QueryPlanner(q, input).plan(
+        sh::temperatureField(static_cast<std::uint64_t>(i)),
+        options(system, skewAdapt));
+    expectMapsWithoutSorts(mr::Engine(std::move(plan.spec)).run());
+  }
+
+  for (int i = 0; i < 8; ++i) {
+    const nd::Coord grid{pick(2, 6), pick(2, 6)};
+    sh::StructuralQuery q;
+    q.variable = "left";
+    q.op = sh::OperatorKind::kJoin;
+    q.extractionShape = nd::Coord{pick(1, 3), pick(1, 3)};
+    sh::JoinSpec js;
+    js.variable = "right";
+    js.extractionShape = nd::Coord{pick(1, 3), pick(1, 3)};
+    js.inputShape = nd::Coord{grid[0] * js.extractionShape[0],
+                              grid[1] * js.extractionShape[1]};
+    js.leftThreshold = 16.0;
+    q.join = js;
+    const nd::Coord input{grid[0] * q.extractionShape[0],
+                          grid[1] * q.extractionShape[1]};
+    const SystemMode system = kSystems[i % 3];
+    const bool skewAdapt = system == SystemMode::kSidr && i % 2 == 0;
+    SCOPED_TRACE("join " + std::to_string(i) + " over grid " +
+                 grid.toString() + " under " + systemModeName(system) +
+                 (skewAdapt ? " +skewAdapt" : ""));
+    QueryPlan plan = QueryPlanner(q, input).planJoin(
+        sh::temperatureField(static_cast<std::uint64_t>(100 + i)),
+        sh::temperatureField(static_cast<std::uint64_t>(200 + i)),
+        options(system, skewAdapt));
+    expectMapsWithoutSorts(mr::Engine(std::move(plan.spec)).run());
   }
 }
 
@@ -254,7 +343,6 @@ TEST(TraceInvariants, PlannerJobsEmitInOrderAndSkipSorts) {
 std::vector<std::pair<std::string, std::uint64_t>> countedMetrics(
     const mr::JobResult& r) {
   const mr::TransportStats& t = r.transportTotals;
-  const mr::SortStats& st = r.sortTotals;
   std::vector<std::pair<std::string, std::uint64_t>> m = {
       {"shuffleConnections", r.shuffleConnections},
       {"shuffleBytes", r.shuffleBytes},
@@ -274,11 +362,6 @@ std::vector<std::pair<std::string, std::uint64_t>> countedMetrics(
       {"connectionsReused", t.connectionsReused},
       {"fetchRetries", t.fetchRetries},
       {"wastedWireBytes", t.wastedWireBytes},
-      {"sortedSkips", st.sortedSkips},
-      {"comparisonSorts", st.comparisonSorts},
-      {"radixSorts", st.radixSorts},
-      {"radixPasses", st.radixPasses},
-      {"radixPassesSkipped", st.radixPassesSkipped},
   };
   for (std::size_t kb = 0; kb < r.outputs.size(); ++kb) {
     const std::string suffix = "[" + std::to_string(kb) + "]";
@@ -292,10 +375,10 @@ std::vector<std::pair<std::string, std::uint64_t>> countedMetrics(
 TEST(TraceInvariants, DisabledRecorderFillsTheSameMetrics) {
   // Tracing adds spans and nothing else: a traced and an untraced run
   // of one job report the same metrics. The job feeds every metric at
-  // once — out-of-order emission (packed sorts), a one-page budget
-  // (eviction), the socket transport (wire totals), a failed map
-  // attempt (re-execution) and a dropped fetch (retry, wasted bytes) —
-  // on one worker thread, so both runs schedule alike.
+  // once — a one-page budget (eviction), the socket transport (wire
+  // totals), a failed map attempt (re-execution) and a dropped fetch
+  // (retry, wasted bytes) — on one worker thread, so both runs schedule
+  // alike.
   auto run = [](bool traced) {
     const testsupport::TempDir dir;
     mr::JobSpec spec = transposeJob(24, 3);
@@ -314,8 +397,6 @@ TEST(TraceInvariants, DisabledRecorderFillsTheSameMetrics) {
   EXPECT_TRUE(untraced.trace.spans.empty());
   EXPECT_EQ(countedMetrics(untraced), countedMetrics(traced));
   // The job did exercise what the comparison covers.
-  const mr::SortStats& st = untraced.sortTotals;
-  EXPECT_GT(st.comparisonSorts + st.radixSorts, 0u);
   EXPECT_GT(untraced.pressureSpillEvents, 0u);
   EXPECT_GT(untraced.transportTotals.wireBytes, 0u);
   EXPECT_GT(untraced.transportTotals.wastedWireBytes, 0u);
